@@ -1,6 +1,7 @@
 //! E2: answer-path breakdown and latency vs query tolerance.
 
-use presto_bench::experiments::{e2_latency, render_json};
+use presto_bench::experiments::e2_latency;
+use presto_bench::report::json_text;
 
 fn main() {
     let days = std::env::args()
@@ -8,8 +9,6 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(5);
     let rows = e2_latency(days, 12);
-    print!(
-        "{}",
-        render_json("E2 — answer path vs query tolerance", &rows)
-    );
+    println!("E2 — answer path vs query tolerance");
+    print!("{}", json_text(&rows));
 }

@@ -1,6 +1,7 @@
 //! E3: extrapolation accuracy vs the push-tolerance guarantee.
 
-use presto_bench::experiments::{e3_extrapolation, render_json};
+use presto_bench::experiments::e3_extrapolation;
+use presto_bench::report::json_text;
 
 fn main() {
     let days = std::env::args()
@@ -8,8 +9,6 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(7);
     let rows = e3_extrapolation(days, 13);
-    print!(
-        "{}",
-        render_json("E3 — extrapolation error vs push tolerance", &rows)
-    );
+    println!("E3 — extrapolation error vs push tolerance");
+    print!("{}", json_text(&rows));
 }

@@ -1,6 +1,7 @@
 //! E4: graceful aging under storage pressure.
 
-use presto_bench::experiments::{e4_aging, render_json};
+use presto_bench::experiments::e4_aging;
+use presto_bench::report::json_text;
 
 fn main() {
     let days = std::env::args()
@@ -8,8 +9,6 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(10);
     let rows = e4_aging(days, 14);
-    print!(
-        "{}",
-        render_json("E4 — queryable history with and without aging", &rows)
-    );
+    println!("E4 — queryable history with and without aging");
+    print!("{}", json_text(&rows));
 }

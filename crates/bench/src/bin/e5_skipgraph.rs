@@ -1,11 +1,10 @@
 //! E5: skip-graph hop scaling with proxy count.
 
-use presto_bench::experiments::{e5_skipgraph, render_json};
+use presto_bench::experiments::e5_skipgraph;
+use presto_bench::report::json_text;
 
 fn main() {
     let rows = e5_skipgraph(15);
-    print!(
-        "{}",
-        render_json("E5 — skip-graph search/insert hops vs proxies", &rows)
-    );
+    println!("E5 — skip-graph search/insert hops vs proxies");
+    print!("{}", json_text(&rows));
 }

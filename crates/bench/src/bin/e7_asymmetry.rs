@@ -1,11 +1,10 @@
 //! E7: model build/check asymmetry.
 
-use presto_bench::experiments::{e7_asymmetry, render_json};
+use presto_bench::experiments::e7_asymmetry;
+use presto_bench::report::json_text;
 
 fn main() {
     let rows = e7_asymmetry(17);
-    print!(
-        "{}",
-        render_json("E7 — proxy train cycles vs sensor check cycles", &rows)
-    );
+    println!("E7 — proxy train cycles vs sensor check cycles");
+    print!("{}", json_text(&rows));
 }

@@ -9,7 +9,7 @@
 //! burst window, additionally requiring the burst to have exercised the
 //! downlink retransmission machinery.
 
-use presto_bench::experiments::render_json;
+use presto_bench::report::json_text;
 use presto_bench::failure::{failure_scenario, FailureScenarioConfig};
 
 fn main() {
@@ -30,23 +30,18 @@ fn main() {
         }
     };
     let r = failure_scenario(&cfg);
-    print!(
-        "{}",
-        render_json(
-            &format!(
-                "failure scenario — {} h, {:.0}% {} loss, crash {:?}",
-                cfg.hours,
-                cfg.loss * 100.0,
-                if cfg.correlated {
-                    "correlated (shared-fading)"
-                } else {
-                    "bursty"
-                },
-                cfg.crash_hours
-            ),
-            &r
-        )
+    println!(
+        "failure scenario — {} h, {:.0}% {} loss, crash {:?}",
+        cfg.hours,
+        cfg.loss * 100.0,
+        if cfg.correlated {
+            "correlated (shared-fading)"
+        } else {
+            "bursty"
+        },
+        cfg.crash_hours
     );
+    print!("{}", json_text(&r));
     if quick || quick_correlated {
         let mut failures = Vec::new();
         if r.detection_latency_s.is_nan() || r.detection_latency_s > r.lease_s + 31.0 {

@@ -20,5 +20,6 @@ fn main() {
         Ok(()) => println!("\nshape check: OK (batched arms decrease, wavelet below raw, value-driven flat with d1 > d2)"),
         Err(e) => println!("\nshape check: FAILED — {e}"),
     }
-    println!("\nJSON:\n{}", presto_bench::to_json(&data));
+    println!("\nJSON:");
+    print!("{}", presto_bench::report::json_text(&data));
 }

@@ -9,9 +9,12 @@
 //! answered throughput drops below the monolithic arm, any answer is
 //! stale-confident, or anything leaks.
 
-use presto_bench::experiments::render_json;
-use presto_bench::report::{render_summary, write_bench_json, BenchJson};
+use presto_bench::driver::conclude;
+use presto_bench::report::{publish, BenchJson};
 use presto_bench::slice_scenario::{slice_scenario, SliceScenarioConfig};
+
+#[global_allocator]
+static ALLOC: presto_telemetry::alloc::CountingAlloc = presto_telemetry::alloc::CountingAlloc;
 
 fn main() {
     let arg = std::env::args().nth(1);
@@ -24,118 +27,24 @@ fn main() {
             ..SliceScenarioConfig::default()
         }
     };
-    let r = slice_scenario(&cfg);
-    print!(
-        "{}",
-        render_json(
-            &format!(
-                "sliced execution — {} h × {} users over {} sensors, {:.0}% downlink loss",
-                cfg.query_hours,
-                cfg.users,
-                cfg.sensors,
-                cfg.loss * 100.0
-            ),
-            &r
-        )
+    println!(
+        "sliced execution — {} h × {} users over {} sensors, {:.0}% downlink loss",
+        cfg.query_hours,
+        cfg.users,
+        cfg.sensors,
+        cfg.loss * 100.0
     );
-    let bench = BenchJson {
-        scenario: "slice".into(),
-        throughput_ratio: r.throughput_ratio,
-        arms: vec![
-            r.sliced.summarize("sliced"),
-            r.monolithic.summarize("monolithic"),
-        ],
-        metrics: r
-            .sliced
-            .metrics
-            .iter()
-            .map(|(key, value)| presto_bench::report::MetricLine {
-                key: key.clone(),
-                value: *value,
-            })
-            .collect(),
-        timeline: r.sliced.timeline.clone(),
-        incidents: r.sliced.incidents.clone(),
-    };
-    print!("{}", render_summary(&bench));
-    let mut failures = Vec::new();
-    if let Err(e) = write_bench_json("BENCH_slice.json", &bench) {
-        failures.push(format!("could not write BENCH_slice.json: {e}"));
-    }
-    for (label, arm) in [("sliced", &r.sliced), ("monolithic", &r.monolithic)] {
-        if arm.completed != arm.submitted {
-            failures.push(format!(
-                "({label}) {} of {} queries never terminated",
-                arm.submitted - arm.completed,
-                arm.submitted
-            ));
-        }
-        if arm.stale_confident > 0 {
-            failures.push(format!(
-                "({label}) {} stale-confident answers",
-                arm.stale_confident
-            ));
-        }
-        if arm.answer_age_missing > 0 {
-            failures.push(format!(
-                "({label}) {} Ok answers missing the age stamp",
-                arm.answer_age_missing
-            ));
-        }
-        if arm.trace_bad > 0 || arm.trace_orphans > 0 {
-            failures.push(format!(
-                "({label}) malformed traces: {} bad, {} orphans",
-                arm.trace_bad, arm.trace_orphans
-            ));
-        }
-        if arm.leaked_pending > 0 || arm.leaked_rpcs > 0 {
-            failures.push(format!(
-                "({label}) leaked entries: {} pending queries, {} pending RPCs",
-                arm.leaked_pending, arm.leaked_rpcs
-            ));
-        }
-        if !arm.incidents.is_empty() || arm.incidents_unattributed > 0 {
-            failures.push(format!(
-                "({label}) clean run logged {} watchdog incidents ({} unattributed)",
-                arm.incidents.len(),
-                arm.incidents_unattributed
-            ));
-        }
-    }
-    if r.sliced.timeline.iter().all(|s| s.points.is_empty()) {
-        failures.push("presto-scope exported an empty timeline".into());
-    }
-    if r.sliced.sliced == 0 {
-        failures.push("no query took the sliced path".into());
-    }
-    if r.sliced.cache_hit_rate <= 0.0 {
-        failures.push("slice cache never hit".into());
-    }
-    if r.hit_rate_gain <= 0.0 {
-        failures.push(format!(
-            "slice hit rate {:.3} did not beat the monolithic reply cache {:.3}",
-            r.sliced.cache_hit_rate, r.monolithic.cache_hit_rate
-        ));
-    }
-    if r.throughput_ratio < 1.0 {
-        failures.push(format!(
-            "sliced throughput {:.1} q/h fell below monolithic {:.1} q/h",
-            r.sliced.throughput_qph, r.monolithic.throughput_qph
-        ));
-    }
-    if !failures.is_empty() {
-        eprintln!("slice {} FAILED:", if quick { "smoke" } else { "run" });
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!(
-        "slice {} OK — {} queries, hit rate {:.3} vs {:.3}, throughput ratio {:.2}×",
-        if quick { "smoke" } else { "run" },
-        r.sliced.submitted,
-        r.sliced.cache_hit_rate,
-        r.monolithic.cache_hit_rate,
-        r.throughput_ratio
+    let r = slice_scenario(&cfg);
+    let bench = BenchJson::from_arms("slice", &r.sliced, &r.monolithic);
+    let mut failures = r.failures();
+    publish("BENCH_slice.json", &bench, &mut failures);
+    conclude(
+        "slice",
+        quick,
+        &failures,
+        &format!(
+            "hit rate gain {:.3}, throughput ratio {:.2}×",
+            r.hit_rate_gain, r.throughput_ratio
+        ),
     );
 }

@@ -7,10 +7,10 @@
 //! `incidents` sections are for humans and trend tooling and are not
 //! byte-gated (they move with every intentional behavior change).
 //!
-//! The vendored serde_json shim has no parser, so this module carries a
-//! minimal recursive-descent JSON reader sufficient for the artifacts
-//! the deterministic emitter in [`crate::report`] produces (objects,
-//! arrays, strings, numbers, booleans, null).
+//! The crate's only JSON reader lives here: a minimal recursive-descent
+//! parser into [`JsonValue`], sufficient for what the deterministic
+//! emitter in [`crate::report`] produces (objects, arrays, strings,
+//! numbers, booleans, null).
 //!
 //! Band policy, per key (first match wins):
 //!
@@ -29,64 +29,11 @@
 
 use std::collections::BTreeMap;
 
+pub use crate::report::JsonValue;
+
 // ---------------------------------------------------------------------------
 // Minimal JSON parser
 // ---------------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// `null` (also what the emitter writes for non-finite floats).
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => {
-                fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
-            _ => None,
-        }
-    }
-
-    /// Numeric reading (`null` reads as NaN — the emitter's non-finite
-    /// encoding).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(v) => Some(*v),
-            JsonValue::Null => Some(f64::NAN),
-            _ => None,
-        }
-    }
-
-    /// String reading.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array reading.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -549,19 +496,21 @@ pub fn compare_bench(baseline: &JsonValue, candidate: &JsonValue) -> DiffReport 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{render_bench_json, ArmSummary, BenchJson, MetricLine};
+    use crate::report::{json_text, ArmSummary, BenchJson, MetricLine};
 
+    // Rows outside tests come only from `ArmSummary::new`; a test row
+    // starts zeroed and sets the fields under test.
+    #[allow(clippy::field_reassign_with_default)]
     fn bench(ratio: f64, failed: u64, metrics: &[(&str, f64)]) -> BenchJson {
+        let mut arm = ArmSummary::default();
+        arm.arm = "shed-on".into();
+        arm.submitted = 500;
+        arm.answered_ok = 480;
+        arm.failed = failed;
         BenchJson {
             scenario: "fleet".into(),
             throughput_ratio: ratio,
-            arms: vec![ArmSummary {
-                arm: "shed-on".into(),
-                submitted: 500,
-                answered_ok: 480,
-                failed,
-                ..ArmSummary::default()
-            }],
+            arms: vec![arm],
             metrics: metrics
                 .iter()
                 .map(|(k, v)| MetricLine {
@@ -574,7 +523,7 @@ mod tests {
     }
 
     fn parse(b: &BenchJson) -> JsonValue {
-        parse_json(&render_bench_json(b)).expect("emitter output parses")
+        parse_json(&json_text(b)).expect("emitter output parses")
     }
 
     #[test]

@@ -15,7 +15,6 @@ use presto_sensor::{DownlinkMsg, PushPolicy, SensorConfig, SensorNode, UplinkPay
 use presto_sim::metrics::Summary;
 use presto_sim::{EnergyLedger, SimDuration, SimRng, SimTime};
 use presto_workloads::{LabDeployment, LabParams, TrafficGen, TrafficParams};
-use serde::Serialize;
 
 fn diurnal_history(days: u64, step_mins: u64, seed: u64) -> Vec<(SimTime, f64)> {
     LabDeployment::single_sensor_trace(
@@ -37,7 +36,7 @@ fn diurnal_history(days: u64, step_mins: u64, seed: u64) -> Vec<(SimTime, f64)> 
 // ---------------------------------------------------------------------
 
 /// One arm of the rare-event experiment.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct E1Arm {
     /// Arm label.
     pub arm: String,
@@ -48,7 +47,7 @@ pub struct E1Arm {
 }
 
 /// E1 result.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct E1Result {
     /// Injected event count.
     pub events: u64,
@@ -182,7 +181,7 @@ pub fn e1_rare_events(days: u64, seed: u64) -> E1Result {
 // ---------------------------------------------------------------------
 
 /// One tolerance point of E2.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct E2Row {
     /// Query tolerance.
     pub tolerance: f64,
@@ -275,7 +274,7 @@ pub fn e2_latency(days: u64, seed: u64) -> Vec<E2Row> {
 // ---------------------------------------------------------------------
 
 /// One point of E3.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct E3Row {
     /// Configured push tolerance.
     pub push_tolerance: f64,
@@ -353,7 +352,7 @@ pub fn e3_extrapolation(days: u64, seed: u64) -> Vec<E3Row> {
 // ---------------------------------------------------------------------
 
 /// One capacity point of E4.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct E4Row {
     /// Flash capacity, bytes.
     pub capacity_bytes: usize,
@@ -431,7 +430,7 @@ pub fn e4_aging(days: u64, seed: u64) -> Vec<E4Row> {
 // ---------------------------------------------------------------------
 
 /// One size point of E5.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct E5Row {
     /// Number of proxies in the index.
     pub proxies: usize,
@@ -472,7 +471,7 @@ pub fn e5_skipgraph(seed: u64) -> Vec<E5Row> {
 // ---------------------------------------------------------------------
 
 /// One latency-bound point of E6.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct E6Row {
     /// Registered worst-case latency bound, minutes.
     pub latency_bound_min: f64,
@@ -560,7 +559,7 @@ pub fn e6_matching(seed: u64) -> Vec<E6Row> {
 // ---------------------------------------------------------------------
 
 /// One model-class row of E7.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct E7Row {
     /// Model class label.
     pub model: String,
@@ -638,7 +637,7 @@ pub fn e7_asymmetry(seed: u64) -> Vec<E7Row> {
 // ---------------------------------------------------------------------
 
 /// One skew point of E8.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct E8Row {
     /// Injected clock skew spread, ppm.
     pub skew_ppm: f64,
@@ -720,7 +719,7 @@ pub fn e8_clock(seed: u64) -> Vec<E8Row> {
 // ---------------------------------------------------------------------
 
 /// One model-class row of the ablation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct A1Row {
     /// Model class label.
     pub model: String,
@@ -816,13 +815,45 @@ pub fn a1_model_ablation(days: u64, seed: u64) -> Vec<A1Row> {
         .collect()
 }
 
-// Small render helper shared by the binaries.
-
-/// Renders rows of any serializable experiment as pretty JSON plus a
-/// headline.
-pub fn render_json<T: Serialize>(title: &str, rows: &T) -> String {
-    format!("{title}\n{}\n", crate::to_json(rows))
-}
+crate::json_object!(E1Arm { arm, recall, push_j });
+crate::json_object!(E1Result { events, arms });
+crate::json_object!(E2Row {
+    tolerance,
+    cache_hit,
+    extrapolated,
+    pulled,
+    latency_mean_ms,
+    latency_p95_ms,
+    error_mean,
+});
+crate::json_object!(E3Row {
+    push_tolerance,
+    mean_abs_error,
+    max_abs_error,
+    within_bound,
+    pushes_per_day,
+});
+crate::json_object!(E4Row {
+    capacity_bytes,
+    aged_history_hours,
+    dropped_history_hours,
+    oldest_day_rmse,
+});
+crate::json_object!(E5Row { proxies, search_hops_mean, insert_hops_mean });
+crate::json_object!(E6Row {
+    latency_bound_min,
+    energy_per_day_j,
+    measured_worst_latency_ms,
+    bound_met,
+});
+crate::json_object!(E7Row { model, train_cycles, check_cycles, ratio, param_bytes });
+crate::json_object!(E8Row {
+    skew_ppm,
+    violations_raw,
+    violations_corrected,
+    residual_error_ms,
+});
+crate::json_object!(A1Row { model, pushes_per_day, push_j_per_day, param_bytes });
 
 #[cfg(test)]
 mod tests {

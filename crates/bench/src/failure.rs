@@ -20,7 +20,6 @@ use presto_core::{PrestoSystem, StoreQuery, SystemConfig, UnifiedStore};
 use presto_net::{GilbertElliott, LossProcess};
 use presto_reliability::{Health, LivenessConfig, ReliabilityConfig};
 use presto_sim::{EnergyLedger, FaultPlan, SimDuration, SimTime};
-use serde::Serialize;
 
 /// Scenario parameters.
 #[derive(Clone, Debug)]
@@ -62,7 +61,7 @@ impl Default for FailureScenarioConfig {
 }
 
 /// Scenario result.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct FailureReport {
     /// Long-run loss the fabric channel was configured for.
     pub configured_loss: f64,
@@ -113,6 +112,32 @@ pub struct FailureReport {
     /// Max |proxy − archive| over matched samples in the window.
     pub window_max_err: f64,
 }
+
+crate::json_object!(FailureReport {
+    configured_loss,
+    offered,
+    delivered,
+    dropped,
+    retransmits,
+    heartbeats,
+    detection_latency_s,
+    lease_s,
+    gaps_detected,
+    recoveries,
+    samples_replayed,
+    recovery_latency_s,
+    probes,
+    stale_confident,
+    stale_answer_rate,
+    outage_honest,
+    pulls,
+    pull_failures,
+    downlink_retransmits,
+    downlink_rpc_failures,
+    window_archived,
+    window_missing,
+    window_max_err,
+});
 
 /// A bursty chain with the requested stationary loss (bad-state dwell
 /// ~15 frames, matching the indoor preset's burstiness).

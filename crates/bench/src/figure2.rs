@@ -17,7 +17,6 @@ use presto_sensor::PushPolicy;
 use presto_sim::SimDuration;
 use presto_wavelet::CodecParams;
 use presto_workloads::{LabDeployment, LabParams};
-use serde::Serialize;
 
 /// The paper's batching-interval ladder, minutes.
 pub const INTERVALS_MIN: [f64; 8] = [16.5, 33.0, 66.0, 132.0, 264.0, 529.0, 1058.0, 2116.0];
@@ -52,7 +51,7 @@ impl Default for Figure2Config {
 }
 
 /// One x-axis point of the figure.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Figure2Row {
     /// Batching interval, minutes.
     pub interval_min: f64,
@@ -67,7 +66,7 @@ pub struct Figure2Row {
 }
 
 /// The full figure: rows plus arm metadata.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Figure2Data {
     /// Per-interval rows.
     pub rows: Vec<Figure2Row>,
@@ -76,6 +75,15 @@ pub struct Figure2Data {
     /// Trace length in samples.
     pub samples: usize,
 }
+
+crate::json_object!(Figure2Row {
+    interval_min,
+    batched_wavelet_j,
+    batched_raw_j,
+    value_delta1_j,
+    value_delta2_j,
+});
+crate::json_object!(Figure2Data { rows, listen_baseline_j, samples });
 
 /// Runs the sweep.
 pub fn generate(cfg: &Figure2Config) -> Figure2Data {

@@ -21,16 +21,20 @@
 //! never silently wrong one). Leak probes must read clean after the
 //! drain window, across the crash + re-home cycle included.
 
-use crate::report::{scope_incidents, scope_timeline, IncidentOut, SeriesOut};
+use std::fmt::Write as _;
+
+use crate::driver::{
+    arm_failures, ratio_or_inf, run_arm as drive, throughput_ratio, ArmPlan, ArmRun, Arrival,
+    Deployment, Terminal,
+};
+use crate::report::ArmSummary;
 use presto_core::SystemConfig;
-use presto_fleet::{fleet_scope_config, FleetConfig, FleetDeployment, FleetScopeBounds, FEED_STALE_CONFIDENT};
+use presto_fleet::{fleet_scope_config, FleetConfig, FleetDeployment, FleetScopeBounds};
 use presto_net::LossProcess;
-use presto_proxy::{PipelineAnswer, PipelineQuery, QueryClass};
-use presto_sim::metrics::Summary;
+use presto_proxy::QueryClass;
 use presto_sim::{
     FaultPlan, FleetLoadConfig, FleetQueryLoad, QueryLoadConfig, SimDuration, SimTime,
 };
-use serde::Serialize;
 
 /// Scenario parameters.
 #[derive(Clone, Debug)]
@@ -93,131 +97,26 @@ impl FleetScenarioConfig {
     }
 }
 
-/// One arm's (shedding on or off) measurements.
-#[derive(Clone, Debug, Serialize)]
-pub struct FleetArmReport {
-    /// Queries submitted.
-    pub submitted: u64,
-    /// Terminals observed (every submitted query must terminate).
-    pub completed: u64,
-    /// Terminals with a real (non-Failed) answer.
-    pub answered_ok: u64,
-    /// Honest failures (router + pipeline deadlines, entry death).
-    pub failed: u64,
-    /// Queries shed from hot proxies.
-    pub shed: u64,
-    /// Pipeline completions straight from radio-free fast paths.
-    pub completed_fast: u64,
-    /// Pipeline completions from matched pull replies.
-    pub completed_pull: u64,
-    /// Pull RPCs issued across proxies.
-    pub rpcs_issued: u64,
+/// One arm's (shedding on or off) driver run plus the fleet-only
+/// readings its per-epoch hook collects.
+pub struct FleetArm {
+    /// The driver run.
+    pub run: ArmRun,
     /// Shed/resumed queries that completed with a real answer.
     pub forwarded_ok: u64,
-    /// Answered-query throughput over the phase, queries/hour.
-    pub throughput_qph: f64,
-    /// Terminal-latency p50, seconds (failures included at
-    /// deadline + grace).
-    pub p50_s: f64,
-    /// Terminal-latency p99, seconds.
-    pub p99_s: f64,
-    /// Per-proxy answered fraction, by entry proxy.
-    pub per_proxy_answer_rate: Vec<f64>,
-    /// min / max of `per_proxy_answer_rate` (1.0 = perfectly fair).
+    /// min / max over surviving entry proxies of the answered fraction
+    /// of the queries entering there (1.0 = perfectly fair).
     pub fairness: f64,
-    /// Answers claiming sigma ≤ tolerance while far from the live
-    /// truth (must be zero).
-    pub stale_confident: u64,
-    /// Sensors re-homed after the proxy crash.
-    pub rehomed: u64,
-    /// Inter-link messages dropped after retransmission exhaustion.
-    pub mesh_dropped: u64,
-    /// Leak probes after the drain window (all must be zero).
-    pub leaked_router: u64,
-    /// Leaked pending pipeline queries.
-    pub leaked_pipeline: u64,
-    /// Leaked pending-RPC entries (home + cross-proxy channels).
-    pub leaked_rpcs: u64,
-    /// Leaked in-flight mesh messages.
-    pub leaked_mesh: u64,
-    /// Terminal-latency p90, seconds.
-    pub p90_s: f64,
-    /// Real answers carrying an explicit serve-time age.
-    pub answer_age_count: u64,
-    /// Real data-carrying answers missing the age stamp (must be 0).
-    pub answer_age_missing: u64,
-    /// Answer-age p50, seconds.
-    pub answer_age_p50_s: f64,
-    /// Finished query traces collected from the router tracer.
-    pub trace_terminals: u64,
-    /// Traces with ≠1 terminal or non-monotone timestamps (must be 0).
-    pub trace_bad: u64,
-    /// Open trace logs (router + pipelines) after drain (must be 0).
-    pub trace_orphans: u64,
-    /// Downlink request retransmissions (home channels).
-    pub retransmits: u64,
-    /// Payload bytes the sensors offered to the MAC.
-    pub radio_bytes: u64,
-    /// Total sensor-tier energy, joules.
-    pub sensor_energy_j: f64,
-    /// The flattened unified-telemetry snapshot (the BENCH artifact
-    /// rows).
-    pub metrics: Vec<(String, f64)>,
-    /// presto-scope epoch trajectories (the BENCH timeline section).
-    pub timeline: Vec<SeriesOut>,
-    /// Watchdog incident log, with fault attribution.
-    pub incidents: Vec<IncidentOut>,
-    /// Incidents no injected fault explains (must be zero — every
-    /// violation in this scenario is the crash schedule's doing).
-    pub incidents_unattributed: u64,
-}
-
-impl FleetArmReport {
-    /// This arm's row in the shared benchmark artifact.
-    pub fn summarize(&self, arm: &str) -> crate::report::ArmSummary {
-        crate::report::ArmSummary {
-            arm: arm.to_string(),
-            submitted: self.submitted,
-            answered_ok: self.answered_ok,
-            failed: self.failed,
-            queries_per_sec: self.throughput_qph / 3600.0,
-            latency_p50_s: self.p50_s,
-            latency_p90_s: self.p90_s,
-            latency_p99_s: self.p99_s,
-            answer_age_count: self.answer_age_count,
-            answer_age_missing: self.answer_age_missing,
-            answer_age_p50_s: self.answer_age_p50_s,
-            shed: self.shed,
-            rehomed: self.rehomed,
-            retransmits: self.retransmits,
-            radio_bytes: self.radio_bytes,
-            sensor_energy_j: self.sensor_energy_j,
-            cache_hit_rate: 0.0,
-            stale_confident: self.stale_confident,
-            trace_terminals: self.trace_terminals,
-            trace_bad: self.trace_bad,
-            trace_orphans: self.trace_orphans,
-        }
-    }
 }
 
 /// Scenario result: both arms plus the headline comparisons.
-#[derive(Clone, Debug, Serialize)]
 pub struct FleetScenarioReport {
-    /// Configured downlink loss.
-    pub configured_loss: f64,
-    /// Zipf exponent.
-    pub zipf_s: f64,
     /// Shedding on.
-    pub shed_on: FleetArmReport,
+    pub shed_on: FleetArm,
     /// Shedding off.
-    pub shed_off: FleetArmReport,
+    pub shed_off: FleetArm,
     /// `shed_on.throughput / shed_off.throughput`.
     pub throughput_gain: f64,
-    /// The shared-artifact alias for [`FleetScenarioReport::throughput_gain`]
-    /// — every scenario report emits `throughput_ratio` under the same
-    /// key.
-    pub throughput_ratio: f64,
     /// `shed_off.p99 / shed_on.p99`.
     pub p99_gain: f64,
 }
@@ -321,193 +220,58 @@ fn load(cfg: &FleetScenarioConfig) -> FleetQueryLoad {
     )
 }
 
-fn run_arm(cfg: &FleetScenarioConfig, shed: bool) -> FleetArmReport {
-    let epoch = SystemConfig::default().lab.epoch;
-    let warmup_epochs = SimDuration::from_hours(cfg.warmup_hours).div_duration(epoch);
-    let query_epochs = SimDuration::from_hours(cfg.query_hours).div_duration(epoch);
-    // Drain: the longest per-query deadline plus the router grace.
-    let drain_epochs = SimDuration::from_mins(14).div_duration(epoch) + 4;
-    let phase_hours = (query_epochs + drain_epochs) as f64 * epoch.as_secs_f64() / 3600.0;
-
-    let mut fleet = fleet(cfg, shed);
-    for _ in 0..warmup_epochs {
-        fleet.step_epoch();
+/// The scenario's phases: drain is the longest per-query deadline plus
+/// the router grace.
+fn plan(cfg: &FleetScenarioConfig) -> ArmPlan {
+    ArmPlan {
+        now_oracle: true,
+        ..ArmPlan::new(cfg.warmup_hours, cfg.query_hours, SimDuration::from_mins(14))
     }
+}
+
+/// The workload as driver arrivals.
+fn arrivals(cfg: &FleetScenarioConfig) -> impl FnMut(SimTime) -> Vec<Arrival> {
     let mut gen = load(cfg);
-    let mut submitted = 0u64;
-    let mut per_proxy_submitted = vec![0u64; cfg.proxies];
-    let mut per_proxy_ok = vec![0u64; cfg.proxies];
-    let mut latencies = Summary::new();
-    let mut ages = Summary::new();
-    let mut answered_ok = 0u64;
-    let mut failed = 0u64;
+    let epoch = SystemConfig::default().lab.epoch;
+    move |t| gen.step(t, epoch).into_iter().map(Arrival::Fleet).collect()
+}
+
+/// Runs one arm through the driver.
+pub fn run_arm(cfg: &FleetScenarioConfig, shed: bool) -> FleetArm {
+    // Per entry proxy: terminals (every submitted query terminates) and
+    // real answers among them.
+    let mut terminals = vec![0u64; cfg.proxies];
+    let mut ok = vec![0u64; cfg.proxies];
     let mut forwarded_ok = 0u64;
-    let mut stale_confident = 0u64;
-    let mut completed = 0u64;
-    let mut answer_age_missing = 0u64;
-    let mut trace_terminals = 0u64;
-    let mut trace_bad = 0u64;
-
-    // NOW queries answer "the value when you asked" (the pipeline's
-    // value-identity contract anchors at submission), so the
-    // stale-confidence oracle is the truth at submission time.
-    let mut truth_at_submit: std::collections::BTreeMap<u64, f64> =
-        std::collections::BTreeMap::new();
-    for e in 0..query_epochs + drain_epochs {
-        if e < query_epochs {
-            let t = fleet.now();
-            let truth_now = fleet.system.truth.clone();
-            for a in gen.step(t, epoch) {
-                let gid = fleet.arrival_gid(&a);
-                let ticket = fleet.submit_arrival(&a);
-                if a.arrival.kind == presto_sim::QueryKind::Now {
-                    truth_at_submit.insert(ticket, truth_now[gid as usize]);
-                }
-                submitted += 1;
-                per_proxy_submitted[a.group.min(cfg.proxies - 1)] += 1;
+    let mut fairness_hook = |_: &Deployment, done: &[Terminal]| {
+        for t in done {
+            terminals[t.entry] += 1;
+            if t.is_ok() {
+                ok[t.entry] += 1;
+                forwarded_ok += u64::from(t.forwarded);
             }
         }
-        // The stale-confidence probe is driver-side knowledge (it needs
-        // ground truth), so it reaches the watchdog as a feed; growth
-        // in the cumulative count is a violation.
-        fleet
-            .system
-            .scope_mut()
-            .feed(FEED_STALE_CONFIDENT, stale_confident as f64);
-        fleet.step_epoch();
-        for c in fleet.take_completed() {
-            completed += 1;
-            latencies.record((c.completed_at - c.submitted_at).as_secs_f64());
-            // Drop the oracle entry on every terminal (failed NOW
-            // queries included) so the map tracks only open tickets.
-            let submit_truth = truth_at_submit.remove(&c.ticket);
-            let ok = c.answer.source() != presto_proxy::AnswerSource::Failed;
-            if ok {
-                answered_ok += 1;
-                per_proxy_ok[c.entry] += 1;
-                if c.forwarded {
-                    forwarded_ok += 1;
-                }
-                match c.answer_age {
-                    Some(age) => ages.record(age.as_secs_f64()),
-                    // Aggregates over empty ranges honestly carry no
-                    // age; anything else must be stamped.
-                    None => {
-                        let empty_aggregate = matches!(
-                            (&c.query, &c.answer),
-                            (PipelineQuery::Aggregate { .. }, PipelineAnswer::Scalar(a))
-                                if a.sigma.is_infinite()
-                        );
-                        if !empty_aggregate {
-                            answer_age_missing += 1;
-                        }
-                    }
-                }
-                // Stale-confidence probe on NOW answers: an answer
-                // claiming sigma within the tolerance must sit near
-                // the truth at submission (generous slack for the
-                // sampling gap between the serving sample and the
-                // submission reading — the metric hunts
-                // confidently-wrong answers, which err at the signal
-                // scale).
-                if let (PipelineQuery::Now { tolerance, .. }, PipelineAnswer::Scalar(ans)) =
-                    (&c.query, &c.answer)
-                {
-                    if let Some(truth) = submit_truth {
-                        let err = (ans.value - truth).abs();
-                        if ans.sigma <= *tolerance && err > tolerance + 0.5 {
-                            stale_confident += 1;
-                        }
-                    }
-                }
-            } else {
-                failed += 1;
-            }
-        }
-        // Drain finished traces each epoch (bounded FIFO) and audit
-        // well-formedness as they stream out.
-        for tr in fleet.router.tracer_mut().take_finished() {
-            trace_terminals += 1;
-            if tr.terminal_count() != 1 || !tr.is_monotone() {
-                trace_bad += 1;
-            }
-        }
-    }
-
-    let rates: Vec<f64> = (0..cfg.proxies)
-        .map(|p| {
-            if per_proxy_submitted[p] == 0 {
-                1.0
-            } else {
-                per_proxy_ok[p] as f64 / per_proxy_submitted[p] as f64
-            }
-        })
-        .collect();
+    };
+    let label = if shed { "shed-on" } else { "shed-off" };
+    let deployment = Deployment::Fleet(Box::new(fleet(cfg, shed)));
+    let plan = plan(cfg);
+    let run = drive(label, deployment, &plan, &mut arrivals(cfg), Some(&mut fairness_hook));
     // Fairness compares *surviving* entry proxies: a crashed proxy's
     // users lose their connection in both arms identically (honest
     // failures no router policy can serve), so including it would
     // only mask the hot-vs-cold imbalance shedding addresses.
     let crashed = cfg.crash_hours.map(|_| cfg.proxies - 1);
-    let fairness = {
-        let surviving = rates
-            .iter()
-            .enumerate()
-            .filter(|&(p, _)| Some(p) != crashed)
-            .map(|(_, &r)| r);
-        let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
-        for r in surviving {
-            lo = lo.min(r);
-            hi = hi.max(r);
-        }
-        if hi > 0.0 {
-            lo / hi
-        } else {
-            1.0
-        }
-    };
-    let leaks = fleet.leaks();
-    let ps = fleet.system.pipeline_stats();
-    let snap = fleet.telemetry_snapshot();
-    let trace_orphans = fleet.router.tracer().open_count() as u64
-        + (0..cfg.proxies)
-            .map(|p| fleet.system.proxies[p].pipeline().tracer().open_count() as u64)
-            .sum::<u64>();
-    FleetArmReport {
-        submitted,
-        completed,
-        answered_ok,
-        failed,
-        shed: fleet.router.stats().shed,
-        completed_fast: ps.completed_fast,
-        completed_pull: ps.completed_pull,
-        rpcs_issued: ps.rpcs_issued,
+    let (lo, hi) = (0..cfg.proxies)
+        .filter(|&p| Some(p) != crashed)
+        .map(|p| match terminals[p] {
+            0 => 1.0,
+            n => ok[p] as f64 / n as f64,
+        })
+        .fold((f64::INFINITY, 0.0f64), |(lo, hi), r| (lo.min(r), hi.max(r)));
+    FleetArm {
+        run,
         forwarded_ok,
-        throughput_qph: answered_ok as f64 / phase_hours,
-        p50_s: latencies.median(),
-        p99_s: latencies.quantile(0.99),
-        per_proxy_answer_rate: rates,
-        fairness,
-        stale_confident,
-        rehomed: fleet.rehomed_sensors(),
-        mesh_dropped: fleet.mesh.stats().dropped,
-        leaked_router: leaks.router_open as u64,
-        leaked_pipeline: leaks.pipeline_pending as u64,
-        leaked_rpcs: leaks.rpcs_in_flight as u64,
-        leaked_mesh: leaks.mesh_in_flight as u64,
-        p90_s: latencies.quantile(0.90),
-        answer_age_count: ages.count() as u64,
-        answer_age_missing,
-        answer_age_p50_s: ages.median(),
-        trace_terminals,
-        trace_bad,
-        trace_orphans,
-        retransmits: snap.get("downlink.retransmits").unwrap_or(0.0) as u64,
-        radio_bytes: snap.get("sensor.bytes_sent").unwrap_or(0.0) as u64,
-        sensor_energy_j: fleet.system.sensor_ledger_total().total(),
-        metrics: snap.flatten(),
-        timeline: scope_timeline(fleet.system.scope()),
-        incidents: scope_incidents(fleet.system.scope()),
-        incidents_unattributed: fleet.system.scope().unattributed_incidents() as u64,
+        fairness: if hi > 0.0 { lo / hi } else { 1.0 },
     }
 }
 
@@ -521,44 +285,30 @@ pub struct DeterminismFingerprint {
     /// `Snapshot::render()` of the final unified telemetry tree — every
     /// counter, gauge, and histogram bucket in sorted dotted-path order.
     pub snapshot: String,
-    /// One `Debug` line per completion, in completion order: ticket,
+    /// One `Debug` line per terminal, in completion order: ticket,
     /// query, routing (entry/served_by/forwarded), the full answer
-    /// (values, sigma, provenance, data_through), and both timestamps.
+    /// (values, sigma, provenance, data_through), both timestamps and
+    /// the answer age.
     pub completions: String,
 }
 
 /// Drives one arm exactly like the scenario does and fingerprints it.
 pub fn determinism_fingerprint(cfg: &FleetScenarioConfig, shed: bool) -> DeterminismFingerprint {
-    use std::fmt::Write as _;
-    let epoch = SystemConfig::default().lab.epoch;
-    let warmup_epochs = SimDuration::from_hours(cfg.warmup_hours).div_duration(epoch);
-    let query_epochs = SimDuration::from_hours(cfg.query_hours).div_duration(epoch);
-    let drain_epochs = SimDuration::from_mins(14).div_duration(epoch) + 4;
-
-    let mut fleet = fleet(cfg, shed);
-    for _ in 0..warmup_epochs {
-        fleet.step_epoch();
-    }
-    let mut gen = load(cfg);
     let mut completions = String::new();
-    for e in 0..query_epochs + drain_epochs {
-        if e < query_epochs {
-            let t = fleet.now();
-            for a in gen.step(t, epoch) {
-                fleet.submit_arrival(&a);
-            }
+    let mut record = |_: &Deployment, terminals: &[Terminal]| {
+        for t in terminals {
+            let _ = writeln!(completions, "{t:?}");
         }
-        fleet.step_epoch();
-        for c in fleet.take_completed() {
-            let _ = writeln!(completions, "{c:?}");
-        }
-    }
+    };
+    let deployment = Deployment::Fleet(Box::new(fleet(cfg, shed)));
+    let plan = plan(cfg);
+    let run = drive("fingerprint", deployment, &plan, &mut arrivals(cfg), Some(&mut record));
     // The profiler section is host wall-clock phase timing — the same
     // telemetry-timer carve-out the static D2 allowlist grants
     // `crates/telemetry/src/profiler.rs` — so it is excluded from the
     // byte-identity check; everything else in the tree must match.
-    let snapshot = fleet
-        .telemetry_snapshot()
+    let snapshot = run
+        .snapshot
         .render()
         .lines()
         .filter(|l| !l.starts_with("profiler."))
@@ -577,24 +327,53 @@ pub fn determinism_fingerprint(cfg: &FleetScenarioConfig, shed: bool) -> Determi
 pub fn fleet_scenario(cfg: &FleetScenarioConfig) -> FleetScenarioReport {
     let shed_on = run_arm(cfg, true);
     let shed_off = run_arm(cfg, false);
-    let throughput_gain = if shed_off.throughput_qph > 0.0 {
-        shed_on.throughput_qph / shed_off.throughput_qph
-    } else {
-        f64::INFINITY
-    };
-    let p99_gain = if shed_on.p99_s > 0.0 {
-        shed_off.p99_s / shed_on.p99_s
-    } else {
-        f64::INFINITY
-    };
+    let p99 = |arm: &FleetArm| arm.run.counters.latencies.quantile(0.99);
     FleetScenarioReport {
-        configured_loss: cfg.loss,
-        zipf_s: cfg.zipf_s,
+        throughput_gain: throughput_ratio(&shed_on.run, &shed_off.run),
+        p99_gain: ratio_or_inf(p99(&shed_off), p99(&shed_on)),
         shed_on,
         shed_off,
-        throughput_gain,
-        throughput_ratio: throughput_gain,
-        p99_gain,
+    }
+}
+
+impl FleetScenarioReport {
+    /// Every failed acceptance check: the driver invariants on both
+    /// arms, the crash re-homing, and the shedding wins.
+    pub fn failures(&self, cfg: &FleetScenarioConfig) -> Vec<String> {
+        let mut out = Vec::new();
+        for arm in [&self.shed_on, &self.shed_off] {
+            out.extend(arm_failures(&arm.run));
+            let rehomed = ArmSummary::new(&arm.run).rehomed;
+            if cfg.crash_hours.is_some() && rehomed < cfg.sensors_per_proxy as u64 {
+                out.push(format!("{}: proxy crash re-homed only {rehomed} sensors", arm.run.label));
+            }
+        }
+        let (on, off) = (&self.shed_on, &self.shed_off);
+        if on.run.metric("fleet_router.shed") == 0.0 {
+            out.push("shedding never fired under skew".into());
+        }
+        if off.run.metric("fleet_router.shed") != 0.0 {
+            out.push("the shed-off arm shed queries".into());
+        }
+        if on.forwarded_ok == 0 {
+            out.push("no shed query completed with a real answer".into());
+        }
+        if self.throughput_gain <= 1.0 {
+            out.push(format!(
+                "shedding did not raise answered throughput ({:.3}×)",
+                self.throughput_gain
+            ));
+        }
+        if self.p99_gain <= 1.0 {
+            out.push(format!("shedding did not cut p99 ({:.3}×)", self.p99_gain));
+        }
+        if on.fairness <= off.fairness {
+            out.push(format!(
+                "shedding did not improve per-proxy fairness: {:.3} vs {:.3}",
+                on.fairness, off.fairness
+            ));
+        }
+        out
     }
 }
 
@@ -604,60 +383,24 @@ mod tests {
 
     #[test]
     fn quick_shedding_beats_no_shedding_under_skew() {
-        let r = fleet_scenario(&FleetScenarioConfig::quick());
-        for (label, arm) in [("on", &r.shed_on), ("off", &r.shed_off)] {
-            assert!(arm.submitted > 200, "workload too small ({label}): {arm:?}");
-            assert_eq!(
-                arm.completed, arm.submitted,
-                "every query must terminate ({label}): {arm:?}"
-            );
-            assert_eq!(arm.stale_confident, 0, "stale-confident answers ({label}): {arm:?}");
-            assert_eq!(arm.leaked_router, 0, "({label}) {arm:?}");
-            assert_eq!(arm.leaked_pipeline, 0, "({label}) {arm:?}");
-            assert_eq!(arm.leaked_rpcs, 0, "({label}) {arm:?}");
-            assert_eq!(arm.leaked_mesh, 0, "({label}) {arm:?}");
-            assert!(arm.rehomed >= 2, "crash must re-home sensors ({label}): {arm:?}");
-            assert_eq!(
-                arm.trace_terminals, arm.submitted,
-                "every query yields exactly one finished trace ({label})"
-            );
-            assert_eq!(arm.trace_bad, 0, "malformed traces ({label})");
-            assert_eq!(arm.trace_orphans, 0, "orphan traces after drain ({label})");
-            assert_eq!(arm.answer_age_missing, 0, "unstamped answers ({label})");
-            assert!(arm.answer_age_count > 0, "no answer carried an age ({label})");
+        let cfg = FleetScenarioConfig::quick();
+        let r = fleet_scenario(&cfg);
+        let failures = r.failures(&cfg);
+        assert!(failures.is_empty(), "{failures:#?}");
+        for arm in [&r.shed_on, &r.shed_off] {
+            let c = &arm.run.counters;
+            assert!(c.submitted > 200, "{}: workload too small", arm.run.label);
+            assert!(c.ages.count() > 0, "{}: no answer carried an age", arm.run.label);
+            assert!(arm.run.metric("pipeline.rpcs_issued") > 0.0, "{}", arm.run.label);
             assert!(
-                arm.metrics.iter().any(|(k, v)| k == "pipeline.rpcs_issued" && *v > 0.0),
-                "telemetry snapshot missing pipeline counters ({label})"
-            );
-            assert_eq!(
-                arm.incidents_unattributed, 0,
-                "incidents outside fault windows ({label}): {:?}",
-                arm.incidents
-            );
-            assert!(
-                arm.timeline
+                arm.run
+                    .scope()
+                    .series()
                     .iter()
-                    .any(|s| s.path == "fleet.pressure_max" && !s.points.is_empty()),
-                "scope timeline missing the pressure trajectory ({label})"
+                    .any(|(path, ring)| path == "fleet.pressure_max" && !ring.bins().is_empty()),
+                "{}: scope timeline missing the pressure trajectory",
+                arm.run.label
             );
         }
-        assert!(r.shed_on.shed > 0, "hot proxy never shed: {:?}", r.shed_on);
-        assert!(
-            r.shed_on.forwarded_ok > 0,
-            "no shed query answered: {:?}",
-            r.shed_on
-        );
-        assert_eq!(r.shed_off.shed, 0);
-        assert!(
-            r.throughput_gain > 1.0,
-            "shedding must raise answered throughput: {r:?}"
-        );
-        assert!(r.p99_gain > 1.0, "shedding must cut p99: {r:?}");
-        assert!(
-            r.shed_on.fairness > r.shed_off.fairness,
-            "shedding must improve per-proxy fairness: on {} off {}",
-            r.shed_on.fairness,
-            r.shed_off.fairness
-        );
     }
 }

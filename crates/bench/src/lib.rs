@@ -4,10 +4,11 @@
 //! experiments from DESIGN.md, is a pure function of a configuration
 //! here, so the `cargo run -p presto-bench --bin <id>` binaries, the
 //! Criterion benches, and the integration tests all execute identical
-//! code. Results serialize to JSON (via the workspace-approved `serde`)
-//! next to the human-readable tables.
+//! code. Scenario arms run through the one [`driver`]; every JSON
+//! output renders through the one deterministic emitter in [`report`].
 
 pub mod diff;
+pub mod driver;
 pub mod experiments;
 pub mod failure;
 pub mod figure2;
@@ -18,7 +19,8 @@ pub mod report;
 pub mod slice_scenario;
 pub mod table1;
 
-/// Renders a JSON value for machine-readable output next to each table.
-pub fn to_json<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
-}
+// Unit tests check scenario arms against the full driver failure list,
+// which requires counted allocator activity.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: presto_telemetry::alloc::CountingAlloc = presto_telemetry::alloc::CountingAlloc;

@@ -22,12 +22,15 @@
 
 use std::collections::VecDeque;
 
-use presto_core::{PipelineAnswer, PrestoSystem, StoreQuery, SystemConfig, UnifiedStore};
+use crate::driver::{
+    arm_failures, run_arm as drive, single_system_scope, throughput_ratio, ArmCounters, ArmPlan,
+    ArmRun, Arrival, Deployment,
+};
+use presto_core::{PrestoSystem, StoreQuery, SystemConfig, UnifiedStore};
 use presto_net::LossProcess;
 use presto_proxy::AnswerSource;
-use presto_sim::metrics::Summary;
 use presto_sim::{QueryArrival, QueryKind, QueryLoad, QueryLoadConfig, SimDuration, SimTime};
-use serde::Serialize;
+use presto_telemetry::alloc;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -78,76 +81,16 @@ impl QueryPipelineConfig {
     }
 }
 
-/// Latency percentiles in seconds.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
-pub struct LatencyProfile {
-    /// Median.
-    pub p50_s: f64,
-    /// 95th percentile.
-    pub p95_s: f64,
-    /// 99th percentile.
-    pub p99_s: f64,
-    /// Mean.
-    pub mean_s: f64,
-}
-
-impl LatencyProfile {
-    fn of(s: &Summary) -> Self {
-        LatencyProfile {
-            p50_s: s.median(),
-            p95_s: s.p95(),
-            p99_s: s.quantile(0.99),
-            mean_s: s.mean(),
-        }
-    }
-}
-
 /// Experiment result.
-#[derive(Clone, Debug, Serialize)]
 pub struct QueryPipelineReport {
-    /// Configured downlink loss.
-    pub configured_loss: f64,
-    /// Queries emitted by the workload.
-    pub submitted: u64,
-    /// Pipeline: queries completed (any outcome).
-    pub completed: u64,
-    /// Pipeline: completions with a real answer (non-Failed).
-    pub answered_ok: u64,
-    /// Pipeline: honest deadline failures.
-    pub failed: u64,
-    /// Completions straight from cache/model fast paths.
-    pub completed_fast: u64,
-    /// Completions from the shared pull-reply cache (no radio).
-    pub completed_cached: u64,
-    /// Queries that coalesced onto an in-flight pull.
-    pub coalesced: u64,
-    /// Pull RPCs issued by the pipeline.
-    pub rpcs_issued: u64,
-    /// Peak simultaneously in-flight pulls at the proxy.
-    pub max_in_flight: u64,
-    /// Shared-cache hit / miss counters.
-    pub reply_cache_hits: u64,
-    /// Lookups that went to the radio.
-    pub reply_cache_misses: u64,
-    /// Leak probes after the drain window (must both be zero).
-    pub leaked_pending: u64,
-    /// Leaked pending-RPC table entries after the drain window.
-    pub leaked_rpcs: u64,
-    /// Pipeline answered-query throughput over the phase, queries/hour.
-    pub pipeline_throughput_qph: f64,
-    /// Pipeline per-query latency percentiles.
-    pub pipeline_latency: LatencyProfile,
-    /// Baseline: queries served within the same phase.
-    pub baseline_served: u64,
-    /// Baseline: served with a real answer.
-    pub baseline_ok: u64,
-    /// Baseline: arrivals still queued when the phase ended.
+    /// The pipeline arm, through the scenario driver.
+    pub pipeline: ArmRun,
+    /// The serialized baseline over the same arrivals.
+    pub baseline: ArmRun,
+    /// Baseline arrivals still queued when the phase ended (counted
+    /// among its failures).
     pub baseline_unserved: u64,
-    /// Baseline throughput over the same phase, queries/hour.
-    pub baseline_throughput_qph: f64,
-    /// Baseline per-query latency percentiles (queue wait + RPC).
-    pub baseline_latency: LatencyProfile,
-    /// `pipeline_throughput_qph / baseline_throughput_qph`.
+    /// `pipeline / baseline` answered throughput.
     pub speedup: f64,
 }
 
@@ -166,6 +109,10 @@ fn system(cfg: &QueryPipelineConfig) -> PrestoSystem {
         sys_cfg.reliability.downlink.request_loss = LossProcess::Bernoulli(cfg.loss);
         sys_cfg.reliability.downlink.reply_loss = LossProcess::Bernoulli(cfg.loss);
     }
+    // Traced and scoped like every driver arm, so the trace audit and
+    // the stale-confident watchdog cover the pipeline too.
+    sys_cfg.proxy.pipeline.trace = true;
+    sys_cfg.scope = single_system_scope();
     PrestoSystem::new(sys_cfg)
 }
 
@@ -205,66 +152,36 @@ fn to_store_query(a: &QueryArrival, tolerance: f64) -> StoreQuery {
 /// Runs the experiment.
 pub fn query_pipeline(cfg: &QueryPipelineConfig) -> QueryPipelineReport {
     let epoch = SystemConfig::default().lab.epoch;
-    let query_epochs = SimDuration::from_hours(cfg.query_hours).div_duration(epoch);
     // Drain: one pipeline deadline past the last arrival, plus slack.
     let deadline = SystemConfig::default().proxy.pipeline.deadline;
-    let drain_epochs = deadline.div_duration(epoch) + 4;
-    let phase_hours =
-        (query_epochs + drain_epochs) as f64 * epoch.as_secs_f64() / 3600.0;
+    let plan = ArmPlan::new(cfg.warmup_hours, cfg.query_hours, deadline);
 
-    // ── pipeline run ────────────────────────────────────────────────
-    let mut sys = system(cfg);
-    sys.run(SimDuration::from_hours(cfg.warmup_hours));
+    // ── pipeline arm ────────────────────────────────────────────────
     let mut gen = load(cfg);
-    let mut latencies = Summary::new();
-    let mut submitted = 0u64;
-    let mut completed = 0u64;
-    let mut answered_ok = 0u64;
-    for e in 0..query_epochs + drain_epochs {
-        if e < query_epochs {
-            let t = sys.now();
-            for a in gen.step(t, epoch) {
-                if sys.submit_query(to_store_query(&a, cfg.tolerance)).is_some() {
-                    submitted += 1;
-                }
-            }
-        }
-        sys.step_epoch();
-        for (_, c) in sys.take_completed_queries() {
-            completed += 1;
-            // The answer's latency is already end-to-end: pull and
-            // deadline completions fold the submit→complete wait in.
-            latencies.record(c.answer.latency().as_secs_f64());
-            let failed = match &c.answer {
-                PipelineAnswer::Scalar(a) => a.source == AnswerSource::Failed,
-                PipelineAnswer::Series(a) => a.source == AnswerSource::Failed,
-            };
-            if !failed {
-                answered_ok += 1;
-            }
-        }
-    }
-    let ps = sys.pipeline_stats();
-    let cache = sys.proxies[0].pipeline().reply_cache();
-    let (cache_hits, cache_misses) = (cache.hits(), cache.misses());
-    let leaked_pending = sys.pipeline_pending_total() as u64;
-    let leaked_rpcs = sys.async_in_flight_total() as u64;
+    let mut source = |t| {
+        gen.step(t, epoch)
+            .iter()
+            .map(|a| Arrival::Store(to_store_query(a, cfg.tolerance)))
+            .collect()
+    };
+    let deployment = Deployment::Single(Box::new(system(cfg)));
+    let pipeline = drive("pipeline", deployment, &plan, &mut source, None);
 
     // ── serialized baseline ─────────────────────────────────────────
     // Identical deployment and workload; each query's blocking RPC
     // occupies the proxy for its full latency, so later arrivals queue.
+    let allocs_before = alloc::allocation_count();
     let mut base = system(cfg);
-    base.run(SimDuration::from_hours(cfg.warmup_hours));
+    base.run(epoch * plan.warmup);
     let mut base_gen = load(cfg);
     let mut fifo: VecDeque<(SimTime, StoreQuery)> = VecDeque::new();
-    let mut base_lat = Summary::new();
-    let mut base_served = 0u64;
-    let mut base_ok = 0u64;
+    let mut c = ArmCounters::default();
     let mut server_free_at = base.now();
-    for e in 0..query_epochs + drain_epochs {
+    for e in 0..plan.measured() {
         let t = base.now();
-        if e < query_epochs {
+        if e < plan.query {
             for a in base_gen.step(t, epoch) {
+                c.submitted += 1;
                 fifo.push_back((t, to_store_query(&a, cfg.tolerance)));
             }
         }
@@ -276,44 +193,55 @@ pub fn query_pipeline(cfg: &QueryPipelineConfig) -> QueryPipelineReport {
             let r = UnifiedStore::new(&mut base).query(q);
             let done_at = server_free_at.max(t) + r.latency;
             server_free_at = done_at;
-            base_lat.record((done_at - arrived).as_secs_f64());
-            base_served += 1;
-            if r.source != AnswerSource::Failed {
-                base_ok += 1;
+            c.latencies.record((done_at - arrived).as_secs_f64());
+            c.completed += 1;
+            if r.source == AnswerSource::Failed {
+                c.failed += 1;
+            } else {
+                c.answered_ok += 1;
             }
         }
         base.step_epoch();
     }
-
-    let pipeline_throughput_qph = answered_ok as f64 / phase_hours;
-    let baseline_throughput_qph = base_ok as f64 / phase_hours;
+    // Arrivals still queued at the phase end were never answered.
+    let baseline_unserved = fifo.len() as u64;
+    c.failed += baseline_unserved;
+    let baseline = ArmRun::finish(
+        "serialized-baseline",
+        Deployment::Single(Box::new(base)),
+        c,
+        &plan,
+        allocs_before,
+    );
     QueryPipelineReport {
-        configured_loss: cfg.loss,
-        submitted,
-        completed,
-        answered_ok,
-        failed: ps.failed,
-        completed_fast: ps.completed_fast,
-        completed_cached: ps.completed_cached,
-        coalesced: ps.coalesced,
-        rpcs_issued: ps.rpcs_issued,
-        max_in_flight: ps.max_in_flight,
-        reply_cache_hits: cache_hits,
-        reply_cache_misses: cache_misses,
-        leaked_pending,
-        leaked_rpcs,
-        pipeline_throughput_qph,
-        pipeline_latency: LatencyProfile::of(&latencies),
-        baseline_served: base_served,
-        baseline_ok: base_ok,
-        baseline_unserved: fifo.len() as u64,
-        baseline_throughput_qph,
-        baseline_latency: LatencyProfile::of(&base_lat),
-        speedup: if baseline_throughput_qph > 0.0 {
-            pipeline_throughput_qph / baseline_throughput_qph
-        } else {
-            f64::INFINITY
-        },
+        speedup: throughput_ratio(&pipeline, &baseline),
+        pipeline,
+        baseline,
+        baseline_unserved,
+    }
+}
+
+impl QueryPipelineReport {
+    /// Every failed acceptance check: the driver invariants on the
+    /// pipeline arm, `min_in_flight` overlapping pulls, a finite p99,
+    /// and a throughput win over the serialized baseline.
+    pub fn failures(&self, min_in_flight: u64) -> Vec<String> {
+        let mut out = arm_failures(&self.pipeline);
+        let peak = self.pipeline.metric("pipeline.max_in_flight");
+        if peak < min_in_flight as f64 {
+            out.push(format!("peak in-flight pulls {peak} < required {min_in_flight}"));
+        }
+        let p99 = self.pipeline.counters.latencies.quantile(0.99);
+        if !p99.is_finite() || p99 <= 0.0 {
+            out.push(format!("p99 latency not finite/real: {p99}"));
+        }
+        if self.speedup <= 1.0 {
+            out.push(format!(
+                "pipeline did not beat the serialized baseline ({:.3}×)",
+                self.speedup
+            ));
+        }
+        out
     }
 }
 
@@ -324,25 +252,15 @@ mod tests {
     #[test]
     fn quick_pipeline_beats_serialized_baseline_under_loss() {
         let r = query_pipeline(&QueryPipelineConfig::quick());
-        assert!(r.submitted > 50, "workload too small: {r:?}");
+        let failures = r.failures(4);
+        assert!(failures.is_empty(), "{failures:#?}");
+        assert!(r.pipeline.counters.submitted > 50, "workload too small");
+        assert_eq!(r.baseline.counters.submitted, r.pipeline.counters.submitted);
         assert_eq!(
-            r.completed, r.submitted,
-            "every query must terminate: {r:?}"
+            r.baseline.counters.completed + r.baseline_unserved,
+            r.baseline.counters.submitted,
+            "every baseline arrival is served or counted unserved"
         );
-        assert_eq!(r.leaked_pending, 0, "leaked pending queries: {r:?}");
-        assert_eq!(r.leaked_rpcs, 0, "leaked pending-RPC entries: {r:?}");
-        assert!(
-            r.max_in_flight >= 4,
-            "expected overlapping in-flight pulls: {r:?}"
-        );
-        assert!(
-            r.pipeline_latency.p99_s.is_finite() && r.pipeline_latency.p99_s > 0.0,
-            "p99 must be finite and real: {r:?}"
-        );
-        assert!(
-            r.pipeline_throughput_qph > r.baseline_throughput_qph,
-            "pipeline must beat the serialized baseline: {r:?}"
-        );
-        assert!(r.coalesced > 0, "hot windows never coalesced: {r:?}");
+        assert!(r.pipeline.metric("pipeline.coalesced") > 0.0, "hot windows never coalesced");
     }
 }

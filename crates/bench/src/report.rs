@@ -1,23 +1,234 @@
-//! Shared scenario summary formatting and the `BENCH_*.json` benchmark
-//! artifacts.
+//! The one JSON emitter, the `BENCH_*.json` artifact schema, and the
+//! shared scenario summary lines.
 //!
-//! Every fleet-tier scenario bin funnels its headline numbers through
-//! the same two outputs:
+//! Every machine-readable output of this crate — scenario artifacts
+//! (`BENCH_fleet.json`, …) and the experiment dumps of `table1`,
+//! `figure2`, `e1`–`e8`, `a1` and `failure_scenario` — renders through
+//! [`render_json`]: a value converts to a [`JsonValue`] via [`ToJson`]
+//! (struct impls come from the field-listing [`json_object!`] macro),
+//! and the renderer prints it deterministically:
 //!
-//! * [`render_summary`] — stable `key=value` grep lines (`scenario=`,
-//!   `arm=`, `throughput_ratio=`) so CI and humans can diff runs
-//!   without parsing JSON;
-//! * [`write_bench_json`] — a machine-readable artifact
-//!   (`BENCH_fleet.json`, `BENCH_partition.json`, …) carrying
-//!   queries/sec, latency percentiles, answer-age coverage,
-//!   shed/re-home counts, radio bytes, retransmits, energy, and the
-//!   full flattened unified-telemetry snapshot.
+//! * strings escaped per RFC 8259;
+//! * floats via Rust's shortest round-trip `Display` (identical bit
+//!   patterns print identically), non-finite floats as `null`;
+//! * a container prints on one line when that line fits in 100
+//!   columns, otherwise one element per line.
+//!
+//! `bench-diff` byte-compares artifacts of same-seed runs, so nothing
+//! here depends on `Debug` formatting or map iteration order. The only
+//! reader is [`crate::diff::parse_json`].
+
+use std::fmt::Write as _;
 
 use presto_telemetry::{PrestoScope, Snapshot};
-use serde::Serialize;
+
+/// A JSON document: what [`ToJson`] produces, [`render_json`] prints,
+/// and [`crate::diff::parse_json`] reads back.
+#[derive(Clone, Debug, PartialEq)]
+pub enum JsonValue {
+    /// `null` (also what the emitter writes for non-finite floats).
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number.
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<JsonValue>),
+    /// An object, insertion-ordered.
+    Obj(Vec<(String, JsonValue)>),
+}
+
+impl JsonValue {
+    /// Object field lookup.
+    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+        match self {
+            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Numeric reading (`null` reads as NaN — the emitter's non-finite
+    /// encoding).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonValue::Num(v) => Some(*v),
+            JsonValue::Null => Some(f64::NAN),
+            _ => None,
+        }
+    }
+
+    /// String reading.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Array reading.
+    pub fn as_arr(&self) -> Option<&[JsonValue]> {
+        match self {
+            JsonValue::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+}
+
+/// Conversion into the emitter's value tree.
+pub trait ToJson {
+    /// This value as JSON.
+    fn to_json(&self) -> JsonValue;
+}
+
+macro_rules! json_number {
+    ($($t:ty),*) => {
+        $(impl ToJson for $t {
+            #[allow(clippy::unnecessary_cast)]
+            fn to_json(&self) -> JsonValue {
+                JsonValue::Num(*self as f64)
+            }
+        })*
+    };
+}
+json_number!(f64, u64, usize);
+
+impl ToJson for bool {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Bool(*self)
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Str(self.clone())
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, ToJson::to_json)
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> JsonValue {
+        self.as_slice().to_json()
+    }
+}
+
+/// Implements [`ToJson`] for a struct as an object of the listed
+/// fields, in order — the JSON counterpart of `observe_counters!`:
+///
+/// ```ignore
+/// json_object!(E2Row { tolerance, cache_hit, latency_mean_ms });
+/// ```
+#[macro_export]
+macro_rules! json_object {
+    ($ty:ty { $($f:ident),* $(,)? }) => {
+        impl $crate::report::ToJson for $ty {
+            fn to_json(&self) -> $crate::report::JsonValue {
+                $crate::report::JsonValue::Obj(vec![
+                    $((stringify!($f).to_string(), $crate::report::ToJson::to_json(&self.$f)),)*
+                ])
+            }
+        }
+    };
+}
+
+/// Widest container (indent included) the emitter keeps on one line.
+const INLINE_WIDTH: usize = 100;
+
+/// Escapes a string for a JSON string literal (quotes not included).
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// One-line rendering.
+fn inline(v: &JsonValue) -> String {
+    match v {
+        JsonValue::Null => "null".into(),
+        JsonValue::Bool(b) => b.to_string(),
+        JsonValue::Num(x) if x.is_finite() => format!("{x}"),
+        JsonValue::Num(_) => "null".into(),
+        JsonValue::Str(s) => format!("\"{}\"", json_escape(s)),
+        JsonValue::Arr(items) => {
+            let items: Vec<String> = items.iter().map(inline).collect();
+            format!("[{}]", items.join(", "))
+        }
+        JsonValue::Obj(fields) => {
+            let fields: Vec<String> = fields
+                .iter()
+                .map(|(k, v)| format!("\"{}\": {}", json_escape(k), inline(v)))
+                .collect();
+            format!("{{{}}}", fields.join(", "))
+        }
+    }
+}
+
+fn write_value(out: &mut String, v: &JsonValue, depth: usize) {
+    let flat = inline(v);
+    let pad = "  ".repeat(depth + 1);
+    let fits = 2 * depth + flat.len() <= INLINE_WIDTH;
+    match v {
+        JsonValue::Arr(items) if !fits && !items.is_empty() => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                out.push_str(if i == 0 { "\n" } else { ",\n" });
+                out.push_str(&pad);
+                write_value(out, item, depth + 1);
+            }
+            let _ = write!(out, "\n{}]", "  ".repeat(depth));
+        }
+        JsonValue::Obj(fields) if !fits && !fields.is_empty() => {
+            out.push('{');
+            for (i, (k, item)) in fields.iter().enumerate() {
+                out.push_str(if i == 0 { "\n" } else { ",\n" });
+                let _ = write!(out, "{pad}\"{}\": ", json_escape(k));
+                write_value(out, item, depth + 1);
+            }
+            let _ = write!(out, "\n{}}}", "  ".repeat(depth));
+        }
+        _ => out.push_str(&flat),
+    }
+}
+
+/// Renders a document as deterministic JSON text (newline-terminated).
+pub fn render_json(v: &JsonValue) -> String {
+    let mut out = String::new();
+    write_value(&mut out, v, 0);
+    out.push('\n');
+    out
+}
+
+/// [`render_json`] of any [`ToJson`] value.
+pub fn json_text<T: ToJson + ?Sized>(value: &T) -> String {
+    render_json(&value.to_json())
+}
 
 /// One flattened telemetry reading (`dotted.path`, value).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct MetricLine {
     /// Dotted snapshot path (`pipeline.rpcs_issued`, `profiler.epochs`).
     pub key: String,
@@ -25,8 +236,10 @@ pub struct MetricLine {
     pub value: f64,
 }
 
-/// One arm's headline numbers in the shared artifact.
-#[derive(Clone, Debug, Default, Serialize)]
+/// One arm's headline numbers in the shared artifact. Built only by
+/// `ArmSummary::new` (in [`crate::driver`]) from a driver run.
+#[derive(Clone, Debug)]
+#[cfg_attr(test, derive(Default))]
 pub struct ArmSummary {
     /// Arm label (`shed-on`, `with-partition`, …).
     pub arm: String,
@@ -46,8 +259,7 @@ pub struct ArmSummary {
     pub latency_p99_s: f64,
     /// Answers that carried an explicit serve-time age.
     pub answer_age_count: u64,
-    /// Real data-carrying answers *missing* the age stamp (must be 0 —
-    /// the coverage probe CI greps).
+    /// Real data-carrying answers *missing* the age stamp (must be 0).
     pub answer_age_missing: u64,
     /// Answer-age p50, seconds.
     pub answer_age_p50_s: f64,
@@ -62,11 +274,9 @@ pub struct ArmSummary {
     /// Total sensor-tier energy, joules.
     pub sensor_energy_j: f64,
     /// Cache hit rate over archive-range lookups (slice-tier lookups
-    /// when sliced execution is on, reply-cache lookups otherwise).
+    /// when sliced execution ran, reply-cache lookups otherwise).
     pub cache_hit_rate: f64,
-    /// Confident answers contradicted by their own window — an Ok
-    /// answer with no samples, out-of-window samples, or a coverage
-    /// stamp from the future (must be 0).
+    /// Confident answers the oracles contradict (must be 0).
     pub stale_confident: u64,
     /// Finished query traces collected.
     pub trace_terminals: u64,
@@ -78,7 +288,7 @@ pub struct ArmSummary {
 }
 
 /// One downsampled bin of a presto-scope time series.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TimelinePoint {
     /// Bin start, simulated seconds.
     pub t_s: f64,
@@ -93,7 +303,7 @@ pub struct TimelinePoint {
 }
 
 /// One sampled series' epoch trajectory.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SeriesOut {
     /// Dotted snapshot path (or feed name) the series watched.
     pub path: String,
@@ -102,7 +312,7 @@ pub struct SeriesOut {
 }
 
 /// One watchdog incident, with its blame window.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct IncidentOut {
     /// Rule family (`stale_confident`, `answer_age_p99`, …).
     pub rule: String,
@@ -123,21 +333,68 @@ pub struct IncidentOut {
 }
 
 /// The benchmark artifact a scenario bin writes.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug)]
+#[cfg_attr(test, derive(Default))]
 pub struct BenchJson {
-    /// Scenario name (`fleet`, `partition`, `query_pipeline`).
+    /// Scenario name (`fleet`, `partition`, `slice`, `query_pipeline`).
     pub scenario: String,
     /// Headline cross-arm ratio (primary/secondary arm throughput).
     pub throughput_ratio: f64,
     /// Per-arm headline numbers.
     pub arms: Vec<ArmSummary>,
-    /// The primary arm's flattened unified-telemetry snapshot.
+    /// The primary arm's flattened unified-telemetry snapshot plus its
+    /// allocation rows.
     pub metrics: Vec<MetricLine>,
     /// The primary arm's presto-scope epoch trajectories.
     pub timeline: Vec<SeriesOut>,
     /// The primary arm's watchdog incident log.
     pub incidents: Vec<IncidentOut>,
 }
+
+json_object!(MetricLine { key, value });
+json_object!(ArmSummary {
+    arm,
+    submitted,
+    answered_ok,
+    failed,
+    queries_per_sec,
+    latency_p50_s,
+    latency_p90_s,
+    latency_p99_s,
+    answer_age_count,
+    answer_age_missing,
+    answer_age_p50_s,
+    shed,
+    rehomed,
+    retransmits,
+    radio_bytes,
+    sensor_energy_j,
+    cache_hit_rate,
+    stale_confident,
+    trace_terminals,
+    trace_bad,
+    trace_orphans,
+});
+json_object!(TimelinePoint { t_s, min, max, last, samples });
+json_object!(SeriesOut { path, points });
+json_object!(IncidentOut {
+    rule,
+    path,
+    opened_s,
+    closed_s,
+    observed,
+    bound,
+    attributed,
+    faults,
+});
+json_object!(BenchJson {
+    scenario,
+    throughput_ratio,
+    arms,
+    metrics,
+    timeline,
+    incidents,
+});
 
 /// Exports a scope's ring-buffered series as artifact timelines.
 pub fn scope_timeline(scope: &PrestoScope) -> Vec<SeriesOut> {
@@ -187,7 +444,8 @@ pub fn snapshot_metrics(snap: &Snapshot) -> Vec<MetricLine> {
         .collect()
 }
 
-/// Renders the stable grep lines every scenario bin prints:
+/// Renders the stable grep lines every scenario bin prints, one per arm
+/// with every [`ArmSummary`] field, then the headline ratio:
 ///
 /// ```text
 /// scenario=fleet arm=shed-on submitted=812 answered_ok=700 ...
@@ -196,263 +454,56 @@ pub fn snapshot_metrics(snap: &Snapshot) -> Vec<MetricLine> {
 pub fn render_summary(b: &BenchJson) -> String {
     let mut out = String::new();
     for a in &b.arms {
-        out.push_str(&format!(
-            "scenario={} arm={} submitted={} answered_ok={} failed={} \
-             queries_per_sec={:.4} latency_p50_s={:.3} latency_p90_s={:.3} \
-             latency_p99_s={:.3} answer_age_count={} answer_age_missing={} \
-             answer_age_p50_s={:.3} shed={} rehomed={} retransmits={} \
-             radio_bytes={} sensor_energy_j={:.3} cache_hit_rate={:.4} \
-             stale_confident={} trace_terminals={} \
-             trace_bad={} trace_orphans={}\n",
-            b.scenario,
-            a.arm,
-            a.submitted,
-            a.answered_ok,
-            a.failed,
-            a.queries_per_sec,
-            a.latency_p50_s,
-            a.latency_p90_s,
-            a.latency_p99_s,
-            a.answer_age_count,
-            a.answer_age_missing,
-            a.answer_age_p50_s,
-            a.shed,
-            a.rehomed,
-            a.retransmits,
-            a.radio_bytes,
-            a.sensor_energy_j,
-            a.cache_hit_rate,
-            a.stale_confident,
-            a.trace_terminals,
-            a.trace_bad,
-            a.trace_orphans,
-        ));
+        let _ = write!(out, "scenario={}", b.scenario);
+        if let JsonValue::Obj(fields) = a.to_json() {
+            for (k, v) in &fields {
+                match v {
+                    JsonValue::Str(s) => {
+                        let _ = write!(out, " {k}={s}");
+                    }
+                    v => {
+                        let _ = write!(out, " {k}={}", inline(v));
+                    }
+                }
+            }
+        }
+        out.push('\n');
     }
-    out.push_str(&format!(
-        "scenario={} throughput_ratio={:.4}\n",
+    let _ = writeln!(
+        out,
+        "scenario={} throughput_ratio={:.4}",
         b.scenario, b.throughput_ratio
-    ));
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic JSON emission
-// ---------------------------------------------------------------------------
-//
-// The vendored serde_json shim transliterates `Debug` output, which is
-// fine for human-readable experiment dumps but too loose for artifacts
-// that get byte-compared: `bench-diff` and the committed baselines need
-// every run of the same binary on the same seed to emit the identical
-// byte stream. The emitter below renders `BenchJson` directly — strings
-// escaped per RFC 8259, floats via Rust's shortest round-trip `Display`
-// (deterministic for identical bit patterns), non-finite floats as
-// `null` — with no dependence on `Debug` formatting.
-
-/// Escapes a string for a JSON string literal (quotes not included).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a float deterministically: shortest round-trip decimal for
-/// finite values, `null` for NaN/±inf (JSON has no non-finite numbers).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn push_arm(out: &mut String, a: &ArmSummary, indent: &str) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "{indent}{{\n\
-         {indent}  \"arm\": \"{}\",\n\
-         {indent}  \"submitted\": {},\n\
-         {indent}  \"answered_ok\": {},\n\
-         {indent}  \"failed\": {},\n\
-         {indent}  \"queries_per_sec\": {},\n\
-         {indent}  \"latency_p50_s\": {},\n\
-         {indent}  \"latency_p90_s\": {},\n\
-         {indent}  \"latency_p99_s\": {},\n\
-         {indent}  \"answer_age_count\": {},\n\
-         {indent}  \"answer_age_missing\": {},\n\
-         {indent}  \"answer_age_p50_s\": {},\n\
-         {indent}  \"shed\": {},\n\
-         {indent}  \"rehomed\": {},\n\
-         {indent}  \"retransmits\": {},\n\
-         {indent}  \"radio_bytes\": {},\n\
-         {indent}  \"sensor_energy_j\": {},\n\
-         {indent}  \"cache_hit_rate\": {},\n\
-         {indent}  \"stale_confident\": {},\n\
-         {indent}  \"trace_terminals\": {},\n\
-         {indent}  \"trace_bad\": {},\n\
-         {indent}  \"trace_orphans\": {}\n\
-         {indent}}}",
-        json_escape(&a.arm),
-        a.submitted,
-        a.answered_ok,
-        a.failed,
-        json_num(a.queries_per_sec),
-        json_num(a.latency_p50_s),
-        json_num(a.latency_p90_s),
-        json_num(a.latency_p99_s),
-        a.answer_age_count,
-        a.answer_age_missing,
-        json_num(a.answer_age_p50_s),
-        a.shed,
-        a.rehomed,
-        a.retransmits,
-        a.radio_bytes,
-        json_num(a.sensor_energy_j),
-        json_num(a.cache_hit_rate),
-        a.stale_confident,
-        a.trace_terminals,
-        a.trace_bad,
-        a.trace_orphans,
     );
-}
-
-/// Renders the artifact as deterministic JSON text.
-pub fn render_bench_json(b: &BenchJson) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\n  \"scenario\": \"{}\",\n  \"throughput_ratio\": {},\n  \"arms\": [",
-        json_escape(&b.scenario),
-        json_num(b.throughput_ratio)
-    );
-    for (i, a) in b.arms.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        push_arm(&mut out, a, "    ");
-    }
-    out.push_str(if b.arms.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"metrics\": [");
-    for (i, m) in b.metrics.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        let _ = write!(
-            out,
-            "    {{\"key\": \"{}\", \"value\": {}}}",
-            json_escape(&m.key),
-            json_num(m.value)
-        );
-    }
-    out.push_str(if b.metrics.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"timeline\": [");
-    for (i, s) in b.timeline.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        let _ = write!(
-            out,
-            "    {{\"path\": \"{}\", \"points\": [",
-            json_escape(&s.path)
-        );
-        for (j, p) in s.points.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"t_s\": {}, \"min\": {}, \"max\": {}, \"last\": {}, \"samples\": {}}}",
-                json_num(p.t_s),
-                json_num(p.min),
-                json_num(p.max),
-                json_num(p.last),
-                p.samples
-            );
-        }
-        out.push_str("]}");
-    }
-    out.push_str(if b.timeline.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"incidents\": [");
-    for (i, inc) in b.incidents.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        let closed = match inc.closed_s {
-            Some(t) => json_num(t),
-            None => "null".to_string(),
-        };
-        let faults: Vec<String> = inc
-            .faults
-            .iter()
-            .map(|f| format!("\"{}\"", json_escape(f)))
-            .collect();
-        let _ = write!(
-            out,
-            "    {{\"rule\": \"{}\", \"path\": \"{}\", \"opened_s\": {}, \
-             \"closed_s\": {}, \"observed\": {}, \"bound\": {}, \
-             \"attributed\": {}, \"faults\": [{}]}}",
-            json_escape(&inc.rule),
-            json_escape(&inc.path),
-            json_num(inc.opened_s),
-            closed,
-            json_num(inc.observed),
-            json_num(inc.bound),
-            inc.attributed,
-            faults.join(", ")
-        );
-    }
-    out.push_str(if b.incidents.is_empty() { "]\n" } else { "\n  ]\n" });
-    out.push_str("}\n");
     out
 }
 
-/// Writes the artifact as deterministic JSON to `path`.
-pub fn write_bench_json(path: &str, b: &BenchJson) -> std::io::Result<()> {
-    std::fs::write(path, render_bench_json(b))
+/// Writes the artifact to `path` and prints its summary lines; a write
+/// error lands in `failures`.
+pub fn publish(path: &str, b: &BenchJson, failures: &mut Vec<String>) {
+    print!("{}", render_summary(b));
+    if let Err(e) = std::fs::write(path, json_text(b)) {
+        failures.push(format!("could not write {path}: {e}"));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::E7Row;
 
-    #[test]
-    fn summary_lines_carry_stable_keys() {
-        let b = BenchJson {
-            scenario: "fleet".into(),
-            throughput_ratio: 1.25,
-            arms: vec![ArmSummary {
-                arm: "shed-on".into(),
-                submitted: 10,
-                answered_ok: 9,
-                ..ArmSummary::default()
-            }],
-            metrics: vec![MetricLine {
-                key: "pipeline.submitted".into(),
-                value: 10.0,
-            }],
-            ..BenchJson::default()
-        };
-        let s = render_summary(&b);
-        assert!(s.contains("scenario=fleet arm=shed-on submitted=10 answered_ok=9"));
-        assert!(s.contains("scenario=fleet throughput_ratio=1.2500"));
-    }
-
+    // Rows outside tests come only from `ArmSummary::new`; a test row
+    // starts zeroed and sets the fields under test.
+    #[allow(clippy::field_reassign_with_default)]
     fn sample_bench() -> BenchJson {
+        let mut arm = ArmSummary::default();
+        arm.arm = "shed-on".into();
+        arm.submitted = 10;
+        arm.answered_ok = 9;
+        arm.queries_per_sec = 0.125;
         BenchJson {
             scenario: "fleet".into(),
             throughput_ratio: f64::INFINITY,
-            arms: vec![ArmSummary {
-                arm: "shed-on".into(),
-                submitted: 10,
-                answered_ok: 9,
-                queries_per_sec: 0.125,
-                ..ArmSummary::default()
-            }],
+            arms: vec![arm],
             metrics: vec![MetricLine {
                 key: "pipeline.\"odd\\key\"".into(),
                 value: f64::NAN,
@@ -481,8 +532,16 @@ mod tests {
     }
 
     #[test]
+    fn summary_lines_carry_stable_keys() {
+        let s = render_summary(&sample_bench());
+        assert!(s.contains("scenario=fleet arm=shed-on submitted=10 answered_ok=9"), "{s}");
+        assert!(s.contains("queries_per_sec=0.125"), "{s}");
+        assert!(s.contains("scenario=fleet throughput_ratio=inf"), "{s}");
+    }
+
+    #[test]
     fn bench_json_emitter_is_valid_and_escaped() {
-        let json = render_bench_json(&sample_bench());
+        let json = json_text(&sample_bench());
         assert!(json.contains("\"scenario\": \"fleet\""), "{json}");
         assert!(json.contains("\"throughput_ratio\": null"), "{json}");
         // Quotes and backslashes in keys survive as JSON escapes.
@@ -490,21 +549,51 @@ mod tests {
         // NaN values render as null, not as a bare token.
         assert!(json.contains("\"value\": null"), "{json}");
         assert!(!json.contains("NaN"), "{json}");
-        assert!(json.contains("\"timeline\""), "{json}");
         assert!(json.contains("\"t_s\": 30"), "{json}");
         assert!(json.contains("\"rule\": \"pressure_watermark\""), "{json}");
         assert!(json.contains("\"closed_s\": null"), "{json}");
         assert!(json.contains("\"attributed\": true"), "{json}");
+        // Wide containers break one element per line; narrow ones stay
+        // on one line.
+        assert!(json.contains("\n    {\n      \"arm\": \"shed-on\",\n"), "{json}");
+        assert!(json.contains("[{\"t_s\": 30, \"min\": 1, \"max\": 4.5"), "{json}");
     }
 
     #[test]
     fn bench_json_emitter_is_byte_deterministic() {
         let b = sample_bench();
-        assert_eq!(render_bench_json(&b), render_bench_json(&b));
+        assert_eq!(json_text(&b), json_text(&b));
         // Empty sections still close their brackets.
-        let empty = BenchJson::default();
-        let json = render_bench_json(&empty);
+        let json = json_text(&BenchJson::default());
         assert!(json.contains("\"arms\": []"), "{json}");
         assert!(json.contains("\"incidents\": []"), "{json}");
+    }
+
+    #[test]
+    fn experiment_rows_render_escaped_null_and_deterministic() {
+        let rows = vec![
+            E7Row {
+                model: "ar(\"4\")\\x".into(),
+                train_cycles: 1200,
+                check_cycles: 3,
+                ratio: f64::NAN,
+                param_bytes: 24,
+            },
+            E7Row {
+                model: "markov(8)".into(),
+                train_cycles: 900,
+                check_cycles: 0,
+                ratio: f64::INFINITY,
+                param_bytes: 66,
+            },
+        ];
+        let json = json_text(&rows);
+        assert!(json.contains("\"model\": \"ar(\\\"4\\\")\\\\x\""), "{json}");
+        assert!(json.contains("\"ratio\": null"), "{json}");
+        assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
+        assert!(json.contains("\"train_cycles\": 1200"), "{json}");
+        assert_eq!(json, json_text(&rows), "two renders must be byte-identical");
+        let doc = crate::diff::parse_json(&json).expect("emitter output parses");
+        assert_eq!(doc.as_arr().map(<[JsonValue]>::len), Some(2));
     }
 }

@@ -19,16 +19,15 @@
 //! answer contradicted by its own window — must be zero), and the
 //! trace/age coverage counters the CI smoke asserts on.
 
-use crate::report::{scope_incidents, scope_timeline, IncidentOut, SeriesOut};
-use presto_core::{PipelineAnswer, PrestoSystem, StoreQuery, SystemConfig};
-use presto_fleet::FEED_STALE_CONFIDENT;
+use crate::driver::{
+    arm_failures, run_arm as drive, single_system_scope, throughput_ratio, ArmPlan, ArmRun,
+    Arrival, Deployment,
+};
+use crate::report::ArmSummary;
+use presto_core::{PrestoSystem, StoreQuery, SystemConfig};
 use presto_net::LossProcess;
-use presto_proxy::{AnswerSource, SliceConfig};
-use presto_sim::metrics::Summary;
+use presto_proxy::SliceConfig;
 use presto_sim::{SimDuration, SimTime};
-use presto_telemetry::scope::WD_STALE_CONFIDENT;
-use presto_telemetry::{CompletionCause, ScopeConfig, SeriesSpec, WatchdogRule};
-use serde::Serialize;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -82,104 +81,12 @@ impl SliceScenarioConfig {
     }
 }
 
-/// One arm's results.
-#[derive(Clone, Debug, Serialize)]
-pub struct SliceArmReport {
-    /// Queries emitted by the workload.
-    pub submitted: u64,
-    /// Terminals observed (must equal `submitted`).
-    pub completed: u64,
-    /// Terminals with a real (non-Failed) answer.
-    pub answered_ok: u64,
-    /// Honest failures.
-    pub failed: u64,
-    /// Completions that never touched the radio (fast paths + caches).
-    pub completed_cached: u64,
-    /// PAST submissions that took the sliced path.
-    pub sliced: u64,
-    /// Pull RPCs issued (slice sub-pulls included).
-    pub rpcs_issued: u64,
-    /// Archive-range cache hit rate: slice-tier lookups when slicing
-    /// is on, reply-cache lookups otherwise.
-    pub cache_hit_rate: f64,
-    /// Slice-tier counters (all zero in the monolithic arm).
-    pub slice_lookups: u64,
-    /// L1 (RAM-tier) hits.
-    pub slice_l1_hits: u64,
-    /// L2 (spill-tier) hits, each promoting back to L1.
-    pub slice_l2_hits: u64,
-    /// L2→L1 promotions.
-    pub slice_promotions: u64,
-    /// Ok answers contradicted by their own window (must be 0).
-    pub stale_confident: u64,
-    /// Real answers missing the serve-time age stamp (must be 0).
-    pub answer_age_missing: u64,
-    /// Real answers carrying the age stamp.
-    pub answer_age_count: u64,
-    /// Answer-age p50, seconds.
-    pub answer_age_p50_s: f64,
-    /// Answered-query throughput over the phase, queries/hour.
-    pub throughput_qph: f64,
-    /// Terminal-latency percentiles, seconds (failures included).
-    pub p50_s: f64,
-    /// p90.
-    pub p90_s: f64,
-    /// p99.
-    pub p99_s: f64,
-    /// Finished query traces collected.
-    pub trace_terminals: u64,
-    /// Traces with ≠1 terminal or non-monotone timestamps (must be 0).
-    pub trace_bad: u64,
-    /// Open trace logs after the drain window (must be 0).
-    pub trace_orphans: u64,
-    /// Leak probes after the drain window (both must be zero).
-    pub leaked_pending: u64,
-    /// Leaked pending-RPC table entries.
-    pub leaked_rpcs: u64,
-    /// The flattened unified-telemetry snapshot.
-    pub metrics: Vec<(String, f64)>,
-    /// presto-scope epoch trajectories (the BENCH timeline section).
-    pub timeline: Vec<SeriesOut>,
-    /// Watchdog incident log (clean slice runs must keep this empty).
-    pub incidents: Vec<IncidentOut>,
-    /// Incidents no injected fault explains (must be zero).
-    pub incidents_unattributed: u64,
-}
-
-impl SliceArmReport {
-    /// This arm's row in the shared benchmark artifact.
-    pub fn summarize(&self, arm: &str) -> crate::report::ArmSummary {
-        crate::report::ArmSummary {
-            arm: arm.to_string(),
-            submitted: self.submitted,
-            answered_ok: self.answered_ok,
-            failed: self.failed,
-            queries_per_sec: self.throughput_qph / 3600.0,
-            latency_p50_s: self.p50_s,
-            latency_p90_s: self.p90_s,
-            latency_p99_s: self.p99_s,
-            answer_age_count: self.answer_age_count,
-            answer_age_missing: self.answer_age_missing,
-            answer_age_p50_s: self.answer_age_p50_s,
-            cache_hit_rate: self.cache_hit_rate,
-            stale_confident: self.stale_confident,
-            trace_terminals: self.trace_terminals,
-            trace_bad: self.trace_bad,
-            trace_orphans: self.trace_orphans,
-            ..crate::report::ArmSummary::default()
-        }
-    }
-}
-
 /// Scenario result: both arms plus the headline comparisons.
-#[derive(Clone, Debug, Serialize)]
 pub struct SliceScenarioReport {
-    /// Configured downlink loss.
-    pub configured_loss: f64,
     /// Sliced execution on.
-    pub sliced: SliceArmReport,
+    pub sliced: ArmRun,
     /// Same seed, slicing off.
-    pub monolithic: SliceArmReport,
+    pub monolithic: ArmRun,
     /// `sliced.throughput / monolithic.throughput` (must be ≥ 1: slice
     /// reuse cannot cost answered throughput).
     pub throughput_ratio: f64,
@@ -221,20 +128,7 @@ fn system(cfg: &SliceScenarioConfig, sliced: bool) -> PrestoSystem {
     // the coverage fast path, and trace so age coverage is auditable.
     sys_cfg.proxy.past_coverage_hit = f64::INFINITY;
     sys_cfg.proxy.pipeline.trace = true;
-    // A single-system scope: fleet paths don't exist here, so the
-    // timeline watches the pipeline/slice work rates and the recorder,
-    // and the one watchdog is the driver-fed stale-confident probe.
-    sys_cfg.scope = ScopeConfig {
-        enabled: true,
-        series: vec![
-            SeriesSpec::delta("pipeline.rpcs_issued"),
-            SeriesSpec::delta("pipeline.sliced"),
-            SeriesSpec::delta("slice.lookups"),
-            SeriesSpec::level("trace.recorder_len"),
-        ],
-        rules: vec![WatchdogRule::still(WD_STALE_CONFIDENT, FEED_STALE_CONFIDENT)],
-        ..ScopeConfig::default()
-    };
+    sys_cfg.scope = single_system_scope();
     if sliced {
         sys_cfg.proxy.pipeline.slice = Some(SliceConfig::default());
     }
@@ -245,169 +139,116 @@ fn system(cfg: &SliceScenarioConfig, sliced: bool) -> PrestoSystem {
     PrestoSystem::new(sys_cfg)
 }
 
-/// An Ok answer contradicted by its own query window: empty series,
-/// out-of-window samples, or a coverage stamp from the future.
-fn is_stale_confident(c: &presto_proxy::CompletedQuery) -> bool {
-    match (&c.query, &c.answer) {
-        (presto_proxy::PipelineQuery::Past { from, to, .. }, PipelineAnswer::Series(a)) => {
-            a.source != AnswerSource::Failed
-                && (a.samples.is_empty()
-                    || a.samples.iter().any(|&(t, _)| t < *from || t > *to))
-        }
-        (_, PipelineAnswer::Scalar(a)) => {
-            a.source != AnswerSource::Failed
-                && a.data_through.is_some_and(|d| d > c.completed_at)
-        }
-        _ => false,
-    }
-}
-
-fn run_arm(cfg: &SliceScenarioConfig, sliced: bool) -> SliceArmReport {
+/// The seeded multi-user workload: PAST queries over the staggered hot
+/// windows plus background NOW traffic.
+fn arrivals(cfg: &SliceScenarioConfig) -> impl FnMut(SimTime) -> Vec<Arrival> + '_ {
     let epoch = SystemConfig::default().lab.epoch;
-    let query_epochs = SimDuration::from_hours(cfg.query_hours).div_duration(epoch);
-    let deadline = SystemConfig::default().proxy.pipeline.deadline;
-    let drain_epochs = deadline.div_duration(epoch) + 4;
-    let phase_hours = (query_epochs + drain_epochs) as f64 * epoch.as_secs_f64() / 3600.0;
     // Per-epoch arrival probability for one user.
     let p_arrival = cfg.queries_per_user_per_hour * epoch.as_secs_f64() / 3600.0;
     let stagger_slots = 4u64;
-
-    let mut sys = system(cfg, sliced);
-    sys.run(SimDuration::from_hours(cfg.warmup_hours));
-
     let mut rng = cfg.seed ^ 0x5711CE;
-    let mut submitted = 0u64;
-    let mut completed = 0u64;
-    let mut answered_ok = 0u64;
-    let mut failed = 0u64;
-    let mut stale_confident = 0u64;
-    let mut trace_terminals = 0u64;
-    let mut trace_bad = 0u64;
-    let mut answer_age_missing = 0u64;
-    let mut latencies = Summary::new();
-    let mut ages = Summary::new();
-
-    for e in 0..query_epochs + drain_epochs {
-        if e < query_epochs {
-            for _user in 0..cfg.users {
-                let r = mix(&mut rng);
-                if (r % 10_000) as f64 >= p_arrival * 10_000.0 {
-                    continue;
-                }
-                let sensor = (mix(&mut rng) % cfg.sensors as u64) as u16;
-                let q = if mix(&mut rng).is_multiple_of(5) {
-                    StoreQuery::Now {
-                        sensor,
-                        tolerance: cfg.tolerance,
-                    }
-                } else {
-                    let (from, to) = hot_window(mix(&mut rng) % stagger_slots);
-                    StoreQuery::Past {
-                        sensor,
-                        from,
-                        to,
-                        tolerance: cfg.tolerance,
-                    }
-                };
-                if sys.submit_query(q).is_some() {
-                    submitted += 1;
-                }
+    move |_| {
+        let mut batch = Vec::new();
+        for _user in 0..cfg.users {
+            let r = mix(&mut rng);
+            if (r % 10_000) as f64 >= p_arrival * 10_000.0 {
+                continue;
             }
-        }
-        sys.scope_mut().feed(FEED_STALE_CONFIDENT, stale_confident as f64);
-        sys.step_epoch();
-        for (_, c) in sys.take_completed_queries() {
-            completed += 1;
-            latencies.record(c.answer.latency().as_secs_f64());
-            let is_failed = match &c.answer {
-                PipelineAnswer::Scalar(a) => a.source == AnswerSource::Failed,
-                PipelineAnswer::Series(a) => a.source == AnswerSource::Failed,
-            };
-            if is_failed {
-                failed += 1;
+            let sensor = (mix(&mut rng) % cfg.sensors as u64) as u16;
+            let q = if mix(&mut rng).is_multiple_of(5) {
+                StoreQuery::Now {
+                    sensor,
+                    tolerance: cfg.tolerance,
+                }
             } else {
-                answered_ok += 1;
-            }
-            if is_stale_confident(&c) {
-                stale_confident += 1;
-            }
+                let (from, to) = hot_window(mix(&mut rng) % stagger_slots);
+                StoreQuery::Past {
+                    sensor,
+                    from,
+                    to,
+                    tolerance: cfg.tolerance,
+                }
+            };
+            batch.push(Arrival::Store(q));
         }
-        for tr in sys.proxies[0].pipeline_mut().tracer_mut().take_finished() {
-            trace_terminals += 1;
-            if tr.terminal_count() != 1 || !tr.is_monotone() {
-                trace_bad += 1;
-            }
-            match tr.answer_age() {
-                Some(age) => ages.record(age.as_secs_f64()),
-                None if tr.cause() == Some(CompletionCause::Ok) => answer_age_missing += 1,
-                None => {}
-            }
-        }
+        batch
     }
+}
 
-    let ps = sys.pipeline_stats();
-    let ss = sys.slice_cache_stats();
-    let cache = sys.proxies[0].pipeline().reply_cache();
-    let cache_hit_rate = if sliced {
-        ss.hit_rate()
-    } else {
-        let total = cache.hits() + cache.misses();
-        if total == 0 {
-            0.0
-        } else {
-            cache.hits() as f64 / total as f64
-        }
-    };
-    let snap = sys.telemetry_snapshot();
-    SliceArmReport {
-        submitted,
-        completed,
-        answered_ok,
-        failed,
-        completed_cached: ps.completed_fast + ps.completed_cached,
-        sliced: ps.sliced,
-        rpcs_issued: ps.rpcs_issued,
-        cache_hit_rate,
-        slice_lookups: ss.lookups,
-        slice_l1_hits: ss.l1_hits,
-        slice_l2_hits: ss.l2_hits,
-        slice_promotions: ss.promotions,
-        stale_confident,
-        answer_age_missing,
-        answer_age_count: ages.count() as u64,
-        answer_age_p50_s: ages.median(),
-        throughput_qph: answered_ok as f64 / phase_hours,
-        p50_s: latencies.median(),
-        p90_s: latencies.quantile(0.90),
-        p99_s: latencies.quantile(0.99),
-        trace_terminals,
-        trace_bad,
-        trace_orphans: sys.proxies[0].pipeline().tracer().open_count() as u64,
-        leaked_pending: sys.pipeline_pending_total() as u64,
-        leaked_rpcs: sys.async_in_flight_total() as u64,
-        metrics: snap.flatten(),
-        timeline: scope_timeline(sys.scope()),
-        incidents: scope_incidents(sys.scope()),
-        incidents_unattributed: sys.scope().unattributed_incidents() as u64,
-    }
+/// Runs one arm through the driver.
+pub fn run_arm(cfg: &SliceScenarioConfig, sliced: bool) -> ArmRun {
+    let deadline = SystemConfig::default().proxy.pipeline.deadline;
+    let plan = ArmPlan::new(cfg.warmup_hours, cfg.query_hours, deadline);
+    let label = if sliced { "sliced" } else { "monolithic" };
+    let deployment = Deployment::Single(Box::new(system(cfg, sliced)));
+    drive(label, deployment, &plan, &mut arrivals(cfg), None)
 }
 
 /// Runs both arms over the identical seeded workload.
 pub fn slice_scenario(cfg: &SliceScenarioConfig) -> SliceScenarioReport {
     let sliced = run_arm(cfg, true);
     let monolithic = run_arm(cfg, false);
-    let throughput_ratio = if monolithic.throughput_qph > 0.0 {
-        sliced.throughput_qph / monolithic.throughput_qph
-    } else {
-        f64::INFINITY
-    };
-    let hit_rate_gain = sliced.cache_hit_rate - monolithic.cache_hit_rate;
     SliceScenarioReport {
-        configured_loss: cfg.loss,
+        throughput_ratio: throughput_ratio(&sliced, &monolithic),
+        hit_rate_gain: ArmSummary::new(&sliced).cache_hit_rate
+            - ArmSummary::new(&monolithic).cache_hit_rate,
         sliced,
         monolithic,
-        throughput_ratio,
-        hit_rate_gain,
+    }
+}
+
+impl SliceScenarioReport {
+    /// Every failed acceptance check: the driver invariants on both
+    /// arms, zero incidents on these fault-free runs, the slice tier's
+    /// accounting, and the sharing win.
+    pub fn failures(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for arm in [&self.sliced, &self.monolithic] {
+            out.extend(arm_failures(arm));
+            let incidents = arm.scope().incidents().len();
+            if incidents > 0 {
+                out.push(format!("{}: clean run logged {incidents} watchdog incidents", arm.label));
+            }
+        }
+        let m = |k: &str| self.sliced.metric(k);
+        if m("pipeline.sliced") == 0.0 {
+            out.push("no query took the sliced path".into());
+        }
+        if m("slice.lookups") == 0.0 {
+            out.push("slice-tier counters absent".into());
+        }
+        if m("slice.lookups") != m("slice.l1_hits") + m("slice.l2_hits") + m("slice.misses") {
+            out.push(format!(
+                "slice tier accounting does not balance: {} lookups vs {} + {} hits + {} misses",
+                m("slice.lookups"),
+                m("slice.l1_hits"),
+                m("slice.l2_hits"),
+                m("slice.misses")
+            ));
+        }
+        if m("slice.promotions") > m("slice.l2_hits") {
+            out.push(format!(
+                "{} promotions exceed {} L2 hits",
+                m("slice.promotions"),
+                m("slice.l2_hits")
+            ));
+        }
+        if ArmSummary::new(&self.sliced).cache_hit_rate <= 0.0 {
+            out.push("slice cache never hit".into());
+        }
+        if self.hit_rate_gain <= 0.0 {
+            out.push(format!(
+                "slice hit rate did not beat the monolithic reply cache (gain {:.3})",
+                self.hit_rate_gain
+            ));
+        }
+        if self.throughput_ratio < 1.0 {
+            out.push(format!(
+                "sliced throughput fell below monolithic ({:.3}×)",
+                self.throughput_ratio
+            ));
+        }
+        out
     }
 }
 
@@ -418,48 +259,16 @@ mod tests {
     #[test]
     fn quick_slice_cache_absorbs_shared_hot_reads() {
         let r = slice_scenario(&SliceScenarioConfig::quick());
-        for (label, arm) in [("sliced", &r.sliced), ("monolithic", &r.monolithic)] {
-            assert!(arm.submitted > 50, "({label}) workload too small: {arm:?}");
-            assert_eq!(
-                arm.completed, arm.submitted,
-                "({label}) every query must terminate"
-            );
-            assert_eq!(arm.stale_confident, 0, "({label}) {arm:?}");
-            assert_eq!(arm.answer_age_missing, 0, "({label}) {arm:?}");
-            assert_eq!(arm.trace_bad, 0, "({label}) {arm:?}");
-            assert_eq!(arm.trace_orphans, 0, "({label}) {arm:?}");
-            assert_eq!(arm.leaked_pending, 0, "({label}) {arm:?}");
-            assert_eq!(arm.leaked_rpcs, 0, "({label}) {arm:?}");
+        let failures = r.failures();
+        assert!(failures.is_empty(), "{failures:#?}");
+        for arm in [&r.sliced, &r.monolithic] {
+            assert!(arm.counters.submitted > 50, "{}: workload too small", arm.label);
             assert!(
-                arm.incidents.is_empty(),
-                "({label}) clean run must log zero incidents: {:?}",
-                arm.incidents
-            );
-            assert_eq!(arm.incidents_unattributed, 0, "({label}) {arm:?}");
-            assert!(
-                arm.timeline.iter().any(|s| s.path == "slice.lookups"
-                    || s.path == "pipeline.rpcs_issued"),
-                "({label}) timeline missing the work-rate series"
+                arm.scope().series().iter().any(|(path, _)| path == "slice.lookups"
+                    || path == "pipeline.rpcs_issued"),
+                "{}: timeline missing the work-rate series",
+                arm.label
             );
         }
-        assert!(r.sliced.sliced > 0, "hot windows must take the sliced path");
-        assert!(
-            r.sliced.slice_l1_hits + r.sliced.slice_l2_hits <= r.sliced.slice_lookups,
-            "tier hits cannot exceed lookups: {:?}",
-            r.sliced
-        );
-        assert!(
-            r.sliced.slice_promotions <= r.sliced.slice_l2_hits,
-            "every promotion starts as an L2 hit: {:?}",
-            r.sliced
-        );
-        assert!(
-            r.hit_rate_gain > 0.0,
-            "slice sharing must beat exact-match caching: {r:?}"
-        );
-        assert!(
-            r.throughput_ratio >= 1.0,
-            "slice reuse must not cost answered throughput: {r:?}"
-        );
     }
 }

@@ -7,46 +7,19 @@
 
 use presto_baselines::{direct, driver::render_table, stream, valuepush, ArchReport, DriverConfig};
 use presto_core::run_presto;
-use serde::Serialize;
 
-/// Serializable row mirror of [`ArchReport`].
-#[derive(Clone, Debug, Serialize)]
-pub struct Table1Row {
-    /// Architecture label.
-    pub architecture: String,
-    /// Joules per sensor per day.
-    pub energy_j_per_day: f64,
-    /// Radio joules per sensor per day.
-    pub radio_j_per_day: f64,
-    /// Mean NOW latency, ms.
-    pub now_latency_ms: f64,
-    /// p95 NOW latency, ms.
-    pub now_latency_p95_ms: f64,
-    /// Mean NOW error.
-    pub now_error: f64,
-    /// Fraction of PAST queries answered.
-    pub past_answered: f64,
-    /// Supports PAST queries at all.
-    pub supports_past: bool,
-    /// Uses prediction.
-    pub uses_prediction: bool,
-}
-
-impl From<&ArchReport> for Table1Row {
-    fn from(r: &ArchReport) -> Self {
-        Table1Row {
-            architecture: r.label.clone(),
-            energy_j_per_day: r.sensor_energy_per_day_j,
-            radio_j_per_day: r.radio_energy_per_day_j,
-            now_latency_ms: r.now_latency_mean_ms,
-            now_latency_p95_ms: r.now_latency_p95_ms,
-            now_error: r.now_error_mean,
-            past_answered: r.past_answered_fraction,
-            supports_past: r.supports_past,
-            uses_prediction: r.uses_prediction,
-        }
-    }
-}
+crate::json_object!(ArchReport {
+    label,
+    sensor_energy_per_day_j,
+    radio_energy_per_day_j,
+    now_latency_mean_ms,
+    now_latency_p95_ms,
+    now_error_mean,
+    past_answered_fraction,
+    bytes_per_sensor_per_day,
+    supports_past,
+    uses_prediction,
+});
 
 /// Runs all five architecture arms on the shared workload.
 pub fn generate(cfg: &DriverConfig) -> Vec<ArchReport> {
@@ -64,11 +37,6 @@ pub fn render(reports: &[ArchReport]) -> String {
     let mut s = String::from("Table 1 — architecture comparison on the shared lab workload\n");
     s.push_str(&render_table(reports));
     s
-}
-
-/// Serializable rows.
-pub fn rows(reports: &[ArchReport]) -> Vec<Table1Row> {
-    reports.iter().map(Table1Row::from).collect()
 }
 
 /// The qualitative shape the paper's table asserts, checked against the
@@ -130,6 +98,7 @@ mod tests {
         check_shape(&reports).unwrap();
         let text = render(&reports);
         assert!(text.contains("PRESTO"));
-        assert_eq!(rows(&reports).len(), 5);
+        let json = crate::report::json_text(&reports);
+        assert!(json.contains("\"supports_past\": true"), "{json}");
     }
 }

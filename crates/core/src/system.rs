@@ -923,6 +923,9 @@ impl PrestoSystem {
             if want("slice") {
                 root.observe("slice", &p.pipeline().slice_cache().stats());
             }
+            if want("reply_cache") {
+                root.observe("reply_cache", p.pipeline().reply_cache());
+            }
         }
         // Live trace-retention gauges: drop counts are the honest
         // "recorder overflowed" signal the scope's leak probes read.

@@ -466,7 +466,20 @@ impl PullReplyCache {
     pub fn stale_rejections(&self) -> u64 {
         self.stale_rejections
     }
+
+    /// Drops every cached reply. The hit/miss/stale counters are
+    /// measurement instrumentation and survive, as the slice cache's
+    /// do through [`TieredSliceCache::clear`].
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
 }
+
+presto_telemetry::observe_counters!(PullReplyCache {
+    hits,
+    misses,
+    stale_rejections,
+});
 
 /// The pipeline state a proxy carries.
 pub struct QueryPipeline {
@@ -521,7 +534,7 @@ impl QueryPipeline {
     }
 
     /// Downlink transmission attempts the most recent
-    /// [`crate::PrestoProxy::pump_queries`] pass spent. Equal to the
+    /// [`crate::PrestoProxy::pump_queries_view`] pass spent. Equal to the
     /// per-epoch attempt budget when the pump is saturated — the
     /// admission-control pressure probe the fleet router reads.
     pub fn last_pump_attempts(&self) -> u32 {

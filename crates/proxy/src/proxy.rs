@@ -30,7 +30,7 @@ use crate::cache::{CacheSource, CachedEvent, CachedSample, EventCache, SensorCac
 use crate::engine::{EngineConfig, ModelSlot, PredictionEngine};
 use crate::pipeline::{
     op_key, CompletedQuery, PendingQuery, PipelineAnswer, PipelineConfig, PipelineQuery,
-    PullKey, PullReplyCache, QueryPipeline, SlicePart,
+    PullKey, QueryPipeline, SlicePart,
 };
 use crate::slice;
 
@@ -1101,9 +1101,10 @@ impl PrestoProxy {
         let dropped = self.pipeline.pending.len() + self.pipeline.completed.len();
         self.pipeline.pending.clear();
         self.pipeline.completed.clear();
-        self.pipeline.reply_cache = PullReplyCache::new(self.pipeline.config.reply_cache_capacity);
-        // Slice entries are RAM state and die with the crash; the tier
-        // counters are measurement instrumentation and survive.
+        // Cached replies and slices are RAM state and die with the
+        // crash; both caches' counters are measurement instrumentation
+        // and survive.
+        self.pipeline.reply_cache.clear();
         self.pipeline.slice_cache.clear();
         for slot in self.sensors.values_mut() {
             slot.cache = SensorCache::new(self.config.cache_capacity);
@@ -1159,7 +1160,7 @@ impl PrestoProxy {
     /// fast paths (cache hit, model extrapolation, spatial
     /// conditioning, dense-coverage aggregation, the shared pull-reply
     /// cache) complete immediately; a precision miss enqueues a
-    /// `PendingQuery` that [`PrestoProxy::pump_queries`] serves across
+    /// `PendingQuery` that [`PrestoProxy::pump_queries_view`] serves across
     /// epochs. Returns the ticket id under which the completion
     /// surfaces in [`PrestoProxy::take_completed_queries`]. Uses the
     /// pipeline's default deadline.
@@ -1538,26 +1539,6 @@ impl PrestoProxy {
             // from samples.
             PipelineQuery::Aggregate { .. } => self.failed_answer(query, latency),
         }
-    }
-
-    /// Drives the pipeline one epoch tick over a contiguous sensor
-    /// cluster: sensor `g` lives at `nodes[g - base_gid]` /
-    /// `chans[g - base_gid]`. Thin wrapper over
-    /// [`PrestoProxy::pump_queries_view`], the general form.
-    pub fn pump_queries(
-        &mut self,
-        t: SimTime,
-        base_gid: u16,
-        nodes: &mut [SensorNode],
-        chans: &mut [DownlinkChannel],
-    ) {
-        let mut view: Vec<PumpSensor<'_>> = nodes
-            .iter_mut()
-            .zip(chans.iter_mut())
-            .zip(base_gid..)
-            .map(|((node, chan), gid)| PumpSensor { gid, node, chan })
-            .collect();
-        self.pump_queries_view(t, &mut view);
     }
 
     /// Drives the pipeline one epoch tick: expires overdue queries
@@ -2494,6 +2475,16 @@ mod tests {
         (proxy, node, chan_with_loss(loss, seed))
     }
 
+    /// One pipeline tick over a rig's single sensor (gid 0).
+    fn pump(
+        proxy: &mut PrestoProxy,
+        t: SimTime,
+        node: &mut SensorNode,
+        chan: &mut DownlinkChannel,
+    ) {
+        proxy.pump_queries_view(t, &mut [PumpSensor { gid: 0, node, chan }]);
+    }
+
     fn past(from_s: u64, to_s: u64, tolerance: f64) -> PipelineQuery {
         PipelineQuery::Past {
             sensor: 0,
@@ -2515,7 +2506,7 @@ mod tests {
             proxy.submit_query(t, past(31 * 100, 31 * 150, 0.3));
         }
         assert_eq!(proxy.pipeline().pending_queries(), 5);
-        proxy.pump_queries(t, 0, std::slice::from_mut(&mut node), std::slice::from_mut(&mut chan));
+        pump(&mut proxy, t, &mut node, &mut chan);
         let done = proxy.take_completed_queries();
         assert_eq!(done.len(), 5, "all coalesced queries complete from one reply");
         for c in &done {
@@ -2549,7 +2540,7 @@ mod tests {
         let (mut proxy, mut node, mut chan) = pipeline_rig(0.0, 2);
         let t = SimTime::from_secs(31 * 210);
         proxy.submit_query(t, past(31 * 10, 31 * 60, 0.3));
-        proxy.pump_queries(t, 0, std::slice::from_mut(&mut node), std::slice::from_mut(&mut chan));
+        pump(&mut proxy, t, &mut node, &mut chan);
         let first = proxy.take_completed_queries().remove(0);
         let pulls_after_first = proxy.stats().pulls;
         // A later user asks the same window: served from the shared
@@ -2582,7 +2573,7 @@ mod tests {
         let open_window = past(3_100, 12_400, 0.3);
         let t1 = SimTime::from_secs(6_200);
         proxy.submit_query(t1, open_window);
-        proxy.pump_queries(t1, 0, std::slice::from_mut(&mut node), std::slice::from_mut(&mut chan));
+        pump(&mut proxy, t1, &mut node, &mut chan);
         let first = proxy.take_completed_queries().remove(0);
         let first_n = match &first.answer {
             PipelineAnswer::Series(a) => {
@@ -2604,7 +2595,7 @@ mod tests {
             "stale cached reply must not serve the repeat query"
         );
         assert!(proxy.pipeline().reply_cache().stale_rejections() >= 1);
-        proxy.pump_queries(t2, 0, std::slice::from_mut(&mut node), std::slice::from_mut(&mut chan));
+        pump(&mut proxy, t2, &mut node, &mut chan);
         let second = proxy.take_completed_queries().remove(0);
         match &second.answer {
             PipelineAnswer::Series(a) => {
@@ -2633,7 +2624,7 @@ mod tests {
         let epochs = deadline.div_duration(SimDuration::from_secs(31)) + 2;
         for e in 0..epochs {
             let t = t0 + SimDuration::from_secs(31) * e;
-            proxy.pump_queries(t, 0, std::slice::from_mut(&mut node), std::slice::from_mut(&mut chan));
+            pump(&mut proxy, t, &mut node, &mut chan);
         }
         let done = proxy.take_completed_queries();
         assert_eq!(done.len(), 4, "every query terminates by its deadline");
@@ -2669,7 +2660,7 @@ mod tests {
                 op: presto_sensor::AggregateOp::Mean,
             },
         );
-        proxy.pump_queries(t, 0, std::slice::from_mut(&mut node), std::slice::from_mut(&mut chan));
+        pump(&mut proxy, t, &mut node, &mut chan);
         let replayed = proxy.recover_span(
             t,
             0,
@@ -2731,7 +2722,7 @@ mod tests {
         // the default-deadline query is still pending.
         for e in 0..3u64 {
             let t = t0 + SimDuration::from_secs(31) * e;
-            proxy.pump_queries(t, 0, std::slice::from_mut(&mut node), std::slice::from_mut(&mut chan));
+            pump(&mut proxy, t, &mut node, &mut chan);
         }
         let done = proxy.take_completed_queries();
         assert_eq!(done.len(), 1);
@@ -2744,7 +2735,7 @@ mod tests {
         let epochs = deadline.div_duration(SimDuration::from_secs(31)) + 2;
         for e in 0..epochs {
             let t = t0 + SimDuration::from_secs(31) * e;
-            proxy.pump_queries(t, 0, std::slice::from_mut(&mut node), std::slice::from_mut(&mut chan));
+            pump(&mut proxy, t, &mut node, &mut chan);
         }
         let done = proxy.take_completed_queries();
         assert_eq!(done.len(), 1);
@@ -2801,17 +2792,25 @@ mod tests {
         let (mut proxy, mut node, mut chan) = pipeline_rig(0.0, 12);
         let t = SimTime::from_secs(31 * 210);
         proxy.submit_query(t, past(31 * 10, 31 * 60, 0.3));
-        proxy.pump_queries(t, 0, std::slice::from_mut(&mut node), std::slice::from_mut(&mut chan));
-        // One answer completed (uncollected), one fresh query pending.
+        pump(&mut proxy, t, &mut node, &mut chan);
+        // A repeat of the pulled window hits the reply cache.
+        proxy.submit_query(t, past(31 * 10, 31 * 60, 0.3));
+        // Two answers completed (uncollected), one fresh query pending.
         proxy.submit_query(t, past(31 * 70, 31 * 120, 0.3));
         assert_eq!(proxy.pipeline().pending_queries(), 1);
         assert!(!proxy.cache(0).expect("registered").is_empty());
+        let cache = proxy.pipeline().reply_cache();
+        let counters = (cache.hits(), cache.misses(), cache.stale_rejections());
+        assert_eq!(counters.0, 1, "repeat window must hit before the crash");
         let dropped = proxy.crash_reset();
-        assert_eq!(dropped, 2);
+        assert_eq!(dropped, 3);
         assert_eq!(proxy.pipeline().pending_queries(), 0);
         assert!(proxy.take_completed_queries().is_empty());
         assert!(proxy.cache(0).expect("registered").is_empty());
-        assert!(proxy.pipeline().reply_cache().is_empty());
+        let cache = proxy.pipeline().reply_cache();
+        assert!(cache.is_empty());
+        // Counters are instrumentation, not process state: they survive.
+        assert_eq!((cache.hits(), cache.misses(), cache.stale_rejections()), counters);
         // The channel's proxy half is cleared by its own reset (the
         // only RPC here completed before the crash, so nothing to drop).
         assert_eq!(chan.reset_proxy_state(), 0);

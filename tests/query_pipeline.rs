@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use presto::proxy::{
-    AnswerSource, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig,
+    AnswerSource, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig, PumpSensor,
 };
 use presto::reliability::{DownlinkChannel, DownlinkConfig};
 use presto::net::{LinkModel, LossProcess};
@@ -168,7 +168,7 @@ fn run_and_check(
                 submitted += 1;
             }
         }
-        p.pump_queries(t, 0, std::slice::from_mut(&mut node), std::slice::from_mut(&mut chan));
+        p.pump_queries_view(t, &mut [PumpSensor { gid: 0, node: &mut node, chan: &mut chan }]);
     }
 
     let done = p.take_completed_queries();
@@ -257,7 +257,7 @@ fn run_traced(workload: &[(u8, u8)], request: Vec<bool>, reply: Vec<bool>) {
                 submitted += 1;
             }
         }
-        p.pump_queries(t, 0, std::slice::from_mut(&mut node), std::slice::from_mut(&mut chan));
+        p.pump_queries_view(t, &mut [PumpSensor { gid: 0, node: &mut node, chan: &mut chan }]);
     }
 
     let done = p.take_completed_queries();
@@ -376,7 +376,7 @@ fn pipeline_now_query_matches_reference_inside_archive() {
             tolerance: 0.2,
         },
     );
-    p.pump_queries(t, 0, std::slice::from_mut(&mut node), std::slice::from_mut(&mut chan));
+    p.pump_queries_view(t, &mut [PumpSensor { gid: 0, node: &mut node, chan: &mut chan }]);
     let done = p.take_completed_queries();
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].id, ticket);

@@ -11,7 +11,9 @@
 use proptest::prelude::*;
 
 use presto::proxy::slice::{assemble, plan, SliceConfig};
-use presto::proxy::{AnswerSource, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig};
+use presto::proxy::{
+    AnswerSource, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig, PumpSensor,
+};
 use presto::reliability::{DownlinkChannel, DownlinkConfig};
 use presto::net::{LinkModel, LossProcess};
 use presto::sensor::{PushPolicy, SensorConfig, SensorNode};
@@ -203,7 +205,7 @@ fn run_and_check(
                 submitted += 1;
             }
         }
-        p.pump_queries(t, 0, std::slice::from_mut(&mut node), std::slice::from_mut(&mut chan));
+        p.pump_queries_view(t, &mut [PumpSensor { gid: 0, node: &mut node, chan: &mut chan }]);
     }
 
     let done = p.take_completed_queries();
@@ -322,7 +324,7 @@ fn sub_window_of_pulled_span_completes_radio_free() {
     let t1 = p.submit_query(base, wide);
     for e in 0..20u64 {
         let t = base + EPOCH * e;
-        p.pump_queries(t, 0, std::slice::from_mut(&mut node), std::slice::from_mut(&mut chan));
+        p.pump_queries_view(t, &mut [PumpSensor { gid: 0, node: &mut node, chan: &mut chan }]);
         if p.pipeline().completed_ready() > 0 {
             break;
         }
