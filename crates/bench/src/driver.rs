@@ -165,14 +165,15 @@ impl Deployment {
         }
     }
 
-    /// Submits one arrival; `None` when nothing accepted it.
+    /// Submits one arrival; `None` when nothing accepted it (a dead
+    /// serving proxy).
     fn submit(&mut self, a: &Arrival) -> Option<u64> {
         match (self, a) {
             (Deployment::Fleet(f), Arrival::Fleet(a)) => Some(f.submit_arrival(a)),
             (Deployment::Single(s), Arrival::Store(q)) => s
                 .submit_query(*q)
                 .map(|(p, ticket)| ((p as u64) << 48) | ticket),
-            _ => None,
+            _ => unreachable!("arrival kind does not match deployment"),
         }
     }
 
@@ -324,7 +325,8 @@ pub struct ArmCounters {
     pub failed: u64,
     /// Ok answers an oracle contradicts.
     pub stale_confident: u64,
-    /// Terminal latencies, seconds (failures included).
+    /// Terminal latencies, seconds (failed terminals included; refusals
+    /// have no terminal and are left out).
     pub latencies: Summary,
     /// Serve-time ages of Ok answers, seconds.
     pub ages: Summary,
@@ -459,11 +461,11 @@ pub fn run_arm(
                             truth_at_submit.insert(key, v);
                         }
                     }
-                    // Refused at the door: an honest failure at submit.
+                    // Refused at the door: an honest failure at submit,
+                    // with no terminal and so no latency.
                     None => {
                         c.refused += 1;
                         c.failed += 1;
-                        c.latencies.record(0.0);
                     }
                 }
             }

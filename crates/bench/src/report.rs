@@ -533,10 +533,15 @@ mod tests {
 
     #[test]
     fn summary_lines_carry_stable_keys() {
-        let s = render_summary(&sample_bench());
+        let mut b = sample_bench();
+        let s = render_summary(&b);
         assert!(s.contains("scenario=fleet arm=shed-on submitted=10 answered_ok=9"), "{s}");
         assert!(s.contains("queries_per_sec=0.125"), "{s}");
         assert!(s.contains("scenario=fleet throughput_ratio=inf"), "{s}");
+        // A finite headline ratio prints fixed to four decimals.
+        b.throughput_ratio = 1.25;
+        let s = render_summary(&b);
+        assert!(s.contains("scenario=fleet throughput_ratio=1.2500\n"), "{s}");
     }
 
     #[test]
@@ -549,6 +554,7 @@ mod tests {
         // NaN values render as null, not as a bare token.
         assert!(json.contains("\"value\": null"), "{json}");
         assert!(!json.contains("NaN"), "{json}");
+        assert!(json.contains("\"timeline\""), "{json}");
         assert!(json.contains("\"t_s\": 30"), "{json}");
         assert!(json.contains("\"rule\": \"pressure_watermark\""), "{json}");
         assert!(json.contains("\"closed_s\": null"), "{json}");
