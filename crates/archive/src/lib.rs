@@ -1,6 +1,6 @@
 //! The PRESTO sensor's local archival store (paper §4).
 //!
-//! "The first [component] is an archival file-system … that provides
+//! "The first \[component\] is an archival file-system … that provides
 //! energy-efficient archival of useful sensor data at each sensor as well
 //! as a simple time-based index structure to efficiently service read
 //! requests." This crate implements that file system on a simulated
@@ -16,7 +16,7 @@
 //! * graceful aging: when the flash fills, the oldest segment's scalar
 //!   data is folded into a wavelet [`presto_wavelet::AgedSummary`]
 //!   (re-aged again on later passes), so old history degrades in
-//!   resolution instead of vanishing (paper §4, citing [10]).
+//!   resolution instead of vanishing (paper §4, citing \[10\]).
 
 pub mod flash;
 pub mod record;

@@ -23,8 +23,8 @@
 //!   window's end, so narrow queries decode a handful of pages instead
 //!   of whole blocks;
 //! * a small **decoded-page LRU** short-circuits repeated reads of the
-//!   same flash pages (the proxy's `answer_past` / `answer_aggregate`
-//!   pulls hit the same recent blocks over and over), with hit/miss
+//!   same flash pages (the proxy's PAST and aggregate pulls hit the
+//!   same recent blocks over and over), with hit/miss
 //!   counters surfaced in [`ArchiveStats`].
 //!
 //! Results from the per-segment scans are combined by a streaming k-way

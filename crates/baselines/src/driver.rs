@@ -3,14 +3,19 @@
 //! Every arm — the three baselines here and PRESTO in `presto-core` —
 //! runs the same Intel-Lab-style workload and the same Poisson query
 //! stream, and reports the same [`ArchReport`] row, so the regenerated
-//! Table 1 compares like with like.
+//! Table 1 compares like with like. The proxy-backed arms (PRESTO and
+//! the streaming baselines) share one epoch/query loop,
+//! [`run_proxy_arm`].
 
 use presto_net::{LinkModel, LossProcess};
+use presto_proxy::{PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig};
 use presto_reliability::DownlinkChannel;
 use presto_sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto_sim::metrics::Summary;
 use presto_sim::{SimDuration, SimRng, SimTime};
-use presto_workloads::{LabDeployment, LabParams, QueryGen, QueryParams, QuerySpec};
+use presto_workloads::{
+    LabDeployment, LabParams, QueryGen, QueryParams, QuerySpec, QueryTarget, TimeScope,
+};
 
 /// Configuration shared by every architecture arm.
 #[derive(Clone, Debug)]
@@ -149,6 +154,91 @@ pub fn build(cfg: &DriverConfig, push: PushPolicy, lpl: SimDuration) -> Deployme
         truth: Vec::new(),
         epoch,
     }
+}
+
+/// Runs one proxy-backed arm (PRESTO or a streaming baseline) on the
+/// shared workload. Every sample feeds one proxy built from `proxy`;
+/// an hourly training pass offers each sensor a model push, and every
+/// query is answered through [`PrestoProxy::answer`]. The proxy's
+/// engine decides whether training ever pushes: a streaming arm's
+/// engine has `min_history = usize::MAX`, so its training pass is a
+/// no-op.
+pub fn run_proxy_arm(
+    cfg: &DriverConfig,
+    push: PushPolicy,
+    lpl: SimDuration,
+    proxy: ProxyConfig,
+    label: &str,
+    uses_prediction: bool,
+) -> ArchReport {
+    let mut dep = build(cfg, push, lpl);
+    let mut proxy = PrestoProxy::new(proxy);
+    for i in 0..cfg.sensors {
+        proxy.register_sensor(i as u16);
+    }
+
+    let mut rb = ReportBuilder::default();
+    let epochs = SimDuration::from_days(cfg.days).div_duration(dep.epoch);
+    let mut qi = 0usize;
+    let mut truth_now = vec![0.0f64; cfg.sensors];
+    let train_every = SimDuration::from_hours(1).div_duration(dep.epoch).max(1);
+
+    for e in 0..epochs {
+        let t = SimTime::ZERO + dep.epoch * e;
+        let readings = dep.lab.step();
+        for (s, r) in readings.iter().enumerate() {
+            truth_now[s] = r.value;
+            for msg in dep.nodes[s].on_sample(r.timestamp, r.value, None) {
+                proxy.on_uplink(&msg);
+            }
+        }
+        if e % train_every == 0 {
+            for s in 0..cfg.sensors {
+                proxy.maybe_train_and_push(t, s as u16, &mut dep.nodes[s], &mut dep.downlinks[s]);
+            }
+        }
+        while qi < dep.queries.len() && dep.queries[qi].arrival <= t + dep.epoch {
+            let q = dep.queries[qi];
+            qi += 1;
+            let s = match q.target {
+                QueryTarget::Sensor(s) => s.min(cfg.sensors - 1),
+                QueryTarget::ProxyGroup(_) => 0,
+            };
+            let (node, chan) = (&mut dep.nodes[s], &mut dep.downlinks[s]);
+            match q.scope {
+                TimeScope::Now => {
+                    let query = PipelineQuery::Now {
+                        sensor: s as u16,
+                        tolerance: q.tolerance,
+                    };
+                    let PipelineAnswer::Scalar(a) = proxy.answer(q.arrival, query, node, chan)
+                    else {
+                        unreachable!("NOW answers are scalar");
+                    };
+                    rb.now_latency_ms.record(a.latency.as_millis_f64());
+                    rb.now_error.record((a.value - truth_now[s]).abs());
+                }
+                TimeScope::Past { from, to } => {
+                    rb.past_total += 1;
+                    let query = PipelineQuery::Past {
+                        sensor: s as u16,
+                        from,
+                        to,
+                        tolerance: q.tolerance,
+                    };
+                    let answer = proxy.answer(q.arrival, query, node, chan);
+                    if matches!(answer, PipelineAnswer::Series(a) if !a.samples.is_empty()) {
+                        rb.past_answered += 1;
+                    }
+                }
+            }
+        }
+    }
+    let end = SimTime::ZERO + dep.epoch * epochs;
+    for n in &mut dep.nodes {
+        n.advance_to(end);
+    }
+    rb.finish(label, &dep.nodes, cfg.days, true, uses_prediction)
 }
 
 /// Accumulates per-query measurements into an [`ArchReport`].

@@ -4,12 +4,12 @@
 //! behavioural essence of each is reimplemented here so Table 1 can be
 //! regenerated *quantitatively* on the same workload:
 //!
-//! * **Direct sensor querying** (Directed Diffusion [2], Cougar [1]):
+//! * **Direct sensor querying** (Directed Diffusion \[2\], Cougar \[1\]):
 //!   queries travel to the sensors; no proxy cache, no archival
 //!   visibility beyond the mote, high latency through duty-cycled radios
 //!   — [`direct`].
-//! * **Stream-everything** (TinyDB [6] / BBQ-style acquisition feeding a
-//!   proxy, Aurora/Medusa [7] server archival): every sample is pushed to
+//! * **Stream-everything** (TinyDB \[6\] / BBQ-style acquisition feeding a
+//!   proxy, Aurora/Medusa \[7\] server archival): every sample is pushed to
 //!   the tethered tier, where all queries are answered instantly —
 //!   [`stream`].
 //! * **Value-driven push**: the Δ-threshold policy of Figure 2 —

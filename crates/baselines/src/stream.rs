@@ -5,12 +5,11 @@
 //! efficient since it does not exploit the fact that only a subset of
 //! sensor data may be actually queried" (paper §1).
 
-use presto_proxy::{PrestoProxy, ProxyConfig};
+use presto_proxy::ProxyConfig;
 use presto_sensor::PushPolicy;
-use presto_sim::{SimDuration, SimTime};
-use presto_workloads::{QueryTarget, TimeScope};
+use presto_sim::SimDuration;
 
-use crate::driver::{build, ArchReport, DriverConfig, ReportBuilder};
+use crate::driver::{run_proxy_arm, ArchReport, DriverConfig};
 
 /// Streaming motes keep a snappy LPL so the sink can be reached, though
 /// the uplink dominates anyway.
@@ -25,15 +24,7 @@ pub fn run(cfg: &DriverConfig, per_sample: bool) -> ArchReport {
     } else {
         SimDuration::from_mins(1)
     };
-    let mut dep = build(
-        cfg,
-        PushPolicy::Batched {
-            interval,
-            compression: None,
-        },
-        STREAM_LPL,
-    );
-    let mut proxy = PrestoProxy::new(ProxyConfig {
+    let proxy = ProxyConfig {
         sensor_lpl: STREAM_LPL,
         // Streaming architectures do not predict.
         engine: presto_proxy::EngineConfig {
@@ -41,73 +32,23 @@ pub fn run(cfg: &DriverConfig, per_sample: bool) -> ArchReport {
             ..presto_proxy::EngineConfig::default()
         },
         ..ProxyConfig::default()
-    });
-    for i in 0..cfg.sensors {
-        proxy.register_sensor(i as u16);
-    }
-
-    let mut rb = ReportBuilder::default();
-    let epochs = SimDuration::from_days(cfg.days).div_duration(dep.epoch);
-    let mut qi = 0usize;
-    let mut truth_now = vec![0.0f64; cfg.sensors];
-
-    for e in 0..epochs {
-        let t = SimTime::ZERO + dep.epoch * e;
-        let readings = dep.lab.step();
-        for (s, r) in readings.iter().enumerate() {
-            truth_now[s] = r.value;
-            for msg in dep.nodes[s].on_sample(r.timestamp, r.value, None) {
-                proxy.on_uplink(&msg);
-            }
-        }
-        while qi < dep.queries.len() && dep.queries[qi].arrival <= t + dep.epoch {
-            let q = dep.queries[qi];
-            qi += 1;
-            let sensor = match q.target {
-                QueryTarget::Sensor(s) => (s.min(cfg.sensors - 1)) as u16,
-                QueryTarget::ProxyGroup(_) => 0,
-            };
-            match q.scope {
-                TimeScope::Now => {
-                    let a = proxy.answer_now(
-                        q.arrival,
-                        sensor,
-                        q.tolerance,
-                        &mut dep.nodes[sensor as usize],
-                        &mut dep.downlinks[sensor as usize],
-                    );
-                    rb.now_latency_ms.record(a.latency.as_millis_f64());
-                    rb.now_error
-                        .record((a.value - truth_now[sensor as usize]).abs());
-                }
-                TimeScope::Past { from, to } => {
-                    rb.past_total += 1;
-                    let a = proxy.answer_past(
-                        q.arrival,
-                        sensor,
-                        from,
-                        to,
-                        q.tolerance,
-                        &mut dep.nodes[sensor as usize],
-                        &mut dep.downlinks[sensor as usize],
-                    );
-                    if !a.samples.is_empty() {
-                        rb.past_answered += 1;
-                    }
-                }
-            }
-        }
-    }
-    let end = SimTime::ZERO + dep.epoch * epochs;
-    for n in &mut dep.nodes {
-        n.advance_to(end);
-    }
+    };
     let label = if per_sample {
         "stream-all (TinyDB)"
     } else {
         "stream-batched (Aurora)"
     };
-    rb.finish(label, &dep.nodes, cfg.days, true, false)
+    run_proxy_arm(
+        cfg,
+        PushPolicy::Batched {
+            interval,
+            compression: None,
+        },
+        STREAM_LPL,
+        proxy,
+        label,
+        false,
+    )
 }
 
 #[cfg(test)]

@@ -109,8 +109,8 @@ fn bench_archive_query(c: &mut Criterion) {
             b.iter(|| scan.query_range_fullscan(t0, t1, &mut l).expect("query"))
         });
 
-        // Warm LRU: the proxy's repeated answer_past pulls over the same
-        // recent range.
+        // Warm LRU: the proxy's repeated PAST pulls over the same recent
+        // range.
         let (mut hot, _) = filled_store(blocks, 64);
         group.bench_with_input(BenchmarkId::new("narrow_hot", blocks), &(), |b, ()| {
             let mut l = EnergyLedger::new();

@@ -57,16 +57,6 @@ fn bench_models(c: &mut Criterion) {
     group.bench_function("train_seasonal_ar", |b| {
         b.iter(|| SeasonalArModel::train(&hist, 24, 2))
     });
-    // Per-bin AR refinement: one shared Cholesky factor across every
-    // bin's normal-equation solve, vs the naive formulation that
-    // rebuilds and re-factorizes the same Gram matrix per bin. The gap
-    // between these two datapoints is the factor-reuse speedup.
-    group.bench_function("train_seasonal_ar_binned_shared_factor", |b| {
-        b.iter(|| SeasonalArModel::train_binned(&hist, 24, 3))
-    });
-    group.bench_function("train_seasonal_ar_binned_refactorized", |b| {
-        b.iter(|| SeasonalArModel::train_binned_refactorized(&hist, 24, 3))
-    });
     let (model, _) = SeasonalArModel::train(&hist, 24, 2);
     let mut replica = model.clone_replica();
     group.bench_function("sensor_check", |b| {

@@ -10,7 +10,10 @@ use presto_models::{
 };
 use presto_net::LinkModel;
 use presto_reliability::DownlinkChannel;
-use presto_proxy::{AnswerSource, PrestoProxy, ProxyConfig, QueryClass, QuerySensorMatcher};
+use presto_proxy::{
+    AnswerSource, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig, QueryClass,
+    QuerySensorMatcher,
+};
 use presto_sensor::{DownlinkMsg, PushPolicy, SensorConfig, SensorNode, UplinkPayload};
 use presto_sim::metrics::Summary;
 use presto_sim::{EnergyLedger, SimDuration, SimRng, SimTime};
@@ -243,7 +246,14 @@ pub fn e2_latency(days: u64, seed: u64) -> Vec<E2Row> {
             }
             // ~1 query per 20 epochs at a random offset.
             if rng.chance(0.05) && i > trace.len() / 4 {
-                let a = proxy.answer_now(r.timestamp, 0, tolerance, &mut node, &mut link);
+                let q = PipelineQuery::Now {
+                    sensor: 0,
+                    tolerance,
+                };
+                let PipelineAnswer::Scalar(a) = proxy.answer(r.timestamp, q, &mut node, &mut link)
+                else {
+                    unreachable!("NOW answers are scalar");
+                };
                 total += 1;
                 match a.source {
                     AnswerSource::CacheHit => hits += 1,

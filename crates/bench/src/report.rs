@@ -5,7 +5,7 @@
 //! (`BENCH_fleet.json`, …) and the experiment dumps of `table1`,
 //! `figure2`, `e1`–`e8`, `a1` and `failure_scenario` — renders through
 //! [`render_json`]: a value converts to a [`JsonValue`] via [`ToJson`]
-//! (struct impls come from the field-listing [`json_object!`] macro),
+//! (struct impls come from the field-listing [`json_object!`](crate::json_object!) macro),
 //! and the renderer prints it deterministically:
 //!
 //! * strings escaped per RFC 8259;

@@ -1,98 +1,34 @@
 //! The PRESTO arm of the architecture comparison (Table 1).
 //!
-//! Matches [`presto_baselines::driver`] exactly: same workload, same
-//! query stream, same report row — but the answer path is PRESTO's
-//! cache → extrapolation → pull with model-driven push underneath.
+//! Runs [`presto_baselines::driver::run_proxy_arm`], the loop the
+//! streaming baselines use: same workload, same query stream, same
+//! report row — but with model-driven push underneath, so the proxy's
+//! cache → extrapolation → pull path has models to extrapolate from.
 
-use presto_baselines::driver::{build, ArchReport, DriverConfig, ReportBuilder};
-use presto_proxy::{PrestoProxy, ProxyConfig};
+use presto_baselines::driver::{run_proxy_arm, ArchReport, DriverConfig};
+use presto_proxy::ProxyConfig;
 use presto_sensor::PushPolicy;
-use presto_sim::{SimDuration, SimTime};
-use presto_workloads::{QueryTarget, TimeScope};
+use presto_sim::SimDuration;
 
 /// Runs PRESTO on the shared comparison workload.
 pub fn run_presto(cfg: &DriverConfig) -> ArchReport {
     let lpl = SimDuration::from_secs(1);
     let push_tolerance = 1.0;
-    let mut dep = build(
+    let proxy = ProxyConfig {
+        push_tolerance,
+        sensor_lpl: lpl,
+        ..ProxyConfig::default()
+    };
+    run_proxy_arm(
         cfg,
         PushPolicy::ModelDriven {
             tolerance: push_tolerance,
         },
         lpl,
-    );
-    let mut proxy = PrestoProxy::new(ProxyConfig {
-        push_tolerance,
-        sensor_lpl: lpl,
-        ..ProxyConfig::default()
-    });
-    for i in 0..cfg.sensors {
-        proxy.register_sensor(crate::gid16(i));
-    }
-
-    let mut rb = ReportBuilder::default();
-    let epochs = SimDuration::from_days(cfg.days).div_duration(dep.epoch);
-    let mut qi = 0usize;
-    let mut truth_now = vec![0.0f64; cfg.sensors];
-    let train_every = SimDuration::from_hours(1).div_duration(dep.epoch).max(1);
-
-    for e in 0..epochs {
-        let t = SimTime::ZERO + dep.epoch * e;
-        let readings = dep.lab.step();
-        for (s, r) in readings.iter().enumerate() {
-            truth_now[s] = r.value;
-            for msg in dep.nodes[s].on_sample(r.timestamp, r.value, None) {
-                proxy.on_uplink(&msg);
-            }
-        }
-        if e % train_every == 0 {
-            for s in 0..cfg.sensors {
-                proxy.maybe_train_and_push(t, crate::gid16(s), &mut dep.nodes[s], &mut dep.downlinks[s]);
-            }
-        }
-        while qi < dep.queries.len() && dep.queries[qi].arrival <= t + dep.epoch {
-            let q = dep.queries[qi];
-            qi += 1;
-            let sensor = match q.target {
-                QueryTarget::Sensor(s) => crate::gid16(s.min(cfg.sensors - 1)),
-                QueryTarget::ProxyGroup(_) => 0,
-            };
-            match q.scope {
-                TimeScope::Now => {
-                    let a = proxy.answer_now(
-                        q.arrival,
-                        sensor,
-                        q.tolerance,
-                        &mut dep.nodes[sensor as usize],
-                        &mut dep.downlinks[sensor as usize],
-                    );
-                    rb.now_latency_ms.record(a.latency.as_millis_f64());
-                    rb.now_error
-                        .record((a.value - truth_now[sensor as usize]).abs());
-                }
-                TimeScope::Past { from, to } => {
-                    rb.past_total += 1;
-                    let a = proxy.answer_past(
-                        q.arrival,
-                        sensor,
-                        from,
-                        to,
-                        q.tolerance,
-                        &mut dep.nodes[sensor as usize],
-                        &mut dep.downlinks[sensor as usize],
-                    );
-                    if !a.samples.is_empty() {
-                        rb.past_answered += 1;
-                    }
-                }
-            }
-        }
-    }
-    let end = SimTime::ZERO + dep.epoch * epochs;
-    for n in &mut dep.nodes {
-        n.advance_to(end);
-    }
-    rb.finish("PRESTO", &dep.nodes, cfg.days, true, true)
+        proxy,
+        "PRESTO",
+        true,
+    )
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! pipeline. Timestamps in PAST answers pass through the sensor's clock
 //! corrector so cross-proxy views are temporally consistent.
 
-use presto_proxy::AnswerSource;
+use presto_proxy::{AnswerSource, PipelineAnswer, PipelineQuery};
 use presto_reliability::Health;
 use presto_sim::{SimDuration, SimTime};
 
@@ -53,6 +53,41 @@ pub enum StoreQuery {
         /// The operator.
         op: presto_sensor::AggregateOp,
     },
+}
+
+impl StoreQuery {
+    /// Splits the query by who serves it: a single-sensor query in the
+    /// form its serving proxy answers, or the `(from, to)` window of a
+    /// deployment-wide Events query, which no one proxy's pipeline
+    /// serves.
+    pub fn pipeline_query(self) -> Result<PipelineQuery, (SimTime, SimTime)> {
+        match self {
+            StoreQuery::Now { sensor, tolerance } => Ok(PipelineQuery::Now { sensor, tolerance }),
+            StoreQuery::Past {
+                sensor,
+                from,
+                to,
+                tolerance,
+            } => Ok(PipelineQuery::Past {
+                sensor,
+                from,
+                to,
+                tolerance,
+            }),
+            StoreQuery::Aggregate {
+                sensor,
+                from,
+                to,
+                op,
+            } => Ok(PipelineQuery::Aggregate {
+                sensor,
+                from,
+                to,
+                op,
+            }),
+            StoreQuery::Events { from, to } => Err((from, to)),
+        }
+    }
 }
 
 /// A response from the unified store.
@@ -139,72 +174,59 @@ impl<'a> UnifiedStore<'a> {
     /// Executes a query at the system's current time.
     pub fn query(&mut self, q: StoreQuery) -> StoreResponse {
         let t = self.system.now();
-        match q {
-            StoreQuery::Now { sensor, tolerance } => {
+        match q.pipeline_query() {
+            Ok(pq) => {
+                let sensor = pq.sensor();
                 let (proxy_idx, hops) = self.system.route(sensor);
                 let (p, _) = self.system.locate(sensor);
                 debug_assert_eq!(p, proxy_idx);
                 let a = {
                     let (proxy, node, link) = Self::query_target(self.system, sensor, t);
-                    proxy.answer_now(t, sensor, tolerance, node, link)
+                    proxy.answer(t, pq, node, link)
+                };
+                let (source, latency) = (a.source(), a.latency() + self.hop_latency * hops);
+                let (value, series, sigma) = match a {
+                    PipelineAnswer::Scalar(a) => (
+                        Some(a.value),
+                        Vec::new(),
+                        Self::widened(self.system, sensor, a.source, a.sigma),
+                    ),
+                    PipelineAnswer::Series(a) => {
+                        // Correct timestamps back to reference time.
+                        let corrector = &self.system.correctors[sensor as usize];
+                        let series = a
+                            .samples
+                            .into_iter()
+                            .map(|(ts, v)| (corrector.correct(ts), v))
+                            .collect();
+                        // A past series has no scalar sigma; extrapolated
+                        // spans inherit the (widened) push-tolerance
+                        // guarantee.
+                        let sigma = match a.source {
+                            AnswerSource::Extrapolated => Self::widened(
+                                self.system,
+                                sensor,
+                                a.source,
+                                self.system.config().push_tolerance,
+                            ),
+                            AnswerSource::Failed => f64::INFINITY,
+                            _ => 0.0,
+                        };
+                        (None, series, sigma)
+                    }
                 };
                 StoreResponse {
-                    value: Some(a.value),
-                    series: Vec::new(),
-                    events: Vec::new(),
-                    source: a.source,
-                    sigma: Self::widened(self.system, sensor, a.source, a.sigma),
-                    health: self.system.health(sensor),
-                    latency: a.latency + self.hop_latency * hops,
-                    index_hops: hops,
-                }
-            }
-            StoreQuery::Past {
-                sensor,
-                from,
-                to,
-                tolerance,
-            } => {
-                let (proxy_idx, hops) = self.system.route(sensor);
-                let (p, _) = self.system.locate(sensor);
-                debug_assert_eq!(p, proxy_idx);
-                let a = {
-                    let (proxy, node, link) = Self::query_target(self.system, sensor, t);
-                    proxy.answer_past(t, sensor, from, to, tolerance, node, link)
-                };
-                // Correct timestamps back to reference time.
-                let corrector = &self.system.correctors[sensor as usize];
-                let series: Vec<(SimTime, f64)> = a
-                    .samples
-                    .into_iter()
-                    .map(|(ts, v)| (corrector.correct(ts), v))
-                    .collect();
-                // A past series has no scalar sigma; extrapolated spans
-                // inherit the (widened) push-tolerance guarantee.
-                let sigma = if a.source == AnswerSource::Extrapolated {
-                    Self::widened(
-                        self.system,
-                        sensor,
-                        a.source,
-                        self.system.config().push_tolerance,
-                    )
-                } else if a.source == AnswerSource::Failed {
-                    f64::INFINITY
-                } else {
-                    0.0
-                };
-                StoreResponse {
-                    value: None,
+                    value,
                     series,
                     events: Vec::new(),
-                    source: a.source,
+                    source,
                     sigma,
                     health: self.system.health(sensor),
-                    latency: a.latency + self.hop_latency * hops,
+                    latency,
                     index_hops: hops,
                 }
             }
-            StoreQuery::Events { from, to } => {
+            Err((from, to)) => {
                 // Route the range through the interval index first:
                 // proxies whose sensors archived nothing overlapping the
                 // window are pruned before their caches are consulted.
@@ -263,30 +285,6 @@ impl<'a> UnifiedStore<'a> {
                     sigma: 0.0,
                     health: Health::Live,
                     latency: self.hop_latency * hops,
-                    index_hops: hops,
-                }
-            }
-            StoreQuery::Aggregate {
-                sensor,
-                from,
-                to,
-                op,
-            } => {
-                let (proxy_idx, hops) = self.system.route(sensor);
-                let (p, _) = self.system.locate(sensor);
-                debug_assert_eq!(p, proxy_idx);
-                let a = {
-                    let (proxy, node, link) = Self::query_target(self.system, sensor, t);
-                    proxy.answer_aggregate(t, sensor, from, to, op, node, link)
-                };
-                StoreResponse {
-                    value: Some(a.value),
-                    series: Vec::new(),
-                    events: Vec::new(),
-                    source: a.source,
-                    sigma: Self::widened(self.system, sensor, a.source, a.sigma),
-                    health: self.system.health(sensor),
-                    latency: a.latency + self.hop_latency * hops,
                     index_hops: hops,
                 }
             }

@@ -20,9 +20,7 @@
 
 use presto_index::{ClockCorrector, DriftClock, SkipGraph, TimeRangeIndex};
 use presto_net::{LinkModel, LossProcess, SharedLossState};
-use presto_proxy::{
-    CompletedQuery, PipelineQuery, PipelineStats, PrestoProxy, ProxyConfig, SliceCacheStats,
-};
+use presto_proxy::{CompletedQuery, PipelineStats, PrestoProxy, ProxyConfig, SliceCacheStats};
 use presto_reliability::{
     recovery::padded_span, DownlinkChannel, DownlinkStats, Fabric, FabricStats, GapTracker,
     Health, LivenessMonitor, Observation, RecoveryStats, ReliabilityConfig,
@@ -748,34 +746,7 @@ impl PrestoSystem {
     /// query nothing ever pumps or expires).
     pub fn submit_query(&mut self, q: crate::store::StoreQuery) -> Option<(usize, u64)> {
         let t = self.now();
-        let pq = match q {
-            crate::store::StoreQuery::Now { sensor, tolerance } => {
-                PipelineQuery::Now { sensor, tolerance }
-            }
-            crate::store::StoreQuery::Past {
-                sensor,
-                from,
-                to,
-                tolerance,
-            } => PipelineQuery::Past {
-                sensor,
-                from,
-                to,
-                tolerance,
-            },
-            crate::store::StoreQuery::Aggregate {
-                sensor,
-                from,
-                to,
-                op,
-            } => PipelineQuery::Aggregate {
-                sensor,
-                from,
-                to,
-                op,
-            },
-            crate::store::StoreQuery::Events { .. } => return None,
-        };
+        let pq = q.pipeline_query().ok()?;
         let p = self.assignment[pq.sensor() as usize];
         if self.config.faults.proxy_down(p, t) {
             return None;

@@ -8,7 +8,7 @@
 //!
 //! * [`skipgraph`] — the order-preserving distributed index ("we are
 //!   exploring the use of order-preserving index structures such as Skip
-//!   Graphs [14]"): a full Skip Graph with membership vectors, levelled
+//!   Graphs \[14\]"): a full Skip Graph with membership vectors, levelled
 //!   doubly linked lists, O(log n) search, and per-operation hop
 //!   accounting so index cost is measurable across proxy overlays.
 //! * [`clock`] — timestamp correction: "drift and skew of clocks at the

@@ -6,41 +6,18 @@
 //! simple regression and time-series analysis") and the one its authors
 //! adopted for the full system. The sensor-side check remains O(1): one
 //! table lookup plus a p-term dot product.
-//!
-//! The optional **per-bin AR refinement** ([`SeasonalArModel::train_binned`])
-//! fits bin-specific lag coefficients — residual dynamics often differ by
-//! time of day (calm nights, convective afternoons). Its normal equations
-//! share one Gram matrix across every bin (the residual lag covariance is
-//! stationary once the seasonal mean is removed; only the per-bin
-//! cross-covariance differs), so the Cholesky factor is computed **once**
-//! and reused for every bin's solve. The naive formulation — rebuilding
-//! and re-factorizing the same Gram per bin — is kept as
-//! [`SeasonalArModel::train_binned_refactorized`] to pin numerical
-//! equivalence and benchmark the reuse win.
 
 use presto_sim::SimTime;
 
 use crate::ar::ArModel;
-use crate::linalg::Matrix;
 use crate::seasonal::SeasonalModel;
 use crate::traits::{ModelKind, Prediction, Predictor, TrainReport};
-
-/// Per-bin AR lag coefficients refined over the seasonal residuals.
-#[derive(Clone, Debug)]
-struct BinnedAr {
-    /// Lag order shared by every bin.
-    order: usize,
-    /// Row-major `[bins × order]` coefficients.
-    coeffs: Vec<f64>,
-}
 
 /// Seasonal mean with AR(p) residual dynamics.
 #[derive(Clone, Debug)]
 pub struct SeasonalArModel {
     seasonal: SeasonalModel,
     residual_ar: ArModel,
-    /// Optional per-bin refinement; `None` falls back to the global AR.
-    binned: Option<BinnedAr>,
 }
 
 impl SeasonalArModel {
@@ -64,170 +41,14 @@ impl SeasonalArModel {
             SeasonalArModel {
                 seasonal,
                 residual_ar,
-                binned: None,
             },
             report,
         )
     }
 
-    /// Trains with the per-bin AR refinement, reusing one shared
-    /// Cholesky factor for every bin's normal-equation solve.
-    pub fn train_binned(
-        history: &[(SimTime, f64)],
-        bins: usize,
-        ar_order: usize,
-    ) -> (Self, TrainReport) {
-        Self::train_binned_impl(history, bins, ar_order, true)
-    }
-
-    /// The naive reference formulation of [`Self::train_binned`]: the
-    /// *same* Gram matrix is rebuilt and re-factorized for every bin.
-    /// Numerically identical output, ~`bins`× the normal-equation work —
-    /// kept for the equivalence test and the criterion datapoint that
-    /// documents the factor-reuse speedup.
-    pub fn train_binned_refactorized(
-        history: &[(SimTime, f64)],
-        bins: usize,
-        ar_order: usize,
-    ) -> (Self, TrainReport) {
-        Self::train_binned_impl(history, bins, ar_order, false)
-    }
-
-    fn train_binned_impl(
-        history: &[(SimTime, f64)],
-        bins: usize,
-        ar_order: usize,
-        share_factor: bool,
-    ) -> (Self, TrainReport) {
-        let (mut model, mut report) = Self::train(history, bins, ar_order);
-        let p = model.residual_ar.order();
-        if p == 0 || history.len() <= p + 1 {
-            return (model, report);
-        }
-        let residuals: Vec<f64> = history
-            .iter()
-            .map(|&(t, v)| v - model.seasonal.predict(t).value)
-            .collect();
-        let n_rows = residuals.len() - p;
-
-        // Per-bin cross-covariance (RHS of the normal equations) and
-        // sample counts — one pass regardless of formulation.
-        let mut rhs = vec![0.0f64; bins * p];
-        let mut bin_n = vec![0u64; bins];
-        for i in p..residuals.len() {
-            let b = model.seasonal.bin_index(history[i].0);
-            bin_n[b] += 1;
-            for k in 0..p {
-                rhs[b * p + k] += residuals[i - 1 - k] * residuals[i];
-            }
-        }
-
-        // The Gram matrix (lag covariance of the residual process) is
-        // the SAME for every bin: build Σ x·xᵀ once…
-        let build_gram = |acc: &mut u64| -> Matrix {
-            *acc += n_rows as u64 * (p * p) as u64 * 6;
-            let mut g = Matrix::zeros(p, p);
-            for i in p..residuals.len() {
-                for a in 0..p {
-                    for b in 0..=a {
-                        g[(a, b)] += residuals[i - 1 - a] * residuals[i - 1 - b];
-                    }
-                }
-            }
-            for a in 0..p {
-                for b in a + 1..p {
-                    g[(a, b)] = g[(b, a)];
-                }
-            }
-            // Normalize to a covariance and ridge it SPD.
-            let mut trace = 0.0;
-            for a in 0..p {
-                g[(a, a)] /= n_rows as f64;
-                trace += g[(a, a)];
-            }
-            for a in 0..p {
-                for b in 0..p {
-                    if a != b {
-                        g[(a, b)] /= n_rows as f64;
-                    }
-                }
-                g[(a, a)] += 1e-9 * (trace / p as f64).max(1e-12) + 1e-12;
-            }
-            g
-        };
-
-        let mut extra_cycles = 0u64;
-        let chol_cycles = (p as u64).pow(3) * 2 + 10;
-        let solve_cycles = (p as u64).pow(2) * 4 + 10;
-        let mut coeffs = vec![0.0f64; bins * p];
-        let mut ok = true;
-
-        if share_factor {
-            // …factor it once, then back-substitute per bin.
-            let gram = build_gram(&mut extra_cycles);
-            extra_cycles += chol_cycles;
-            match gram.cholesky() {
-                Some(l) => {
-                    for b in 0..bins {
-                        if bin_n[b] == 0 {
-                            coeffs[b * p..(b + 1) * p]
-                                .copy_from_slice(&model.residual_ar.coeffs()[..p]);
-                            continue;
-                        }
-                        let c: Vec<f64> = (0..p)
-                            .map(|k| rhs[b * p + k] / bin_n[b] as f64)
-                            .collect();
-                        extra_cycles += solve_cycles;
-                        let phi = l.solve_cholesky(&c);
-                        coeffs[b * p..(b + 1) * p].copy_from_slice(&phi);
-                    }
-                }
-                None => ok = false,
-            }
-        } else {
-            // Naive reference: rebuild + re-factorize the identical Gram
-            // for every bin.
-            for b in 0..bins {
-                if bin_n[b] == 0 {
-                    coeffs[b * p..(b + 1) * p].copy_from_slice(&model.residual_ar.coeffs()[..p]);
-                    continue;
-                }
-                let gram = build_gram(&mut extra_cycles);
-                extra_cycles += chol_cycles + solve_cycles;
-                let c: Vec<f64> = (0..p)
-                    .map(|k| rhs[b * p + k] / bin_n[b] as f64)
-                    .collect();
-                match gram.solve_spd(&c) {
-                    Some(phi) => coeffs[b * p..(b + 1) * p].copy_from_slice(&phi),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-
-        report.train_cycles += extra_cycles;
-        if ok {
-            model.binned = Some(BinnedAr { order: p, coeffs });
-        }
-        (model, report)
-    }
-
-    /// True when the per-bin refinement is installed.
-    pub fn is_binned(&self) -> bool {
-        self.binned.is_some()
-    }
-
-    /// Per-bin coefficients (`[bins × order]`, row-major) when binned.
-    pub fn bin_coeffs(&self) -> Option<&[f64]> {
-        self.binned.as_ref().map(|b| b.coeffs.as_slice())
-    }
-
     /// Decodes wire parameters (`u16` seasonal length prefix, the
-    /// seasonal stage, `u16` AR length prefix, the AR stage, then an
-    /// optional per-bin coefficient block: `u16` bin count, `u8` order,
-    /// `f32` coefficients).
+    /// seasonal stage, `u16` AR length prefix, the AR stage, then a
+    /// 3-byte zero trailer).
     pub fn decode_params(bytes: &[u8]) -> Option<Self> {
         if bytes.len() < 2 {
             return None;
@@ -239,33 +60,13 @@ impl SeasonalArModel {
         let seasonal = SeasonalModel::decode_params(&bytes[2..2 + slen])?;
         let aoff = 2 + slen;
         let alen = u16::from_le_bytes([bytes[aoff], bytes[aoff + 1]]) as usize;
-        if bytes.len() < aoff + 2 + alen + 3 {
+        if bytes.len() != aoff + 2 + alen + 3 || bytes[aoff + 2 + alen..] != [0, 0, 0] {
             return None;
         }
         let residual_ar = ArModel::decode_params(&bytes[aoff + 2..aoff + 2 + alen])?;
-        let boff = aoff + 2 + alen;
-        let nbins = u16::from_le_bytes([bytes[boff], bytes[boff + 1]]) as usize;
-        let order = bytes[boff + 2] as usize;
-        let binned = if nbins == 0 || order == 0 {
-            if bytes.len() != boff + 3 {
-                return None;
-            }
-            None
-        } else {
-            if nbins != seasonal.bins() || bytes.len() != boff + 3 + nbins * order * 4 {
-                return None;
-            }
-            let mut coeffs = Vec::with_capacity(nbins * order);
-            for k in 0..nbins * order {
-                let off = boff + 3 + k * 4;
-                coeffs.push(f32::from_le_bytes(bytes[off..off + 4].try_into().ok()?) as f64);
-            }
-            Some(BinnedAr { order, coeffs })
-        };
         Some(SeasonalArModel {
             seasonal,
             residual_ar,
-            binned,
         })
     }
 
@@ -287,27 +88,6 @@ impl Predictor for SeasonalArModel {
 
     fn predict(&self, t: SimTime) -> Prediction {
         let base = self.seasonal.predict(t);
-        // Per-bin refinement: the bin's own lag coefficients over the
-        // shared residual context. Falls back to the global AR until the
-        // context is warm.
-        if let Some(binned) = &self.binned {
-            // Allocation-free dot product straight off the context
-            // iterator: this runs per sensor-side model check.
-            let bin = self.seasonal.bin_index(t);
-            let mean = self.residual_ar.mean();
-            let mut resid = mean;
-            let mut warm = 0usize;
-            for (k, x) in self.residual_ar.context().take(binned.order).enumerate() {
-                resid += binned.coeffs[bin * binned.order + k] * (x - mean);
-                warm += 1;
-            }
-            if warm == binned.order && binned.order > 0 {
-                return Prediction {
-                    value: base.value + resid,
-                    sigma: self.residual_ar.innovation_sigma(),
-                };
-            }
-        }
         let resid = self.residual_ar.predict(t);
         Prediction {
             value: base.value + resid.value,
@@ -324,28 +104,14 @@ impl Predictor for SeasonalArModel {
     fn encode_params(&self) -> Vec<u8> {
         let s = self.seasonal.encode_params();
         let a = self.residual_ar.encode_params();
-        let blen = self
-            .binned
-            .as_ref()
-            .map_or(0, |b| b.coeffs.len() * 4);
-        let mut out = Vec::with_capacity(2 + s.len() + 2 + a.len() + 3 + blen);
+        let mut out = Vec::with_capacity(2 + s.len() + 2 + a.len() + 3);
         out.extend_from_slice(&(s.len() as u16).to_le_bytes());
         out.extend_from_slice(&s);
         out.extend_from_slice(&(a.len() as u16).to_le_bytes());
         out.extend_from_slice(&a);
-        match &self.binned {
-            Some(b) => {
-                out.extend_from_slice(&(self.seasonal.bins() as u16).to_le_bytes());
-                out.push(b.order as u8);
-                for &c in &b.coeffs {
-                    out.extend_from_slice(&(c as f32).to_le_bytes());
-                }
-            }
-            None => {
-                out.extend_from_slice(&0u16.to_le_bytes());
-                out.push(0);
-            }
-        }
+        // A 3-byte zero trailer, kept so model pushes keep their wire
+        // size.
+        out.extend_from_slice(&[0, 0, 0]);
         out
     }
 
@@ -463,110 +229,6 @@ mod tests {
             replica.observe(t, v);
         }
         assert!(err / 20.0 < 1.0, "mean err {}", err / 20.0);
-    }
-
-    /// Diurnal signal whose residual *persistence* flips by time of day
-    /// — strongly correlated at night (φ=0.9), nearly white by day
-    /// (φ=0.1) — with noise amplitudes chosen so the residual VARIANCE
-    /// is the same in both regimes. Equal marginal variance is exactly
-    /// the "shared Gram matrix" premise of the binned solver (at order
-    /// 1 the Gram *is* the lag-0 variance); only the per-bin
-    /// cross-covariance differs, which a single global AR coefficient
-    /// cannot represent.
-    fn regime_weather(days: u64, step_mins: u64) -> Vec<(SimTime, f64)> {
-        let mut state = 99u64;
-        let mut noise = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) as f64 / (1u64 << 30) as f64 - 1.0
-        };
-        let mut resid = 0.0;
-        let mut out = Vec::new();
-        let mut t = SimTime::ZERO;
-        let end = SimTime::from_days(days);
-        while t < end {
-            let h = t.hour_of_day();
-            // amp² / (1 − φ²) equal across regimes ⇒ equal variance.
-            let (phi, amp) = if !(6.0..18.0).contains(&h) {
-                (0.9, 0.4 * (1.0f64 - 0.81).sqrt())
-            } else {
-                (0.1, 0.4 * (1.0f64 - 0.01).sqrt())
-            };
-            resid = phi * resid + amp * noise();
-            let v = 18.0 + 6.0 * ((h - 6.0) / 24.0 * std::f64::consts::TAU).sin() + resid;
-            out.push((t, v));
-            t += SimDuration::from_mins(step_mins);
-        }
-        out
-    }
-
-    #[test]
-    fn shared_factor_matches_per_bin_refactorization_exactly() {
-        // Both formulations solve the same normal equations; sharing the
-        // Cholesky factor must not change a single coefficient.
-        let hist = regime_weather(10, 10);
-        let (shared, shared_report) = SeasonalArModel::train_binned(&hist, 24, 3);
-        let (naive, naive_report) = SeasonalArModel::train_binned_refactorized(&hist, 24, 3);
-        let (a, b) = (
-            shared.bin_coeffs().expect("binned"),
-            naive.bin_coeffs().expect("binned"),
-        );
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
-        }
-        // The reported training cost documents the reuse win: the naive
-        // path rebuilds/refactors the Gram per bin.
-        assert!(
-            naive_report.train_cycles > shared_report.train_cycles * 3,
-            "naive {} vs shared {}",
-            naive_report.train_cycles,
-            shared_report.train_cycles
-        );
-    }
-
-    #[test]
-    fn binned_ar_tracks_regime_dependent_dynamics_better() {
-        let hist = regime_weather(14, 10);
-        let (train, test) = hist.split_at(hist.len() * 3 / 4);
-        let (mut binned, _) = SeasonalArModel::train_binned(train, 24, 1);
-        assert!(binned.is_binned());
-        let (mut global, _) = SeasonalArModel::train(train, 24, 1);
-        let (mut se_b, mut se_g) = (0.0f64, 0.0f64);
-        for &(t, v) in test {
-            let pb = binned.predict(t).value;
-            let pg = global.predict(t).value;
-            se_b += (v - pb) * (v - pb);
-            se_g += (v - pg) * (v - pg);
-            binned.observe(t, v);
-            global.observe(t, v);
-        }
-        assert!(se_b < se_g, "binned {se_b} vs global {se_g}");
-    }
-
-    #[test]
-    fn binned_params_roundtrip() {
-        let hist = regime_weather(7, 15);
-        let (m, _) = SeasonalArModel::train_binned(&hist, 24, 2);
-        let bytes = m.encode_params();
-        let replica = SeasonalArModel::decode_params(&bytes).unwrap();
-        assert!(replica.is_binned());
-        assert_eq!(
-            replica.bin_coeffs().unwrap().len(),
-            m.bin_coeffs().unwrap().len()
-        );
-        for (x, y) in replica
-            .bin_coeffs()
-            .unwrap()
-            .iter()
-            .zip(m.bin_coeffs().unwrap())
-        {
-            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
-        }
-        // Degenerate histories never install a refinement but still
-        // round-trip.
-        let (tiny, _) = SeasonalArModel::train_binned(&hist[..2], 24, 2);
-        assert!(!tiny.is_binned());
-        assert!(SeasonalArModel::decode_params(&tiny.encode_params()).is_some());
     }
 
     #[test]

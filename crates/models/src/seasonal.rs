@@ -106,11 +106,6 @@ impl SeasonalModel {
         self.means.len()
     }
 
-    /// The bin an instant falls into under this model's bin count.
-    pub fn bin_index(&self, t: SimTime) -> usize {
-        Self::bin_of(t, self.means.len())
-    }
-
     fn bin_of(t: SimTime, bins: usize) -> usize {
         let frac = t.hour_of_day() / 24.0;
         ((frac * bins as f64) as usize).min(bins - 1)

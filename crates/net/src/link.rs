@@ -1,7 +1,7 @@
 //! Frame loss models.
 //!
 //! Low-power wireless links lose frames, and they lose them in bursts
-//! (the paper cites the UCLA "complex behavior at scale" study [4] for
+//! (the paper cites the UCLA "complex behavior at scale" study \[4\] for
 //! the unreliability of these networks). Four processes are provided:
 //!
 //! * [`LossProcess::Bernoulli`] — independent loss with fixed probability.

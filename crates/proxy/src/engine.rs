@@ -25,10 +25,6 @@ pub struct EngineConfig {
     pub ar_order: usize,
     /// Markov states (when applicable).
     pub markov_states: usize,
-    /// Refine the SeasonalAr residual stage with per-bin lag
-    /// coefficients (one shared Cholesky factor across every bin's
-    /// normal-equation solve).
-    pub per_bin_ar: bool,
     /// Minimum history before the first model is trained.
     pub min_history: usize,
     /// Re-train at least this often.
@@ -42,7 +38,6 @@ impl Default for EngineConfig {
             seasonal_bins: 24,
             ar_order: 2,
             markov_states: 8,
-            per_bin_ar: false,
             min_history: 500,
             retrain_interval: SimDuration::from_days(1),
         }
@@ -125,19 +120,11 @@ impl PredictionEngine {
                 (Box::new(m), r)
             }
             ModelKind::SeasonalAr => {
-                let (m, r) = if self.config.per_bin_ar {
-                    SeasonalArModel::train_binned(
-                        history,
-                        self.config.seasonal_bins,
-                        self.config.ar_order,
-                    )
-                } else {
-                    SeasonalArModel::train(
-                        history,
-                        self.config.seasonal_bins,
-                        self.config.ar_order,
-                    )
-                };
+                let (m, r) = SeasonalArModel::train(
+                    history,
+                    self.config.seasonal_bins,
+                    self.config.ar_order,
+                );
                 (Box::new(m), r)
             }
             ModelKind::LinearTrend => {
@@ -284,21 +271,6 @@ mod tests {
             // Replica parameters must be shippable.
             assert!(!slot.model.encode_params().is_empty());
         }
-    }
-
-    #[test]
-    fn per_bin_ar_flag_trains_a_binned_replica() {
-        let mut e = PredictionEngine::new(EngineConfig {
-            per_bin_ar: true,
-            ..EngineConfig::default()
-        });
-        let mut ledger = EnergyLedger::new();
-        let slot = e.train(&diurnal_history(7), SimTime::from_days(7), 0, &mut ledger);
-        // The refinement travels in the pushed parameters.
-        let replica =
-            presto_models::SeasonalArModel::decode_params(&slot.model.encode_params())
-                .expect("decodable");
-        assert!(replica.is_binned());
     }
 
     #[test]

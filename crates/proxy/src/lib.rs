@@ -18,7 +18,7 @@
 //!   and PAST queries via *cache hit → extrapolation → pull* (exactly the
 //!   miss path of paper §2), and delivers downlink messages over the
 //!   energy-metered MAC.
-//! * [`slice`] — sliced archive-range execution: the slice calculator,
+//! * [`slice`](mod@slice) — sliced archive-range execution: the slice calculator,
 //!   the two-tier slice cache, and the assembler behind the pipeline's
 //!   sliced PAST path.
 

@@ -1,15 +1,16 @@
 //! The proxy-resident asynchronous query pipeline.
 //!
-//! The synchronous query path ([`crate::PrestoProxy::answer_now`] and
-//! friends) drives each pull's entire attempt/timeout schedule inside
-//! one blocking call, so a proxy serves exactly one precision-miss at a
-//! time. The pipeline replaces that with a queued design, the tethered
-//! tier the paper says "absorbs queries" for many users:
+//! [`crate::PrestoProxy::answer`] drives a miss's whole attempt/timeout
+//! schedule inside one blocking call, so a caller using it serves one
+//! precision miss at a time. The pipeline runs the same answer path —
+//! the same fast paths, request builder and reply mapping — over a
+//! queued transport, the tethered tier the paper says "absorbs queries"
+//! for many users:
 //!
-//! * a query that misses the cache/model precision check enqueues a
-//!   [`PendingQuery`] (query id, sensor, window, deadline, retry state)
-//!   instead of spinning;
-//! * each epoch tick [`crate::PrestoProxy::pump_queries`] issues or
+//! * a query that misses the cache/model precision check is enqueued
+//!   with its ticket, window, deadline and retry state instead of
+//!   spinning;
+//! * each epoch tick [`crate::PrestoProxy::pump_queries_view`] issues or
 //!   retransmits downlink pulls for *all* outstanding queries through
 //!   the per-sensor `DownlinkChannel`s — bounded by a per-epoch attempt
 //!   budget that is spread round-robin across sensors for fairness —
@@ -264,11 +265,11 @@ pub(crate) struct PendingQuery {
     pub query: PipelineQuery,
     /// The radio work it needs.
     pub key: PullKey,
-    /// Pull window and reply tolerance derived from the query.
-    pub pull_from: SimTime,
-    pub pull_to: SimTime,
+    /// Reply tolerance derived from the query (slice sub-RPCs pull at
+    /// it).
     pub pull_tolerance: f64,
-    /// Submission time.
+    /// Submission time. The pull request is rebuilt from the query and
+    /// this instant when the RPC is issued.
     pub submitted_at: SimTime,
     /// Honest-failure deadline.
     pub deadline: SimTime,

@@ -8,6 +8,15 @@
 //! accurate data to meet the query error tolerances, then the cache miss
 //! is handled by fetching data from … the archive at remote sensors."
 //!
+//! That miss path is written once. Every query starts in `try_fast`
+//! (cache hit → extrapolation → spatial conditioning, or dense coverage
+//! for ranges); a miss sends the request `pull_request` builds, and
+//! `answer_from_reply` turns the reply into the answer. Two entries
+//! drive that path over different transports: [`PrestoProxy::answer`]
+//! blocks on one RPC, and [`PrestoProxy::submit_query`] queues the miss
+//! for [`PrestoProxy::pump_queries_view`], which overlaps many RPCs
+//! across epochs (see [`crate::pipeline`]).
+//!
 //! Every proxy→sensor interaction — pulls, aggregate requests, model
 //! pushes, retunes — is a fabric-routed RPC over a per-sensor
 //! [`DownlinkChannel`]: sequenced, deduplicated at the sensor,
@@ -583,9 +592,46 @@ impl PrestoProxy {
         self.config.radio.airtime(wire) + SimDuration::from_millis(2) * frames
     }
 
-    /// Fast, radio-free NOW paths — cache hit → temporal extrapolation
-    /// → spatial conditioning — shared by the blocking query path and
-    /// the asynchronous pipeline. `None` means only a pull can answer.
+    /// Books a query into `now_queries`/`past_queries`, then answers it
+    /// without radio work if it can: an honest failure for a sensor this
+    /// proxy does not serve, else the first radio-free fast path that
+    /// fires. Both query entries start here; `None` means only the
+    /// sensor's archive can answer.
+    fn try_fast(&mut self, t: SimTime, query: &PipelineQuery) -> Option<PipelineAnswer> {
+        match query {
+            PipelineQuery::Now { .. } => self.stats.now_queries += 1,
+            PipelineQuery::Past { .. } | PipelineQuery::Aggregate { .. } => {
+                self.stats.past_queries += 1
+            }
+        }
+        if !self.sensors.contains_key(&query.sensor()) {
+            return Some(self.failed_answer(query, SimDuration::ZERO));
+        }
+        match *query {
+            PipelineQuery::Now { sensor, tolerance } => self
+                .try_now_fast(t, sensor, tolerance)
+                .map(PipelineAnswer::Scalar),
+            PipelineQuery::Past {
+                sensor,
+                from,
+                to,
+                tolerance,
+            } => self
+                .try_past_fast(sensor, from, to, tolerance)
+                .map(PipelineAnswer::Series),
+            PipelineQuery::Aggregate {
+                sensor,
+                from,
+                to,
+                op,
+            } => self
+                .try_aggregate_fast(sensor, from, to, op)
+                .map(PipelineAnswer::Scalar),
+        }
+    }
+
+    /// Radio-free NOW paths — cache hit → temporal extrapolation →
+    /// spatial conditioning. `None` means only a pull can answer.
     fn try_now_fast(&mut self, t: SimTime, sensor: u16, tolerance: f64) -> Option<Answer> {
         let slot = self.sensors.get(&sensor)?;
 
@@ -657,70 +703,8 @@ impl PrestoProxy {
         None
     }
 
-    /// Answers a NOW query for one sensor: cache hit → extrapolation →
-    /// spatial → pull.
-    pub fn answer_now(
-        &mut self,
-        t: SimTime,
-        sensor: u16,
-        tolerance: f64,
-        node: &mut SensorNode,
-        chan: &mut DownlinkChannel,
-    ) -> Answer {
-        self.stats.now_queries += 1;
-        if !self.sensors.contains_key(&sensor) {
-            return Answer {
-                value: 0.0,
-                sigma: f64::INFINITY,
-                source: AnswerSource::Failed,
-                latency: SimDuration::ZERO,
-                data_through: None,
-            };
-        }
-        if let Some(a) = self.try_now_fast(t, sensor, tolerance) {
-            return a;
-        }
-
-        // 4. Miss-triggered pull of the most recent archive contents.
-        let (reply, latency) = self.pull(
-            t,
-            sensor,
-            t - self.config.sample_period * 3,
-            t,
-            tolerance,
-            node,
-            chan,
-        );
-        match reply.as_deref().and_then(<[_]>::last) {
-            Some(&(stamp, value)) => Answer {
-                value,
-                sigma: tolerance / 2.0,
-                source: AnswerSource::Pulled,
-                latency,
-                data_through: Some(stamp),
-            },
-            _ => {
-                // Best effort: stale cache or model, flagged as failed.
-                let slot = &self.sensors[&sensor];
-                let (value, sigma) = slot
-                    .cache
-                    .latest()
-                    .map(|s| (s.value, f64::INFINITY))
-                    .unwrap_or((0.0, f64::INFINITY));
-                Answer {
-                    value,
-                    sigma,
-                    source: AnswerSource::Failed,
-                    latency,
-                    data_through: None,
-                }
-            }
-        }
-    }
-
-    /// Fast, radio-free PAST paths — dense cache coverage → model-era
-    /// extrapolation — shared by the blocking query path and the
-    /// asynchronous pipeline. `None` means only a pull can answer.
+    /// Radio-free PAST paths — dense cache coverage → model-era
+    /// extrapolation. `None` means only a pull can answer.
     fn try_past_fast(
         &mut self,
         sensor: u16,
@@ -785,54 +769,7 @@ impl PrestoProxy {
         None
     }
 
-    /// Answers a PAST query: cache coverage → extrapolation (model
-    /// guarantee over the range) → archive pull.
-    #[allow(clippy::too_many_arguments)]
-    pub fn answer_past(
-        &mut self,
-        t: SimTime,
-        sensor: u16,
-        from: SimTime,
-        to: SimTime,
-        tolerance: f64,
-        node: &mut SensorNode,
-        chan: &mut DownlinkChannel,
-    ) -> PastAnswer {
-        self.stats.past_queries += 1;
-        if !self.sensors.contains_key(&sensor) {
-            return PastAnswer {
-                samples: Vec::new(),
-                source: AnswerSource::Failed,
-                latency: SimDuration::ZERO,
-            };
-        }
-        if let Some(a) = self.try_past_fast(sensor, from, to, tolerance) {
-            return a;
-        }
-
-        // 3. Pull from the sensor's archive.
-        let (reply, latency) = self.pull(t, sensor, from, to, tolerance, node, chan);
-        match reply {
-            Some(samples) if !samples.is_empty() => PastAnswer {
-                samples,
-                source: AnswerSource::Pulled,
-                latency,
-            },
-            _ => PastAnswer {
-                samples: self.sensors[&sensor]
-                    .cache
-                    .range(from, to)
-                    .into_iter()
-                    .map(|s| (s.t, s.value))
-                    .collect(),
-                source: AnswerSource::Failed,
-                latency,
-            },
-        }
-    }
-
-    /// Fast, radio-free aggregate path (dense cache coverage), shared
-    /// by the blocking query path and the asynchronous pipeline.
+    /// Radio-free aggregate path (dense cache coverage).
     fn try_aggregate_fast(
         &mut self,
         sensor: u16,
@@ -861,91 +798,34 @@ impl PrestoProxy {
         None
     }
 
-    /// Answers an aggregate PAST query: computed from the cache when
-    /// coverage allows, otherwise evaluated *at the sensor* over its
-    /// archive so only the scalar result crosses the radio (paper §3's
-    /// "mode of vibration" example).
-    #[allow(clippy::too_many_arguments)]
-    pub fn answer_aggregate(
+    /// Answers a query synchronously, the proxy's one blocking query
+    /// entry: the fast paths, else one [`PrestoProxy::rpc`] whose reply
+    /// becomes the answer. The pipeline runs the same steps over the
+    /// asynchronous transport. This entry blocks through every
+    /// retransmission, so each timeout lands in the answer's latency,
+    /// and the equivalence properties use it as the reference the
+    /// pipeline must match.
+    pub fn answer(
         &mut self,
         t: SimTime,
-        sensor: u16,
-        from: SimTime,
-        to: SimTime,
-        op: presto_sensor::AggregateOp,
+        query: PipelineQuery,
         node: &mut SensorNode,
         chan: &mut DownlinkChannel,
-    ) -> Answer {
-        self.stats.past_queries += 1;
-        if !self.sensors.contains_key(&sensor) {
-            return Answer {
-                value: f64::NAN,
-                sigma: f64::INFINITY,
-                source: AnswerSource::Failed,
-                latency: SimDuration::ZERO,
-                data_through: None,
-            };
+    ) -> PipelineAnswer {
+        if let Some(answer) = self.try_fast(t, &query) {
+            return answer;
         }
-        // Dense cache coverage: aggregate locally.
-        if let Some(a) = self.try_aggregate_fast(sensor, from, to, op) {
-            return a;
-        }
-
-        // Ship the operator to the sensor. One RPC — the downlink
-        // channel owns retransmission — counted when issued, not when it
-        // happens to succeed, so `pulls` means attempts-per-RPC on every
-        // path.
-        self.stats.pulls += 1;
-        let query_id = self.next_query_id;
-        self.next_query_id += 1;
-        let msg = DownlinkMsg::AggregateRequest {
-            query_id,
-            from,
-            to,
-            op,
-        };
+        let (_, msg) = self.pull_request(t, &query);
         let out = self.rpc(t, &msg, node, chan);
-        let mut latency = out.latency;
-        if let Some(r) = out.reply {
-            if let UplinkPayload::AggregateReply {
-                value,
-                count,
-                sigma,
-                ..
-            } = &r.payload
-            {
-                latency += self.reply_latency(r.wire_bytes);
-                if *count == 0 {
-                    // The sensor aggregated nothing: the reply carries
-                    // no information, and an answer that carries no
-                    // data is a failure, not an Ok with no age — the
-                    // Ok set and the has-age set must coincide.
-                    return Answer {
-                        value: *value,
-                        sigma: f64::INFINITY,
-                        source: AnswerSource::Failed,
-                        latency,
-                        data_through: None,
-                    };
-                }
-                return Answer {
-                    value: *value,
-                    // The sensor derives the bound from the codec/aging
-                    // error of the rows it aggregated.
-                    sigma: *sigma,
-                    source: AnswerSource::Pulled,
-                    latency,
-                    data_through: Some(to),
-                };
+        match out.reply {
+            Some(r) => {
+                let latency = out.latency + self.reply_latency(r.wire_bytes);
+                self.answer_from_reply(&query, &r.payload, latency)
             }
-        }
-        self.stats.pull_failures += 1;
-        Answer {
-            value: f64::NAN,
-            sigma: f64::INFINITY,
-            source: AnswerSource::Failed,
-            latency,
-            data_through: None,
+            None => {
+                self.stats.pull_failures += 1;
+                self.failed_answer(&query, out.latency)
+            }
         }
     }
 
@@ -969,17 +849,27 @@ impl PrestoProxy {
         // `pull_failures` stay query-path counters (recovery failures
         // are tracked by the gap tracker's `failed_attempts`).
         self.stats.recovery_pulls += 1;
-        let (reply, _) = self.pull_inner(t, sensor, from, to, tolerance, node, chan, false);
-        if let Some(samples) = &reply {
-            // Replica-divergence repair: the repaired gap may have held
-            // deviation pushes the sensor's replica observed and ours
-            // never saw, after which "silence means within tolerance"
-            // would be silently false. Instead of dropping the model
-            // and waiting for the next train-and-push, resynchronize it
-            // from the replayed samples themselves.
-            self.resync_replica(sensor, samples);
-        }
-        reply.map(|samples| samples.len())
+        let query_id = self.next_query_id;
+        self.next_query_id += 1;
+        let msg = DownlinkMsg::PullRequest {
+            query_id,
+            from,
+            to,
+            tolerance,
+        };
+        let reply = self.rpc(t, &msg, node, chan).reply?;
+        let UplinkPayload::PullReply { samples, .. } = &reply.payload else {
+            return None;
+        };
+        let samples: Vec<(SimTime, f64)> = samples.iter().map(|s| (s.t, s.value)).collect();
+        // Replica-divergence repair: the repaired gap may have held
+        // deviation pushes the sensor's replica observed and ours never
+        // saw, after which "silence means within tolerance" would be
+        // silently false. Instead of dropping the model and waiting for
+        // the next train-and-push, resynchronize it from the replayed
+        // samples themselves.
+        self.resync_replica(sensor, &samples);
+        Some(samples.len())
     }
 
     /// Resynchronizes a sensor's model replica after a gap repair by
@@ -1011,65 +901,6 @@ impl PrestoProxy {
             }
         }
         self.stats.replica_resyncs += 1;
-    }
-
-    /// Issues a query-path pull; integrates the reply into the cache.
-    #[allow(clippy::too_many_arguments)]
-    fn pull(
-        &mut self,
-        t: SimTime,
-        sensor: u16,
-        from: SimTime,
-        to: SimTime,
-        tolerance: f64,
-        node: &mut SensorNode,
-        chan: &mut DownlinkChannel,
-    ) -> (Option<Vec<(SimTime, f64)>>, SimDuration) {
-        self.pull_inner(t, sensor, from, to, tolerance, node, chan, true)
-    }
-
-    /// One fabric-routed pull RPC. Retransmission lives in the downlink
-    /// channel, so this issues exactly one RPC; `count_as_query` selects
-    /// whether it books into the query-path `pulls`/`pull_failures`
-    /// counters (recovery replays keep their own disjoint counter).
-    #[allow(clippy::too_many_arguments)]
-    fn pull_inner(
-        &mut self,
-        t: SimTime,
-        _sensor: u16,
-        from: SimTime,
-        to: SimTime,
-        tolerance: f64,
-        node: &mut SensorNode,
-        chan: &mut DownlinkChannel,
-        count_as_query: bool,
-    ) -> (Option<Vec<(SimTime, f64)>>, SimDuration) {
-        if count_as_query {
-            self.stats.pulls += 1;
-        }
-        let query_id = self.next_query_id;
-        self.next_query_id += 1;
-        let msg = DownlinkMsg::PullRequest {
-            query_id,
-            from,
-            to,
-            tolerance,
-        };
-        let out = self.rpc(t, &msg, node, chan);
-        let mut latency = out.latency;
-        if let Some(r) = out.reply {
-            if let UplinkPayload::PullReply { samples, .. } = &r.payload {
-                latency += self.reply_latency(r.wire_bytes);
-                return (
-                    Some(samples.iter().map(|s| (s.t, s.value)).collect()),
-                    latency,
-                );
-            }
-        }
-        if count_as_query {
-            self.stats.pull_failures += 1;
-        }
-        (None, latency)
     }
 
     // ──────────────── asynchronous query pipeline ────────────────
@@ -1121,46 +952,50 @@ impl PrestoProxy {
         dropped
     }
 
-    /// Closes a ticket's trace from its answer: cause from provenance,
-    /// staleness at completion time, the reported confidence width
-    /// (series answers carry per-sample tolerances, reported as 0 here).
-    fn finish_trace(&mut self, id: u64, t: SimTime, answer: &PipelineAnswer) {
-        self.finish_trace_with(id, t, answer, None);
-    }
-
-    /// [`PrestoProxy::finish_trace`] with an explicit confidence width —
-    /// sliced series answers report their re-bounded assembly sigma
-    /// (worst per-slice codec/aging bound) instead of the 0 a series
-    /// defaults to.
-    fn finish_trace_with(
+    /// Records a ticket's terminal answer: closes its trace (cause from
+    /// provenance, staleness at `t`, the reported confidence width) and
+    /// queues the completion for collection. A scalar reports its own
+    /// sigma; a series reports `series_sigma` (the re-bounded assembly
+    /// sigma of a sliced answer, 0 otherwise) unless it failed.
+    fn complete(
         &mut self,
         id: u64,
+        query: PipelineQuery,
+        submitted_at: SimTime,
         t: SimTime,
-        answer: &PipelineAnswer,
-        sigma_override: Option<f64>,
+        answer: PipelineAnswer,
+        series_sigma: f64,
     ) {
-        if !self.pipeline.tracer.enabled() {
-            return;
+        if self.pipeline.tracer.enabled() {
+            let failed = answer.source() == AnswerSource::Failed;
+            let cause = if failed {
+                CompletionCause::Failed
+            } else {
+                CompletionCause::Ok
+            };
+            let sigma = match &answer {
+                PipelineAnswer::Scalar(a) => a.sigma,
+                PipelineAnswer::Series(_) if failed => 0.0,
+                PipelineAnswer::Series(_) => series_sigma,
+            };
+            self.pipeline
+                .tracer
+                .finish(id, t, cause, answer.age_at(t), sigma);
         }
-        let cause = if answer.source() == AnswerSource::Failed {
-            CompletionCause::Failed
-        } else {
-            CompletionCause::Ok
-        };
-        let sigma = sigma_override.unwrap_or(match answer {
-            PipelineAnswer::Scalar(a) => a.sigma,
-            PipelineAnswer::Series(_) => 0.0,
+        self.pipeline.completed.push(CompletedQuery {
+            id,
+            query,
+            answer,
+            submitted_at,
+            completed_at: t,
         });
-        self.pipeline
-            .tracer
-            .finish(id, t, cause, answer.age_at(t), sigma);
     }
 
     /// Submits a query to the asynchronous pipeline. The radio-free
     /// fast paths (cache hit, model extrapolation, spatial
     /// conditioning, dense-coverage aggregation, the shared pull-reply
-    /// cache) complete immediately; a precision miss enqueues a
-    /// `PendingQuery` that [`PrestoProxy::pump_queries_view`] serves across
+    /// cache) complete immediately; a precision miss enqueues a pending
+    /// query that [`PrestoProxy::pump_queries_view`] serves across
     /// epochs. Returns the ticket id under which the completion
     /// surfaces in [`PrestoProxy::take_completed_queries`]. Uses the
     /// pipeline's default deadline.
@@ -1185,158 +1020,84 @@ impl PrestoProxy {
         self.pipeline.next_ticket += 1;
         self.pipeline.stats.submitted += 1;
         self.pipeline.tracer.record(id, t, SpanEvent::Submitted);
-        match query {
-            PipelineQuery::Now { .. } => self.stats.now_queries += 1,
-            PipelineQuery::Past { .. } | PipelineQuery::Aggregate { .. } => {
-                self.stats.past_queries += 1
+        if let Some(answer) = self.try_fast(t, &query) {
+            if answer.source() == AnswerSource::Failed {
+                self.pipeline.stats.failed += 1;
+            } else {
+                self.pipeline.stats.completed_fast += 1;
+                self.pipeline
+                    .tracer
+                    .record(id, t, SpanEvent::CacheHit { path: "fast" });
             }
-        }
-        if !self.sensors.contains_key(&query.sensor()) {
-            let answer = self.failed_answer(&query, SimDuration::ZERO);
-            self.pipeline.stats.failed += 1;
-            self.finish_trace(id, t, &answer);
-            self.pipeline.completed.push(CompletedQuery {
-                id,
-                query,
-                answer,
-                submitted_at: t,
-                completed_at: t,
-            });
+            self.complete(id, query, t, t, answer, 0.0);
             return id;
         }
-        let fast = match query {
-            PipelineQuery::Now { sensor, tolerance } => self
-                .try_now_fast(t, sensor, tolerance)
-                .map(PipelineAnswer::Scalar),
-            PipelineQuery::Past {
-                sensor,
-                from,
-                to,
-                tolerance,
-            } => self
-                .try_past_fast(sensor, from, to, tolerance)
-                .map(PipelineAnswer::Series),
-            PipelineQuery::Aggregate {
-                sensor,
-                from,
-                to,
-                op,
-            } => self
-                .try_aggregate_fast(sensor, from, to, op)
-                .map(PipelineAnswer::Scalar),
-        };
-        if let Some(answer) = fast {
-            self.pipeline.stats.completed_fast += 1;
-            self.pipeline
-                .tracer
-                .record(id, t, SpanEvent::CacheHit { path: "fast" });
-            self.finish_trace(id, t, &answer);
-            self.pipeline.completed.push(CompletedQuery {
-                id,
-                query,
-                answer,
-                submitted_at: t,
-                completed_at: t,
-            });
-            return id;
-        }
+        let (key, _, pull_to, pull_tolerance) = self.pull_plan(t, &query);
         // Sliced archive-range execution: a PAST window spanning enough
         // fixed time-aligned slices decomposes into canonical slices —
         // slices any earlier query pulled serve from the two-tier slice
         // cache (a sub-window of a previously pulled span completes
         // radio-free), and only the missing slices become sub-RPCs.
-        if let PipelineQuery::Past {
-            sensor,
-            from,
-            to,
-            tolerance,
-        } = query
-        {
-            if let Some(specs) = self
-                .pipeline
-                .config
-                .slice
-                .as_ref()
-                .and_then(|cfg| slice::plan(sensor, from, to, tolerance, cfg))
-            {
-                self.pipeline.stats.sliced += 1;
-                let mut parts: Vec<SlicePart> = specs
-                    .into_iter()
-                    .map(|spec| SlicePart {
-                        key: PullKey::Pull {
-                            sensor,
-                            from: spec.from,
-                            to: spec.to,
-                            tol_bits: tolerance.to_bits(),
-                        },
-                        spec,
-                        samples: None,
-                        sigma: tolerance / 2.0,
-                        rpc_qid: None,
-                    })
-                    .collect();
-                let mut all_hit = true;
-                for p in parts.iter_mut() {
-                    match self.pipeline.slice_cache.lookup(p.spec.key) {
-                        Some((samples, sigma)) => {
-                            p.samples = Some(samples);
-                            p.sigma = sigma;
-                        }
-                        None => all_hit = false,
-                    }
-                }
-                if all_hit {
-                    let (answer, sigma) =
-                        self.assemble_sliced(&query, &parts, SimDuration::from_millis(2));
-                    self.pipeline.stats.completed_cached += 1;
-                    self.pipeline.stats.completed_sliced += 1;
-                    self.pipeline.tracer.record(
-                        id,
-                        t,
-                        SpanEvent::CacheHit {
-                            path: "slice_cache",
-                        },
-                    );
-                    let sig = (answer.source() != AnswerSource::Failed).then_some(sigma);
-                    self.finish_trace_with(id, t, &answer, sig);
-                    self.pipeline.completed.push(CompletedQuery {
-                        id,
-                        query,
-                        answer,
-                        submitted_at: t,
-                        completed_at: t,
-                    });
-                    return id;
-                }
-                let deadline = t + deadline.unwrap_or(self.pipeline.config.deadline);
-                self.pipeline.tracer.record(id, t, SpanEvent::CacheMiss);
-                self.pipeline.pending.push(PendingQuery {
-                    id,
-                    query,
+        let mut parts: Vec<SlicePart> = match (query, self.pipeline.config.slice.as_ref()) {
+            (
+                PipelineQuery::Past {
+                    sensor,
+                    from,
+                    to,
+                    tolerance,
+                },
+                Some(cfg),
+            ) => slice::plan(sensor, from, to, tolerance, cfg)
+                .unwrap_or_default()
+                .into_iter()
+                .map(|spec| SlicePart {
                     key: PullKey::Pull {
                         sensor,
-                        from,
-                        to,
+                        from: spec.from,
+                        to: spec.to,
                         tol_bits: tolerance.to_bits(),
                     },
-                    pull_from: from,
-                    pull_to: to,
-                    pull_tolerance: tolerance,
-                    submitted_at: t,
-                    deadline,
+                    spec,
+                    samples: None,
+                    sigma: tolerance / 2.0,
                     rpc_qid: None,
-                    parts,
-                    last_reply_latency: SimDuration::ZERO,
-                });
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        if !parts.is_empty() {
+            self.pipeline.stats.sliced += 1;
+            let mut all_hit = true;
+            for p in parts.iter_mut() {
+                match self.pipeline.slice_cache.lookup(p.spec.key) {
+                    Some((samples, sigma)) => {
+                        p.samples = Some(samples);
+                        p.sigma = sigma;
+                    }
+                    None => all_hit = false,
+                }
+            }
+            if all_hit {
+                let (answer, sigma) =
+                    self.assemble_sliced(&query, &parts, SimDuration::from_millis(2));
+                self.pipeline.stats.completed_cached += 1;
+                self.pipeline.stats.completed_sliced += 1;
+                self.pipeline.tracer.record(
+                    id,
+                    t,
+                    SpanEvent::CacheHit {
+                        path: "slice_cache",
+                    },
+                );
+                self.complete(id, query, t, t, answer, sigma);
                 return id;
             }
-        }
-        let (key, pull_from, pull_to, pull_tolerance) = self.pull_plan(t, &query);
-        // Shared pull-reply cache: a span any user already pulled at
-        // this tolerance answers from proxy memory — unless the window
-        // extends past the cached reply's coverage (freshness check),
-        // in which case a fresh pull is the only honest answer.
-        if matches!(key, PullKey::Pull { .. }) {
+        } else if matches!(key, PullKey::Pull { .. }) {
+            // Shared pull-reply cache: a span any user already pulled at
+            // this tolerance answers from proxy memory — unless the
+            // window extends past the cached reply's coverage (freshness
+            // check), in which case a fresh pull is the only honest
+            // answer.
             if let Some(samples) = self.pipeline.reply_cache.lookup(key, pull_to) {
                 let samples = samples.to_vec();
                 let answer =
@@ -1349,14 +1110,7 @@ impl PrestoProxy {
                         path: "reply_cache",
                     },
                 );
-                self.finish_trace(id, t, &answer);
-                self.pipeline.completed.push(CompletedQuery {
-                    id,
-                    query,
-                    answer,
-                    submitted_at: t,
-                    completed_at: t,
-                });
+                self.complete(id, query, t, t, answer, 0.0);
                 return id;
             }
         }
@@ -1366,13 +1120,11 @@ impl PrestoProxy {
             id,
             query,
             key,
-            pull_from,
-            pull_to,
             pull_tolerance,
             submitted_at: t,
             deadline,
             rpc_qid: None,
-            parts: Vec::new(),
+            parts,
             last_reply_latency: SimDuration::ZERO,
         });
         id
@@ -1454,9 +1206,39 @@ impl PrestoProxy {
         }
     }
 
-    /// The honest failure answer for a query, mirroring the blocking
-    /// path's best-effort fallbacks (stale cache value or partial cached
-    /// range, always advertised with sigma ∞ / `Failed`).
+    /// The downlink request a query submitted at `t` sends on a
+    /// precision miss, under a fresh RPC id: a pull of its
+    /// [`PrestoProxy::pull_plan`] window, or the aggregate operator
+    /// shipped to the sensor so only the scalar crosses the radio (paper
+    /// §3's "mode of vibration" example). The RPC is booked in `pulls`
+    /// when issued, whether or not it succeeds, so `pulls` means
+    /// attempts-per-RPC on both transports and stays disjoint from
+    /// `recovery_pulls`.
+    fn pull_request(&mut self, t: SimTime, query: &PipelineQuery) -> (u64, DownlinkMsg) {
+        let query_id = self.next_query_id;
+        self.next_query_id += 1;
+        self.stats.pulls += 1;
+        let (_, from, to, tolerance) = self.pull_plan(t, query);
+        let msg = match *query {
+            PipelineQuery::Aggregate { op, .. } => DownlinkMsg::AggregateRequest {
+                query_id,
+                from,
+                to,
+                op,
+            },
+            PipelineQuery::Now { .. } | PipelineQuery::Past { .. } => DownlinkMsg::PullRequest {
+                query_id,
+                from,
+                to,
+                tolerance,
+            },
+        };
+        (query_id, msg)
+    }
+
+    /// The honest failure answer for a query: the best effort the proxy
+    /// still holds (stale cache value or partial cached range), always
+    /// advertised with sigma ∞ / `Failed`.
     fn failed_answer(&self, query: &PipelineQuery, latency: SimDuration) -> PipelineAnswer {
         match *query {
             PipelineQuery::Now { sensor, .. } => {
@@ -1504,40 +1286,77 @@ impl PrestoProxy {
         }
     }
 
-    /// Builds a query's answer from a pull reply's samples, mirroring
-    /// the blocking path's value extraction exactly (value-identity is
-    /// pinned by the pipeline-equivalence property test).
+    /// Builds a NOW or PAST query's answer from pulled samples: the
+    /// freshest sample for NOW, the series for PAST. No samples, or an
+    /// aggregate (which completes from its scalar reply), is the honest
+    /// failure answer.
     fn answer_from_samples(
         &self,
         query: &PipelineQuery,
         samples: &[(SimTime, f64)],
         latency: SimDuration,
     ) -> PipelineAnswer {
-        match *query {
-            PipelineQuery::Now { tolerance, .. } => match samples.last() {
-                Some(&(st, v)) => PipelineAnswer::Scalar(Answer {
+        match (*query, samples.last()) {
+            (PipelineQuery::Now { tolerance, .. }, Some(&(st, v))) => {
+                PipelineAnswer::Scalar(Answer {
                     value: v,
                     sigma: tolerance / 2.0,
                     source: AnswerSource::Pulled,
                     latency,
                     data_through: Some(st),
-                }),
-                None => self.failed_answer(query, latency),
-            },
-            PipelineQuery::Past { .. } => {
-                if samples.is_empty() {
-                    self.failed_answer(query, latency)
-                } else {
-                    PipelineAnswer::Series(PastAnswer {
-                        samples: samples.to_vec(),
-                        source: AnswerSource::Pulled,
-                        latency,
-                    })
-                }
+                })
             }
-            // Aggregates complete straight from their scalar reply, not
-            // from samples.
-            PipelineQuery::Aggregate { .. } => self.failed_answer(query, latency),
+            (PipelineQuery::Past { .. }, Some(_)) => PipelineAnswer::Series(PastAnswer {
+                samples: samples.to_vec(),
+                source: AnswerSource::Pulled,
+                latency,
+            }),
+            _ => self.failed_answer(query, latency),
+        }
+    }
+
+    /// Maps a matched reply onto a query's answer, the one reply mapping
+    /// both query entries share. A pull reply's samples go through
+    /// [`PrestoProxy::answer_from_samples`]. An aggregate reply carries
+    /// the sensor-evaluated scalar, with sigma derived from the
+    /// codec/aging error of the rows it aggregated; over an empty range
+    /// it carries no data and stays an honest failure, not an Ok answer
+    /// with no age.
+    fn answer_from_reply(
+        &self,
+        query: &PipelineQuery,
+        reply: &UplinkPayload,
+        latency: SimDuration,
+    ) -> PipelineAnswer {
+        match *reply {
+            UplinkPayload::PullReply { ref samples, .. } => {
+                let samples: Vec<(SimTime, f64)> = samples.iter().map(|s| (s.t, s.value)).collect();
+                self.answer_from_samples(query, &samples, latency)
+            }
+            UplinkPayload::AggregateReply {
+                value,
+                count,
+                sigma,
+                ..
+            } => PipelineAnswer::Scalar(match *query {
+                PipelineQuery::Aggregate { to, .. } if count > 0 => Answer {
+                    value,
+                    sigma,
+                    source: AnswerSource::Pulled,
+                    latency,
+                    data_through: Some(to),
+                },
+                _ => Answer {
+                    value,
+                    sigma: f64::INFINITY,
+                    source: AnswerSource::Failed,
+                    latency,
+                    data_through: None,
+                },
+            }),
+            // Channels match replies to requests by query id, and only
+            // pull and aggregate replies carry one.
+            _ => self.failed_answer(query, latency),
         }
     }
 
@@ -1588,14 +1407,7 @@ impl PrestoProxy {
             }
             let answer = self.failed_answer(&q.query, t - q.submitted_at);
             self.pipeline.stats.failed += 1;
-            self.finish_trace(q.id, t, &answer);
-            self.pipeline.completed.push(CompletedQuery {
-                id: q.id,
-                query: q.query,
-                answer,
-                submitted_at: q.submitted_at,
-                completed_at: t,
-            });
+            self.complete(q.id, q.query, q.submitted_at, t, answer, 0.0);
         }
 
         // 2. Issue radio work for queries that have none. A query (or a
@@ -1683,30 +1495,9 @@ impl PrestoProxy {
                 // query fails honestly at its deadline.
                 continue;
             };
-            let qid = self.next_query_id;
-            self.next_query_id += 1;
-            let msg = match q.query {
-                PipelineQuery::Now { .. } | PipelineQuery::Past { .. } => {
-                    DownlinkMsg::PullRequest {
-                        query_id: qid,
-                        from: q.pull_from,
-                        to: q.pull_to,
-                        tolerance: q.pull_tolerance,
-                    }
-                }
-                PipelineQuery::Aggregate { from, to, op, .. } => {
-                    DownlinkMsg::AggregateRequest {
-                        query_id: qid,
-                        from,
-                        to,
-                        op,
-                    }
-                }
-            };
-            // One RPC per coalesced group, counted when issued — the
-            // same attempts-per-RPC meaning `pulls` has on the blocking
-            // path, and still disjoint from `recovery_pulls`.
-            self.stats.pulls += 1;
+            // One RPC per coalesced group, rebuilt from the query and
+            // its submit time.
+            let (qid, msg) = self.pull_request(q.submitted_at, &q.query);
             self.pipeline.stats.rpcs_issued += 1;
             ch.submit_async(t, msg, q.deadline);
             q.rpc_qid = Some(qid);
@@ -1787,7 +1578,7 @@ impl PrestoProxy {
                     ..
                 } => {
                     // Fold the reply into the per-sensor cache exactly
-                    // as the blocking path does.
+                    // as the blocking entry does.
                     self.on_uplink(&reply);
                     let reply_air = self.reply_latency(reply.wire_bytes);
                     let mut served = Vec::new();
@@ -1799,7 +1590,7 @@ impl PrestoProxy {
                             i += 1;
                         }
                     }
-                    match &reply.payload {
+                    let pulled = match &reply.payload {
                         UplinkPayload::PullReply {
                             samples: reply_samples,
                             ..
@@ -1874,66 +1665,20 @@ impl PrestoProxy {
                                     samples.clone(),
                                 );
                             }
-                            for q in served {
-                                let latency =
-                                    (t - q.submitted_at) + attempt_latency + reply_air;
-                                let answer =
-                                    self.answer_from_samples(&q.query, &samples, latency);
-                                self.pipeline.stats.completed_pull += 1;
-                                self.finish_trace(q.id, t, &answer);
-                                self.pipeline.completed.push(CompletedQuery {
-                                    id: q.id,
-                                    query: q.query,
-                                    answer,
-                                    submitted_at: q.submitted_at,
-                                    completed_at: t,
-                                });
-                            }
+                            Some(samples)
                         }
-                        UplinkPayload::AggregateReply {
-                            value,
-                            count,
-                            sigma,
-                            ..
-                        } => {
-                            for q in served {
-                                let latency =
-                                    (t - q.submitted_at) + attempt_latency + reply_air;
-                                let to = match &q.query {
-                                    PipelineQuery::Aggregate { to, .. } => Some(*to),
-                                    _ => None,
-                                };
-                                // An empty range carries nothing: that
-                                // is an honest failure, not an Ok
-                                // answer with no age (mirrors the
-                                // blocking path exactly).
-                                let answer = PipelineAnswer::Scalar(Answer {
-                                    value: *value,
-                                    sigma: if *count == 0 {
-                                        f64::INFINITY
-                                    } else {
-                                        *sigma
-                                    },
-                                    source: if *count == 0 {
-                                        AnswerSource::Failed
-                                    } else {
-                                        AnswerSource::Pulled
-                                    },
-                                    latency,
-                                    data_through: if *count == 0 { None } else { to },
-                                });
-                                self.pipeline.stats.completed_pull += 1;
-                                self.finish_trace(q.id, t, &answer);
-                                self.pipeline.completed.push(CompletedQuery {
-                                    id: q.id,
-                                    query: q.query,
-                                    answer,
-                                    submitted_at: q.submitted_at,
-                                    completed_at: t,
-                                });
-                            }
-                        }
-                        _ => {}
+                        _ => None,
+                    };
+                    for q in served {
+                        let latency = (t - q.submitted_at) + attempt_latency + reply_air;
+                        // A pull reply was flattened once above for every
+                        // query it serves.
+                        let answer = match &pulled {
+                            Some(samples) => self.answer_from_samples(&q.query, samples, latency),
+                            None => self.answer_from_reply(&q.query, &reply.payload, latency),
+                        };
+                        self.pipeline.stats.completed_pull += 1;
+                        self.complete(q.id, q.query, q.submitted_at, t, answer, 0.0);
                     }
                 }
                 presto_reliability::AsyncRpcEvent::Expired { query_id, .. } => {
@@ -1975,15 +1720,7 @@ impl PrestoProxy {
             let (answer, sigma) = self.assemble_sliced(&q.query, &q.parts, latency);
             self.pipeline.stats.completed_pull += 1;
             self.pipeline.stats.completed_sliced += 1;
-            let sig = (answer.source() != AnswerSource::Failed).then_some(sigma);
-            self.finish_trace_with(q.id, t, &answer, sig);
-            self.pipeline.completed.push(CompletedQuery {
-                id: q.id,
-                query: q.query,
-                answer,
-                submitted_at: q.submitted_at,
-                completed_at: t,
-            });
+            self.complete(q.id, q.query, q.submitted_at, t, answer, sigma);
         }
         self.pipeline.pending = live;
     }
@@ -2010,6 +1747,40 @@ mod tests {
         } else {
             DownlinkChannel::perfect()
         }
+    }
+
+    fn scalar(a: PipelineAnswer) -> Answer {
+        match a {
+            PipelineAnswer::Scalar(a) => a,
+            other => panic!("expected a scalar answer, got {other:?}"),
+        }
+    }
+
+    fn series(a: PipelineAnswer) -> PastAnswer {
+        match a {
+            PipelineAnswer::Series(a) => a,
+            other => panic!("expected a series answer, got {other:?}"),
+        }
+    }
+
+    /// Answers `q` at `t` through both query entries and asserts they
+    /// agree: the blocking answer equals the completion the pipeline
+    /// records at submit time.
+    fn both_entries(
+        proxy: &mut PrestoProxy,
+        t: SimTime,
+        q: PipelineQuery,
+        node: &mut SensorNode,
+        chan: &mut DownlinkChannel,
+    ) -> PipelineAnswer {
+        let blocking = proxy.answer(t, q, node, chan);
+        let ticket = proxy.submit_query(t, q);
+        let done = proxy.take_completed_queries();
+        assert_eq!(done.len(), 1, "{q:?} must complete at submit");
+        assert_eq!(done[0].id, ticket);
+        assert_eq!(done[0].completed_at, t);
+        assert_eq!(done[0].answer, blocking, "the entries disagree on {q:?}");
+        blocking
     }
 
     /// Runs `days` of samples through sensor + proxy with the given push
@@ -2085,7 +1856,11 @@ mod tests {
             0.0,
         );
         let t = SimTime::from_days(1);
-        let a = proxy.answer_now(t, 3, 1.0, &mut node, &mut link);
+        let q = PipelineQuery::Now {
+            sensor: 3,
+            tolerance: 1.0,
+        };
+        let a = scalar(both_entries(&mut proxy, t, q, &mut node, &mut link));
         assert_eq!(a.source, AnswerSource::CacheHit);
         assert!(a.latency < SimDuration::from_millis(5));
     }
@@ -2096,7 +1871,11 @@ mod tests {
             run_deployment(PushPolicy::ModelDriven { tolerance: 1.0 }, 3, 0.0);
         // Advance well past the last sample so the cache is stale.
         let t = SimTime::from_days(3) + SimDuration::from_mins(30);
-        let a = proxy.answer_now(t, 3, 1.5, &mut node, &mut link);
+        let q = PipelineQuery::Now {
+            sensor: 3,
+            tolerance: 1.5,
+        };
+        let a = scalar(both_entries(&mut proxy, t, q, &mut node, &mut link));
         assert_eq!(a.source, AnswerSource::Extrapolated);
         // The answer must be within tolerance of the true diurnal value.
         assert!(
@@ -2116,7 +1895,11 @@ mod tests {
         // good enough, so the proxy must pull... but the archive has no
         // data this recent (sensor stopped sampling at day 3), so the
         // pull returns the freshest archived samples.
-        let a = proxy.answer_now(t, 3, 0.2, &mut node, &mut link);
+        let q = PipelineQuery::Now {
+            sensor: 3,
+            tolerance: 0.2,
+        };
+        let a = scalar(proxy.answer(t, q, &mut node, &mut link));
         assert_eq!(a.source, AnswerSource::Pulled);
         assert!(proxy.stats().pulls >= 1);
         // Pull latency includes the downlink preamble (1 s LPL).
@@ -2134,15 +1917,13 @@ mod tests {
             0.0,
         );
         let t = SimTime::from_days(1);
-        let a = proxy.answer_past(
-            t,
-            3,
-            SimTime::from_hours(5),
-            SimTime::from_hours(6),
-            1.0,
-            &mut node,
-            &mut link,
-        );
+        let q = PipelineQuery::Past {
+            sensor: 3,
+            from: SimTime::from_hours(5),
+            to: SimTime::from_hours(6),
+            tolerance: 1.0,
+        };
+        let a = series(both_entries(&mut proxy, t, q, &mut node, &mut link));
         assert_eq!(a.source, AnswerSource::CacheHit);
         assert!(a.samples.len() > 100);
     }
@@ -2154,15 +1935,13 @@ mod tests {
         let t = SimTime::from_days(2);
         // Tight tolerance defeats extrapolation; the cache is sparse under
         // model-driven push, so the proxy must pull from the archive.
-        let a = proxy.answer_past(
-            t,
-            3,
-            SimTime::from_hours(30),
-            SimTime::from_hours(31),
-            0.1,
-            &mut node,
-            &mut link,
-        );
+        let q = PipelineQuery::Past {
+            sensor: 3,
+            from: SimTime::from_hours(30),
+            to: SimTime::from_hours(31),
+            tolerance: 0.1,
+        };
+        let a = series(proxy.answer(t, q, &mut node, &mut link));
         assert_eq!(a.source, AnswerSource::Pulled);
         assert!(!a.samples.is_empty());
         // Pulled values match the truth within the pull codec tolerance.
@@ -2177,26 +1956,22 @@ mod tests {
             run_deployment(PushPolicy::ModelDriven { tolerance: 1.0 }, 2, 0.0);
         let t = SimTime::from_days(2);
         // A range before any model was installed cannot be extrapolated.
-        let a = proxy.answer_past(
-            t,
-            3,
-            SimTime::from_mins(10),
-            SimTime::from_mins(40),
-            1.5,
-            &mut node,
-            &mut link,
-        );
+        let q = PipelineQuery::Past {
+            sensor: 3,
+            from: SimTime::from_mins(10),
+            to: SimTime::from_mins(40),
+            tolerance: 1.5,
+        };
+        let a = series(proxy.answer(t, q, &mut node, &mut link));
         assert_ne!(a.source, AnswerSource::Extrapolated);
         // A later range can.
-        let b = proxy.answer_past(
-            t,
-            3,
-            SimTime::from_hours(40),
-            SimTime::from_hours(41),
-            1.5,
-            &mut node,
-            &mut link,
-        );
+        let q = PipelineQuery::Past {
+            sensor: 3,
+            from: SimTime::from_hours(40),
+            to: SimTime::from_hours(41),
+            tolerance: 1.5,
+        };
+        let b = series(both_entries(&mut proxy, t, q, &mut node, &mut link));
         assert_eq!(b.source, AnswerSource::Extrapolated);
         for &(ts, v) in &b.samples {
             assert!((v - diurnal(ts)).abs() <= 1.5 + 1e-6);
@@ -2208,7 +1983,12 @@ mod tests {
         let mut proxy = PrestoProxy::new(ProxyConfig::default());
         let mut node = SensorNode::new(9, SensorConfig::default(), LinkModel::perfect());
         let mut chan = DownlinkChannel::perfect();
-        let a = proxy.answer_now(SimTime::ZERO, 9, 1.0, &mut node, &mut chan);
+        let q = PipelineQuery::Now {
+            sensor: 9,
+            tolerance: 1.0,
+        };
+        let t = SimTime::ZERO;
+        let a = scalar(both_entries(&mut proxy, t, q, &mut node, &mut chan));
         assert_eq!(a.source, AnswerSource::Failed);
     }
 
@@ -2225,7 +2005,11 @@ mod tests {
             LinkModel::perfect(),
         );
         let mut dead = chan_with_loss(1.0, 4);
-        let a = proxy.answer_now(SimTime::from_hours(1), 1, 0.5, &mut node, &mut dead);
+        let q = PipelineQuery::Now {
+            sensor: 1,
+            tolerance: 0.5,
+        };
+        let a = scalar(proxy.answer(SimTime::from_hours(1), q, &mut node, &mut dead));
         assert_eq!(a.source, AnswerSource::Failed);
         assert_eq!(proxy.stats().pull_failures, 1);
         // The channel retried before giving up, and every timeout is in
@@ -2283,7 +2067,12 @@ mod tests {
         // beyond the 62 s freshness window) but the neighbours' entries
         // (62 s old) are still fresh.
         let mut dead = chan_with_loss(1.0, 5);
-        let a = proxy.answer_now(t + SimDuration::from_secs(62), 2, 1.0, &mut node, &mut dead);
+        let q = PipelineQuery::Now {
+            sensor: 2,
+            tolerance: 1.0,
+        };
+        let t_query = t + SimDuration::from_secs(62);
+        let a = scalar(both_entries(&mut proxy, t_query, q, &mut node, &mut dead));
         assert_eq!(a.source, AnswerSource::SpatialExtrapolated);
         assert!((a.value - (diurnal(t) + 1.0)).abs() < 1.0, "{}", a.value);
     }
@@ -2297,29 +2086,25 @@ mod tests {
         let (mut proxy, mut node, mut chan) =
             run_deployment(PushPolicy::ModelDriven { tolerance: 1.0 }, 1, 0.0);
         let t = SimTime::from_days(1);
-        let a = proxy.answer_past(
-            t,
-            3,
-            SimTime::from_hours(6),
-            SimTime::from_hours(7),
-            0.1,
-            &mut node,
-            &mut chan,
-        );
+        let q = PipelineQuery::Past {
+            sensor: 3,
+            from: SimTime::from_hours(6),
+            to: SimTime::from_hours(7),
+            tolerance: 0.1,
+        };
+        let a = series(proxy.answer(t, q, &mut node, &mut chan));
         assert_eq!(a.source, AnswerSource::Pulled);
         assert_eq!(proxy.stats().pulls, 1);
         assert_eq!(proxy.stats().pull_failures, 0);
         assert_eq!(proxy.stats().recovery_pulls, 0);
 
-        let ag = proxy.answer_aggregate(
-            t,
-            3,
-            SimTime::from_hours(6),
-            SimTime::from_hours(8),
-            presto_sensor::AggregateOp::Mean,
-            &mut node,
-            &mut chan,
-        );
+        let q = PipelineQuery::Aggregate {
+            sensor: 3,
+            from: SimTime::from_hours(6),
+            to: SimTime::from_hours(8),
+            op: presto_sensor::AggregateOp::Mean,
+        };
+        let ag = scalar(proxy.answer(t, q, &mut node, &mut chan));
         assert_eq!(ag.source, AnswerSource::Pulled);
         assert_eq!(proxy.stats().pulls, 2, "aggregate RPC counts once");
 
@@ -2342,15 +2127,13 @@ mod tests {
         assert_eq!(proxy.stats().pull_failures, 0);
 
         let mut dead = chan_with_loss(1.0, 77);
-        let failed = proxy.answer_past(
-            t,
-            3,
-            t - SimDuration::from_mins(30),
-            t,
-            0.01,
-            &mut node,
-            &mut dead,
-        );
+        let q = PipelineQuery::Past {
+            sensor: 3,
+            from: t - SimDuration::from_mins(30),
+            to: t,
+            tolerance: 0.01,
+        };
+        let failed = series(proxy.answer(t, q, &mut node, &mut dead));
         assert_eq!(failed.source, AnswerSource::Failed);
         assert_eq!(proxy.stats().pulls, 3, "failed RPC still counts as issued");
         assert_eq!(proxy.stats().pull_failures, 1);
@@ -2402,15 +2185,13 @@ mod tests {
             t = SimTime::from_secs(31 * i);
             node.on_sample(t, diurnal(t), None);
         }
-        let a = proxy.answer_aggregate(
-            t,
-            3,
-            SimTime::ZERO,
-            SimTime::from_hours(2),
-            presto_sensor::AggregateOp::Mean,
-            &mut node,
-            &mut chan,
-        );
+        let q = PipelineQuery::Aggregate {
+            sensor: 3,
+            from: SimTime::ZERO,
+            to: SimTime::from_hours(2),
+            op: presto_sensor::AggregateOp::Mean,
+        };
+        let a = scalar(proxy.answer(t, q, &mut node, &mut chan));
         assert_eq!(a.source, AnswerSource::Pulled);
         assert!(
             a.sigma > 0.0 && a.sigma.is_finite(),
@@ -2430,15 +2211,13 @@ mod tests {
             0.0,
         );
         let t = SimTime::from_days(1);
-        let a = proxy.answer_aggregate(
-            t,
-            3,
-            SimTime::from_hours(10),
-            SimTime::from_hours(12),
-            presto_sensor::AggregateOp::Mean,
-            &mut node,
-            &mut link,
-        );
+        let q = PipelineQuery::Aggregate {
+            sensor: 3,
+            from: SimTime::from_hours(10),
+            to: SimTime::from_hours(12),
+            op: presto_sensor::AggregateOp::Mean,
+        };
+        let a = scalar(both_entries(&mut proxy, t, q, &mut node, &mut link));
         assert_eq!(a.source, AnswerSource::CacheHit);
         // Mean of the diurnal curve over 10:00–12:00 sits between the
         // curve endpoints.
@@ -2702,7 +2481,11 @@ mod tests {
         // answered by extrapolation (the old fence dropped the replica
         // and forced a pull here), and stays within the push tolerance.
         let t2 = t + SimDuration::from_mins(5);
-        let a = proxy.answer_now(t2, 3, 1.0, &mut node, &mut chan);
+        let q = PipelineQuery::Now {
+            sensor: 3,
+            tolerance: 1.0,
+        };
+        let a = scalar(proxy.answer(t2, q, &mut node, &mut chan));
         assert_eq!(a.source, AnswerSource::Extrapolated, "model kept");
         assert!((a.value - diurnal(t2)).abs() < 1.5, "{} vs {}", a.value, diurnal(t2));
     }
@@ -2826,15 +2609,13 @@ mod tests {
             run_deployment(PushPolicy::ModelDriven { tolerance: 1.0 }, 1, 0.0);
         let t = SimTime::from_days(1);
         let before = node.stats().bytes_sent;
-        let a = proxy.answer_aggregate(
-            t,
-            3,
-            SimTime::from_hours(6),
-            SimTime::from_hours(12),
-            presto_sensor::AggregateOp::Max,
-            &mut node,
-            &mut link,
-        );
+        let q = PipelineQuery::Aggregate {
+            sensor: 3,
+            from: SimTime::from_hours(6),
+            to: SimTime::from_hours(12),
+            op: presto_sensor::AggregateOp::Max,
+        };
+        let a = scalar(proxy.answer(t, q, &mut node, &mut link));
         let reply_bytes = node.stats().bytes_sent - before;
         assert_eq!(a.source, AnswerSource::Pulled);
         assert!(a.value.is_finite());

@@ -276,41 +276,31 @@ impl Section {
     }
 
     /// Resolves one dotted path against this subtree without
-    /// flattening: child sections first, then a terminal counter or
-    /// gauge, then a histogram's derived `.count/.p50/...` field.
-    /// Matches what [`Section::flatten_into`] would emit for the key.
-    fn get_path(&self, segs: &[&str]) -> Option<f64> {
-        match segs {
-            [] => None,
-            [name] => self
+    /// flattening or allocating: child sections first, then a terminal
+    /// counter or gauge, then a histogram's derived `.count/.p50/...`
+    /// field. Matches what [`Section::flatten_into`] would emit for the
+    /// key.
+    fn get_path(&self, path: &str) -> Option<f64> {
+        let Some((head, rest)) = path.split_once('.') else {
+            return self
                 .counters
-                .get(*name)
+                .get(path)
                 .map(|&v| v as f64)
-                .or_else(|| self.gauges.get(*name).copied()),
-            _ => {
-                if let Some(v) = self
-                    .children
-                    .get(segs[0])
-                    .and_then(|c| c.get_path(&segs[1..]))
-                {
-                    return Some(v);
-                }
-                if segs.len() == 2 {
-                    if let Some(h) = self.histograms.get(segs[0]) {
-                        return Some(match segs[1] {
-                            "count" => h.count() as f64,
-                            "p50" => h.quantile(0.50) as f64,
-                            "p90" => h.quantile(0.90) as f64,
-                            "p99" => h.quantile(0.99) as f64,
-                            "max" => h.max() as f64,
-                            "mean" => h.mean(),
-                            _ => return None,
-                        });
-                    }
-                }
-                None
-            }
+                .or_else(|| self.gauges.get(path).copied());
+        };
+        if let Some(v) = self.children.get(head).and_then(|c| c.get_path(rest)) {
+            return Some(v);
         }
+        let h = self.histograms.get(head)?;
+        Some(match rest {
+            "count" => h.count() as f64,
+            "p50" => h.quantile(0.50) as f64,
+            "p90" => h.quantile(0.90) as f64,
+            "p99" => h.quantile(0.99) as f64,
+            "max" => h.max() as f64,
+            "mean" => h.mean(),
+            _ => return None,
+        })
     }
 
     fn flatten_into(&self, prefix: &str, out: &mut Vec<(String, f64)>) {
@@ -368,8 +358,7 @@ impl Snapshot {
     /// allocation, so per-epoch consumers (the presto-scope sampler)
     /// can read a handful of paths without paying for a full flatten.
     pub fn get(&self, path: &str) -> Option<f64> {
-        let segs: Vec<&str> = path.split('.').collect();
-        self.root.get_path(&segs)
+        self.root.get_path(path)
     }
 
     /// Merges another snapshot in (multi-deployment aggregation).

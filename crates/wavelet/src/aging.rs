@@ -2,7 +2,7 @@
 //!
 //! Paper §4: "If storage is constrained on each sensor, graceful aging of
 //! archived data can be enabled using wavelet-based multi-resolution
-//! techniques [10]." The ladder keeps only the Haar *approximation* band
+//! techniques \[10\]." The ladder keeps only the Haar *approximation* band
 //! of an old batch at increasing levels: each aging step halves the
 //! stored footprint and coarsens the reconstruction by a factor of two in
 //! time resolution.

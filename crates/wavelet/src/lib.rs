@@ -11,7 +11,7 @@
 //!   reconstruction error, so a 75%-precision query class maps directly to
 //!   a coarser, cheaper encoding.
 //! * **Graceful aging of archived data** (§4, citing multi-resolution
-//!   storage [10]): [`aging`] keeps progressively coarser approximation
+//!   storage \[10\]): [`aging`] keeps progressively coarser approximation
 //!   bands of old data as storage pressure mounts.
 //!
 //! Transforms: [`haar`] (the sensor-side default — integer-friendly,

@@ -1,6 +1,6 @@
 //! Synthetic workloads for the PRESTO experiments.
 //!
-//! The paper's evaluation data — the Intel Lab temperature trace [11] —
+//! The paper's evaluation data — the Intel Lab temperature trace \[11\] —
 //! and its motivating applications (vehicle traffic, elder care) are not
 //! distributable, so this crate synthesizes statistically equivalent
 //! workloads with controllable parameters:

@@ -4,11 +4,35 @@
 
 use presto::archive::{ArchiveConfig, ArchiveStore, Quality};
 use presto::net::LinkModel;
+use presto::proxy::{
+    AnswerSource, PastAnswer, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig,
+};
 use presto::reliability::DownlinkChannel;
-use presto::proxy::{AnswerSource, PrestoProxy, ProxyConfig};
 use presto::sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto::sim::{EnergyLedger, SimDuration, SimTime};
 use presto::workloads::{LabDeployment, LabParams};
+
+/// A PAST query over sensor 0's `[from, to]`, answered by the blocking
+/// entry.
+fn past(
+    proxy: &mut PrestoProxy,
+    t: SimTime,
+    (from, to): (SimTime, SimTime),
+    tolerance: f64,
+    node: &mut SensorNode,
+    link: &mut DownlinkChannel,
+) -> PastAnswer {
+    let q = PipelineQuery::Past {
+        sensor: 0,
+        from,
+        to,
+        tolerance,
+    };
+    match proxy.answer(t, q, node, link) {
+        PipelineAnswer::Series(a) => a,
+        other => panic!("expected a series answer, got {other:?}"),
+    }
+}
 
 fn lab_values(days: u64, seed: u64) -> Vec<(SimTime, f64)> {
     LabDeployment::single_sensor_trace(
@@ -47,15 +71,8 @@ fn pull_reply_precision_tracks_query_tolerance() {
         proxy.register_sensor(0);
         let mut link = DownlinkChannel::perfect();
         let before = node.stats().bytes_sent;
-        let a = proxy.answer_past(
-            query_t,
-            0,
-            SimTime::from_hours(8),
-            SimTime::from_hours(10),
-            tolerance,
-            &mut node,
-            &mut link,
-        );
+        let window = (SimTime::from_hours(8), SimTime::from_hours(10));
+        let a = past(&mut proxy, query_t, window, tolerance, &mut node, &mut link);
         assert_eq!(a.source, AnswerSource::Pulled);
         let mut worst: f64 = 0.0;
         for &(ts, v) in &a.samples {
@@ -152,15 +169,8 @@ fn proxy_extrapolated_past_answers_respect_the_guarantee() {
         }
     }
     let query_t = trace.last().expect("non-empty").0;
-    let a = proxy.answer_past(
-        query_t,
-        0,
-        SimTime::from_hours(60),
-        SimTime::from_hours(61),
-        1.5,
-        &mut node,
-        &mut link,
-    );
+    let window = (SimTime::from_hours(60), SimTime::from_hours(61));
+    let a = past(&mut proxy, query_t, window, 1.5, &mut node, &mut link);
     assert_eq!(a.source, AnswerSource::Extrapolated);
     let mut worst: f64 = 0.0;
     for &(ts, v) in &a.samples {

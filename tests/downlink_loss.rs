@@ -8,7 +8,9 @@
 use proptest::prelude::*;
 
 use presto::net::{LinkModel, LossProcess};
-use presto::proxy::{AnswerSource, PastAnswer, PrestoProxy, ProxyConfig};
+use presto::proxy::{
+    Answer, AnswerSource, PastAnswer, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig,
+};
 use presto::reliability::{DownlinkChannel, DownlinkConfig};
 use presto::sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto::sim::{SimDuration, SimTime};
@@ -59,6 +61,30 @@ fn window(k: u64) -> (SimTime, SimTime) {
     )
 }
 
+/// A PAST query over `[from, to]` of sensor 0.
+fn past_query(from: SimTime, to: SimTime, tolerance: f64) -> PipelineQuery {
+    PipelineQuery::Past {
+        sensor: 0,
+        from,
+        to,
+        tolerance,
+    }
+}
+
+fn series(a: PipelineAnswer) -> PastAnswer {
+    match a {
+        PipelineAnswer::Series(a) => a,
+        other => panic!("expected a series answer, got {other:?}"),
+    }
+}
+
+fn scalar(a: PipelineAnswer) -> Answer {
+    match a {
+        PipelineAnswer::Scalar(a) => a,
+        other => panic!("expected a scalar answer, got {other:?}"),
+    }
+}
+
 fn run_windows(chan: &mut DownlinkChannel) -> Vec<PastAnswer> {
     let mut p = proxy();
     let mut node = archived_node();
@@ -66,7 +92,7 @@ fn run_windows(chan: &mut DownlinkChannel) -> Vec<PastAnswer> {
     (0..4u64)
         .map(|k| {
             let (from, to) = window(k);
-            p.answer_past(t, 0, from, to, 0.2, &mut node, chan)
+            series(p.answer(t, past_query(from, to, 0.2), &mut node, chan))
         })
         .collect()
 }
@@ -119,18 +145,15 @@ fn total_downlink_burst_fails_honestly_not_silently() {
     let mut node = archived_node();
     let t = SimTime::from_days(2);
 
-    let past = p.answer_past(
-        t,
-        0,
-        SimTime::from_hours(3),
-        SimTime::from_hours(4),
-        0.2,
-        &mut node,
-        &mut chan,
-    );
+    let q = past_query(SimTime::from_hours(3), SimTime::from_hours(4), 0.2);
+    let past = series(p.answer(t, q, &mut node, &mut chan));
     assert_eq!(past.source, AnswerSource::Failed);
 
-    let now = p.answer_now(t, 0, 0.5, &mut node, &mut chan);
+    let q = PipelineQuery::Now {
+        sensor: 0,
+        tolerance: 0.5,
+    };
+    let now = scalar(p.answer(t, q, &mut node, &mut chan));
     assert_eq!(now.source, AnswerSource::Failed);
     assert!(
         now.sigma.is_infinite(),
@@ -156,15 +179,8 @@ fn total_reply_burst_fails_honestly_after_deduped_retries() {
     let mut node = archived_node();
     let t = SimTime::from_days(2);
 
-    let past = p.answer_past(
-        t,
-        0,
-        SimTime::from_hours(5),
-        SimTime::from_hours(6),
-        0.2,
-        &mut node,
-        &mut chan,
-    );
+    let q = past_query(SimTime::from_hours(5), SimTime::from_hours(6), 0.2);
+    let past = series(p.answer(t, q, &mut node, &mut chan));
     assert_eq!(past.source, AnswerSource::Failed);
     assert_eq!(
         node.stats().pulls_served,

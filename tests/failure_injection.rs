@@ -3,11 +3,43 @@
 //! silently corrupt answers.
 
 use presto::net::{LinkModel, LossProcess};
-use presto::proxy::{AnswerSource, PrestoProxy, ProxyConfig};
+use presto::proxy::{
+    Answer, AnswerSource, PastAnswer, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig,
+};
 use presto::reliability::DownlinkChannel;
 use presto::sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto::sim::{SimDuration, SimRng, SimTime};
 use presto::workloads::{LabDeployment, LabParams};
+
+fn now(tolerance: f64) -> PipelineQuery {
+    PipelineQuery::Now {
+        sensor: 0,
+        tolerance,
+    }
+}
+
+fn past(from: SimTime, to: SimTime, tolerance: f64) -> PipelineQuery {
+    PipelineQuery::Past {
+        sensor: 0,
+        from,
+        to,
+        tolerance,
+    }
+}
+
+fn scalar(a: PipelineAnswer) -> Answer {
+    match a {
+        PipelineAnswer::Scalar(a) => a,
+        other => panic!("expected a scalar answer, got {other:?}"),
+    }
+}
+
+fn series(a: PipelineAnswer) -> PastAnswer {
+    match a {
+        PipelineAnswer::Series(a) => a,
+        other => panic!("expected a series answer, got {other:?}"),
+    }
+}
 
 fn lab_trace(days: u64, seed: u64) -> Vec<presto::workloads::lab::LabReading> {
     LabDeployment::single_sensor_trace(
@@ -61,7 +93,7 @@ fn bursty_loss_degrades_but_does_not_corrupt() {
     assert!(trained, "model never installed despite retries");
     // Queries still answer; errors stay bounded by tolerance-class slack.
     let last = trace.last().expect("non-empty trace");
-    let a = proxy.answer_now(last.timestamp, 0, 1.5, &mut node, &mut link);
+    let a = scalar(proxy.answer(last.timestamp, now(1.5), &mut node, &mut link));
     assert_ne!(a.source, AnswerSource::Failed);
     assert!(
         (a.value - last.value).abs() < 3.0,
@@ -76,7 +108,7 @@ fn dead_sensor_yields_failed_answers_not_garbage() {
     let (mut proxy, mut node, _) = paired(PushPolicy::Silent, 0.0, 6);
     // The sensor never reports and the downlink is completely dead.
     let mut dead = DownlinkChannel::over(LinkModel::new(LossProcess::Bernoulli(1.0), SimRng::new(9)));
-    let a = proxy.answer_now(SimTime::from_hours(1), 0, 0.5, &mut node, &mut dead);
+    let a = scalar(proxy.answer(SimTime::from_hours(1), now(0.5), &mut node, &mut dead));
     assert_eq!(a.source, AnswerSource::Failed);
     assert!(
         a.sigma.is_infinite(),
@@ -102,15 +134,8 @@ fn sensor_that_stops_midway_still_serves_its_past() {
     }
     // Hours later, a PAST query over the live period pulls the archive.
     let query_t = trace.last().expect("non-empty").timestamp;
-    let a = proxy.answer_past(
-        query_t,
-        0,
-        SimTime::from_hours(3),
-        SimTime::from_hours(4),
-        0.2,
-        &mut node,
-        &mut link,
-    );
+    let q = past(SimTime::from_hours(3), SimTime::from_hours(4), 0.2);
+    let a = series(proxy.answer(query_t, q, &mut node, &mut link));
     assert_ne!(a.source, AnswerSource::Failed);
     assert!(a.samples.len() > 80, "{} samples", a.samples.len());
 }
@@ -147,15 +172,8 @@ fn retries_recover_moderate_downlink_loss() {
     // 20% loss: ARQ + pull retries should still get a PAST answer.
     let mut lossy = DownlinkChannel::over(LinkModel::new(LossProcess::Bernoulli(0.2), SimRng::new(12)));
     let t = trace[3000].timestamp;
-    let a = proxy.answer_past(
-        t,
-        0,
-        SimTime::from_hours(5),
-        SimTime::from_hours(6),
-        0.2,
-        &mut node,
-        &mut lossy,
-    );
+    let q = past(SimTime::from_hours(5), SimTime::from_hours(6), 0.2);
+    let a = series(proxy.answer(t, q, &mut node, &mut lossy));
     assert_ne!(a.source, AnswerSource::Failed);
     assert!(!a.samples.is_empty());
 }

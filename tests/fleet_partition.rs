@@ -161,38 +161,13 @@ impl Reference {
     }
 
     fn answer(&mut self, q: PipelineQuery, t: SimTime) -> PipelineAnswer {
+        assert!(
+            !matches!(q, PipelineQuery::Now { .. }),
+            "workload emits range queries only"
+        );
         let gid = q.sensor() as usize;
-        match q {
-            PipelineQuery::Past {
-                sensor,
-                from,
-                to,
-                tolerance,
-            } => PipelineAnswer::Series(self.proxy.answer_past(
-                t,
-                sensor,
-                from,
-                to,
-                tolerance,
-                &mut self.nodes[gid],
-                &mut self.chans[gid],
-            )),
-            PipelineQuery::Aggregate {
-                sensor,
-                from,
-                to,
-                op,
-            } => PipelineAnswer::Scalar(self.proxy.answer_aggregate(
-                t,
-                sensor,
-                from,
-                to,
-                op,
-                &mut self.nodes[gid],
-                &mut self.chans[gid],
-            )),
-            PipelineQuery::Now { .. } => unreachable!("workload emits range queries only"),
-        }
+        self.proxy
+            .answer(t, q, &mut self.nodes[gid], &mut self.chans[gid])
     }
 }
 

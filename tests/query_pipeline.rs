@@ -104,11 +104,12 @@ fn decode(code: u8) -> PipelineQuery {
 
 /// The synchronous reference: a persistent, identically built
 /// (proxy, sensor, perfect channel) trio serving each query through
-/// `PrestoProxy`'s blocking path at the same submission instant. The
-/// trio stays alive across queries so the channel's sequence numbers
-/// keep advancing (a fresh channel per query would collide with the
-/// sensor's dedup window); its fast paths are disabled exactly like the
-/// pipeline proxy's, so every reference answer is a real pull.
+/// `PrestoProxy::answer`, the blocking entry, at the same submission
+/// instant. The trio stays alive across queries so the channel's
+/// sequence numbers keep advancing (a fresh channel per query would
+/// collide with the sensor's dedup window); its fast paths are disabled
+/// exactly like the pipeline proxy's, so every reference answer is a
+/// real pull.
 fn reference_answer(
     q: PipelineQuery,
     t: SimTime,
@@ -116,23 +117,7 @@ fn reference_answer(
     chan: &mut DownlinkChannel,
     ref_node: &mut SensorNode,
 ) -> PipelineAnswer {
-    match q {
-        PipelineQuery::Now { sensor, tolerance } => {
-            PipelineAnswer::Scalar(p.answer_now(t, sensor, tolerance, ref_node, chan))
-        }
-        PipelineQuery::Past {
-            sensor,
-            from,
-            to,
-            tolerance,
-        } => PipelineAnswer::Series(p.answer_past(t, sensor, from, to, tolerance, ref_node, chan)),
-        PipelineQuery::Aggregate {
-            sensor,
-            from,
-            to,
-            op,
-        } => PipelineAnswer::Scalar(p.answer_aggregate(t, sensor, from, to, op, ref_node, chan)),
-    }
+    p.answer(t, q, ref_node, chan)
 }
 
 /// Runs the pipeline over the workload under the given loss traces and

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use presto::proxy::slice::{assemble, plan, SliceConfig};
 use presto::proxy::{
-    AnswerSource, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig, PumpSensor,
+    AnswerSource, PastAnswer, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig, PumpSensor,
 };
 use presto::reliability::{DownlinkChannel, DownlinkConfig};
 use presto::net::{LinkModel, LossProcess};
@@ -70,7 +70,8 @@ fn sliced_proxy() -> PrestoProxy {
 }
 
 /// The blocking reference's proxy: identical, fast paths off. Slicing
-/// is irrelevant to it — the reference drives `answer_past` directly.
+/// is irrelevant to it — the blocking entry `PrestoProxy::answer`
+/// always pulls the window it is given in one RPC.
 fn ref_proxy() -> PrestoProxy {
     let mut p = PrestoProxy::new(ProxyConfig {
         past_coverage_hit: f64::INFINITY,
@@ -78,6 +79,20 @@ fn ref_proxy() -> PrestoProxy {
     });
     p.register_sensor(0);
     p
+}
+
+/// A PAST query answered by the blocking entry, `PrestoProxy::answer`.
+fn blocking_past(
+    p: &mut PrestoProxy,
+    t: SimTime,
+    q: PipelineQuery,
+    node: &mut SensorNode,
+    chan: &mut DownlinkChannel,
+) -> PastAnswer {
+    match p.answer(t, q, node, chan) {
+        PipelineAnswer::Series(a) => a,
+        other => panic!("PAST answers are series, got {other:?}"),
+    }
 }
 
 fn scripted_channel(request: Vec<bool>, reply: Vec<bool>) -> DownlinkChannel {
@@ -155,7 +170,13 @@ fn reference_past(
             let runs: Vec<Vec<(SimTime, f64)>> = specs
                 .iter()
                 .map(|spec| {
-                    let a = p.answer_past(t, sensor, spec.from, spec.to, tolerance, node, chan);
+                    let slice = PipelineQuery::Past {
+                        sensor,
+                        from: spec.from,
+                        to: spec.to,
+                        tolerance,
+                    };
+                    let a = blocking_past(p, t, slice, node, chan);
                     assert_eq!(a.source, AnswerSource::Pulled, "reference slice pull failed");
                     a.samples
                 })
@@ -163,7 +184,7 @@ fn reference_past(
             assemble(&runs, from, to)
         }
         None => {
-            let a = p.answer_past(t, sensor, from, to, tolerance, node, chan);
+            let a = blocking_past(p, t, q, node, chan);
             assert_eq!(a.source, AnswerSource::Pulled, "reference pull failed");
             a.samples
         }
@@ -251,8 +272,12 @@ fn run_and_check(
                             "slice-assembled answer diverged from the blocking reference"
                         );
                     }
-                    (PipelineAnswer::Scalar(a), PipelineQuery::Now { sensor, tolerance }) => {
-                        let r = rp.answer_now(t_sub, sensor, tolerance, &mut ref_node, &mut ref_chan);
+                    (PipelineAnswer::Scalar(a), PipelineQuery::Now { .. }) => {
+                        let PipelineAnswer::Scalar(r) =
+                            rp.answer(t_sub, q, &mut ref_node, &mut ref_chan)
+                        else {
+                            panic!("NOW answers are scalar");
+                        };
                         prop_assert_eq!(r.source, AnswerSource::Pulled, "reference must pull");
                         prop_assert_eq!(a.value, r.value, "NOW value diverged");
                         prop_assert_eq!(a.sigma, r.sigma, "NOW sigma diverged");
