@@ -9,14 +9,27 @@
 //! interleaved and the minimum kept, so scheduler noise can't trip
 //! the guard on a loaded CI box.
 //!
+//! A fleet arm then prices observation where it is densest: the
+//! `fleet_scenario --quick` shedding arm without its proxy crash, under
+//! the standard fleet scope. Within that one run the scope must raise
+//! no incident, its tick must not allocate, and it must cost less wall
+//! time than the fleet pump it watches.
+//!
 //! Run with `cargo bench -p presto-bench --bench telemetry_guard`.
 
 use std::time::Instant;
 
+use presto_bench::fleet::{watched_arm, FleetScenarioConfig};
 use presto_core::{PrestoSystem, StoreQuery, SystemConfig};
+use presto_fleet::FleetScopeBounds;
 use presto_net::LossProcess;
 use presto_sim::{QueryArrival, QueryKind, QueryLoad, QueryLoadConfig, SimDuration};
 use presto_workloads::LabParams;
+
+// Counting allocator: the fleet arm's profiler reads per-phase
+// allocation counts from it.
+#[global_allocator]
+static ALLOC: presto_telemetry::alloc::CountingAlloc = presto_telemetry::alloc::CountingAlloc;
 
 /// Enabled telemetry may cost at most this multiple of disabled.
 const GUARD_RATIO: f64 = 3.0;
@@ -139,5 +152,44 @@ fn main() {
         ratio < GUARD_RATIO,
         "enabled telemetry cost {ratio:.2}x the disabled pump (guard {GUARD_RATIO}x)"
     );
+    fleet_arm();
     println!("telemetry_guard OK");
+}
+
+/// The fleet arm: the scope observes a whole deployment every epoch, so
+/// it must stay allocation-free and cheaper than the pump.
+fn fleet_arm() {
+    let cfg = FleetScenarioConfig {
+        crash_hours: None,
+        ..FleetScenarioConfig::quick()
+    };
+    // The quick workload serves PAST windows up to eight hours old, so
+    // answers legitimately carry hours of age: as in the partition
+    // scenario, the p99 bound only has to catch data older than the
+    // archive itself. Every other bound is the standard one.
+    let bounds = FleetScopeBounds {
+        answer_age_p99_us: (cfg.warmup_hours + cfg.query_hours + 8) as f64 * 3600.0 * 1e6,
+        ..FleetScopeBounds::default()
+    };
+    let run = watched_arm(&cfg, &bounds);
+    let profiler = run.deployment.system().profiler();
+    let phase = |name: &str| profiler.phase(name).copied().unwrap_or_default();
+    let (scope, pump) = (phase("fleet_scope"), phase("fleet_pump"));
+    println!(
+        "telemetry_guard fleet: scope {} µs / {} allocs over {} ticks, pump {} µs",
+        scope.micros, scope.allocs, scope.calls, pump.micros
+    );
+    let incidents = run.scope().incidents();
+    assert!(
+        incidents.is_empty(),
+        "fleet scope raised incidents: {incidents:?}"
+    );
+    assert!(scope.calls > 0, "the fleet scope never ticked");
+    assert_eq!(scope.allocs, 0, "the fleet scope tick allocated");
+    assert!(
+        scope.micros < pump.micros,
+        "scope {} µs is not below the pump's {} µs",
+        scope.micros,
+        pump.micros
+    );
 }

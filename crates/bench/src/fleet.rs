@@ -121,7 +121,7 @@ pub struct FleetScenarioReport {
     pub p99_gain: f64,
 }
 
-fn fleet(cfg: &FleetScenarioConfig, shed: bool) -> FleetDeployment {
+fn fleet(cfg: &FleetScenarioConfig, shed: bool, bounds: &FleetScopeBounds) -> FleetDeployment {
     let mut sys_cfg = SystemConfig {
         proxies: cfg.proxies,
         sensors_per_proxy: cfg.sensors_per_proxy,
@@ -157,7 +157,7 @@ fn fleet(cfg: &FleetScenarioConfig, shed: bool) -> FleetDeployment {
     // The standard fleet scope: epoch time-series sampling plus the
     // SLO watchdogs, so every run exports a trajectory and any
     // violation lands in the incident log with the faults to blame.
-    sys_cfg.scope = fleet_scope_config(&FleetScopeBounds::default());
+    sys_cfg.scope = fleet_scope_config(bounds);
     // A bounded summary cache (the paper's "cache of summary
     // information"): the queryable age band below is deliberately
     // larger than this, so the workload's working set does not fit and
@@ -253,7 +253,7 @@ pub fn run_arm(cfg: &FleetScenarioConfig, shed: bool) -> FleetArm {
         }
     };
     let label = if shed { "shed-on" } else { "shed-off" };
-    let deployment = Deployment::Fleet(Box::new(fleet(cfg, shed)));
+    let deployment = Deployment::Fleet(Box::new(fleet(cfg, shed, &FleetScopeBounds::default())));
     let plan = plan(cfg);
     let run = drive(label, deployment, &plan, &mut arrivals(cfg), Some(&mut fairness_hook));
     // Fairness compares *surviving* entry proxies: a crashed proxy's
@@ -273,6 +273,14 @@ pub fn run_arm(cfg: &FleetScenarioConfig, shed: bool) -> FleetArm {
         forwarded_ok,
         fairness: if hi > 0.0 { lo / hi } else { 1.0 },
     }
+}
+
+/// The shedding arm alone, without the scenario's fairness hook, under
+/// the standard fleet scope with `bounds`: the arm the telemetry guard
+/// prices observation on.
+pub fn watched_arm(cfg: &FleetScenarioConfig, bounds: &FleetScopeBounds) -> ArmRun {
+    let deployment = Deployment::Fleet(Box::new(fleet(cfg, true, bounds)));
+    drive("watched", deployment, &plan(cfg), &mut arrivals(cfg), None)
 }
 
 /// One same-seed arm reduced to byte-comparable artifacts: the dynamic
@@ -300,7 +308,7 @@ pub fn determinism_fingerprint(cfg: &FleetScenarioConfig, shed: bool) -> Determi
             let _ = writeln!(completions, "{t:?}");
         }
     };
-    let deployment = Deployment::Fleet(Box::new(fleet(cfg, shed)));
+    let deployment = Deployment::Fleet(Box::new(fleet(cfg, shed, &FleetScopeBounds::default())));
     let plan = plan(cfg);
     let run = drive("fingerprint", deployment, &plan, &mut arrivals(cfg), Some(&mut record));
     // The profiler section is host wall-clock phase timing — the same

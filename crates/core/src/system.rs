@@ -27,7 +27,7 @@ use presto_reliability::{
 };
 use presto_sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto_sim::{EnergyCategory, EnergyLedger, FaultPlan, SimDuration, SimRng, SimTime};
-use presto_telemetry::{EpochProfiler, PrestoScope, ScopeConfig, Snapshot};
+use presto_telemetry::{EpochProfiler, PrestoScope, ScopeConfig, Sink, Snapshot};
 use presto_workloads::{LabDeployment, LabParams};
 
 /// Event type code used for rare-event reports.
@@ -439,6 +439,8 @@ impl PrestoSystem {
 
         // 2. Sampling. Crashed sensors sample nothing (their archives
         // gap too); everything an alive sensor emits enters the fabric.
+        // The sensors stepped are the core pass's profiler work items.
+        let mut stepped = 0u64;
         for p in 0..self.config.proxies {
             let readings = self.labs[p].step();
             for (s, r) in readings.iter().enumerate() {
@@ -448,6 +450,7 @@ impl PrestoSystem {
                     self.event_was_active[gid] = r.event_active;
                     continue;
                 }
+                stepped += 1;
                 // Sensors timestamp with their drifting local clocks.
                 let local_t = self.clocks[gid].local_time(r.timestamp);
                 let msgs = {
@@ -596,6 +599,7 @@ impl PrestoSystem {
             }
         }
         self.profiler.end("step_epoch_core", timer);
+        self.profiler.count("step_epoch_core", stepped);
         self.profiler.epoch();
         t
     }
@@ -851,20 +855,19 @@ impl PrestoSystem {
         &mut self.scope
     }
 
-    /// One scope tick at epoch time `t`: builds the telemetry snapshot
-    /// and feeds it to the sampler and watchdogs with the fault plan as
-    /// blame context. No-op (no snapshot built) when the scope is
-    /// disabled. Deployment-tier drivers that pump the pipelines
-    /// themselves call this after their own pump instead.
+    /// One scope tick at epoch time `t`: observes this system into the
+    /// scope's resolved slots and feeds them to the sampler and
+    /// watchdogs with the fault plan as blame context. Builds no tree
+    /// and allocates nothing unless an incident opens or extends; no-op
+    /// when the scope is disabled. Deployment-tier drivers that pump the
+    /// pipelines themselves tick their own observe pass instead.
     pub fn scope_tick(&mut self, t: SimTime) {
         if !self.scope.enabled() {
             return;
         }
-        // Observe only the subtrees the scope's paths reach: a tick
-        // costs a partial tree build plus a few walks, not the full
-        // every-component snapshot.
-        let snap = self.snapshot_filtered(&|root| self.scope.needs_root(root));
-        self.scope.sample(t, &snap, &self.config.faults);
+        let mut readings = self.scope.begin_tick();
+        self.observe_into(&mut self.scope.sink(&mut readings));
+        self.scope.end_tick(t, readings, &self.config.faults);
     }
 
     /// One unified metrics snapshot across every tier this system
@@ -873,35 +876,27 @@ impl PrestoSystem {
     /// multi-proxy fleet report needs, with `max`-annotated fields
     /// (peak in-flight) taking the maximum instead.
     pub fn telemetry_snapshot(&self) -> Snapshot {
-        self.snapshot_filtered(&|_| true)
+        let mut snap = Snapshot::new();
+        self.observe_into(&mut snap.sink());
+        snap
     }
 
-    /// Builds the snapshot tree, observing only top-level sections
-    /// `want` accepts. `telemetry_snapshot` passes the accept-all
-    /// filter; `scope_tick` (and the fleet deployment's own tick)
-    /// passes the scope's followed roots so the per-epoch sample skips
-    /// every subtree it would never read.
-    pub fn snapshot_filtered(&self, want: &dyn Fn(&str) -> bool) -> Snapshot {
-        let mut snap = Snapshot::new();
-        let root = &mut snap.root;
+    /// Observes every tier this system holds into `s`: the one pass
+    /// behind both [`PrestoSystem::telemetry_snapshot`] and
+    /// [`PrestoSystem::scope_tick`], so a scope can follow exactly the
+    /// paths the export carries. Sections the sink does not want are
+    /// skipped before their stats are gathered.
+    pub fn observe_into(&self, s: &mut Sink<'_>) {
         for p in &self.proxies {
-            if want("proxy") {
-                root.observe("proxy", &p.stats());
-            }
-            if want("pipeline") {
-                root.observe("pipeline", &p.pipeline().stats());
-            }
-            if want("slice") {
-                root.observe("slice", &p.pipeline().slice_cache().stats());
-            }
-            if want("reply_cache") {
-                root.observe("reply_cache", p.pipeline().reply_cache());
-            }
+            s.observe("proxy", &p.stats());
+            s.observe("pipeline", &p.pipeline().stats());
+            s.observe("slice", &p.pipeline().slice_cache().stats());
+            s.observe("reply_cache", p.pipeline().reply_cache());
         }
         // Live trace-retention gauges: drop counts are the honest
         // "recorder overflowed" signal the scope's leak probes read.
-        if want("trace") {
-            let tr = root.child("trace");
+        if s.wants("trace") {
+            let mut tr = s.child("trace");
             for p in &self.proxies {
                 let tracer = p.pipeline().tracer();
                 tr.counter("finished_dropped", tracer.finished_dropped());
@@ -910,38 +905,21 @@ impl PrestoSystem {
                 tr.counter("open", tracer.open_count() as u64);
             }
         }
-        if want("downlink") {
-            root.observe("downlink", &self.downlink_stats());
+        if s.wants("downlink") {
+            s.observe("downlink", &self.downlink_stats());
         }
-        if want("fabric") {
-            root.observe("fabric", &self.fabric.stats());
-        }
-        if want("liveness") {
-            root.observe("liveness", &self.liveness.stats());
-        }
-        if want("recovery") {
-            root.observe("recovery", &self.gaps.stats());
-        }
-        if want("sensor") || want("flash") || want("archive") {
+        s.observe("fabric", &self.fabric.stats());
+        s.observe("liveness", &self.liveness.stats());
+        s.observe("recovery", &self.gaps.stats());
+        if s.wants("sensor") || s.wants("flash") || s.wants("archive") {
             for n in self.nodes.iter().flatten() {
-                if want("sensor") {
-                    root.observe("sensor", &n.stats());
-                }
-                if want("flash") {
-                    root.observe("flash", &n.archive().flash_stats());
-                }
-                if want("archive") {
-                    root.observe("archive", &n.archive().stats());
-                }
+                s.observe("sensor", &n.stats());
+                s.observe("flash", &n.archive().flash_stats());
+                s.observe("archive", &n.archive().stats());
             }
         }
-        if want("profiler") {
-            root.observe("profiler", &self.profiler);
-        }
-        if want("scope") {
-            root.observe("scope", &self.scope);
-        }
-        snap
+        s.observe("profiler", &self.profiler);
+        s.observe("scope", &self.scope);
     }
 
     /// The injected fault plan.

@@ -19,7 +19,7 @@ use presto_proxy::{PipelineQuery, PumpSensor};
 use presto_reliability::{DownlinkChannel, Health};
 use presto_sensor::SensorNode;
 use presto_sim::{FaultPlan, FleetArrival, QueryKind, SimDuration, SimTime};
-use presto_telemetry::Snapshot;
+use presto_telemetry::{Observe, Sink, Snapshot};
 
 use crate::interlink::{FleetMsg, InterLinkConfig, InterLinkMesh};
 use crate::membership::{FleetMembership, FleetMembershipConfig};
@@ -382,7 +382,9 @@ impl FleetDeployment {
         // 3. Mesh delivery: heartbeats renew leases immediately;
         // forwards and completions wait until fencing is settled below.
         let mut deferred = Vec::new();
-        for (dst, src, msg) in self.mesh.step(t) {
+        let delivered = self.mesh.step(t);
+        let mesh_items = delivered.len() as u64;
+        for (dst, src, msg) in delivered {
             match msg {
                 FleetMsg::Heartbeat { sent_at } => {
                     self.membership.heard(dst, src, sent_at);
@@ -391,6 +393,7 @@ impl FleetDeployment {
             }
         }
         self.system.profiler_mut().end("fleet_mesh", mesh_timer);
+        self.system.profiler_mut().count("fleet_mesh", mesh_items);
 
         let membership_timer = self.system.profiler().begin();
         // 4. Quorum membership: declarations trigger failover, and the
@@ -409,8 +412,10 @@ impl FleetDeployment {
             self.fenced[p] = now_fenced;
         }
         self.system.profiler_mut().end("fleet_membership", membership_timer);
+        self.system.profiler_mut().count("fleet_membership", proxies as u64);
 
         let deliver_timer = self.system.profiler().begin();
+        let mut deliver_items = deferred.len() as u64;
         // 5. Deferred mesh traffic: adopt forwards, consume answers.
         for (dst, msg) in deferred {
             match msg {
@@ -451,8 +456,10 @@ impl FleetDeployment {
         for ((fp, gid), chan) in self.foreign.iter_mut() {
             chan.set_link_up(up[*fp] && !faults.is_unreachable(*gid as usize, t));
             chan.tick(t);
+            deliver_items += 1;
         }
         self.system.profiler_mut().end("fleet_deliver", deliver_timer);
+        self.system.profiler_mut().count("fleet_deliver", deliver_items);
 
         // 7. Fleet pump: each live, unfenced proxy serves its current
         // view; fenced proxies pump empty (honest expiry still runs,
@@ -466,6 +473,7 @@ impl FleetDeployment {
         // 8. Collect pipeline completions; answers produced away from
         // their entry proxy ride the mesh home.
         let collect_timer = self.system.profiler().begin();
+        let mut collected = 0u64;
         for p in 0..proxies {
             if !up[p] {
                 continue;
@@ -484,6 +492,7 @@ impl FleetDeployment {
                 }
             }
             for c in self.system.proxies[p].take_completed_queries() {
+                collected += 1;
                 if let Some((ticket, entry)) = self.router.on_pipeline_completion(t, p, &c) {
                     if up[entry] && entry != p {
                         self.mesh.send(p, entry, FleetMsg::Completion {
@@ -507,16 +516,19 @@ impl FleetDeployment {
         let pressures: Vec<ProxyPressure> = (0..proxies).map(|p| self.pressure(p)).collect();
         self.router.observe_pressures(t, &pressures);
         self.system.profiler_mut().end("fleet_collect", collect_timer);
+        self.system.profiler_mut().count("fleet_collect", collected);
 
-        // 11. presto-scope tick over the *fleet* snapshot (router,
+        // 11. presto-scope tick over the *fleet* observe pass (router,
         // membership, mesh, and live fleet gauges included), so the
         // sampled series and watchdog rules see the deployment tier,
         // not just the underlying system.
         if self.system.scope().enabled() {
             let scope_timer = self.system.profiler().begin();
-            let snap = self.snapshot_filtered(&|root| self.system.scope().needs_root(root));
-            self.system.scope_mut().sample(t, &snap, &faults);
+            let mut readings = self.system.scope_mut().begin_tick();
+            self.observe_into(&mut self.system.scope().sink(&mut readings));
+            let read = self.system.scope_mut().end_tick(t, readings, &faults);
             self.system.profiler_mut().end("fleet_scope", scope_timer);
+            self.system.profiler_mut().count("fleet_scope", read as u64);
         }
     }
 
@@ -527,30 +539,27 @@ impl FleetDeployment {
     /// gauges (leak probes, pressure, fencing) the scope watchdogs
     /// read.
     pub fn telemetry_snapshot(&self) -> Snapshot {
-        self.snapshot_filtered(&|_| true)
+        let mut snap = Snapshot::new();
+        self.observe_into(&mut snap.sink());
+        snap
     }
 
-    /// [`FleetDeployment::telemetry_snapshot`] gated per top-level
-    /// section, mirroring `PrestoSystem::snapshot_filtered`: the
-    /// per-epoch scope tick only pays for the subtrees it reads.
-    fn snapshot_filtered(&self, want: &dyn Fn(&str) -> bool) -> Snapshot {
-        let mut snap = self.system.snapshot_filtered(want);
-        let root = &mut snap.root;
-        if want("fleet_router") {
-            root.observe("fleet_router", &self.router.stats());
-            let fr = root.child("fleet_router");
+    /// Observes the system and the fleet tier into `s`: the one pass
+    /// behind both [`FleetDeployment::telemetry_snapshot`] and the
+    /// per-epoch scope tick.
+    pub fn observe_into(&self, s: &mut Sink<'_>) {
+        self.system.observe_into(s);
+        if s.wants("fleet_router") {
+            let mut fr = s.child("fleet_router");
+            self.router.stats().observe(&mut fr);
             fr.histogram("latency_us", self.router.latency_hist());
             fr.histogram("answer_age_us", self.router.answer_age_hist());
         }
-        if want("membership") {
-            root.observe("membership", &self.membership.stats());
-        }
-        if want("interlink") {
-            root.observe("interlink", &self.mesh.stats());
-        }
-        if want("fleet") {
+        s.observe("membership", &self.membership.stats());
+        s.observe("interlink", &self.mesh.stats());
+        if s.wants("fleet") {
             let leaks = self.leaks();
-            let fl = root.child("fleet");
+            let mut fl = s.child("fleet");
             fl.gauge("leak_router_open", leaks.router_open as f64);
             fl.gauge("leak_pipeline_pending", leaks.pipeline_pending as f64);
             fl.gauge("leak_rpcs_in_flight", leaks.rpcs_in_flight as f64);
@@ -575,7 +584,6 @@ impl FleetDeployment {
                     .count() as f64,
             );
         }
-        snap
     }
 
     /// Opens (once) the cross-proxy downlink channel `driver` uses to

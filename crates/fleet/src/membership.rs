@@ -164,17 +164,15 @@ impl FleetMembership {
         if self.declared_dead[proxy] {
             return Health::Dead;
         }
-        let peers: Vec<usize> = (0..self.proxies)
-            .filter(|&p| p != proxy && !self.declared_dead[p])
-            .collect();
-        if peers.is_empty() {
+        let (mut peers, mut live) = (0usize, 0usize);
+        for p in (0..self.proxies).filter(|&p| p != proxy && !self.declared_dead[p]) {
+            peers += 1;
+            live += usize::from(self.views[p].health(proxy) == Health::Live);
+        }
+        if peers == 0 {
             return Health::Live;
         }
-        let live = peers
-            .iter()
-            .filter(|&&p| self.views[p].health(proxy) == Health::Live)
-            .count();
-        if 2 * live > peers.len() {
+        if 2 * live > peers {
             Health::Live
         } else {
             Health::Suspect

@@ -70,7 +70,7 @@ pub struct RecoveryStats {
 }
 
 impl presto_telemetry::Observe for RecoveryStats {
-    fn observe(&self, s: &mut presto_telemetry::Section) {
+    fn observe(&self, s: &mut presto_telemetry::Sink<'_>) {
         s.counter("gaps_detected", self.gaps_detected);
         s.counter("duplicates", self.duplicates);
         s.counter("recoveries", self.recoveries);

@@ -8,8 +8,9 @@
 //!
 //! * [`metrics`] — counters, gauges, and mergeable log-linear-bucket
 //!   histograms (p50/p90/p99/max) assembled into a [`Snapshot`] tree.
-//!   Every existing `*Stats` struct reports into the tree through the
-//!   [`Observe`] trait instead of thirteen ad-hoc accessors.
+//!   Every existing `*Stats` struct reports through the [`Observe`]
+//!   trait instead of thirteen ad-hoc accessors, into a [`Sink`] that
+//!   writes either the export tree or a presto-scope's resolved slots.
 //! * [`trace`] — per-query trace spans: a lightweight event log keyed
 //!   by query ticket (submit → cache hit/miss → coalesce → per-RPC
 //!   attempt/retransmit/defer → shed/forward/re-home → completion
@@ -31,11 +32,11 @@ pub mod profiler;
 pub mod scope;
 pub mod trace;
 
-pub use metrics::{LogHistogram, Observe, Section, Snapshot};
+pub use metrics::{LogHistogram, Observe, Section, Sink, Snapshot};
 pub use profiler::{EpochProfiler, PhaseStat, PhaseToken};
 pub use scope::{
-    Incident, PrestoScope, RingSeries, RuleCheck, ScopeConfig, SeriesBin, SeriesKind, SeriesSpec,
-    TimeSeriesSampler, WatchdogEngine, WatchdogRule,
+    Incident, PrestoScope, Readings, RingSeries, RuleCheck, ScopeConfig, SeriesBin, SeriesKind,
+    SeriesSpec, WatchdogEngine, WatchdogRule,
 };
 pub use trace::{
     CompletionCause, FlightRecorder, QueryTrace, QueryTracer, SpanEvent, TraceEvent,

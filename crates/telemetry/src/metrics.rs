@@ -193,6 +193,22 @@ impl LogHistogram {
     }
 }
 
+/// The fields a histogram exposes as `<name>.<field>` keys.
+const HISTOGRAM_FIELDS: [&str; 6] = ["count", "p50", "p90", "p99", "max", "mean"];
+
+/// One derived histogram field (see [`HISTOGRAM_FIELDS`]).
+fn histogram_field(h: &LogHistogram, field: &str) -> Option<f64> {
+    Some(match field {
+        "count" => h.count() as f64,
+        "p50" => h.quantile(0.50) as f64,
+        "p90" => h.quantile(0.90) as f64,
+        "p99" => h.quantile(0.99) as f64,
+        "max" => h.max() as f64,
+        "mean" => h.mean(),
+        _ => return None,
+    })
+}
+
 /// A component's slot in the [`Snapshot`] tree: named counters, gauges,
 /// histograms, and child sections.
 ///
@@ -200,6 +216,8 @@ impl LogHistogram {
 /// section sums them, which is exactly the multi-proxy aggregation the
 /// bench code wants. Peak-style fields (a per-proxy high-water mark)
 /// use [`Section::counter_max`] instead. Gauges are last-write-wins.
+/// Writers look a key up before inserting it, so only a key's first
+/// write allocates.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Section {
     counters: BTreeMap<String, u64>,
@@ -211,36 +229,52 @@ pub struct Section {
 impl Section {
     /// Adds `v` to the named counter (creating it at zero).
     pub fn counter(&mut self, name: &str, v: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += v;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += v,
+            None => {
+                self.counters.insert(name.to_string(), v);
+            }
+        }
     }
 
     /// Folds `v` into the named counter with `max` (peak aggregation).
     pub fn counter_max(&mut self, name: &str, v: u64) {
-        let e = self.counters.entry(name.to_string()).or_insert(0);
-        *e = (*e).max(v);
+        match self.counters.get_mut(name) {
+            Some(c) => *c = (*c).max(v),
+            None => {
+                self.counters.insert(name.to_string(), v);
+            }
+        }
     }
 
     /// Sets the named gauge (last write wins).
     pub fn gauge(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
+        match self.gauges.get_mut(name) {
+            Some(g) => *g = v,
+            None => {
+                self.gauges.insert(name.to_string(), v);
+            }
+        }
     }
 
     /// Merges `h` into the named histogram.
     pub fn histogram(&mut self, name: &str, h: &LogHistogram) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .merge(h);
+        match self.histograms.get_mut(name) {
+            Some(mine) => mine.merge(h),
+            None => {
+                self.histograms.insert(name.to_string(), h.clone());
+            }
+        }
     }
 
     /// The named child section, created empty on first use.
     pub fn child(&mut self, name: &str) -> &mut Section {
-        self.children.entry(name.to_string()).or_default()
-    }
-
-    /// Observes a component into the named child section.
-    pub fn observe(&mut self, name: &str, component: &impl Observe) {
-        component.observe(self.child(name));
+        if !self.children.contains_key(name) {
+            self.children.insert(name.to_string(), Section::default());
+        }
+        self.children
+            .get_mut(name)
+            .expect("child section exists: inserted above when absent")
     }
 
     /// Reads a counter back.
@@ -261,18 +295,7 @@ impl Section {
     /// Merges another section tree in: counters add, gauges last-write,
     /// histograms merge, children recurse.
     pub fn merge(&mut self, other: &Section) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-        for (k, c) in &other.children {
-            self.children.entry(k.clone()).or_default().merge(c);
-        }
+        other.observe(&mut Sink::tree(self));
     }
 
     /// Resolves one dotted path against this subtree without
@@ -291,16 +314,7 @@ impl Section {
         if let Some(v) = self.children.get(head).and_then(|c| c.get_path(rest)) {
             return Some(v);
         }
-        let h = self.histograms.get(head)?;
-        Some(match rest {
-            "count" => h.count() as f64,
-            "p50" => h.quantile(0.50) as f64,
-            "p90" => h.quantile(0.90) as f64,
-            "p99" => h.quantile(0.99) as f64,
-            "max" => h.max() as f64,
-            "mean" => h.mean(),
-            _ => return None,
-        })
+        histogram_field(self.histograms.get(head)?, rest)
     }
 
     fn flatten_into(&self, prefix: &str, out: &mut Vec<(String, f64)>) {
@@ -318,15 +332,33 @@ impl Section {
             out.push((key(k), *v));
         }
         for (k, h) in &self.histograms {
-            out.push((key(&format!("{k}.count")), h.count() as f64));
-            out.push((key(&format!("{k}.p50")), h.quantile(0.50) as f64));
-            out.push((key(&format!("{k}.p90")), h.quantile(0.90) as f64));
-            out.push((key(&format!("{k}.p99")), h.quantile(0.99) as f64));
-            out.push((key(&format!("{k}.max")), h.max() as f64));
-            out.push((key(&format!("{k}.mean")), h.mean()));
+            for field in HISTOGRAM_FIELDS {
+                if let Some(v) = histogram_field(h, field) {
+                    out.push((key(&format!("{k}.{field}")), v));
+                }
+            }
         }
         for (k, c) in &self.children {
             c.flatten_into(&key(k), out);
+        }
+    }
+}
+
+/// Replays the tree into a sink, so a hand-built tree (or one section
+/// merged into another) goes through the same writers as a component.
+impl Observe for Section {
+    fn observe(&self, s: &mut Sink<'_>) {
+        for (k, v) in &self.counters {
+            s.counter(k, *v);
+        }
+        for (k, v) in &self.gauges {
+            s.gauge(k, *v);
+        }
+        for (k, h) in &self.histograms {
+            s.histogram(k, h);
+        }
+        for (k, c) in &self.children {
+            s.observe(k, c);
         }
     }
 }
@@ -345,6 +377,12 @@ impl Snapshot {
         Self::default()
     }
 
+    /// A sink writing into this snapshot's tree, for
+    /// `telemetry_snapshot()` builders.
+    pub fn sink(&mut self) -> Sink<'_> {
+        Sink::tree(&mut self.root)
+    }
+
     /// Flattens the tree to sorted dotted-path `(key, value)` pairs;
     /// histograms expand to `.count/.p50/.p90/.p99/.max/.mean`.
     pub fn flatten(&self) -> Vec<(String, f64)> {
@@ -354,9 +392,10 @@ impl Snapshot {
         out
     }
 
-    /// Looks up one flattened key by walking the tree directly — no
-    /// allocation, so per-epoch consumers (the presto-scope sampler)
-    /// can read a handful of paths without paying for a full flatten.
+    /// Looks up one flattened key by walking the tree directly, without
+    /// flattening or allocating. End-of-run readers (bench drivers,
+    /// reports) use it; the per-epoch scope tick never builds a tree and
+    /// reads its resolved slots instead (see [`crate::scope`]).
     pub fn get(&self, path: &str) -> Option<f64> {
         self.root.get_path(path)
     }
@@ -380,12 +419,254 @@ impl Snapshot {
     }
 }
 
-/// Implemented by every component that reports into the snapshot tree.
-/// One method replaces thirteen per-struct accessors: the deployment
-/// walks its components and each writes its counters into its section.
+impl Observe for Snapshot {
+    fn observe(&self, s: &mut Sink<'_>) {
+        self.root.observe(s);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Followed paths and the observe sink
+// ---------------------------------------------------------------------------
+
+/// Dotted paths resolved once to slot indices, held as a trie over path
+/// segments so an observe pass can follow the writers' `child` calls
+/// down to the slots without building keys.
+#[derive(Clone, Debug)]
+pub(crate) struct PathIndex {
+    /// `nodes[0]` is the root.
+    nodes: Vec<PathNode>,
+    /// Slot → its dotted path.
+    paths: Vec<String>,
+}
+
+#[derive(Clone, Debug, Default)]
+struct PathNode {
+    /// Child sections with a followed path below them.
+    children: Vec<(Box<str>, usize)>,
+    /// Followed names directly under this node, with their slots.
+    leaves: Vec<(Box<str>, usize)>,
+}
+
+impl Default for PathIndex {
+    fn default() -> Self {
+        PathIndex {
+            nodes: vec![PathNode::default()],
+            paths: Vec::new(),
+        }
+    }
+}
+
+impl PathIndex {
+    /// The slot for `path`, adding it on first sight.
+    pub(crate) fn resolve(&mut self, path: &str) -> usize {
+        if let Some(slot) = self.slot(path) {
+            return slot;
+        }
+        let slot = self.paths.len();
+        self.paths.push(path.to_string());
+        let mut segs = path.split('.');
+        let leaf = segs.next_back().unwrap_or_default();
+        let mut node = 0;
+        for seg in segs {
+            node = match self.child(node, seg) {
+                Some(c) => c,
+                None => {
+                    let c = self.nodes.len();
+                    self.nodes.push(PathNode::default());
+                    self.nodes[node].children.push((seg.into(), c));
+                    c
+                }
+            };
+        }
+        self.nodes[node].leaves.push((leaf.into(), slot));
+        slot
+    }
+
+    /// The slot of an already resolved path.
+    pub(crate) fn slot(&self, path: &str) -> Option<usize> {
+        self.paths.iter().position(|p| p == path)
+    }
+
+    /// Resolved slots.
+    pub(crate) fn len(&self) -> usize {
+        self.paths.len()
+    }
+
+    fn child(&self, node: usize, name: &str) -> Option<usize> {
+        let children = &self.nodes[node].children;
+        children.iter().find(|(n, _)| **n == *name).map(|&(_, c)| c)
+    }
+
+    fn leaf(&self, node: usize, name: &str) -> Option<usize> {
+        let leaves = &self.nodes[node].leaves;
+        leaves.iter().find(|(n, _)| **n == *name).map(|&(_, s)| s)
+    }
+}
+
+/// Where an [`Observe`] pass writes: the export tree, or a scope's slot
+/// table.
+///
+/// Both targets see the same calls, so what a scope tick can read is
+/// exactly what `telemetry_snapshot()` exports. Into the tree, writes
+/// behave as the [`Section`] writers. Into slots, the sink is a cursor
+/// at one node of the scope's trie of followed paths: `child` moves to
+/// the named node, or to an inert cursor when no followed path lies
+/// below it; a write to a followed name updates its slot with the
+/// tree's merge rule (counters add, `counter_max` takes the max, gauges
+/// overwrite); any other write is a few `&str` compares and returns.
+/// Nothing in the slot path allocates.
+pub struct Sink<'a> {
+    target: Target<'a>,
+}
+
+enum Target<'a> {
+    Tree(&'a mut Section),
+    Slots {
+        index: &'a PathIndex,
+        node: usize,
+        readings: &'a mut [Option<f64>],
+    },
+    Inert,
+}
+
+impl<'a> Sink<'a> {
+    /// A sink writing into `section`.
+    pub fn tree(section: &'a mut Section) -> Self {
+        Sink {
+            target: Target::Tree(section),
+        }
+    }
+
+    /// A sink writing the paths `index` follows into `readings`, which
+    /// holds one entry per slot.
+    pub(crate) fn slots(index: &'a PathIndex, readings: &'a mut [Option<f64>]) -> Self {
+        debug_assert_eq!(index.len(), readings.len());
+        Sink {
+            target: Target::Slots {
+                index,
+                node: 0,
+                readings,
+            },
+        }
+    }
+
+    /// Whether anything written under child `name` is kept: always for
+    /// the tree, and for slots only when a followed path lies below it.
+    /// Writers check it before computing a section nobody reads.
+    pub fn wants(&self, name: &str) -> bool {
+        match &self.target {
+            Target::Tree(_) => true,
+            Target::Slots { index, node, .. } => index.child(*node, name).is_some(),
+            Target::Inert => false,
+        }
+    }
+
+    /// The sink for child section `name`.
+    pub fn child(&mut self, name: &str) -> Sink<'_> {
+        let target = match &mut self.target {
+            Target::Tree(s) => Target::Tree(s.child(name)),
+            Target::Slots {
+                index,
+                node,
+                readings,
+            } => match index.child(*node, name) {
+                Some(node) => Target::Slots {
+                    index,
+                    node,
+                    readings,
+                },
+                None => Target::Inert,
+            },
+            Target::Inert => Target::Inert,
+        };
+        Sink { target }
+    }
+
+    /// Observes `component` into child section `name`; skipped outright
+    /// when nothing below `name` is followed.
+    pub fn observe(&mut self, name: &str, component: &impl Observe) {
+        let mut child = self.child(name);
+        if !matches!(child.target, Target::Inert) {
+            component.observe(&mut child);
+        }
+    }
+
+    /// The slot reading for followed name `name` at this node.
+    fn reading(&mut self, name: &str) -> Option<&mut Option<f64>> {
+        match &mut self.target {
+            Target::Slots {
+                index,
+                node,
+                readings,
+            } => index.leaf(*node, name).map(|slot| &mut readings[slot]),
+            _ => None,
+        }
+    }
+
+    /// Adds `v` to the named counter.
+    pub fn counter(&mut self, name: &str, v: u64) {
+        if let Target::Tree(s) = &mut self.target {
+            s.counter(name, v);
+        } else if let Some(r) = self.reading(name) {
+            *r = Some(r.unwrap_or(0.0) + v as f64);
+        }
+    }
+
+    /// Folds `v` into the named counter with `max`.
+    pub fn counter_max(&mut self, name: &str, v: u64) {
+        if let Target::Tree(s) = &mut self.target {
+            s.counter_max(name, v);
+        } else if let Some(r) = self.reading(name) {
+            *r = Some(r.unwrap_or(0.0).max(v as f64));
+        }
+    }
+
+    /// Sets the named gauge (last write wins).
+    pub fn gauge(&mut self, name: &str, v: f64) {
+        if let Target::Tree(s) = &mut self.target {
+            s.gauge(name, v);
+        } else if let Some(r) = self.reading(name) {
+            *r = Some(v);
+        }
+    }
+
+    /// Merges `h` into the named histogram. A slot sink reads the
+    /// followed `<name>.<field>` values straight off `h`: a tick merges
+    /// nothing, so each histogram must be emitted once per pass (the
+    /// fleet router's are).
+    pub fn histogram(&mut self, name: &str, h: &LogHistogram) {
+        match &mut self.target {
+            Target::Tree(s) => s.histogram(name, h),
+            Target::Slots {
+                index,
+                node,
+                readings,
+            } => {
+                let Some(fields) = index.child(*node, name) else {
+                    return;
+                };
+                for (field, slot) in &index.nodes[fields].leaves {
+                    if let Some(v) = histogram_field(h, field) {
+                        debug_assert!(
+                            readings[*slot].is_none(),
+                            "histogram `{name}` observed twice in one pass"
+                        );
+                        readings[*slot] = Some(v);
+                    }
+                }
+            }
+            Target::Inert => {}
+        }
+    }
+}
+
+/// Implemented by every component that reports telemetry. One method
+/// feeds both readers: `telemetry_snapshot()` observes into a tree
+/// [`Sink`], and a presto-scope tick observes into a slot [`Sink`].
 pub trait Observe {
     /// Writes this component's metrics into `s`.
-    fn observe(&self, s: &mut Section);
+    fn observe(&self, s: &mut Sink<'_>);
 }
 
 /// Implements [`Observe`] for a plain counter struct by listing its
@@ -405,7 +686,7 @@ macro_rules! observe_counters {
     ($ty:ty { $($f:ident),* $(,)? } max { $($m:ident),* $(,)? }) => {
         impl $crate::Observe for $ty {
             #[allow(clippy::unnecessary_cast)]
-            fn observe(&self, s: &mut $crate::Section) {
+            fn observe(&self, s: &mut $crate::Sink<'_>) {
                 $( s.counter(stringify!($f), self.$f as u64); )*
                 $( s.counter_max(stringify!($m), self.$m as u64); )*
             }
@@ -512,8 +793,8 @@ mod tests {
         let mut snap = Snapshot::new();
         let a = DemoStats { hits: 3, peak: 9 };
         let b = DemoStats { hits: 4, peak: 5 };
-        snap.root.observe("demo", &a);
-        snap.root.observe("demo", &b);
+        snap.sink().observe("demo", &a);
+        snap.sink().observe("demo", &b);
         assert_eq!(snap.get("demo.hits"), Some(7.0));
         assert_eq!(snap.get("demo.peak"), Some(9.0));
         let mut h = LogHistogram::new();
@@ -521,6 +802,55 @@ mod tests {
         snap.root.child("lat").histogram("latency_us", &h);
         assert_eq!(snap.get("lat.latency_us.count"), Some(1.0));
         assert!(snap.render().contains("demo.hits = 7"));
+    }
+
+    /// The same writes, into the tree and into slots: every followed
+    /// path reads what `Snapshot::get` returns, bit for bit, and an
+    /// unfollowed path stays absent.
+    #[test]
+    fn slot_sink_follows_the_tree_merge_rules() {
+        let mut h = LogHistogram::new();
+        for v in [3, 40, 500, 6_000] {
+            h.record(v);
+        }
+        let emit = |s: &mut Sink<'_>| {
+            s.observe("demo", &DemoStats { hits: 3, peak: 9 });
+            s.observe("demo", &DemoStats { hits: 4, peak: 5 });
+            s.child("demo").gauge("g", 1.5);
+            s.child("demo").gauge("g", 2.5);
+            s.child("lat").histogram("latency_us", &h);
+            s.child("other").counter("hits", 100);
+        };
+        let paths = [
+            "demo.hits",
+            "demo.peak",
+            "demo.g",
+            "lat.latency_us.p99",
+            "lat.latency_us.count",
+            "lat.latency_us.mean",
+            "demo.absent",
+            "absent.x",
+        ];
+        let mut index = PathIndex::default();
+        let slots: Vec<usize> = paths.iter().map(|p| index.resolve(p)).collect();
+        assert_eq!(index.resolve("demo.g"), slots[2], "a path resolves once");
+        let mut readings = vec![None; index.len()];
+        let mut sink = Sink::slots(&index, &mut readings);
+        assert!(sink.wants("demo") && sink.wants("lat"));
+        assert!(!sink.wants("other"), "nothing followed below `other`");
+        emit(&mut sink);
+        let mut snap = Snapshot::new();
+        emit(&mut snap.sink());
+        for (path, slot) in paths.iter().zip(&slots) {
+            assert_eq!(
+                readings[*slot].map(f64::to_bits),
+                snap.get(path).map(f64::to_bits),
+                "{path}"
+            );
+        }
+        assert_eq!(readings[slots[0]], Some(7.0), "counters add");
+        assert_eq!(readings[slots[1]], Some(9.0), "peaks take the max");
+        assert_eq!(readings[slots[2]], Some(2.5), "gauges: last write wins");
     }
 
     #[test]

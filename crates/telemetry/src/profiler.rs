@@ -12,14 +12,16 @@
 use std::time::{Duration, Instant};
 
 use crate::alloc::allocation_count;
-use crate::metrics::{Observe, Section};
+use crate::metrics::{Observe, Sink};
 
 /// Accumulated cost of one named phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStat {
     /// Times the phase ran.
     pub calls: u64,
-    /// Total wall-clock microseconds spent in it.
+    /// Total wall-clock microseconds spent in it (the profiler sums
+    /// exact nanoseconds and rounds the total down, so sub-µs calls
+    /// still add up).
     pub micros: u64,
     /// Items processed (attempts, messages — phase-defined).
     pub items: u64,
@@ -43,6 +45,9 @@ pub struct EpochProfiler {
     enabled: bool,
     /// Insertion-ordered so reports read in pipeline order.
     phases: Vec<(&'static str, PhaseStat)>,
+    /// Exact wall-clock nanoseconds per phase, parallel to `phases`;
+    /// each phase's `micros` is derived from it.
+    nanos: Vec<u64>,
     epochs: u64,
 }
 
@@ -52,6 +57,7 @@ impl EpochProfiler {
         EpochProfiler {
             enabled,
             phases: Vec::new(),
+            nanos: Vec::new(),
             epochs: 0,
         }
     }
@@ -79,16 +85,20 @@ impl EpochProfiler {
         let Some(token) = token else { return };
         let elapsed = token.started.elapsed();
         let allocs = allocation_count().saturating_sub(token.allocs_at_start);
-        let stat = self.entry(name);
+        let i = self.entry(name);
+        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.nanos[i] = self.nanos[i].saturating_add(nanos);
+        let stat = &mut self.phases[i].1;
         stat.calls += 1;
-        stat.micros += elapsed.as_micros() as u64;
+        stat.micros = self.nanos[i] / 1_000;
         stat.allocs += allocs;
     }
 
     /// Adds `n` items to a phase's work count.
     pub fn count(&mut self, name: &'static str, n: u64) {
         if self.enabled && n > 0 {
-            self.entry(name).items += n;
+            let i = self.entry(name);
+            self.phases[i].1.items += n;
         }
     }
 
@@ -116,23 +126,25 @@ impl EpochProfiler {
 
     /// Total wall-clock time across all phases.
     pub fn total(&self) -> Duration {
-        Duration::from_micros(self.phases.iter().map(|(_, s)| s.micros).sum())
+        Duration::from_nanos(self.nanos.iter().fold(0, |a, &n| a.saturating_add(n)))
     }
 
-    fn entry(&mut self, name: &'static str) -> &mut PhaseStat {
+    /// The index of `name`'s phase, added on first use.
+    fn entry(&mut self, name: &'static str) -> usize {
         if let Some(i) = self.phases.iter().position(|(n, _)| *n == name) {
-            return &mut self.phases[i].1;
+            return i;
         }
         self.phases.push((name, PhaseStat::default()));
-        &mut self.phases.last_mut().expect("just pushed").1
+        self.nanos.push(0);
+        self.phases.len() - 1
     }
 }
 
 impl Observe for EpochProfiler {
-    fn observe(&self, s: &mut Section) {
+    fn observe(&self, s: &mut Sink<'_>) {
         s.counter("epochs", self.epochs);
         for (name, stat) in &self.phases {
-            let c = s.child(name);
+            let mut c = s.child(name);
             c.counter("calls", stat.calls);
             c.counter("micros", stat.micros);
             c.counter("items", stat.items);
@@ -144,6 +156,7 @@ impl Observe for EpochProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Section;
 
     #[test]
     fn disabled_profiler_never_times() {
@@ -176,8 +189,23 @@ mod tests {
         assert_eq!(p.epochs(), 1);
 
         let mut s = Section::default();
-        p.observe(&mut s);
+        p.observe(&mut Sink::tree(&mut s));
         assert_eq!(s.get_counter("epochs"), Some(1));
         assert_eq!(s.get_child("pump").unwrap().get_counter("items"), Some(5));
+    }
+
+    /// Each call used to be truncated to whole microseconds, so a phase
+    /// made of sub-µs calls read 0 however often it ran.
+    #[test]
+    fn sub_microsecond_calls_add_up() {
+        let mut p = EpochProfiler::new(true);
+        for _ in 0..1000 {
+            let t = p.begin();
+            p.end("tiny", t);
+        }
+        let stat = p.phase("tiny").unwrap();
+        assert_eq!(stat.calls, 1000);
+        assert!(stat.micros > 0, "1000 timed calls summed to 0 µs");
+        assert!(p.total() >= Duration::from_micros(stat.micros));
     }
 }

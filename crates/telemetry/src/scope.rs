@@ -3,18 +3,16 @@
 //!
 //! The registry ([`crate::metrics`]) answers "what are the totals";
 //! this module answers "how did we get here, and when did it go
-//! wrong". Two cooperating pieces:
+//! wrong". Two cooperating pieces share one reading per followed path
+//! per epoch:
 //!
-//! * [`TimeSeriesSampler`] — each epoch, a configurable set of
-//!   dotted-path metrics is read out of the flattened [`Snapshot`]
-//!   tree (plus externally [`PrestoScope::feed`]-supplied gauges the
-//!   tree cannot see, like a scenario's stale-confidence probe) into
-//!   bounded per-metric ring buffers. On overflow the ring folds
-//!   adjacent bins 2:1 — deterministically, no sampling, no clocks —
-//!   so `min`, `max`, and `last` over the *entire* stream are
-//!   preserved exactly while memory stays bounded.
+//! * The sampler — a configurable set of dotted-path metrics folds into
+//!   bounded per-metric ring buffers ([`RingSeries`]). On overflow the
+//!   ring folds adjacent bins 2:1 in place — deterministically, no
+//!   sampling, no clocks — so `min`, `max`, and `last` over the
+//!   *entire* stream are preserved exactly while memory stays bounded.
 //! * [`WatchdogEngine`] — declarative SLO rules evaluated online over
-//!   the same per-tick readings: a counter that must stay still
+//!   the same readings: a counter that must stay still
 //!   (stale-confident, fenced-while-serving), a value that must stay
 //!   under a watermark (answer-age p99, pressure, shed episodes), and
 //!   a leak probe (a gauge stuck nonzero with no progress). A
@@ -25,17 +23,27 @@
 //!   to it and an alarm outside every fault window is an unexplained
 //!   regression the bench bins fail on.
 //!
-//! Determinism: sampling reads only the snapshot tree and `SimTime`;
-//! rule evaluation is pure arithmetic over those readings. The scope
-//! section a deployment exports via `telemetry_snapshot` is therefore
-//! byte-identical across same-seed runs (the dynamic determinism
-//! audit covers it).
+//! Readings: [`PrestoScope::new`] resolves every followed path (series
+//! and rules) once to a slot. Each tick the deployment runs the same
+//! [`Observe`] pass its `telemetry_snapshot()` runs, into a slot
+//! [`Sink`] instead of a tree: writes to followed names land in their
+//! slots, everything else returns at once, and sections nobody follows
+//! are skipped via [`Sink::wants`]. Externally [`PrestoScope::feed`]-
+//! supplied readings the tree cannot see (a scenario's stale-confidence
+//! probe) override their slots. A tick builds no tree, formats no key
+//! and allocates nothing unless an incident opens or extends.
+//!
+//! Determinism: sampling reads only the observed components and
+//! `SimTime`; rule evaluation is pure arithmetic over those readings.
+//! The scope section a deployment exports via `telemetry_snapshot` is
+//! therefore byte-identical across same-seed runs (the dynamic
+//! determinism audit covers it).
 
 use std::collections::BTreeMap;
 
 use presto_sim::{ActiveFault, FaultPlan, SimDuration, SimTime};
 
-use crate::metrics::{Observe, Section, Snapshot};
+use crate::metrics::{Observe, PathIndex, Sink};
 
 // ---------------------------------------------------------------------------
 // Watchdog rule names
@@ -268,9 +276,10 @@ impl SeriesBin {
 
 /// A bounded per-metric ring: raw readings accumulate into a current
 /// bin of `stride` samples; full bins append; a full ring folds
-/// adjacent bin pairs 2:1 and doubles the stride. Nothing is ever
-/// discarded — only resolution halves — so min/max/last over the whole
-/// stream are exact at any moment.
+/// adjacent bin pairs 2:1 in place and doubles the stride. Nothing is
+/// ever discarded — only resolution halves — so min/max/last over the
+/// whole stream are exact at any moment. The bins are reserved up
+/// front, so pushing never allocates.
 #[derive(Clone, Debug)]
 pub struct RingSeries {
     cap: usize,
@@ -289,7 +298,7 @@ impl RingSeries {
         RingSeries {
             cap,
             stride: 1,
-            bins: Vec::new(),
+            bins: Vec::with_capacity(cap),
             current: None,
             total_samples: 0,
         }
@@ -316,28 +325,26 @@ impl RingSeries {
         }
     }
 
-    /// Folds adjacent bin pairs 2:1 and doubles the stride.
+    /// Folds adjacent bin pairs 2:1 in place and doubles the stride.
+    /// Only a full ring folds, and `cap` is even, so every bin has a
+    /// partner.
     fn downsample(&mut self) {
-        let mut folded = Vec::with_capacity(self.bins.len() / 2 + 1);
-        let mut it = self.bins.drain(..);
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => folded.push(SeriesBin::merge(a, b)),
-                None => folded.push(a),
-            }
+        debug_assert_eq!(self.bins.len(), self.cap);
+        let half = self.bins.len() / 2;
+        for i in 0..half {
+            self.bins[i] = SeriesBin::merge(self.bins[2 * i], self.bins[2 * i + 1]);
         }
-        drop(it);
-        self.bins = folded;
+        self.bins.truncate(half);
         self.stride *= 2;
     }
 
     /// Closed bins plus the in-progress one, oldest first.
     pub fn bins(&self) -> Vec<SeriesBin> {
-        let mut out = self.bins.clone();
-        if let Some(cur) = self.current {
-            out.push(cur);
-        }
-        out
+        self.all_bins().copied().collect()
+    }
+
+    fn all_bins(&self) -> impl Iterator<Item = &SeriesBin> {
+        self.bins.iter().chain(self.current.as_ref())
     }
 
     /// Raw readings folded in since creation.
@@ -347,22 +354,12 @@ impl RingSeries {
 
     /// Exact minimum over every reading ever pushed.
     pub fn global_min(&self) -> Option<f64> {
-        self.bins()
-            .iter()
-            .map(|b| b.min)
-            .fold(None, |acc: Option<f64>, v| {
-                Some(acc.map_or(v, |a| a.min(v)))
-            })
+        self.all_bins().map(|b| b.min).reduce(f64::min)
     }
 
     /// Exact maximum over every reading ever pushed.
     pub fn global_max(&self) -> Option<f64> {
-        self.bins()
-            .iter()
-            .map(|b| b.max)
-            .fold(None, |acc: Option<f64>, v| {
-                Some(acc.map_or(v, |a| a.max(v)))
-            })
+        self.all_bins().map(|b| b.max).reduce(f64::max)
     }
 
     /// The most recent reading.
@@ -420,7 +417,8 @@ struct RuleState {
 /// Online evaluator of [`WatchdogRule`]s with a bounded incident log.
 #[derive(Clone, Debug)]
 pub struct WatchdogEngine {
-    rules: Vec<(WatchdogRule, RuleState)>,
+    /// Each rule with the slot of its path and its running state.
+    rules: Vec<(WatchdogRule, usize, RuleState)>,
     incidents: Vec<Incident>,
     incident_cap: usize,
     pad: SimDuration,
@@ -430,12 +428,20 @@ pub struct WatchdogEngine {
 }
 
 impl WatchdogEngine {
-    /// Builds the engine over a rule set.
-    pub fn new(rules: Vec<WatchdogRule>, incident_cap: usize, pad: SimDuration) -> Self {
+    /// Builds the engine over rules whose paths resolve through `index`.
+    fn new(
+        rules: Vec<WatchdogRule>,
+        index: &mut PathIndex,
+        incident_cap: usize,
+        pad: SimDuration,
+    ) -> Self {
         WatchdogEngine {
             rules: rules
                 .into_iter()
-                .map(|r| (r, RuleState::default()))
+                .map(|r| {
+                    let slot = index.resolve(&r.path);
+                    (r, slot, RuleState::default())
+                })
                 .collect(),
             incidents: Vec::new(),
             incident_cap,
@@ -445,18 +451,12 @@ impl WatchdogEngine {
         }
     }
 
-    /// Feeds one tick of readings. `values` maps sampled paths to this
-    /// tick's readings; a rule whose path is absent is skipped (its
-    /// state holds).
-    pub fn observe_tick(
-        &mut self,
-        t: SimTime,
-        values: &BTreeMap<String, f64>,
-        faults: &FaultPlan,
-    ) {
+    /// Feeds one tick of readings, by slot. A rule whose reading is
+    /// absent is skipped (its state holds).
+    fn observe_tick(&mut self, t: SimTime, readings: &[Option<f64>], faults: &FaultPlan) {
         let pad = self.pad;
-        for (rule, state) in &mut self.rules {
-            let Some(&value) = values.get(&rule.path) else {
+        for (rule, slot, state) in &mut self.rules {
+            let Some(value) = readings[*slot] else {
                 continue;
             };
             let (violated, observed, bound) = match rule.check {
@@ -542,124 +542,81 @@ impl WatchdogEngine {
 }
 
 // ---------------------------------------------------------------------------
-// Sampler
-// ---------------------------------------------------------------------------
-
-/// The per-epoch sampler: resolves each followed [`SeriesSpec`] against
-/// one tick's readings (Level as-is, Delta against the previous raw
-/// reading) and folds the result into that spec's [`RingSeries`].
-#[derive(Clone, Debug)]
-pub struct TimeSeriesSampler {
-    specs: Vec<SeriesSpec>,
-    series: Vec<(String, RingSeries)>,
-    /// Last raw reading per Delta path.
-    prev_raw: BTreeMap<String, f64>,
-}
-
-impl TimeSeriesSampler {
-    /// Builds a sampler over `specs` with `ring_capacity` bins each.
-    pub fn new(specs: Vec<SeriesSpec>, ring_capacity: usize) -> Self {
-        let series = specs
-            .iter()
-            .map(|s| (s.path.clone(), RingSeries::new(ring_capacity)))
-            .collect();
-        TimeSeriesSampler {
-            specs,
-            series,
-            prev_raw: BTreeMap::new(),
-        }
-    }
-
-    /// Folds one tick of readings in. Paths absent from `values` are
-    /// skipped (their rings and Delta state hold).
-    pub fn ingest(&mut self, t: SimTime, values: &BTreeMap<String, f64>) {
-        let mut tick: BTreeMap<&str, f64> = BTreeMap::new();
-        for spec in &self.specs {
-            let Some(&raw) = values.get(&spec.path) else {
-                continue;
-            };
-            let v = match spec.kind {
-                SeriesKind::Level => raw,
-                SeriesKind::Delta => {
-                    let prev = self.prev_raw.insert(spec.path.clone(), raw).unwrap_or(0.0);
-                    raw - prev
-                }
-            };
-            tick.insert(spec.path.as_str(), v);
-        }
-        for (path, ring) in &mut self.series {
-            if let Some(&v) = tick.get(path.as_str()) {
-                ring.push(t, v);
-            }
-        }
-    }
-
-    /// The followed series, in config order.
-    pub fn series(&self) -> &[(String, RingSeries)] {
-        &self.series
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The scope: sampler + watchdogs
 // ---------------------------------------------------------------------------
 
+/// One followed series' per-tick state.
+#[derive(Clone, Debug)]
+struct Follow {
+    slot: usize,
+    kind: SeriesKind,
+    /// Last raw reading (Delta series).
+    prev_raw: Option<f64>,
+}
+
+/// One tick's readings, by slot, moved out of the scope for the observe
+/// pass ([`PrestoScope::begin_tick`] to [`PrestoScope::end_tick`]) so
+/// the observed deployment — the scope included — stays borrowable.
+#[derive(Debug)]
+pub struct Readings(Vec<Option<f64>>);
+
 /// The per-deployment scope: ring-buffered time series plus the
-/// watchdog engine, fed once per epoch from the snapshot tree.
+/// watchdog engine, fed once per epoch by an observe pass into its
+/// resolved slots.
 #[derive(Clone, Debug)]
 pub struct PrestoScope {
     config: ScopeConfig,
-    sampler: TimeSeriesSampler,
-    /// Externally supplied readings merged over the snapshot at each
-    /// tick (scenario probes the tree cannot see).
-    feeds: BTreeMap<String, f64>,
+    /// Every followed series and rule path, resolved to its slot.
+    index: PathIndex,
+    /// The readings buffer, one entry per slot: cleared (not freed)
+    /// each tick, and lent out while the tick observes.
+    readings: Vec<Option<f64>>,
+    /// Externally supplied readings by slot, applied over each tick's
+    /// observed ones; they persist until overwritten.
+    feeds: Vec<Option<f64>>,
+    /// The followed series, in config order, and their per-tick state.
+    series: Vec<(String, RingSeries)>,
+    follow: Vec<Follow>,
     watchdog: WatchdogEngine,
-    /// Deduplicated union of every series and rule path: the only keys
-    /// `sample` reads out of the snapshot, so a tick costs a few tree
-    /// walks instead of a full flatten.
-    paths: Vec<String>,
     ticks: u64,
 }
 
 impl PrestoScope {
-    /// Builds a scope. Disabled configs build an inert scope whose
-    /// every method returns immediately.
+    /// Builds a scope, resolving every followed path to a slot.
+    /// Disabled configs build an inert scope whose every method returns
+    /// immediately.
     pub fn new(config: ScopeConfig) -> Self {
-        let sampler = TimeSeriesSampler::new(
-            if config.enabled {
-                config.series.clone()
-            } else {
-                Vec::new()
-            },
-            config.ring_capacity,
-        );
+        let mut index = PathIndex::default();
+        let (specs, rules) = if config.enabled {
+            (config.series.clone(), config.rules.clone())
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let follow = specs
+            .iter()
+            .map(|s| Follow {
+                slot: index.resolve(&s.path),
+                kind: s.kind,
+                prev_raw: None,
+            })
+            .collect();
+        let series = specs
+            .into_iter()
+            .map(|s| (s.path, RingSeries::new(config.ring_capacity)))
+            .collect();
         let watchdog = WatchdogEngine::new(
-            if config.enabled {
-                config.rules.clone()
-            } else {
-                Vec::new()
-            },
+            rules,
+            &mut index,
             config.incident_capacity,
             config.attribution_pad,
         );
-        let paths = if config.enabled {
-            let mut seen = std::collections::BTreeSet::new();
-            config
-                .series
-                .iter()
-                .map(|s| s.path.as_str())
-                .chain(config.rules.iter().map(|r| r.path.as_str()))
-                .filter(|p| seen.insert(p.to_string()))
-                .map(str::to_string)
-                .collect()
-        } else {
-            Vec::new()
-        };
         PrestoScope {
-            sampler,
-            feeds: BTreeMap::new(),
+            readings: vec![None; index.len()],
+            feeds: vec![None; index.len()],
+            index,
+            series,
+            follow,
             watchdog,
-            paths,
             ticks: 0,
             config,
         }
@@ -670,49 +627,80 @@ impl PrestoScope {
         self.config.enabled
     }
 
-    /// Whether any followed path lives under the top-level snapshot
-    /// section `root`. Snapshot builders use this to observe only the
-    /// subtrees a tick will actually read.
-    pub fn needs_root(&self, root: &str) -> bool {
-        self.paths
-            .iter()
-            .any(|p| p.split('.').next() == Some(root))
-    }
-
     /// Supplies an external reading for the next tick (overrides a
-    /// same-named snapshot path). Values persist until overwritten.
+    /// same-named observed path). Values persist until overwritten. A
+    /// path no series or rule follows is never read, so feeding it does
+    /// nothing.
     pub fn feed(&mut self, path: &str, value: f64) {
-        if self.config.enabled {
-            self.feeds.insert(path.to_string(), value);
+        if let Some(slot) = self.index.slot(path) {
+            self.feeds[slot] = Some(value);
         }
     }
 
-    /// One epoch tick: read every followed path out of `snap` (plus
-    /// feeds), fold into the rings, and run the watchdogs with `faults`
-    /// as the blame context.
-    pub fn sample(&mut self, t: SimTime, snap: &Snapshot, faults: &FaultPlan) {
+    /// One epoch tick over `source`: observe it into the slots, fold the
+    /// readings into the rings, and run the watchdogs with `faults` as
+    /// the blame context. A deployment that owns this scope cannot lend
+    /// itself here; it runs [`PrestoScope::begin_tick`],
+    /// [`PrestoScope::sink`] and [`PrestoScope::end_tick`] itself.
+    pub fn sample(&mut self, t: SimTime, source: &impl Observe, faults: &FaultPlan) {
         if !self.config.enabled {
             return;
         }
+        let mut readings = self.begin_tick();
+        source.observe(&mut self.sink(&mut readings));
+        self.end_tick(t, readings, faults);
+    }
+
+    /// Starts a tick: lends out the cleared readings buffer.
+    pub fn begin_tick(&mut self) -> Readings {
+        let mut readings = std::mem::take(&mut self.readings);
+        readings.fill(None);
+        Readings(readings)
+    }
+
+    /// The sink an observe pass writes this tick's readings through.
+    pub fn sink<'a>(&'a self, readings: &'a mut Readings) -> Sink<'a> {
+        Sink::slots(&self.index, &mut readings.0)
+    }
+
+    /// Finishes a tick at time `t`: applies the feeds, folds every
+    /// present reading into its series, runs the watchdogs, and takes
+    /// the buffer back. Returns the number of slots read. A slot nobody
+    /// wrote is absent: its series and rules skip the tick and their
+    /// state holds.
+    pub fn end_tick(&mut self, t: SimTime, readings: Readings, faults: &FaultPlan) -> usize {
+        let Readings(mut values) = readings;
+        if !self.config.enabled {
+            self.readings = values;
+            return 0;
+        }
         self.ticks += 1;
-        let mut values: BTreeMap<String, f64> = BTreeMap::new();
-        for path in &self.paths {
-            if let Some(v) = snap.get(path) {
-                values.insert(path.clone(), v);
+        for (v, fed) in values.iter_mut().zip(&self.feeds) {
+            if fed.is_some() {
+                *v = *fed;
             }
         }
-        for (k, v) in &self.feeds {
-            values.insert(k.clone(), *v);
+        for (f, (_, ring)) in self.follow.iter_mut().zip(&mut self.series) {
+            let Some(raw) = values[f.slot] else {
+                continue;
+            };
+            let v = match f.kind {
+                SeriesKind::Level => raw,
+                SeriesKind::Delta => raw - f.prev_raw.replace(raw).unwrap_or(0.0),
+            };
+            ring.push(t, v);
         }
-        self.sampler.ingest(t, &values);
         // Rules read the *raw* readings: counters stay cumulative for
         // Still rules, watermark rules read levels directly.
         self.watchdog.observe_tick(t, &values, faults);
+        let read = values.iter().filter(|v| v.is_some()).count();
+        self.readings = values;
+        read
     }
 
     /// The followed series, in config order.
     pub fn series(&self) -> &[(String, RingSeries)] {
-        self.sampler.series()
+        &self.series
     }
 
     /// The incident log.
@@ -741,12 +729,12 @@ impl PrestoScope {
 }
 
 impl Observe for PrestoScope {
-    fn observe(&self, s: &mut Section) {
+    fn observe(&self, s: &mut Sink<'_>) {
         if !self.config.enabled {
             return;
         }
         s.counter("ticks", self.ticks);
-        s.counter("series", self.sampler.series().len() as u64);
+        s.counter("series", self.series.len() as u64);
         s.counter("incidents_total", self.watchdog.incidents().len() as u64);
         s.counter(
             "incidents_open",
@@ -758,7 +746,7 @@ impl Observe for PrestoScope {
         );
         s.counter("incidents_unattributed", self.unattributed_incidents() as u64);
         s.counter("incidents_dropped", self.watchdog.dropped());
-        let by_rule = s.child("incidents");
+        let mut by_rule = s.child("incidents");
         for (name, n) in self.watchdog.opened_counts() {
             by_rule.counter(name, *n);
         }
@@ -768,13 +756,37 @@ impl Observe for PrestoScope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{Section, Snapshot};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
     }
 
-    fn tick(vals: &[(&str, f64)]) -> BTreeMap<String, f64> {
-        vals.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    /// A snapshot holding each `(dotted path, value)` as a gauge: the
+    /// hand-built source the watchdog fixtures tick the scope from.
+    fn tick(vals: &[(&str, f64)]) -> Snapshot {
+        let mut snap = Snapshot::new();
+        for (path, v) in vals {
+            let mut section = &mut snap.root;
+            let mut segs: Vec<&str> = path.split('.').collect();
+            let leaf = segs.pop().unwrap_or_default();
+            for seg in segs {
+                section = section.child(seg);
+            }
+            section.gauge(leaf, *v);
+        }
+        snap
+    }
+
+    /// A live scope watching `rules` with a 5-minute attribution pad.
+    fn watching(rules: Vec<WatchdogRule>, incident_capacity: usize) -> PrestoScope {
+        PrestoScope::new(ScopeConfig {
+            enabled: true,
+            rules,
+            incident_capacity,
+            attribution_pad: SimDuration::from_mins(5),
+            ..ScopeConfig::default()
+        })
     }
 
     #[test]
@@ -805,22 +817,35 @@ mod tests {
         assert!(bins.windows(2).all(|w| w[0].t <= w[1].t));
     }
 
+    #[test]
+    fn ring_folds_pairs_in_place_without_growing() {
+        let mut r = RingSeries::new(4);
+        for i in 0..4u64 {
+            r.push(t(i), i as f64);
+        }
+        let bins = r.bins();
+        assert_eq!(bins.len(), 2, "a full ring folds 2:1");
+        assert_eq!((bins[0].min, bins[0].max, bins[0].last), (0.0, 1.0, 1.0));
+        assert_eq!((bins[1].t, bins[1].samples), (t(2), 2));
+        assert_eq!(r.bins.capacity(), 4, "bins reserved up front, never regrown");
+    }
+
     // Fixture: WD_STALE_CONFIDENT — a Still rule fires exactly when the
     // counter increases, and the incident closes when it stops.
     #[test]
     fn wd_stale_confident_fires_on_counter_growth() {
         let rule = WatchdogRule::still(WD_STALE_CONFIDENT, "probe.stale");
-        let mut e = WatchdogEngine::new(vec![rule], 16, SimDuration::from_mins(5));
+        let mut e = watching(vec![rule], 16);
         let plan = FaultPlan::none();
-        e.observe_tick(t(0), &tick(&[("probe.stale", 0.0)]), &plan);
-        e.observe_tick(t(31), &tick(&[("probe.stale", 0.0)]), &plan);
+        e.sample(t(0), &tick(&[("probe.stale", 0.0)]), &plan);
+        e.sample(t(31), &tick(&[("probe.stale", 0.0)]), &plan);
         assert!(e.incidents().is_empty(), "a still counter must not alarm");
-        e.observe_tick(t(62), &tick(&[("probe.stale", 2.0)]), &plan);
+        e.sample(t(62), &tick(&[("probe.stale", 2.0)]), &plan);
         assert_eq!(e.incidents().len(), 1);
         assert_eq!(e.incidents()[0].rule, WD_STALE_CONFIDENT);
         assert_eq!(e.incidents()[0].observed, 2.0);
         assert!(!e.incidents()[0].attributed, "no faults injected");
-        e.observe_tick(t(93), &tick(&[("probe.stale", 2.0)]), &plan);
+        e.sample(t(93), &tick(&[("probe.stale", 2.0)]), &plan);
         assert_eq!(e.incidents()[0].closed_at, Some(t(93)));
         assert_eq!(e.incidents().len(), 1, "episodes merge consecutive ticks");
     }
@@ -830,10 +855,10 @@ mod tests {
     #[test]
     fn wd_answer_age_p99_watermark_tracks_peak() {
         let rule = WatchdogRule::below(WD_ANSWER_AGE_P99, "router.age_p99", 100.0);
-        let mut e = WatchdogEngine::new(vec![rule], 16, SimDuration::from_mins(5));
+        let mut e = watching(vec![rule], 16);
         let plan = FaultPlan::none();
         for (i, v) in [50.0, 150.0, 300.0, 120.0, 80.0].into_iter().enumerate() {
-            e.observe_tick(t(i as u64 * 31), &tick(&[("router.age_p99", v)]), &plan);
+            e.sample(t(i as u64 * 31), &tick(&[("router.age_p99", v)]), &plan);
         }
         assert_eq!(e.incidents().len(), 1);
         let inc = &e.incidents()[0];
@@ -848,21 +873,21 @@ mod tests {
     #[test]
     fn wd_leak_probe_needs_no_progress() {
         let rule = WatchdogRule::stuck(WD_LEAK_PROBE, "leaks.open", 0.0, 3);
-        let mut e = WatchdogEngine::new(vec![rule], 16, SimDuration::from_mins(5));
+        let mut e = watching(vec![rule], 16);
         let plan = FaultPlan::none();
         // Busy but moving: never fires.
         for (i, v) in [5.0, 7.0, 6.0, 9.0, 4.0].into_iter().enumerate() {
-            e.observe_tick(t(i as u64 * 31), &tick(&[("leaks.open", v)]), &plan);
+            e.sample(t(i as u64 * 31), &tick(&[("leaks.open", v)]), &plan);
         }
         assert!(e.incidents().is_empty());
         // Stuck at 4.0 for `within` ticks: leak.
         for i in 5..10u64 {
-            e.observe_tick(t(i * 31), &tick(&[("leaks.open", 4.0)]), &plan);
+            e.sample(t(i * 31), &tick(&[("leaks.open", 4.0)]), &plan);
         }
         assert_eq!(e.incidents().len(), 1);
         assert_eq!(e.incidents()[0].rule, WD_LEAK_PROBE);
         // Draining to zero closes it.
-        e.observe_tick(t(310), &tick(&[("leaks.open", 0.0)]), &plan);
+        e.sample(t(310), &tick(&[("leaks.open", 0.0)]), &plan);
         assert!(e.incidents()[0].closed_at.is_some());
     }
 
@@ -871,11 +896,11 @@ mod tests {
     #[test]
     fn wd_pressure_watermark_fires_over_watermark() {
         let rule = WatchdogRule::below(WD_PRESSURE_WATERMARK, "scope.pressure_max", 200.0);
-        let mut e = WatchdogEngine::new(vec![rule], 16, SimDuration::from_mins(5));
+        let mut e = watching(vec![rule], 16);
         let plan = FaultPlan::none();
-        e.observe_tick(t(0), &tick(&[("scope.pressure_max", 12.0)]), &plan);
+        e.sample(t(0), &tick(&[("scope.pressure_max", 12.0)]), &plan);
         assert!(e.incidents().is_empty());
-        e.observe_tick(t(31), &tick(&[("scope.pressure_max", 900.0)]), &plan);
+        e.sample(t(31), &tick(&[("scope.pressure_max", 900.0)]), &plan);
         assert_eq!(e.incidents().len(), 1);
         assert_eq!(e.incidents()[0].rule, WD_PRESSURE_WATERMARK);
     }
@@ -887,12 +912,12 @@ mod tests {
     fn wd_shed_episode_watermark_bounds_flap_rate() {
         let rule =
             WatchdogRule::rate_below(WD_SHED_EPISODE_WATERMARK, "fleet_router.shed_episodes", 8.0);
-        let mut e = WatchdogEngine::new(vec![rule], 16, SimDuration::from_mins(5));
+        let mut e = watching(vec![rule], 16);
         let plan = FaultPlan::none();
-        e.observe_tick(t(0), &tick(&[("fleet_router.shed_episodes", 3.0)]), &plan);
-        e.observe_tick(t(31), &tick(&[("fleet_router.shed_episodes", 8.0)]), &plan);
+        e.sample(t(0), &tick(&[("fleet_router.shed_episodes", 3.0)]), &plan);
+        e.sample(t(31), &tick(&[("fleet_router.shed_episodes", 8.0)]), &plan);
         assert!(e.incidents().is_empty(), "+5 per tick is under the bound");
-        e.observe_tick(t(62), &tick(&[("fleet_router.shed_episodes", 30.0)]), &plan);
+        e.sample(t(62), &tick(&[("fleet_router.shed_episodes", 30.0)]), &plan);
         assert_eq!(e.incidents().len(), 1, "+22 in one tick is a flap storm");
         assert_eq!(e.incidents()[0].rule, WD_SHED_EPISODE_WATERMARK);
         assert_eq!(e.incidents()[0].observed, 22.0);
@@ -903,14 +928,14 @@ mod tests {
     #[test]
     fn wd_fenced_while_serving_attributes_to_the_partition() {
         let rule = WatchdogRule::still(WD_FENCED_WHILE_SERVING, "fleet_router.failed_fenced");
-        let mut e = WatchdogEngine::new(vec![rule], 16, SimDuration::from_mins(5));
+        let mut e = watching(vec![rule], 16);
         let plan = FaultPlan::none().with_mesh_partition(
             vec![2],
             SimTime::from_secs(100),
             SimTime::from_secs(400),
         );
-        e.observe_tick(t(50), &tick(&[("fleet_router.failed_fenced", 0.0)]), &plan);
-        e.observe_tick(t(150), &tick(&[("fleet_router.failed_fenced", 3.0)]), &plan);
+        e.sample(t(50), &tick(&[("fleet_router.failed_fenced", 0.0)]), &plan);
+        e.sample(t(150), &tick(&[("fleet_router.failed_fenced", 3.0)]), &plan);
         assert_eq!(e.incidents().len(), 1);
         let inc = &e.incidents()[0];
         assert!(inc.attributed, "the cut was active: {inc:?}");
@@ -926,16 +951,16 @@ mod tests {
     #[test]
     fn incident_log_is_bounded_but_counts_survive() {
         let rule = WatchdogRule::below(WD_PRESSURE_WATERMARK, "p", 10.0);
-        let mut e = WatchdogEngine::new(vec![rule], 2, SimDuration::from_mins(5));
+        let mut e = watching(vec![rule], 2);
         let plan = FaultPlan::none();
         for i in 0..10u64 {
             // Alternate violating / clean ticks: 5 distinct episodes.
             let v = if i % 2 == 0 { 100.0 } else { 0.0 };
-            e.observe_tick(t(i * 31), &tick(&[("p", v)]), &plan);
+            e.sample(t(i * 31), &tick(&[("p", v)]), &plan);
         }
         assert_eq!(e.incidents().len(), 2, "log bounded");
-        assert_eq!(e.dropped(), 3);
-        assert_eq!(e.opened_counts()[WD_PRESSURE_WATERMARK], 5);
+        assert_eq!(e.watchdog().dropped(), 3);
+        assert_eq!(e.watchdog().opened_counts()[WD_PRESSURE_WATERMARK], 5);
     }
 
     #[test]
@@ -975,9 +1000,30 @@ mod tests {
         assert_eq!(scope.ticks(), 2);
 
         let mut s = Section::default();
-        scope.observe(&mut s);
+        scope.observe(&mut Sink::tree(&mut s));
         assert_eq!(s.get_counter("incidents_total"), Some(1));
         assert_eq!(s.get_counter("incidents_unattributed"), Some(1));
+    }
+
+    #[test]
+    fn feeds_override_observed_paths_and_absent_paths_hold_state() {
+        let mut scope = PrestoScope::new(ScopeConfig {
+            enabled: true,
+            series: vec![SeriesSpec::level("demo.x"), SeriesSpec::delta("demo.n")],
+            ..ScopeConfig::default()
+        });
+        let plan = FaultPlan::none();
+        scope.sample(t(0), &tick(&[("demo.x", 1.0), ("demo.n", 10.0)]), &plan);
+        // `demo.n` absent this tick: its ring and Delta base hold.
+        scope.feed("demo.x", 9.0);
+        scope.sample(t(31), &tick(&[("demo.x", 2.0)]), &plan);
+        scope.sample(t(62), &tick(&[("demo.x", 3.0), ("demo.n", 14.0)]), &plan);
+        let (x, n) = (&scope.series()[0].1, &scope.series()[1].1);
+        assert_eq!(x.last(), Some(9.0), "a feed overrides and persists");
+        assert_eq!(x.global_min(), Some(1.0));
+        assert_eq!(n.total_samples(), 2, "an absent path skips the tick");
+        assert_eq!(n.last(), Some(4.0), "the Delta base held across the gap");
+        scope.feed("nobody.follows", 1.0);
     }
 
     #[test]
@@ -994,7 +1040,7 @@ mod tests {
         assert!(scope.series().is_empty());
         assert!(scope.incidents().is_empty());
         let mut s = Section::default();
-        scope.observe(&mut s);
+        scope.observe(&mut Sink::tree(&mut s));
         assert_eq!(s.get_counter("ticks"), None, "disabled scope exports nothing");
     }
 }

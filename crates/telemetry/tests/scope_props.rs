@@ -2,7 +2,9 @@
 //! must preserve min/max/last over any stream, the watchdogs must stay
 //! silent on any clean run, and a violation inside an injected fault
 //! window must surface as an *attributed* incident for every fault
-//! kind the plan can express.
+//! kind the plan can express. Each tick observes a hand-built
+//! `Snapshot` through the scope's slot sink, the same path a
+//! deployment's tick takes.
 
 use presto_sim::{FaultPlan, SimDuration, SimTime};
 use presto_telemetry::scope::WD_STALE_CONFIDENT;

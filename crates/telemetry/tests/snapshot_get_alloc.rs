@@ -1,6 +1,9 @@
-//! `Snapshot::get` must not allocate: the scope tick calls it once per
-//! followed path per epoch. This binary installs the counting allocator
-//! and holds a single test, so nothing else allocates while it measures.
+//! `Snapshot::get` must not allocate: end-of-run readers (bench drivers,
+//! perfbench's per-layer deltas) call it once per metric they report.
+//! The per-epoch scope tick does not use it; it reads resolved slots
+//! (`crates/fleet/tests/scope_tick_alloc.rs` pins that path). This
+//! binary installs the counting allocator and holds a single test, so
+//! nothing else allocates while it measures.
 
 use presto_telemetry::alloc::{allocation_count, CountingAlloc};
 use presto_telemetry::{LogHistogram, Snapshot};
