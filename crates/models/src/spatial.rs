@@ -21,21 +21,22 @@ pub struct SpatialGaussian {
 }
 
 impl SpatialGaussian {
-    /// Trains from rows of simultaneous readings (`rows[t][s]` = sensor
+    /// Trains from simultaneous readings laid out row-major: `data` holds
+    /// one row of `cols` values per epoch (`data[t * cols + s]` = sensor
     /// `s` at epoch `t`). A small ridge keeps the covariance SPD.
     ///
-    /// Returns `None` if fewer than two rows or zero columns.
-    pub fn train(rows: &[Vec<f64>]) -> Option<Self> {
-        let t = rows.len();
+    /// Returns `None` for zero columns, a length that is not a multiple
+    /// of `cols`, or fewer than two rows.
+    pub fn train(data: &[f64], cols: usize) -> Option<Self> {
+        if cols == 0 || !data.len().is_multiple_of(cols) {
+            return None;
+        }
+        let (t, n) = (data.len() / cols, cols);
         if t < 2 {
             return None;
         }
-        let n = rows[0].len();
-        if n == 0 || rows.iter().any(|r| r.len() != n) {
-            return None;
-        }
         let mut mean = vec![0.0; n];
-        for row in rows {
+        for row in data.chunks_exact(n) {
             for (m, v) in mean.iter_mut().zip(row) {
                 *m += v;
             }
@@ -44,7 +45,7 @@ impl SpatialGaussian {
             *m /= t as f64;
         }
         let mut cov = Matrix::zeros(n, n);
-        for row in rows {
+        for row in data.chunks_exact(n) {
             for i in 0..n {
                 let di = row[i] - mean[i];
                 for j in 0..n {
@@ -121,20 +122,20 @@ impl SpatialGaussian {
 mod tests {
     use super::*;
 
-    /// Rows where sensors share a common field plus private noise:
-    /// x_s = field + offset_s + noise_s.
-    fn correlated_rows(t: usize, n: usize, noise_amp: f64) -> Vec<Vec<f64>> {
+    /// Row-major readings where sensors share a common field plus
+    /// private noise: x_s = field + offset_s + noise_s.
+    fn correlated_rows(t: usize, n: usize, noise_amp: f64) -> Vec<f64> {
         let mut state = 31337u64;
         let mut rnd = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             (state >> 33) as f64 / (1u64 << 30) as f64 - 1.0
         };
         (0..t)
-            .map(|k| {
+            .flat_map(|k| {
                 let field = 20.0 + 5.0 * ((k as f64) * 0.05).sin();
                 (0..n)
                     .map(|s| field + s as f64 * 0.5 + rnd() * noise_amp)
-                    .collect()
+                    .collect::<Vec<_>>()
             })
             .collect()
     }
@@ -142,7 +143,7 @@ mod tests {
     #[test]
     fn conditioning_sharpens_prediction() {
         let rows = correlated_rows(2000, 5, 0.3);
-        let g = SpatialGaussian::train(&rows).unwrap();
+        let g = SpatialGaussian::train(&rows, 5).unwrap();
         let marginal = g.marginal(0);
         // Observe the other four sensors at a moment when the field is
         // high; conditional sigma must shrink dramatically.
@@ -161,15 +162,15 @@ mod tests {
     #[test]
     fn marginal_matches_column_statistics() {
         let rows = correlated_rows(5000, 3, 0.2);
-        let g = SpatialGaussian::train(&rows).unwrap();
-        let col0_mean = rows.iter().map(|r| r[0]).sum::<f64>() / rows.len() as f64;
+        let g = SpatialGaussian::train(&rows, 3).unwrap();
+        let col0_mean = rows.iter().step_by(3).sum::<f64>() / 5000.0;
         assert!((g.marginal(0).value - col0_mean).abs() < 1e-9);
     }
 
     #[test]
     fn ignores_observation_of_target_itself() {
         let rows = correlated_rows(1000, 3, 0.2);
-        let g = SpatialGaussian::train(&rows).unwrap();
+        let g = SpatialGaussian::train(&rows, 3).unwrap();
         let with_self = g.condition(&[(0, 99.0), (1, 21.0)], 0);
         let without = g.condition(&[(1, 21.0)], 0);
         assert!((with_self.value - without.value).abs() < 1e-12);
@@ -178,7 +179,7 @@ mod tests {
     #[test]
     fn no_observations_falls_back_to_marginal() {
         let rows = correlated_rows(1000, 3, 0.2);
-        let g = SpatialGaussian::train(&rows).unwrap();
+        let g = SpatialGaussian::train(&rows, 3).unwrap();
         let c = g.condition(&[], 1);
         let m = g.marginal(1);
         assert_eq!(c.value, m.value);
@@ -186,16 +187,18 @@ mod tests {
 
     #[test]
     fn train_rejects_degenerate_input() {
-        assert!(SpatialGaussian::train(&[]).is_none());
-        assert!(SpatialGaussian::train(&[vec![1.0]]).is_none());
-        assert!(SpatialGaussian::train(&[vec![1.0, 2.0], vec![1.0]]).is_none());
-        assert!(SpatialGaussian::train(&[vec![], vec![]]).is_none());
+        assert!(SpatialGaussian::train(&[], 1).is_none());
+        assert!(SpatialGaussian::train(&[1.0], 1).is_none());
+        // Ragged: three values do not make whole rows of two.
+        assert!(SpatialGaussian::train(&[1.0, 2.0, 1.0], 2).is_none());
+        assert!(SpatialGaussian::train(&[], 0).is_none());
+        assert!(SpatialGaussian::train(&[1.0, 2.0], 0).is_none());
     }
 
     #[test]
     fn out_of_range_observations_ignored() {
         let rows = correlated_rows(500, 2, 0.2);
-        let g = SpatialGaussian::train(&rows).unwrap();
+        let g = SpatialGaussian::train(&rows, 2).unwrap();
         let c = g.condition(&[(17, 5.0)], 0);
         assert_eq!(c.value, g.marginal(0).value);
     }
@@ -208,12 +211,48 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             (state >> 33) as f64 / (1u64 << 30) as f64 - 1.0
         };
-        let rows: Vec<Vec<f64>> = (0..3000)
-            .map(|_| (0..2).map(|_| rnd() * 5.0).collect())
-            .collect();
-        let g = SpatialGaussian::train(&rows).unwrap();
+        let rows: Vec<f64> = (0..3000 * 2).map(|_| rnd() * 5.0).collect();
+        let g = SpatialGaussian::train(&rows, 2).unwrap();
         let m = g.marginal(0);
         let c = g.condition(&[(1, 4.0)], 0);
         assert!((c.sigma / m.sigma) > 0.95, "{} vs {}", c.sigma, m.sigma);
+    }
+
+    #[test]
+    fn flat_training_keeps_the_row_accumulation_order() {
+        // The statistics a nested-rows trainer accumulates, row by row
+        // and column by column, must come out bit for bit.
+        let flat = correlated_rows(777, 4, 0.4);
+        let rows: Vec<&[f64]> = flat.chunks(4).collect();
+        let mut mean = [0.0f64; 4];
+        for row in &rows {
+            for (m, v) in mean.iter_mut().zip(row.iter()) {
+                *m += v;
+            }
+        }
+        for m in &mut mean {
+            *m /= rows.len() as f64;
+        }
+        let mut cov = [[0.0f64; 4]; 4];
+        for row in &rows {
+            for (i, cov_row) in cov.iter_mut().enumerate() {
+                let di = row[i] - mean[i];
+                for (j, c) in cov_row.iter_mut().enumerate() {
+                    *c += di * (row[j] - mean[j]);
+                }
+            }
+        }
+        let g = SpatialGaussian::train(&flat, 4).unwrap();
+        for (i, cov_row) in cov.iter().enumerate() {
+            assert_eq!(g.mean[i].to_bits(), mean[i].to_bits());
+            for (j, c) in cov_row.iter().enumerate() {
+                let mut want = c / rows.len() as f64;
+                if i == j {
+                    want += 1e-6;
+                }
+                assert_eq!(g.cov[(i, j)].to_bits(), want.to_bits(), "cov[{i}][{j}]");
+            }
+        }
+        assert_eq!(g.train_cycles, 777 * 4 * 4 * 4);
     }
 }

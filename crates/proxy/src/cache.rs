@@ -9,6 +9,7 @@
 //! tagged with provenance. It is bounded; eviction drops the oldest
 //! entries (the sensor's archive remains the authority for old data).
 
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -183,10 +184,7 @@ impl SensorCache {
         if self.samples.get(idx).is_some_and(|s| s.t == sample.t) {
             // Same timestamp: pulled data wins over lossy views. No
             // growth, so no eviction.
-            let existing = &mut self.samples[idx];
-            if sample.source == CacheSource::Pulled || existing.source != CacheSource::Pulled {
-                *existing = sample;
-            }
+            refine(&mut self.samples[idx], sample);
             return;
         }
         if self.samples.len() >= self.capacity {
@@ -202,6 +200,152 @@ impl SensorCache {
         self.samples.insert(idx, sample);
     }
 
+    /// Inserts a run of samples (`sample` maps each run element to its
+    /// cache entry), leaving exactly what inserting them one by one with
+    /// [`SensorCache::insert`] leaves: the same samples in the same order
+    /// and the same `last_heard`. Each time-ordered stretch of the run
+    /// (repeated timestamps allowed) costs one pass, so folding a pull
+    /// reply into a large cache costs what the reply changes rather than
+    /// a deque shift per out-of-order sample.
+    pub fn insert_run<T>(&mut self, run: &[T], sample: impl Fn(&T) -> CachedSample) {
+        for stretch in run.chunk_by(|a, b| sample(a).t <= sample(b).t) {
+            self.merge_ordered(stretch, &sample);
+        }
+    }
+
+    /// [`SensorCache::insert_run`] for one time-ordered stretch.
+    ///
+    /// Per-sample inserts keep the newest `capacity` distinct timestamps
+    /// of cache ∪ run (a sample is only ever evicted or dropped by a
+    /// newer one, and the stretch never brings an evicted timestamp
+    /// back), and settle each kept timestamp by folding its arrivals
+    /// through [`refine`] in arrival order. This computes the same thing
+    /// directly: binary searches bound the cached overlap, one walk
+    /// counts the new timestamps, the union's oldest entries evict
+    /// before anything grows, and the rest merges in place from
+    /// whichever end of the deque has fewer samples to move.
+    fn merge_ordered<T>(&mut self, run: &[T], sample: &impl Fn(&T) -> CachedSample) {
+        let (Some(first), Some(last)) = (run.first(), run.last()) else {
+            return;
+        };
+        let (t_first, t_last) = (sample(first).t, sample(last).t);
+        self.last_heard = Some(self.last_heard.map_or(t_last, |h| h.max(t_last)));
+        // One past the last repeat of `run[i]`'s timestamp, and the first
+        // repeat of `run[e - 1]`'s.
+        let group_end = |i: usize| {
+            let t = sample(&run[i]).t;
+            let repeats = run[i + 1..].iter().take_while(|x| sample(x).t == t);
+            i + 1 + repeats.count()
+        };
+        let group_start = |e: usize| {
+            let t = sample(&run[e - 1]).t;
+            let repeats = run[..e - 1].iter().rev().take_while(|x| sample(x).t == t);
+            e - 1 - repeats.count()
+        };
+
+        // `[..lo)` is older than the whole run, `[hi..)` newer.
+        let lo = self.samples.partition_point(|s| s.t < t_first);
+        let hi = self.samples.partition_point(|s| s.t <= t_last);
+        let mut fresh = 0;
+        let (mut c, mut r) = (lo, 0);
+        while r < run.len() {
+            let t = sample(&run[r]).t;
+            while c < hi && self.samples[c].t < t {
+                c += 1;
+            }
+            if c == hi || self.samples[c].t != t {
+                fresh += 1;
+            }
+            r = group_end(r);
+        }
+
+        // Evict first: the union's oldest entries go before anything
+        // grows. Past the cached prefix that walks the overlap and the
+        // run together, and a run timestamp goes with all its repeats.
+        let mut evict = (self.samples.len() + fresh).saturating_sub(self.capacity);
+        let prefix = evict.min(lo);
+        self.samples.drain(..prefix);
+        evict -= prefix;
+        let (lo, mut hi) = (lo - prefix, hi - prefix);
+        let mut r = 0;
+        while evict > 0 && r < run.len() {
+            let t = sample(&run[r]).t;
+            // The overlap's oldest entry against the run's oldest group.
+            match self.samples.front().filter(|_| hi > 0).map(|s| s.t.cmp(&t)) {
+                Some(Ordering::Less) => {
+                    self.samples.pop_front();
+                    hi -= 1;
+                }
+                Some(Ordering::Equal) => {
+                    self.samples.pop_front();
+                    hi -= 1;
+                    r = group_end(r);
+                }
+                _ => {
+                    fresh -= 1;
+                    r = group_end(r);
+                }
+            }
+            evict -= 1;
+        }
+        if r == run.len() {
+            return;
+        }
+
+        // Merge `run[r..]` in place, growing by `fresh` slots at the end
+        // of the deque that has fewer cached samples to move.
+        let n = self.samples.len();
+        let pad = sample(&run[r]);
+        if lo <= n - hi {
+            for _ in 0..fresh {
+                self.samples.push_front(pad);
+            }
+            if fresh > 0 {
+                for i in 0..lo {
+                    self.samples[i] = self.samples[i + fresh];
+                }
+            }
+            let (mut w, mut c, end) = (lo, lo + fresh, hi + fresh);
+            while r < run.len() {
+                let t = sample(&run[r]).t;
+                if c < end && self.samples[c].t < t {
+                    self.samples[w] = self.samples[c];
+                    c += 1;
+                } else {
+                    let cached = (c < end && self.samples[c].t == t).then(|| self.samples[c]);
+                    c += usize::from(cached.is_some());
+                    let e = group_end(r);
+                    self.samples[w] = settle(cached, &run[r..e], sample);
+                    r = e;
+                }
+                w += 1;
+            }
+        } else {
+            self.samples.resize(n + fresh, pad);
+            if fresh > 0 {
+                for i in (hi..n).rev() {
+                    self.samples[i + fresh] = self.samples[i];
+                }
+            }
+            let (mut w, mut c, mut e) = (hi + fresh, hi, run.len());
+            while e > r {
+                let t = sample(&run[e - 1]).t;
+                w -= 1;
+                if c > lo && self.samples[c - 1].t > t {
+                    c -= 1;
+                    self.samples[w] = self.samples[c];
+                } else {
+                    let cached =
+                        (c > lo && self.samples[c - 1].t == t).then(|| self.samples[c - 1]);
+                    c -= usize::from(cached.is_some());
+                    let s = group_start(e);
+                    self.samples[w] = settle(cached, &run[s..e], sample);
+                    e = s;
+                }
+            }
+        }
+    }
+
     /// The most recent cached sample.
     pub fn latest(&self) -> Option<CachedSample> {
         self.samples.back().copied()
@@ -215,24 +359,27 @@ impl SensorCache {
             .copied()
     }
 
-    /// All cached samples in `[from, to]`.
-    pub fn range(&self, from: SimTime, to: SimTime) -> Vec<CachedSample> {
+    /// Deque indices `lo..hi` of the samples in `[from, to]` (empty for
+    /// an inverted window).
+    fn bounds(&self, from: SimTime, to: SimTime) -> (usize, usize) {
         let lo = self.samples.partition_point(|s| s.t < from);
         let hi = self.samples.partition_point(|s| s.t <= to);
-        self.samples
-            .iter()
-            .skip(lo)
-            .take(hi - lo)
-            .copied()
-            .collect()
+        (lo, hi.max(lo))
+    }
+
+    /// All cached samples in `[from, to]`.
+    pub fn range(&self, from: SimTime, to: SimTime) -> Vec<CachedSample> {
+        let (lo, hi) = self.bounds(from, to);
+        self.samples.range(lo..hi).copied().collect()
     }
 
     /// Fraction of expected epochs in `[from, to]` that have a cached
-    /// sample, given the sensor's sampling period.
+    /// sample, given the sensor's sampling period. Counts by binary
+    /// search alone.
     pub fn coverage(&self, from: SimTime, to: SimTime, period: SimDuration) -> f64 {
         let expected = (to - from).div_duration(period).max(1);
-        let have = self.range(from, to).len() as u64;
-        (have as f64 / expected as f64).min(1.0)
+        let (lo, hi) = self.bounds(from, to);
+        ((hi - lo) as f64 / expected as f64).min(1.0)
     }
 
     /// Full history view (oldest first) for model training. Allocates;
@@ -253,6 +400,31 @@ impl SensorCache {
         buf.clear();
         buf.extend(self.history_iter());
     }
+}
+
+/// The same-timestamp rule: an arrival replaces the cached entry unless
+/// the entry was pulled and the arrival was not (pulled data wins over
+/// lossy views).
+fn refine(entry: &mut CachedSample, arrival: CachedSample) {
+    if arrival.source == CacheSource::Pulled || entry.source != CacheSource::Pulled {
+        *entry = arrival;
+    }
+}
+
+/// What per-sample inserts leave at one timestamp: the cached entry, if
+/// any, refined by each of the run's `arrivals` at that timestamp in
+/// order. Without a cached entry the first arrival is the entry, and
+/// refining it with itself changes nothing.
+fn settle<T>(
+    cached: Option<CachedSample>,
+    arrivals: &[T],
+    sample: &impl Fn(&T) -> CachedSample,
+) -> CachedSample {
+    let mut entry = cached.unwrap_or_else(|| sample(&arrivals[0]));
+    for a in arrivals {
+        refine(&mut entry, sample(a));
+    }
+    entry
 }
 
 #[cfg(test)]

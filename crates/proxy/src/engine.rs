@@ -146,14 +146,15 @@ impl PredictionEngine {
         }
     }
 
-    /// Trains the spatial Gaussian over aligned rows of sensor values
-    /// (one row per epoch, one column per sensor).
+    /// Trains the spatial Gaussian over aligned sensor values, row-major
+    /// in `data`: one row per epoch, `cols` values (one per sensor) each.
     pub fn train_spatial(
         &mut self,
-        rows: &[Vec<f64>],
+        data: &[f64],
+        cols: usize,
         ledger: &mut EnergyLedger,
     ) -> Option<SpatialGaussian> {
-        let g = SpatialGaussian::train(rows)?;
+        let g = SpatialGaussian::train(data, cols)?;
         ledger.charge(EnergyCategory::Cpu, self.cpu.op_energy(g.train_cycles));
         self.total_train_cycles += g.train_cycles;
         Some(g)
@@ -287,13 +288,13 @@ mod tests {
     fn spatial_training_charges_cpu() {
         let mut e = PredictionEngine::new(EngineConfig::default());
         let mut ledger = EnergyLedger::new();
-        let rows: Vec<Vec<f64>> = (0..200)
-            .map(|k| {
+        let data: Vec<f64> = (0..200)
+            .flat_map(|k| {
                 let f = (k as f64 * 0.1).sin();
-                vec![20.0 + f, 20.5 + f, 21.0 + f]
+                [20.0 + f, 20.5 + f, 21.0 + f]
             })
             .collect();
-        let g = e.train_spatial(&rows, &mut ledger).unwrap();
+        let g = e.train_spatial(&data, 3, &mut ledger).unwrap();
         assert_eq!(g.sensors(), 3);
         assert!(ledger.category(EnergyCategory::Cpu) > 0.0);
         assert!(e.total_train_cycles > 0);

@@ -382,13 +382,11 @@ impl PrestoProxy {
                 self.stats.samples_cached += 1;
             }
             UplinkPayload::Batch { samples, .. } => {
-                for &(t, v) in samples {
-                    slot.cache.insert(CachedSample {
-                        t,
-                        value: v,
-                        source: CacheSource::Batch,
-                    });
-                }
+                slot.cache.insert_run(samples, |&(t, value)| CachedSample {
+                    t,
+                    value,
+                    source: CacheSource::Batch,
+                });
                 self.stats.samples_cached += samples.len() as u64;
             }
             UplinkPayload::Event { event_type, data } => {
@@ -407,13 +405,11 @@ impl PrestoProxy {
                 self.stats.events_cached += 1;
             }
             UplinkPayload::PullReply { samples, .. } => {
-                for s in samples {
-                    slot.cache.insert(CachedSample {
-                        t: s.t,
-                        value: s.value,
-                        source: CacheSource::Pulled,
-                    });
-                }
+                slot.cache.insert_run(samples, |s| CachedSample {
+                    t: s.t,
+                    value: s.value,
+                    source: CacheSource::Pulled,
+                });
                 self.stats.samples_cached += samples.len() as u64;
             }
             UplinkPayload::AggregateReply { .. } => {
@@ -546,41 +542,49 @@ impl PrestoProxy {
         true
     }
 
-    /// Trains the spatial model from aligned cached rows of all sensors.
+    /// Trains the spatial model from aligned cached rows of all sensors:
+    /// one row per sample of the first sensor's cache, to which each
+    /// neighbour contributes the sample [`SensorCache::latest_at`]
+    /// returns, if that is at most two sampling periods older; a row
+    /// with any neighbour missing is skipped. The rows' timestamps
+    /// increase, so one monotone cursor per neighbour walks its cache
+    /// once, and the rows land in one flat row-major buffer.
     pub fn refresh_spatial_model(&mut self) {
         let ids = self.sensor_ids();
         if ids.len() < 2 {
             return;
         }
-        // Align on the timestamps of the first sensor's cache.
-        let Some(first) = self.sensors.get(&ids[0]) else {
+        let mut slots = self.sensors.values();
+        let Some(first) = slots.next() else {
             return;
         };
-        let mut rows = Vec::new();
-        for s in first.cache.history_iter() {
-            let mut row = Vec::with_capacity(ids.len());
-            row.push(s.1);
-            let mut complete = true;
-            for &other in &ids[1..] {
-                let slot = &self.sensors[&other];
-                match slot.cache.latest_at(s.0) {
-                    Some(cs) if s.0 - cs.t <= self.config.sample_period * 2 => {
-                        row.push(cs.value);
-                    }
+        // Per neighbour: its samples not yet passed, and the newest one
+        // passed (what `latest_at` returns at the current row's time).
+        let mut cursors: Vec<_> = slots
+            .map(|slot| (slot.cache.history_iter().peekable(), None))
+            .collect();
+        let max_lag = self.config.sample_period * 2;
+        let mut data = Vec::with_capacity(first.cache.len() * ids.len());
+        for (t, value) in first.cache.history_iter() {
+            let row = data.len();
+            data.push(value);
+            for (ahead, latest) in &mut cursors {
+                while let Some(s) = ahead.next_if(|&(st, _)| st <= t) {
+                    *latest = Some(s);
+                }
+                match *latest {
+                    Some((st, v)) if t - st <= max_lag => data.push(v),
                     _ => {
-                        complete = false;
+                        data.truncate(row);
                         break;
                     }
                 }
             }
-            if complete {
-                rows.push(row);
-            }
         }
-        if rows.len() >= 32 {
+        if data.len() / ids.len() >= 32 {
             self.spatial = self
                 .engine
-                .train_spatial(&rows, &mut self.ledger)
+                .train_spatial(&data, ids.len(), &mut self.ledger)
                 .map(|g| (g, ids));
         }
     }
@@ -2075,6 +2079,145 @@ mod tests {
         let a = scalar(both_entries(&mut proxy, t_query, q, &mut node, &mut dead));
         assert_eq!(a.source, AnswerSource::SpatialExtrapolated);
         assert!((a.value - (diurnal(t) + 1.0)).abs() < 1.0, "{}", a.value);
+    }
+
+    /// A proxy whose sensor `i` has cached `streams[i]` (seconds, value),
+    /// fed as value pushes.
+    fn proxy_with_streams(streams: &[Vec<(u64, f64)>]) -> PrestoProxy {
+        let mut proxy = PrestoProxy::new(ProxyConfig::default());
+        for (id, stream) in (0u16..).zip(streams) {
+            proxy.register_sensor(id);
+            for &(secs, value) in stream {
+                proxy.on_uplink(&UplinkMsg {
+                    sensor: id,
+                    sent_at: SimTime::from_secs(secs),
+                    wire_bytes: 15,
+                    payload: UplinkPayload::Value { value },
+                });
+            }
+        }
+        proxy
+    }
+
+    /// The reference alignment: a `latest_at` search per neighbour and
+    /// one row `Vec` per aligned row. Returns the aligned row count and
+    /// the model those rows train, laid out row after row for
+    /// `SpatialGaussian::train`, whose own tests pin its accumulation
+    /// order to a row-by-row one.
+    fn reference_spatial(proxy: &PrestoProxy) -> (usize, Option<SpatialGaussian>) {
+        let ids = proxy.sensor_ids();
+        let max_lag = proxy.config.sample_period * 2;
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        for (t, v) in proxy.sensors[&ids[0]].cache.history_iter() {
+            let mut row = vec![v];
+            for &other in &ids[1..] {
+                match proxy.sensors[&other].cache.latest_at(t) {
+                    Some(cs) if t - cs.t <= max_lag => row.push(cs.value),
+                    _ => break,
+                }
+            }
+            if row.len() == ids.len() {
+                rows.push(row);
+            }
+        }
+        let model = if rows.len() >= 32 {
+            SpatialGaussian::train(&rows.concat(), ids.len())
+        } else {
+            None
+        };
+        (rows.len(), model)
+    }
+
+    fn same_bits(got: presto_models::Prediction, want: presto_models::Prediction) {
+        assert_eq!(got.value.to_bits(), want.value.to_bits(), "value");
+        assert_eq!(got.sigma.to_bits(), want.sigma.to_bits(), "sigma");
+    }
+
+    /// Refreshes a proxy over `streams` and checks its model against the
+    /// reference bit for bit. Returns the aligned row count.
+    fn refresh_matches_reference(streams: &[Vec<(u64, f64)>]) -> usize {
+        let mut proxy = proxy_with_streams(streams);
+        proxy.refresh_spatial_model();
+        let (rows, want) = reference_spatial(&proxy);
+        match (&proxy.spatial, &want) {
+            (None, None) => {}
+            (Some((got, ids)), Some(want)) => {
+                assert_eq!(ids, &proxy.sensor_ids());
+                assert_eq!(got.train_cycles, want.train_cycles);
+                let n = streams.len();
+                for target in 0..n {
+                    same_bits(got.marginal(target), want.marginal(target));
+                    let observed: Vec<(usize, f64)> = (0..n)
+                        .filter(|&i| i != target)
+                        .map(|i| (i, 21.0 + 0.25 * i as f64))
+                        .collect();
+                    same_bits(
+                        got.condition(&observed, target),
+                        want.condition(&observed, target),
+                    );
+                    same_bits(
+                        got.condition(&observed[..1], target),
+                        want.condition(&observed[..1], target),
+                    );
+                }
+            }
+            (got, _) => panic!(
+                "the refresh built a model: {}, the reference: {}",
+                got.is_some(),
+                want.is_some()
+            ),
+        }
+        rows
+    }
+
+    #[test]
+    fn spatial_refresh_matches_reference_alignment() {
+        let mut rng = SimRng::new(23);
+        let mut reading = |epoch: u64, sensor: u64| {
+            diurnal(SimTime::from_secs(31 * epoch))
+                + 0.5 * sensor as f64
+                + rng.gaussian_ms(0.0, 0.2)
+        };
+
+        // Two sensors of unequal length on one 31 s grid. Sensor 1 starts
+        // 5 epochs late, stops 40 early, misses 100..104 (rows 102 and
+        // 103 go: 93 s and 124 s back) and 120..122 (row 121 stays: its
+        // neighbour is exactly two periods back, as are rows 101 and 261).
+        let s0: Vec<(u64, f64)> = (0..300)
+            .filter(|e| !(50..60).contains(e))
+            .map(|e| (31 * e, reading(e, 0)))
+            .collect();
+        let s1: Vec<(u64, f64)> = (5..260)
+            .filter(|e| !(100..104).contains(e) && !(120..122).contains(e))
+            .map(|e| (31 * e, reading(e, 1)))
+            .collect();
+        assert_eq!(
+            refresh_matches_reference(&[s0.clone(), s1]),
+            290 - 5 - 2 - 38
+        );
+
+        // Eight sensors, each off the grid by its own offset, starting
+        // and stopping at different epochs, with random dropouts and a
+        // few gaps longer than two periods.
+        let mut gaps = SimRng::new(7);
+        let streams: Vec<Vec<(u64, f64)>> = (0..8u64)
+            .map(|s| {
+                let offset = if s == 0 { 0 } else { (s * 5) % 31 };
+                // Neighbours also miss `s % 4 + 1` epochs every 97.
+                let in_gap = |e: u64| s > 0 && e % 97 <= s % 4;
+                (3 * s..400 - 7 * s)
+                    .filter(|&e| !(in_gap(e) || gaps.chance(0.1)))
+                    .map(|e| (31 * e + offset, reading(e, s)))
+                    .collect()
+            })
+            .collect();
+        let rows = refresh_matches_reference(&streams);
+        assert!(rows >= 32 && rows < streams[0].len(), "{rows} aligned rows");
+
+        // Fewer than 32 aligned rows: no model is built.
+        let short: Vec<(u64, f64)> = (0..20).map(|e| (31 * e, reading(e, 1))).collect();
+        let rows = refresh_matches_reference(&[s0, short]);
+        assert!(rows > 0 && rows < 32, "{rows} aligned rows");
     }
 
     #[test]

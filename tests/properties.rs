@@ -88,6 +88,71 @@ proptest! {
         }
     }
 
+    /// A run insert leaves exactly what per-sample inserts leave — the
+    /// same samples in the same order, the same `last_heard` — for runs
+    /// with repeated timestamps, mixed provenance or unsorted order,
+    /// placed entirely older than the cache, straddling its front,
+    /// inside it, straddling its tail and entirely newer.
+    #[test]
+    fn run_insert_matches_per_sample_inserts(
+        capacity in 1usize..64,
+        inserts in proptest::collection::vec((0u64..100, -50.0f64..50.0, 0u8..3), 0..120),
+        run in proptest::collection::vec((0u64..40, -50.0f64..50.0, 0u8..3), 1..60),
+        sorted in any::<bool>(),
+        one_source in any::<bool>(),
+    ) {
+        let source = |src: u8| match src {
+            0 => CacheSource::Pushed,
+            1 => CacheSource::Batch,
+            _ => CacheSource::Pulled,
+        };
+        let mut start = SensorCache::new(capacity);
+        for &(k, value, src) in &inserts {
+            start.insert(CachedSample {
+                t: SimTime::from_secs(1_000 + 10 * k),
+                value,
+                source: source(src),
+            });
+        }
+        let all = start.range(SimTime::ZERO, SimTime::from_secs(10_000));
+        let front = all.first().map_or(1_000, |s| s.t.as_secs());
+        let back = all.last().map_or(2_000, |s| s.t.as_secs());
+        let inside_slots = (back - front) / 10 + 1;
+        let mut run = run;
+        if sorted {
+            run.sort_by_key(|&(k, _, _)| k);
+        }
+        for placement in 0..5 {
+            let samples: Vec<CachedSample> = run
+                .iter()
+                .map(|&(k, value, src)| CachedSample {
+                    t: SimTime::from_secs(match placement {
+                        0 => front - 10 * (k + 1),
+                        1 => front - 200 + 10 * k,
+                        2 => front + 10 * (k % inside_slots),
+                        3 => back - 200 + 10 * k,
+                        _ => back + 10 * (k + 1),
+                    }),
+                    value,
+                    source: source(if one_source { run[0].2 } else { src }),
+                })
+                .collect();
+            let mut merged = start.clone();
+            merged.insert_run(&samples, |s| *s);
+            let mut reference = start.clone();
+            for s in &samples {
+                reference.insert(*s);
+            }
+            prop_assert!(merged.len() <= capacity);
+            prop_assert_eq!(
+                merged.range(SimTime::ZERO, SimTime::from_secs(10_000)),
+                reference.range(SimTime::ZERO, SimTime::from_secs(10_000)),
+                "placement {}", placement
+            );
+            prop_assert_eq!(merged.last_heard, reference.last_heard);
+        }
+    }
+
     /// The model-driven push invariant: between pushes, sensor-side
     /// prediction error never exceeds the tolerance — for any random
     /// walk the sensor observes.
