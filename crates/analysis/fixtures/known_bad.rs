@@ -1,7 +1,8 @@
 //! Known-bad lint fixture. Never compiled — linted by
 //! `crates/analysis/tests/lints.rs` under the synthetic path
 //! `crates/proxy/src/fixture_bad.rs` so every rule is in scope, and each
-//! lint class below must fire at least once.
+//! lint class below must fire at least once. Linted alone, nothing calls
+//! its `pub fn`s, so U1 fires too.
 
 use std::collections::HashMap; // D1: nondeterministic iteration order
 use std::time::Instant; // D2: host wall-clock

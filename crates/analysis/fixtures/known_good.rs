@@ -1,8 +1,10 @@
 //! Known-good lint fixture. Never compiled — linted by
 //! `crates/analysis/tests/lints.rs` under the synthetic path
-//! `crates/proxy/src/fixture_good.rs` (all rules in scope) and must come
-//! back clean: ordered containers, simulated time only, honest failure,
-//! checked conversions, fully wired Stats, and exactly one justified allow.
+//! `crates/proxy/src/fixture_good.rs` (all rules in scope), together with
+//! an `examples/` caller of its `pub fn`s, and must come back clean:
+//! ordered containers, simulated time only, honest failure, checked
+//! conversions, fully wired Stats, used pub code, and exactly one
+//! justified allow.
 
 use std::collections::BTreeMap;
 

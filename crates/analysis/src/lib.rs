@@ -25,6 +25,12 @@
 //!   exercised by a test somewhere in the workspace (an ident reference
 //!   inside a `#[cfg(test)]` / `#[test]` span); an SLO constant nothing
 //!   tests is a watchdog that may never have fired.
+//! - **U1 `unused`** — rustc's `dead_code` cannot see `pub` items, so this
+//!   rule does: a `pub fn` whose name no non-test code mentions outside
+//!   its own declaration, and a module none of whose top-level `pub`
+//!   items is named outside its file. `use` lines are imports, not
+//!   references (a `use x as y` rename is one). Examples, benches and
+//!   `perfbench/src/` are read as callers but never linted.
 //!
 //! A site can be justified with an annotation comment — the tool name, a
 //! colon, then `allow(<rule>, <reason>)` — on the same line or on a
@@ -33,9 +39,12 @@
 //! match no violation are themselves violations (A0 `meta`), so the
 //! allowlist cannot rot.
 //!
-//! Code inside `#[cfg(test)]` / `#[test]` items is exempt from D1/D2/H1/N1
-//! (tests may panic and may use wall-clock), but `*Stats` declarations in
-//! test code are ignored by T1 rather than required to be wired up.
+//! Code inside `#[test]`, `#[cfg(test)]` or `#[cfg(all(.., test, ..))]`
+//! items is exempt from D1/D2/H1/N1 (tests may panic and may use
+//! wall-clock), `*Stats` declarations in test code are ignored by T1
+//! rather than required to be wired up, and test code never counts as a
+//! U1 reference. `cfg(not(test))` and `cfg(any(test, ..))` code builds
+//! outside tests too, so it is linted like any other.
 
 pub mod lexer;
 
@@ -55,46 +64,52 @@ pub enum Rule {
     Narrow,
     Stats,
     Watchdog,
+    Unused,
     Meta,
 }
 
 impl Rule {
+    /// Every rule with its `allow(<id>, ...)` id and its report code. This
+    /// is the one place a rule is named: `id`, `code`, `from_id` and the
+    /// unknown-rule message all read it.
+    const TABLE: &'static [(Rule, &'static str, &'static str)] = &[
+        (Rule::Det, "det", "D1"),
+        (Rule::Clock, "clock", "D2"),
+        (Rule::Panic, "panic", "H1"),
+        (Rule::Narrow, "narrow", "N1"),
+        (Rule::Stats, "stats", "T1"),
+        (Rule::Watchdog, "watchdog", "T2"),
+        (Rule::Unused, "unused", "U1"),
+        (Rule::Meta, "meta", "A0"),
+    ];
+
+    fn row(self) -> &'static (Rule, &'static str, &'static str) {
+        Self::TABLE
+            .iter()
+            .find(|row| row.0 == self)
+            .expect("every rule has a table row")
+    }
+
     /// The id used in `allow(<id>, ...)` annotations.
     pub fn id(self) -> &'static str {
-        match self {
-            Rule::Det => "det",
-            Rule::Clock => "clock",
-            Rule::Panic => "panic",
-            Rule::Narrow => "narrow",
-            Rule::Stats => "stats",
-            Rule::Watchdog => "watchdog",
-            Rule::Meta => "meta",
-        }
+        self.row().1
     }
 
     /// Short code used in report lines.
     pub fn code(self) -> &'static str {
-        match self {
-            Rule::Det => "D1",
-            Rule::Clock => "D2",
-            Rule::Panic => "H1",
-            Rule::Narrow => "N1",
-            Rule::Stats => "T1",
-            Rule::Watchdog => "T2",
-            Rule::Meta => "A0",
-        }
+        self.row().2
+    }
+
+    /// Rules an annotation may name: every rule but `Meta`.
+    pub fn allowable() -> impl Iterator<Item = Rule> {
+        Self::TABLE
+            .iter()
+            .map(|row| row.0)
+            .filter(|&r| r != Rule::Meta)
     }
 
     fn from_id(s: &str) -> Option<Rule> {
-        match s {
-            "det" => Some(Rule::Det),
-            "clock" => Some(Rule::Clock),
-            "panic" => Some(Rule::Panic),
-            "narrow" => Some(Rule::Narrow),
-            "stats" => Some(Rule::Stats),
-            "watchdog" => Some(Rule::Watchdog),
-            _ => None,
-        }
+        Self::allowable().find(|r| r.id() == s)
     }
 }
 
@@ -176,7 +191,48 @@ fn clock_allowlisted(path: &str) -> bool {
 // Test-span detection
 // ---------------------------------------------------------------------------
 
-/// Line ranges (inclusive) covered by `#[cfg(test)]` / `#[test]` items.
+/// Whether an attribute's tokens (between `#[` and `]`) mark test-only
+/// code: `test`, `cfg(test)` or `cfg(all(.., test, ..))`. Code under
+/// `cfg(not(test))` or `cfg(any(test, ..))` also builds outside tests.
+fn is_test_attr(attr: &[Token]) -> bool {
+    match attr {
+        [t] => is_ident(t, "test"),
+        [cfg, open, pred @ .., close]
+            if is_ident(cfg, "cfg") && is_punct(open, '(') && is_punct(close, ')') =>
+        {
+            cfg_requires_test(pred)
+        }
+        _ => false,
+    }
+}
+
+/// Whether a `cfg` predicate holds only when `test` does.
+fn cfg_requires_test(pred: &[Token]) -> bool {
+    match pred {
+        [t] => is_ident(t, "test"),
+        [all, open, args @ .., close]
+            if is_ident(all, "all") && is_punct(open, '(') && is_punct(close, ')') =>
+        {
+            let mut depth = 0usize;
+            args.split(|t| match t.tok {
+                Tok::Punct('(') => {
+                    depth += 1;
+                    false
+                }
+                Tok::Punct(')') => {
+                    depth -= 1;
+                    false
+                }
+                Tok::Punct(',') => depth == 0,
+                _ => false,
+            })
+            .any(cfg_requires_test)
+        }
+        _ => false,
+    }
+}
+
+/// Line ranges (inclusive) covered by test-only items (see `is_test_attr`).
 fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0usize;
@@ -186,25 +242,18 @@ fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
             continue;
         }
         let attr_line = tokens[i].line;
-        // Collect the attribute's tokens up to the matching `]`.
+        // The attribute's tokens run up to the matching `]`.
         let mut j = i + 2;
         let mut depth = 1usize;
-        let mut attr_idents: Vec<&str> = Vec::new();
         while j < tokens.len() && depth > 0 {
             match &tokens[j].tok {
                 Tok::Punct('[') => depth += 1,
                 Tok::Punct(']') => depth -= 1,
-                Tok::Ident(s) => attr_idents.push(s),
                 _ => {}
             }
             j += 1;
         }
-        let is_test_attr = match attr_idents.first() {
-            Some(&"test") => true,
-            Some(&"cfg") => attr_idents.contains(&"test"),
-            _ => false,
-        };
-        if !is_test_attr {
+        if !is_test_attr(&tokens[i + 2..j.saturating_sub(1).max(i + 2)]) {
             i = j;
             continue;
         }
@@ -277,13 +326,12 @@ fn parse_annotation(c: &Comment) -> Option<Result<Annotation, String>> {
         Some((r, why)) => (r.trim(), why.trim()),
         None => (inner.trim(), ""),
     };
-    let rule = match Rule::from_id(rule_id) {
-        Some(r) if r != Rule::Meta => r,
-        _ => {
-            return Some(Err(format!(
-                "unknown lint `{rule_id}` (expected det, clock, panic, narrow, stats, or watchdog)"
-            )))
-        }
+    let Some(rule) = Rule::from_id(rule_id) else {
+        let ids: Vec<&str> = Rule::allowable().map(Rule::id).collect();
+        return Some(Err(format!(
+            "unknown lint `{rule_id}` (expected one of: {})",
+            ids.join(", ")
+        )));
     };
     if reason.is_empty() {
         return Some(Err(format!(
@@ -304,6 +352,8 @@ fn parse_annotation(c: &Comment) -> Option<Result<Annotation, String>> {
 
 struct FileCtx {
     path: String,
+    /// Read for U1 references only; no rule lints it (see `caller_only`).
+    caller_only: bool,
     tokens: Vec<Token>,
     spans: Vec<(usize, usize)>,
     annotations: Vec<Annotation>,
@@ -557,6 +607,147 @@ fn index_watchdogs(ctx: &FileCtx, file_idx: usize, idx: &mut WatchdogIndex) {
 }
 
 // ---------------------------------------------------------------------------
+// U1: pub code that no non-test code names
+// ---------------------------------------------------------------------------
+
+/// Files read only as callers of library code: examples, benches and the
+/// benchmark harness. No rule lints them and they carry no annotations.
+fn caller_only(path: &str) -> bool {
+    path.starts_with("examples/")
+        || path.starts_with("perfbench/src/")
+        || path
+            .strip_prefix("crates/")
+            .and_then(|r| r.split_once('/'))
+            .is_some_and(|(_, r)| r.starts_with("benches/"))
+}
+
+/// Keywords whose next identifier is being declared, not referenced.
+const DECL_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "type", "const", "static", "union", "mod",
+];
+
+/// Record, per name, the files (by index) that reference it: non-test code
+/// outside `use` items and declarations. A `use x as y` rename references
+/// `x`; every other path in a `use` item is only an import.
+fn index_refs(ctx: &FileCtx, file_idx: usize, refs: &mut BTreeMap<String, BTreeSet<usize>>) {
+    let toks = &ctx.tokens;
+    let mut in_use = false;
+    for (i, t) in toks.iter().enumerate() {
+        if in_test(&ctx.spans, t.line) {
+            continue;
+        }
+        let Some(name) = ident(t) else {
+            in_use &= !is_punct(t, ';');
+            continue;
+        };
+        let renamed = toks.get(i + 1).is_some_and(|n| is_ident(n, "as"));
+        let declared = i > 0 && ident(&toks[i - 1]).is_some_and(|p| DECL_KEYWORDS.contains(&p));
+        if name == "use" {
+            in_use = true;
+        } else if (!in_use || renamed) && !declared {
+            refs.entry(name.to_string()).or_default().insert(file_idx);
+        }
+    }
+}
+
+/// A `pub` declaration outside test code. Restricted visibility
+/// (`pub(crate)`, `pub(super)`) and private items stay with rustc's
+/// `dead_code`; `pub mod` and `pub use` are structure, not items.
+struct PubDecl<'a> {
+    keyword: &'a str,
+    name: &'a str,
+    line: usize,
+    top_level: bool,
+}
+
+fn pub_decls(ctx: &FileCtx) -> Vec<PubDecl<'_>> {
+    let toks = &ctx.tokens;
+    let mut decls = Vec::new();
+    let mut depth = 0usize;
+    for i in 0..toks.len() {
+        match toks[i].tok {
+            Tok::Punct('{') => depth += 1,
+            Tok::Punct('}') => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+        if !is_ident(&toks[i], "pub") || in_test(&ctx.spans, toks[i].line) {
+            continue;
+        }
+        // Skip qualifiers: `pub const fn`, `pub unsafe fn`, `pub extern "C" fn`.
+        let mut k = i + 1;
+        loop {
+            let next_is_fn = toks
+                .get(k + 1)
+                .and_then(ident)
+                .is_some_and(|n| matches!(n, "fn" | "unsafe" | "async" | "extern"));
+            match toks.get(k).and_then(ident) {
+                Some("async" | "unsafe") => k += 1,
+                Some("const") if next_is_fn => k += 1,
+                Some("extern") => {
+                    k += 1 + usize::from(toks.get(k + 1).is_some_and(|t| t.tok == Tok::Lit))
+                }
+                _ => break,
+            }
+        }
+        let (Some(keyword), Some(name)) =
+            (toks.get(k).and_then(ident), toks.get(k + 1).and_then(ident))
+        else {
+            continue;
+        };
+        if keyword != "mod" && DECL_KEYWORDS.contains(&keyword) {
+            decls.push(PubDecl {
+                keyword,
+                name,
+                line: toks[k + 1].line,
+                top_level: depth == 0,
+            });
+        }
+    }
+    decls
+}
+
+/// U1's two checks on one linted file: a `pub fn` whose name no non-test
+/// code references, and a module none of whose top-level `pub` items is
+/// named outside the file.
+fn scan_unused(ctx: &mut FileCtx, file_idx: usize, refs: &BTreeMap<String, BTreeSet<usize>>) {
+    let decls = pub_decls(ctx);
+    let mut found = Vec::new();
+    for d in decls.iter().filter(|d| d.keyword == "fn") {
+        if !refs.contains_key(d.name) {
+            found.push((
+                Rule::Unused,
+                d.line,
+                format!(
+                    "pub fn `{}` is named by no non-test code; delete it, or allow it with \
+                     the test that uses it as an oracle or probe",
+                    d.name
+                ),
+            ));
+        }
+    }
+    let items: Vec<&PubDecl> = decls.iter().filter(|d| d.top_level).collect();
+    let named_outside = |d: &&PubDecl| {
+        refs.get(d.name)
+            .is_some_and(|files| files.iter().any(|&f| f != file_idx))
+    };
+    if let Some(first) = items.first() {
+        if !items.iter().any(named_outside) {
+            let names: Vec<&str> = items.iter().map(|d| d.name).collect();
+            found.push((
+                Rule::Unused,
+                first.line,
+                format!(
+                    "no top-level pub item of this module ({}) is named outside it; \
+                     delete the module or wire it in",
+                    names.join(", ")
+                ),
+            ));
+        }
+    }
+    ctx.raw.extend(found);
+}
+
+// ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
@@ -566,10 +757,11 @@ pub fn lint(files: &[SourceFile]) -> Report {
     let mut ctxs: Vec<FileCtx> = Vec::with_capacity(files.len());
     for f in files {
         let out = lex(&f.text);
+        let caller_only = caller_only(&f.path);
         let spans = test_spans(&out.tokens);
         let mut annotations = Vec::new();
         let mut raw = Vec::new();
-        for c in &out.comments {
+        for c in out.comments.iter().filter(|_| !caller_only) {
             match parse_annotation(c) {
                 Some(Ok(a)) => annotations.push(a),
                 Some(Err(msg)) => raw.push((Rule::Meta, c.line, msg)),
@@ -578,6 +770,7 @@ pub fn lint(files: &[SourceFile]) -> Report {
         }
         ctxs.push(FileCtx {
             path: f.path.clone(),
+            caller_only,
             tokens: out.tokens,
             spans,
             annotations,
@@ -587,15 +780,20 @@ pub fn lint(files: &[SourceFile]) -> Report {
 
     let mut stats = StatsIndex::default();
     let mut watchdogs = WatchdogIndex::default();
+    let mut refs = BTreeMap::new();
     for (i, ctx) in ctxs.iter().enumerate() {
-        index_stats(ctx, i, &mut stats);
-        index_watchdogs(ctx, i, &mut watchdogs);
+        index_refs(ctx, i, &mut refs);
+        if !ctx.caller_only {
+            index_stats(ctx, i, &mut stats);
+            index_watchdogs(ctx, i, &mut watchdogs);
+        }
     }
-    for ctx in &mut ctxs {
+    for (i, ctx) in ctxs.iter_mut().enumerate().filter(|(_, c)| !c.caller_only) {
         scan_det(ctx);
         scan_clock(ctx);
         scan_panic(ctx);
         scan_narrow(ctx);
+        scan_unused(ctx, i, &refs);
     }
     for (name, &(file_idx, line)) in &stats.decls {
         if !stats.observed.contains(name) {
@@ -629,7 +827,7 @@ pub fn lint(files: &[SourceFile]) -> Report {
     // Resolve allow annotations: same line, or a whole-line comment directly
     // above the offending line.
     let mut report = Report {
-        files_checked: files.len(),
+        files_checked: ctxs.iter().filter(|c| !c.caller_only).count(),
         ..Report::default()
     };
     for ctx in &mut ctxs {
@@ -670,23 +868,28 @@ pub fn lint(files: &[SourceFile]) -> Report {
     report
 }
 
-/// Collect every workspace-owned `.rs` source: `src/` of the umbrella crate
-/// plus `crates/*/src/`. Vendored shims (`vendor/`), integration tests,
-/// benches, and lint fixtures are out of scope.
+/// Collect every workspace-owned `.rs` source: the linted library code
+/// (`src/` of the umbrella crate plus `crates/*/src/`) and the files U1
+/// reads only as callers (`examples/`, `crates/*/benches/`,
+/// `perfbench/src/`). Vendored shims (`vendor/`), integration tests and lint
+/// fixtures are out of scope.
 pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
-    let mut roots = vec![root.join("src")];
+    let mut roots = vec![
+        root.join("src"),
+        root.join("examples"),
+        root.join("perfbench").join("src"),
+    ];
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         for entry in fs::read_dir(&crates_dir)? {
-            let p = entry?.path().join("src");
-            if p.is_dir() {
-                roots.push(p);
-            }
+            let krate = entry?.path();
+            roots.push(krate.join("src"));
+            roots.push(krate.join("benches"));
         }
     }
-    for r in roots {
-        walk(&r, root, &mut files)?;
+    for r in roots.iter().filter(|r| r.is_dir()) {
+        walk(r, root, &mut files)?;
     }
     files.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(files)

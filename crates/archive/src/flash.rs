@@ -107,11 +107,6 @@ impl FlashDevice {
         self.model.pages_per_block
     }
 
-    /// Total page count.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Total block count.
     pub fn block_count(&self) -> usize {
         self.wear.len()
@@ -177,11 +172,6 @@ impl FlashDevice {
         Ok(data.clone())
     }
 
-    /// True if the page currently holds data.
-    pub fn is_programmed(&self, page: usize) -> bool {
-        self.pages.get(page).is_some_and(|p| p.is_some())
-    }
-
     /// Erases a whole block, charging erase energy and bumping wear.
     pub fn erase_block(
         &mut self,
@@ -216,7 +206,10 @@ mod tests {
         assert_eq!(d.page_bytes(), 264);
         assert_eq!(d.pages_per_block(), 8);
         assert!(d.capacity_bytes() >= 64 * 1024);
-        assert_eq!(d.page_count() % d.pages_per_block(), 0);
+        assert_eq!(
+            d.capacity_bytes(),
+            d.block_count() * d.pages_per_block() * d.page_bytes()
+        );
     }
 
     #[test]
@@ -225,7 +218,6 @@ mod tests {
         let mut l = EnergyLedger::new();
         d.program(0, b"hello flash", &mut l).unwrap();
         assert_eq!(d.read(0, &mut l).unwrap(), b"hello flash");
-        assert!(d.is_programmed(0));
         assert_eq!(d.stats().programs, 1);
         assert_eq!(d.stats().reads, 1);
     }
@@ -246,7 +238,6 @@ mod tests {
         assert_eq!(d.wear(0), Some(0));
         d.erase_block(0, &mut l).unwrap();
         assert_eq!(d.wear(0), Some(1));
-        assert!(!d.is_programmed(1));
         assert_eq!(d.read(1, &mut l), Err(FlashError::Empty));
         d.program(1, b"y", &mut l).unwrap();
         assert_eq!(d.read(1, &mut l).unwrap(), b"y");
@@ -260,7 +251,7 @@ mod tests {
         d.program(0, b"block0", &mut l).unwrap();
         d.program(ppb, b"block1", &mut l).unwrap();
         d.erase_block(0, &mut l).unwrap();
-        assert!(!d.is_programmed(0));
+        assert_eq!(d.read(0, &mut l), Err(FlashError::Empty));
         assert_eq!(d.read(ppb, &mut l).unwrap(), b"block1");
     }
 
@@ -268,7 +259,7 @@ mod tests {
     fn bounds_checked() {
         let mut d = device();
         let mut l = EnergyLedger::new();
-        let n = d.page_count();
+        let n = d.block_count() * d.pages_per_block();
         assert_eq!(d.program(n, b"x", &mut l), Err(FlashError::OutOfRange));
         assert_eq!(
             d.read(n, &mut l),

@@ -17,8 +17,8 @@
 //! * a **segment index** (`[start, end]` covered span per segment, where
 //!   summaries count the whole range they were folded from) prunes
 //!   non-overlapping blocks;
-//! * a **per-page time directory** (`[(page_start, page_end,
-//!   used_bytes)]`, maintained as pages are programmed) binary-searches
+//! * a **per-page time directory** (`[(page_start, page_end)]`,
+//!   maintained as pages are programmed) binary-searches
 //!   to the first overlapping page of a segment and early-exits past the
 //!   window's end, so narrow queries decode a handful of pages instead
 //!   of whole blocks;
@@ -120,8 +120,6 @@ struct PageMeta {
     start: SimTime,
     /// Latest instant any record in the page covers.
     end: SimTime,
-    /// Payload bytes used (excluding the on-flash length prefix).
-    used_bytes: u16,
 }
 
 impl PageMeta {
@@ -413,7 +411,6 @@ impl ArchiveStore {
         let meta = PageMeta {
             start: span_start,
             end: span_end,
-            used_bytes: self.page_buf.len() as u16,
         };
         if let Some(last) = seg.pages.last() {
             if last.start > meta.start || last.end > meta.end {
@@ -844,6 +841,7 @@ impl ArchiveStore {
 
     /// Queries semantic events in `[t0, t1]`, oldest first, over the same
     /// indexed read path as [`ArchiveStore::query_range`].
+    // presto-lint: allow(unused, the event half of the indexed read path; tests/properties.rs indexed_archive_queries_match_fullscan pins it against query_events_fullscan)
     pub fn query_events(
         &mut self,
         t0: SimTime,
@@ -855,6 +853,7 @@ impl ArchiveStore {
 
     /// Reference full-scan implementation of [`ArchiveStore::query_events`];
     /// see [`ArchiveStore::query_range_fullscan`].
+    // presto-lint: allow(unused, reference path: tests/properties.rs indexed_archive_queries_match_fullscan compares the indexed event reads against it)
     pub fn query_events_fullscan(
         &mut self,
         t0: SimTime,
@@ -887,20 +886,6 @@ impl ArchiveStore {
             .map(|s| (s.start, s.end))
     }
 
-    /// Fraction of programmed page payload capacity actually holding
-    /// record bytes (from the page time directory), `None` before the
-    /// first page is programmed. Low utilization means records are
-    /// being flushed on partial pages.
-    pub fn utilization(&self) -> Option<f64> {
-        let payload_capacity = (self.flash.page_bytes() - 2) as f64;
-        let (used, pages) = self
-            .segments
-            .iter()
-            .flat_map(|s| &s.pages)
-            .fold((0u64, 0u64), |(u, n), p| (u + p.used_bytes as u64, n + 1));
-        (pages > 0).then(|| used as f64 / (pages as f64 * payload_capacity))
-    }
-
     /// Store statistics.
     pub fn stats(&self) -> ArchiveStats {
         self.stats
@@ -909,11 +894,6 @@ impl ArchiveStore {
     /// Underlying flash statistics.
     pub fn flash_stats(&self) -> crate::flash::FlashStats {
         self.flash.stats()
-    }
-
-    /// Number of live segments (including the one being filled).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
     }
 }
 
@@ -1293,24 +1273,6 @@ mod tests {
         assert_eq!(first, second);
         assert!(store.flash_stats().reads > reads, "cap=0 served a hit");
         assert_eq!(store.stats().page_cache_hits, 0);
-    }
-
-    #[test]
-    fn utilization_reflects_page_fill() {
-        let mut store = ArchiveStore::new(small_config(64 * 1024));
-        let mut l = EnergyLedger::new();
-        assert_eq!(store.utilization(), None);
-        // Full pages: utilization near 1.
-        fill(&mut store, 500, SimDuration::from_secs(31), &mut l);
-        store.flush_page(&mut l).unwrap();
-        assert!(store.utilization().unwrap() > 0.8);
-        // A page flushed with a single record drags it down.
-        store
-            .append_scalar(SimTime::from_days(2), 20.0, &mut l)
-            .unwrap();
-        store.flush_page(&mut l).unwrap();
-        let after = store.utilization().unwrap();
-        assert!(after < 1.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use presto_net::LinkModel;
 use presto_proxy::{PrestoProxy, ProxyConfig};
-use presto_sensor::{PushPolicy, SensorConfig, SensorNode, UplinkMsg};
+use presto_sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto_sim::{SimDuration, SimTime};
 use presto_workloads::lab::LabReading;
 use presto_workloads::{QueryTarget, TimeScope};
@@ -154,11 +154,6 @@ pub fn energy_of_policy(
         bytes: node.stats().bytes_sent,
         delivered,
     }
-}
-
-/// Convenience: `UplinkMsg` count sanity helper used in tests.
-pub fn delivered_count(msgs: &[UplinkMsg]) -> usize {
-    msgs.len()
 }
 
 #[cfg(test)]

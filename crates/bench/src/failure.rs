@@ -140,7 +140,7 @@ crate::json_object!(FailureReport {
 });
 
 /// A bursty chain with the requested stationary loss (bad-state dwell
-/// ~15 frames, matching the indoor preset's burstiness).
+/// ~15 frames, the burstiness of a typical indoor low-power link).
 fn bursty(loss: f64) -> GilbertElliott {
     let loss_good = (loss * 0.15).min(0.05);
     let loss_bad = 0.9;
@@ -303,37 +303,29 @@ pub fn failure_scenario(cfg: &FailureScenarioConfig) -> FailureReport {
         }
     }
 
-    let fs = sys.fabric_stats();
-    let rs = sys.recovery_stats();
-    let dl = sys.downlink_stats();
-    let (pulls, pull_failures) = sys
-        .proxies
-        .iter()
-        .fold((0u64, 0u64), |(a, b), p| {
-            (a + p.stats().pulls, b + p.stats().pull_failures)
-        });
-    let heartbeats: u64 = sys
-        .nodes
-        .iter()
-        .flatten()
-        .map(|n| n.stats().heartbeats_sent)
-        .sum();
+    // Every counter comes from the one telemetry registry; a missing path
+    // is a wiring bug, not a zero.
+    let snap = sys.telemetry_snapshot();
+    let count = |path: &str| {
+        snap.get(path)
+            .unwrap_or_else(|| panic!("{path} missing from the telemetry snapshot")) as u64
+    };
     FailureReport {
         configured_loss: cfg.loss,
-        offered: fs.offered,
-        delivered: fs.delivered,
-        dropped: fs.dropped_retries + fs.dropped_budget,
-        retransmits: fs.retransmits,
-        heartbeats,
+        offered: count("fabric.offered"),
+        delivered: count("fabric.delivered"),
+        dropped: count("fabric.dropped_retries") + count("fabric.dropped_budget"),
+        retransmits: count("fabric.retransmits"),
+        heartbeats: count("sensor.heartbeats_sent"),
         detection_latency_s: match (crash, detection_at) {
             (Some((down, _)), Some(at)) => (at - down).as_secs_f64(),
             (Some(_), None) => f64::INFINITY,
             (None, _) => f64::NAN,
         },
         lease_s: lease.as_secs_f64(),
-        gaps_detected: rs.gaps_detected,
-        recoveries: rs.recoveries,
-        samples_replayed: rs.samples_replayed,
+        gaps_detected: count("recovery.gaps_detected"),
+        recoveries: count("recovery.recoveries"),
+        samples_replayed: count("recovery.samples_replayed"),
         recovery_latency_s: sys.gaps.mean_recovery_latency_s(),
         probes,
         stale_confident,
@@ -343,10 +335,10 @@ pub fn failure_scenario(cfg: &FailureScenarioConfig) -> FailureReport {
             stale_confident as f64 / probes as f64
         },
         outage_honest,
-        pulls,
-        pull_failures,
-        downlink_retransmits: dl.retransmits,
-        downlink_rpc_failures: dl.rpc_failures,
+        pulls: count("proxy.pulls"),
+        pull_failures: count("proxy.pull_failures"),
+        downlink_retransmits: count("downlink.retransmits"),
+        downlink_rpc_failures: count("downlink.rpc_failures"),
         window_archived: archived.len() as u64,
         window_missing: missing,
         window_max_err: max_err,

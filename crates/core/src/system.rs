@@ -20,10 +20,10 @@
 
 use presto_index::{ClockCorrector, DriftClock, SkipGraph, TimeRangeIndex};
 use presto_net::{LinkModel, LossProcess, SharedLossState};
-use presto_proxy::{CompletedQuery, PipelineStats, PrestoProxy, ProxyConfig, SliceCacheStats};
+use presto_proxy::{CompletedQuery, PrestoProxy, ProxyConfig};
 use presto_reliability::{
-    recovery::padded_span, DownlinkChannel, DownlinkStats, Fabric, FabricStats, GapTracker,
-    Health, LivenessMonitor, Observation, RecoveryStats, ReliabilityConfig,
+    recovery::padded_span, DownlinkChannel, DownlinkStats, Fabric, GapTracker, Health,
+    LivenessMonitor, Observation, ReliabilityConfig,
 };
 use presto_sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto_sim::{EnergyCategory, EnergyLedger, FaultPlan, SimDuration, SimRng, SimTime};
@@ -769,30 +769,10 @@ impl PrestoSystem {
         out
     }
 
-    /// Pipeline counters summed across proxies (`max_in_flight` is the
-    /// per-proxy peak, maxed).
-    pub fn pipeline_stats(&self) -> PipelineStats {
-        let mut total = PipelineStats::default();
-        for p in &self.proxies {
-            total.merge(&p.pipeline().stats());
-        }
-        total
-    }
-
     /// Pending pipeline queries across proxies (leak probe: zero after
     /// every submitted query completed or failed).
     pub fn pipeline_pending_total(&self) -> usize {
         self.proxies.iter().map(|p| p.pipeline().pending_queries()).sum()
-    }
-
-    /// Merged two-tier slice-cache counters across proxies (all zero
-    /// unless sliced execution is configured).
-    pub fn slice_cache_stats(&self) -> SliceCacheStats {
-        let mut total = SliceCacheStats::default();
-        for p in &self.proxies {
-            total.merge(&p.pipeline().slice_cache().stats());
-        }
-        total
     }
 
     /// Outstanding async RPC entries across every downlink channel
@@ -810,28 +790,9 @@ impl PrestoSystem {
         self.liveness.health(sensor as usize)
     }
 
-    /// Fabric counters.
-    pub fn fabric_stats(&self) -> FabricStats {
-        self.fabric.stats()
-    }
-
-    /// Downlink channel counters, summed across every sensor.
-    pub fn downlink_stats(&self) -> DownlinkStats {
-        let mut total = DownlinkStats::default();
-        for ch in self.downlinks.iter().flatten() {
-            total.merge(&ch.stats());
-        }
-        total
-    }
-
     /// Shared fading states (one per proxy) when correlated loss is on.
     pub fn shared_loss(&self) -> &[SharedLossState] {
         &self.shared_loss
-    }
-
-    /// Gap/recovery counters.
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.gaps.stats()
     }
 
     /// Phase timers over the epoch pump.
@@ -906,7 +867,11 @@ impl PrestoSystem {
             }
         }
         if s.wants("downlink") {
-            s.observe("downlink", &self.downlink_stats());
+            let mut downlink = DownlinkStats::default();
+            for ch in self.downlinks.iter().flatten() {
+                downlink.merge(&ch.stats());
+            }
+            s.observe("downlink", &downlink);
         }
         s.observe("fabric", &self.fabric.stats());
         s.observe("liveness", &self.liveness.stats());
@@ -1096,8 +1061,8 @@ mod tests {
         cfg.clock_skew_ppm = 50.0;
         let mut sys = PrestoSystem::new(cfg);
         sys.run(SimDuration::from_hours(6));
-        assert!(sys.correctors.iter().all(|c| c.is_calibrated()));
-        // Corrected timestamps land near the truth.
+        // Corrected timestamps land near the truth; with 50 ppm of skew an
+        // uncalibrated corrector would be over a second off by now.
         let t = sys.now();
         for gid in 0..sys.total_sensors() {
             let local = sys.clocks[gid].local_time(t);
@@ -1186,7 +1151,7 @@ mod tests {
         assert!(ls.reconnected >= 1, "reconnect never observed");
         assert_eq!(sys.health(0), Health::Live, "sensor should be back");
 
-        let rs = sys.recovery_stats();
+        let rs = sys.gaps.stats();
         assert!(rs.recoveries >= 1, "no recovery replay completed");
         assert!(
             rs.samples_replayed > 100,
@@ -1245,12 +1210,17 @@ mod tests {
         let mut cfg = small();
         cfg.proxies = 1;
         cfg.reliability = tight_reliability();
-        cfg.reliability.fabric.up_loss =
-            presto_net::LossProcess::Gilbert(presto_net::GilbertElliott::indoor());
+        // A typical indoor link: mostly clean with occasional fades.
+        cfg.reliability.fabric.up_loss = presto_net::LossProcess::Gilbert(presto_net::GilbertElliott {
+            p_gb: 0.005,
+            p_bg: 0.15,
+            loss_good: 0.02,
+            loss_bad: 0.75,
+        });
         cfg.reliability.fabric.down_loss = presto_net::LossProcess::Bernoulli(0.1);
         let mut sys = PrestoSystem::new(cfg);
         sys.run(SimDuration::from_hours(12));
-        let fs = sys.fabric_stats();
+        let fs = sys.fabric.stats();
         assert!(fs.lost_in_channel > 0, "channel never lost a message");
         assert!(fs.retransmits > 0, "loss never triggered retransmission");
         assert!(
@@ -1259,7 +1229,7 @@ mod tests {
         );
         // Whatever was permanently dropped surfaced as gaps; any
         // detected gap must eventually be repaired.
-        let rs = sys.recovery_stats();
+        let rs = sys.gaps.stats();
         if rs.gaps_detected > 0 {
             assert!(
                 rs.recoveries > 0,
@@ -1312,8 +1282,11 @@ mod tests {
             sys.total_sensors() as u64,
             "every burst-time pull must surface in pull_failures"
         );
-        let dl = sys.downlink_stats();
-        assert!(dl.retransmits > 0, "burst pulls must have retried: {dl:?}");
+        let retried = sys.telemetry_snapshot().get("downlink.retransmits");
+        assert!(
+            retried.is_some_and(|r| r > 0.0),
+            "burst pulls must have retried: {retried:?}"
+        );
 
         // After the burst the same queries succeed again.
         sys.run(SimDuration::from_hours(1));
@@ -1342,7 +1315,7 @@ mod tests {
         });
         let mut sys = PrestoSystem::new(cfg);
         sys.run(SimDuration::from_hours(8));
-        let fs = sys.fabric_stats();
+        let fs = sys.fabric.stats();
         assert!(fs.lost_in_channel > 0, "shared fading never lost a message");
         assert!(fs.retransmits > 0);
         assert!(
@@ -1405,10 +1378,10 @@ mod tests {
         // are empty once everything completed.
         assert_eq!(sys.pipeline_pending_total(), 0);
         assert_eq!(sys.async_in_flight_total(), 0);
-        let ps = sys.pipeline_stats();
+        let peak = sys.telemetry_snapshot().get("pipeline.max_in_flight");
         assert!(
-            ps.max_in_flight >= 4,
-            "loss must force overlapping in-flight pulls: {ps:?}"
+            peak.is_some_and(|p| p >= 4.0),
+            "loss must force overlapping in-flight pulls: {peak:?}"
         );
         for (_, c) in &done {
             if fast_tickets.contains(&c.id) {
@@ -1436,7 +1409,7 @@ mod tests {
         use crate::store::StoreQuery;
         let mut sys = PrestoSystem::new(small());
         sys.run(SimDuration::from_days(1));
-        let before = sys.pipeline_stats();
+        let before = sys.telemetry_snapshot();
         for sensor in 0..6u16 {
             sys.submit_query(StoreQuery::Now {
                 sensor,
@@ -1445,9 +1418,10 @@ mod tests {
         }
         let done = sys.take_completed_queries();
         assert_eq!(done.len(), 6, "loose NOW queries complete at submit");
-        let after = sys.pipeline_stats();
-        assert_eq!(after.completed_fast - before.completed_fast, 6);
-        assert_eq!(after.rpcs_issued, before.rpcs_issued, "no radio work");
+        let after = sys.telemetry_snapshot();
+        let delta = |path: &str| after.get(path).expect(path) - before.get(path).expect(path);
+        assert_eq!(delta("pipeline.completed_fast"), 6.0);
+        assert_eq!(delta("pipeline.rpcs_issued"), 0.0, "no radio work");
         assert_eq!(sys.pipeline_pending_total(), 0);
     }
 
@@ -1510,7 +1484,7 @@ mod tests {
         assert_ne!(r.source, presto_proxy::AnswerSource::Failed, "{r:?}");
         // The gap over the blackout was repaired from the archive into
         // the adopter's cache.
-        let rs = sys.recovery_stats();
+        let rs = sys.gaps.stats();
         assert!(rs.recoveries >= 1, "no recovery replay after re-home: {rs:?}");
         // Leak probes: nothing outstanding anywhere.
         assert_eq!(sys.pipeline_pending_total(), 0);

@@ -139,11 +139,6 @@ impl FleetDeployment {
         self.rehomed
     }
 
-    /// Cross-proxy channels currently open.
-    pub fn foreign_channels(&self) -> usize {
-        self.foreign.len()
-    }
-
     /// Whether `proxy` is fenced: up, but outside the membership
     /// quorum (minority side of a mesh partition).
     pub fn is_fenced(&self, proxy: usize) -> bool {
@@ -844,7 +839,7 @@ mod tests {
             .filter(|c| c.forwarded && c.answer.source() == AnswerSource::Pulled)
             .count();
         assert!(forwarded_ok > 0, "no shed query completed with a real answer");
-        assert!(fleet.foreign_channels() > 0, "no cross-proxy channel opened");
+        assert!(!fleet.foreign.is_empty(), "no cross-proxy channel opened");
         assert!(fleet.leaks().is_clean(), "{:?}", fleet.leaks());
     }
 

@@ -4,7 +4,7 @@
 //! archived data stored at numerous distributed remote sensors as well as
 //! caches and prediction models at numerous proxies."
 //!
-//! Three mechanisms from the paper:
+//! Four mechanisms from the paper:
 //!
 //! * [`skipgraph`] — the order-preserving distributed index ("we are
 //!   exploring the use of order-preserving index structures such as Skip
@@ -14,9 +14,6 @@
 //! * [`clock`] — timestamp correction: "drift and skew of clocks at the
 //!   remote sensors can result in erroneous timestamps, which need to be
 //!   corrected"; reference-beacon regression recovers offset and skew.
-//! * [`consistency`] — spatial consistency between overlapping proxies
-//!   (versioned entries, quality-aware reconciliation) and replication of
-//!   wireless-proxy caches onto wired proxies for low-latency answers.
 //! * [`view`] — the temporally ordered unified view over per-proxy
 //!   streams (k-way merge over corrected timestamps), which is what a
 //!   traffic-monitoring application queries.
@@ -25,13 +22,11 @@
 //!   proxies with no overlapping data before issuing pulls.
 
 pub mod clock;
-pub mod consistency;
 pub mod skipgraph;
 pub mod timeindex;
 pub mod view;
 
 pub use clock::{ClockCorrector, DriftClock};
-pub use consistency::{ConsistencyManager, ReplicaEntry, Replicator};
 pub use skipgraph::{OpStats, SkipGraph};
 pub use timeindex::TimeRangeIndex;
 pub use view::UnifiedView;

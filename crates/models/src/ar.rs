@@ -155,17 +155,6 @@ impl ArModel {
     pub fn mean(&self) -> f64 {
         self.mean
     }
-
-    /// The innovation standard deviation.
-    pub fn innovation_sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// Observation context, most recent first (may hold fewer than
-    /// `order` values until warmed up).
-    pub fn context(&self) -> impl Iterator<Item = f64> + '_ {
-        self.recent.iter().copied()
-    }
 }
 
 impl Predictor for ArModel {

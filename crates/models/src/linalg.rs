@@ -31,15 +31,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// The identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Row count.
     pub fn rows(&self) -> usize {
         self.rows
@@ -108,25 +99,6 @@ impl Matrix {
         out
     }
 
-    /// Matrix–vector product.
-    pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.cols, v.len(), "dimension mismatch");
-        (0..self.rows)
-            .map(|i| (0..self.cols).map(|j| self[(i, j)] * v[j]).sum())
-            .collect()
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
-            }
-        }
-        out
-    }
-
     /// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite
     /// matrix. Returns `None` if the matrix is not (numerically) SPD.
     pub fn cholesky(&self) -> Option<Matrix> {
@@ -152,12 +124,6 @@ impl Matrix {
             }
         }
         Some(l)
-    }
-
-    /// Solves `A·x = b` for SPD `A` using its Cholesky factor.
-    pub fn solve_spd(&self, b: &[f64]) -> Option<Vec<f64>> {
-        let l = self.cholesky()?;
-        Some(l.solve_cholesky(b))
     }
 
     /// Given `self = L` (lower triangular Cholesky factor), solves
@@ -218,25 +184,30 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `A·v` through the matrix product.
+    fn mul_vec(a: &Matrix, v: &[f64]) -> Vec<f64> {
+        let col = a.mul(&Matrix::from_vec(v.len(), 1, v.to_vec()));
+        (0..a.rows()).map(|i| col[(i, 0)]).collect()
+    }
+
+    /// `B·Bᵀ`, symmetric positive semi-definite for any `B`.
+    fn gram(b: &Matrix) -> Matrix {
+        let n = b.rows();
+        let mut g = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                g[(i, j)] = (0..b.cols()).map(|k| b[(i, k)] * b[(j, k)]).sum();
+            }
+        }
+        g
+    }
+
     #[test]
     fn mul_matches_hand_example() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
         let c = a.mul(&b);
         assert_eq!(c, Matrix::from_vec(2, 2, vec![19.0, 22.0, 43.0, 50.0]));
-    }
-
-    #[test]
-    fn identity_is_neutral() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(Matrix::identity(2).mul(&a), a);
-        assert_eq!(a.mul(&Matrix::identity(3)), a);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.transpose().transpose(), a);
     }
 
     #[test]
@@ -262,8 +233,8 @@ mod tests {
     fn solve_spd_recovers_solution() {
         let a = Matrix::from_vec(3, 3, vec![6.0, 2.0, 1.0, 2.0, 5.0, 2.0, 1.0, 2.0, 4.0]);
         let x_true = vec![1.0, -2.0, 3.0];
-        let b = a.mul_vec(&x_true);
-        let x = a.solve_spd(&b).unwrap();
+        let b = mul_vec(&a, &x_true);
+        let x = a.cholesky().unwrap().solve_cholesky(&b);
         for (u, v) in x.iter().zip(&x_true) {
             assert!((u - v).abs() < 1e-10);
         }
@@ -340,14 +311,13 @@ mod tests {
     proptest! {
         #[test]
         fn solve_random_spd(vals in proptest::collection::vec(-2.0f64..2.0, 16), rhs in proptest::collection::vec(-5.0f64..5.0, 4)) {
-            // Build SPD as BᵀB + εI.
-            let b_mat = Matrix::from_vec(4, 4, vals);
-            let mut a = b_mat.transpose().mul(&b_mat);
+            // Build SPD as BBᵀ + εI.
+            let mut a = gram(&Matrix::from_vec(4, 4, vals));
             for i in 0..4 {
                 a[(i, i)] += 0.5;
             }
-            let x = a.solve_spd(&rhs).unwrap();
-            let back = a.mul_vec(&x);
+            let x = a.cholesky().unwrap().solve_cholesky(&rhs);
+            let back = mul_vec(&a, &x);
             for (u, v) in back.iter().zip(&rhs) {
                 prop_assert!((u - v).abs() < 1e-8);
             }

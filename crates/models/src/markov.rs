@@ -153,16 +153,6 @@ impl MarkovModel {
             sigma,
         })
     }
-
-    /// Number of states.
-    pub fn states(&self) -> usize {
-        self.k
-    }
-
-    /// Transition probability from state `i` to state `j`.
-    pub fn transition(&self, i: usize, j: usize) -> f64 {
-        self.trans[i * self.k + j]
-    }
 }
 
 impl Predictor for MarkovModel {
@@ -239,7 +229,11 @@ mod tests {
         // From the lowest state, by far the most likely successor is
         // itself (dwell 50 samples).
         let low = m.state_of(10.0);
-        assert!(m.transition(low, low) > 0.9, "{}", m.transition(low, low));
+        assert!(
+            m.trans[low * m.k + low] > 0.9,
+            "{}",
+            m.trans[low * m.k + low]
+        );
     }
 
     #[test]
@@ -262,11 +256,9 @@ mod tests {
         let bytes = m.encode_params();
         assert_eq!(bytes.len(), 17 + 36);
         let r = MarkovModel::decode_params(&bytes).unwrap();
-        assert_eq!(r.states(), 6);
-        for i in 0..6 {
-            for j in 0..6 {
-                assert!((r.transition(i, j) - m.transition(i, j)).abs() < 0.02);
-            }
+        assert_eq!(r.k, 6);
+        for (a, b) in r.trans.iter().zip(&m.trans) {
+            assert!((a - b).abs() < 0.02);
         }
     }
 
@@ -308,7 +300,7 @@ mod tests {
         let xs = square_wave(1000);
         let (m, _) = MarkovModel::train_values(&xs, 5);
         for i in 0..5 {
-            let s: f64 = (0..5).map(|j| m.transition(i, j)).sum();
+            let s: f64 = m.trans[i * 5..(i + 1) * 5].iter().sum();
             assert!((s - 1.0).abs() < 1e-9, "row {i} sums to {s}");
         }
     }

@@ -112,11 +112,6 @@ impl LinearTrendModel {
             window_cap: 64,
         })
     }
-
-    /// Fitted slope in value units per hour.
-    pub fn slope_per_hour(&self) -> f64 {
-        self.slope
-    }
 }
 
 impl Predictor for LinearTrendModel {
@@ -184,7 +179,7 @@ mod tests {
     fn fits_exact_line() {
         let hist = ramp_history(24, 0.5, 10.0);
         let (m, report) = LinearTrendModel::train(&hist);
-        assert!((m.slope_per_hour() - 0.5).abs() < 1e-9);
+        assert!((m.slope - 0.5).abs() < 1e-9);
         assert!(report.residual_sigma < 1e-9);
         let t = SimTime::from_hours(30);
         assert!((m.predict(t).value - (10.0 + 0.5 * 30.0)).abs() < 1e-6);
@@ -212,7 +207,7 @@ mod tests {
             let v = 22.0 - 0.5 * (t.as_hours_f64() - 24.0);
             m.observe(t, v);
         }
-        assert!(m.slope_per_hour() < -0.4, "{}", m.slope_per_hour());
+        assert!(m.slope < -0.4, "{}", m.slope);
     }
 
     #[test]
@@ -224,7 +219,7 @@ mod tests {
         // Identical timestamps: slope collapses to zero, no NaN.
         let (m2, _) = LinearTrendModel::train(&[(SimTime::ZERO, 1.0), (SimTime::ZERO, 3.0)]);
         assert!(m2.predict(SimTime::from_hours(1)).value.is_finite());
-        assert_eq!(m2.slope_per_hour(), 0.0);
+        assert_eq!(m2.slope, 0.0);
     }
 
     #[test]

@@ -66,25 +66,6 @@ impl DutyCycle {
         ledger.charge(EnergyCategory::RadioListen, j);
         j
     }
-
-    /// Expected latency to reach this node with a wake-up preamble:
-    /// half a check interval on average (zero when always on).
-    pub fn expected_wake_latency(&self) -> SimDuration {
-        self.check_interval / 2
-    }
-
-    /// Worst-case latency to reach this node: one full check interval.
-    pub fn worst_wake_latency(&self) -> SimDuration {
-        self.check_interval
-    }
-
-    /// Fraction of time the radio is on (probe duty).
-    pub fn duty_fraction(&self, radio: &RadioModel) -> f64 {
-        if self.check_interval.is_zero() {
-            return 1.0;
-        }
-        (radio.lpl_probe.as_secs_f64() / self.check_interval.as_secs_f64()).min(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -96,8 +77,6 @@ mod tests {
         let r = RadioModel::mica2();
         let d = DutyCycle::always_on();
         assert_eq!(d.average_listen_power(&r), r.rx_power_w);
-        assert_eq!(d.expected_wake_latency(), SimDuration::ZERO);
-        assert_eq!(d.duty_fraction(&r), 1.0);
     }
 
     #[test]
@@ -106,7 +85,6 @@ mod tests {
         let fast = DutyCycle::lpl(SimDuration::from_millis(100));
         let slow = DutyCycle::lpl(SimDuration::from_secs(2));
         assert!(slow.average_listen_power(&r) < fast.average_listen_power(&r));
-        assert!(slow.duty_fraction(&r) < fast.duty_fraction(&r));
     }
 
     #[test]
@@ -125,8 +103,8 @@ mod tests {
     #[test]
     fn latency_bound_maps_to_interval() {
         let d = DutyCycle::for_latency_bound(SimDuration::from_mins(10));
-        assert!(d.worst_wake_latency() <= SimDuration::from_mins(10));
-        assert!(d.worst_wake_latency() > SimDuration::from_mins(8));
+        assert!(d.check_interval <= SimDuration::from_mins(10));
+        assert!(d.check_interval > SimDuration::from_mins(8));
         assert_eq!(
             DutyCycle::for_latency_bound(SimDuration::ZERO),
             DutyCycle::always_on()
@@ -141,12 +119,5 @@ mod tests {
         let j = d.charge_listening(&r, SimDuration::from_hours(1), &mut l);
         assert!((l.category(EnergyCategory::RadioListen) - j).abs() < 1e-12);
         assert!(j > 0.0);
-    }
-
-    #[test]
-    fn wake_latency_halves_check_interval() {
-        let d = DutyCycle::lpl(SimDuration::from_secs(4));
-        assert_eq!(d.expected_wake_latency(), SimDuration::from_secs(2));
-        assert_eq!(d.worst_wake_latency(), SimDuration::from_secs(4));
     }
 }

@@ -127,11 +127,6 @@ impl CpuModel {
     pub fn op_energy(&self, cycles: u64) -> f64 {
         cycles as f64 * self.energy_per_cycle()
     }
-
-    /// Wall-clock duration of `cycles` cycles.
-    pub fn op_time(&self, cycles: u64) -> SimDuration {
-        SimDuration::from_secs_f64(cycles as f64 / self.freq_hz)
-    }
 }
 
 /// External flash cost model (Atmel dataflash-class).
@@ -158,17 +153,6 @@ impl FlashModel {
             erase_per_block_j: 7.0e-6,
             page_bytes: 264,
             pages_per_block: 8,
-        }
-    }
-
-    /// A modern NAND part for the paper's "1 GB of flash" projection.
-    pub fn nand_1gb() -> Self {
-        FlashModel {
-            write_per_byte_j: 0.12e-6,
-            read_per_byte_j: 0.03e-6,
-            erase_per_block_j: 20.0e-6,
-            page_bytes: 2048,
-            pages_per_block: 64,
         }
     }
 }
@@ -269,7 +253,8 @@ mod tests {
         let c = CpuModel::atmega128();
         assert!((c.energy_per_cycle() - 3e-9).abs() < 1e-15);
         assert!((c.op_energy(1000) - 3e-6).abs() < 1e-12);
-        assert!((c.op_time(8000).as_secs_f64() - 1e-3).abs() < 1e-9);
+        // 8 MHz: 8000 cycles take a millisecond.
+        assert!((8000.0 / c.freq_hz - 1e-3).abs() < 1e-9);
     }
 
     #[test]

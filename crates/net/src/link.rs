@@ -49,18 +49,8 @@ pub struct GilbertElliott {
 }
 
 impl GilbertElliott {
-    /// A typical indoor low-power link: mostly clean with occasional
-    /// multi-frame fades.
-    pub fn indoor() -> Self {
-        GilbertElliott {
-            p_gb: 0.005,
-            p_bg: 0.15,
-            loss_good: 0.02,
-            loss_bad: 0.75,
-        }
-    }
-
     /// Long-run stationary loss probability of the chain.
+    // presto-lint: allow(unused, analytic oracle: link.rs gilbert_long_run_matches_stationary and failure.rs bursty_chain_hits_requested_stationary_loss compare the simulated chain against it)
     pub fn stationary_loss(&self) -> f64 {
         let pi_bad = self.p_gb / (self.p_gb + self.p_bg);
         (1.0 - pi_bad) * self.loss_good + pi_bad * self.loss_bad
@@ -187,7 +177,6 @@ pub struct LinkModel {
     script_pos: usize,
     rng: SimRng,
     frames_offered: u64,
-    frames_lost: u64,
     /// Hard gate: while set, every offered frame is lost regardless of
     /// the loss process. Drivers use it for physical severances — a cut
     /// mesh link during a split-brain window — that are deterministic,
@@ -206,7 +195,6 @@ impl LinkModel {
             script_pos: 0,
             rng,
             frames_offered: 0,
-            frames_lost: 0,
             blocked: false,
         }
     }
@@ -214,11 +202,6 @@ impl LinkModel {
     /// Sets the hard gate: a blocked link loses every offered frame.
     pub fn set_blocked(&mut self, blocked: bool) {
         self.blocked = blocked;
-    }
-
-    /// True while the hard gate is set.
-    pub fn is_blocked(&self) -> bool {
-        self.blocked
     }
 
     /// A perfect (wired) link; the RNG is unused.
@@ -230,7 +213,6 @@ impl LinkModel {
     pub fn deliver(&mut self) -> bool {
         self.frames_offered += 1;
         if self.blocked {
-            self.frames_lost += 1;
             return false;
         }
         let lost = match &self.process {
@@ -285,19 +267,7 @@ impl LinkModel {
                 }
             }
         };
-        if lost {
-            self.frames_lost += 1;
-        }
         !lost
-    }
-
-    /// Observed loss rate so far.
-    pub fn observed_loss(&self) -> f64 {
-        if self.frames_offered == 0 {
-            0.0
-        } else {
-            self.frames_lost as f64 / self.frames_offered as f64
-        }
     }
 
     /// Frames offered to the link so far.
@@ -315,39 +285,42 @@ impl LinkModel {
 mod tests {
     use super::*;
 
+    /// A typical indoor low-power link: mostly clean with occasional
+    /// multi-frame fades.
+    const INDOOR: GilbertElliott = GilbertElliott {
+        p_gb: 0.005,
+        p_bg: 0.15,
+        loss_good: 0.02,
+        loss_bad: 0.75,
+    };
+
+    /// Fraction of `frames` offered frames the link loses.
+    fn loss_rate(l: &mut LinkModel, frames: u64) -> f64 {
+        (0..frames).filter(|_| !l.deliver()).count() as f64 / frames as f64
+    }
+
     #[test]
     fn perfect_link_never_drops() {
         let mut l = LinkModel::perfect();
         assert!((0..10_000).all(|_| l.deliver()));
-        assert_eq!(l.observed_loss(), 0.0);
     }
 
     #[test]
     fn bernoulli_matches_probability() {
         let mut l = LinkModel::new(LossProcess::Bernoulli(0.3), SimRng::new(5));
-        for _ in 0..50_000 {
-            l.deliver();
-        }
-        assert!(
-            (l.observed_loss() - 0.3).abs() < 0.01,
-            "{}",
-            l.observed_loss()
-        );
+        let observed = loss_rate(&mut l, 50_000);
+        assert!((observed - 0.3).abs() < 0.01, "{observed}");
     }
 
     #[test]
     fn gilbert_long_run_matches_stationary() {
-        let g = GilbertElliott::indoor();
+        let g = INDOOR;
         let mut l = LinkModel::new(LossProcess::Gilbert(g), SimRng::new(6));
-        for _ in 0..200_000 {
-            l.deliver();
-        }
+        let observed = loss_rate(&mut l, 200_000);
         let expect = g.stationary_loss();
         assert!(
-            (l.observed_loss() - expect).abs() < 0.01,
-            "observed {} expected {}",
-            l.observed_loss(),
-            expect
+            (observed - expect).abs() < 0.01,
+            "observed {observed} expected {expect}"
         );
     }
 
@@ -355,7 +328,7 @@ mod tests {
     fn gilbert_losses_are_bursty() {
         // Compare the mean run length of consecutive losses against a
         // Bernoulli link of the same long-run rate: bursts should be longer.
-        let g = GilbertElliott::indoor();
+        let g = INDOOR;
         let rate = g.stationary_loss();
 
         let run_mean = |mut link: LinkModel| {
@@ -407,7 +380,6 @@ mod tests {
         let mut gated = LinkModel::new(LossProcess::Scripted(pattern.clone()), SimRng::new(0));
         let mut free = LinkModel::new(LossProcess::Scripted(pattern), SimRng::new(0));
         gated.set_blocked(true);
-        assert!(gated.is_blocked());
         for _ in 0..5 {
             assert!(!gated.deliver(), "blocked link must lose every frame");
         }
@@ -417,7 +389,6 @@ mod tests {
         let after_heal: Vec<bool> = (0..4).map(|_| gated.deliver()).collect();
         let reference: Vec<bool> = (0..4).map(|_| free.deliver()).collect();
         assert_eq!(after_heal, reference);
-        assert!(gated.observed_loss() > 0.0);
     }
 
     #[test]
@@ -471,7 +442,7 @@ mod tests {
 
     #[test]
     fn correlated_state_only_moves_when_advanced() {
-        let shared = SharedLossState::new(GilbertElliott::indoor(), SimRng::new(3));
+        let shared = SharedLossState::new(INDOOR, SimRng::new(3));
         let mut l = LinkModel::new(LossProcess::Correlated(shared.clone()), SimRng::new(4));
         let before = shared.in_bad();
         for _ in 0..1000 {
@@ -546,7 +517,7 @@ mod tests {
     fn mixed_long_run_composes_both_rates() {
         // Private chain with known stationary loss, shared chain pinned
         // good at a fixed in-state loss: observed ≈ 1-(1-pl)(1-ps).
-        let link = GilbertElliott::indoor();
+        let link = INDOOR;
         let shared_chain = GilbertElliott {
             p_gb: 0.0,
             p_bg: 1.0,
@@ -561,15 +532,11 @@ mod tests {
             },
             SimRng::new(32),
         );
-        for _ in 0..200_000 {
-            l.deliver();
-        }
+        let observed = loss_rate(&mut l, 200_000);
         let expect = 1.0 - (1.0 - link.stationary_loss()) * (1.0 - 0.1);
         assert!(
-            (l.observed_loss() - expect).abs() < 0.01,
-            "observed {} expected {}",
-            l.observed_loss(),
-            expect
+            (observed - expect).abs() < 0.01,
+            "observed {observed} expected {expect}"
         );
     }
 
@@ -618,8 +585,8 @@ mod tests {
 
     #[test]
     fn shared_handles_compare_by_identity() {
-        let a = SharedLossState::new(GilbertElliott::indoor(), SimRng::new(7));
-        let b = SharedLossState::new(GilbertElliott::indoor(), SimRng::new(7));
+        let a = SharedLossState::new(INDOOR, SimRng::new(7));
+        let b = SharedLossState::new(INDOOR, SimRng::new(7));
         assert_eq!(a, a.clone());
         assert_ne!(a, b);
     }

@@ -171,36 +171,6 @@ impl PredictionEngine {
             sigma: p.sigma.max(push_tolerance / 2.0),
         }
     }
-
-    /// The guaranteed absolute error bound for extrapolation under
-    /// model-driven push with the given sensor tolerance.
-    pub fn extrapolation_bound(push_tolerance: f64) -> f64 {
-        push_tolerance
-    }
-
-    /// Decodes a context-free replica from pushed parameters — the
-    /// exact state a sensor holds right after installing a model push.
-    /// The replica-resync path replays cached history through this to
-    /// reconstruct the sensor's current replica without retraining.
-    pub fn decode_replica(kind: ModelKind, params: &[u8]) -> Option<Box<dyn Predictor>> {
-        match kind {
-            ModelKind::Seasonal => {
-                SeasonalModel::decode_params(params).map(|m| Box::new(m) as Box<dyn Predictor>)
-            }
-            ModelKind::Ar => {
-                ArModel::decode_params(params).map(|m| Box::new(m) as Box<dyn Predictor>)
-            }
-            ModelKind::SeasonalAr => {
-                SeasonalArModel::decode_params(params).map(|m| Box::new(m) as Box<dyn Predictor>)
-            }
-            ModelKind::LinearTrend => {
-                LinearTrendModel::decode_params(params).map(|m| Box::new(m) as Box<dyn Predictor>)
-            }
-            ModelKind::Markov => {
-                MarkovModel::decode_params(params).map(|m| Box::new(m) as Box<dyn Predictor>)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -281,7 +251,6 @@ mod tests {
         let slot = e.train(&diurnal_history(7), SimTime::from_days(7), 0, &mut ledger);
         let p = PredictionEngine::extrapolate(&slot, SimTime::from_days(8), 2.0);
         assert!(p.sigma >= 1.0);
-        assert_eq!(PredictionEngine::extrapolation_bound(0.5), 0.5);
     }
 
     #[test]

@@ -563,11 +563,6 @@ impl QueryPipeline {
         self.pending.len()
     }
 
-    /// Completed queries awaiting collection.
-    pub fn completed_ready(&self) -> usize {
-        self.completed.len()
-    }
-
     /// Drains every completed query recorded since the last call.
     pub fn take_completed(&mut self) -> Vec<CompletedQuery> {
         std::mem::take(&mut self.completed)

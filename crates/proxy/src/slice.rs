@@ -227,14 +227,6 @@ impl SliceCacheStats {
         self.evictions += other.evictions;
         self.incomplete_skips += other.incomplete_skips;
     }
-
-    /// Hits (either tier) over lookups; 0 when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            return 0.0;
-        }
-        (self.l1_hits + self.l2_hits) as f64 / self.lookups as f64
-    }
 }
 
 presto_telemetry::observe_counters!(SliceCacheStats {

@@ -347,6 +347,7 @@ impl DownlinkChannel {
     }
 
     /// Outstanding query ids awaiting replies (pending-RPC table size).
+    // presto-lint: allow(unused, leak probe: tests/query_pipeline.rs and tests/slice_equivalence.rs assert the live pipeline leaves the pending-RPC table empty)
     pub fn outstanding_rpcs(&self) -> usize {
         self.outstanding.len()
     }

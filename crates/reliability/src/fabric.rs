@@ -231,11 +231,6 @@ impl Fabric {
         self.stats
     }
 
-    /// Number of messages currently awaiting ack across all channels.
-    pub fn unacked_total(&self) -> usize {
-        self.channels.iter().map(|c| c.unacked.len()).sum()
-    }
-
     /// Gates one sensor's channel (blackout or crash). While down,
     /// every attempt dies in the channel and no delivery or ack occurs.
     pub fn set_link_up(&mut self, sensor: usize, up: bool) {
@@ -411,6 +406,11 @@ mod tests {
     use super::*;
     use presto_sensor::UplinkPayload;
 
+    /// Messages awaiting ack across all channels.
+    fn unacked_total(f: &Fabric) -> usize {
+        f.channels.iter().map(|c| c.unacked.len()).sum()
+    }
+
     fn msg(t: SimTime, v: f64) -> UplinkMsg {
         UplinkMsg {
             sensor: 0,
@@ -439,7 +439,7 @@ mod tests {
         let seqs: Vec<u64> = got.iter().map(|(_, m)| m.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
         // All acked: nothing pending.
-        assert_eq!(f.unacked_total(), 0);
+        assert_eq!(unacked_total(&f), 0);
         assert_eq!(f.stats().delivered, 5);
     }
 
@@ -492,7 +492,7 @@ mod tests {
         assert!(deliveries > 1, "duplicates expected with dead ack path");
         assert!(f.stats().acks_lost as usize >= deliveries);
         // Eventually abandoned after max retransmits.
-        assert_eq!(f.unacked_total(), 0);
+        assert_eq!(unacked_total(&f), 0);
     }
 
     #[test]
@@ -510,7 +510,7 @@ mod tests {
         for k in 1..50u64 {
             f.tick(t0 + SimDuration::from_secs(k), |_, _| {});
         }
-        assert_eq!(f.unacked_total(), 0, "budget must bound retries");
+        assert_eq!(unacked_total(&f), 0, "budget must bound retries");
         assert_eq!(f.stats().dropped_budget, 1);
         assert_eq!(f.stats().delivered, 0);
     }

@@ -47,15 +47,6 @@ pub enum PushPolicy {
 }
 
 impl PushPolicy {
-    /// True if the policy involves a periodic batch flush.
-    pub fn batch_interval(&self) -> Option<SimDuration> {
-        match self {
-            PushPolicy::Batched { interval, .. } => Some(*interval),
-            PushPolicy::ModelDrivenBatched { interval, .. } => Some(*interval),
-            _ => None,
-        }
-    }
-
     /// Stable label for experiment reports.
     pub fn label(&self) -> String {
         match self {
@@ -84,25 +75,6 @@ impl PushPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_interval_only_for_batched_policies() {
-        assert!(PushPolicy::ModelDriven { tolerance: 1.0 }
-            .batch_interval()
-            .is_none());
-        assert!(PushPolicy::ValueDriven { delta: 1.0 }
-            .batch_interval()
-            .is_none());
-        assert!(PushPolicy::Silent.batch_interval().is_none());
-        assert_eq!(
-            PushPolicy::Batched {
-                interval: SimDuration::from_mins(33),
-                compression: None
-            }
-            .batch_interval(),
-            Some(SimDuration::from_mins(33))
-        );
-    }
 
     #[test]
     fn labels_distinguish_arms() {

@@ -71,7 +71,6 @@ impl EnergyCategory {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EnergyLedger {
     joules: [f64; 7],
-    charges: [u64; 7],
 }
 
 impl EnergyLedger {
@@ -87,18 +86,12 @@ impl EnergyLedger {
     pub fn charge(&mut self, category: EnergyCategory, joules: f64) {
         if joules.is_finite() && joules > 0.0 {
             self.joules[category.index()] += joules;
-            self.charges[category.index()] += 1;
         }
     }
 
     /// Total joules charged to one category.
     pub fn category(&self, category: EnergyCategory) -> f64 {
         self.joules[category.index()]
-    }
-
-    /// Number of individual charges recorded against one category.
-    pub fn charge_count(&self, category: EnergyCategory) -> u64 {
-        self.charges[category.index()]
     }
 
     /// Total joules across all categories.
@@ -123,26 +116,7 @@ impl EnergyLedger {
     pub fn merge(&mut self, other: &EnergyLedger) {
         for i in 0..7 {
             self.joules[i] += other.joules[i];
-            self.charges[i] += other.charges[i];
         }
-    }
-
-    /// The difference `self - other`, clamped at zero per category.
-    ///
-    /// Useful for measuring the energy spent inside a window given ledger
-    /// snapshots at the window boundaries.
-    pub fn delta_since(&self, earlier: &EnergyLedger) -> EnergyLedger {
-        let mut out = EnergyLedger::new();
-        for i in 0..7 {
-            out.joules[i] = (self.joules[i] - earlier.joules[i]).max(0.0);
-            out.charges[i] = self.charges[i].saturating_sub(earlier.charges[i]);
-        }
-        out
-    }
-
-    /// Resets the ledger to empty.
-    pub fn reset(&mut self) {
-        *self = EnergyLedger::new();
     }
 }
 
@@ -175,7 +149,6 @@ mod tests {
         l.charge(EnergyCategory::RadioTx, 0.5);
         l.charge(EnergyCategory::Cpu, 0.25);
         assert_eq!(l.category(EnergyCategory::RadioTx), 2.0);
-        assert_eq!(l.charge_count(EnergyCategory::RadioTx), 2);
         assert_eq!(l.category(EnergyCategory::Cpu), 0.25);
         assert_eq!(l.total(), 2.25);
     }
@@ -187,7 +160,6 @@ mod tests {
         l.charge(EnergyCategory::Cpu, f64::NAN);
         l.charge(EnergyCategory::Cpu, f64::INFINITY);
         assert_eq!(l.total(), 0.0);
-        assert_eq!(l.charge_count(EnergyCategory::Cpu), 0);
     }
 
     #[test]
@@ -203,21 +175,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_delta() {
+    fn merge_adds_every_category() {
         let mut a = EnergyLedger::new();
         a.charge(EnergyCategory::RadioTx, 1.0);
-        let snapshot = a.clone();
-        a.charge(EnergyCategory::RadioTx, 3.0);
-        a.charge(EnergyCategory::Sensing, 0.5);
-
-        let d = a.delta_since(&snapshot);
-        assert_eq!(d.category(EnergyCategory::RadioTx), 3.0);
-        assert_eq!(d.category(EnergyCategory::Sensing), 0.5);
+        let mut b = EnergyLedger::new();
+        b.charge(EnergyCategory::RadioTx, 3.0);
+        b.charge(EnergyCategory::Sensing, 0.5);
 
         let mut total = EnergyLedger::new();
         total.merge(&a);
-        total.merge(&d);
-        assert_eq!(total.category(EnergyCategory::RadioTx), 7.0);
+        total.merge(&b);
+        assert_eq!(total.category(EnergyCategory::RadioTx), 4.0);
+        assert_eq!(total.category(EnergyCategory::Sensing), 0.5);
     }
 
     #[test]
@@ -227,13 +196,5 @@ mod tests {
         let s = format!("{l}");
         assert!(s.contains("flash-write"));
         assert!(!s.contains("radio-tx"));
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut l = EnergyLedger::new();
-        l.charge(EnergyCategory::Cpu, 1.0);
-        l.reset();
-        assert_eq!(l.total(), 0.0);
     }
 }

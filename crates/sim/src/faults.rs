@@ -32,8 +32,8 @@ pub struct Blackout {
     pub from: SimTime,
     /// First instant after the blackout.
     pub to: SimTime,
-    /// Affected nodes; `None` blacks out every link.
-    pub nodes: Option<Vec<usize>>,
+    /// Nodes whose links are blacked out.
+    pub nodes: Vec<usize>,
 }
 
 /// One shared-fading burst window: the common loss state near every
@@ -65,22 +65,6 @@ pub struct MeshPartition {
     pub to: SimTime,
 }
 
-/// One single-link mesh cut: only the `a`↔`b` proxy link is severed
-/// (both directions) in `[from, to)`. Unlike a [`MeshPartition`], no
-/// proxy loses contact with a majority, so quorum membership must keep
-/// everyone alive — the discriminating case for pairwise suspicion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MeshLinkCut {
-    /// One endpoint proxy.
-    pub a: usize,
-    /// The other endpoint proxy.
-    pub b: usize,
-    /// First instant of the cut.
-    pub from: SimTime,
-    /// First instant after the cut heals.
-    pub to: SimTime,
-}
-
 /// One fault instance for attribution: a structured name for an
 /// injected window, carried by observability incidents so an alarm
 /// raised during a fault is *blamed* on it (and an alarm outside every
@@ -96,9 +80,9 @@ pub enum ActiveFault {
         /// Window end (first instant back up).
         to: SimTime,
     },
-    /// A link blackout window ([`Blackout`]); `nodes` empty means all.
+    /// A link blackout window ([`Blackout`]).
     LinkBlackout {
-        /// Affected nodes (empty = every link).
+        /// Affected nodes.
         nodes: Vec<usize>,
         /// Window start.
         from: SimTime,
@@ -130,17 +114,6 @@ pub enum ActiveFault {
         /// Window end (heal).
         to: SimTime,
     },
-    /// A single-link mesh cut ([`MeshLinkCut`]).
-    MeshLinkCut {
-        /// One endpoint proxy.
-        a: usize,
-        /// The other endpoint proxy.
-        b: usize,
-        /// Window start.
-        from: SimTime,
-        /// Window end.
-        to: SimTime,
-    },
 }
 
 impl ActiveFault {
@@ -151,8 +124,7 @@ impl ActiveFault {
             | ActiveFault::LinkBlackout { from, to, .. }
             | ActiveFault::SharedBurst { from, to }
             | ActiveFault::ProxyCrash { from, to, .. }
-            | ActiveFault::MeshPartition { from, to, .. }
-            | ActiveFault::MeshLinkCut { from, to, .. } => (*from, *to),
+            | ActiveFault::MeshPartition { from, to, .. } => (*from, *to),
         }
     }
 
@@ -164,7 +136,6 @@ impl ActiveFault {
             ActiveFault::SharedBurst { .. } => "shared_burst",
             ActiveFault::ProxyCrash { .. } => "proxy_crash",
             ActiveFault::MeshPartition { .. } => "mesh_partition",
-            ActiveFault::MeshLinkCut { .. } => "mesh_link_cut",
         }
     }
 }
@@ -184,8 +155,6 @@ pub struct FaultPlan {
     proxy_crashes: Vec<CrashWindow>,
     /// Split-brain windows over the proxy↔proxy mesh.
     mesh_partitions: Vec<MeshPartition>,
-    /// Single-link mesh cuts.
-    mesh_link_cuts: Vec<MeshLinkCut>,
 }
 
 impl FaultPlan {
@@ -201,7 +170,6 @@ impl FaultPlan {
             && self.shared_bursts.is_empty()
             && self.proxy_crashes.is_empty()
             && self.mesh_partitions.is_empty()
-            && self.mesh_link_cuts.is_empty()
     }
 
     /// Adds a crash/reboot window for one node (builder style).
@@ -215,25 +183,11 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a blackout of every link (builder style).
-    pub fn with_blackout(mut self, from: SimTime, to: SimTime) -> Self {
-        assert!(from <= to, "blackout window must not be inverted");
-        self.blackouts.push(Blackout {
-            from,
-            to,
-            nodes: None,
-        });
-        self
-    }
-
     /// Adds a blackout of specific nodes' links (builder style).
+    // presto-lint: allow(unused, sole way to inject the blackouts `is_unreachable` gates on; presto-core's blackout_is_detected_and_replayed_from_the_archive and tests/reliability_recovery.rs drive the live recovery path through it)
     pub fn with_blackout_of(mut self, nodes: Vec<usize>, from: SimTime, to: SimTime) -> Self {
         assert!(from <= to, "blackout window must not be inverted");
-        self.blackouts.push(Blackout {
-            from,
-            to,
-            nodes: Some(nodes),
-        });
+        self.blackouts.push(Blackout { from, to, nodes });
         self
     }
 
@@ -275,11 +229,9 @@ impl FaultPlan {
 
     /// True when `node`'s link is blacked out at `t`.
     pub fn in_blackout(&self, node: usize, t: SimTime) -> bool {
-        self.blackouts.iter().any(|b| {
-            b.from <= t
-                && t < b.to
-                && b.nodes.as_ref().is_none_or(|ns| ns.contains(&node))
-        })
+        self.blackouts
+            .iter()
+            .any(|b| b.from <= t && t < b.to && b.nodes.contains(&node))
     }
 
     /// True when `node` can neither transmit nor receive at `t`
@@ -328,28 +280,11 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a single-link mesh cut (builder style): only the `a`↔`b`
-    /// proxy link is severed in `[from, to)`.
-    pub fn with_mesh_link_cut(mut self, a: usize, b: usize, from: SimTime, to: SimTime) -> Self {
-        assert!(from <= to, "link-cut window must not be inverted");
-        self.mesh_link_cuts.push(MeshLinkCut { a, b, from, to });
-        self
-    }
-
     /// The scheduled split-brain windows.
     pub fn mesh_partitions(&self) -> &[MeshPartition] {
         &self.mesh_partitions
     }
 
-    /// The scheduled single-link mesh cuts.
-    pub fn mesh_link_cuts(&self) -> &[MeshLinkCut] {
-        &self.mesh_link_cuts
-    }
-
-    /// True when the mesh link between proxies `a` and `b` is cut at
-    /// `t` — either a single-link cut names the pair, or a split-brain
-    /// window puts `a` and `b` on opposite sides of the boundary. The
-    /// cut is symmetric: `mesh_link_cut(a, b, t) == mesh_link_cut(b, a, t)`.
     /// Every scheduled fault whose window `[from, to)` overlaps the
     /// query interval `[lo, hi]` — the attribution set an observability
     /// incident in that interval carries. Stable order: plan insertion
@@ -369,7 +304,7 @@ impl FaultPlan {
         for b in &self.blackouts {
             if overlaps(b.from, b.to) {
                 out.push(ActiveFault::LinkBlackout {
-                    nodes: b.nodes.clone().unwrap_or_default(),
+                    nodes: b.nodes.clone(),
                     from: b.from,
                     to: b.to,
                 });
@@ -401,32 +336,17 @@ impl FaultPlan {
                 });
             }
         }
-        for c in &self.mesh_link_cuts {
-            if overlaps(c.from, c.to) {
-                out.push(ActiveFault::MeshLinkCut {
-                    a: c.a,
-                    b: c.b,
-                    from: c.from,
-                    to: c.to,
-                });
-            }
-        }
         out
     }
 
-    /// Every scheduled fault active at the instant `t`.
-    pub fn active_at(&self, t: SimTime) -> Vec<ActiveFault> {
-        self.active_in(t, t)
-    }
-
+    /// True when the mesh link between proxies `a` and `b` is cut at
+    /// `t`: a split-brain window puts `a` and `b` on opposite sides of
+    /// the boundary. The cut is symmetric:
+    /// `mesh_link_cut(a, b, t) == mesh_link_cut(b, a, t)`.
     pub fn mesh_link_cut(&self, a: usize, b: usize, t: SimTime) -> bool {
-        self.mesh_partitions.iter().any(|p| {
-            p.from <= t && t < p.to && (p.group.contains(&a) != p.group.contains(&b))
-        }) || self.mesh_link_cuts.iter().any(|c| {
-            c.from <= t
-                && t < c.to
-                && ((c.a == a && c.b == b) || (c.a == b && c.b == a))
-        })
+        self.mesh_partitions
+            .iter()
+            .any(|p| p.from <= t && t < p.to && (p.group.contains(&a) != p.group.contains(&b)))
     }
 }
 
@@ -459,12 +379,10 @@ mod tests {
     }
 
     #[test]
-    fn blackouts_scope_to_nodes_or_all() {
-        let p = FaultPlan::none()
-            .with_blackout(t(100), t(110))
-            .with_blackout_of(vec![1, 3], t(200), t(210));
-        assert!(p.in_blackout(7, t(105)));
+    fn blackouts_scope_to_nodes() {
+        let p = FaultPlan::none().with_blackout_of(vec![1, 3], t(200), t(210));
         assert!(!p.in_blackout(7, t(205)));
+        assert!(!p.in_blackout(1, t(199)));
         assert!(p.in_blackout(1, t(205)));
         assert!(p.in_blackout(3, t(209)));
         assert!(!p.in_blackout(3, t(210)));
@@ -522,27 +440,15 @@ mod tests {
     }
 
     #[test]
-    fn single_link_cut_severs_one_pair_only() {
-        let p = FaultPlan::none().with_mesh_link_cut(0, 2, t(10), t(20));
-        assert!(!p.is_empty());
-        assert!(p.mesh_link_cut(0, 2, t(10)));
-        assert!(p.mesh_link_cut(2, 0, t(19)), "cut is symmetric");
-        assert!(!p.mesh_link_cut(0, 2, t(20)));
-        assert!(!p.mesh_link_cut(0, 1, t(15)));
-        assert!(!p.mesh_link_cut(1, 2, t(15)));
-    }
-
-    #[test]
     fn active_in_names_exactly_the_overlapping_faults() {
         let p = FaultPlan::none()
             .with_crash(3, t(10), t(20))
             .with_shared_burst(t(50), t(60))
             .with_proxy_crash(1, t(100), t(200))
-            .with_mesh_partition(vec![2], t(150), t(250))
-            .with_mesh_link_cut(0, 1, t(300), t(310));
+            .with_mesh_partition(vec![2], t(150), t(250));
         assert!(p.active_in(t(25), t(45)).is_empty(), "gap between faults");
         assert_eq!(
-            p.active_at(t(15)),
+            p.active_in(t(15), t(15)),
             vec![ActiveFault::NodeCrash {
                 node: 3,
                 from: t(10),
@@ -557,8 +463,8 @@ mod tests {
         assert_eq!(both[1].kind(), "mesh_partition");
         assert_eq!(both[1].window(), (t(150), t(250)));
         // Half-open windows: the heal instant is out, the start is in.
-        assert!(p.active_at(t(250)).is_empty());
-        assert_eq!(p.active_at(t(300)).len(), 1);
+        assert!(p.active_in(t(250), t(250)).is_empty());
+        assert_eq!(p.active_in(t(150), t(150)).len(), 2);
     }
 
     #[test]

@@ -1,20 +1,18 @@
-//! Discrete-event simulation kernel for the PRESTO reproduction.
+//! Simulation kernel for the PRESTO reproduction.
 //!
 //! Every experiment in this workspace runs on top of this crate. It provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time.
-//! * [`EventQueue`] — a deterministic, totally ordered future-event list.
 //! * [`rng`] — a small, dependency-free, splittable PRNG so that every
 //!   experiment is a pure function of a `u64` seed.
 //! * [`EnergyLedger`] — per-node energy accounting split by hardware
 //!   category (radio, CPU, flash, sensing), the currency in which all of
 //!   the paper's claims are measured.
-//! * [`metrics`] — counters and streaming summaries used by the
-//!   experiment drivers.
+//! * [`metrics`] — exact summary statistics used by the experiment
+//!   drivers.
 //! * [`queries`] — a seeded multi-user query workload generator (NOW /
 //!   PAST / aggregate arrivals with shared hot windows) for the
 //!   query-pipeline experiments.
-//! * [`Simulation`] — a minimal actor-style run loop.
 //! * [`FaultPlan`] — deterministic crash/reboot and link-blackout
 //!   schedules for failure-scenario experiments.
 //!
@@ -22,7 +20,6 @@
 //! those live in `presto-net` and above.
 
 pub mod energy;
-pub mod events;
 pub mod faults;
 pub mod metrics;
 pub mod queries;
@@ -30,10 +27,7 @@ pub mod rng;
 pub mod time;
 
 pub use energy::{EnergyCategory, EnergyLedger};
-pub use events::{EventQueue, Simulation};
-pub use faults::{
-    ActiveFault, Blackout, CrashWindow, FaultPlan, MeshLinkCut, MeshPartition, SharedBurst,
-};
+pub use faults::{ActiveFault, Blackout, CrashWindow, FaultPlan, MeshPartition, SharedBurst};
 pub use queries::{
     FleetArrival, FleetLoadConfig, FleetQueryLoad, QueryArrival, QueryKind, QueryLoad,
     QueryLoadConfig,

@@ -1,43 +1,11 @@
 //! Lightweight metric collection for experiment drivers.
 //!
-//! Two primitives cover every experiment in the workspace:
-//!
-//! * [`Counter`] — monotonically increasing event counts (packets sent,
-//!   cache hits, model failures, ...).
-//! * [`Summary`] — a reservoir of observations supporting mean, standard
-//!   deviation, min/max, and exact quantiles (experiments are small enough
-//!   that storing all samples is cheaper than an approximate sketch and
-//!   keeps the figures exactly reproducible).
+//! [`Summary`] is a reservoir of observations supporting mean, standard
+//! deviation, min/max, and exact quantiles (experiments are small enough
+//! that storing all samples is cheaper than an approximate sketch and keeps
+//! the figures exactly reproducible).
 
 use std::fmt;
-
-/// A named monotonic counter.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
 
 /// A collection of f64 observations with exact summary statistics.
 #[derive(Clone, Debug, Default)]
@@ -180,14 +148,6 @@ impl fmt::Display for Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn summary_moments() {

@@ -142,36 +142,6 @@ impl SimRng {
         -(1.0 - self.uniform()).ln() / rate
     }
 
-    /// Poisson variate with the given mean (Knuth for small means,
-    /// Gaussian approximation above 64 where the error is negligible).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        if mean <= 0.0 {
-            return 0;
-        }
-        if mean > 64.0 {
-            let x = self.gaussian_ms(mean, mean.sqrt()).round();
-            return if x < 0.0 { 0 } else { x as u64 };
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.uniform();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Picks a uniformly random element of a non-empty slice.
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
         if xs.is_empty() {
@@ -267,36 +237,12 @@ mod tests {
     }
 
     #[test]
-    fn poisson_mean_matches() {
-        let mut r = SimRng::new(17);
-        for &m in &[0.5, 4.0, 100.0] {
-            let n = 20_000;
-            let mean: f64 = (0..n).map(|_| r.poisson(m) as f64).sum::<f64>() / n as f64;
-            assert!(
-                (mean - m).abs() < 0.05 * m.max(1.0) + 0.05,
-                "mean {mean} target {m}"
-            );
-        }
-        assert_eq!(r.poisson(0.0), 0);
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut r = SimRng::new(19);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
         let hits = (0..10_000).filter(|_| r.chance(0.3)).count();
         assert!((hits as f64 / 10_000.0 - 0.3).abs() < 0.02);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(23);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl SimTime {
     pub fn hour_of_day(self) -> f64 {
         (self.as_secs_f64() / 3600.0) % 24.0
     }
-
-    /// Day index since the epoch (day 0 is the first day).
-    pub fn day_index(self) -> u64 {
-        self.0 / 86_400_000_000
-    }
 }
 
 impl SimDuration {
@@ -337,7 +332,6 @@ mod tests {
     fn hour_of_day_wraps() {
         let t = SimTime::from_hours(25) + SimDuration::from_mins(30);
         assert!((t.hour_of_day() - 1.5).abs() < 1e-9);
-        assert_eq!(t.day_index(), 1);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
@@ -51,7 +50,7 @@ fn note_live(live: u64) {
 // 2. *No reentrant allocation, no panics, no TLS* — a `GlobalAlloc` method
 //    must not itself allocate (infinite recursion), unwind, or touch
 //    thread-local state that may be torn down during thread exit. The only
-//    added work is `fetch_add`/`fetch_sub`/`fetch_max(Relaxed)` on four
+//    added work is `fetch_add`/`fetch_sub`/`fetch_max(Relaxed)` on three
 //    `static` process-lifetime atomics: lock-free, allocation-free,
 //    panic-free, and TLS-free (`note_live` is a plain fn over a `static`,
 //    not TLS, and cannot unwind). Relaxed ordering is sound because the
@@ -59,14 +58,13 @@ fn note_live(live: u64) {
 //    measured phase completes — they impose no synchronization edge that
 //    correctness depends on.
 //
-// `dealloc` deliberately does not decrement `ALLOCATIONS`/`ALLOCATED_BYTES`:
-// those report cumulative allocation traffic (allocations/epoch). Live-heap
+// `dealloc` deliberately does not decrement `ALLOCATIONS`: it reports
+// cumulative allocation traffic (allocations/epoch). Live-heap
 // size is tracked separately in `LIVE_BYTES` (decremented on free), whose
 // running maximum `PEAK_BYTES` is the peak-RSS proxy the BENCH exports use.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         let live = LIVE_BYTES
             .fetch_add(layout.size() as u64, Ordering::Relaxed)
             .wrapping_add(layout.size() as u64);
@@ -85,7 +83,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // Model realloc as free(old) + alloc(new) for live accounting.
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         let live = LIVE_BYTES
@@ -104,21 +101,9 @@ pub fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Bytes requested from the heap since process start.
-pub fn allocated_bytes() -> u64 {
-    ALLOCATED_BYTES.load(Ordering::Relaxed)
-}
-
-/// Bytes currently live on the heap (allocated minus freed). A relaxed
-/// approximation under concurrency; exact in single-threaded scenario
-/// binaries.
-pub fn live_bytes() -> u64 {
-    LIVE_BYTES.load(Ordering::Relaxed)
-}
-
-/// High-water mark of [`live_bytes`] since process start — the
-/// peak-RSS proxy the BENCH exports report (0 unless the binary
-/// installed [`CountingAlloc`]).
+/// High-water mark of live heap bytes (allocated minus freed) since
+/// process start — the peak-RSS proxy the BENCH exports report (0
+/// unless the binary installed [`CountingAlloc`]).
 pub fn peak_bytes() -> u64 {
     PEAK_BYTES.load(Ordering::Relaxed)
 }

@@ -34,8 +34,8 @@ const SUBS: u64 = 1 << SUB_BITS;
 /// read-outs quantize, to the containing bucket's upper bound (clamped
 /// to the recorded maximum).
 ///
-/// Durations record as microseconds via [`LogHistogram::record_duration`]
-/// and read back as fractional seconds via [`LogHistogram::quantile_secs`].
+/// Durations record as microseconds via [`LogHistogram::record_duration`],
+/// so their quantiles read back in microseconds.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogHistogram {
     /// Sparse bucket-index → count map (sorted, so quantile walks are
@@ -167,15 +167,10 @@ impl LogHistogram {
         self.max
     }
 
-    /// [`LogHistogram::quantile`] for duration-microsecond histograms,
-    /// in fractional seconds.
-    pub fn quantile_secs(&self, q: f64) -> f64 {
-        self.quantile(q) as f64 / 1e6
-    }
-
     /// The inclusive value bounds of the bucket `v` falls in — the
     /// quantization granularity at that magnitude (test hook for the
     /// one-bucket-width error bound).
+    // presto-lint: allow(unused, oracle: tests/telemetry_histograms.rs and the metrics.rs quantile tests bound the live quantile error by one bucket width from it)
     pub fn bucket_bounds_of(v: u64) -> (u64, u64) {
         bucket_bounds(bucket_index(v))
     }
@@ -275,21 +270,6 @@ impl Section {
         self.children
             .get_mut(name)
             .expect("child section exists: inserted above when absent")
-    }
-
-    /// Reads a counter back.
-    pub fn get_counter(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).copied()
-    }
-
-    /// Reads a histogram back.
-    pub fn get_histogram(&self, name: &str) -> Option<&LogHistogram> {
-        self.histograms.get(name)
-    }
-
-    /// Reads a child section back.
-    pub fn get_child(&self, name: &str) -> Option<&Section> {
-        self.children.get(name)
     }
 
     /// Merges another section tree in: counters add, gauges last-write,
@@ -777,8 +757,8 @@ mod tests {
         s.counter("a", 3);
         s.counter_max("peak", 7);
         s.counter_max("peak", 4);
-        assert_eq!(s.get_counter("a"), Some(5));
-        assert_eq!(s.get_counter("peak"), Some(7));
+        assert_eq!(s.get_path("a"), Some(5.0));
+        assert_eq!(s.get_path("peak"), Some(7.0));
     }
 
     #[derive(Default)]

@@ -156,7 +156,7 @@ impl Observe for EpochProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Section;
+    use crate::metrics::Snapshot;
 
     #[test]
     fn disabled_profiler_never_times() {
@@ -188,10 +188,10 @@ mod tests {
         assert_eq!(p.phase("pump").unwrap().items, 5);
         assert_eq!(p.epochs(), 1);
 
-        let mut s = Section::default();
-        p.observe(&mut Sink::tree(&mut s));
-        assert_eq!(s.get_counter("epochs"), Some(1));
-        assert_eq!(s.get_child("pump").unwrap().get_counter("items"), Some(5));
+        let mut snap = Snapshot::new();
+        p.observe(&mut snap.sink());
+        assert_eq!(snap.get("epochs"), Some(1.0));
+        assert_eq!(snap.get("pump.items"), Some(5.0));
     }
 
     /// Each call used to be truncated to whole microseconds, so a phase

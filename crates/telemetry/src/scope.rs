@@ -352,16 +352,6 @@ impl RingSeries {
         self.total_samples
     }
 
-    /// Exact minimum over every reading ever pushed.
-    pub fn global_min(&self) -> Option<f64> {
-        self.all_bins().map(|b| b.min).reduce(f64::min)
-    }
-
-    /// Exact maximum over every reading ever pushed.
-    pub fn global_max(&self) -> Option<f64> {
-        self.all_bins().map(|b| b.max).reduce(f64::max)
-    }
-
     /// The most recent reading.
     pub fn last(&self) -> Option<f64> {
         self.current
@@ -756,7 +746,7 @@ impl Observe for PrestoScope {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Section, Snapshot};
+    use crate::metrics::Snapshot;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -776,6 +766,16 @@ mod tests {
             section.gauge(leaf, *v);
         }
         snap
+    }
+
+    /// Exact `(min, max)` over every reading a ring folded in, read from
+    /// its exported bins.
+    fn extremes(r: &RingSeries) -> (f64, f64) {
+        r.bins()
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), b| {
+                (lo.min(b.min), hi.max(b.max))
+            })
     }
 
     /// A live scope watching `rules` with a 5-minute attribution pad.
@@ -798,8 +798,7 @@ mod tests {
         }
         let exact_min = stream.iter().cloned().fold(f64::INFINITY, f64::min);
         let exact_max = stream.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(r.global_min(), Some(exact_min));
-        assert_eq!(r.global_max(), Some(exact_max));
+        assert_eq!(extremes(&r), (exact_min, exact_max));
         assert_eq!(r.last(), stream.last().copied());
         assert_eq!(r.total_samples(), stream.len() as u64);
         assert!(r.bins().len() <= 5, "ring must stay bounded: {}", r.bins().len());
@@ -994,15 +993,15 @@ mod tests {
             .collect();
         assert_eq!(series["demo.gauge"].last(), Some(7.0));
         // Delta: first tick records the raw reading, second the step.
-        assert_eq!(series["demo.counter"].global_max(), Some(15.0));
+        assert_eq!(extremes(series["demo.counter"]).1, 15.0);
         assert_eq!(series["fed.value"].last(), Some(1.0));
         assert_eq!(scope.incidents().len(), 1, "fed counter grew");
         assert_eq!(scope.ticks(), 2);
 
-        let mut s = Section::default();
-        scope.observe(&mut Sink::tree(&mut s));
-        assert_eq!(s.get_counter("incidents_total"), Some(1));
-        assert_eq!(s.get_counter("incidents_unattributed"), Some(1));
+        let mut exported = Snapshot::new();
+        scope.observe(&mut exported.sink());
+        assert_eq!(exported.get("incidents_total"), Some(1.0));
+        assert_eq!(exported.get("incidents_unattributed"), Some(1.0));
     }
 
     #[test]
@@ -1020,7 +1019,7 @@ mod tests {
         scope.sample(t(62), &tick(&[("demo.x", 3.0), ("demo.n", 14.0)]), &plan);
         let (x, n) = (&scope.series()[0].1, &scope.series()[1].1);
         assert_eq!(x.last(), Some(9.0), "a feed overrides and persists");
-        assert_eq!(x.global_min(), Some(1.0));
+        assert_eq!(extremes(x).0, 1.0);
         assert_eq!(n.total_samples(), 2, "an absent path skips the tick");
         assert_eq!(n.last(), Some(4.0), "the Delta base held across the gap");
         scope.feed("nobody.follows", 1.0);
@@ -1039,8 +1038,8 @@ mod tests {
         assert_eq!(scope.ticks(), 0);
         assert!(scope.series().is_empty());
         assert!(scope.incidents().is_empty());
-        let mut s = Section::default();
-        scope.observe(&mut Sink::tree(&mut s));
-        assert_eq!(s.get_counter("ticks"), None, "disabled scope exports nothing");
+        let mut exported = Snapshot::new();
+        scope.observe(&mut exported.sink());
+        assert_eq!(exported.get("ticks"), None, "disabled scope exports nothing");
     }
 }

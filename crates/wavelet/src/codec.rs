@@ -137,18 +137,6 @@ impl Codec {
         }
     }
 
-    /// [`Codec::compress`] through caller-owned scratch buffers: no
-    /// transform allocation after the scratch has warmed up. Produces a
-    /// byte-identical payload to [`Codec::compress`].
-    pub fn compress_into(&self, samples: &[f64], scratch: &mut EncodeScratch) -> Compressed {
-        let (levels, _) = self.transform_into(samples, scratch);
-        quantize_into(&scratch.coeffs, self.params.quant_step, &mut scratch.qs);
-        Compressed {
-            payload: self.encode_payload(samples.len(), levels, &scratch.qs),
-            original_len: samples.len(),
-        }
-    }
-
     /// Compresses a batch and returns the payload *together with the
     /// reconstruction the decoder will produce*, in one pass: the
     /// quantized coefficients are snapped to the quantizer grid and
@@ -234,26 +222,6 @@ impl Codec {
         samples.truncate(original_len);
         Some(samples)
     }
-
-    /// Compresses and reports `(payload_bytes, max_abs_error, rmse)` —
-    /// the tuple the experiment harnesses need.
-    pub fn compress_with_stats(&self, samples: &[f64]) -> (Compressed, f64, f64) {
-        let c = self.compress(samples);
-        let back = Self::decompress(&c).expect("own payload decodes");
-        let mut max_err = 0.0f64;
-        let mut se = 0.0;
-        for (a, b) in samples.iter().zip(&back) {
-            let e = (a - b).abs();
-            max_err = max_err.max(e);
-            se += e * e;
-        }
-        let rmse = if samples.is_empty() {
-            0.0
-        } else {
-            (se / samples.len() as f64).sqrt()
-        };
-        (c, max_err, rmse)
-    }
 }
 
 fn push_varint(out: &mut Vec<u8>, mut u: u64) {
@@ -300,11 +268,25 @@ mod tests {
             .collect()
     }
 
+    /// Compresses `xs` and returns the payload with the decoder's
+    /// `(max_abs_error, rmse)` against the input.
+    fn compress_with_errors(codec: &Codec, xs: &[f64]) -> (Compressed, f64, f64) {
+        let c = codec.compress(xs);
+        let back = Codec::decompress(&c).expect("own payload decodes");
+        let max_err = xs
+            .iter()
+            .zip(&back)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        let se: f64 = xs.iter().zip(&back).map(|(a, b)| (a - b) * (a - b)).sum();
+        (c, max_err, (se / xs.len().max(1) as f64).sqrt())
+    }
+
     #[test]
     fn roundtrip_within_quantizer_error() {
         let xs = diurnal(500);
         let codec = Codec::new(CodecParams::fine());
-        let (c, max_err, rmse) = codec.compress_with_stats(&xs);
+        let (c, max_err, rmse) = compress_with_errors(&codec, &xs);
         assert!(max_err < 0.05, "max_err {max_err}");
         assert!(rmse < 0.02, "rmse {rmse}");
         assert_eq!(Codec::decompress(&c).unwrap().len(), 500);
@@ -402,7 +384,7 @@ mod tests {
         let xs = diurnal(512);
         for tol in [0.1, 0.5, 2.0] {
             let codec = Codec::new(CodecParams::for_tolerance(tol));
-            let (_, max_err, _) = codec.compress_with_stats(&xs);
+            let (_, max_err, _) = compress_with_errors(&codec, &xs);
             assert!(max_err <= tol, "tol {tol} err {max_err}");
         }
     }
@@ -419,7 +401,7 @@ mod tests {
             ] {
                 let codec = Codec::new(params);
                 let a = codec.compress(&xs);
-                let b = codec.compress_into(&xs, &mut scratch);
+                let (b, _) = codec.compress_reconstruct(&xs, &mut scratch);
                 assert_eq!(a, b, "n={n} params={params:?}");
             }
         }

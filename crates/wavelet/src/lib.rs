@@ -14,13 +14,11 @@
 //!   storage \[10\]): [`aging`] keeps progressively coarser approximation
 //!   bands of old data as storage pressure mounts.
 //!
-//! Transforms: [`haar`] (the sensor-side default — integer-friendly,
-//! checkable in O(n) with tiny state) and [`db4`] (Daubechies-4, used on
-//! the proxy side where smoothness matters more than cycles).
+//! Transform: [`haar`], integer-friendly and computable in O(n) with tiny
+//! state, which is what a mote can afford.
 
 pub mod aging;
 pub mod codec;
-pub mod db4;
 pub mod denoise;
 pub mod haar;
 pub mod quant;
@@ -31,4 +29,4 @@ pub use denoise::{denoise_in_place, universal_threshold, DenoiseMode};
 pub use haar::{
     haar_forward, haar_forward_in_place, haar_inverse, haar_inverse_in_place, haar_levels,
 };
-pub use quant::{dequantize, pack_ints, quantize, requantize_in_place, unpack_ints};
+pub use quant::{dequantize, pack_ints, quantize, unpack_ints};

@@ -36,16 +36,6 @@ pub fn quantize_into(values: &[f64], step: f64, out: &mut Vec<i64>) {
     out.extend(values.iter().map(|v| (v / step).round() as i64));
 }
 
-/// Quantize-then-dequantize in place: replaces each value with its
-/// reconstruction on the quantizer grid, without materializing the
-/// integer stream. Used by single-pass encode-and-reconstruct paths.
-pub fn requantize_in_place(values: &mut [f64], step: f64) {
-    assert!(step > 0.0 && step.is_finite(), "step must be positive");
-    for v in values.iter_mut() {
-        *v = (*v / step).round() * step;
-    }
-}
-
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -123,12 +113,6 @@ pub fn unpack_ints(bytes: &[u8]) -> Option<Vec<i64>> {
         }
     }
     Some(out)
-}
-
-/// Approximate cycle cost of encoding `n` quantized coefficients on a
-/// mote-class CPU (used for CPU energy charging): ~30 cycles per value.
-pub fn pack_cycle_cost(n: usize) -> u64 {
-    n as u64 * 30
 }
 
 #[cfg(test)]

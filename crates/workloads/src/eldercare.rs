@@ -176,7 +176,7 @@ mod tests {
             samples
                 .iter()
                 .find(|s| {
-                    s.timestamp.day_index() == day
+                    s.timestamp.as_secs() / 86_400 == day
                         && (s.timestamp.hour_of_day() - hour as f64).abs() < 0.02
                 })
                 .map(|s| s.state)

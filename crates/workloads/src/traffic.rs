@@ -42,17 +42,6 @@ impl VehicleType {
             VehicleType::Motorcycle => 4,
         }
     }
-
-    /// Inverse of [`VehicleType::code`].
-    pub fn from_code(code: u16) -> Option<Self> {
-        Some(match code {
-            1 => VehicleType::Car,
-            2 => VehicleType::Truck,
-            3 => VehicleType::Bus,
-            4 => VehicleType::Motorcycle,
-            _ => return None,
-        })
-    }
 }
 
 /// One detection.
@@ -240,15 +229,6 @@ mod tests {
             .filter(|d| d.vehicle_type == VehicleType::Car)
             .count();
         assert!(cars as f64 > 0.6 * dets.len() as f64);
-    }
-
-    #[test]
-    fn codes_roundtrip() {
-        for ty in VehicleType::ALL {
-            assert_eq!(VehicleType::from_code(ty.code()), Some(ty));
-        }
-        assert_eq!(VehicleType::from_code(0), None);
-        assert_eq!(VehicleType::from_code(99), None);
     }
 
     #[test]

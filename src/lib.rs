@@ -3,7 +3,7 @@
 //! A from-scratch Rust reproduction of *"PRESTO: A Predictive Storage
 //! Architecture for Sensor Networks"* (Desnoyers, Ganesan, Li, Li,
 //! Shenoy — HotOS X, 2005), including every substrate the paper relies
-//! on: a discrete-event mote/radio simulator, wavelet compression and
+//! on: an epoch-stepped mote/radio simulator, wavelet compression and
 //! aging, prediction models, a flash archival store, the proxy and
 //! sensor tiers, a Skip Graph distributed index, synthetic workloads,
 //! and the baseline architectures the paper compares against.
@@ -35,15 +35,15 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`sim`] | discrete-event kernel: time, events, RNG, energy ledgers |
+//! | [`sim`] | simulation kernel: time, RNG, energy ledgers, fault plans, query loads |
 //! | [`net`] | Mica2-class radio/MAC/duty-cycle/flash energy models |
-//! | [`wavelet`] | Haar/DB4 transforms, denoising, codec, aging ladder |
+//! | [`wavelet`] | Haar transform, denoising, codec, aging ladder |
 //! | [`models`] | seasonal / AR / Markov / spatial prediction models |
 //! | [`archive`] | mote-local flash archival store with time index |
 //! | [`sensor`] | the PRESTO sensor node and its push policies |
 //! | [`proxy`] | the PRESTO proxy: cache, engine, matching, pulls |
 //! | [`reliability`] | lossy message fabric, liveness leases, archive-backed recovery |
-//! | [`index`] | Skip Graph, clock correction, replication, unified view |
+//! | [`index`] | Skip Graph, clock correction, time-range index, unified view |
 //! | [`workloads`] | lab temperature / traffic / eldercare / queries |
 //! | [`baselines`] | direct-query, streaming, value-driven comparators |
 //! | [`core`] | the assembled three-tier system + unified store |

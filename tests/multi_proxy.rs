@@ -1,14 +1,9 @@
-//! Multi-proxy data abstraction: skip-graph routing, clock-drift
-//! correction across proxies, overlapping-coverage consistency, and
-//! wired-side replication.
+//! Multi-proxy data abstraction: skip-graph routing and clock-drift
+//! correction across proxies.
 
 use presto::core::{PrestoSystem, SystemConfig};
-use presto::index::consistency::EntryQuality;
-use presto::index::{
-    ClockCorrector, ConsistencyManager, DriftClock, ReplicaEntry, Replicator, SkipGraph,
-    UnifiedView,
-};
-use presto::sim::{SimDuration, SimTime};
+use presto::index::{ClockCorrector, DriftClock, SkipGraph, UnifiedView};
+use presto::sim::SimTime;
 
 #[test]
 fn routing_reaches_the_owning_proxy_for_every_sensor() {
@@ -76,51 +71,4 @@ fn cross_proxy_event_order_survives_clock_drift() {
     let order: Vec<u32> = view.ordered().iter().map(|i| i.item).collect();
     let expected: Vec<u32> = (0..100).collect();
     assert_eq!(order, expected, "corrected merge must restore true order");
-}
-
-#[test]
-fn overlapping_proxies_reconcile_deterministically() {
-    let mut m = ConsistencyManager::new();
-    let t = SimTime::from_secs(100);
-    // Both proxies cover sensor 7; proxy 1 has pulled exact data.
-    m.integrate(ReplicaEntry {
-        proxy: 0,
-        sensor: 7,
-        t,
-        value: 20.5,
-        quality: EntryQuality::Lossy,
-        version: 9,
-    });
-    m.integrate(ReplicaEntry {
-        proxy: 1,
-        sensor: 7,
-        t,
-        value: 20.1,
-        quality: EntryQuality::Exact,
-        version: 2,
-    });
-    let winner = m.get(7, t).expect("cell exists");
-    assert_eq!(winner.proxy, 1);
-    assert_eq!(winner.value, 20.1);
-    assert_eq!(m.conflicts_resolved, 1);
-}
-
-#[test]
-fn wireless_cache_replicates_to_wired_proxy() {
-    // An 802.11 backhaul at 2 Mbps, shipping every 5 minutes.
-    let mut rep = Replicator::new(2e6, SimDuration::from_mins(5));
-    for k in 0..600u64 {
-        rep.enqueue(ReplicaEntry {
-            proxy: 3,
-            sensor: 1,
-            t: SimTime::from_secs(k),
-            value: 21.0,
-            quality: EntryQuality::Lossy,
-            version: k,
-        });
-    }
-    let latency = rep.tick(SimTime::from_mins(5)).expect("period elapsed");
-    assert!(latency < SimDuration::from_secs(1), "transfer {latency}");
-    assert_eq!(rep.mirror().len(), 600);
-    assert!(rep.mean_staleness() <= SimDuration::from_mins(5));
 }

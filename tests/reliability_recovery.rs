@@ -67,7 +67,7 @@ fn run_and_audit(seed: u64, loss_pct: u64, start_min: u64, len_min: u64, crash: 
     sys.run(SimDuration::from_mins(start_min + len_min) + SimDuration::from_hours(2));
 
     // The sensor must be back and any detected gap repaired.
-    let rs = sys.recovery_stats();
+    let rs = sys.gaps.stats();
     prop_assert_eq_impl(
         sys.gaps.pending().is_empty(),
         format!("repairs still pending after quiet period: {:?}", sys.gaps.pending()),

@@ -350,7 +350,7 @@ fn sub_window_of_pulled_span_completes_radio_free() {
     for e in 0..20u64 {
         let t = base + EPOCH * e;
         p.pump_queries_view(t, &mut [PumpSensor { gid: 0, node: &mut node, chan: &mut chan }]);
-        if p.pipeline().completed_ready() > 0 {
+        if p.pipeline().pending_queries() == 0 {
             break;
         }
     }
