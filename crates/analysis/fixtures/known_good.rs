@@ -12,12 +12,6 @@ pub struct FixtureStats {
     pub hits: u64,
 }
 
-impl FixtureStats {
-    pub fn merge(&mut self, other: &FixtureStats) {
-        self.hits += other.hits;
-    }
-}
-
 impl Observe for FixtureStats {
     fn observe(&self, out: &mut Vec<(String, u64)>) {
         out.push(("fixture.hits".into(), self.hits));

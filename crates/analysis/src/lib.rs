@@ -20,7 +20,8 @@
 //! - **N1 `narrow`** — flag narrowing `as` casts on the query/radio path
 //!   crates; truncation there corrupts ids and counters silently.
 //! - **T1 `stats`** — every `pub struct *Stats` must implement `Observe`
-//!   (registry coverage) and `merge` (fleet aggregation).
+//!   (registry coverage); observing many into one sink is the fleet
+//!   roll-up.
 //! - **T2 `watchdog`** — every `pub const WD_*` watchdog rule name must be
 //!   exercised by a test somewhere in the workspace (an ident reference
 //!   inside a `#[cfg(test)]` / `#[test]` span); an SLO constant nothing
@@ -509,8 +510,6 @@ struct StatsIndex {
     /// Names with `Observe` evidence (`observe_counters!(Foo` or
     /// `impl ... Observe for ... Foo`).
     observed: BTreeSet<String>,
-    /// Idents appearing in a `fn merge(...)` signature window anywhere.
-    merged: BTreeSet<String>,
 }
 
 fn index_stats(ctx: &FileCtx, file_idx: usize, idx: &mut StatsIndex) {
@@ -554,18 +553,6 @@ fn index_stats(ctx: &FileCtx, file_idx: usize, idx: &mut StatsIndex) {
                     _ => {}
                 }
                 if is_punct(t, '{') || is_punct(t, ';') {
-                    break;
-                }
-            }
-        }
-        // fn merge(&mut self, other: &Foo) — the parameter must name the
-        // concrete type (not `Self`) for the evidence to register.
-        if i + 1 < toks.len() && is_ident(&toks[i], "fn") && is_ident(&toks[i + 1], "merge") {
-            for t in toks.iter().skip(i + 2).take(25) {
-                if let Some(name) = ident(t) {
-                    idx.merged.insert(name.to_string());
-                }
-                if is_punct(t, '{') {
                     break;
                 }
             }
@@ -801,13 +788,6 @@ pub fn lint(files: &[SourceFile]) -> Report {
                 Rule::Stats,
                 line,
                 format!("pub struct {name} must implement Observe (observe_counters! or impl Observe)"),
-            ));
-        }
-        if !stats.merged.contains(name) {
-            ctxs[file_idx].raw.push((
-                Rule::Stats,
-                line,
-                format!("pub struct {name} must implement `fn merge(&mut self, other: &{name})`"),
             ));
         }
     }

@@ -62,17 +62,6 @@ presto_telemetry::observe_counters!(FlashStats {
     bytes_read,
 });
 
-impl FlashStats {
-    /// Accumulates another device's counters (fleet aggregation).
-    pub fn merge(&mut self, other: &FlashStats) {
-        self.programs += other.programs;
-        self.reads += other.reads;
-        self.erases += other.erases;
-        self.bytes_written += other.bytes_written;
-        self.bytes_read += other.bytes_read;
-    }
-}
-
 /// A simulated flash device.
 #[derive(Clone, Debug)]
 pub struct FlashDevice {

@@ -200,18 +200,6 @@ presto_telemetry::observe_counters!(ArchiveStats {
     pages_pruned,
 });
 
-impl ArchiveStats {
-    /// Accumulates another archive's counters (fleet aggregation).
-    pub fn merge(&mut self, other: &ArchiveStats) {
-        self.records_appended += other.records_appended;
-        self.segments_reclaimed += other.segments_reclaimed;
-        self.samples_aged += other.samples_aged;
-        self.page_cache_hits += other.page_cache_hits;
-        self.page_cache_misses += other.page_cache_misses;
-        self.pages_pruned += other.pages_pruned;
-    }
-}
-
 /// A bounded LRU of decoded pages, keyed by absolute page index.
 ///
 /// Pages are immutable between program and block erase, so entries stay

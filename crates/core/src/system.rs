@@ -22,12 +22,12 @@ use presto_index::{ClockCorrector, DriftClock, SkipGraph, TimeRangeIndex};
 use presto_net::{LinkModel, LossProcess, SharedLossState};
 use presto_proxy::{CompletedQuery, PrestoProxy, ProxyConfig};
 use presto_reliability::{
-    recovery::padded_span, DownlinkChannel, DownlinkStats, Fabric, GapTracker, Health,
-    LivenessMonitor, Observation, ReliabilityConfig,
+    recovery::padded_span, DownlinkChannel, Fabric, GapTracker, Health, LivenessMonitor,
+    Observation, ReliabilityConfig,
 };
 use presto_sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto_sim::{EnergyCategory, EnergyLedger, FaultPlan, SimDuration, SimRng, SimTime};
-use presto_telemetry::{EpochProfiler, PrestoScope, ScopeConfig, Sink, Snapshot};
+use presto_telemetry::{EpochProfiler, Observe, PrestoScope, ScopeConfig, Sink, Snapshot};
 use presto_workloads::{LabDeployment, LabParams};
 
 /// Event type code used for rare-event reports.
@@ -867,11 +867,10 @@ impl PrestoSystem {
             }
         }
         if s.wants("downlink") {
-            let mut downlink = DownlinkStats::default();
+            let mut downlink = s.child("downlink");
             for ch in self.downlinks.iter().flatten() {
-                downlink.merge(&ch.stats());
+                ch.stats().observe(&mut downlink);
             }
-            s.observe("downlink", &downlink);
         }
         s.observe("fabric", &self.fabric.stats());
         s.observe("liveness", &self.liveness.stats());

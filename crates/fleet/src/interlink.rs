@@ -118,20 +118,6 @@ pub struct InterLinkStats {
     pub acks_lost: u64,
 }
 
-impl InterLinkStats {
-    /// Folds another mesh's counters into this one.
-    pub fn merge(&mut self, other: &InterLinkStats) {
-        self.sent += other.sent;
-        self.delivered += other.delivered;
-        self.lost += other.lost;
-        self.retransmits += other.retransmits;
-        self.dropped += other.dropped;
-        self.ack_exhausted += other.ack_exhausted;
-        self.duplicates += other.duplicates;
-        self.acks_lost += other.acks_lost;
-    }
-}
-
 presto_telemetry::observe_counters!(InterLinkStats {
     sent,
     delivered,

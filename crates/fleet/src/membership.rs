@@ -63,16 +63,6 @@ pub struct MembershipStats {
     pub rejoins: u64,
 }
 
-impl MembershipStats {
-    /// Folds another fleet's counters into this one.
-    pub fn merge(&mut self, other: &MembershipStats) {
-        self.heartbeats_offered += other.heartbeats_offered;
-        self.heartbeats_heard += other.heartbeats_heard;
-        self.deaths_declared += other.deaths_declared;
-        self.rejoins += other.rejoins;
-    }
-}
-
 presto_telemetry::observe_counters!(MembershipStats {
     heartbeats_offered,
     heartbeats_heard,

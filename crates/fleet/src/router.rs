@@ -80,11 +80,6 @@ pub struct FleetRouterConfig {
     /// the fleet tier is deployment-scale, not hot-path, and the
     /// flight recorder is the partition post-mortem record.
     pub trace: bool,
-    /// Bound on finished fleet traces awaiting collection (evictions
-    /// counted, never silent).
-    pub trace_finished_cap: usize,
-    /// Bound on the fleet flight recorder (evictions counted).
-    pub trace_recorder_cap: usize,
 }
 
 impl Default for FleetRouterConfig {
@@ -101,8 +96,6 @@ impl Default for FleetRouterConfig {
             shed_exit_margin: 3.0,
             shed_episode_window: SimDuration::from_mins(2),
             trace: true,
-            trace_finished_cap: presto_telemetry::trace::FINISHED_CAP,
-            trace_recorder_cap: presto_telemetry::trace::RECORDER_CAP,
         }
     }
 }
@@ -206,24 +199,6 @@ pub struct FleetRouterStats {
     pub failed_fenced: u64,
 }
 
-impl FleetRouterStats {
-    /// Folds another router's counters into this one (all additive) —
-    /// the aggregation a multi-fleet snapshot needs.
-    pub fn merge(&mut self, other: &FleetRouterStats) {
-        self.submitted += other.submitted;
-        self.shed += other.shed;
-        self.rerouted += other.rerouted;
-        self.completed_local += other.completed_local;
-        self.completed_remote += other.completed_remote;
-        self.failed_deadline += other.failed_deadline;
-        self.failed_entry_dead += other.failed_entry_dead;
-        self.resumed += other.resumed;
-        self.late_dropped += other.late_dropped;
-        self.shed_episodes += other.shed_episodes;
-        self.failed_fenced += other.failed_fenced;
-    }
-}
-
 presto_telemetry::observe_counters!(FleetRouterStats {
     submitted,
     shed,
@@ -279,11 +254,7 @@ impl FleetRouter {
         for class in &config.latency_classes {
             matcher.register(*class);
         }
-        let tracer = QueryTracer::with_caps(
-            config.trace,
-            config.trace_finished_cap,
-            config.trace_recorder_cap,
-        );
+        let tracer = QueryTracer::new(config.trace);
         FleetRouter {
             matcher,
             next_ticket: 1,
@@ -436,32 +407,14 @@ impl FleetRouter {
     /// land — real deployments refuse the connection; the fleet
     /// records the honest failure so workload accounting stays exact).
     pub fn fail_unreachable(&mut self, t: SimTime, entry: usize, query: PipelineQuery) -> u64 {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        self.stats.submitted += 1;
         self.stats.failed_entry_dead += 1;
-        self.tracer.record(ticket, t, SpanEvent::Submitted);
-        self.tracer.record(ticket, t, SpanEvent::Unreachable);
-        self.close_trace(
-            ticket,
+        self.refuse(
             t,
-            CompletionCause::Failed,
-            SimDuration::ZERO,
-            None,
-            f64::INFINITY,
-        );
-        self.completed.push(FleetCompletion {
-            ticket,
-            query,
             entry,
-            served_by: entry,
-            forwarded: false,
-            answer: Self::failed_answer(&query),
-            submitted_at: t,
-            completed_at: t,
-            answer_age: None,
-        });
-        ticket
+            query,
+            SpanEvent::Unreachable,
+            CompletionCause::Failed,
+        )
     }
 
     /// Opens and immediately fails a ticket whose entry or serving
@@ -471,32 +424,60 @@ impl FleetRouter {
     /// honestly at admission instead of leaking a ticket into a
     /// pipeline nobody trusts.
     pub fn fail_fenced(&mut self, t: SimTime, entry: usize, query: PipelineQuery) -> u64 {
+        self.stats.failed_fenced += 1;
+        self.refuse(
+            t,
+            entry,
+            query,
+            SpanEvent::FencedReject,
+            CompletionCause::FailedFenced,
+        )
+    }
+
+    /// Opens a ticket at `t` and fails it on the spot: the admission
+    /// refusal behind [`FleetRouter::fail_unreachable`] and
+    /// [`FleetRouter::fail_fenced`], traced with `event`.
+    fn refuse(
+        &mut self,
+        t: SimTime,
+        entry: usize,
+        query: PipelineQuery,
+        event: SpanEvent,
+        cause: CompletionCause,
+    ) -> u64 {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
         self.stats.submitted += 1;
-        self.stats.failed_fenced += 1;
         self.tracer.record(ticket, t, SpanEvent::Submitted);
-        self.tracer.record(ticket, t, SpanEvent::FencedReject);
-        self.close_trace(
-            ticket,
-            t,
-            CompletionCause::FailedFenced,
-            SimDuration::ZERO,
-            None,
-            f64::INFINITY,
-        );
-        self.completed.push(FleetCompletion {
-            ticket,
+        self.tracer.record(ticket, t, event);
+        let tk = Ticket {
             query,
             entry,
-            served_by: entry,
+            serving: entry,
             forwarded: false,
-            answer: Self::failed_answer(&query),
             submitted_at: t,
+            deadline: t,
+        };
+        self.fail(t, ticket, tk, cause);
+        ticket
+    }
+
+    /// The one failure terminal: closes `ticket`'s trace with no age and
+    /// sigma ∞, and queues the honest failure answer as its completion,
+    /// attributed to its entry proxy.
+    fn fail(&mut self, t: SimTime, ticket: u64, tk: Ticket, cause: CompletionCause) {
+        self.close_trace(ticket, t, cause, t - tk.submitted_at, None, f64::INFINITY);
+        self.completed.push(FleetCompletion {
+            ticket,
+            query: tk.query,
+            entry: tk.entry,
+            served_by: tk.entry,
+            forwarded: tk.forwarded,
+            answer: Self::failed_answer(&tk.query),
+            submitted_at: tk.submitted_at,
             completed_at: t,
             answer_age: None,
         });
-        ticket
     }
 
     /// Routes one query: opens a ticket and decides where it runs.
@@ -528,13 +509,13 @@ impl FleetRouter {
             query,
             PipelineQuery::Past { .. } | PipelineQuery::Aggregate { .. }
         );
-        let mut target = serving;
-        let mut shed = false;
-        if self.config.shed_enabled
+        let may_shed = self.config.shed_enabled
             && sheddable
             && range_archived
-            && deadline - t > self.config.forward_slack
-        {
+            && deadline - t > self.config.forward_slack;
+        let mut target = serving;
+        let mut shed = false;
+        if may_shed {
             // A raw intra-epoch burst may open an episode right here —
             // queues can outrun the epoch-level smoothing — but the
             // *decision* reads the latched state, so a score jittering
@@ -543,13 +524,7 @@ impl FleetRouter {
                 self.try_enter_hot(t, serving, reading.score());
             }
         }
-        if self.config.shed_enabled
-            && sheddable
-            && range_archived
-            && deadline - t > self.config.forward_slack
-            && self.is_hot(serving)
-            && serving < pressures.len()
-        {
+        if may_shed && self.is_hot(serving) && serving < pressures.len() {
             let coolest = pressures
                 .iter()
                 .enumerate()
@@ -732,25 +707,7 @@ impl FleetRouter {
             let Some(tk) = self.open.remove(&ticket) else { continue };
             self.by_proxy_ticket.retain(|_, &mut v| v != ticket);
             self.stats.failed_deadline += 1;
-            self.close_trace(
-                ticket,
-                t,
-                CompletionCause::Failed,
-                t - tk.submitted_at,
-                None,
-                f64::INFINITY,
-            );
-            self.completed.push(FleetCompletion {
-                ticket,
-                query: tk.query,
-                entry: tk.entry,
-                served_by: tk.entry,
-                forwarded: tk.forwarded,
-                answer: Self::failed_answer(&tk.query),
-                submitted_at: tk.submitted_at,
-                completed_at: t,
-                answer_age: None,
-            });
+            self.fail(t, ticket, tk, CompletionCause::Failed);
         }
     }
 
@@ -779,25 +736,7 @@ impl FleetRouter {
             if tk.entry == dead {
                 self.open.remove(&ticket);
                 self.stats.failed_entry_dead += 1;
-                self.close_trace(
-                    ticket,
-                    t,
-                    CompletionCause::Failed,
-                    t - tk.submitted_at,
-                    None,
-                    f64::INFINITY,
-                );
-                self.completed.push(FleetCompletion {
-                    ticket,
-                    query: tk.query,
-                    entry: tk.entry,
-                    served_by: tk.entry,
-                    forwarded: tk.forwarded,
-                    answer: Self::failed_answer(&tk.query),
-                    submitted_at: tk.submitted_at,
-                    completed_at: t,
-                    answer_age: None,
-                });
+                self.fail(t, ticket, tk, CompletionCause::Failed);
             } else if tk.deadline > t {
                 // `resumed` is counted when the caller actually
                 // re-routes ([`FleetRouter::mark_rerouted`]) — a ticket

@@ -23,13 +23,6 @@ pub struct OpStats {
 
 presto_telemetry::observe_counters!(OpStats { hops });
 
-impl OpStats {
-    /// Accumulates another operation's hop count.
-    pub fn merge(&mut self, other: &OpStats) {
-        self.hops += other.hops;
-    }
-}
-
 /// Which pointer of a `(left, right)` neighbour pair to set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Side {

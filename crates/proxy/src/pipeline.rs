@@ -8,14 +8,18 @@
 //! for many users:
 //!
 //! * a query that misses the cache/model precision check is enqueued
-//!   with its ticket, window, deadline and retry state instead of
-//!   spinning;
+//!   with its ticket, deadline and parts instead of spinning. A part is
+//!   one unit of radio work, keyed by the `PullKey` of the window it
+//!   pulls: a sliced PAST query has one per slice, and every other miss
+//!   one for its whole pull window, stored inline. Parts with equal
+//!   keys share one RPC, and a query completes at the fill that serves
+//!   its last part;
 //! * each epoch tick [`crate::PrestoProxy::pump_queries_view`] issues or
-//!   retransmits downlink pulls for *all* outstanding queries through
+//!   retransmits downlink pulls for *all* outstanding parts through
 //!   the per-sensor `DownlinkChannel`s — bounded by a per-epoch attempt
 //!   budget that is spread round-robin across sensors for fairness —
 //!   and matches arriving `PullReply`/`AggregateReply` messages back to
-//!   pending queries;
+//!   the parts waiting on them;
 //! * in front of the queue sits a **shared pull-reply cache** keyed by
 //!   (sensor, window, tolerance): concurrent queries over the same span
 //!   coalesce into one radio pull, and later queries over an
@@ -51,19 +55,11 @@ pub struct PipelineConfig {
     /// sensors. The round-robin pump start rotates each epoch so no
     /// sensor monopolizes the budget.
     pub epoch_attempt_budget: u32,
-    /// Shared pull-reply cache capacity, in replies (oldest evict first).
-    pub reply_cache_capacity: usize,
     /// Record a per-query trace span for every ticket (submit → fast
     /// path or RPC attempt log → terminal verdict). Off by default: the
     /// tracer then never allocates and the pump skips the attempt-log
     /// plumbing entirely.
     pub trace: bool,
-    /// Bound on finished traces awaiting collection; evictions beyond
-    /// it are counted (`finished_dropped`), never silent.
-    pub trace_finished_cap: usize,
-    /// Bound on the anomalous-outcome flight recorder; evictions are
-    /// counted (`recorder_dropped`).
-    pub trace_recorder_cap: usize,
     /// Sliced archive-range execution (see [`crate::slice`]): PAST
     /// windows spanning enough fixed time-aligned slices are fetched
     /// slice-by-slice and cached at slice granularity in a two-tier
@@ -77,10 +73,7 @@ impl Default for PipelineConfig {
         PipelineConfig {
             deadline: SimDuration::from_mins(10),
             epoch_attempt_budget: 16,
-            reply_cache_capacity: 128,
             trace: false,
-            trace_finished_cap: presto_telemetry::trace::FINISHED_CAP,
-            trace_recorder_cap: presto_telemetry::trace::RECORDER_CAP,
             slice: None,
         }
     }
@@ -237,23 +230,117 @@ pub(crate) fn op_key(op: AggregateOp) -> (u8, u64) {
     }
 }
 
-/// One slice of a sliced PAST query's window: the canonical slice spec,
-/// the pull key its sub-RPC coalesces under, and its fill state.
+/// The operator an [`op_key`] encodes.
+pub(crate) fn key_op((tag, bits): (u8, u64)) -> AggregateOp {
+    match tag {
+        0 => AggregateOp::Mean,
+        1 => AggregateOp::Max,
+        2 => AggregateOp::Min,
+        3 => AggregateOp::Count,
+        _ => AggregateOp::Mode {
+            bin_width: f64::from_bits(bits),
+        },
+    }
+}
+
+/// One unit of radio work a pending query needs: the RPC its key
+/// names, and the fill that RPC's reply (or, for a slice, the slice
+/// cache) brings. Parts with equal keys share one RPC and one reply,
+/// whichever query or shape they belong to.
 #[derive(Clone, Debug)]
-pub(crate) struct SlicePart {
-    /// Canonical slice identity and pull window.
-    pub spec: SliceSpec,
-    /// The radio work this slice needs (a [`PullKey::Pull`] over the
-    /// slice's aligned window) — slices shared across queries coalesce
-    /// into one sub-RPC exactly like monolithic pulls do.
+pub(crate) struct Part {
+    /// The radio work: the whole pull window of a query, or one slice's
+    /// aligned window.
     pub key: PullKey,
-    /// Samples once the slice is served (from cache or radio), trimmed
-    /// to the slice span.
-    pub samples: Option<Vec<(SimTime, f64)>>,
-    /// Re-bounded per-slice sigma ([`crate::slice::slice_sigma`]).
-    pub sigma: f64,
-    /// The in-flight sub-RPC fetching this slice, once issued.
+    /// The slice this part fetches, for a part of a sliced PAST query.
+    pub slice: Option<SliceSpec>,
+    /// The in-flight RPC serving this part, once issued.
     pub rpc_qid: Option<u64>,
+    /// Set by the fill that serves this part. A whole-window part is
+    /// its query's only part, so its fill completes the query at once
+    /// and the reply becomes the answer; a slice part keeps its fill.
+    pub served: bool,
+    /// A served slice's samples, trimmed to the slice span.
+    pub samples: Vec<(SimTime, f64)>,
+    /// A served slice's re-bounded sigma ([`crate::slice::slice_sigma`]).
+    pub sigma: f64,
+}
+
+impl Part {
+    /// A part pulling the whole window `key` names.
+    pub fn whole(key: PullKey) -> Part {
+        Part {
+            key,
+            slice: None,
+            rpc_qid: None,
+            served: false,
+            samples: Vec::new(),
+            sigma: 0.0,
+        }
+    }
+
+    /// A part pulling one canonical slice at the slice's tolerance.
+    pub fn of_slice(spec: SliceSpec) -> Part {
+        Part {
+            slice: Some(spec),
+            ..Part::whole(PullKey::Pull {
+                sensor: spec.key.sensor,
+                from: spec.from,
+                to: spec.to,
+                tol_bits: spec.key.tol_bits,
+            })
+        }
+    }
+
+    /// Serves this part: the fill a reply or the slice cache brings.
+    pub fn fill(&mut self, samples: Vec<(SimTime, f64)>, sigma: f64) {
+        self.served = true;
+        self.samples = samples;
+        self.sigma = sigma;
+    }
+
+    /// Serves a slice part from `cache` when it holds the slice.
+    pub fn fill_from(&mut self, cache: &mut TieredSliceCache) -> bool {
+        let Some(spec) = self.slice else {
+            return false;
+        };
+        let Some((samples, sigma)) = cache.lookup(spec.key) else {
+            return false;
+        };
+        self.fill(samples, sigma);
+        true
+    }
+}
+
+/// A pending query's parts. Every miss but a sliced PAST query has one
+/// part, its whole pull window, stored inline so that it allocates
+/// nothing; a sliced query has one part per slice.
+#[derive(Clone, Debug)]
+pub(crate) enum Parts {
+    /// One part, inline.
+    One(Part),
+    /// One part per slice, oldest first.
+    Many(Vec<Part>),
+}
+
+impl std::ops::Deref for Parts {
+    type Target = [Part];
+
+    fn deref(&self) -> &[Part] {
+        match self {
+            Parts::One(p) => std::slice::from_ref(p),
+            Parts::Many(v) => v,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Parts {
+    fn deref_mut(&mut self) -> &mut [Part] {
+        match self {
+            Parts::One(p) => std::slice::from_mut(p),
+            Parts::Many(v) => v,
+        }
+    }
 }
 
 /// One enqueued query awaiting radio work.
@@ -263,38 +350,23 @@ pub(crate) struct PendingQuery {
     pub id: u64,
     /// The query as submitted.
     pub query: PipelineQuery,
-    /// The radio work it needs.
-    pub key: PullKey,
-    /// Reply tolerance derived from the query (slice sub-RPCs pull at
-    /// it).
-    pub pull_tolerance: f64,
-    /// Submission time. The pull request is rebuilt from the query and
-    /// this instant when the RPC is issued.
+    /// Submission time.
     pub submitted_at: SimTime,
     /// Honest-failure deadline.
     pub deadline: SimTime,
-    /// The in-flight RPC serving this query, once issued. Several
-    /// pending queries may share one (coalescing). Unused for sliced
-    /// queries, whose radio state lives per-part.
-    pub rpc_qid: Option<u64>,
-    /// Sliced execution state: empty for monolithic queries; for a
-    /// sliced PAST query, one entry per slice of its window.
-    pub parts: Vec<SlicePart>,
+    /// The radio work it needs; it completes at the fill that serves
+    /// the last of them.
+    pub parts: Parts,
     /// Air latency of the most recent reply that filled one of this
-    /// query's parts — the assembled answer's latency reflects the
-    /// slice that completed it.
+    /// query's parts: the answer's latency reflects the reply that
+    /// completed it.
     pub last_reply_latency: SimDuration,
 }
 
 impl PendingQuery {
-    /// True when this query runs the sliced path.
-    pub fn is_sliced(&self) -> bool {
-        !self.parts.is_empty()
-    }
-
-    /// True when every slice of a sliced query has been served.
-    pub fn parts_complete(&self) -> bool {
-        self.is_sliced() && self.parts.iter().all(|p| p.samples.is_some())
+    /// True when one of this query's parts waits on RPC `qid`.
+    pub fn waits_on(&self, qid: u64) -> bool {
+        self.parts.iter().any(|p| p.rpc_qid == Some(qid))
     }
 }
 
@@ -328,26 +400,6 @@ pub struct PipelineStats {
     pub max_in_flight: u64,
 }
 
-impl PipelineStats {
-    /// Folds another pipeline's counters into this one (additive except
-    /// the peak, which takes the max) — the aggregation a multi-proxy
-    /// snapshot needs.
-    pub fn merge(&mut self, other: &PipelineStats) {
-        self.submitted += other.submitted;
-        self.completed_fast += other.completed_fast;
-        self.completed_pull += other.completed_pull;
-        self.completed_cached += other.completed_cached;
-        self.failed += other.failed;
-        self.coalesced += other.coalesced;
-        self.rpcs_issued += other.rpcs_issued;
-        self.sliced += other.sliced;
-        self.completed_sliced += other.completed_sliced;
-        self.slice_rpcs += other.slice_rpcs;
-        self.slice_coalesced += other.slice_coalesced;
-        self.max_in_flight = self.max_in_flight.max(other.max_in_flight);
-    }
-}
-
 presto_telemetry::observe_counters!(PipelineStats {
     submitted,
     completed_fast,
@@ -361,6 +413,9 @@ presto_telemetry::observe_counters!(PipelineStats {
     slice_rpcs,
     slice_coalesced,
 } max { max_in_flight });
+
+/// Shared pull-reply cache capacity, in replies (oldest evict first).
+const REPLY_CACHE_CAPACITY: usize = 128;
 
 /// A reply kept in the shared pull-reply cache.
 #[derive(Clone, Debug)]
@@ -504,22 +559,17 @@ pub struct QueryPipeline {
 impl QueryPipeline {
     /// Creates an empty pipeline.
     pub fn new(config: PipelineConfig) -> Self {
-        let reply_cache = PullReplyCache::new(config.reply_cache_capacity);
         let slice_cache = config
             .slice
             .as_ref()
             .map(TieredSliceCache::for_config)
             .unwrap_or_else(|| TieredSliceCache::new(1, 0));
-        let tracer = QueryTracer::with_caps(
-            config.trace,
-            config.trace_finished_cap,
-            config.trace_recorder_cap,
-        );
+        let tracer = QueryTracer::new(config.trace);
         QueryPipeline {
             config,
             pending: Vec::new(),
             completed: Vec::new(),
-            reply_cache,
+            reply_cache: PullReplyCache::new(REPLY_CACHE_CAPACITY),
             slice_cache,
             stats: PipelineStats::default(),
             next_ticket: 1,

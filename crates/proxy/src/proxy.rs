@@ -10,12 +10,17 @@
 //!
 //! That miss path is written once. Every query starts in `try_fast`
 //! (cache hit → extrapolation → spatial conditioning, or dense coverage
-//! for ranges); a miss sends the request `pull_request` builds, and
-//! `answer_from_reply` turns the reply into the answer. Two entries
-//! drive that path over different transports: [`PrestoProxy::answer`]
-//! blocks on one RPC, and [`PrestoProxy::submit_query`] queues the miss
-//! for [`PrestoProxy::pump_queries_view`], which overlaps many RPCs
-//! across epochs (see [`crate::pipeline`]).
+//! for ranges); a miss names its radio work as a `PullKey`, `request`
+//! turns a key into the downlink request, and `answer_from_reply` turns
+//! the reply into the answer. Two entries drive that path over
+//! different transports: [`PrestoProxy::answer`] blocks on one RPC, and
+//! [`PrestoProxy::submit_query`] queues the miss for
+//! [`PrestoProxy::pump_queries_view`], which overlaps many RPCs across
+//! epochs (see [`crate::pipeline`]). A queued miss is a list of parts,
+//! one per RPC it needs: its whole pull window, or one per slice of a
+//! sliced PAST window. The pump issues, coalesces, expires and fills
+//! parts in one loop each, and a query completes at the fill that
+//! serves its last part.
 //!
 //! Every proxy→sensor interaction — pulls, aggregate requests, model
 //! pushes, retunes — is a fabric-routed RPC over a per-sensor
@@ -38,8 +43,8 @@ use presto_sensor::{DownlinkMsg, SensorNode, UplinkMsg, UplinkPayload};
 use crate::cache::{CacheSource, CachedEvent, CachedSample, EventCache, SensorCache};
 use crate::engine::{EngineConfig, ModelSlot, PredictionEngine};
 use crate::pipeline::{
-    op_key, CompletedQuery, PendingQuery, PipelineAnswer, PipelineConfig, PipelineQuery,
-    PullKey, QueryPipeline, SlicePart,
+    key_op, op_key, CompletedQuery, Part, Parts, PendingQuery, PipelineAnswer, PipelineConfig,
+    PipelineQuery, PullKey, QueryPipeline,
 };
 use crate::slice;
 
@@ -190,26 +195,6 @@ presto_telemetry::observe_counters!(ProxyStats {
     recovery_pulls,
     replica_resyncs,
 });
-
-impl ProxyStats {
-    /// Accumulates another proxy's counters (fleet aggregation).
-    pub fn merge(&mut self, other: &ProxyStats) {
-        self.uplinks += other.uplinks;
-        self.samples_cached += other.samples_cached;
-        self.events_cached += other.events_cached;
-        self.now_queries += other.now_queries;
-        self.past_queries += other.past_queries;
-        self.cache_hits += other.cache_hits;
-        self.extrapolations += other.extrapolations;
-        self.spatial_extrapolations += other.spatial_extrapolations;
-        self.pulls += other.pulls;
-        self.pull_failures += other.pull_failures;
-        self.models_pushed += other.models_pushed;
-        self.retunes_pushed += other.retunes_pushed;
-        self.recovery_pulls += other.recovery_pulls;
-        self.replica_resyncs += other.replica_resyncs;
-    }
-}
 
 /// One sensor's radio endpoints as seen by a pumping proxy: the node
 /// and the downlink channel this proxy drives towards it. The pump
@@ -820,7 +805,8 @@ impl PrestoProxy {
         if let Some(answer) = self.try_fast(t, &query) {
             return answer;
         }
-        let (_, msg) = self.pull_request(t, &query);
+        let msg = self.request(self.pull_key(t, &query));
+        self.stats.pulls += 1;
         let out = self.rpc(t, &msg, node, chan);
         match out.reply {
             Some(r) => {
@@ -854,14 +840,12 @@ impl PrestoProxy {
         // `pull_failures` stay query-path counters (recovery failures
         // are tracked by the gap tracker's `failed_attempts`).
         self.stats.recovery_pulls += 1;
-        let query_id = self.next_query_id;
-        self.next_query_id += 1;
-        let msg = DownlinkMsg::PullRequest {
-            query_id,
+        let msg = self.request(PullKey::Pull {
+            sensor,
             from,
             to,
-            tolerance,
-        };
+            tol_bits: tolerance.to_bits(),
+        });
         let reply = self.rpc(t, &msg, node, chan).reply?;
         let UplinkPayload::PullReply { samples, .. } = &reply.payload else {
             return None;
@@ -1037,13 +1021,12 @@ impl PrestoProxy {
             self.complete(id, query, t, t, answer, 0.0);
             return id;
         }
-        let (key, _, pull_to, pull_tolerance) = self.pull_plan(t, &query);
         // Sliced archive-range execution: a PAST window spanning enough
         // fixed time-aligned slices decomposes into canonical slices —
         // slices any earlier query pulled serve from the two-tier slice
         // cache (a sub-window of a previously pulled span completes
         // radio-free), and only the missing slices become sub-RPCs.
-        let mut parts: Vec<SlicePart> = match (query, self.pipeline.config.slice.as_ref()) {
+        let specs = match (query, self.pipeline.config.slice.as_ref()) {
             (
                 PipelineQuery::Past {
                     sensor,
@@ -1052,83 +1035,68 @@ impl PrestoProxy {
                     tolerance,
                 },
                 Some(cfg),
-            ) => slice::plan(sensor, from, to, tolerance, cfg)
-                .unwrap_or_default()
-                .into_iter()
-                .map(|spec| SlicePart {
-                    key: PullKey::Pull {
-                        sensor,
-                        from: spec.from,
-                        to: spec.to,
-                        tol_bits: tolerance.to_bits(),
-                    },
-                    spec,
-                    samples: None,
-                    sigma: tolerance / 2.0,
-                    rpc_qid: None,
-                })
-                .collect(),
-            _ => Vec::new(),
+            ) => slice::plan(sensor, from, to, tolerance, cfg),
+            _ => None,
         };
-        if !parts.is_empty() {
-            self.pipeline.stats.sliced += 1;
-            let mut all_hit = true;
-            for p in parts.iter_mut() {
-                match self.pipeline.slice_cache.lookup(p.spec.key) {
-                    Some((samples, sigma)) => {
-                        p.samples = Some(samples);
-                        p.sigma = sigma;
-                    }
-                    None => all_hit = false,
+        let parts = match specs {
+            Some(specs) => {
+                self.pipeline.stats.sliced += 1;
+                let mut parts: Vec<Part> = specs.into_iter().map(Part::of_slice).collect();
+                let mut all_hit = true;
+                for p in parts.iter_mut() {
+                    all_hit &= p.fill_from(&mut self.pipeline.slice_cache);
                 }
+                if all_hit {
+                    let (answer, sigma) =
+                        self.assemble_sliced(&query, &parts, SimDuration::from_millis(2));
+                    self.pipeline.stats.completed_cached += 1;
+                    self.pipeline.stats.completed_sliced += 1;
+                    self.pipeline.tracer.record(
+                        id,
+                        t,
+                        SpanEvent::CacheHit {
+                            path: "slice_cache",
+                        },
+                    );
+                    self.complete(id, query, t, t, answer, sigma);
+                    return id;
+                }
+                Parts::Many(parts)
             }
-            if all_hit {
-                let (answer, sigma) =
-                    self.assemble_sliced(&query, &parts, SimDuration::from_millis(2));
-                self.pipeline.stats.completed_cached += 1;
-                self.pipeline.stats.completed_sliced += 1;
-                self.pipeline.tracer.record(
-                    id,
-                    t,
-                    SpanEvent::CacheHit {
-                        path: "slice_cache",
-                    },
-                );
-                self.complete(id, query, t, t, answer, sigma);
-                return id;
+            None => {
+                // Shared pull-reply cache: a span any user already pulled
+                // at this tolerance answers from proxy memory — unless
+                // the window extends past the cached reply's coverage
+                // (freshness check), in which case a fresh pull is the
+                // only honest answer.
+                let key = self.pull_key(t, &query);
+                if let PullKey::Pull { to, .. } = key {
+                    if let Some(samples) = self.pipeline.reply_cache.lookup(key, to) {
+                        let samples = samples.to_vec();
+                        let answer =
+                            self.answer_from_samples(&query, &samples, SimDuration::from_millis(2));
+                        self.pipeline.stats.completed_cached += 1;
+                        self.pipeline.tracer.record(
+                            id,
+                            t,
+                            SpanEvent::CacheHit {
+                                path: "reply_cache",
+                            },
+                        );
+                        self.complete(id, query, t, t, answer, 0.0);
+                        return id;
+                    }
+                }
+                Parts::One(Part::whole(key))
             }
-        } else if matches!(key, PullKey::Pull { .. }) {
-            // Shared pull-reply cache: a span any user already pulled at
-            // this tolerance answers from proxy memory — unless the
-            // window extends past the cached reply's coverage (freshness
-            // check), in which case a fresh pull is the only honest
-            // answer.
-            if let Some(samples) = self.pipeline.reply_cache.lookup(key, pull_to) {
-                let samples = samples.to_vec();
-                let answer =
-                    self.answer_from_samples(&query, &samples, SimDuration::from_millis(2));
-                self.pipeline.stats.completed_cached += 1;
-                self.pipeline.tracer.record(
-                    id,
-                    t,
-                    SpanEvent::CacheHit {
-                        path: "reply_cache",
-                    },
-                );
-                self.complete(id, query, t, t, answer, 0.0);
-                return id;
-            }
-        }
+        };
         let deadline = t + deadline.unwrap_or(self.pipeline.config.deadline);
         self.pipeline.tracer.record(id, t, SpanEvent::CacheMiss);
         self.pipeline.pending.push(PendingQuery {
             id,
             query,
-            key,
-            pull_tolerance,
             submitted_at: t,
             deadline,
-            rpc_qid: None,
             parts,
             last_reply_latency: SimDuration::ZERO,
         });
@@ -1142,103 +1110,82 @@ impl PrestoProxy {
     fn assemble_sliced(
         &self,
         query: &PipelineQuery,
-        parts: &[SlicePart],
+        parts: &[Part],
         latency: SimDuration,
     ) -> (PipelineAnswer, f64) {
         let (from, to) = match *query {
             PipelineQuery::Past { from, to, .. } => (from, to),
             _ => (SimTime::ZERO, SimTime::MAX),
         };
-        let runs: Vec<Vec<(SimTime, f64)>> = parts
-            .iter()
-            .map(|p| p.samples.clone().unwrap_or_default())
-            .collect();
+        let runs: Vec<Vec<(SimTime, f64)>> = parts.iter().map(|p| p.samples.clone()).collect();
         let samples = slice::assemble(&runs, from, to);
         let sigma = parts.iter().map(|p| p.sigma).fold(0.0f64, f64::max);
         (self.answer_from_samples(query, &samples, latency), sigma)
     }
 
-    /// The radio work a precision-missed query needs: its pull window,
-    /// reply tolerance, and coalescing key.
-    fn pull_plan(&self, t: SimTime, query: &PipelineQuery) -> (PullKey, SimTime, SimTime, f64) {
+    /// The radio work a query submitted at `t` needs on a precision
+    /// miss: a pull of its window at its tolerance (for NOW, the last
+    /// three sample periods), or its aggregate evaluated at the sensor.
+    fn pull_key(&self, t: SimTime, query: &PipelineQuery) -> PullKey {
         match *query {
-            PipelineQuery::Now { sensor, tolerance } => {
-                let from = t - self.config.sample_period * 3;
-                (
-                    PullKey::Pull {
-                        sensor,
-                        from,
-                        to: t,
-                        tol_bits: tolerance.to_bits(),
-                    },
-                    from,
-                    t,
-                    tolerance,
-                )
-            }
+            PipelineQuery::Now { sensor, tolerance } => PullKey::Pull {
+                sensor,
+                from: t - self.config.sample_period * 3,
+                to: t,
+                tol_bits: tolerance.to_bits(),
+            },
             PipelineQuery::Past {
                 sensor,
                 from,
                 to,
                 tolerance,
-            } => (
-                PullKey::Pull {
-                    sensor,
-                    from,
-                    to,
-                    tol_bits: tolerance.to_bits(),
-                },
+            } => PullKey::Pull {
+                sensor,
                 from,
                 to,
-                tolerance,
-            ),
+                tol_bits: tolerance.to_bits(),
+            },
             PipelineQuery::Aggregate {
                 sensor,
                 from,
                 to,
                 op,
-            } => (
-                PullKey::Aggregate {
-                    sensor,
-                    from,
-                    to,
-                    op: op_key(op),
-                },
+            } => PullKey::Aggregate {
+                sensor,
                 from,
                 to,
-                0.0,
-            ),
+                op: op_key(op),
+            },
         }
     }
 
-    /// The downlink request a query submitted at `t` sends on a
-    /// precision miss, under a fresh RPC id: a pull of its
-    /// [`PrestoProxy::pull_plan`] window, or the aggregate operator
-    /// shipped to the sensor so only the scalar crosses the radio (paper
-    /// §3's "mode of vibration" example). The RPC is booked in `pulls`
-    /// when issued, whether or not it succeeds, so `pulls` means
+    /// The one request builder: the downlink request for `key` under a
+    /// fresh RPC id, a pull of the key's window at its tolerance or the
+    /// aggregate operator shipped to the sensor so only the scalar
+    /// crosses the radio (paper §3's "mode of vibration" example). The
+    /// caller books the RPC when it issues it: in `pulls` on the query
+    /// path, whether or not it succeeds, so `pulls` means
     /// attempts-per-RPC on both transports and stays disjoint from
     /// `recovery_pulls`.
-    fn pull_request(&mut self, t: SimTime, query: &PipelineQuery) -> (u64, DownlinkMsg) {
+    fn request(&mut self, key: PullKey) -> DownlinkMsg {
         let query_id = self.next_query_id;
         self.next_query_id += 1;
-        self.stats.pulls += 1;
-        let (_, from, to, tolerance) = self.pull_plan(t, query);
-        let msg = match *query {
-            PipelineQuery::Aggregate { op, .. } => DownlinkMsg::AggregateRequest {
+        match key {
+            PullKey::Pull {
+                from, to, tol_bits, ..
+            } => DownlinkMsg::PullRequest {
                 query_id,
                 from,
                 to,
-                op,
+                tolerance: f64::from_bits(tol_bits),
             },
-            PipelineQuery::Now { .. } | PipelineQuery::Past { .. } => DownlinkMsg::PullRequest {
+            PullKey::Aggregate { from, to, op, .. } => DownlinkMsg::AggregateRequest {
                 query_id,
                 from,
                 to,
-                tolerance,
+                op: key_op(op),
             },
-        };
-        (query_id, msg)
+        }
     }
 
     /// The honest failure answer for a query: the best effort the proxy
@@ -1365,39 +1312,43 @@ impl PrestoProxy {
         }
     }
 
+    /// Completes a pending query whose last part a fill just served. A
+    /// whole-window part's fill hands over the answer its reply maps
+    /// to; a sliced query's answer is assembled from its slices.
+    fn complete_served(&mut self, t: SimTime, q: PendingQuery, whole: Option<PipelineAnswer>) {
+        self.pipeline.stats.completed_pull += 1;
+        let (answer, sigma) = match whole {
+            Some(answer) => (answer, 0.0),
+            None => {
+                self.pipeline.stats.completed_sliced += 1;
+                let latency = (t - q.submitted_at) + q.last_reply_latency;
+                self.assemble_sliced(&q.query, &q.parts, latency)
+            }
+        };
+        self.complete(q.id, q.query, q.submitted_at, t, answer, sigma);
+    }
+
     /// Drives the pipeline one epoch tick: expires overdue queries
-    /// honestly, issues RPCs for newly enqueued ones (coalescing
-    /// identical (sensor, window, tolerance) needs into one pull),
-    /// pumps every listed sensor's downlink channel round-robin under
-    /// the per-epoch attempt budget, and completes queries whose
-    /// replies arrived. `sensors` is whatever set this proxy currently
-    /// serves — pending queries whose sensor is not in the view stay
-    /// queued (and fail honestly at their deadline).
+    /// honestly, issues RPCs for parts that have none (coalescing parts
+    /// with equal keys into one RPC), pumps every listed sensor's
+    /// downlink channel round-robin under the per-epoch attempt budget,
+    /// and fills parts whose replies arrived. A query completes at the
+    /// fill that serves its last part. `sensors` is whatever set this
+    /// proxy currently serves — pending queries whose sensor is not in
+    /// the view stay queued (and fail honestly at their deadline).
     pub fn pump_queries_view(&mut self, t: SimTime, sensors: &mut [PumpSensor<'_>]) {
         let pending = std::mem::take(&mut self.pipeline.pending);
 
         // 1. Honest expiry: overdue queries fail now. An RPC left with
-        // no attached query is cancelled, so the pending-RPC table
-        // cannot leak entries (sensor death included: its RPCs keep
-        // failing attempts while the link is gated, then expire here).
+        // no attached part is cancelled, so the pending-RPC table cannot
+        // leak entries (sensor death included: its RPCs keep failing
+        // attempts while the link is gated, then expire here).
         let (expired, mut live): (Vec<PendingQuery>, Vec<PendingQuery>) =
             pending.into_iter().partition(|q| q.deadline <= t);
         for q in expired {
-            // Cancel this query's RPCs (the monolithic pull, or each
-            // slice sub-RPC) unless another live query still shares
-            // them — sliced or not, an RPC with no attached query must
-            // not leak.
             let gid = q.query.sensor();
-            let qids = q
-                .rpc_qid
-                .into_iter()
-                .chain(q.parts.iter().filter_map(|p| p.rpc_qid));
-            for qid in qids {
-                let shared = live.iter().any(|p| {
-                    p.rpc_qid == Some(qid)
-                        || p.parts.iter().any(|pp| pp.rpc_qid == Some(qid))
-                });
-                if shared {
+            for qid in q.parts.iter().filter_map(|p| p.rpc_qid) {
+                if live.iter().any(|l| l.waits_on(qid)) {
                     continue;
                 }
                 let cancelled = sensors
@@ -1415,99 +1366,60 @@ impl PrestoProxy {
             self.complete(q.id, q.query, q.submitted_at, t, answer, 0.0);
         }
 
-        // 2. Issue radio work for queries that have none. A query (or a
-        // slice part) whose (sensor, window, tolerance) an in-flight RPC
-        // already covers attaches to it instead of pulling again.
+        // 2. Issue radio work for parts that have none. A slice part
+        // first re-checks the slice cache (a sibling query's reply may
+        // have landed the slice since submit); a part whose key an
+        // in-flight RPC already covers attaches to it; any other part
+        // issues its own RPC.
         let mut in_flight_keys: BTreeMap<PullKey, u64> = BTreeMap::new();
-        for q in live.iter() {
-            if let Some(qid) = q.rpc_qid {
-                in_flight_keys.insert(q.key, qid);
-            }
-            for p in q.parts.iter() {
-                if let Some(qid) = p.rpc_qid {
-                    in_flight_keys.insert(p.key, qid);
-                }
+        for p in live.iter().flat_map(|q| q.parts.iter()) {
+            if let Some(qid) = p.rpc_qid {
+                in_flight_keys.insert(p.key, qid);
             }
         }
-        for q in live.iter_mut() {
-            if q.is_sliced() {
-                // Per-slice radio work: each unserved part re-checks the
-                // slice cache first (a sibling query's reply may have
-                // landed the slice since submit), then coalesces onto an
-                // in-flight sub-RPC, then issues its own.
-                let mut traced_coalesce = false;
-                for p in q.parts.iter_mut() {
-                    if p.samples.is_some() || p.rpc_qid.is_some() {
-                        continue;
-                    }
-                    if let Some((samples, sigma)) = self.pipeline.slice_cache.lookup(p.spec.key)
-                    {
-                        p.samples = Some(samples);
-                        p.sigma = sigma;
-                        continue;
-                    }
-                    if let Some(&qid) = in_flight_keys.get(&p.key) {
-                        p.rpc_qid = Some(qid);
-                        self.pipeline.stats.slice_coalesced += 1;
-                        if !traced_coalesce {
-                            self.pipeline.tracer.record(q.id, t, SpanEvent::Coalesced);
-                            traced_coalesce = true;
-                        }
-                        continue;
-                    }
-                    let gid = q.query.sensor();
-                    let Some(ch) = sensors
-                        .iter_mut()
-                        .find(|s| s.gid == gid)
-                        .map(|s| &mut *s.chan)
-                    else {
-                        break;
-                    };
-                    let qid = self.next_query_id;
-                    self.next_query_id += 1;
-                    let msg = DownlinkMsg::PullRequest {
-                        query_id: qid,
-                        from: p.spec.from,
-                        to: p.spec.to,
-                        tolerance: q.pull_tolerance,
-                    };
-                    self.stats.pulls += 1;
-                    self.pipeline.stats.rpcs_issued += 1;
-                    self.pipeline.stats.slice_rpcs += 1;
-                    ch.submit_async(t, msg, q.deadline);
-                    p.rpc_qid = Some(qid);
-                    self.pipeline.tracer.record(q.id, t, SpanEvent::RpcIssued);
-                    in_flight_keys.insert(p.key, qid);
-                }
-                continue;
-            }
-            if q.rpc_qid.is_some() {
-                continue;
-            }
-            if let Some(&qid) = in_flight_keys.get(&q.key) {
-                q.rpc_qid = Some(qid);
-                self.pipeline.stats.coalesced += 1;
-                self.pipeline.tracer.record(q.id, t, SpanEvent::Coalesced);
-                continue;
-            }
+        let mut i = 0;
+        while i < live.len() {
+            let q = &mut live[i];
             let gid = q.query.sensor();
-            let Some(ch) = sensors
-                .iter_mut()
-                .find(|s| s.gid == gid)
-                .map(|s| &mut *s.chan)
-            else {
+            let mut traced_coalesce = false;
+            for p in q.parts.iter_mut() {
+                if p.served || p.rpc_qid.is_some() || p.fill_from(&mut self.pipeline.slice_cache) {
+                    continue;
+                }
+                if let Some(&qid) = in_flight_keys.get(&p.key) {
+                    p.rpc_qid = Some(qid);
+                    if p.slice.is_some() {
+                        self.pipeline.stats.slice_coalesced += 1;
+                    } else {
+                        self.pipeline.stats.coalesced += 1;
+                    }
+                    if !traced_coalesce {
+                        self.pipeline.tracer.record(q.id, t, SpanEvent::Coalesced);
+                        traced_coalesce = true;
+                    }
+                    continue;
+                }
                 // No channel for this sensor in the pumped view; the
                 // query fails honestly at its deadline.
-                continue;
-            };
-            // One RPC per coalesced group, rebuilt from the query and
-            // its submit time.
-            let (qid, msg) = self.pull_request(q.submitted_at, &q.query);
-            self.pipeline.stats.rpcs_issued += 1;
-            ch.submit_async(t, msg, q.deadline);
-            q.rpc_qid = Some(qid);
-            self.pipeline.tracer.record(q.id, t, SpanEvent::RpcIssued);
-            in_flight_keys.insert(q.key, qid);
+                let Some(s) = sensors.iter_mut().find(|s| s.gid == gid) else {
+                    break;
+                };
+                let qid = s.chan.submit_async(t, self.request(p.key), q.deadline);
+                self.stats.pulls += 1;
+                self.pipeline.stats.rpcs_issued += 1;
+                if p.slice.is_some() {
+                    self.pipeline.stats.slice_rpcs += 1;
+                }
+                p.rpc_qid = Some(qid);
+                self.pipeline.tracer.record(q.id, t, SpanEvent::RpcIssued);
+                in_flight_keys.insert(p.key, qid);
+            }
+            if q.parts.iter().all(|p| p.served) {
+                let q = live.remove(i);
+                self.complete_served(t, q, None);
+            } else {
+                i += 1;
+            }
         }
 
         // Peak-concurrency high-water mark, measured after issuance.
@@ -1550,8 +1462,8 @@ impl PrestoProxy {
 
         // Per-RPC attempt detail: each channel logged first
         // transmissions, retransmissions, and budget deferrals by RPC
-        // id; map them back onto every pending query sharing that RPC
-        // (coalesced queries inherit the attempt history).
+        // id; map them back onto every pending query with a part on
+        // that RPC (coalesced queries inherit the attempt history).
         if self.pipeline.tracer.enabled() {
             let mut attempts: Vec<(u64, AttemptEvent)> = Vec::new();
             for s in sensors.iter_mut() {
@@ -1563,17 +1475,13 @@ impl PrestoProxy {
                     AttemptEvent::Retransmit => SpanEvent::RpcRetransmit,
                     AttemptEvent::Deferred => SpanEvent::RpcDeferred,
                 };
-                for q in live.iter() {
-                    if q.rpc_qid == Some(qid)
-                        || q.parts.iter().any(|p| p.rpc_qid == Some(qid))
-                    {
-                        self.pipeline.tracer.record(q.id, t, span.clone());
-                    }
+                for q in live.iter().filter(|q| q.waits_on(qid)) {
+                    self.pipeline.tracer.record(q.id, t, span.clone());
                 }
             }
         }
 
-        // 4. Match events back to pending queries.
+        // 4. Match events back to the parts waiting on them.
         for ev in events {
             match ev {
                 presto_reliability::AsyncRpcEvent::Completed {
@@ -1581,153 +1489,122 @@ impl PrestoProxy {
                     reply,
                     attempt_latency,
                     ..
-                } => {
-                    // Fold the reply into the per-sensor cache exactly
-                    // as the blocking entry does.
-                    self.on_uplink(&reply);
-                    let reply_air = self.reply_latency(reply.wire_bytes);
-                    let mut served = Vec::new();
-                    let mut i = 0;
-                    while i < live.len() {
-                        if live[i].rpc_qid == Some(query_id) {
-                            served.push(live.remove(i));
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    let pulled = match &reply.payload {
-                        UplinkPayload::PullReply {
-                            samples: reply_samples,
-                            ..
-                        } => {
-                            let samples: Vec<(SimTime, f64)> =
-                                reply_samples.iter().map(|s| (s.t, s.value)).collect();
-                            // Fill every live query's slice parts this
-                            // reply serves, and cache the slice once.
-                            // The samples are trimmed to the slice span:
-                            // the freshest-sample fallback a sensor
-                            // sends for an empty window lies outside the
-                            // span and must not masquerade as content.
-                            let quant = self
-                                .pipeline
-                                .config
-                                .slice
-                                .as_ref()
-                                .map_or(0.05, |c| c.aging_quant_step);
-                            let mut slice_insert = None;
-                            for q in live.iter_mut() {
-                                let mut filled = false;
-                                for p in q.parts.iter_mut() {
-                                    if p.rpc_qid != Some(query_id) {
-                                        continue;
-                                    }
-                                    let trimmed: Vec<(SimTime, f64)> = samples
-                                        .iter()
-                                        .copied()
-                                        .filter(|&(st, _)| {
-                                            st >= p.spec.from && st <= p.spec.to
-                                        })
-                                        .collect();
-                                    let sigma = slice::slice_sigma(
-                                        q.pull_tolerance,
-                                        reply_samples.iter().map(|s| s.quality),
-                                        quant,
-                                    );
-                                    if slice_insert.is_none() {
-                                        slice_insert = Some((
-                                            p.spec.key,
-                                            p.spec.span_end,
-                                            sigma,
-                                            trimmed.clone(),
-                                        ));
-                                    }
-                                    p.sigma = sigma;
-                                    p.samples = Some(trimmed);
-                                    p.rpc_qid = None;
-                                    filled = true;
-                                }
-                                if filled {
-                                    q.last_reply_latency = attempt_latency + reply_air;
-                                }
-                            }
-                            if let Some((key, span_end, sigma, trimmed)) = slice_insert {
-                                self.pipeline.slice_cache.insert(
-                                    key,
-                                    span_end,
-                                    reply.sent_at,
-                                    sigma,
-                                    trimmed,
-                                );
-                            }
-                            if let Some(first) = served.first() {
-                                // Share the reply: later queries over
-                                // this span skip the radio. `sent_at`
-                                // is the sensor-side serving time — the
-                                // instant the samples' coverage ends.
-                                self.pipeline.reply_cache.insert(
-                                    first.key,
-                                    reply.sent_at,
-                                    samples.clone(),
-                                );
-                            }
-                            Some(samples)
-                        }
-                        _ => None,
-                    };
-                    for q in served {
-                        let latency = (t - q.submitted_at) + attempt_latency + reply_air;
-                        // A pull reply was flattened once above for every
-                        // query it serves.
-                        let answer = match &pulled {
-                            Some(samples) => self.answer_from_samples(&q.query, samples, latency),
-                            None => self.answer_from_reply(&q.query, &reply.payload, latency),
-                        };
-                        self.pipeline.stats.completed_pull += 1;
-                        self.complete(q.id, q.query, q.submitted_at, t, answer, 0.0);
-                    }
-                }
+                } => self.fill_from_reply(t, &mut live, query_id, &reply, attempt_latency),
                 presto_reliability::AsyncRpcEvent::Expired { query_id, .. } => {
                     // The RPC's deadline (its issuing query's) passed in
                     // the channel. That issuing query was expired in
-                    // phase 1; coalesced queries with time left re-issue
-                    // a fresh RPC on the next pump.
+                    // phase 1; parts of other queries with time left
+                    // re-issue a fresh RPC on the next pump.
                     self.stats.pull_failures += 1;
-                    for q in live.iter_mut() {
-                        let mut hit = false;
-                        if q.rpc_qid == Some(query_id) {
-                            q.rpc_qid = None;
-                            hit = true;
+                    for q in live.iter_mut().filter(|q| q.waits_on(query_id)) {
+                        for p in q.parts.iter_mut().filter(|p| p.rpc_qid == Some(query_id)) {
+                            p.rpc_qid = None;
                         }
-                        for p in q.parts.iter_mut() {
-                            if p.rpc_qid == Some(query_id) {
-                                p.rpc_qid = None;
-                                hit = true;
-                            }
-                        }
-                        if hit {
-                            self.pipeline.tracer.record(q.id, t, SpanEvent::RpcExpired);
-                        }
+                        self.pipeline.tracer.record(q.id, t, SpanEvent::RpcExpired);
                     }
                 }
             }
         }
+        self.pipeline.pending = live;
+    }
 
-        // 5. Assemble sliced queries whose every slice is now served
-        // (from cache at issue time, from replies this epoch, or both).
+    /// Fills every part waiting on RPC `query_id` from its matched
+    /// reply, and completes each query left with no unserved part, in
+    /// queue order. A slice part keeps the reply's samples trimmed to
+    /// its span: the freshest-sample fallback a sensor sends for an
+    /// empty window lies outside the span and must not masquerade as
+    /// content. The reply lands once in each cache its parts feed: the
+    /// slice cache for a slice, the reply cache for a whole window.
+    fn fill_from_reply(
+        &mut self,
+        t: SimTime,
+        live: &mut Vec<PendingQuery>,
+        query_id: u64,
+        reply: &UplinkMsg,
+        attempt_latency: SimDuration,
+    ) {
+        // Fold the reply into the per-sensor cache exactly as the
+        // blocking entry does.
+        self.on_uplink(reply);
+        let reply_latency = attempt_latency + self.reply_latency(reply.wire_bytes);
+        let raw = match &reply.payload {
+            UplinkPayload::PullReply { samples, .. } => Some(samples.as_slice()),
+            _ => None,
+        };
+        // A pull reply is flattened once for every part it serves.
+        let pulled: Option<Vec<(SimTime, f64)>> =
+            raw.map(|r| r.iter().map(|s| (s.t, s.value)).collect());
+        let quant = self
+            .pipeline
+            .config
+            .slice
+            .as_ref()
+            .map_or(0.05, |c| c.aging_quant_step);
+        // The whole window's key, and the one slice fill every slice
+        // part on this RPC shares (all of them carry the RPC's key).
+        let mut whole_key = None;
+        let mut slice_fill = None;
         let mut i = 0;
         while i < live.len() {
-            if !live[i].parts_complete() {
+            let q = &mut live[i];
+            if !q.waits_on(query_id) {
+                i += 1;
+                continue;
+            }
+            q.last_reply_latency = reply_latency;
+            let mut whole = false;
+            for p in q.parts.iter_mut().filter(|p| p.rpc_qid == Some(query_id)) {
+                p.rpc_qid = None;
+                let Some(spec) = p.slice else {
+                    whole = true;
+                    p.served = true;
+                    whole_key = Some(p.key);
+                    continue;
+                };
+                let (_, samples, sigma) = slice_fill.get_or_insert_with(|| {
+                    let raw = raw.unwrap_or_default();
+                    let samples: Vec<(SimTime, f64)> = raw
+                        .iter()
+                        .filter(|s| s.t >= spec.from && s.t <= spec.to)
+                        .map(|s| (s.t, s.value))
+                        .collect();
+                    let tolerance = f64::from_bits(spec.key.tol_bits);
+                    let sigma = slice::slice_sigma(tolerance, raw.iter().map(|s| s.quality), quant);
+                    (spec, samples, sigma)
+                });
+                p.fill(samples.clone(), *sigma);
+            }
+            if !q.parts.iter().all(|p| p.served) {
                 i += 1;
                 continue;
             }
             let q = live.remove(i);
-            let latency = (t - q.submitted_at) + q.last_reply_latency;
-            let (answer, sigma) = self.assemble_sliced(&q.query, &q.parts, latency);
-            self.pipeline.stats.completed_pull += 1;
-            self.pipeline.stats.completed_sliced += 1;
-            self.complete(q.id, q.query, q.submitted_at, t, answer, sigma);
+            let answer = whole.then(|| {
+                let latency = (t - q.submitted_at) + reply_latency;
+                match &pulled {
+                    Some(samples) => self.answer_from_samples(&q.query, samples, latency),
+                    None => self.answer_from_reply(&q.query, &reply.payload, latency),
+                }
+            });
+            self.complete_served(t, q, answer);
         }
-        self.pipeline.pending = live;
+        if let Some((spec, samples, sigma)) = slice_fill {
+            self.pipeline.slice_cache.insert(
+                spec.key,
+                spec.span_end,
+                reply.sent_at,
+                sigma,
+                samples,
+            );
+        }
+        // Share a whole window's reply: later queries over this span
+        // skip the radio. `sent_at` is the sensor-side serving time —
+        // the instant the samples' coverage ends.
+        if let (Some(key), Some(samples)) = (whole_key, pulled) {
+            self.pipeline
+                .reply_cache
+                .insert(key, reply.sent_at, samples);
+        }
     }
 }
 
@@ -2446,7 +2323,6 @@ mod tests {
         // Bookkeeping: nothing leaks after completion.
         assert_eq!(proxy.pipeline().pending_queries(), 0);
         assert_eq!(chan.async_in_flight(), 0);
-        assert_eq!(chan.outstanding_rpcs(), 0);
         // Coalesced answers are identical to each other.
         let a0 = &done[0].answer;
         let a1 = &done[1].answer;
@@ -2564,7 +2440,6 @@ mod tests {
         // Bookkeeping: no leaked PendingQuery or pending-RPC entries.
         assert_eq!(proxy.pipeline().pending_queries(), 0);
         assert_eq!(chan.async_in_flight(), 0);
-        assert_eq!(chan.outstanding_rpcs(), 0);
         assert!(proxy.stats().pull_failures >= 4);
     }
 
@@ -2742,7 +2617,6 @@ mod tests {
         // only RPC here completed before the crash, so nothing to drop).
         assert_eq!(chan.reset_proxy_state(), 0);
         assert_eq!(chan.async_in_flight(), 0);
-        assert_eq!(chan.outstanding_rpcs(), 0);
     }
 
     #[test]

@@ -213,22 +213,6 @@ pub struct SliceCacheStats {
     pub incomplete_skips: u64,
 }
 
-impl SliceCacheStats {
-    /// Folds another cache's counters into this one (all additive) —
-    /// the aggregation a multi-proxy snapshot needs.
-    pub fn merge(&mut self, other: &SliceCacheStats) {
-        self.lookups += other.lookups;
-        self.l1_hits += other.l1_hits;
-        self.l2_hits += other.l2_hits;
-        self.misses += other.misses;
-        self.inserts += other.inserts;
-        self.promotions += other.promotions;
-        self.demotions += other.demotions;
-        self.evictions += other.evictions;
-        self.incomplete_skips += other.incomplete_skips;
-    }
-}
-
 presto_telemetry::observe_counters!(SliceCacheStats {
     lookups,
     l1_hits,

@@ -27,14 +27,13 @@
 //!   energy-charged **retry budget** that refills slowly (a token
 //!   bucket): a proxy hammering a dead path exhausts it and the RPC
 //!   fails honestly instead of retrying forever;
-//! * a **pending-RPC table** tracks outstanding `query_id`s and matches
-//!   `PullReply`/`AggregateReply` uplinks to them, consuming each reply
-//!   exactly once. Under the current synchronous driver an entry lives
-//!   only within its own `rpc` call (sensor-side dedup already pins a
-//!   retransmitted request's reply to the same query id), so the
-//!   mismatch path is a defensive guard; the table is the structural
-//!   hook for the queued asynchronous query pipeline on the roadmap,
-//!   where replies genuinely arrive out of call order.
+//! * a **pending-RPC table** holds the queued asynchronous RPCs and
+//!   matches `PullReply`/`AggregateReply` uplinks to them by query id,
+//!   consuming each reply exactly once with its entry; a blocking `rpc`
+//!   call matches against the one id it holds for the length of the
+//!   call. Sensor-side dedup pins a retransmitted request's reply to the
+//!   same query id, so a mismatched id is a stray, counted in
+//!   `duplicate_replies` and dropped.
 //!
 //! The channel offers two driving modes over the same attempt machinery:
 //!
@@ -52,8 +51,6 @@
 //!   simulated time between pumps, so one proxy overlaps many in-flight
 //!   pulls and downlink loss shows up as latency percentiles instead of
 //!   serialized stalls.
-
-use std::collections::BTreeSet;
 
 use presto_net::{LinkModel, LossProcess, Mac};
 use presto_sensor::{DownlinkMsg, SensorNode, UplinkMsg, UplinkPayload};
@@ -135,26 +132,6 @@ pub struct DownlinkStats {
     pub deferred_budget: u64,
     /// High-water mark of simultaneously outstanding async RPCs.
     pub max_in_flight: u64,
-}
-
-impl DownlinkStats {
-    /// Folds another channel's counters in: everything adds except
-    /// `max_in_flight`, which is a per-channel peak and takes the max.
-    pub fn merge(&mut self, other: &DownlinkStats) {
-        self.rpcs += other.rpcs;
-        self.delivered += other.delivered;
-        self.retransmits += other.retransmits;
-        self.requests_lost += other.requests_lost;
-        self.replies_lost += other.replies_lost;
-        self.rpc_failures += other.rpc_failures;
-        self.dropped_budget += other.dropped_budget;
-        self.blocked_link_down += other.blocked_link_down;
-        self.duplicate_replies += other.duplicate_replies;
-        self.async_submitted += other.async_submitted;
-        self.async_expired += other.async_expired;
-        self.deferred_budget += other.deferred_budget;
-        self.max_in_flight = self.max_in_flight.max(other.max_in_flight);
-    }
 }
 
 presto_telemetry::observe_counters!(DownlinkStats {
@@ -265,11 +242,11 @@ pub struct DownlinkChannel {
     /// sensor is crashed.
     link_up: bool,
     next_seq: u64,
-    /// Pending-RPC table: outstanding query ids awaiting a reply.
-    outstanding: BTreeSet<u64>,
-    /// Queued asynchronous RPCs, in submission order (the pump serves
-    /// them oldest-first, so one hot query cannot starve the rest of
-    /// the channel).
+    /// The pending-RPC table: queued asynchronous RPCs awaiting their
+    /// replies, in submission order (the pump serves them oldest-first,
+    /// so one hot query cannot starve the rest of the channel). A
+    /// blocking [`DownlinkChannel::rpc`] needs no entry: it matches
+    /// replies against its one query id until the call returns.
     async_rpcs: Vec<AsyncRpc>,
     retry_spent_j: f64,
     last_refill: SimTime,
@@ -292,7 +269,6 @@ impl DownlinkChannel {
             first_hop,
             link_up: true,
             next_seq: 0,
-            outstanding: BTreeSet::new(),
             async_rpcs: Vec::new(),
             retry_spent_j: 0.0,
             last_refill: SimTime::ZERO,
@@ -346,12 +322,6 @@ impl DownlinkChannel {
         self.link_up
     }
 
-    /// Outstanding query ids awaiting replies (pending-RPC table size).
-    // presto-lint: allow(unused, leak probe: tests/query_pipeline.rs and tests/slice_equivalence.rs assert the live pipeline leaves the pending-RPC table empty)
-    pub fn outstanding_rpcs(&self) -> usize {
-        self.outstanding.len()
-    }
-
     /// Remaining retry budget, joules.
     pub fn budget_remaining_j(&self) -> f64 {
         (self.config.retry_budget_j - self.retry_spent_j).max(0.0)
@@ -387,9 +357,6 @@ impl DownlinkChannel {
         let seq = self.next_seq;
         self.next_seq += 1;
         let rpc_qid = request_query_id(msg);
-        if let Some(q) = rpc_qid {
-            self.outstanding.insert(q);
-        }
         let wire = msg.wire_bytes();
         let mut latency = SimDuration::ZERO;
         let mut attempts: u32 = 0;
@@ -440,9 +407,6 @@ impl DownlinkChannel {
                     continue;
                 }
             }
-        }
-        if let Some(q) = rpc_qid {
-            self.outstanding.remove(&q);
         }
         outcome.unwrap_or_else(|| {
             self.stats.rpc_failures += 1;
@@ -502,9 +466,10 @@ impl DownlinkChannel {
                 }
                 latency +=
                     self.config.base_delay + self.config.per_byte_delay * r.wire_bytes as u64;
-                // Pending-RPC match: each query id is consumed once.
+                // Pending-RPC match: the reply must carry the id of the
+                // request it answers, which is consumed with its entry.
                 let consumed = match (rpc_qid, reply_query_id(&r)) {
-                    (Some(want), Some(got)) if want == got => self.outstanding.remove(&want),
+                    (Some(want), Some(got)) => want == got,
                     (None, _) => true,
                     _ => false,
                 };
@@ -550,7 +515,6 @@ impl DownlinkChannel {
         self.next_seq += 1;
         self.stats.rpcs += 1;
         self.stats.async_submitted += 1;
-        self.outstanding.insert(qid);
         self.async_rpcs.push(AsyncRpc {
             qid,
             seq,
@@ -584,7 +548,6 @@ impl DownlinkChannel {
         while i < self.async_rpcs.len() {
             if t >= self.async_rpcs[i].expires_at {
                 let rpc = self.async_rpcs.remove(i);
-                self.outstanding.remove(&rpc.qid);
                 self.stats.async_expired += 1;
                 self.stats.rpc_failures += 1;
                 events.push(AsyncRpcEvent::Expired {
@@ -685,7 +648,6 @@ impl DownlinkChannel {
     pub fn reset_proxy_state(&mut self) -> usize {
         let dropped = self.async_rpcs.len();
         self.async_rpcs.clear();
-        self.outstanding.clear();
         self.attempt_log.clear();
         dropped
     }
@@ -696,12 +658,7 @@ impl DownlinkChannel {
     pub fn cancel_async(&mut self, query_id: u64) -> bool {
         let before = self.async_rpcs.len();
         self.async_rpcs.retain(|r| r.qid != query_id);
-        if self.async_rpcs.len() != before {
-            self.outstanding.remove(&query_id);
-            true
-        } else {
-            false
-        }
+        self.async_rpcs.len() != before
     }
 
     /// Outstanding async RPCs currently in flight on this channel.
@@ -780,7 +737,6 @@ mod tests {
         // Latency includes the LPL preamble plus channel delays.
         assert!(out.latency >= SimDuration::from_secs(1));
         assert_eq!(ch.stats().delivered, 1);
-        assert_eq!(ch.outstanding_rpcs(), 0, "pending table drained");
         assert!(ledger.total() > 0.0, "proxy pays the downlink energy");
     }
 
@@ -841,7 +797,6 @@ mod tests {
         assert_eq!(out.attempts, max + 1);
         assert!(out.latency >= timeout * (max as u64 + 1));
         assert_eq!(ch.stats().rpc_failures, 1);
-        assert_eq!(ch.outstanding_rpcs(), 0, "failed RPCs leave no stale entry");
     }
 
     #[test]
@@ -935,8 +890,7 @@ mod tests {
         for q in 0..5u64 {
             ch.submit_async(t, pull(q), deadline);
         }
-        assert_eq!(ch.async_in_flight(), 5);
-        assert_eq!(ch.outstanding_rpcs(), 5, "pending table holds all five");
+        assert_eq!(ch.async_in_flight(), 5, "pending table holds all five");
         assert_eq!(ch.stats().max_in_flight, 5);
         let events = pump_all(&mut ch, t, &mut node, &mut ledger);
         assert_eq!(events.len(), 5);
@@ -954,7 +908,6 @@ mod tests {
         assert_eq!(qids, vec![0, 1, 2, 3, 4]);
         // Bookkeeping invariant: nothing leaks after completion.
         assert_eq!(ch.async_in_flight(), 0);
-        assert_eq!(ch.outstanding_rpcs(), 0);
     }
 
     #[test]
@@ -982,7 +935,7 @@ mod tests {
             AsyncRpcEvent::Completed { query_id: 1, attempts: 2, .. }
         ));
         assert_eq!(ch.stats().retransmits, 1);
-        assert_eq!(ch.outstanding_rpcs(), 0);
+        assert_eq!(ch.async_in_flight(), 0);
     }
 
     #[test]
@@ -1013,7 +966,6 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(ch.async_in_flight(), 0, "expired RPCs leave no entry");
-        assert_eq!(ch.outstanding_rpcs(), 0);
         assert_eq!(ch.stats().async_expired, 1);
     }
 
@@ -1025,7 +977,6 @@ mod tests {
         assert!(ch.cancel_async(3));
         assert!(!ch.cancel_async(3), "double cancel is a no-op");
         assert_eq!(ch.async_in_flight(), 0);
-        assert_eq!(ch.outstanding_rpcs(), 0);
     }
 
     #[test]

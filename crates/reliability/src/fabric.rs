@@ -116,20 +116,6 @@ presto_telemetry::observe_counters!(FabricStats {
     blocked_link_down,
 });
 
-impl FabricStats {
-    /// Accumulates another fabric's counters (fleet aggregation).
-    pub fn merge(&mut self, other: &FabricStats) {
-        self.offered += other.offered;
-        self.delivered += other.delivered;
-        self.lost_in_channel += other.lost_in_channel;
-        self.retransmits += other.retransmits;
-        self.acks_lost += other.acks_lost;
-        self.dropped_retries += other.dropped_retries;
-        self.dropped_budget += other.dropped_budget;
-        self.blocked_link_down += other.blocked_link_down;
-    }
-}
-
 struct Pending {
     seq: u64,
     msg: UplinkMsg,

@@ -79,15 +79,6 @@ presto_telemetry::observe_counters!(LivenessStats {
     reconnected,
 });
 
-impl LivenessStats {
-    /// Accumulates another monitor's counters (fleet aggregation).
-    pub fn merge(&mut self, other: &LivenessStats) {
-        self.suspected += other.suspected;
-        self.died += other.died;
-        self.reconnected += other.reconnected;
-    }
-}
-
 /// Per-sensor lease state.
 #[derive(Clone, Debug)]
 struct Slot {

@@ -80,19 +80,6 @@ impl presto_telemetry::Observe for RecoveryStats {
     }
 }
 
-impl RecoveryStats {
-    /// Accumulates another tracker's counters (fleet aggregation); the
-    /// latency field is a sum, so it stays a sum under merge.
-    pub fn merge(&mut self, other: &RecoveryStats) {
-        self.gaps_detected += other.gaps_detected;
-        self.duplicates += other.duplicates;
-        self.recoveries += other.recoveries;
-        self.failed_attempts += other.failed_attempts;
-        self.samples_replayed += other.samples_replayed;
-        self.total_recovery_latency_s += other.total_recovery_latency_s;
-    }
-}
-
 #[derive(Clone, Debug)]
 struct SensorTrack {
     next_seq: u64,

@@ -67,26 +67,6 @@ presto_telemetry::observe_counters!(SensorStats {
     duplicate_requests,
 });
 
-impl SensorStats {
-    /// Accumulates another sensor's counters (fleet aggregation).
-    pub fn merge(&mut self, other: &SensorStats) {
-        self.samples += other.samples;
-        self.model_checks += other.model_checks;
-        self.deviations_pushed += other.deviations_pushed;
-        self.values_pushed += other.values_pushed;
-        self.batches_sent += other.batches_sent;
-        self.batch_samples_sent += other.batch_samples_sent;
-        self.events_pushed += other.events_pushed;
-        self.pulls_served += other.pulls_served;
-        self.push_failures += other.push_failures;
-        self.bytes_sent += other.bytes_sent;
-        self.heartbeats_sent += other.heartbeats_sent;
-        self.seals_sent += other.seals_sent;
-        self.reboots += other.reboots;
-        self.duplicate_requests += other.duplicate_requests;
-    }
-}
-
 /// A PRESTO sensor node.
 pub struct SensorNode {
     id: u16,

@@ -223,9 +223,9 @@ impl FlightRecorder {
     }
 }
 
-/// Default bound on finished traces awaiting collection.
+/// Bound on finished traces awaiting collection.
 pub const FINISHED_CAP: usize = 4096;
-/// Default flight-recorder bound.
+/// Flight-recorder bound.
 pub const RECORDER_CAP: usize = 4096;
 
 /// The per-tier trace collector: open event logs keyed by ticket, a
@@ -243,17 +243,18 @@ pub struct QueryTracer {
 }
 
 impl QueryTracer {
-    /// Creates a tracer with the default caps; when `enabled` is false
-    /// every method is a no-op and nothing ever allocates.
+    /// Creates a tracer holding up to [`FINISHED_CAP`] finished traces
+    /// and [`RECORDER_CAP`] flight-recorder entries. Evictions beyond
+    /// either bound are counted ([`QueryTracer::finished_dropped`],
+    /// [`FlightRecorder::dropped`]) rather than silent. When `enabled`
+    /// is false every method is a no-op and nothing ever allocates.
     pub fn new(enabled: bool) -> Self {
         Self::with_caps(enabled, FINISHED_CAP, RECORDER_CAP)
     }
 
     /// Creates a tracer with explicit bounds on the finished-trace FIFO
-    /// and the flight recorder. Evictions beyond either bound are
-    /// counted ([`QueryTracer::finished_dropped`],
-    /// [`FlightRecorder::dropped`]) rather than silent.
-    pub fn with_caps(enabled: bool, finished_cap: usize, recorder_cap: usize) -> Self {
+    /// and the flight recorder.
+    fn with_caps(enabled: bool, finished_cap: usize, recorder_cap: usize) -> Self {
         QueryTracer {
             enabled,
             open: BTreeMap::new(),

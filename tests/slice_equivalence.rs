@@ -232,10 +232,9 @@ fn run_and_check(
     let done = p.take_completed_queries();
     prop_assert_eq!(done.len(), submitted, "every query must terminate");
     // Zero leaked slice sub-requests: nothing pending, nothing left in
-    // the channel's pending-RPC table or its in-flight set.
+    // the channel's pending-RPC table.
     prop_assert_eq!(p.pipeline().pending_queries(), 0);
     prop_assert_eq!(chan.async_in_flight(), 0);
-    prop_assert_eq!(chan.outstanding_rpcs(), 0);
 
     // Every multi-slice PAST submission took the sliced path.
     prop_assert_eq!(p.pipeline().stats().sliced, multi_slice);
@@ -395,5 +394,81 @@ fn sub_window_of_pulled_span_completes_radio_free() {
     match &done[0].answer {
         PipelineAnswer::Series(a) => assert_eq!(a.samples, reference),
         _ => panic!("PAST answers are series"),
+    }
+}
+
+/// Parts with equal keys share one RPC whatever shape they belong to. A
+/// PAST window that is exactly one slice's pull window spans fewer than
+/// `min_slices` slices, so it stays one whole-window part, and its key
+/// equals that slice's part of a wider sliced query. In either submit
+/// order the two coalesce: three slices cost three RPCs, both queries
+/// complete in the same pump, and each answer equals its blocking
+/// reference.
+#[test]
+fn aligned_window_coalesces_with_its_slice() {
+    let base = SimTime::from_days(2);
+    let tolerance = 0.2;
+    // Slice 2's pull window, [2 h, 3 h − 1 µs].
+    let aligned = PipelineQuery::Past {
+        sensor: 0,
+        from: SimTime::from_hours(2),
+        to: SimTime::from_hours(3) - SimDuration::from_micros(1),
+        tolerance,
+    };
+    // Spans slices 1, 2 and 3.
+    let wide = PipelineQuery::Past {
+        sensor: 0,
+        from: SimTime::from_hours(1) + SimDuration::from_mins(7),
+        to: SimTime::from_hours(3) + SimDuration::from_mins(11),
+        tolerance,
+    };
+    for order in [[aligned, wide], [wide, aligned]] {
+        let mut p = sliced_proxy();
+        let mut node = archived_node();
+        let mut chan = DownlinkChannel::perfect();
+        let tickets = order.map(|q| p.submit_query(base, q));
+        p.pump_queries_view(
+            base,
+            &mut [PumpSensor {
+                gid: 0,
+                node: &mut node,
+                chan: &mut chan,
+            }],
+        );
+
+        let stats = p.pipeline().stats();
+        assert_eq!(stats.sliced, 1, "only the wide window is sliced");
+        assert_eq!(stats.rpcs_issued, 3, "one RPC per slice");
+        assert_eq!(
+            stats.coalesced + stats.slice_coalesced,
+            1,
+            "the aligned window and its slice share one RPC"
+        );
+        let done = p.take_completed_queries();
+        assert_eq!(done.len(), 2, "both queries complete in the first pump");
+        assert_eq!(p.pipeline().pending_queries(), 0);
+        assert_eq!(chan.async_in_flight(), 0);
+
+        let mut rp = ref_proxy();
+        let mut ref_node = archived_node();
+        let mut ref_chan = DownlinkChannel::perfect();
+        for (q, ticket) in order.into_iter().zip(tickets) {
+            let c = done
+                .iter()
+                .find(|c| c.id == ticket)
+                .expect("ticket completed");
+            assert_eq!(c.completed_at, base);
+            let reference = reference_past(q, base, &mut rp, &mut ref_chan, &mut ref_node);
+            match &c.answer {
+                PipelineAnswer::Series(a) => {
+                    assert_eq!(a.source, AnswerSource::Pulled);
+                    assert_eq!(
+                        a.samples, reference,
+                        "{q:?} diverged from its blocking reference"
+                    );
+                }
+                other => panic!("PAST answers are series, got {other:?}"),
+            }
+        }
     }
 }
