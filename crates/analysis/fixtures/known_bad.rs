@@ -11,6 +11,17 @@ pub struct OrphanStats {
     pub hits: u64,
 }
 
+// K1: nothing but its own `impl Default` sets `knob`.
+pub struct OrphanConfig {
+    pub knob: u32,
+}
+
+impl Default for OrphanConfig {
+    fn default() -> Self {
+        OrphanConfig { knob: 1 }
+    }
+}
+
 // A0: annotation names an unknown lint.
 // presto-lint: allow(bogus, this rule id does not exist)
 pub fn lookup(map: &HashMap<u16, f64>, key: usize) -> f64 {

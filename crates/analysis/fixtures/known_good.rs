@@ -3,8 +3,8 @@
 //! `crates/proxy/src/fixture_good.rs` (all rules in scope), together with
 //! an `examples/` caller of its `pub fn`s, and must come back clean:
 //! ordered containers, simulated time only, honest failure, checked
-//! conversions, fully wired Stats, used pub code, and exactly one
-//! justified allow.
+//! conversions, fully wired Stats, used pub code, a config knob a test
+//! sets to a second value, and exactly one justified allow.
 
 use std::collections::BTreeMap;
 
@@ -15,6 +15,16 @@ pub struct FixtureStats {
 impl Observe for FixtureStats {
     fn observe(&self, out: &mut Vec<(String, u64)>) {
         out.push(("fixture.hits".into(), self.hits));
+    }
+}
+
+pub struct FixtureConfig {
+    pub rate: f64,
+}
+
+impl Default for FixtureConfig {
+    fn default() -> Self {
+        FixtureConfig { rate: 1.0 }
     }
 }
 
@@ -37,5 +47,12 @@ mod tests {
     fn lookup_roundtrip() {
         let t = Instant::now();
         assert!(t.elapsed().as_secs() < 1);
+    }
+
+    #[test]
+    fn fast_rate() {
+        let mut cfg = super::FixtureConfig::default();
+        cfg.rate = 2.0;
+        assert!(cfg.rate > 1.0);
     }
 }

@@ -32,6 +32,15 @@
 //!   items is named outside its file. `use` lines are imports, not
 //!   references (a `use x as y` rename is one). Examples, benches and
 //!   `perfbench/src/` are read as callers but never linted.
+//! - **K1 `knob`** — a `pub` field of a `pub struct *Config`/`*Bounds` in
+//!   library code that nothing sets. A setter is a literal of that struct
+//!   (`Name { field: .. }`, shorthand, or `Self { .. }` inside an `impl` of
+//!   it, but not the literal in its own `impl Default`) or an assignment
+//!   through a `.field` path segment (`=`, `+=`, ... on any receiver,
+//!   matched by name, so K1 may miss a dead knob but never flags a set
+//!   one). Setters are read everywhere: library and test code, examples,
+//!   benches, `perfbench/src/` and the integration tests (`tests/`,
+//!   `crates/*/tests/`), which no other rule reads.
 //!
 //! A site can be justified with an annotation comment — the tool name, a
 //! colon, then `allow(<rule>, <reason>)` — on the same line or on a
@@ -44,7 +53,7 @@
 //! items is exempt from D1/D2/H1/N1 (tests may panic and may use
 //! wall-clock), `*Stats` declarations in test code are ignored by T1
 //! rather than required to be wired up, and test code never counts as a
-//! U1 reference. `cfg(not(test))` and `cfg(any(test, ..))` code builds
+//! U1 reference (it does count as a K1 setter). `cfg(not(test))` and `cfg(any(test, ..))` code builds
 //! outside tests too, so it is linted like any other.
 
 pub mod lexer;
@@ -66,6 +75,7 @@ pub enum Rule {
     Stats,
     Watchdog,
     Unused,
+    Knob,
     Meta,
 }
 
@@ -81,6 +91,7 @@ impl Rule {
         (Rule::Stats, "stats", "T1"),
         (Rule::Watchdog, "watchdog", "T2"),
         (Rule::Unused, "unused", "U1"),
+        (Rule::Knob, "knob", "K1"),
         (Rule::Meta, "meta", "A0"),
     ];
 
@@ -266,18 +277,9 @@ fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
         while k < tokens.len() {
             match &tokens[k].tok {
                 Tok::Punct('{') => {
-                    let mut bd = 1usize;
-                    let mut m = k + 1;
-                    while m < tokens.len() && bd > 0 {
-                        match &tokens[m].tok {
-                            Tok::Punct('{') => bd += 1,
-                            Tok::Punct('}') => bd -= 1,
-                            _ => {}
-                        }
-                        m += 1;
-                    }
-                    end_line = tokens[m.saturating_sub(1).min(tokens.len() - 1)].line;
-                    k = m;
+                    let close = group_end(tokens, k);
+                    end_line = tokens[close.min(tokens.len() - 1)].line;
+                    k = close + 1;
                     break;
                 }
                 Tok::Punct(';') => {
@@ -351,10 +353,40 @@ fn parse_annotation(c: &Comment) -> Option<Result<Annotation, String>> {
 // Per-file context
 // ---------------------------------------------------------------------------
 
+/// What a file is read for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Library code: every rule lints it.
+    Lib,
+    /// Examples, benches and the benchmark harness: read for U1 references
+    /// and K1 setters, never linted, no annotations.
+    Caller,
+    /// Integration tests: read for K1 setters only.
+    Writer,
+}
+
+fn crate_subdir(path: &str, dir: &str) -> bool {
+    path.strip_prefix("crates/")
+        .and_then(|r| r.split_once('/'))
+        .is_some_and(|(_, r)| r.starts_with(dir))
+}
+
+fn role(path: &str) -> Role {
+    if path.starts_with("examples/")
+        || path.starts_with("perfbench/src/")
+        || crate_subdir(path, "benches/")
+    {
+        Role::Caller
+    } else if path.starts_with("tests/") || crate_subdir(path, "tests/") {
+        Role::Writer
+    } else {
+        Role::Lib
+    }
+}
+
 struct FileCtx {
     path: String,
-    /// Read for U1 references only; no rule lints it (see `caller_only`).
-    caller_only: bool,
+    role: Role,
     tokens: Vec<Token>,
     spans: Vec<(usize, usize)>,
     annotations: Vec<Annotation>,
@@ -375,6 +407,25 @@ fn is_punct(t: &Token, c: char) -> bool {
 
 fn is_ident(t: &Token, s: &str) -> bool {
     matches!(&t.tok, Tok::Ident(w) if w == s)
+}
+
+/// Index of the token closing the group `toks[open]` opens (`{`, `(`, `[`),
+/// or `toks.len()` if it never closes.
+fn group_end(toks: &[Token], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        match t.tok {
+            Tok::Punct('{' | '(' | '[') => depth += 1,
+            Tok::Punct('}' | ')' | ']') => {
+                depth -= 1;
+                if depth == 0 {
+                    return k;
+                }
+            }
+            _ => {}
+        }
+    }
+    toks.len()
 }
 
 // ---------------------------------------------------------------------------
@@ -597,17 +648,6 @@ fn index_watchdogs(ctx: &FileCtx, file_idx: usize, idx: &mut WatchdogIndex) {
 // U1: pub code that no non-test code names
 // ---------------------------------------------------------------------------
 
-/// Files read only as callers of library code: examples, benches and the
-/// benchmark harness. No rule lints them and they carry no annotations.
-fn caller_only(path: &str) -> bool {
-    path.starts_with("examples/")
-        || path.starts_with("perfbench/src/")
-        || path
-            .strip_prefix("crates/")
-            .and_then(|r| r.split_once('/'))
-            .is_some_and(|(_, r)| r.starts_with("benches/"))
-}
-
 /// Keywords whose next identifier is being declared, not referenced.
 const DECL_KEYWORDS: &[&str] = &[
     "fn", "struct", "enum", "trait", "type", "const", "static", "union", "mod",
@@ -735,6 +775,257 @@ fn scan_unused(ctx: &mut FileCtx, file_idx: usize, refs: &BTreeMap<String, BTree
 }
 
 // ---------------------------------------------------------------------------
+// K1: config knobs nothing sets
+// ---------------------------------------------------------------------------
+
+/// Whether K1 checks a struct's fields: its name ends in `Config` or
+/// `Bounds`.
+fn is_knob_struct(name: &str) -> bool {
+    ["Config", "Bounds"]
+        .iter()
+        .any(|s| name.len() > s.len() && name.ends_with(s))
+}
+
+#[derive(Default)]
+struct KnobIndex {
+    /// `pub` fields of `pub struct *Config`/`*Bounds` in library code
+    /// outside tests: (struct, field, file index, line).
+    fields: Vec<(String, String, usize, usize)>,
+    /// (struct, field) pairs named in a literal of that struct.
+    in_literal: BTreeSet<(String, String)>,
+    /// Field names assigned through a `.field` path segment.
+    assigned: BTreeSet<String>,
+}
+
+/// An `impl` block: the token span of its body, its self type's last path
+/// segment, and whether it is `impl Default for ..`.
+struct ImplBlock<'a> {
+    open: usize,
+    close: usize,
+    self_ty: &'a str,
+    default: bool,
+}
+
+/// Every `impl` item in a file. An `impl` in type position (`-> impl Fn`,
+/// `x: impl Fn`) is not an item and is skipped.
+fn impl_blocks(toks: &[Token]) -> Vec<ImplBlock<'_>> {
+    let mut blocks = Vec::new();
+    for i in 0..toks.len() {
+        let item_start = i == 0
+            || matches!(toks[i - 1].tok, Tok::Punct('{' | '}' | ';' | ']'))
+            || is_ident(&toks[i - 1], "unsafe");
+        if !is_ident(&toks[i], "impl") || !item_start {
+            continue;
+        }
+        // Header idents outside `<..>`: the trait (if any) before `for`,
+        // the self type after it; a `where` clause ends the header.
+        let (mut angle, mut last, mut trait_name, mut k) = (0usize, None, None, i + 1);
+        while let Some(t) = toks.get(k) {
+            match &t.tok {
+                Tok::Punct('{' | ';') => break,
+                Tok::Punct('<') => angle += 1,
+                Tok::Punct('>') if !is_punct(&toks[k - 1], '-') => angle = angle.saturating_sub(1),
+                Tok::Ident(w) if angle == 0 && w == "where" => {
+                    while k < toks.len() && !is_punct(&toks[k], '{') {
+                        k += 1;
+                    }
+                    break;
+                }
+                Tok::Ident(w) if angle == 0 && w == "for" => trait_name = last.take(),
+                Tok::Ident(w) if angle == 0 => last = Some(w.as_str()),
+                _ => {}
+            }
+            k += 1;
+        }
+        if let (Some(self_ty), Some(open)) = (
+            last,
+            (k < toks.len() && is_punct(&toks[k], '{')).then_some(k),
+        ) {
+            blocks.push(ImplBlock {
+                open,
+                close: group_end(toks, open),
+                self_ty,
+                default: trait_name == Some("Default"),
+            });
+        }
+    }
+    blocks
+}
+
+/// Keywords after which `Name {` opens a declaration or block, not a
+/// literal.
+const NOT_LITERAL_AFTER: &[&str] = &[
+    "struct", "enum", "union", "trait", "impl", "for", "mod", "fn", "dyn",
+];
+
+/// Record the `pub` fields of the library's `pub struct *Config`/`*Bounds`
+/// declarations outside test code.
+fn index_knob_fields(ctx: &FileCtx, file_idx: usize, idx: &mut KnobIndex) {
+    let toks = &ctx.tokens;
+    for i in 0..toks.len().saturating_sub(3) {
+        let Some(name) = ident(&toks[i + 2]).filter(|n| is_knob_struct(n)) else {
+            continue;
+        };
+        let decl = is_ident(&toks[i], "pub")
+            && is_ident(&toks[i + 1], "struct")
+            && is_punct(&toks[i + 3], '{');
+        if !decl || in_test(&ctx.spans, toks[i].line) {
+            continue;
+        }
+        let close = group_end(toks, i + 3);
+        let mut depth = 0usize;
+        for k in i + 3..close {
+            match toks[k].tok {
+                Tok::Punct('{' | '(' | '[') => depth += 1,
+                Tok::Punct('}' | ')' | ']') => depth -= 1,
+                _ => {}
+            }
+            if depth == 1
+                && is_ident(&toks[k], "pub")
+                && toks.get(k + 2).is_some_and(|t| is_punct(t, ':'))
+            {
+                if let Some(field) = ident(&toks[k + 1]) {
+                    idx.fields.push((
+                        name.to_string(),
+                        field.to_string(),
+                        file_idx,
+                        toks[k + 1].line,
+                    ));
+                }
+            }
+        }
+    }
+}
+
+/// Record a file's K1 setters: the fields named in struct literals (a
+/// `Default` impl's literal of its own type excepted) and the field names
+/// assigned through a `.field` path segment.
+fn index_knob_setters(ctx: &FileCtx, idx: &mut KnobIndex) {
+    let toks = &ctx.tokens;
+    let impls = impl_blocks(toks);
+    let innermost = |i: usize| {
+        impls
+            .iter()
+            .filter(|b| b.open < i && i < b.close)
+            .max_by_key(|b| b.open)
+    };
+    for i in 0..toks.len().saturating_sub(1) {
+        if let (Some(mut name), true) = (ident(&toks[i]), is_punct(&toks[i + 1], '{')) {
+            // Walk back over a `a::b::` path prefix to the keyword or
+            // `->` that would make this a declaration or a fn body.
+            let mut j = i;
+            while j >= 3 && is_punct(&toks[j - 1], ':') && is_punct(&toks[j - 2], ':') {
+                j -= 3;
+            }
+            let declared = j > 0
+                && (ident(&toks[j - 1]).is_some_and(|p| NOT_LITERAL_AFTER.contains(&p))
+                    || (j > 1 && is_punct(&toks[j - 1], '>') && is_punct(&toks[j - 2], '-')));
+            let block = innermost(i + 1);
+            if name == "Self" {
+                name = block.map_or("", |b| b.self_ty);
+            }
+            let own_default = block.is_some_and(|b| b.default && b.self_ty == name);
+            if !declared && !own_default && impls.iter().all(|b| b.open != i + 1) {
+                literal_fields(toks, i + 1, name, idx);
+            }
+        }
+        if let Some(op) = assign_op_start(toks, i) {
+            let mut k = op;
+            while k >= 2 {
+                match &toks[k - 1].tok {
+                    Tok::Punct(']' | ')') => {
+                        let mut depth = 0usize;
+                        k -= 1;
+                        loop {
+                            match toks[k].tok {
+                                Tok::Punct(']' | ')') => depth += 1,
+                                Tok::Punct('[' | '(') => depth -= 1,
+                                _ => {}
+                            }
+                            if depth == 0 || k == 0 {
+                                break;
+                            }
+                            k -= 1;
+                        }
+                    }
+                    Tok::Ident(field) if is_punct(&toks[k - 2], '.') => {
+                        idx.assigned.insert(field.clone());
+                        k -= 2;
+                    }
+                    Tok::Lit if is_punct(&toks[k - 2], '.') => k -= 2,
+                    _ => break,
+                }
+            }
+        }
+    }
+}
+
+/// The fields a struct literal opening at `toks[open]` names before any
+/// `..spread`, keyed to `name`.
+fn literal_fields(toks: &[Token], open: usize, name: &str, idx: &mut KnobIndex) {
+    let close = group_end(toks, open);
+    let mut depth = 0usize;
+    let mut at_field = true;
+    for k in open + 1..close {
+        if depth == 0 && at_field {
+            if is_punct(&toks[k], '.') && toks.get(k + 1).is_some_and(|t| is_punct(t, '.')) {
+                return;
+            }
+            let next = |n: usize| toks.get(k + n).map(|t| &t.tok);
+            let named = next(1) == Some(&Tok::Punct(':')) && next(2) != Some(&Tok::Punct(':'));
+            let shorthand = matches!(next(1), Some(Tok::Punct(',' | '}')));
+            if let Some(field) = ident(&toks[k]).filter(|_| named || shorthand) {
+                idx.in_literal.insert((name.to_string(), field.to_string()));
+            }
+        }
+        at_field = false;
+        match toks[k].tok {
+            Tok::Punct('{' | '(' | '[') => depth += 1,
+            Tok::Punct('}' | ')' | ']') => depth -= 1,
+            Tok::Punct(',') if depth == 0 => at_field = true,
+            _ => {}
+        }
+    }
+}
+
+/// If `toks[i]` is the `=` of an assignment (`=`, `+=`, `<<=`, ...; not
+/// `==`, `!=`, `<=`, `>=` or `=>`), the index of the operator's first token.
+fn assign_op_start(toks: &[Token], i: usize) -> Option<usize> {
+    if !is_punct(&toks[i], '=')
+        || toks
+            .get(i + 1)
+            .is_some_and(|t| matches!(t.tok, Tok::Punct('=' | '>')))
+        || i < 2
+    {
+        return None;
+    }
+    match toks[i - 1].tok {
+        Tok::Punct('+' | '-' | '*' | '/' | '%' | '^' | '&' | '|') => Some(i - 1),
+        Tok::Punct(c @ ('<' | '>')) if is_punct(&toks[i - 2], c) => Some(i - 2),
+        Tok::Punct('=' | '!' | '<' | '>') => None,
+        _ => Some(i),
+    }
+}
+
+/// K1 on the whole workspace: each indexed field that no literal of its
+/// struct names and no assignment reaches.
+fn knob_violations(idx: &KnobIndex, ctxs: &mut [FileCtx]) {
+    for (name, field, file_idx, line) in &idx.fields {
+        if idx.in_literal.contains(&(name.clone(), field.clone())) || idx.assigned.contains(field) {
+            continue;
+        }
+        ctxs[*file_idx].raw.push((
+            Rule::Knob,
+            *line,
+            format!(
+                "`{name}::{field}` is set nowhere but its own `impl Default`; fold it into a \
+                 const beside its reader, or allow it naming the second value a real caller needs"
+            ),
+        ));
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
@@ -744,11 +1035,11 @@ pub fn lint(files: &[SourceFile]) -> Report {
     let mut ctxs: Vec<FileCtx> = Vec::with_capacity(files.len());
     for f in files {
         let out = lex(&f.text);
-        let caller_only = caller_only(&f.path);
+        let role = role(&f.path);
         let spans = test_spans(&out.tokens);
         let mut annotations = Vec::new();
         let mut raw = Vec::new();
-        for c in out.comments.iter().filter(|_| !caller_only) {
+        for c in out.comments.iter().filter(|_| role == Role::Lib) {
             match parse_annotation(c) {
                 Some(Ok(a)) => annotations.push(a),
                 Some(Err(msg)) => raw.push((Rule::Meta, c.line, msg)),
@@ -757,7 +1048,7 @@ pub fn lint(files: &[SourceFile]) -> Report {
         }
         ctxs.push(FileCtx {
             path: f.path.clone(),
-            caller_only,
+            role,
             tokens: out.tokens,
             spans,
             annotations,
@@ -767,15 +1058,25 @@ pub fn lint(files: &[SourceFile]) -> Report {
 
     let mut stats = StatsIndex::default();
     let mut watchdogs = WatchdogIndex::default();
+    let mut knobs = KnobIndex::default();
     let mut refs = BTreeMap::new();
     for (i, ctx) in ctxs.iter().enumerate() {
-        index_refs(ctx, i, &mut refs);
-        if !ctx.caller_only {
+        index_knob_setters(ctx, &mut knobs);
+        if ctx.role != Role::Writer {
+            index_refs(ctx, i, &mut refs);
+        }
+        if ctx.role == Role::Lib {
             index_stats(ctx, i, &mut stats);
             index_watchdogs(ctx, i, &mut watchdogs);
+            index_knob_fields(ctx, i, &mut knobs);
         }
     }
-    for (i, ctx) in ctxs.iter_mut().enumerate().filter(|(_, c)| !c.caller_only) {
+    knob_violations(&knobs, &mut ctxs);
+    for (i, ctx) in ctxs
+        .iter_mut()
+        .enumerate()
+        .filter(|(_, c)| c.role == Role::Lib)
+    {
         scan_det(ctx);
         scan_clock(ctx);
         scan_panic(ctx);
@@ -807,7 +1108,7 @@ pub fn lint(files: &[SourceFile]) -> Report {
     // Resolve allow annotations: same line, or a whole-line comment directly
     // above the offending line.
     let mut report = Report {
-        files_checked: ctxs.iter().filter(|c| !c.caller_only).count(),
+        files_checked: ctxs.iter().filter(|c| c.role == Role::Lib).count(),
         ..Report::default()
     };
     for ctx in &mut ctxs {
@@ -849,16 +1150,18 @@ pub fn lint(files: &[SourceFile]) -> Report {
 }
 
 /// Collect every workspace-owned `.rs` source: the linted library code
-/// (`src/` of the umbrella crate plus `crates/*/src/`) and the files U1
-/// reads only as callers (`examples/`, `crates/*/benches/`,
-/// `perfbench/src/`). Vendored shims (`vendor/`), integration tests and lint
-/// fixtures are out of scope.
+/// (`src/` of the umbrella crate plus `crates/*/src/`), the files U1 reads
+/// only as callers (`examples/`, `crates/*/benches/`, `perfbench/src/`) and
+/// the integration tests K1 reads only as setters (`tests/`,
+/// `crates/*/tests/`). Vendored shims (`vendor/`) and lint fixtures are out
+/// of scope.
 pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     let mut roots = vec![
         root.join("src"),
         root.join("examples"),
         root.join("perfbench").join("src"),
+        root.join("tests"),
     ];
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
@@ -866,6 +1169,7 @@ pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
             let krate = entry?.path();
             roots.push(krate.join("src"));
             roots.push(krate.join("benches"));
+            roots.push(krate.join("tests"));
         }
     }
     for r in roots.iter().filter(|r| r.is_dir()) {

@@ -105,7 +105,11 @@ fn narrow_flags_truncating_casts_in_scope() {
     let r = lint_one("crates/sensor/src/fixture.rs", src);
     assert_eq!(codes(&r), ["N1"]);
     // Widening casts are fine; out-of-scope crates are fine.
-    assert!(lint_one("crates/sensor/src/fixture.rs", "fn g(x: u16) -> u64 { x as u64 }\n").is_clean());
+    assert!(lint_one(
+        "crates/sensor/src/fixture.rs",
+        "fn g(x: u16) -> u64 { x as u64 }\n"
+    )
+    .is_clean());
     assert!(lint_one("crates/telemetry/src/fixture.rs", src).is_clean());
 }
 
@@ -351,6 +355,155 @@ fn unused_honors_allow_and_flags_a_stale_one() {
     assert_eq!(codes(&r), ["A0"]);
 }
 
+// --- K1 knob ----------------------------------------------------------
+
+/// A knob struct whose own `impl Default` writes both fields, followed
+/// by `rest` (more library code in the same file).
+fn knobs(rest: &str) -> SourceFile {
+    file(
+        LIB,
+        &format!(
+            "pub struct FooConfig {{\n    pub a: u32,\n    pub b: u32,\n}}\n\
+             impl Default for FooConfig {{\n    \
+             fn default() -> Self {{\n        FooConfig {{ a: 1, b: 2 }}\n    }}\n}}\n{rest}"
+        ),
+    )
+}
+
+fn k1_messages(r: &Report) -> Vec<&str> {
+    r.violations
+        .iter()
+        .filter(|v| v.rule == Rule::Knob)
+        .map(|v| v.msg.as_str())
+        .collect()
+}
+
+#[test]
+fn knob_flags_fields_set_only_by_their_default_or_a_spread() {
+    let r = lint_used(&[knobs("")], &["FooConfig"]);
+    assert_eq!(codes(&r), ["K1", "K1"]);
+    let msgs = k1_messages(&r);
+    assert!(
+        msgs[0].contains("`FooConfig::a`") && msgs[1].contains("`FooConfig::b`"),
+        "{msgs:?}"
+    );
+    // A spread writes no named field.
+    let spread = "fn quick() -> FooConfig {\n    FooConfig { a: 3, ..Default::default() }\n}\n";
+    let r = lint_used(&[knobs(spread)], &["FooConfig"]);
+    assert_eq!(codes(&r), ["K1"]);
+    assert!(k1_messages(&r)[0].contains("`FooConfig::b`"));
+}
+
+#[test]
+fn knob_flags_a_field_named_only_in_another_structs_literal() {
+    let other = "pub struct BarConfig {\n    pub b: u32,\n}\n\
+                 fn f() {\n    let _ = FooConfig { a: 1, ..FooConfig::default() };\n    \
+                 let _ = BarConfig { b: 1 };\n}\n";
+    let r = lint_used(&[knobs(other)], &["FooConfig", "BarConfig"]);
+    assert_eq!(codes(&r), ["K1"]);
+    assert!(
+        k1_messages(&r)[0].contains("`FooConfig::b`"),
+        "{:?}",
+        r.violations
+    );
+}
+
+#[test]
+fn knob_accepts_literals_shorthand_and_self_constructors() {
+    let literal = "fn f(b: u32) -> FooConfig {\n    FooConfig { a: 1, b }\n}\n";
+    let r = lint_used(&[knobs(literal)], &["FooConfig"]);
+    assert!(r.is_clean(), "unexpected: {:?}", r.violations);
+    let path = "fn f(b: u32) -> FooConfig {\n    crate::fixture::FooConfig { a: 1, b }\n}\n";
+    assert!(lint_used(&[knobs(path)], &["FooConfig"]).is_clean());
+    let ctor =
+        "impl FooConfig {\n    pub fn quick() -> Self {\n        Self { a: 1, b: 2 }\n    }\n}\n";
+    let r = lint_used(&[knobs(ctor)], &["FooConfig", "quick"]);
+    assert!(r.is_clean(), "unexpected: {:?}", r.violations);
+}
+
+#[test]
+fn knob_accepts_nested_and_compound_assignments() {
+    let nested = "pub struct OuterConfig {\n    pub inner: FooConfig,\n}\n\
+                  fn f(cfg: &mut OuterConfig) {\n    cfg.inner.a = 3;\n";
+    // `cfg.inner.a = ..` sets both `inner` and `a`; comparisons set nothing.
+    let r = lint_used(
+        &[knobs(&format!(
+            "{nested}    let _ = (cfg.inner.b == 1, cfg.inner.b <= 1, cfg.inner.b >= 1, cfg.inner.b != 1);\n}}\n"
+        ))],
+        &["FooConfig", "OuterConfig"],
+    );
+    assert_eq!(codes(&r), ["K1"]);
+    assert!(
+        k1_messages(&r)[0].contains("`FooConfig::b`"),
+        "{:?}",
+        r.violations
+    );
+    for op in ["+=", "^=", "<<=", ">>="] {
+        let r = lint_used(
+            &[knobs(&format!("{nested}    cfg.inner.b {op} 1;\n}}\n"))],
+            &["FooConfig", "OuterConfig"],
+        );
+        assert!(r.is_clean(), "{op}: {:?}", r.violations);
+    }
+}
+
+#[test]
+fn knob_reads_setters_from_tests_examples_and_perfbench() {
+    let setter = "fn set(c: &mut FooConfig) {\n    c.a = 1;\n    c.b = 2;\n}\n";
+    let in_test = format!("#[cfg(test)]\nmod tests {{\n    use super::*;\n    {setter}}}\n");
+    let r = lint_used(&[knobs(&in_test)], &["FooConfig"]);
+    assert!(r.is_clean(), "cfg(test): {:?}", r.violations);
+    for writer in [
+        "tests/it.rs",
+        "crates/x/tests/it.rs",
+        "examples/demo.rs",
+        "perfbench/src/run.rs",
+    ] {
+        let r = lint_used(&[knobs(""), file(writer, setter)], &["FooConfig"]);
+        assert!(r.is_clean(), "{writer}: {:?}", r.violations);
+        assert_eq!(r.files_checked, 1, "{writer} is read, never linted");
+    }
+    // Integration tests are writers only: they never count as U1 callers.
+    let r = lint(&[
+        file(LIB, "pub fn api() {}\n"),
+        file("tests/it.rs", "fn t() { api(); }\n"),
+    ]);
+    assert_eq!(codes(&r), ["U1", "U1"]);
+}
+
+#[test]
+fn knob_ignores_other_structs_and_fn_bodies() {
+    let r = lint_used(
+        &[file(LIB, "pub struct Plain {\n    pub x: u32,\n}\n")],
+        &["Plain"],
+    );
+    assert!(r.is_clean(), "unexpected: {:?}", r.violations);
+    // The body after `-> FooConfig {` is a block, not a literal: `rate`
+    // there is an expression, not a shorthand field.
+    let src = "pub struct RateConfig {\n    pub rate: f64,\n}\n\
+               pub fn keep(rate: RateConfig) -> RateConfig {\n    rate\n}\n";
+    let r = lint_used(&[file(LIB, src)], &["RateConfig", "keep"]);
+    assert_eq!(codes(&r), ["K1"]);
+    assert!(k1_messages(&r)[0].contains("`RateConfig::rate`"));
+}
+
+#[test]
+fn knob_honors_allow_and_flags_a_stale_one() {
+    let src = "pub struct FooConfig {\n    \
+               // presto-lint: allow(knob, the sweep bench sets a second value)\n    \
+               pub a: u32,\n}\n";
+    let r = lint_used(&[file(LIB, src)], &["FooConfig"]);
+    assert!(r.is_clean(), "unexpected: {:?}", r.violations);
+    assert_eq!(r.allows_honored, 1);
+    // Once something sets it, the allow is stale.
+    let set = file(
+        "examples/demo.rs",
+        "fn main() { let _ = FooConfig { a: 2 }; }\n",
+    );
+    let r = lint_used(&[file(LIB, src), set], &["FooConfig"]);
+    assert_eq!(codes(&r), ["A0"]);
+}
+
 // --- rule table ---------------------------------------------------------
 
 #[test]
@@ -394,7 +547,7 @@ fn known_bad_fixture_fires_every_lint_class() {
         include_str!("../fixtures/known_bad.rs"),
     );
     let fired = codes(&r);
-    for code in ["D1", "D2", "H1", "N1", "T1", "U1", "A0"] {
+    for code in ["D1", "D2", "H1", "N1", "T1", "U1", "K1", "A0"] {
         assert!(fired.contains(&code), "{code} did not fire; got {fired:?}");
     }
     assert_eq!(r.allows_honored, 0);

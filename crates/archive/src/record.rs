@@ -22,6 +22,20 @@ pub enum Quality {
     Aged(u8),
 }
 
+impl Quality {
+    /// The reconstruction error bound of a row of this quality: a raw
+    /// record is exact; an aged summary at ladder level `l` carries the
+    /// quantizer bound widened by the level's time-smoothing (each rung
+    /// halves the resolution, so the bound doubles per level):
+    /// `QUANT_STEP · 2^l`.
+    pub fn error_bound(self) -> f64 {
+        match self {
+            Quality::Exact => 0.0,
+            Quality::Aged(level) => crate::store::QUANT_STEP * (1u64 << level.min(32)) as f64,
+        }
+    }
+}
+
 /// Payload of an archive record.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RecordPayload {

@@ -46,19 +46,21 @@ use presto_wavelet::AgingLadder;
 use crate::flash::{FlashDevice, FlashError};
 use crate::record::{summary_record, summary_values, Quality, Record, RecordPayload};
 
-/// Archive configuration.
+/// Quantizer step for aged summaries. The aged-row error bound
+/// ([`Quality::error_bound`]) is read off it.
+pub(crate) const QUANT_STEP: f64 = 0.05;
+
+/// Aging level applied to raw scalars on first reclamation.
+const BASE_AGING_LEVEL: u8 = 2;
+
+/// Archive configuration. The flash device is always a DataFlash part
+/// ([`FlashModel::dataflash`]).
 #[derive(Clone, Debug)]
 pub struct ArchiveConfig {
-    /// Flash device model.
-    pub flash: FlashModel,
     /// Flash capacity in bytes.
     pub capacity_bytes: usize,
     /// Enable wavelet aging on reclamation (otherwise old data is lost).
     pub aging_enabled: bool,
-    /// Aging level applied to raw scalars on first reclamation.
-    pub base_aging_level: u8,
-    /// Quantizer step for summaries.
-    pub quant_step: f64,
     /// Capacity of the decoded-page LRU, in pages (0 disables caching).
     pub page_cache_pages: usize,
 }
@@ -66,11 +68,8 @@ pub struct ArchiveConfig {
 impl Default for ArchiveConfig {
     fn default() -> Self {
         ArchiveConfig {
-            flash: FlashModel::dataflash(),
             capacity_bytes: 1 << 20, // 1 MiB default for tests; motes get more
             aging_enabled: true,
-            base_aging_level: 2,
-            quant_step: 0.05,
             page_cache_pages: 64,
         }
     }
@@ -286,11 +285,11 @@ pub struct ArchiveStore {
 impl ArchiveStore {
     /// Creates an empty archive.
     pub fn new(config: ArchiveConfig) -> Self {
-        let flash = FlashDevice::new(config.flash.clone(), config.capacity_bytes);
+        let flash = FlashDevice::new(FlashModel::dataflash(), config.capacity_bytes);
         assert!(flash.block_count() >= 2, "archive needs at least 2 blocks");
         let mut free_blocks: VecDeque<usize> = (0..flash.block_count()).collect();
         let first = free_blocks.pop_front().expect("at least two blocks");
-        let ladder = AgingLadder::new(config.quant_step);
+        let ladder = AgingLadder::new(QUANT_STEP);
         let mut segments = VecDeque::new();
         segments.push_back(SegmentMeta::fresh(first));
         let page_cache = PageLru::new(config.page_cache_pages);
@@ -479,7 +478,7 @@ impl ArchiveStore {
                 .collect();
             let start = scalars.first().expect("non-empty").timestamp;
             let end = scalars.last().expect("non-empty").timestamp;
-            let level = self.config.base_aging_level;
+            let level = BASE_AGING_LEVEL;
             let summary = self.ladder.summarize(&values, level as usize);
             carried.push(summary_record(
                 end,
@@ -1138,7 +1137,7 @@ mod tests {
             })
             .max();
         assert!(
-            max_level.unwrap_or(0) > ArchiveConfig::default().base_aging_level,
+            max_level.unwrap_or(0) > BASE_AGING_LEVEL,
             "levels did not compound: {max_level:?}"
         );
     }

@@ -17,6 +17,9 @@ use presto_workloads::{
     LabDeployment, LabParams, QueryGen, QueryParams, QuerySpec, QueryTarget, TimeScope,
 };
 
+/// Uplink/downlink frame loss probability on every arm.
+const LOSS: f64 = 0.05;
+
 /// Configuration shared by every architecture arm.
 #[derive(Clone, Debug)]
 pub struct DriverConfig {
@@ -30,8 +33,6 @@ pub struct DriverConfig {
     pub lab: LabParams,
     /// Query workload parameters.
     pub queries: QueryParams,
-    /// Uplink/downlink frame loss probability.
-    pub loss: f64,
 }
 
 impl Default for DriverConfig {
@@ -52,7 +53,6 @@ impl Default for DriverConfig {
                 rate_per_hour: 20.0,
                 ..QueryParams::default()
             },
-            loss: 0.05,
         }
     }
 }
@@ -109,13 +109,7 @@ pub fn build(cfg: &DriverConfig, push: PushPolicy, lpl: SimDuration) -> Deployme
         cfg.seed,
     );
     let rng = SimRng::new(cfg.seed);
-    let loss = |p: f64, r: SimRng| {
-        if p > 0.0 {
-            LinkModel::new(LossProcess::Bernoulli(p), r)
-        } else {
-            LinkModel::perfect()
-        }
-    };
+    let lossy = |r: SimRng| LinkModel::new(LossProcess::Bernoulli(LOSS), r);
     let nodes = (0..cfg.sensors)
         .map(|i| {
             let config = SensorConfig {
@@ -123,15 +117,11 @@ pub fn build(cfg: &DriverConfig, push: PushPolicy, lpl: SimDuration) -> Deployme
                 duty: presto_net::DutyCycle::lpl(lpl),
                 ..SensorConfig::default()
             };
-            SensorNode::new(
-                i as u16,
-                config,
-                loss(cfg.loss, rng.split(&format!("uplink-{i}"))),
-            )
+            SensorNode::new(i as u16, config, lossy(rng.split(&format!("uplink-{i}"))))
         })
         .collect();
     let downlinks = (0..cfg.sensors)
-        .map(|i| DownlinkChannel::over(loss(cfg.loss, rng.split(&format!("downlink-{i}")))))
+        .map(|i| DownlinkChannel::over(lossy(rng.split(&format!("downlink-{i}")))))
         .collect();
     let queries = QueryGen::new(
         QueryParams {

@@ -33,7 +33,6 @@ fn filled_store(blocks: usize, cache_pages: usize) -> (ArchiveStore, SimTime) {
         capacity_bytes: blocks * BLOCK_BYTES,
         aging_enabled: false,
         page_cache_pages: cache_pages,
-        ..ArchiveConfig::default()
     };
     let mut store = ArchiveStore::new(cfg);
     let mut l = EnergyLedger::new();

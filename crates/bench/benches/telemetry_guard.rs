@@ -19,10 +19,9 @@
 
 use std::time::Instant;
 
-use presto_bench::fleet::{watched_arm, FleetScenarioConfig};
+use presto_bench::driver::lossy_downlink;
+use presto_bench::fleet::{archive_reach_bounds, watched_arm, FleetScenarioConfig};
 use presto_core::{PrestoSystem, StoreQuery, SystemConfig};
-use presto_fleet::FleetScopeBounds;
-use presto_net::LossProcess;
 use presto_sim::{QueryArrival, QueryKind, QueryLoad, QueryLoadConfig, SimDuration};
 use presto_workloads::LabParams;
 
@@ -72,8 +71,7 @@ fn run_arm(telemetry: bool) -> (f64, u64) {
         },
         ..SystemConfig::default()
     };
-    sys_cfg.reliability.downlink.request_loss = LossProcess::Bernoulli(0.2);
-    sys_cfg.reliability.downlink.reply_loss = LossProcess::Bernoulli(0.2);
+    lossy_downlink(&mut sys_cfg, 0.2);
     sys_cfg.profile = telemetry;
     sys_cfg.proxy.pipeline.trace = telemetry;
     if telemetry {
@@ -164,14 +162,9 @@ fn fleet_arm() {
         ..FleetScenarioConfig::quick()
     };
     // The quick workload serves PAST windows up to eight hours old, so
-    // answers legitimately carry hours of age: as in the partition
-    // scenario, the p99 bound only has to catch data older than the
-    // archive itself. Every other bound is the standard one.
-    let bounds = FleetScopeBounds {
-        answer_age_p99_us: (cfg.warmup_hours + cfg.query_hours + 8) as f64 * 3600.0 * 1e6,
-        ..FleetScopeBounds::default()
-    };
-    let run = watched_arm(&cfg, &bounds);
+    // the answer-age bound is sized to the archive reach, as in the
+    // partition scenario.
+    let run = watched_arm(&cfg, &archive_reach_bounds(&cfg));
     let profiler = run.deployment.system().profiler();
     let phase = |name: &str| profiler.phase(name).copied().unwrap_or_default();
     let (scope, pump) = (phase("fleet_scope"), phase("fleet_pump"));

@@ -16,7 +16,8 @@
 //! the completion set are byte-identical across the two runs.
 
 use presto_bench::driver::conclude;
-use presto_bench::fleet::{determinism_fingerprint, fleet_scenario, FleetScenarioConfig};
+use presto_bench::driver::SCENARIO_LOSS;
+use presto_bench::fleet::{determinism_fingerprint, fleet_scenario, FleetScenarioConfig, ZIPF_S};
 use presto_bench::report::{publish, BenchJson};
 
 // Counting allocator: BENCH_fleet.json carries allocations/epoch and the
@@ -44,9 +45,9 @@ fn main() {
         "fleet scenario — {} proxies × {} sensors, Zipf {:.1}, {} users, {:.0}% loss",
         cfg.proxies,
         cfg.sensors_per_proxy,
-        cfg.zipf_s,
+        ZIPF_S,
         cfg.users,
-        cfg.loss * 100.0
+        SCENARIO_LOSS * 100.0
     );
     let r = fleet_scenario(&cfg);
     let bench = BenchJson::from_arms("fleet", &r.shed_on.run, &r.shed_off.run);

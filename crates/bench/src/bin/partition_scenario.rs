@@ -14,7 +14,9 @@
 //! answered throughput, and every leak probe reads zero after drain.
 
 use presto_bench::driver::conclude;
-use presto_bench::partition::{partition_scenario, PartitionScenarioConfig};
+use presto_bench::driver::SCENARIO_LOSS;
+use presto_bench::fleet::FleetScenarioConfig;
+use presto_bench::partition::{partition_scenario, CUT_MINUTES};
 use presto_bench::report::{publish, BenchJson};
 
 #[global_allocator]
@@ -24,11 +26,11 @@ fn main() {
     let arg = std::env::args().nth(1);
     let quick = arg.as_deref() == Some("--quick");
     let cfg = if quick {
-        PartitionScenarioConfig::quick()
+        FleetScenarioConfig::quick()
     } else {
-        PartitionScenarioConfig {
+        FleetScenarioConfig {
             query_hours: arg.and_then(|a| a.parse().ok()).unwrap_or(2),
-            ..PartitionScenarioConfig::default()
+            ..FleetScenarioConfig::quick()
         }
     };
     println!(
@@ -36,10 +38,10 @@ fn main() {
          into the phase",
         cfg.proxies,
         cfg.sensors_per_proxy,
-        cfg.loss * 100.0,
+        SCENARIO_LOSS * 100.0,
         cfg.proxies - 1,
-        cfg.cut_minutes.0,
-        cfg.cut_minutes.0 + cfg.cut_minutes.1
+        CUT_MINUTES.0,
+        CUT_MINUTES.0 + CUT_MINUTES.1
     );
     let r = partition_scenario(&cfg);
     let (w, clean) = (&r.with_partition, &r.without_partition);

@@ -9,7 +9,7 @@
 //! non-zero if concurrency (≥ 4 in-flight), termination (p99 finite,
 //! zero leaked pending entries), or the throughput win fails.
 
-use presto_bench::driver::conclude;
+use presto_bench::driver::{conclude, SCENARIO_LOSS};
 use presto_bench::query_pipeline::{query_pipeline, QueryPipelineConfig};
 use presto_bench::report::{publish, BenchJson};
 
@@ -33,7 +33,7 @@ fn main() {
         cfg.query_hours,
         cfg.users,
         cfg.sensors,
-        cfg.loss * 100.0
+        SCENARIO_LOSS * 100.0
     );
     let r = query_pipeline(&cfg);
     let bench = BenchJson::from_arms("query_pipeline", &r.pipeline, &r.baseline);

@@ -9,7 +9,7 @@
 //! answered throughput drops below the monolithic arm, any answer is
 //! stale-confident, or anything leaks.
 
-use presto_bench::driver::conclude;
+use presto_bench::driver::{conclude, SCENARIO_LOSS};
 use presto_bench::report::{publish, BenchJson};
 use presto_bench::slice_scenario::{slice_scenario, SliceScenarioConfig};
 
@@ -32,7 +32,7 @@ fn main() {
         cfg.query_hours,
         cfg.users,
         cfg.sensors,
-        cfg.loss * 100.0
+        SCENARIO_LOSS * 100.0
     );
     let r = slice_scenario(&cfg);
     let bench = BenchJson::from_arms("slice", &r.sliced, &r.monolithic);

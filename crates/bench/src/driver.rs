@@ -23,8 +23,9 @@
 
 use std::collections::BTreeMap;
 
-use presto_core::{PipelineAnswer, PipelineQuery, PrestoSystem, StoreQuery};
+use presto_core::{PipelineAnswer, PipelineQuery, PrestoSystem, StoreQuery, SystemConfig};
 use presto_fleet::{FleetDeployment, FleetLeaks, FEED_STALE_CONFIDENT};
+use presto_net::LossProcess;
 use presto_proxy::AnswerSource;
 use presto_sim::metrics::Summary;
 use presto_sim::{FleetArrival, QueryKind, SimDuration, SimTime};
@@ -506,6 +507,17 @@ pub fn ratio_or_inf(a: f64, b: f64) -> f64 {
 /// throughput.
 pub fn throughput_ratio(primary: &ArmRun, secondary: &ArmRun) -> f64 {
     ratio_or_inf(primary.queries_per_sec(), secondary.queries_per_sec())
+}
+
+/// Downlink loss of every scenario (Bernoulli, request and reply
+/// paths).
+pub const SCENARIO_LOSS: f64 = 0.3;
+
+/// Bernoulli `loss` on both downlink paths, so retries and the retry
+/// budget do real work.
+pub fn lossy_downlink(sys: &mut SystemConfig, loss: f64) {
+    sys.reliability.downlink.request_loss = LossProcess::Bernoulli(loss);
+    sys.reliability.downlink.reply_loss = LossProcess::Bernoulli(loss);
 }
 
 /// A single-system scope: fleet paths don't exist there, so the

@@ -526,10 +526,7 @@ pub fn e6_matching(seed: u64) -> Vec<E6Row> {
 
         // Energy estimate at the matched settings.
         let duty = presto_net::DutyCycle::lpl(lpl);
-        let uplink = presto_net::Mac::uplink(
-            presto_net::RadioModel::mica2(),
-            presto_net::FrameFormat::tinyos_mica2(),
-        );
+        let uplink = presto_net::Mac::uplink();
         let energy = matcher.estimated_energy_per_day(&duty, &uplink, 64);
 
         // Measured worst-case downlink latency at this duty cycle: the

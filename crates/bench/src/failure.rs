@@ -21,6 +21,15 @@ use presto_net::{GilbertElliott, LossProcess};
 use presto_reliability::{Health, LivenessConfig, ReliabilityConfig};
 use presto_sim::{EnergyLedger, FaultPlan, SimDuration, SimTime};
 
+/// Sensors under the single proxy.
+const SENSORS: usize = 4;
+
+/// NOW-probe interval.
+const PROBE_EVERY: SimDuration = SimDuration::from_mins(5);
+
+/// NOW-probe tolerance.
+const PROBE_TOLERANCE: f64 = 1.0;
+
 /// Scenario parameters.
 #[derive(Clone, Debug)]
 pub struct FailureScenarioConfig {
@@ -28,8 +37,6 @@ pub struct FailureScenarioConfig {
     pub hours: u64,
     /// Master seed.
     pub seed: u64,
-    /// Sensors under the single proxy.
-    pub sensors: usize,
     /// Long-run fabric loss rate (bursty Gilbert–Elliott); 0 disables.
     pub loss: f64,
     /// Correlated loss: instead of independent per-channel chains, every
@@ -39,10 +46,6 @@ pub struct FailureScenarioConfig {
     pub correlated: bool,
     /// Crash window of sensor 0, hours from start, `None` for no crash.
     pub crash_hours: Option<(u64, u64)>,
-    /// NOW-probe interval.
-    pub probe_every: SimDuration,
-    /// NOW-probe tolerance.
-    pub probe_tolerance: f64,
 }
 
 impl Default for FailureScenarioConfig {
@@ -50,12 +53,9 @@ impl Default for FailureScenarioConfig {
         FailureScenarioConfig {
             hours: 24,
             seed: 2005,
-            sensors: 4,
             loss: 0.3,
             correlated: false,
             crash_hours: Some((8, 10)),
-            probe_every: SimDuration::from_mins(5),
-            probe_tolerance: 1.0,
         }
     }
 }
@@ -168,7 +168,7 @@ pub fn failure_scenario(cfg: &FailureScenarioConfig) -> FailureReport {
     };
     let mut sys_cfg = SystemConfig {
         proxies: 1,
-        sensors_per_proxy: cfg.sensors,
+        sensors_per_proxy: SENSORS,
         seed: cfg.seed,
         reliability,
         lab: presto_workloads::LabParams {
@@ -211,7 +211,7 @@ pub fn failure_scenario(cfg: &FailureScenarioConfig) -> FailureReport {
 
     let epoch = sys.config().lab.epoch;
     let epochs = SimDuration::from_hours(cfg.hours).div_duration(epoch);
-    let probe_epochs = cfg.probe_every.div_duration(epoch).max(1);
+    let probe_epochs = PROBE_EVERY.div_duration(epoch).max(1);
 
     let mut detection_at: Option<SimTime> = None;
     let mut probes = 0u64;
@@ -231,16 +231,16 @@ pub fn failure_scenario(cfg: &FailureScenarioConfig) -> FailureReport {
             let in_outage = crash.is_some_and(|(down, up)| t >= down && t < up);
             let r = UnifiedStore::new(&mut sys).query(StoreQuery::Now {
                 sensor: 0,
-                tolerance: cfg.probe_tolerance,
+                tolerance: PROBE_TOLERANCE,
             });
             probes += 1;
             let err = (r.value.unwrap_or(f64::NAN) - truth).abs();
-            let confident = r.sigma <= cfg.probe_tolerance;
+            let confident = r.sigma <= PROBE_TOLERANCE;
             // "Stale" = confidently wrong: the sigma claimed tolerance
             // while the error exceeded twice it (the 2× slack absorbs
             // the workload's legitimate epoch-to-epoch volatility
             // inside the cache-freshness window).
-            if confident && (err.is_nan() || err > cfg.probe_tolerance * 2.0) {
+            if confident && (err.is_nan() || err > PROBE_TOLERANCE * 2.0) {
                 stale_confident += 1;
             }
             if in_outage && !confident {

@@ -21,6 +21,9 @@ use presto_workloads::{LabDeployment, LabParams};
 /// The paper's batching-interval ladder, minutes.
 pub const INTERVALS_MIN: [f64; 8] = [16.5, 33.0, 66.0, 132.0, 264.0, 529.0, 1058.0, 2116.0];
 
+/// Frame loss probability: the sweep prices lossless links.
+const FRAME_LOSS: f64 = 0.0;
+
 /// Sweep configuration.
 #[derive(Clone, Debug)]
 pub struct Figure2Config {
@@ -28,8 +31,6 @@ pub struct Figure2Config {
     pub days: u64,
     /// Workload seed.
     pub seed: u64,
-    /// Frame loss probability.
-    pub loss: f64,
     /// Workload parameters.
     pub lab: LabParams,
 }
@@ -39,7 +40,6 @@ impl Default for Figure2Config {
         Figure2Config {
             days: 36,
             seed: 2005,
-            loss: 0.0,
             lab: LabParams {
                 // Rare events excluded: Figure 2 studies steady-state
                 // push energy on the temperature trace.
@@ -95,7 +95,7 @@ pub fn generate(cfg: &Figure2Config) -> Figure2Data {
     let samples = trace.len();
 
     let run =
-        |policy: PushPolicy| -> PolicyEnergy { energy_of_policy(&trace, policy, cfg.loss, 1) };
+        |policy: PushPolicy| -> PolicyEnergy { energy_of_policy(&trace, policy, FRAME_LOSS, 1) };
 
     // Value-driven arms are interval-independent: run once.
     let v1 = run(PushPolicy::ValueDriven { delta: 1.0 });

@@ -24,19 +24,24 @@
 use std::fmt::Write as _;
 
 use crate::driver::{
-    arm_failures, ratio_or_inf, run_arm as drive, throughput_ratio, ArmPlan, ArmRun, Arrival,
-    Deployment, Terminal,
+    arm_failures, lossy_downlink, ratio_or_inf, run_arm as drive, throughput_ratio, ArmPlan,
+    ArmRun, Arrival, Deployment, Terminal, SCENARIO_LOSS,
 };
 use crate::report::ArmSummary;
 use presto_core::SystemConfig;
 use presto_fleet::{fleet_scope_config, FleetConfig, FleetDeployment, FleetScopeBounds};
-use presto_net::LossProcess;
-use presto_proxy::QueryClass;
+use presto_proxy::{QueryClass, DEFAULT_DEADLINE};
 use presto_sim::{
     FaultPlan, FleetLoadConfig, FleetQueryLoad, QueryLoadConfig, SimDuration, SimTime,
 };
 
-/// Scenario parameters.
+/// Zipf skew over proxies (proxy 0 hottest).
+pub const ZIPF_S: f64 = 1.6;
+
+/// Query tolerance (tight, so precision misses force pulls).
+const TOLERANCE: f64 = 0.05;
+
+/// Scenario parameters (shared with [`crate::partition`]).
 #[derive(Clone, Debug)]
 pub struct FleetScenarioConfig {
     /// Warmup (archive + model build) before the query phase, hours.
@@ -49,16 +54,10 @@ pub struct FleetScenarioConfig {
     pub proxies: usize,
     /// Sensors per proxy.
     pub sensors_per_proxy: usize,
-    /// Downlink loss (Bernoulli, request and reply paths).
-    pub loss: f64,
     /// Concurrent users.
     pub users: usize,
     /// Mean queries per user per hour.
     pub queries_per_user_per_hour: f64,
-    /// Zipf skew over proxies (proxy 0 hottest).
-    pub zipf_s: f64,
-    /// Query tolerance (tight, so precision misses force pulls).
-    pub tolerance: f64,
     /// Crash window for the last proxy, hours into the query phase
     /// (`None` disables; the sensors re-home and stay re-homed).
     pub crash_hours: Option<(u64, u64)>,
@@ -72,11 +71,8 @@ impl Default for FleetScenarioConfig {
             seed: 2005,
             proxies: 4,
             sensors_per_proxy: 3,
-            loss: 0.3,
             users: 32,
             queries_per_user_per_hour: 120.0,
-            zipf_s: 1.6,
-            tolerance: 0.05,
             crash_hours: Some((1, 1000)),
         }
     }
@@ -121,7 +117,15 @@ pub struct FleetScenarioReport {
     pub p99_gain: f64,
 }
 
-fn fleet(cfg: &FleetScenarioConfig, shed: bool, bounds: &FleetScopeBounds) -> FleetDeployment {
+/// The fleet both fleet scenarios deploy (this one and
+/// [`crate::partition`]). `faults`, the scope `bounds` and the router's
+/// `shed` switch are each arm's own.
+pub(crate) fn deploy(
+    cfg: &FleetScenarioConfig,
+    faults: FaultPlan,
+    bounds: &FleetScopeBounds,
+    shed: bool,
+) -> Deployment {
     let mut sys_cfg = SystemConfig {
         proxies: cfg.proxies,
         sensors_per_proxy: cfg.sensors_per_proxy,
@@ -139,12 +143,10 @@ fn fleet(cfg: &FleetScenarioConfig, shed: bool, bounds: &FleetScopeBounds) -> Fl
             field_sigma: 0.05,
             ..presto_workloads::LabParams::default()
         },
+        faults,
         ..SystemConfig::default()
     };
-    if cfg.loss > 0.0 {
-        sys_cfg.reliability.downlink.request_loss = LossProcess::Bernoulli(cfg.loss);
-        sys_cfg.reliability.downlink.reply_loss = LossProcess::Bernoulli(cfg.loss);
-    }
+    lossy_downlink(&mut sys_cfg, SCENARIO_LOSS);
     // A tight per-epoch attempt budget is the contended resource the
     // deployment tier arbitrates: one proxy can push ~4 lossy pulls
     // per epoch through it, so the Zipf-hot proxy saturates while its
@@ -165,11 +167,6 @@ fn fleet(cfg: &FleetScenarioConfig, shed: bool, bounds: &FleetScopeBounds) -> Fl
     // spans earlier pulls densified. Large enough for model training
     // (min_history 500).
     sys_cfg.proxy.cache_capacity = 700;
-    if let Some((from_h, to_h)) = cfg.crash_hours {
-        let start = SimTime::from_hours(cfg.warmup_hours + from_h);
-        let end = SimTime::from_hours(cfg.warmup_hours + to_h);
-        sys_cfg.faults = FaultPlan::none().with_proxy_crash(cfg.proxies - 1, start, end);
-    }
     let mut fc = FleetConfig {
         system: sys_cfg,
         ..FleetConfig::default()
@@ -180,8 +177,8 @@ fn fleet(cfg: &FleetScenarioConfig, shed: bool, bounds: &FleetScopeBounds) -> Fl
     fc.router.latency_classes = vec![
         QueryClass {
             rate_per_hour: cfg.users as f64 * cfg.queries_per_user_per_hour,
-            latency_bound: SimDuration::from_mins(10),
-            tolerance: cfg.tolerance,
+            latency_bound: DEFAULT_DEADLINE,
+            tolerance: TOLERANCE,
         },
         QueryClass {
             rate_per_hour: 10.0,
@@ -189,7 +186,30 @@ fn fleet(cfg: &FleetScenarioConfig, shed: bool, bounds: &FleetScopeBounds) -> Fl
             tolerance: 1.5,
         },
     ];
-    FleetDeployment::new(fc)
+    Deployment::Fleet(Box::new(FleetDeployment::new(fc)))
+}
+
+/// This scenario's deployment: the shared fleet with the last proxy
+/// down over `crash_hours`.
+fn deployment(cfg: &FleetScenarioConfig, bounds: &FleetScopeBounds, shed: bool) -> Deployment {
+    let faults = match cfg.crash_hours {
+        Some((from_h, to_h)) => FaultPlan::none().with_proxy_crash(
+            cfg.proxies - 1,
+            SimTime::from_hours(cfg.warmup_hours + from_h),
+            SimTime::from_hours(cfg.warmup_hours + to_h),
+        ),
+        None => FaultPlan::none(),
+    };
+    deploy(cfg, faults, bounds, shed)
+}
+
+/// Scope bounds sized to the workload's archive reach: PAST windows up
+/// to eight hours old legitimately carry hours of age, so the answer-age
+/// p99 bound only has to catch data older than the archive itself.
+pub fn archive_reach_bounds(cfg: &FleetScenarioConfig) -> FleetScopeBounds {
+    FleetScopeBounds {
+        answer_age_p99_us: (cfg.warmup_hours + cfg.query_hours + 8) as f64 * 3600.0 * 1e6,
+    }
 }
 
 fn load(cfg: &FleetScenarioConfig) -> FleetQueryLoad {
@@ -209,12 +229,12 @@ fn load(cfg: &FleetScenarioConfig) -> FleetQueryLoad {
                 // coalesce into one pull and carry no load, so the
                 // skew stress comes from the uniform draws.
                 hot_fraction: 0.1,
-                tolerances: vec![cfg.tolerance],
+                tolerances: vec![TOLERANCE],
                 seed: cfg.seed ^ 0xF1_EE7,
                 ..QueryLoadConfig::default()
             },
             groups: cfg.proxies,
-            zipf_s: cfg.zipf_s,
+            zipf_s: ZIPF_S,
         },
         cfg.sensors_per_proxy,
     )
@@ -222,7 +242,7 @@ fn load(cfg: &FleetScenarioConfig) -> FleetQueryLoad {
 
 /// The scenario's phases: drain is the longest per-query deadline plus
 /// the router grace.
-fn plan(cfg: &FleetScenarioConfig) -> ArmPlan {
+pub(crate) fn plan(cfg: &FleetScenarioConfig) -> ArmPlan {
     ArmPlan {
         now_oracle: true,
         ..ArmPlan::new(cfg.warmup_hours, cfg.query_hours, SimDuration::from_mins(14))
@@ -230,7 +250,7 @@ fn plan(cfg: &FleetScenarioConfig) -> ArmPlan {
 }
 
 /// The workload as driver arrivals.
-fn arrivals(cfg: &FleetScenarioConfig) -> impl FnMut(SimTime) -> Vec<Arrival> {
+pub(crate) fn arrivals(cfg: &FleetScenarioConfig) -> impl FnMut(SimTime) -> Vec<Arrival> {
     let mut gen = load(cfg);
     let epoch = SystemConfig::default().lab.epoch;
     move |t| gen.step(t, epoch).into_iter().map(Arrival::Fleet).collect()
@@ -253,9 +273,8 @@ pub fn run_arm(cfg: &FleetScenarioConfig, shed: bool) -> FleetArm {
         }
     };
     let label = if shed { "shed-on" } else { "shed-off" };
-    let deployment = Deployment::Fleet(Box::new(fleet(cfg, shed, &FleetScopeBounds::default())));
-    let plan = plan(cfg);
-    let run = drive(label, deployment, &plan, &mut arrivals(cfg), Some(&mut fairness_hook));
+    let deployment = deployment(cfg, &FleetScopeBounds::default(), shed);
+    let run = drive(label, deployment, &plan(cfg), &mut arrivals(cfg), Some(&mut fairness_hook));
     // Fairness compares *surviving* entry proxies: a crashed proxy's
     // users lose their connection in both arms identically (honest
     // failures no router policy can serve), so including it would
@@ -279,8 +298,7 @@ pub fn run_arm(cfg: &FleetScenarioConfig, shed: bool) -> FleetArm {
 /// the standard fleet scope with `bounds`: the arm the telemetry guard
 /// prices observation on.
 pub fn watched_arm(cfg: &FleetScenarioConfig, bounds: &FleetScopeBounds) -> ArmRun {
-    let deployment = Deployment::Fleet(Box::new(fleet(cfg, true, bounds)));
-    drive("watched", deployment, &plan(cfg), &mut arrivals(cfg), None)
+    drive("watched", deployment(cfg, bounds, true), &plan(cfg), &mut arrivals(cfg), None)
 }
 
 /// One same-seed arm reduced to byte-comparable artifacts: the dynamic
@@ -308,9 +326,8 @@ pub fn determinism_fingerprint(cfg: &FleetScenarioConfig, shed: bool) -> Determi
             let _ = writeln!(completions, "{t:?}");
         }
     };
-    let deployment = Deployment::Fleet(Box::new(fleet(cfg, shed, &FleetScopeBounds::default())));
-    let plan = plan(cfg);
-    let run = drive("fingerprint", deployment, &plan, &mut arrivals(cfg), Some(&mut record));
+    let deployment = deployment(cfg, &FleetScopeBounds::default(), shed);
+    let run = drive("fingerprint", deployment, &plan(cfg), &mut arrivals(cfg), Some(&mut record));
     // The profiler section is host wall-clock phase timing — the same
     // telemetry-timer carve-out the static D2 allowlist grants
     // `crates/telemetry/src/profiler.rs` — so it is excluded from the

@@ -15,71 +15,17 @@
 //! corrupt it.
 
 use crate::driver::{
-    arm_failures, run_arm as drive, throughput_ratio, ArmPlan, ArmRun, Arrival, Deployment,
-    Terminal,
+    arm_failures, run_arm as drive, throughput_ratio, ArmRun, Deployment, Terminal,
 };
+use crate::fleet::{archive_reach_bounds, arrivals, deploy, plan, FleetScenarioConfig};
 use crate::report::ArmSummary;
-use presto_core::SystemConfig;
-use presto_fleet::{fleet_scope_config, FleetConfig, FleetDeployment, FleetScopeBounds};
-use presto_net::LossProcess;
-use presto_proxy::QueryClass;
-use presto_sim::{
-    FaultPlan, FleetLoadConfig, FleetQueryLoad, QueryLoadConfig, SimDuration, SimTime,
-};
+use presto_fleet::FleetDeployment;
+use presto_sim::{FaultPlan, SimDuration, SimTime};
 use presto_telemetry::{CompletionCause, SpanEvent};
 
-/// Scenario parameters.
-#[derive(Clone, Debug)]
-pub struct PartitionScenarioConfig {
-    /// Warmup (archive + model build) before the query phase, hours.
-    pub warmup_hours: u64,
-    /// Query-phase length, hours.
-    pub query_hours: u64,
-    /// Master seed.
-    pub seed: u64,
-    /// Proxies in the fleet.
-    pub proxies: usize,
-    /// Sensors per proxy.
-    pub sensors_per_proxy: usize,
-    /// Downlink loss (Bernoulli, request and reply paths).
-    pub loss: f64,
-    /// Concurrent users.
-    pub users: usize,
-    /// Mean queries per user per hour.
-    pub queries_per_user_per_hour: f64,
-    /// Zipf skew over proxies (proxy 0 hottest).
-    pub zipf_s: f64,
-    /// Query tolerance.
-    pub tolerance: f64,
-    /// Partition window, minutes into the query phase: the last proxy
-    /// is cut from the mesh over `[start, start + len)`.
-    pub cut_minutes: (u64, u64),
-}
-
-impl Default for PartitionScenarioConfig {
-    fn default() -> Self {
-        PartitionScenarioConfig {
-            warmup_hours: 16,
-            query_hours: 2,
-            seed: 2005,
-            proxies: 3,
-            sensors_per_proxy: 2,
-            loss: 0.3,
-            users: 28,
-            queries_per_user_per_hour: 100.0,
-            zipf_s: 1.6,
-            tolerance: 0.05,
-            cut_minutes: (30, 40),
-        }
-    }
-}
-
-impl PartitionScenarioConfig {
-    /// The small fixed-seed configuration the CI smoke runs.
-    pub fn quick() -> Self {
-        PartitionScenarioConfig::default()
-    }
-}
+/// Partition window, minutes into the query phase: the last proxy is
+/// cut from the mesh over `[start, start + len)`.
+pub const CUT_MINUTES: (u64, u64) = (30, 40);
 
 /// One arm's (partition injected or not) driver run plus the
 /// partition-only audits its per-epoch hook and post-mortem collect.
@@ -115,84 +61,13 @@ pub struct PartitionScenarioReport {
     pub throughput_ratio: f64,
 }
 
-fn fleet(cfg: &PartitionScenarioConfig, partition: bool) -> FleetDeployment {
-    let minority = cfg.proxies - 1;
-    let mut sys_cfg = SystemConfig {
-        proxies: cfg.proxies,
-        sensors_per_proxy: cfg.sensors_per_proxy,
-        seed: cfg.seed,
-        lab: presto_workloads::LabParams {
-            events_per_day: 0.0,
-            jitter_sigma: 0.08,
-            heavy_prob: 0.0,
-            field_sigma: 0.05,
-            ..presto_workloads::LabParams::default()
-        },
-        ..SystemConfig::default()
-    };
-    if cfg.loss > 0.0 {
-        sys_cfg.reliability.downlink.request_loss = LossProcess::Bernoulli(cfg.loss);
-        sys_cfg.reliability.downlink.reply_loss = LossProcess::Bernoulli(cfg.loss);
-    }
-    sys_cfg.proxy.pipeline.epoch_attempt_budget = 8;
-    sys_cfg.proxy.cache_capacity = 700;
-    // The standard fleet scope: the fenced-admission watchdog is what
-    // turns the injected cut into an attributed incident. This workload
-    // serves PAST windows across the whole warmup archive, so answers
-    // legitimately carry hours of age — the p99 bound only has to catch
-    // serving data older than the archive itself.
-    sys_cfg.scope = fleet_scope_config(&FleetScopeBounds {
-        answer_age_p99_us: (cfg.warmup_hours + cfg.query_hours + 8) as f64 * 3600.0 * 1e6,
-        ..FleetScopeBounds::default()
-    });
-    // Full trace spans: per-RPC pipeline events spliced into every
-    // fleet trace, and the flight recorder retaining each failed /
-    // fenced query's cause chain for the post-mortem checks below.
-    sys_cfg.proxy.pipeline.trace = true;
-    if partition {
-        let (start_m, len_m) = cfg.cut_minutes;
-        let from = SimTime::from_hours(cfg.warmup_hours) + SimDuration::from_mins(start_m);
-        let to = from + SimDuration::from_mins(len_m);
-        sys_cfg.faults = FaultPlan::none().with_mesh_partition(vec![minority], from, to);
-    }
-    let mut fc = FleetConfig {
-        system: sys_cfg,
-        ..FleetConfig::default()
-    };
-    fc.router.latency_classes = vec![
-        QueryClass {
-            rate_per_hour: cfg.users as f64 * cfg.queries_per_user_per_hour,
-            latency_bound: SimDuration::from_mins(10),
-            tolerance: cfg.tolerance,
-        },
-        QueryClass {
-            rate_per_hour: 10.0,
-            latency_bound: SimDuration::from_mins(4),
-            tolerance: 1.5,
-        },
-    ];
-    FleetDeployment::new(fc)
-}
-
-fn load(cfg: &PartitionScenarioConfig) -> FleetQueryLoad {
-    FleetQueryLoad::new(
-        FleetLoadConfig {
-            load: QueryLoadConfig {
-                users: cfg.users,
-                queries_per_user_per_hour: cfg.queries_per_user_per_hour,
-                window_min: SimDuration::from_mins(10),
-                window_max: SimDuration::from_mins(30),
-                max_age: SimDuration::from_hours(cfg.warmup_hours.saturating_sub(8).max(2)),
-                hot_fraction: 0.1,
-                tolerances: vec![cfg.tolerance],
-                seed: cfg.seed ^ 0xF1_EE7,
-                ..QueryLoadConfig::default()
-            },
-            groups: cfg.proxies,
-            zipf_s: cfg.zipf_s,
-        },
-        cfg.sensors_per_proxy,
-    )
+/// The injected fault: the last proxy cut from the mesh over
+/// [`CUT_MINUTES`] (its downlinks stay up).
+fn cut(cfg: &FleetScenarioConfig) -> FaultPlan {
+    let (start_m, len_m) = CUT_MINUTES;
+    let from = SimTime::from_hours(cfg.warmup_hours) + SimDuration::from_mins(start_m);
+    let to = from + SimDuration::from_mins(len_m);
+    FaultPlan::none().with_mesh_partition(vec![cfg.proxies - 1], from, to)
 }
 
 /// Single-owner audit over the last epoch's pump log: one home driver
@@ -217,15 +92,8 @@ fn double_served(fleet: &FleetDeployment) -> bool {
     violated
 }
 
-fn run_arm(cfg: &PartitionScenarioConfig, partition: bool) -> PartitionArm {
+fn run_arm(cfg: &FleetScenarioConfig, partition: bool) -> PartitionArm {
     let minority = cfg.proxies - 1;
-    let plan = ArmPlan {
-        now_oracle: true,
-        ..ArmPlan::new(cfg.warmup_hours, cfg.query_hours, SimDuration::from_mins(14))
-    };
-    let epoch = SystemConfig::default().lab.epoch;
-    let mut gen = load(cfg);
-    let mut source = |t| gen.step(t, epoch).into_iter().map(Arrival::Fleet).collect();
     let (mut fenced_epochs, mut double_served_epochs) = (0u64, 0u64);
     let mut audit = |d: &Deployment, _: &[Terminal]| {
         if let Some(fleet) = d.fleet() {
@@ -234,8 +102,13 @@ fn run_arm(cfg: &PartitionScenarioConfig, partition: bool) -> PartitionArm {
         }
     };
     let label = if partition { "with-partition" } else { "no-partition" };
-    let deployment = Deployment::Fleet(Box::new(fleet(cfg, partition)));
-    let run = drive(label, deployment, &plan, &mut source, Some(&mut audit));
+    let faults = if partition { cut(cfg) } else { FaultPlan::none() };
+    // The standard fleet scope: the fenced-admission watchdog is what
+    // turns the injected cut into an attributed incident. The full trace
+    // spans let the flight recorder retain each failed / fenced query's
+    // cause chain for the post-mortem checks below.
+    let deployment = deploy(cfg, faults, &archive_reach_bounds(cfg), true);
+    let run = drive(label, deployment, &plan(cfg), &mut arrivals(cfg), Some(&mut audit));
 
     // Post-mortem guarantee: the flight recorder reproduces the full
     // cause chain — from `Submitted` to the one terminal — for every
@@ -273,8 +146,9 @@ fn run_arm(cfg: &PartitionScenarioConfig, partition: bool) -> PartitionArm {
     }
 }
 
-/// Runs both arms on one seed.
-pub fn partition_scenario(cfg: &PartitionScenarioConfig) -> PartitionScenarioReport {
+/// Runs both arms on one seed, on the fleet scenario's deployment and
+/// workload (its crash window aside).
+pub fn partition_scenario(cfg: &FleetScenarioConfig) -> PartitionScenarioReport {
     let with_partition = run_arm(cfg, true);
     let without_partition = run_arm(cfg, false);
     PartitionScenarioReport {
@@ -286,7 +160,7 @@ pub fn partition_scenario(cfg: &PartitionScenarioConfig) -> PartitionScenarioRep
 
 impl PartitionScenarioReport {
     /// Every failed acceptance check across the cut + heal cycle.
-    pub fn failures(&self, cfg: &PartitionScenarioConfig) -> Vec<String> {
+    pub fn failures(&self, cfg: &FleetScenarioConfig) -> Vec<String> {
         let mut out = Vec::new();
         for arm in [&self.with_partition, &self.without_partition] {
             let label = &arm.run.label;
@@ -358,7 +232,7 @@ mod tests {
 
     #[test]
     fn quick_split_brain_stays_honest_and_heals() {
-        let cfg = PartitionScenarioConfig::quick();
+        let cfg = FleetScenarioConfig::quick();
         let r = partition_scenario(&cfg);
         let failures = r.failures(&cfg);
         assert!(failures.is_empty(), "{failures:#?}");

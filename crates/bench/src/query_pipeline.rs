@@ -23,14 +23,19 @@
 use std::collections::VecDeque;
 
 use crate::driver::{
-    arm_failures, run_arm as drive, single_system_scope, throughput_ratio, ArmCounters, ArmPlan,
-    ArmRun, Arrival, Deployment,
+    arm_failures, lossy_downlink, run_arm as drive, single_system_scope, throughput_ratio,
+    ArmCounters, ArmPlan, ArmRun, Arrival, Deployment, SCENARIO_LOSS,
 };
 use presto_core::{PrestoSystem, StoreQuery, SystemConfig, UnifiedStore};
-use presto_net::LossProcess;
-use presto_proxy::AnswerSource;
+use presto_proxy::{AnswerSource, DEFAULT_DEADLINE};
 use presto_sim::{QueryArrival, QueryKind, QueryLoad, QueryLoadConfig, SimDuration, SimTime};
 use presto_telemetry::alloc;
+
+/// Mean queries per user per hour.
+const QUERIES_PER_USER_PER_HOUR: f64 = 60.0;
+
+/// Query tolerance (tight, so precision misses force pulls).
+const TOLERANCE: f64 = 0.05;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -43,14 +48,8 @@ pub struct QueryPipelineConfig {
     pub seed: u64,
     /// Sensors under the single proxy.
     pub sensors: usize,
-    /// Downlink loss (Bernoulli, request and reply paths).
-    pub loss: f64,
     /// Concurrent users.
     pub users: usize,
-    /// Mean queries per user per hour.
-    pub queries_per_user_per_hour: f64,
-    /// Query tolerance (tight, so precision misses force pulls).
-    pub tolerance: f64,
 }
 
 impl Default for QueryPipelineConfig {
@@ -60,10 +59,7 @@ impl Default for QueryPipelineConfig {
             query_hours: 6,
             seed: 2005,
             sensors: 8,
-            loss: 0.3,
             users: 16,
-            queries_per_user_per_hour: 60.0,
-            tolerance: 0.05,
         }
     }
 }
@@ -105,10 +101,7 @@ fn system(cfg: &QueryPipelineConfig) -> PrestoSystem {
         },
         ..SystemConfig::default()
     };
-    if cfg.loss > 0.0 {
-        sys_cfg.reliability.downlink.request_loss = LossProcess::Bernoulli(cfg.loss);
-        sys_cfg.reliability.downlink.reply_loss = LossProcess::Bernoulli(cfg.loss);
-    }
+    lossy_downlink(&mut sys_cfg, SCENARIO_LOSS);
     // Traced and scoped like every driver arm, so the trace audit and
     // the stale-confident watchdog cover the pipeline too.
     sys_cfg.proxy.pipeline.trace = true;
@@ -120,9 +113,9 @@ fn load(cfg: &QueryPipelineConfig) -> QueryLoad {
     QueryLoad::new(
         QueryLoadConfig {
             users: cfg.users,
-            queries_per_user_per_hour: cfg.queries_per_user_per_hour,
+            queries_per_user_per_hour: QUERIES_PER_USER_PER_HOUR,
             max_age: SimDuration::from_hours(cfg.warmup_hours.min(12)),
-            tolerances: vec![cfg.tolerance],
+            tolerances: vec![TOLERANCE],
             seed: cfg.seed ^ 0x51_0AD,
             ..QueryLoadConfig::default()
         },
@@ -130,10 +123,13 @@ fn load(cfg: &QueryPipelineConfig) -> QueryLoad {
     )
 }
 
-fn to_store_query(a: &QueryArrival, tolerance: f64) -> StoreQuery {
+fn to_store_query(a: &QueryArrival) -> StoreQuery {
     let sensor = a.sensor_slot as u16;
     match a.kind {
-        QueryKind::Now => StoreQuery::Now { sensor, tolerance },
+        QueryKind::Now => StoreQuery::Now {
+            sensor,
+            tolerance: TOLERANCE,
+        },
         QueryKind::Past => StoreQuery::Past {
             sensor,
             from: a.from,
@@ -153,15 +149,14 @@ fn to_store_query(a: &QueryArrival, tolerance: f64) -> StoreQuery {
 pub fn query_pipeline(cfg: &QueryPipelineConfig) -> QueryPipelineReport {
     let epoch = SystemConfig::default().lab.epoch;
     // Drain: one pipeline deadline past the last arrival, plus slack.
-    let deadline = SystemConfig::default().proxy.pipeline.deadline;
-    let plan = ArmPlan::new(cfg.warmup_hours, cfg.query_hours, deadline);
+    let plan = ArmPlan::new(cfg.warmup_hours, cfg.query_hours, DEFAULT_DEADLINE);
 
     // ── pipeline arm ────────────────────────────────────────────────
     let mut gen = load(cfg);
     let mut source = |t| {
         gen.step(t, epoch)
             .iter()
-            .map(|a| Arrival::Store(to_store_query(a, cfg.tolerance)))
+            .map(|a| Arrival::Store(to_store_query(a)))
             .collect()
     };
     let deployment = Deployment::Single(Box::new(system(cfg)));
@@ -182,7 +177,7 @@ pub fn query_pipeline(cfg: &QueryPipelineConfig) -> QueryPipelineReport {
         if e < plan.query {
             for a in base_gen.step(t, epoch) {
                 c.submitted += 1;
-                fifo.push_back((t, to_store_query(&a, cfg.tolerance)));
+                fifo.push_back((t, to_store_query(&a)));
             }
         }
         while let Some(&(arrived, q)) = fifo.front() {

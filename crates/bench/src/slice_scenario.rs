@@ -20,14 +20,20 @@
 //! trace/age coverage counters the CI smoke asserts on.
 
 use crate::driver::{
-    arm_failures, run_arm as drive, single_system_scope, throughput_ratio, ArmPlan, ArmRun,
-    Arrival, Deployment,
+    arm_failures, lossy_downlink, run_arm as drive, single_system_scope, throughput_ratio, ArmPlan,
+    ArmRun, Arrival, Deployment, SCENARIO_LOSS,
 };
 use crate::report::ArmSummary;
 use presto_core::{PrestoSystem, StoreQuery, SystemConfig};
-use presto_net::LossProcess;
-use presto_proxy::SliceConfig;
+use presto_proxy::{SliceConfig, DEFAULT_DEADLINE};
 use presto_sim::{SimDuration, SimTime};
+
+/// Mean queries per user per hour.
+const QUERIES_PER_USER_PER_HOUR: f64 = 60.0;
+
+/// PAST-query tolerance (shared across users, so overlapping windows
+/// share slice keys).
+const TOLERANCE: f64 = 0.2;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -42,15 +48,8 @@ pub struct SliceScenarioConfig {
     pub seed: u64,
     /// Sensors under the single proxy.
     pub sensors: usize,
-    /// Downlink loss (Bernoulli, request and reply paths).
-    pub loss: f64,
     /// Concurrent users.
     pub users: usize,
-    /// Mean queries per user per hour.
-    pub queries_per_user_per_hour: f64,
-    /// PAST-query tolerance (shared across users, so overlapping
-    /// windows share slice keys).
-    pub tolerance: f64,
 }
 
 impl Default for SliceScenarioConfig {
@@ -60,10 +59,7 @@ impl Default for SliceScenarioConfig {
             query_hours: 6,
             seed: 2005,
             sensors: 8,
-            loss: 0.3,
             users: 16,
-            queries_per_user_per_hour: 60.0,
-            tolerance: 0.2,
         }
     }
 }
@@ -132,10 +128,7 @@ fn system(cfg: &SliceScenarioConfig, sliced: bool) -> PrestoSystem {
     if sliced {
         sys_cfg.proxy.pipeline.slice = Some(SliceConfig::default());
     }
-    if cfg.loss > 0.0 {
-        sys_cfg.reliability.downlink.request_loss = LossProcess::Bernoulli(cfg.loss);
-        sys_cfg.reliability.downlink.reply_loss = LossProcess::Bernoulli(cfg.loss);
-    }
+    lossy_downlink(&mut sys_cfg, SCENARIO_LOSS);
     PrestoSystem::new(sys_cfg)
 }
 
@@ -144,7 +137,7 @@ fn system(cfg: &SliceScenarioConfig, sliced: bool) -> PrestoSystem {
 fn arrivals(cfg: &SliceScenarioConfig) -> impl FnMut(SimTime) -> Vec<Arrival> + '_ {
     let epoch = SystemConfig::default().lab.epoch;
     // Per-epoch arrival probability for one user.
-    let p_arrival = cfg.queries_per_user_per_hour * epoch.as_secs_f64() / 3600.0;
+    let p_arrival = QUERIES_PER_USER_PER_HOUR * epoch.as_secs_f64() / 3600.0;
     let stagger_slots = 4u64;
     let mut rng = cfg.seed ^ 0x5711CE;
     move |_| {
@@ -158,7 +151,7 @@ fn arrivals(cfg: &SliceScenarioConfig) -> impl FnMut(SimTime) -> Vec<Arrival> + 
             let q = if mix(&mut rng).is_multiple_of(5) {
                 StoreQuery::Now {
                     sensor,
-                    tolerance: cfg.tolerance,
+                    tolerance: TOLERANCE,
                 }
             } else {
                 let (from, to) = hot_window(mix(&mut rng) % stagger_slots);
@@ -166,7 +159,7 @@ fn arrivals(cfg: &SliceScenarioConfig) -> impl FnMut(SimTime) -> Vec<Arrival> + 
                     sensor,
                     from,
                     to,
-                    tolerance: cfg.tolerance,
+                    tolerance: TOLERANCE,
                 }
             };
             batch.push(Arrival::Store(q));
@@ -177,8 +170,7 @@ fn arrivals(cfg: &SliceScenarioConfig) -> impl FnMut(SimTime) -> Vec<Arrival> + 
 
 /// Runs one arm through the driver.
 pub fn run_arm(cfg: &SliceScenarioConfig, sliced: bool) -> ArmRun {
-    let deadline = SystemConfig::default().proxy.pipeline.deadline;
-    let plan = ArmPlan::new(cfg.warmup_hours, cfg.query_hours, deadline);
+    let plan = ArmPlan::new(cfg.warmup_hours, cfg.query_hours, DEFAULT_DEADLINE);
     let label = if sliced { "sliced" } else { "monolithic" };
     let deployment = Deployment::Single(Box::new(system(cfg, sliced)));
     drive(label, deployment, &plan, &mut arrivals(cfg), None)

@@ -34,4 +34,4 @@ pub fn gid16(gid: usize) -> u16 {
 pub use presto_proxy::{CompletedQuery, PipelineAnswer, PipelineQuery, PipelineStats};
 pub use run::run_presto;
 pub use store::{StoreQuery, StoreResponse, UnifiedStore};
-pub use system::{PrestoSystem, SystemConfig, SystemReport};
+pub use system::{PrestoSystem, SystemConfig};

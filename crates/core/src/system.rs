@@ -33,7 +33,25 @@ use presto_workloads::{LabDeployment, LabParams};
 /// Event type code used for rare-event reports.
 pub const RARE_EVENT_TYPE: u16 = 1;
 
-/// System construction parameters.
+/// LPL check interval for sensors (and so the proxies' downlink
+/// preamble length).
+const LPL: SimDuration = SimDuration::from_secs(1);
+
+/// How often proxies consider retraining models.
+const TRAIN_CHECK_EVERY: SimDuration = SimDuration::from_hours(1);
+
+/// Reply-codec tolerance for recovery pulls (tight: the replay is
+/// repairing ground truth, not answering a sloppy query).
+const RECOVERY_TOLERANCE: f64 = 0.05;
+
+/// Padding added around a detected gap when pulling, absorbing boundary
+/// effects (in-flight messages, clock slack).
+const RECOVERY_PAD: SimDuration = SimDuration::from_secs(62);
+
+/// System construction parameters. Sensors always duty-cycle at the
+/// 1 s LPL check interval, proxies consider retraining hourly, and
+/// recovery replays pull at a fixed tight tolerance; the deployment's
+/// shape, workload, loss and faults are what varies.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
     /// Number of proxies.
@@ -48,10 +66,6 @@ pub struct SystemConfig {
     pub loss: f64,
     /// Sensor push tolerance (model-driven push threshold).
     pub push_tolerance: f64,
-    /// LPL check interval for sensors.
-    pub lpl: SimDuration,
-    /// How often proxies consider retraining models.
-    pub train_check_every: SimDuration,
     /// Sensor clock skew spread (ppm); zero disables drift simulation.
     pub clock_skew_ppm: f64,
     /// Proxy configuration template.
@@ -72,7 +86,6 @@ pub struct SystemConfig {
 
 impl Default for SystemConfig {
     fn default() -> Self {
-        let lpl = SimDuration::from_secs(1);
         SystemConfig {
             proxies: 2,
             sensors_per_proxy: 4,
@@ -80,44 +93,14 @@ impl Default for SystemConfig {
             lab: LabParams::default(),
             loss: 0.02,
             push_tolerance: 1.0,
-            lpl,
-            train_check_every: SimDuration::from_hours(1),
             clock_skew_ppm: 0.0,
-            proxy: ProxyConfig {
-                sensor_lpl: lpl,
-                ..ProxyConfig::default()
-            },
+            proxy: ProxyConfig::default(),
             reliability: ReliabilityConfig::default(),
             faults: FaultPlan::none(),
             profile: true,
             scope: ScopeConfig::default(),
         }
     }
-}
-
-/// Aggregate report over the deployment.
-#[derive(Clone, Debug, Default)]
-pub struct SystemReport {
-    /// Mean sensor energy per day, joules.
-    pub sensor_energy_per_day_j: f64,
-    /// Total proxy energy, joules.
-    pub proxy_energy_j: f64,
-    /// Total uplink messages received across proxies.
-    pub uplinks: u64,
-    /// Models pushed.
-    pub models_pushed: u64,
-    /// Events cached across proxies.
-    pub events: u64,
-    /// Fabric retransmission attempts.
-    pub retransmits: u64,
-    /// Messages the fabric abandoned (retry count or budget exhausted).
-    pub messages_dropped: u64,
-    /// Sequence gaps detected at proxies.
-    pub gaps_detected: u64,
-    /// Archive-backed recovery replays completed.
-    pub recoveries: u64,
-    /// Heartbeats transmitted across sensors.
-    pub heartbeats: u64,
 }
 
 /// A running three-tier deployment.
@@ -210,9 +193,8 @@ impl PrestoSystem {
 
         for p in 0..config.proxies {
             let mut proxy = PrestoProxy::new(ProxyConfig {
-                id: p,
                 push_tolerance: config.push_tolerance,
-                sensor_lpl: config.lpl,
+                sensor_lpl: LPL,
                 ..config.proxy.clone()
             });
             let mut cluster = Vec::with_capacity(config.sensors_per_proxy);
@@ -224,7 +206,7 @@ impl PrestoSystem {
                     push: PushPolicy::ModelDriven {
                         tolerance: config.push_tolerance,
                     },
-                    duty: presto_net::DutyCycle::lpl(config.lpl),
+                    duty: presto_net::DutyCycle::lpl(LPL),
                     announce_seals: true,
                     ..SensorConfig::default()
                 };
@@ -566,7 +548,7 @@ impl PrestoSystem {
         // proxies train nothing. (The time-range index is maintained by
         // seal notifications and recovery rebuilds, so no periodic
         // refresh happens here.)
-        if t - self.last_train_check >= self.config.train_check_every {
+        if t - self.last_train_check >= TRAIN_CHECK_EVERY {
             self.last_train_check = t;
             for gid in 0..self.total_sensors() {
                 let sp = self.assignment[gid];
@@ -706,8 +688,8 @@ impl PrestoSystem {
                 continue;
             }
             let (p, s) = self.locate(crate::gid16(r.sensor));
-            let (from, to) = padded_span(r.from, r.to, self.config.reliability.recovery_pad);
-            let tolerance = self.config.reliability.recovery_tolerance;
+            let (from, to) = padded_span(r.from, r.to, RECOVERY_PAD);
+            let tolerance = RECOVERY_TOLERANCE;
             let node = &mut self.nodes[p][s];
             let chan = &mut self.downlinks[p][s];
             match self.proxies[sp].recover_span(t, crate::gid16(r.sensor), from, to, tolerance, node, chan)
@@ -899,16 +881,19 @@ impl PrestoSystem {
     /// accumulating keeps the index bounded by live segments — entries
     /// for reclaimed segments drop out — and the span count is small
     /// (at most blocks-per-archive per sensor), so consumers rebuild
-    /// on demand instead of relying on a periodic refresh.
+    /// on demand instead of relying on a periodic refresh. Each span
+    /// registers under the sensor's serving proxy, as seal notifications
+    /// do, so a re-homed sensor's archive routes to its adopter.
     pub fn refresh_time_index(&mut self) {
         self.time_index.clear();
-        for (p, cluster) in self.nodes.iter().enumerate() {
-            for (s, node) in cluster.iter().enumerate() {
-                let corrector = &self.correctors[p * self.config.sensors_per_proxy + s];
-                for (start, end) in node.archive().segment_spans() {
-                    self.time_index
-                        .register(p, corrector.correct(start), corrector.correct(end));
-                }
+        for (gid, node) in self.nodes.iter().flatten().enumerate() {
+            let corrector = &self.correctors[gid];
+            for (start, end) in node.archive().segment_spans() {
+                self.time_index.register(
+                    self.assignment[gid],
+                    corrector.correct(start),
+                    corrector.correct(end),
+                );
             }
         }
     }
@@ -937,36 +922,6 @@ impl PrestoSystem {
             for node in cluster {
                 node.advance_to(end);
             }
-        }
-    }
-
-    /// Aggregate deployment report.
-    pub fn report(&self, days: f64) -> SystemReport {
-        let total_sensors = self.total_sensors().max(1) as f64;
-        let sensor_j: f64 = self
-            .nodes
-            .iter()
-            .flatten()
-            .map(|n| n.ledger().total())
-            .sum();
-        let proxy_j: f64 = self.proxies.iter().map(|p| p.ledger().total()).sum();
-        let fs = self.fabric.stats();
-        SystemReport {
-            sensor_energy_per_day_j: sensor_j / total_sensors / days.max(1e-9),
-            proxy_energy_j: proxy_j,
-            uplinks: self.proxies.iter().map(|p| p.stats().uplinks).sum(),
-            models_pushed: self.proxies.iter().map(|p| p.stats().models_pushed).sum(),
-            events: self.proxies.iter().map(|p| p.stats().events_cached).sum(),
-            retransmits: fs.retransmits,
-            messages_dropped: fs.dropped_retries + fs.dropped_budget,
-            gaps_detected: self.gaps.stats().gaps_detected,
-            recoveries: self.gaps.stats().recoveries,
-            heartbeats: self
-                .nodes
-                .iter()
-                .flatten()
-                .map(|n| n.stats().heartbeats_sent)
-                .sum(),
         }
     }
 
@@ -1013,10 +968,11 @@ mod tests {
     fn runs_and_installs_models() {
         let mut sys = PrestoSystem::new(small());
         sys.run(SimDuration::from_days(1));
-        let r = sys.report(1.0);
-        assert!(r.models_pushed >= 6, "models pushed: {}", r.models_pushed);
-        assert!(r.uplinks > 0);
-        assert!(r.sensor_energy_per_day_j > 0.0);
+        let snap = sys.telemetry_snapshot();
+        let models_pushed = snap.get("proxy.models_pushed").unwrap_or(0.0);
+        assert!(models_pushed >= 6.0, "models pushed: {models_pushed}");
+        assert!(snap.get("proxy.uplinks").unwrap_or(0.0) > 0.0);
+        assert!(sys.sensor_ledger_total().total() > 0.0);
         // Every sensor carries a model replica after a day.
         assert!(sys.nodes.iter().flatten().all(|n| n.has_model()));
     }
@@ -1050,8 +1006,11 @@ mod tests {
         cfg.lab.events_per_day = 8.0;
         let mut sys = PrestoSystem::new(cfg);
         sys.run(SimDuration::from_days(2));
-        let r = sys.report(2.0);
-        assert!(r.events > 0, "no events cached at proxies");
+        let events = sys
+            .telemetry_snapshot()
+            .get("proxy.events_cached")
+            .unwrap_or(0.0);
+        assert!(events > 0.0, "no events cached at proxies");
     }
 
     #[test]
@@ -1083,6 +1042,20 @@ mod tests {
         // Nothing was archived a month out: every proxy is pruned.
         let (none, _) = sys.route_range(SimTime::from_days(30), SimTime::from_days(31));
         assert!(none.is_empty(), "future window should prune all proxies");
+    }
+
+    #[test]
+    fn time_index_registers_spans_under_the_serving_proxy() {
+        let mut sys = PrestoSystem::new(small());
+        sys.run(SimDuration::from_days(1));
+        for gid in 3..6 {
+            sys.rehome_sensor(gid, 0);
+        }
+        // Every completed repair rebuilds the index; seal notifications
+        // already register under the serving proxy, and so must it.
+        sys.refresh_time_index();
+        let (covered, _) = sys.route_range(SimTime::from_hours(1), SimTime::from_hours(2));
+        assert_eq!(covered, vec![0]);
     }
 
     #[test]
@@ -1362,7 +1335,7 @@ mod tests {
         let fast_tickets: Vec<u64> = immediate.iter().map(|(_, c)| c.id).collect();
         // Pump across epochs until every query terminates (bounded by
         // the pipeline deadline).
-        let deadline = sys.config().proxy.pipeline.deadline;
+        let deadline = presto_proxy::DEFAULT_DEADLINE;
         let epochs = deadline.div_duration(sys.config().lab.epoch) + 2;
         let mut done = immediate;
         for _ in 0..epochs {

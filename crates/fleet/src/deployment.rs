@@ -22,7 +22,7 @@ use presto_sim::{FaultPlan, FleetArrival, QueryKind, SimDuration, SimTime};
 use presto_telemetry::{Observe, Sink, Snapshot};
 
 use crate::interlink::{FleetMsg, InterLinkConfig, InterLinkMesh};
-use crate::membership::{FleetMembership, FleetMembershipConfig};
+use crate::membership::FleetMembership;
 use crate::router::{FleetCompletion, FleetRouter, FleetRouterConfig, ProxyPressure, RouteAction};
 
 /// Deployment-tier parameters.
@@ -32,8 +32,6 @@ pub struct FleetConfig {
     pub system: SystemConfig,
     /// Router / admission-control parameters.
     pub router: FleetRouterConfig,
-    /// Proxy-liveness parameters.
-    pub membership: FleetMembershipConfig,
     /// Proxy↔proxy mesh parameters.
     pub interlink: InterLinkConfig,
 }
@@ -109,7 +107,7 @@ impl FleetDeployment {
         let mut fleet = FleetDeployment {
             system,
             router: FleetRouter::new(config.router),
-            membership: FleetMembership::new(config.membership, proxies),
+            membership: FleetMembership::new(proxies),
             mesh: InterLinkMesh::new(config.interlink, proxies),
             foreign: BTreeMap::new(),
             rng: presto_sim::SimRng::new(seed ^ 0xF1EE7),

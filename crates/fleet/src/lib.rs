@@ -29,7 +29,8 @@
 //! * [`membership`] — the [`membership::FleetMembership`] monitor lifts
 //!   the heartbeat-lease liveness model one tier up: proxies renew
 //!   leases over lossy paths; a proxy silent past the dead threshold
-//!   triggers **sensor re-homing** — its sensors re-register with a
+//!   (8 minutes, in a majority of its peers' views) triggers **sensor
+//!   re-homing** — its sensors re-register with a
 //!   surviving proxy, which warms its cache from archive-backed
 //!   recovery replay (the same warm-up path gap repair uses) and
 //!   resumes the dead proxy's outstanding queries or fails them
@@ -49,5 +50,5 @@ pub mod scope;
 pub use deployment::{FleetConfig, FleetDeployment, FleetLeaks};
 pub use scope::{fleet_scope_config, FleetScopeBounds, FEED_STALE_CONFIDENT};
 pub use interlink::{FleetMsg, InterLinkConfig, InterLinkMesh, InterLinkStats};
-pub use membership::{FleetMembership, FleetMembershipConfig, MembershipStats};
+pub use membership::{FleetMembership, MembershipStats};
 pub use router::{FleetCompletion, FleetRouter, FleetRouterConfig, FleetRouterStats};

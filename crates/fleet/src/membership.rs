@@ -27,27 +27,15 @@
 //! between live proxies.
 
 use presto_reliability::{Health, LivenessConfig, LivenessMonitor};
-use presto_sim::SimTime;
+use presto_sim::{SimDuration, SimTime};
 
-/// Membership parameters.
-#[derive(Clone, Debug)]
-pub struct FleetMembershipConfig {
-    /// Pairwise proxy lease: silence past `lease` makes a peer Suspect
-    /// in one view, past `dead_after` Dead (re-homing fires when a
-    /// majority of views agree on Dead).
-    pub liveness: LivenessConfig,
-}
-
-impl Default for FleetMembershipConfig {
-    fn default() -> Self {
-        FleetMembershipConfig {
-            liveness: LivenessConfig {
-                lease: presto_sim::SimDuration::from_mins(3),
-                dead_after: presto_sim::SimDuration::from_mins(8),
-            },
-        }
-    }
-}
+/// Pairwise proxy lease: silence past `lease` makes a peer Suspect in
+/// one view, past `dead_after` Dead (re-homing fires when a majority of
+/// views agree on Dead).
+const PROXY_LEASE: LivenessConfig = LivenessConfig {
+    lease: SimDuration::from_mins(3),
+    dead_after: SimDuration::from_mins(8),
+};
 
 /// Membership counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -73,7 +61,6 @@ presto_telemetry::observe_counters!(MembershipStats {
 /// The fleet's proxy-liveness views: one lease table per proxy plus the
 /// quorum declarations derived from them.
 pub struct FleetMembership {
-    config: FleetMembershipConfig,
     proxies: usize,
     /// `views[p]` is proxy `p`'s local lease table over the whole fleet
     /// (including itself — a live proxy always hears itself).
@@ -85,22 +72,16 @@ pub struct FleetMembership {
 
 impl FleetMembership {
     /// Creates the views over `proxies` proxies, all initially Live
-    /// everywhere.
-    pub fn new(config: FleetMembershipConfig, proxies: usize) -> Self {
+    /// everywhere, each under the fixed proxy lease.
+    pub fn new(proxies: usize) -> Self {
         FleetMembership {
             views: (0..proxies)
-                .map(|_| LivenessMonitor::new(config.liveness, proxies))
+                .map(|_| LivenessMonitor::new(PROXY_LEASE, proxies))
                 .collect(),
             proxies,
             declared_dead: vec![false; proxies],
             stats: MembershipStats::default(),
-            config,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &FleetMembershipConfig {
-        &self.config
     }
 
     /// Counters.
@@ -265,9 +246,8 @@ mod tests {
 
     #[test]
     fn dead_proxy_is_declared_once_within_the_threshold() {
-        let cfg = FleetMembershipConfig::default();
-        let dead_after = cfg.liveness.dead_after;
-        let mut m = FleetMembership::new(cfg, 3);
+        let dead_after = PROXY_LEASE.dead_after;
+        let mut m = FleetMembership::new(3);
         let mut up = vec![true, true, true];
         let mut declared_at = None;
         for e in 0..40u64 {
@@ -299,7 +279,7 @@ mod tests {
         // crashes. The old single-observer membership re-armed its
         // death edge on that stray heartbeat and declared the same
         // outage twice; quorum rebirth must not.
-        let mut m = FleetMembership::new(FleetMembershipConfig::default(), 3);
+        let mut m = FleetMembership::new(3);
         let mut up = vec![true, true, true];
         let full_cut = [(1, 0), (1, 2)];
         let mut declarations = 0u64;
@@ -332,7 +312,7 @@ mod tests {
         // leases through proxy 1, so quorum must keep everyone alive —
         // the case a single omniscient observer cannot express and a
         // single pairwise view would get wrong.
-        let mut m = FleetMembership::new(FleetMembershipConfig::default(), 3);
+        let mut m = FleetMembership::new(3);
         let up = vec![true, true, true];
         for e in 0..120u64 {
             let dead = epoch(&mut m, e, &up, &[(0, 2)]);
@@ -354,8 +334,7 @@ mod tests {
         // Split {0,1} | {2}: proxy 2 must drop out of quorum (at lease
         // expiry) strictly before the majority declares it dead (at the
         // dead threshold) — the fencing-precedes-re-homing guarantee.
-        let cfg = FleetMembershipConfig::default();
-        let mut m = FleetMembership::new(cfg, 3);
+        let mut m = FleetMembership::new(3);
         let up = vec![true, true, true];
         let cut = [(0, 2), (1, 2)];
         let mut lost_quorum_at = None;
@@ -383,7 +362,7 @@ mod tests {
 
     #[test]
     fn rebooted_proxy_rejoins_on_majority_evidence() {
-        let mut m = FleetMembership::new(FleetMembershipConfig::default(), 2);
+        let mut m = FleetMembership::new(2);
         let mut up = vec![true, true];
         let mut died = false;
         for e in 0..60u64 {
@@ -400,7 +379,7 @@ mod tests {
     fn lossy_heartbeats_do_not_flap_a_live_proxy() {
         // Bursty loss on every pair: a live proxy's lease survives (the
         // lease spans several beacon epochs), so nothing is declared.
-        let mut m = FleetMembership::new(FleetMembershipConfig::default(), 2);
+        let mut m = FleetMembership::new(2);
         let up = vec![true, true];
         let mut rng = presto_sim::SimRng::new(0xBEA7);
         for e in 0..600u64 {

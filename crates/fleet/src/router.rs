@@ -27,10 +27,10 @@
 //! Hot is a *latched episode*, not an instantaneous comparison. The
 //! deployment feeds an epoch-level pressure reading into
 //! [`FleetRouter::observe_pressures`], which smooths each proxy's score
-//! with an EWMA; a proxy leaves the hot state only when the smoothed
-//! score falls a hysteresis margin below the shed threshold, and may
-//! start a *new* episode only after a refractory window since the last
-//! one began. A raw intra-epoch burst can still open an episode at
+//! with an EWMA (weight 0.4); a proxy leaves the hot state only when the
+//! smoothed score falls a hysteresis margin (3 score units) below the
+//! shed threshold, and may start a *new* episode only after a refractory
+//! window (2 minutes) since the last one began. A raw intra-epoch burst can still open an episode at
 //! routing time (queues build faster than epochs tick), but a proxy
 //! oscillating around the threshold cannot flap the shedding decision
 //! every submission.
@@ -39,12 +39,35 @@ use std::collections::BTreeMap;
 
 use presto_proxy::{
     Answer, AnswerSource, CompletedQuery, PastAnswer, PipelineAnswer, PipelineQuery, QueryClass,
-    QuerySensorMatcher,
+    QuerySensorMatcher, DEFAULT_DEADLINE,
 };
 use presto_sim::{SimDuration, SimTime};
 use presto_telemetry::{CompletionCause, LogHistogram, QueryTracer, SpanEvent};
 
-/// Router parameters.
+/// Minimum remaining deadline for a forward to be worth the mesh round
+/// trip; queries with less stay home.
+const FORWARD_SLACK: SimDuration = SimDuration::from_mins(2);
+
+/// Collection grace past the deadline before the router fails a ticket
+/// itself (covers pipeline completion + mesh return time).
+const EXPIRY_GRACE: SimDuration = SimDuration::from_mins(3);
+
+/// EWMA weight for the epoch-level pressure smoothing (1.0 = no
+/// smoothing, track the raw score exactly).
+const EWMA_ALPHA: f64 = 0.4;
+
+/// Hysteresis: a hot proxy cools only when its smoothed score drops this
+/// far *below* the shed threshold.
+const SHED_EXIT_MARGIN: f64 = 3.0;
+
+/// Refractory window: minimum spacing between the starts of two shed
+/// episodes on the same proxy (anti-flap).
+const SHED_EPISODE_WINDOW: SimDuration = SimDuration::from_mins(2);
+
+/// Router parameters. The router always records a fleet-level trace
+/// span per ticket (admission, shed, forward, re-home, fencing, terminal
+/// verdict): the fleet tier is deployment-scale, not hot-path, and the
+/// flight recorder is the partition post-mortem record.
 #[derive(Clone, Debug)]
 pub struct FleetRouterConfig {
     /// Master switch: off reproduces the pre-fleet behavior (every
@@ -55,31 +78,9 @@ pub struct FleetRouterConfig {
     /// How much cooler (score units) a peer must be to receive a shed.
     pub shed_margin: f64,
     /// Latency classes for per-query deadlines (query–sensor
-    /// matching); empty falls back to `default_deadline` for every
+    /// matching); empty falls back to [`DEFAULT_DEADLINE`] for every
     /// query.
     pub latency_classes: Vec<QueryClass>,
-    /// Deadline when no latency class is registered.
-    pub default_deadline: SimDuration,
-    /// Minimum remaining deadline for a forward to be worth the mesh
-    /// round trip; queries with less stay home.
-    pub forward_slack: SimDuration,
-    /// Collection grace past the deadline before the router fails a
-    /// ticket itself (covers pipeline completion + mesh return time).
-    pub expiry_grace: SimDuration,
-    /// EWMA weight for the epoch-level pressure smoothing (1.0 =
-    /// no smoothing, track the raw score exactly).
-    pub ewma_alpha: f64,
-    /// Hysteresis: a hot proxy cools only when its smoothed score
-    /// drops this far *below* the shed threshold.
-    pub shed_exit_margin: f64,
-    /// Refractory window: minimum spacing between the starts of two
-    /// shed episodes on the same proxy (anti-flap).
-    pub shed_episode_window: SimDuration,
-    /// Record a fleet-level trace span per ticket (admission, shed,
-    /// forward, re-home, fencing, terminal verdict). On by default —
-    /// the fleet tier is deployment-scale, not hot-path, and the
-    /// flight recorder is the partition post-mortem record.
-    pub trace: bool,
 }
 
 impl Default for FleetRouterConfig {
@@ -89,13 +90,6 @@ impl Default for FleetRouterConfig {
             shed_threshold: 12.0,
             shed_margin: 4.0,
             latency_classes: Vec::new(),
-            default_deadline: SimDuration::from_mins(10),
-            forward_slack: SimDuration::from_mins(2),
-            expiry_grace: SimDuration::from_mins(3),
-            ewma_alpha: 0.4,
-            shed_exit_margin: 3.0,
-            shed_episode_window: SimDuration::from_mins(2),
-            trace: true,
         }
     }
 }
@@ -239,7 +233,7 @@ pub struct FleetRouter {
     /// When each proxy's most recent shed episode opened.
     last_episode: Vec<Option<SimTime>>,
     stats: FleetRouterStats,
-    /// Fleet-level trace spans (no-op unless [`FleetRouterConfig::trace`]).
+    /// Fleet-level trace spans.
     tracer: QueryTracer,
     /// End-to-end latency of every terminal, in microseconds.
     latency: LogHistogram,
@@ -254,7 +248,7 @@ impl FleetRouter {
         for class in &config.latency_classes {
             matcher.register(*class);
         }
-        let tracer = QueryTracer::new(config.trace);
+        let tracer = QueryTracer::new(true);
         FleetRouter {
             matcher,
             next_ticket: 1,
@@ -289,7 +283,7 @@ impl FleetRouter {
             return;
         }
         if let Some(opened) = self.last_episode[proxy] {
-            if t < opened + self.config.shed_episode_window {
+            if t < opened + SHED_EPISODE_WINDOW {
                 return;
             }
         }
@@ -305,12 +299,12 @@ impl FleetRouter {
     /// per epoch from the deployment.
     pub fn observe_pressures(&mut self, t: SimTime, pressures: &[ProxyPressure]) {
         self.ensure_proxy(pressures.len().saturating_sub(1));
-        let alpha = self.config.ewma_alpha;
+        let alpha = EWMA_ALPHA;
         for (p, reading) in pressures.iter().enumerate() {
             let s = alpha * reading.score() + (1.0 - alpha) * self.smoothed[p];
             self.smoothed[p] = s;
             if self.hot[p] {
-                if s <= self.config.shed_threshold - self.config.shed_exit_margin {
+                if s <= self.config.shed_threshold - SHED_EXIT_MARGIN {
                     self.hot[p] = false;
                 }
             } else {
@@ -395,11 +389,11 @@ impl FleetRouter {
     }
 
     /// The per-query deadline for a tolerance, from the latency
-    /// classes (falls back to the configured default).
+    /// classes (falls back to [`DEFAULT_DEADLINE`]).
     pub fn deadline_for(&self, tolerance: f64) -> SimDuration {
         self.matcher
             .deadline_for(tolerance)
-            .unwrap_or(self.config.default_deadline)
+            .unwrap_or(DEFAULT_DEADLINE)
     }
 
     /// Opens and immediately fails a ticket whose entry proxy is
@@ -509,10 +503,8 @@ impl FleetRouter {
             query,
             PipelineQuery::Past { .. } | PipelineQuery::Aggregate { .. }
         );
-        let may_shed = self.config.shed_enabled
-            && sheddable
-            && range_archived
-            && deadline - t > self.config.forward_slack;
+        let may_shed =
+            self.config.shed_enabled && sheddable && range_archived && deadline - t > FORWARD_SLACK;
         let mut target = serving;
         let mut shed = false;
         if may_shed {
@@ -696,7 +688,7 @@ impl FleetRouter {
     /// the way home, or whose serving proxy silently vanished all
     /// terminate honestly here.
     pub fn expire(&mut self, t: SimTime) {
-        let grace = self.config.expiry_grace;
+        let grace = EXPIRY_GRACE;
         let overdue: Vec<u64> = self
             .open
             .iter()
@@ -869,7 +861,7 @@ mod tests {
         let (ticket, deadline, _) =
             r.route(SimTime::ZERO, 0, 0, past(1), 0.2, &[cool()], true);
         r.bind(ticket, 0, 5);
-        let grace = FleetRouterConfig::default().expiry_grace;
+        let grace = EXPIRY_GRACE;
         r.expire(deadline + grace);
         let done = r.take_completed();
         assert_eq!(done.len(), 1);
@@ -968,7 +960,6 @@ mod tests {
     #[test]
     fn oscillating_pressure_sheds_at_most_once_per_episode_window() {
         let mut r = FleetRouter::new(FleetRouterConfig::default());
-        let cfg = FleetRouterConfig::default();
         let epoch = SimDuration::from_secs(31);
         // Raw score flips between well above and well below the
         // threshold every epoch — the worst flapping input.
@@ -989,10 +980,10 @@ mod tests {
         );
         for pair in episode_opens.windows(2) {
             assert!(
-                pair[1] - pair[0] >= cfg.shed_episode_window,
+                pair[1] - pair[0] >= SHED_EPISODE_WINDOW,
                 "episodes opened {:?} apart, inside the {:?} refractory window",
                 pair[1] - pair[0],
-                cfg.shed_episode_window
+                SHED_EPISODE_WINDOW
             );
         }
     }

@@ -21,20 +21,23 @@ use presto_telemetry::scope::{
 /// watchdog turns any growth into a [`WD_STALE_CONFIDENT`] incident.
 pub const FEED_STALE_CONFIDENT: &str = "probe.stale_confident";
 
+/// Upper bound on the worst per-proxy pressure score (pending queries
+/// dominate the score, so this is a queue-growth watermark, not a
+/// fraction).
+const PRESSURE_MAX: f64 = 400.0;
+
+/// Max shed-episode openings tolerated in a single epoch.
+const SHED_EPISODES_PER_EPOCH: f64 = 8.0;
+
+/// Epochs a nonzero leak gauge may sit frozen before it is an incident
+/// (leaks drain or grow; a flat nonzero line is a leak).
+const LEAK_STUCK_EPOCHS: u32 = 60;
+
 /// Tunable bounds for the standard fleet watchdogs.
 #[derive(Debug, Clone)]
 pub struct FleetScopeBounds {
     /// Upper bound on `fleet_router.answer_age_us.p99` (microseconds).
     pub answer_age_p99_us: f64,
-    /// Upper bound on the worst per-proxy pressure score (pending
-    /// queries dominate the score, so this is a queue-growth
-    /// watermark, not a fraction).
-    pub pressure_max: f64,
-    /// Max shed-episode openings tolerated in a single epoch.
-    pub shed_episodes_per_epoch: f64,
-    /// Epochs a nonzero leak gauge may sit frozen before it is an
-    /// incident (leaks drain or grow; a flat nonzero line is a leak).
-    pub leak_stuck_epochs: u32,
 }
 
 impl Default for FleetScopeBounds {
@@ -43,9 +46,6 @@ impl Default for FleetScopeBounds {
             // 45 minutes: generous against the re-predict cadence, so
             // only genuinely stale-serving fleets trip it.
             answer_age_p99_us: 45.0 * 60.0 * 1_000_000.0,
-            pressure_max: 400.0,
-            shed_episodes_per_epoch: 8.0,
-            leak_stuck_epochs: 60,
         }
     }
 }
@@ -102,30 +102,29 @@ pub fn fleet_scope_config(bounds: &FleetScopeBounds) -> ScopeConfig {
             WD_LEAK_PROBE,
             "fleet.leak_router_open",
             0.0,
-            bounds.leak_stuck_epochs,
+            LEAK_STUCK_EPOCHS,
         ),
         WatchdogRule::stuck(
             WD_LEAK_PROBE,
             "fleet.leak_rpcs_in_flight",
             0.0,
-            bounds.leak_stuck_epochs,
+            LEAK_STUCK_EPOCHS,
         ),
         WatchdogRule::stuck(
             WD_LEAK_PROBE,
             "fleet.leak_mesh_in_flight",
             0.0,
-            bounds.leak_stuck_epochs,
+            LEAK_STUCK_EPOCHS,
         ),
-        WatchdogRule::below(WD_PRESSURE_WATERMARK, "fleet.pressure_max", bounds.pressure_max),
+        WatchdogRule::below(WD_PRESSURE_WATERMARK, "fleet.pressure_max", PRESSURE_MAX),
         WatchdogRule::rate_below(
             WD_SHED_EPISODE_WATERMARK,
             "fleet_router.shed_episodes",
-            bounds.shed_episodes_per_epoch,
+            SHED_EPISODES_PER_EPOCH,
         ),
     ];
     ScopeConfig {
         enabled: true,
-        ring_capacity: 256,
         incident_capacity: 128,
         attribution_pad: SimDuration::from_mins(20),
         series,

@@ -67,11 +67,13 @@ pub struct TxOutcome {
 
 impl Mac {
     /// A sensor→proxy uplink: the proxy is tethered and always listening,
-    /// so no long wake-up preamble is needed.
-    pub fn uplink(radio: RadioModel, frame: FrameFormat) -> Self {
+    /// so no long wake-up preamble is needed. Every link in the
+    /// deployment is a Mica2 radio ([`RadioModel::mica2`]) carrying TinyOS
+    /// frames ([`FrameFormat::tinyos_mica2`]).
+    pub fn uplink() -> Self {
         Mac {
-            radio,
-            frame,
+            radio: RadioModel::mica2(),
+            frame: FrameFormat::tinyos_mica2(),
             max_retries: 3,
             dest_lpl_interval: SimDuration::ZERO,
             burst_amortizes_preamble: true,
@@ -80,13 +82,10 @@ impl Mac {
 
     /// A proxy→sensor downlink: the sensor duty-cycles its radio with the
     /// given LPL check interval, so transmissions pay a wake-up preamble.
-    pub fn downlink(radio: RadioModel, frame: FrameFormat, lpl: SimDuration) -> Self {
+    pub fn downlink(lpl: SimDuration) -> Self {
         Mac {
-            radio,
-            frame,
-            max_retries: 3,
             dest_lpl_interval: lpl,
-            burst_amortizes_preamble: true,
+            ..Mac::uplink()
         }
     }
 
@@ -218,7 +217,7 @@ mod tests {
     use presto_sim::SimRng;
 
     fn uplink() -> Mac {
-        Mac::uplink(RadioModel::mica2(), FrameFormat::tinyos_mica2())
+        Mac::uplink()
     }
 
     #[test]
@@ -253,11 +252,7 @@ mod tests {
 
     #[test]
     fn preamble_dominates_small_sends_on_downlink() {
-        let mac = Mac::downlink(
-            RadioModel::mica2(),
-            FrameFormat::tinyos_mica2(),
-            SimDuration::from_secs(1),
-        );
+        let mac = Mac::downlink(SimDuration::from_secs(1));
         let per_send = mac.expected_send_energy(2);
         // 1 s preamble at 81 mW = 81 mJ; frame bytes are well under 1 mJ.
         assert!(per_send > 0.081 && per_send < 0.083, "{per_send}");
@@ -265,16 +260,14 @@ mod tests {
 
     #[test]
     fn burst_amortization_saves_preambles() {
-        let radio = RadioModel::mica2();
-        let frame = FrameFormat::tinyos_mica2();
         let lpl = SimDuration::from_secs(1);
         let burst = Mac {
             burst_amortizes_preamble: true,
-            ..Mac::downlink(radio.clone(), frame.clone(), lpl)
+            ..Mac::downlink(lpl)
         };
         let per_frame = Mac {
             burst_amortizes_preamble: false,
-            ..Mac::downlink(radio, frame, lpl)
+            ..Mac::downlink(lpl)
         };
         let payload = 29 * 10;
         let e_burst = burst.expected_send_energy(payload);
@@ -316,11 +309,7 @@ mod tests {
 
     #[test]
     fn latency_includes_preamble_and_airtime() {
-        let mac = Mac::downlink(
-            RadioModel::mica2(),
-            FrameFormat::tinyos_mica2(),
-            SimDuration::from_millis(500),
-        );
+        let mac = Mac::downlink(SimDuration::from_millis(500));
         let mut link = LinkModel::perfect();
         let mut tx = EnergyLedger::new();
         let out = mac.send(4, &mut link, &mut tx, None);
@@ -340,11 +329,7 @@ mod tests {
 
     #[test]
     fn energy_charged_matches_outcome_fields() {
-        let mac = Mac::downlink(
-            RadioModel::mica2(),
-            FrameFormat::tinyos_mica2(),
-            SimDuration::from_millis(100),
-        );
+        let mac = Mac::downlink(SimDuration::from_millis(100));
         let mut link = LinkModel::new(crate::link::LossProcess::Bernoulli(0.2), SimRng::new(3));
         let mut tx = EnergyLedger::new();
         let mut rx = EnergyLedger::new();

@@ -14,17 +14,20 @@ use presto_models::{
 use presto_net::CpuModel;
 use presto_sim::{EnergyCategory, EnergyLedger, SimDuration, SimTime};
 
+/// Seasonal bins (when applicable).
+const SEASONAL_BINS: usize = 24;
+
+/// AR order (when applicable).
+const AR_ORDER: usize = 2;
+
+/// Markov states (when applicable).
+const MARKOV_STATES: usize = 8;
+
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Model class to train.
     pub kind: ModelKind,
-    /// Seasonal bins (when applicable).
-    pub seasonal_bins: usize,
-    /// AR order (when applicable).
-    pub ar_order: usize,
-    /// Markov states (when applicable).
-    pub markov_states: usize,
     /// Minimum history before the first model is trained.
     pub min_history: usize,
     /// Re-train at least this often.
@@ -35,9 +38,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             kind: ModelKind::SeasonalAr,
-            seasonal_bins: 24,
-            ar_order: 2,
-            markov_states: 8,
             min_history: 500,
             retrain_interval: SimDuration::from_days(1),
         }
@@ -112,19 +112,15 @@ impl PredictionEngine {
     ) -> ModelSlot {
         let (model, report): (Box<dyn Predictor>, TrainReport) = match self.config.kind {
             ModelKind::Seasonal => {
-                let (m, r) = SeasonalModel::train(history, self.config.seasonal_bins);
+                let (m, r) = SeasonalModel::train(history, SEASONAL_BINS);
                 (Box::new(m), r)
             }
             ModelKind::Ar => {
-                let (m, r) = ArModel::train(history, self.config.ar_order);
+                let (m, r) = ArModel::train(history, AR_ORDER);
                 (Box::new(m), r)
             }
             ModelKind::SeasonalAr => {
-                let (m, r) = SeasonalArModel::train(
-                    history,
-                    self.config.seasonal_bins,
-                    self.config.ar_order,
-                );
+                let (m, r) = SeasonalArModel::train(history, SEASONAL_BINS, AR_ORDER);
                 (Box::new(m), r)
             }
             ModelKind::LinearTrend => {
@@ -132,7 +128,7 @@ impl PredictionEngine {
                 (Box::new(m), r)
             }
             ModelKind::Markov => {
-                let (m, r) = MarkovModel::train(history, self.config.markov_states);
+                let (m, r) = MarkovModel::train(history, MARKOV_STATES);
                 (Box::new(m), r)
             }
         };

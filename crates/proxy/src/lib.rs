@@ -34,7 +34,7 @@ pub use engine::{EngineConfig, PredictionEngine};
 pub use matching::{QueryClass, QuerySensorMatcher};
 pub use pipeline::{
     CompletedQuery, PipelineAnswer, PipelineConfig, PipelineQuery, PipelineStats, PullReplyCache,
-    QueryPipeline,
+    QueryPipeline, DEFAULT_DEADLINE,
 };
 pub use proxy::{
     Answer, AnswerSource, PastAnswer, PrestoProxy, ProxyConfig, ProxyStats, PumpSensor,

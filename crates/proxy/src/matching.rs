@@ -134,7 +134,6 @@ impl QuerySensorMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use presto_net::{FrameFormat, RadioModel};
 
     fn class(latency_mins: u64, tolerance: f64) -> QueryClass {
         QueryClass {
@@ -201,7 +200,7 @@ mod tests {
             m.register(class(10, 1.0));
             m
         };
-        let uplink = Mac::uplink(RadioModel::mica2(), FrameFormat::tinyos_mica2());
+        let uplink = Mac::uplink();
         let tight = DutyCycle::for_latency_bound(SimDuration::from_secs(5));
         let relaxed = DutyCycle::for_latency_bound(SimDuration::from_mins(10));
         let e_tight = m.estimated_energy_per_day(&tight, &uplink, 100);

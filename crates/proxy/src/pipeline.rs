@@ -41,15 +41,16 @@ use presto_telemetry::QueryTracer;
 use crate::proxy::{Answer, PastAnswer};
 use crate::slice::{SliceConfig, SliceSpec, TieredSliceCache};
 
+/// Default query deadline: how long a query may stay pending before it
+/// fails honestly, in the pipeline and at the fleet router alike. A
+/// per-query deadline (from query–sensor matching's latency classes,
+/// via [`crate::PrestoProxy::submit_query_with_deadline`]) overrides it
+/// for that query.
+pub const DEFAULT_DEADLINE: SimDuration = SimDuration::from_mins(10);
+
 /// Pipeline parameters.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Default deadline: how long a query may stay pending before it
-    /// fails honestly. A per-query deadline (from query–sensor
-    /// matching's latency classes, via
-    /// [`crate::PrestoProxy::submit_query_with_deadline`]) overrides
-    /// this for that query.
-    pub deadline: SimDuration,
     /// Downlink transmission attempts (first tries plus retransmissions)
     /// the pump may issue per epoch, shared across all of the proxy's
     /// sensors. The round-robin pump start rotates each epoch so no
@@ -71,7 +72,6 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            deadline: SimDuration::from_mins(10),
             epoch_attempt_budget: 16,
             trace: false,
             slice: None,

@@ -44,36 +44,33 @@ use crate::cache::{CacheSource, CachedEvent, CachedSample, EventCache, SensorCac
 use crate::engine::{EngineConfig, ModelSlot, PredictionEngine};
 use crate::pipeline::{
     key_op, op_key, CompletedQuery, Part, Parts, PendingQuery, PipelineAnswer, PipelineConfig,
-    PipelineQuery, PullKey, QueryPipeline,
+    PipelineQuery, PullKey, QueryPipeline, DEFAULT_DEADLINE,
 };
 use crate::slice;
+
+/// Age below which a cached sample answers a NOW query outright.
+const FRESHNESS: SimDuration = SimDuration::from_secs(62);
+
+/// Sensor sampling period (for coverage computations).
+const SAMPLE_PERIOD: SimDuration = SimDuration::from_secs(31);
+
+/// Event cache capacity, in events (oldest evict first).
+const EVENT_CAPACITY: usize = 100_000;
 
 /// Proxy configuration.
 #[derive(Clone, Debug)]
 pub struct ProxyConfig {
-    /// Proxy id (for multi-proxy deployments).
-    pub id: usize,
     /// Prediction engine configuration.
     pub engine: EngineConfig,
     /// Cache capacity per sensor, in samples.
     pub cache_capacity: usize,
-    /// Age below which a cached sample answers a NOW query outright.
-    pub freshness: SimDuration,
-    /// Sensor sampling period (for coverage computations).
-    pub sample_period: SimDuration,
     /// The push tolerance configured at the sensors (the extrapolation
     /// error bound under model-driven push).
     pub push_tolerance: f64,
-    /// Radio model for the downlink MAC.
-    pub radio: presto_net::RadioModel,
-    /// Frame format for the downlink MAC.
-    pub frame: presto_net::FrameFormat,
     /// The sensors' LPL check interval (downlink preamble length).
     pub sensor_lpl: SimDuration,
     /// Required cache coverage for a PAST-query cache hit.
     pub past_coverage_hit: f64,
-    /// Event cache capacity, in events (oldest evict first).
-    pub event_capacity: usize,
     /// Asynchronous query pipeline parameters.
     pub pipeline: PipelineConfig,
 }
@@ -81,17 +78,11 @@ pub struct ProxyConfig {
 impl Default for ProxyConfig {
     fn default() -> Self {
         ProxyConfig {
-            id: 0,
             engine: EngineConfig::default(),
             cache_capacity: 50_000,
-            freshness: SimDuration::from_secs(62),
-            sample_period: SimDuration::from_secs(31),
             push_tolerance: 1.0,
-            radio: presto_net::RadioModel::mica2(),
-            frame: presto_net::FrameFormat::tinyos_mica2(),
             sensor_lpl: SimDuration::from_secs(1),
             past_coverage_hit: 0.9,
-            event_capacity: 100_000,
             pipeline: PipelineConfig::default(),
         }
     }
@@ -253,16 +244,12 @@ impl PrestoProxy {
     /// Creates a proxy.
     pub fn new(config: ProxyConfig) -> Self {
         let engine = PredictionEngine::new(config.engine.clone());
-        let downlink = Mac::downlink(
-            config.radio.clone(),
-            config.frame.clone(),
-            config.sensor_lpl,
-        );
+        let downlink = Mac::downlink(config.sensor_lpl);
         PrestoProxy {
             engine,
             downlink,
             sensors: BTreeMap::new(),
-            events: EventCache::new(config.event_capacity),
+            events: EventCache::new(EVENT_CAPACITY),
             events_span: None,
             sealed_spans: Vec::new(),
             spatial: None,
@@ -549,7 +536,7 @@ impl PrestoProxy {
         let mut cursors: Vec<_> = slots
             .map(|slot| (slot.cache.history_iter().peekable(), None))
             .collect();
-        let max_lag = self.config.sample_period * 2;
+        let max_lag = SAMPLE_PERIOD * 2;
         let mut data = Vec::with_capacity(first.cache.len() * ids.len());
         for (t, value) in first.cache.history_iter() {
             let row = data.len();
@@ -577,9 +564,9 @@ impl PrestoProxy {
 
     /// Estimated uplink latency for a reply of `bytes` payload bytes.
     fn reply_latency(&self, bytes: usize) -> SimDuration {
-        let frames = self.config.frame.frames_for(bytes) as u64;
-        let wire = self.config.frame.wire_bytes(bytes) + 6 * frames as usize;
-        self.config.radio.airtime(wire) + SimDuration::from_millis(2) * frames
+        let frames = self.downlink.frame.frames_for(bytes) as u64;
+        let wire = self.downlink.frame.wire_bytes(bytes) + 6 * frames as usize;
+        self.downlink.radio.airtime(wire) + SimDuration::from_millis(2) * frames
     }
 
     /// Books a query into `now_queries`/`past_queries`, then answers it
@@ -627,7 +614,7 @@ impl PrestoProxy {
 
         // 1. Fresh cached sample.
         if let Some(s) = slot.cache.latest() {
-            if t - s.t <= self.config.freshness {
+            if t - s.t <= FRESHNESS {
                 self.stats.cache_hits += 1;
                 return Some(Answer {
                     value: s.value,
@@ -667,7 +654,7 @@ impl PrestoProxy {
                         continue;
                     }
                     if let Some(cs) = self.sensors[&other].cache.latest_at(t) {
-                        if t - cs.t <= self.config.freshness {
+                        if t - cs.t <= FRESHNESS {
                             observed.push((idx, cs.value));
                             freshest = freshest.max(cs.t);
                         }
@@ -705,7 +692,7 @@ impl PrestoProxy {
         let slot = self.sensors.get(&sensor)?;
 
         // 1. Dense cache coverage.
-        let coverage = slot.cache.coverage(from, to, self.config.sample_period);
+        let coverage = slot.cache.coverage(from, to, SAMPLE_PERIOD);
         if coverage >= self.config.past_coverage_hit {
             self.stats.cache_hits += 1;
             return Some(PastAnswer {
@@ -746,7 +733,7 @@ impl PrestoProxy {
                         _ => m.model.predict(ts).value,
                     };
                     samples.push((ts, v));
-                    ts += self.config.sample_period;
+                    ts += SAMPLE_PERIOD;
                 }
                 self.stats.extrapolations += 1;
                 return Some(PastAnswer {
@@ -768,7 +755,7 @@ impl PrestoProxy {
         op: presto_sensor::AggregateOp,
     ) -> Option<Answer> {
         let slot = self.sensors.get(&sensor)?;
-        let coverage = slot.cache.coverage(from, to, self.config.sample_period);
+        let coverage = slot.cache.coverage(from, to, SAMPLE_PERIOD);
         if coverage >= self.config.past_coverage_hit {
             let values: Vec<f64> = slot
                 .cache
@@ -931,7 +918,7 @@ impl PrestoProxy {
             slot.model = None;
             slot.model_installed_at = None;
         }
-        self.events = EventCache::new(self.config.event_capacity);
+        self.events = EventCache::new(EVENT_CAPACITY);
         self.events_span = None;
         self.sealed_spans.clear();
         self.spatial = None;
@@ -987,7 +974,7 @@ impl PrestoProxy {
     /// query that [`PrestoProxy::pump_queries_view`] serves across
     /// epochs. Returns the ticket id under which the completion
     /// surfaces in [`PrestoProxy::take_completed_queries`]. Uses the
-    /// pipeline's default deadline.
+    /// default deadline ([`crate::DEFAULT_DEADLINE`]).
     pub fn submit_query(&mut self, t: SimTime, query: PipelineQuery) -> u64 {
         self.submit_query_with_deadline(t, query, None)
     }
@@ -995,7 +982,7 @@ impl PrestoProxy {
     /// [`PrestoProxy::submit_query`] with a per-query deadline (from
     /// query–sensor matching's latency classes — see
     /// [`crate::QuerySensorMatcher::deadline_for`]); `None` falls back
-    /// to [`PipelineConfig::deadline`]. A tight deadline bounds how
+    /// to [`crate::DEFAULT_DEADLINE`]. A tight deadline bounds how
     /// long the pump may spend retransmitting for this query before it
     /// fails honestly, so callers can trade deadline against retry
     /// budget per latency class.
@@ -1026,16 +1013,13 @@ impl PrestoProxy {
         // slices any earlier query pulled serve from the two-tier slice
         // cache (a sub-window of a previously pulled span completes
         // radio-free), and only the missing slices become sub-RPCs.
-        let specs = match (query, self.pipeline.config.slice.as_ref()) {
-            (
-                PipelineQuery::Past {
-                    sensor,
-                    from,
-                    to,
-                    tolerance,
-                },
-                Some(cfg),
-            ) => slice::plan(sensor, from, to, tolerance, cfg),
+        let specs = match query {
+            PipelineQuery::Past {
+                sensor,
+                from,
+                to,
+                tolerance,
+            } if self.pipeline.config.slice.is_some() => slice::plan(sensor, from, to, tolerance),
             _ => None,
         };
         let parts = match specs {
@@ -1090,7 +1074,7 @@ impl PrestoProxy {
                 Parts::One(Part::whole(key))
             }
         };
-        let deadline = t + deadline.unwrap_or(self.pipeline.config.deadline);
+        let deadline = t + deadline.unwrap_or(DEFAULT_DEADLINE);
         self.pipeline.tracer.record(id, t, SpanEvent::CacheMiss);
         self.pipeline.pending.push(PendingQuery {
             id,
@@ -1130,7 +1114,7 @@ impl PrestoProxy {
         match *query {
             PipelineQuery::Now { sensor, tolerance } => PullKey::Pull {
                 sensor,
-                from: t - self.config.sample_period * 3,
+                from: t - SAMPLE_PERIOD * 3,
                 to: t,
                 tol_bits: tolerance.to_bits(),
             },
@@ -1534,12 +1518,6 @@ impl PrestoProxy {
         // A pull reply is flattened once for every part it serves.
         let pulled: Option<Vec<(SimTime, f64)>> =
             raw.map(|r| r.iter().map(|s| (s.t, s.value)).collect());
-        let quant = self
-            .pipeline
-            .config
-            .slice
-            .as_ref()
-            .map_or(0.05, |c| c.aging_quant_step);
         // The whole window's key, and the one slice fill every slice
         // part on this RPC shares (all of them carry the RPC's key).
         let mut whole_key = None;
@@ -1569,7 +1547,7 @@ impl PrestoProxy {
                         .map(|s| (s.t, s.value))
                         .collect();
                     let tolerance = f64::from_bits(spec.key.tol_bits);
-                    let sigma = slice::slice_sigma(tolerance, raw.iter().map(|s| s.quality), quant);
+                    let sigma = slice::slice_sigma(tolerance, raw.iter().map(|s| s.quality));
                     (spec, samples, sigma)
                 });
                 p.fill(samples.clone(), *sigma);
@@ -1984,7 +1962,7 @@ mod tests {
     /// order to a row-by-row one.
     fn reference_spatial(proxy: &PrestoProxy) -> (usize, Option<SpatialGaussian>) {
         let ids = proxy.sensor_ids();
-        let max_lag = proxy.config.sample_period * 2;
+        let max_lag = SAMPLE_PERIOD * 2;
         let mut rows: Vec<Vec<f64>> = Vec::new();
         for (t, v) in proxy.sensors[&ids[0]].cache.history_iter() {
             let mut row = vec![v];
@@ -2415,7 +2393,7 @@ mod tests {
     fn pipeline_deadline_fails_honestly_and_leaves_no_leaks() {
         let (mut proxy, mut node, mut chan) = pipeline_rig(1.0, 4);
         let t0 = SimTime::from_secs(31 * 210);
-        let deadline = proxy.config().pipeline.deadline;
+        let deadline = DEFAULT_DEADLINE;
         for i in 0..4u64 {
             proxy.submit_query(t0, past(31 * 10 * (i + 1), 31 * 10 * (i + 2), 0.3));
         }
@@ -2533,7 +2511,7 @@ mod tests {
         assert!(done[0].completed_at <= t0 + SimDuration::from_secs(93));
         assert_eq!(proxy.pipeline().pending_queries(), 1);
         // The loose query runs to the default deadline, then fails too.
-        let deadline = proxy.config().pipeline.deadline;
+        let deadline = DEFAULT_DEADLINE;
         let epochs = deadline.div_duration(SimDuration::from_secs(31)) + 2;
         for e in 0..epochs {
             let t = t0 + SimDuration::from_secs(31) * e;

@@ -35,38 +35,32 @@ use std::collections::VecDeque;
 use presto_archive::Quality;
 use presto_sim::{SimDuration, SimTime};
 
-/// Sliced-execution parameters. `None` in
+/// Fixed slice length; slice `i` covers `[i·len, (i+1)·len)` on the
+/// absolute simulation clock.
+const SLICE_LEN: SimDuration = SimDuration::from_hours(1);
+
+/// Minimum number of slices a PAST window must span before the sliced
+/// path engages; narrower windows stay monolithic (one small pull beats
+/// several sub-RPCs).
+const MIN_SLICES: u64 = 2;
+
+/// Sliced-execution parameters: the two cache tiers. `None` in
 /// [`crate::PipelineConfig::slice`] keeps the monolithic pull path
 /// byte-identical to the pre-slice behavior.
 #[derive(Clone, Debug)]
 pub struct SliceConfig {
-    /// Fixed slice length; slice `i` covers `[i·len, (i+1)·len)` on
-    /// the absolute simulation clock.
-    pub slice_len: SimDuration,
-    /// Minimum number of slices a PAST window must span before the
-    /// sliced path engages; narrower windows stay monolithic (one
-    /// small pull beats several sub-RPCs).
-    pub min_slices: u64,
     /// Hot tier (L1, RAM) capacity, in slices.
     pub l1_capacity: usize,
     /// Spill tier (L2) capacity, in slices; 0 disables the spill tier
     /// (L1 evictions drop instead of demoting).
     pub l2_capacity: usize,
-    /// The deployment's archive quantization step, used to re-bound
-    /// aged rows with the same ladder formula the sensors use
-    /// (`quant_step · 2^level`). The proxy configures the sensors, so
-    /// it knows this by construction.
-    pub aging_quant_step: f64,
 }
 
 impl Default for SliceConfig {
     fn default() -> Self {
         SliceConfig {
-            slice_len: SimDuration::from_hours(1),
-            min_slices: 2,
             l1_capacity: 64,
             l2_capacity: 256,
-            aging_quant_step: 0.05,
         }
     }
 }
@@ -106,22 +100,16 @@ pub struct SliceSpec {
 
 /// The slice calculator: maps a PAST window `[from, to]` at `tolerance`
 /// onto its canonical slice sequence, oldest first. Returns `None`
-/// when the window spans fewer than `min_slices` slices (the query
-/// stays monolithic) or the configuration is degenerate.
-pub fn plan(
-    sensor: u16,
-    from: SimTime,
-    to: SimTime,
-    tolerance: f64,
-    cfg: &SliceConfig,
-) -> Option<Vec<SliceSpec>> {
-    let len = cfg.slice_len.as_micros();
-    if len == 0 || to < from {
+/// when the window is inverted or spans fewer than `MIN_SLICES`
+/// slices (the query stays monolithic).
+pub fn plan(sensor: u16, from: SimTime, to: SimTime, tolerance: f64) -> Option<Vec<SliceSpec>> {
+    let len = SLICE_LEN.as_micros();
+    if to < from {
         return None;
     }
     let first = from.as_micros() / len;
     let last = to.as_micros() / len;
-    if last - first + 1 < cfg.min_slices.max(1) {
+    if last - first + 1 < MIN_SLICES {
         return None;
     }
     let tol_bits = tolerance.to_bits();
@@ -160,20 +148,12 @@ pub fn assemble(parts: &[Vec<(SimTime, f64)>], from: SimTime, to: SimTime) -> Ve
 /// Re-bounds one slice's error from its reply: the codec reconstruction
 /// bound (`tolerance / 2`, what the sensor's lossy reply encoding
 /// honors) max'd with the aging ladder bound of the worst aged row
-/// (`quant_step · 2^level`, the same formula the sensors report for
+/// ([`Quality::error_bound`], the bound the sensors report for
 /// aggregate sigma). The assembled answer advertises the worst slice.
-pub fn slice_sigma(
-    tolerance: f64,
-    qualities: impl Iterator<Item = Quality>,
-    aging_quant_step: f64,
-) -> f64 {
-    let mut bound: f64 = tolerance / 2.0;
-    for q in qualities {
-        if let Quality::Aged(level) = q {
-            bound = bound.max(aging_quant_step * (1u64 << level.min(32)) as f64);
-        }
-    }
-    bound
+pub fn slice_sigma(tolerance: f64, qualities: impl Iterator<Item = Quality>) -> f64 {
+    qualities
+        .filter(|q| matches!(q, Quality::Aged(_)))
+        .fold(tolerance / 2.0, |bound, q| bound.max(q.error_bound()))
 }
 
 /// One cached slice.
@@ -367,10 +347,6 @@ impl TieredSliceCache {
 mod tests {
     use super::*;
 
-    fn cfg() -> SliceConfig {
-        SliceConfig::default()
-    }
-
     fn key(index: u64) -> SliceKey {
         SliceKey {
             sensor: 0,
@@ -388,7 +364,7 @@ mod tests {
         // [1h07, 3h11] at 1h slices → slices 1, 2, 3.
         let from = hour(1) + SimDuration::from_mins(7);
         let to = hour(3) + SimDuration::from_mins(11);
-        let specs = plan(5, from, to, 0.2, &cfg()).expect("spans 3 slices");
+        let specs = plan(5, from, to, 0.2).expect("spans 3 slices");
         assert_eq!(specs.len(), 3);
         assert_eq!(specs[0].key.index, 1);
         assert_eq!(specs[2].key.index, 3);
@@ -403,7 +379,7 @@ mod tests {
     fn calculator_boundary_end_belongs_to_next_slice() {
         // A window ending exactly on a boundary includes the slice the
         // endpoint opens (t = 2h belongs to slice 2).
-        let specs = plan(0, hour(1), hour(2), 0.2, &cfg()).expect("2 slices");
+        let specs = plan(0, hour(1), hour(2), 0.2).expect("2 slices");
         assert_eq!(specs.len(), 2);
         assert_eq!(specs[1].key.index, 2);
     }
@@ -412,8 +388,8 @@ mod tests {
     fn calculator_keeps_narrow_windows_monolithic() {
         let from = hour(1) + SimDuration::from_mins(10);
         let to = hour(1) + SimDuration::from_mins(50);
-        assert!(plan(0, from, to, 0.2, &cfg()).is_none(), "single-slice window");
-        assert!(plan(0, to, from, 0.2, &cfg()).is_none(), "inverted window");
+        assert!(plan(0, from, to, 0.2).is_none(), "single-slice window");
+        assert!(plan(0, to, from, 0.2).is_none(), "inverted window");
     }
 
     #[test]
@@ -432,9 +408,9 @@ mod tests {
 
     #[test]
     fn sigma_rebounds_worst_aged_row() {
-        let all_exact = slice_sigma(0.2, [Quality::Exact, Quality::Exact].into_iter(), 0.05);
+        let all_exact = slice_sigma(0.2, [Quality::Exact, Quality::Exact].into_iter());
         assert_eq!(all_exact, 0.1, "codec bound only");
-        let aged = slice_sigma(0.2, [Quality::Exact, Quality::Aged(3)].into_iter(), 0.05);
+        let aged = slice_sigma(0.2, [Quality::Exact, Quality::Aged(3)].into_iter());
         assert_eq!(aged, 0.05 * 8.0, "ladder bound dominates");
     }
 

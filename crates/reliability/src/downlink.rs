@@ -56,6 +56,9 @@ use presto_net::{LinkModel, LossProcess, Mac};
 use presto_sensor::{DownlinkMsg, SensorNode, UplinkMsg, UplinkPayload};
 use presto_sim::{EnergyCategory, EnergyLedger, SimDuration, SimRng, SimTime};
 
+/// How long the proxy waits on a request before retransmitting.
+const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+
 /// Downlink channel parameters.
 #[derive(Clone, Debug)]
 pub struct DownlinkConfig {
@@ -63,12 +66,6 @@ pub struct DownlinkConfig {
     pub request_loss: LossProcess,
     /// Reply/ack-path loss beyond the sensor's first hop.
     pub reply_loss: LossProcess,
-    /// Fixed propagation + queueing delay per delivered message.
-    pub base_delay: SimDuration,
-    /// Serialization delay per wire byte.
-    pub per_byte_delay: SimDuration,
-    /// How long the proxy waits on a request before retransmitting.
-    pub rpc_timeout: SimDuration,
     /// Retransmissions allowed per RPC after the first attempt.
     pub max_retransmits: u32,
     /// Retry-budget capacity, joules. Retransmissions beyond each RPC's
@@ -87,9 +84,6 @@ impl Default for DownlinkConfig {
         DownlinkConfig {
             request_loss: LossProcess::Perfect,
             reply_loss: LossProcess::Perfect,
-            base_delay: SimDuration::from_millis(20),
-            per_byte_delay: SimDuration::from_micros(400),
-            rpc_timeout: SimDuration::from_secs(5),
             // Matches the pre-fabric pull retry count, so a Perfect
             // channel reproduces the old failure behavior.
             max_retransmits: 2,
@@ -403,7 +397,7 @@ impl DownlinkChannel {
                 Attempt::Lost(l) => {
                     // In the synchronous mode the proxy blocks through
                     // the timeout, so it lands in the answer's latency.
-                    latency += l + self.config.rpc_timeout;
+                    latency += l + RPC_TIMEOUT;
                     continue;
                 }
             }
@@ -455,7 +449,7 @@ impl DownlinkChannel {
             self.stats.requests_lost += 1;
             return Attempt::Lost(latency);
         }
-        latency += self.config.base_delay + self.config.per_byte_delay * wire as u64;
+        latency += crate::channel_delay(wire);
         let arrive = t + elapsed + latency;
         let reply = node.handle_sequenced_downlink(arrive, seq, msg, Some(proxy_ledger));
         match reply {
@@ -464,8 +458,7 @@ impl DownlinkChannel {
                     self.stats.replies_lost += 1;
                     return Attempt::Lost(latency);
                 }
-                latency +=
-                    self.config.base_delay + self.config.per_byte_delay * r.wire_bytes as u64;
+                latency += crate::channel_delay(r.wire_bytes);
                 // Pending-RPC match: the reply must carry the id of the
                 // request it answers, which is consumed with its entry.
                 let consumed = match (rpc_qid, reply_query_id(&r)) {
@@ -493,7 +486,7 @@ impl DownlinkChannel {
                     self.stats.replies_lost += 1;
                     return Attempt::Lost(latency);
                 }
-                latency += self.config.base_delay;
+                latency += crate::BASE_DELAY;
                 Attempt::Acked(latency)
             }
         }
@@ -531,7 +524,7 @@ impl DownlinkChannel {
     /// past their deadline, then issues or retransmits attempts
     /// oldest-first while `attempt_budget` lasts (the caller spreads one
     /// budget across its sensors for fairness). A lost attempt schedules
-    /// its retransmission one `rpc_timeout` out; an attempt the energy
+    /// its retransmission one RPC timeout (5 s) out; an attempt the energy
     /// retry budget cannot afford is deferred, not dropped — the RPC
     /// waits for the bucket to refill or its deadline, whichever first.
     pub fn pump_async(
@@ -569,7 +562,7 @@ impl DownlinkChannel {
                         self.attempt_log
                             .push((self.async_rpcs[i].qid, AttemptEvent::Deferred));
                     }
-                    self.async_rpcs[i].next_attempt_at = t + self.config.rpc_timeout;
+                    self.async_rpcs[i].next_attempt_at = t + RPC_TIMEOUT;
                     i += 1;
                     continue;
                 }
@@ -619,7 +612,7 @@ impl DownlinkChannel {
                 // Unreachable: submit_async only admits reply-bearing
                 // requests. Treat as lost if it ever happens.
                 Attempt::Acked(_) | Attempt::Lost(_) => {
-                    self.async_rpcs[i].next_attempt_at = t + self.config.rpc_timeout;
+                    self.async_rpcs[i].next_attempt_at = t + RPC_TIMEOUT;
                     i += 1;
                 }
             }
@@ -688,15 +681,10 @@ fn reply_query_id(msg: &UplinkMsg) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use presto_net::{FrameFormat, RadioModel};
     use presto_sensor::{PushPolicy, SensorConfig};
 
     fn mac() -> Mac {
-        Mac::downlink(
-            RadioModel::mica2(),
-            FrameFormat::tinyos_mica2(),
-            SimDuration::from_secs(1),
-        )
+        Mac::downlink(SimDuration::from_secs(1))
     }
 
     fn archived_node() -> SensorNode {
@@ -754,7 +742,7 @@ mod tests {
         assert!(out.delivered);
         assert_eq!(out.attempts, 2);
         assert!(
-            out.latency >= cfg.rpc_timeout,
+            out.latency >= RPC_TIMEOUT,
             "the lost attempt's timeout must surface in latency"
         );
         assert_eq!(ch.stats().retransmits, 1);
@@ -787,7 +775,7 @@ mod tests {
             ..DownlinkConfig::default()
         };
         let max = cfg.max_retransmits;
-        let timeout = cfg.rpc_timeout;
+        let timeout = RPC_TIMEOUT;
         let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
         let mut node = archived_node();
         let mut ledger = EnergyLedger::new();
@@ -916,7 +904,7 @@ mod tests {
             request_loss: LossProcess::Scripted(vec![false, true].into()),
             ..DownlinkConfig::default()
         };
-        let timeout = cfg.rpc_timeout;
+        let timeout = RPC_TIMEOUT;
         let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
         let mut node = archived_node();
         let mut ledger = EnergyLedger::new();
@@ -1016,7 +1004,7 @@ mod tests {
             budget_refill_j_per_hour: retry_cost * 2.0,
             ..DownlinkConfig::default()
         };
-        let timeout = cfg.rpc_timeout;
+        let timeout = RPC_TIMEOUT;
         let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
         let mut node = archived_node();
         let mut ledger = EnergyLedger::new();

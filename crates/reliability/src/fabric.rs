@@ -27,7 +27,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use presto_net::{FrameFormat, LinkModel, LossProcess, Mac, RadioModel};
+use presto_net::{LinkModel, LossProcess, Mac};
 use presto_sensor::UplinkMsg;
 use presto_sim::{SimDuration, SimRng, SimTime};
 
@@ -38,10 +38,6 @@ pub struct FabricConfig {
     pub up_loss: LossProcess,
     /// Ack-path loss.
     pub down_loss: LossProcess,
-    /// Fixed propagation + queueing delay per delivered message.
-    pub base_delay: SimDuration,
-    /// Serialization delay per wire byte.
-    pub per_byte_delay: SimDuration,
     /// How long a message may sit unacked before retransmission.
     pub retransmit_timeout: SimDuration,
     /// Retransmissions allowed per message after the first attempt.
@@ -50,10 +46,6 @@ pub struct FabricConfig {
     /// Retrying into a dead link would otherwise burn the battery the
     /// silent-sensor architecture exists to save.
     pub retry_budget_j: f64,
-    /// Radio model used to price retransmission attempts.
-    pub radio: RadioModel,
-    /// Frame format used to price retransmission attempts.
-    pub frame: FrameFormat,
     /// RNG seed for the channel loss streams.
     pub seed: u64,
 }
@@ -63,13 +55,9 @@ impl Default for FabricConfig {
         FabricConfig {
             up_loss: LossProcess::Perfect,
             down_loss: LossProcess::Perfect,
-            base_delay: SimDuration::from_millis(20),
-            per_byte_delay: SimDuration::from_micros(400),
             retransmit_timeout: SimDuration::from_secs(10),
             max_retransmits: 4,
             retry_budget_j: 20.0,
-            radio: RadioModel::mica2(),
-            frame: FrameFormat::tinyos_mica2(),
             seed: 0x0F_AB,
         }
     }
@@ -201,7 +189,7 @@ impl Fabric {
                 }
             })
             .collect();
-        let retx_mac = Mac::uplink(config.radio.clone(), config.frame.clone());
+        let retx_mac = Mac::uplink();
         Fabric {
             channels,
             in_flight: BinaryHeap::new(),
@@ -253,7 +241,6 @@ impl Fabric {
             &mut self.stats,
             &mut self.in_flight,
             &mut self.next_order,
-            &self.config,
             sensor,
             ch,
             &mut pending,
@@ -265,12 +252,10 @@ impl Fabric {
 
     /// One transmission attempt of a pending message through the
     /// channel. On survival the message is scheduled for delivery.
-    #[allow(clippy::too_many_arguments)]
     fn attempt(
         stats: &mut FabricStats,
         in_flight: &mut BinaryHeap<Reverse<InFlight>>,
         next_order: &mut u64,
-        config: &FabricConfig,
         sensor: usize,
         ch: &mut Channel,
         pending: &mut Pending,
@@ -284,8 +269,7 @@ impl Fabric {
             stats.lost_in_channel += 1;
             return;
         }
-        let deliver_at =
-            t + config.base_delay + config.per_byte_delay * pending.msg.wire_bytes as u64;
+        let deliver_at = t + crate::channel_delay(pending.msg.wire_bytes);
         let order = *next_order;
         *next_order += 1;
         in_flight.push(Reverse(InFlight {
@@ -374,7 +358,6 @@ impl Fabric {
                     &mut self.stats,
                     &mut self.in_flight,
                     &mut self.next_order,
-                    &self.config,
                     sensor,
                     ch,
                     &mut pending,

@@ -52,6 +52,18 @@ pub use fabric::{Fabric, FabricConfig, FabricStats, SequencedUplink};
 pub use liveness::{Health, LivenessConfig, LivenessMonitor, LivenessStats};
 pub use recovery::{GapTracker, Observation, PendingRecovery, RecoveryStats};
 
+use presto_sim::SimDuration;
+
+/// Fixed propagation + queueing delay of one delivered message, on the
+/// fabric and the downlink alike.
+const BASE_DELAY: SimDuration = SimDuration::from_millis(20);
+
+/// One-way delay of a delivered message of `wire_bytes`: [`BASE_DELAY`]
+/// plus 400 µs of serialization per wire byte.
+fn channel_delay(wire_bytes: usize) -> SimDuration {
+    BASE_DELAY + SimDuration::from_micros(400) * wire_bytes as u64
+}
+
 /// Everything the system driver needs to run reliably under loss.
 #[derive(Clone, Debug)]
 pub struct ReliabilityConfig {
@@ -69,13 +81,7 @@ pub struct ReliabilityConfig {
     pub liveness: LivenessConfig,
     /// Heartbeat interval for silent sensors. Must be shorter than the
     /// liveness lease or healthy-but-quiet sensors will flap Suspect.
-    pub heartbeat_every: presto_sim::SimDuration,
-    /// Reply-codec tolerance for recovery pulls (tight: the replay is
-    /// repairing ground truth, not answering a sloppy query).
-    pub recovery_tolerance: f64,
-    /// Padding added around a detected gap when pulling, absorbing
-    /// boundary effects (in-flight messages, clock slack).
-    pub recovery_pad: presto_sim::SimDuration,
+    pub heartbeat_every: SimDuration,
 }
 
 impl Default for ReliabilityConfig {
@@ -88,9 +94,7 @@ impl Default for ReliabilityConfig {
             // Low-rate on purpose: ~19 B every 10 min is ~2.7 kB/day,
             // noise next to the model-driven push budget. Experiments
             // that need fast detection tighten this with the lease.
-            heartbeat_every: presto_sim::SimDuration::from_mins(10),
-            recovery_tolerance: 0.05,
-            recovery_pad: presto_sim::SimDuration::from_secs(62),
+            heartbeat_every: SimDuration::from_mins(10),
         }
     }
 }

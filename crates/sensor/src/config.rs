@@ -1,7 +1,7 @@
 //! Sensor node configuration.
 
 use presto_archive::ArchiveConfig;
-use presto_net::{DutyCycle, FrameFormat, RadioModel};
+use presto_net::DutyCycle;
 use presto_sim::SimDuration;
 use presto_wavelet::CodecParams;
 
@@ -16,16 +16,12 @@ pub struct SensorConfig {
     pub push: PushPolicy,
     /// Codec for compressed batches and pull replies.
     pub reply_codec: CodecParams,
-    /// Radio duty cycle (LPL check interval).
+    /// Radio duty cycle (LPL check interval). The radio is the uplink
+    /// MAC's Mica2 ([`presto_net::Mac::downlink`]), and model checks and
+    /// compression always charge CPU energy.
     pub duty: DutyCycle,
-    /// Radio hardware.
-    pub radio: RadioModel,
-    /// Frame geometry.
-    pub frame: FrameFormat,
     /// Local archive configuration.
     pub archive: ArchiveConfig,
-    /// Charge CPU energy for model checks and compression.
-    pub account_cpu: bool,
     /// Announce archive segment seals with a tiny uplink so the proxy
     /// tier's range index follows the archive block-by-block. Off by
     /// default: single-node policy benchmarks measure push policies,
@@ -40,10 +36,7 @@ impl Default for SensorConfig {
             push: PushPolicy::ModelDriven { tolerance: 1.0 },
             reply_codec: CodecParams::for_tolerance(0.5),
             duty: DutyCycle::lpl(SimDuration::from_secs(1)),
-            radio: RadioModel::mica2(),
-            frame: FrameFormat::tinyos_mica2(),
             archive: ArchiveConfig::default(),
-            account_cpu: true,
             announce_seals: false,
         }
     }
@@ -58,6 +51,5 @@ mod tests {
         let c = SensorConfig::default();
         assert!(matches!(c.push, PushPolicy::ModelDriven { .. }));
         assert_eq!(c.sample_period, SimDuration::from_secs(31));
-        assert_eq!(c.radio, RadioModel::mica2());
     }
 }

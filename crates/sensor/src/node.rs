@@ -117,11 +117,7 @@ impl SensorNode {
     /// cost is exactly what batching amortizes in Figure 2.
     pub fn new(id: u16, config: SensorConfig, link: LinkModel) -> Self {
         let archive = ArchiveStore::new(config.archive.clone());
-        let uplink = Mac::downlink(
-            config.radio.clone(),
-            config.frame.clone(),
-            config.duty.check_interval,
-        );
+        let uplink = Mac::downlink(config.duty.check_interval);
         SensorNode {
             id,
             archive,
@@ -192,16 +188,14 @@ impl SensorNode {
             let window = t - self.last_advance;
             self.config
                 .duty
-                .charge_listening(&self.config.radio, window, &mut self.ledger);
+                .charge_listening(&self.uplink.radio, window, &mut self.ledger);
             self.last_advance = t;
         }
     }
 
     fn charge_cpu(&mut self, cycles: u64) {
-        if self.config.account_cpu {
-            self.ledger
-                .charge(EnergyCategory::Cpu, self.cpu.op_energy(cycles));
-        }
+        self.ledger
+            .charge(EnergyCategory::Cpu, self.cpu.op_energy(cycles));
     }
 
     /// Transmits a payload over the uplink; returns the message if every
@@ -658,11 +652,7 @@ impl SensorNode {
         self.charge_cpu(rows.len() as u64 * 8);
         let values: Vec<f64> = rows.iter().map(|r| r.value).collect();
         let value = evaluate_aggregate(op, &values);
-        let sigma = aggregate_sigma(
-            op,
-            rows.iter().map(|r| r.quality),
-            self.config.archive.quant_step,
-        );
+        let sigma = aggregate_sigma(op, rows.iter().map(|r| r.quality));
         self.send(
             t,
             wire::AGGREGATE_REPLY,
@@ -754,27 +744,21 @@ impl SensorNode {
 /// Error bound (one sigma) of an aggregate computed over archived rows
 /// of the given qualities.
 ///
-/// Each row's reconstruction error is bounded by its provenance: a raw
-/// record is exact, a wavelet-aged summary at ladder level `l` carries
-/// the quantizer bound widened by the level's time-smoothing (each rung
-/// halves the resolution, so the bound doubles per level). The operator
-/// then propagates the per-row bounds: a mean averages them, an
-/// extremum is located to within the worst row's bound, a mode adds the
-/// binning half-width on top. `Count` is exact by construction; an
-/// empty range carries no information at all.
+/// Each row's reconstruction error is bounded by its provenance
+/// ([`Quality::error_bound`]): a raw record is exact, an aged summary
+/// carries the aging ladder's bound. The operator then propagates the
+/// per-row bounds: a mean averages them, an extremum is located to
+/// within the worst row's bound, a mode adds the binning half-width on
+/// top. `Count` is exact by construction; an empty range carries no
+/// information at all.
 pub fn aggregate_sigma(
     op: crate::msg::AggregateOp,
     qualities: impl Iterator<Item = Quality>,
-    quant_step: f64,
 ) -> f64 {
     use crate::msg::AggregateOp;
-    let bound = |q: Quality| match q {
-        Quality::Exact => 0.0,
-        Quality::Aged(level) => quant_step * (1u64 << level.min(32)) as f64,
-    };
     let (mut n, mut sum, mut max) = (0u64, 0.0f64, 0.0f64);
     for q in qualities {
-        let b = bound(q);
+        let b = q.error_bound();
         n += 1;
         sum += b;
         max = max.max(b);
@@ -1227,14 +1211,14 @@ mod tests {
         use presto_archive::Quality;
         let exact = [Quality::Exact; 4];
         assert_eq!(
-            aggregate_sigma(AggregateOp::Mean, exact.iter().copied(), 0.05),
+            aggregate_sigma(AggregateOp::Mean, exact.iter().copied()),
             0.0
         );
         // Aged rows widen the bound; deeper aging widens it more.
         let aged1 = [Quality::Exact, Quality::Aged(1)];
         let aged3 = [Quality::Exact, Quality::Aged(3)];
-        let s1 = aggregate_sigma(AggregateOp::Max, aged1.iter().copied(), 0.05);
-        let s3 = aggregate_sigma(AggregateOp::Max, aged3.iter().copied(), 0.05);
+        let s1 = aggregate_sigma(AggregateOp::Max, aged1.iter().copied());
+        let s3 = aggregate_sigma(AggregateOp::Max, aged3.iter().copied());
         assert!(s1 > 0.0 && s3 > s1, "{s1} vs {s3}");
         // Mean averages bounds, so one aged row among many dilutes.
         let diluted = [
@@ -1243,16 +1227,16 @@ mod tests {
             Quality::Exact,
             Quality::Exact,
         ];
-        let sm = aggregate_sigma(AggregateOp::Mean, diluted.iter().copied(), 0.05);
+        let sm = aggregate_sigma(AggregateOp::Mean, diluted.iter().copied());
         assert!(sm < s1);
         // Count is exact regardless; empty ranges carry no information.
         assert_eq!(
-            aggregate_sigma(AggregateOp::Count, aged3.iter().copied(), 0.05),
+            aggregate_sigma(AggregateOp::Count, aged3.iter().copied()),
             0.0
         );
-        assert!(aggregate_sigma(AggregateOp::Mean, std::iter::empty(), 0.05).is_infinite());
+        assert!(aggregate_sigma(AggregateOp::Mean, std::iter::empty()).is_infinite());
         // Mode adds the binning half-width.
-        let sb = aggregate_sigma(AggregateOp::Mode { bin_width: 0.5 }, exact.iter().copied(), 0.05);
+        let sb = aggregate_sigma(AggregateOp::Mode { bin_width: 0.5 }, exact.iter().copied());
         assert_eq!(sb, 0.25);
     }
 

@@ -191,15 +191,16 @@ impl WatchdogRule {
     }
 }
 
-/// `presto-scope` configuration: which series to follow, how much to
-/// retain, and which rules to watch.
+/// Ring-buffer bins per series (even, ≥ 2). A full ring folds 2:1, so a
+/// run of any length fits.
+const RING_CAPACITY: usize = 256;
+
+/// `presto-scope` configuration: which series to follow, how many
+/// incidents to retain, and which rules to watch.
 #[derive(Clone, Debug)]
 pub struct ScopeConfig {
     /// Master switch; disabled, every call is a no-op.
     pub enabled: bool,
-    /// Ring-buffer bins per series (even, ≥ 2). A full ring folds
-    /// 2:1, so a run of any length fits.
-    pub ring_capacity: usize,
     /// Retained structured incidents; beyond it incidents are still
     /// *counted* per rule but their records drop.
     pub incident_capacity: usize,
@@ -217,7 +218,6 @@ impl Default for ScopeConfig {
     fn default() -> Self {
         ScopeConfig {
             enabled: false,
-            ring_capacity: 256,
             incident_capacity: 128,
             attribution_pad: SimDuration::from_mins(20),
             series: Vec::new(),
@@ -592,7 +592,7 @@ impl PrestoScope {
             .collect();
         let series = specs
             .into_iter()
-            .map(|s| (s.path, RingSeries::new(config.ring_capacity)))
+            .map(|s| (s.path, RingSeries::new(RING_CAPACITY)))
             .collect();
         let watchdog = WatchdogEngine::new(
             rules,

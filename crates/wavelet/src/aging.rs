@@ -34,12 +34,6 @@ pub struct AgingLadder {
     pub quant_step: f64,
 }
 
-impl Default for AgingLadder {
-    fn default() -> Self {
-        AgingLadder { quant_step: 0.05 }
-    }
-}
-
 impl AgingLadder {
     /// Creates a ladder with the given coefficient quantizer step.
     pub fn new(quant_step: f64) -> Self {
@@ -154,7 +148,7 @@ mod tests {
     #[test]
     fn footprint_halves_per_level() {
         let xs = trace(1024);
-        let ladder = AgingLadder::default();
+        let ladder = AgingLadder::new(0.05);
         let sizes: Vec<usize> = (0..6)
             .map(|l| ladder.summarize(&xs, l).byte_len())
             .collect();
@@ -169,7 +163,7 @@ mod tests {
     #[test]
     fn error_grows_monotonically_with_level() {
         let xs = trace(1024);
-        let ladder = AgingLadder::default();
+        let ladder = AgingLadder::new(0.05);
         let errs: Vec<f64> = (0..8).map(|l| ladder.summarize(&xs, l).rmse(&xs)).collect();
         for w in errs.windows(2) {
             assert!(w[1] >= w[0] - 1e-9, "errors not monotone: {errs:?}");
@@ -199,7 +193,7 @@ mod tests {
     #[test]
     fn aging_saturates_at_single_coefficient() {
         let xs = trace(64);
-        let ladder = AgingLadder::default();
+        let ladder = AgingLadder::new(0.05);
         let mut s = ladder.summarize(&xs, 0);
         for _ in 0..20 {
             s = ladder.age(&s);
@@ -216,14 +210,14 @@ mod tests {
     #[test]
     fn reconstruct_handles_non_pow2_lengths() {
         let xs = trace(300);
-        let ladder = AgingLadder::default();
+        let ladder = AgingLadder::new(0.05);
         let s = ladder.summarize(&xs, 2);
         assert_eq!(s.reconstruct().len(), 300);
     }
 
     #[test]
     fn empty_batch() {
-        let ladder = AgingLadder::default();
+        let ladder = AgingLadder::new(0.05);
         let s = ladder.summarize(&[], 3);
         assert_eq!(s.reconstruct().len(), 0);
         assert_eq!(s.rmse(&[]), 0.0);

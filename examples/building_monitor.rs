@@ -25,12 +25,20 @@ fn main() {
 
     println!("monitoring the building for 2 simulated days...");
     system.run(SimDuration::from_days(2));
-    let report = system.report(2.0);
+    let sensor_j: f64 = system
+        .nodes
+        .iter()
+        .flatten()
+        .map(|n| n.ledger().total())
+        .sum();
     println!(
         "{} sensors, {:.2} J/day/sensor, {} semantic events logged",
         system.total_sensors(),
-        report.sensor_energy_per_day_j,
-        report.events
+        sensor_j / system.total_sensors() as f64 / 2.0,
+        system
+            .telemetry_snapshot()
+            .get("proxy.events_cached")
+            .unwrap_or(0.0)
     );
 
     let mut store = UnifiedStore::new(&mut system);

@@ -18,13 +18,19 @@ fn main() {
     println!("running 1 simulated day of the deployment...");
     system.run(SimDuration::from_days(1));
 
-    let report = system.report(1.0);
+    let snap = system.telemetry_snapshot();
+    let sensor_j: f64 = system
+        .nodes
+        .iter()
+        .flatten()
+        .map(|n| n.ledger().total())
+        .sum();
     println!(
         "sensors: {}  |  mean sensor energy: {:.2} J/day  |  uplink messages: {}  |  models pushed: {}",
         system.total_sensors(),
-        report.sensor_energy_per_day_j,
-        report.uplinks,
-        report.models_pushed
+        sensor_j / system.total_sensors() as f64,
+        snap.get("proxy.uplinks").unwrap_or(0.0),
+        snap.get("proxy.models_pushed").unwrap_or(0.0)
     );
 
     let truth = system.truth.clone();

@@ -12,6 +12,7 @@ use proptest::prelude::*;
 
 use presto::proxy::{
     AnswerSource, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig, PumpSensor,
+    DEFAULT_DEADLINE,
 };
 use presto::reliability::{DownlinkChannel, DownlinkConfig};
 use presto::net::{LinkModel, LossProcess};
@@ -138,7 +139,7 @@ fn run_and_check(
 
     // Submission schedule: epoch → queries.
     let horizon: u64 = 24;
-    let deadline = p.config().pipeline.deadline;
+    let deadline = DEFAULT_DEADLINE;
     let drain = deadline.div_duration(EPOCH) + 2;
     let mut expectations = std::collections::HashMap::new();
     let mut submitted = 0usize;
@@ -230,7 +231,7 @@ fn run_traced(workload: &[(u8, u8)], request: Vec<bool>, reply: Vec<bool>) {
     let mut chan = scripted_channel(request, reply);
 
     let horizon: u64 = 24;
-    let deadline = p.config().pipeline.deadline;
+    let deadline = DEFAULT_DEADLINE;
     let drain = deadline.div_duration(EPOCH) + 2;
     let mut submitted = 0usize;
     for e in 0..horizon + drain {

@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use presto::proxy::slice::{assemble, plan, SliceConfig};
 use presto::proxy::{
     AnswerSource, PastAnswer, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig, PumpSensor,
+    DEFAULT_DEADLINE,
 };
 use presto::reliability::{DownlinkChannel, DownlinkConfig};
 use presto::net::{LinkModel, LossProcess};
@@ -48,11 +49,8 @@ fn archived_node() -> SensorNode {
 /// exercises demotion and promotion, not just inserts.
 fn slice_cfg() -> SliceConfig {
     SliceConfig {
-        slice_len: SimDuration::from_hours(1),
-        min_slices: 2,
         l1_capacity: 4,
         l2_capacity: 8,
-        ..SliceConfig::default()
     }
 }
 
@@ -165,7 +163,7 @@ fn reference_past(
     else {
         panic!("reference_past wants a PAST query");
     };
-    match plan(sensor, from, to, tolerance, &slice_cfg()) {
+    match plan(sensor, from, to, tolerance) {
         Some(specs) => {
             let runs: Vec<Vec<(SimTime, f64)>> = specs
                 .iter()
@@ -207,7 +205,7 @@ fn run_and_check(
     let mut ref_chan = DownlinkChannel::perfect();
 
     let horizon: u64 = 24;
-    let deadline = p.config().pipeline.deadline;
+    let deadline = DEFAULT_DEADLINE;
     let drain = deadline.div_duration(EPOCH) + 2;
     let mut expectations = std::collections::HashMap::new();
     let mut submitted = 0usize;
@@ -399,7 +397,7 @@ fn sub_window_of_pulled_span_completes_radio_free() {
 
 /// Parts with equal keys share one RPC whatever shape they belong to. A
 /// PAST window that is exactly one slice's pull window spans fewer than
-/// `min_slices` slices, so it stays one whole-window part, and its key
+/// two slices, so it stays one whole-window part, and its key
 /// equals that slice's part of a wider sliced query. In either submit
 /// order the two coalesce: three slices cost three RPCs, both queries
 /// complete in the same pump, and each answer equals its blocking
