@@ -8,9 +8,16 @@
 #
 #   crates/bench/outputs.sh                  # run all 21, check exit codes
 #   crates/bench/outputs.sh --against <ref>  # also build <ref> in a scratch
-#                                            # git worktree, run the same 21
-#                                            # there, and fail on the first
-#                                            # stdout that differs
+#                                            # export (git archive), run the
+#                                            # same 21 there, and fail on the
+#                                            # first stdout that differs, then
+#                                            # on the first smoke metric row
+#                                            # that differs
+#
+# The smokes' metric rows are the `metrics` list of each BENCH_*.json:
+# the whole flattened telemetry snapshot. The comparison leaves out the
+# rows that depend on the host or on allocations (`*.micros`,
+# `*.allocs`, `alloc.*`); every other row is deterministic.
 #
 # No expected outputs are committed: the simulator calls libm, so byte
 # identity only holds between two builds on one machine.
@@ -49,13 +56,7 @@ esac
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 scratch=$(mktemp -d)
-cleanup() {
-  if [ -n "$against" ] && [ -d "$scratch/ref" ]; then
-    git -C "$root" worktree remove --force "$scratch/ref" || true
-  fi
-  rm -rf "$scratch"
-}
-trap cleanup EXIT
+trap 'rm -rf "$scratch"' EXIT
 
 build() {
   cargo build --release --quiet --manifest-path "$1/Cargo.toml" -p presto-bench --bins
@@ -84,8 +85,14 @@ run_all() {
 build "$root"
 run_all "$root" "$scratch/head"
 
+# rows <BENCH json>: the deterministic metric rows, one per line.
+rows() {
+  grep '^ *{"key": ' "$1" | grep -Ev '"key": "(alloc\.[^"]*|[^"]*\.(micros|allocs))"'
+}
+
 if [ -n "$against" ]; then
-  git -C "$root" worktree add --quiet --detach "$scratch/ref" "$against"
+  mkdir -p "$scratch/ref"
+  git -C "$root" archive "$against" | tar -x -C "$scratch/ref"
   build "$scratch/ref"
   mkdir -p "$scratch/run-ref"
   (cd "$scratch/run-ref" && run_all "$scratch/ref" "$scratch/base") >/dev/null
@@ -100,4 +107,15 @@ if [ -n "$against" ]; then
     fi
   done
   echo "all ${#OUTPUTS[@]} stdouts byte-identical to $against"
+  benches=0
+  for base in "$scratch"/run-ref/BENCH_*.json; do
+    name=$(basename "$base")
+    if ! diff <(rows "$base") <(rows "$name") >"$scratch/rows.diff"; then
+      echo "metric rows differ from $against: $name" >&2
+      head -n 4 "$scratch/rows.diff" >&2
+      exit 1
+    fi
+    benches=$((benches + 1))
+  done
+  echo "all $benches smokes' deterministic metric rows identical to $against"
 fi

@@ -258,7 +258,7 @@ pub fn failure_scenario(cfg: &FailureScenarioConfig) -> FailureReport {
         ),
     };
     let mut ledger = EnergyLedger::new();
-    let archived = sys.nodes[0][0]
+    let archived = sys.nodes[0]
         .archive_mut()
         .query_range_fullscan(win_from, win_to, &mut ledger)
         .expect("archive readable");

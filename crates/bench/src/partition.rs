@@ -77,11 +77,11 @@ fn double_served(fleet: &FleetDeployment) -> bool {
     let assignment = fleet.system.assignment();
     let mut home_seen = vec![false; assignment.len()];
     let mut violated = false;
-    for &(p, gid, via_foreign) in fleet.pump_log() {
+    for &(p, gid, via_cross) in fleet.system.pump_log() {
         if fleet.is_fenced(p) || fleet.membership().is_declared_dead(p) {
             violated = true;
         }
-        if !via_foreign {
+        if !via_cross {
             let gid = gid as usize;
             if assignment[gid] != p || home_seen[gid] {
                 violated = true;

@@ -131,31 +131,26 @@ impl<'a> UnifiedStore<'a> {
         }
     }
 
-    /// Resolves a single-sensor query's mutable targets: the owning
-    /// proxy, the sensor node, and its downlink channel — with the
-    /// channel's fault gate refreshed for the query instant, so a pull
-    /// towards a crashed or blacked-out sensor times out and fails
-    /// exactly as on real hardware.
+    /// Resolves a single-sensor query's mutable targets: the serving
+    /// proxy (an adopter after a re-home), the sensor node, and its home
+    /// channel — with the channel's fault gate refreshed for the query
+    /// instant, so a pull towards a crashed or blacked-out sensor times
+    /// out and fails exactly as on real hardware.
     fn query_target(
         system: &mut PrestoSystem,
         sensor: u16,
+        serving: usize,
         t: SimTime,
     ) -> (
         &mut presto_proxy::PrestoProxy,
         &mut presto_sensor::SensorNode,
         &mut presto_reliability::DownlinkChannel,
     ) {
-        let (p, s) = system.locate(sensor);
-        // The serving proxy follows the assignment (an adopter after a
-        // re-home); the node and its channel stay with the physical
-        // cluster.
-        let serving = system.assignment()[sensor as usize];
-        let unreachable = system.faults().is_unreachable(sensor as usize, t)
-            || system.faults().proxy_down(serving, t);
-        let (proxies, nodes, downlinks) = system.split_for_query();
-        let chan = &mut downlinks[p][s];
-        chan.set_link_up(!unreachable);
-        (&mut proxies[serving], &mut nodes[p][s], chan)
+        let gid = usize::from(sensor);
+        let up = system.reachable(gid, serving, t);
+        let chan = &mut system.downlinks[gid];
+        chan.set_link_up(up);
+        (&mut system.proxies[serving], &mut system.nodes[gid], chan)
     }
 
     /// Widens an answer's confidence bound by the sensor's health. A
@@ -177,11 +172,23 @@ impl<'a> UnifiedStore<'a> {
         match q.pipeline_query() {
             Ok(pq) => {
                 let sensor = pq.sensor();
-                let (proxy_idx, hops) = self.system.route(sensor);
-                let (p, _) = self.system.locate(sensor);
-                debug_assert_eq!(p, proxy_idx);
+                let Some(serving) = self.system.serving(sensor) else {
+                    // An id outside the sensor space names nothing that
+                    // could answer: fail honestly, advertising nothing.
+                    return StoreResponse {
+                        value: None,
+                        series: Vec::new(),
+                        events: Vec::new(),
+                        source: AnswerSource::Failed,
+                        sigma: f64::INFINITY,
+                        health: Health::Dead,
+                        latency: SimDuration::ZERO,
+                        index_hops: 0,
+                    };
+                };
+                let (_, hops) = self.system.route(sensor);
                 let a = {
-                    let (proxy, node, link) = Self::query_target(self.system, sensor, t);
+                    let (proxy, node, link) = Self::query_target(self.system, sensor, serving, t);
                     proxy.answer(t, pq, node, link)
                 };
                 let (source, latency) = (a.source(), a.latency() + self.hop_latency * hops);
@@ -429,6 +436,35 @@ mod tests {
         });
         // 2 proxies: at most a couple of hops, and latency includes them.
         assert!(r.index_hops <= 4);
+    }
+
+    #[test]
+    fn unknown_sensor_fails_honestly() {
+        let mut sys = running_system(0);
+        let mut store = UnifiedStore::new(&mut sys);
+        for q in [
+            StoreQuery::Now {
+                sensor: 6,
+                tolerance: 1.0,
+            },
+            StoreQuery::Past {
+                sensor: 6,
+                from: SimTime::ZERO,
+                to: SimTime::from_mins(5),
+                tolerance: 1.0,
+            },
+            StoreQuery::Aggregate {
+                sensor: u16::MAX,
+                from: SimTime::ZERO,
+                to: SimTime::from_mins(5),
+                op: presto_sensor::AggregateOp::Mean,
+            },
+        ] {
+            let r = store.query(q);
+            assert_eq!(r.source, AnswerSource::Failed, "{q:?}");
+            assert!(r.sigma.is_infinite());
+            assert!(r.value.is_none() && r.series.is_empty() && r.events.is_empty());
+        }
     }
 
     #[test]

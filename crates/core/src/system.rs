@@ -17,10 +17,17 @@
 //! proxy-side [`LivenessMonitor`] grades each sensor Live/Suspect/Dead
 //! from heartbeat leases, and a [`GapTracker`] turns sequence gaps and
 //! reconnects into archive-backed recovery replays.
+//!
+//! The system owns every proxy→sensor channel: each sensor's home
+//! channel and the cross-proxy channels peers open to pull sensors they
+//! do not serve. One reachability rule gates them all, and one pump
+//! ([`PrestoSystem::pump_views`]) drives them.
+
+use std::collections::BTreeMap;
 
 use presto_index::{ClockCorrector, DriftClock, SkipGraph, TimeRangeIndex};
 use presto_net::{LinkModel, LossProcess, SharedLossState};
-use presto_proxy::{CompletedQuery, PrestoProxy, ProxyConfig};
+use presto_proxy::{CompletedQuery, PrestoProxy, ProxyConfig, PumpSensor};
 use presto_reliability::{
     recovery::padded_span, DownlinkChannel, Fabric, GapTracker, Health, LivenessMonitor,
     Observation, ReliabilityConfig,
@@ -103,16 +110,32 @@ impl Default for SystemConfig {
     }
 }
 
+/// First sequence namespace of the cross-proxy channels: home channels
+/// count up from zero, far below it.
+const CROSS_SEQ_BASE: u64 = 1 << 48;
+
+/// Sequence numbers each cross-proxy channel incarnation may draw.
+const CROSS_SEQ_BLOCK: u64 = 1 << 24;
+
 /// A running three-tier deployment.
 pub struct PrestoSystem {
     config: SystemConfig,
     /// One proxy per cluster.
     pub proxies: Vec<PrestoProxy>,
-    /// `nodes[p][s]`: sensor `s` of proxy `p`.
-    pub nodes: Vec<Vec<SensorNode>>,
-    /// Per-sensor downlink channels, same shape: every proxy→sensor
-    /// message rides one of these.
-    pub downlinks: Vec<Vec<DownlinkChannel>>,
+    /// Every sensor node, indexed by global sensor id (proxy `p`'s
+    /// cluster is ids `p * sensors_per_proxy ..`).
+    pub nodes: Vec<SensorNode>,
+    /// Each sensor's home downlink channel, indexed by global sensor
+    /// id: the one its serving proxy drives.
+    pub downlinks: Vec<DownlinkChannel>,
+    /// Cross-proxy downlink channels keyed `(driver, gid)`: the channel
+    /// a proxy opened to pull a sensor it does not serve.
+    cross: BTreeMap<(usize, u16), DownlinkChannel>,
+    /// Sequence namespace of the next cross-proxy channel incarnation.
+    next_cross_seq_base: u64,
+    /// The last pump pass's audit trail: `(proxy, gid, via cross-proxy
+    /// channel)` for every sensor a proxy drove radio toward.
+    pump_log: Vec<(usize, u16, bool)>,
     /// Per-proxy workload generators.
     labs: Vec<LabDeployment>,
     /// Order-preserving index over global sensor-id space: key = first
@@ -171,8 +194,8 @@ impl PrestoSystem {
         );
         let rng = SimRng::new(config.seed);
         let mut proxies = Vec::with_capacity(config.proxies);
-        let mut nodes = Vec::with_capacity(config.proxies);
-        let mut downlinks = Vec::with_capacity(config.proxies);
+        let mut nodes = Vec::with_capacity(total);
+        let mut downlinks = Vec::with_capacity(total);
         let mut labs = Vec::with_capacity(config.proxies);
         let mut index = SkipGraph::new(config.seed ^ 0xD15C);
 
@@ -197,8 +220,6 @@ impl PrestoSystem {
                 sensor_lpl: LPL,
                 ..config.proxy.clone()
             });
-            let mut cluster = Vec::with_capacity(config.sensors_per_proxy);
-            let mut links = Vec::with_capacity(config.sensors_per_proxy);
             for s in 0..config.sensors_per_proxy {
                 let gid = crate::gid16(p * config.sensors_per_proxy + s);
                 proxy.register_sensor(gid);
@@ -210,14 +231,8 @@ impl PrestoSystem {
                     announce_seals: true,
                     ..SensorConfig::default()
                 };
-                let mk_link = |label: String| {
-                    if config.loss > 0.0 {
-                        LinkModel::new(LossProcess::Bernoulli(config.loss), rng.split(&label))
-                    } else {
-                        LinkModel::perfect()
-                    }
-                };
-                cluster.push(SensorNode::new(gid, cfg, mk_link(format!("up-{gid}"))));
+                let up = first_hop(config.loss, &rng, format_args!("up-{gid}"));
+                nodes.push(SensorNode::new(gid, cfg, up));
                 // The downlink channel wraps the first-hop link; its
                 // end-to-end loss streams come from the reliability
                 // config, replaced by the proxy's shared fading state
@@ -228,12 +243,11 @@ impl PrestoSystem {
                     dl_cfg.request_loss = shared.clone();
                     dl_cfg.reply_loss = shared;
                 }
-                links.push(DownlinkChannel::new(dl_cfg, mk_link(format!("down-{gid}"))));
+                let down = first_hop(config.loss, &rng, format_args!("down-{gid}"));
+                downlinks.push(DownlinkChannel::new(dl_cfg, down));
             }
             index.insert((p * config.sensors_per_proxy) as u64);
             proxies.push(proxy);
-            nodes.push(cluster);
-            downlinks.push(links);
             labs.push(LabDeployment::new(
                 LabParams {
                     sensors: config.sensors_per_proxy,
@@ -271,6 +285,9 @@ impl PrestoSystem {
             proxies,
             nodes,
             downlinks,
+            cross: BTreeMap::new(),
+            next_cross_seq_base: CROSS_SEQ_BASE,
+            pump_log: Vec::new(),
             labs,
             index,
             time_index,
@@ -305,11 +322,20 @@ impl PrestoSystem {
         self.config.proxies * self.config.sensors_per_proxy
     }
 
-    /// Maps a global sensor id to `(proxy index, local index)`.
-    pub fn locate(&self, global: u16) -> (usize, usize) {
-        let p = global as usize / self.config.sensors_per_proxy;
-        let s = global as usize % self.config.sensors_per_proxy;
-        (p.min(self.config.proxies - 1), s)
+    /// The proxy serving sensor `gid` now, or `None` for an id outside
+    /// the sensor space: the one lookup every user-facing query entry
+    /// makes before it touches a per-sensor table.
+    pub fn serving(&self, gid: u16) -> Option<usize> {
+        self.assignment.get(usize::from(gid)).copied()
+    }
+
+    /// The one reachability rule behind every channel gate: `driver`
+    /// reaches sensor `gid` at `t` when the sensor is neither crashed
+    /// nor blacked out and the driver is up. The fabric, home and
+    /// cross-proxy downlinks, training pushes, recovery replays and
+    /// the unified store's blocking queries all ask it.
+    pub(crate) fn reachable(&self, gid: usize, driver: usize, t: SimTime) -> bool {
+        !self.config.faults.is_unreachable(gid, t) && !self.config.faults.proxy_down(driver, t)
     }
 
     /// Routes a sensor id through the Skip Graph, returning the proxy
@@ -331,13 +357,15 @@ impl PrestoSystem {
         SimTime::ZERO + self.config.lab.epoch * self.epoch_index
     }
 
-    /// Advances the whole system by one sampling epoch (the core pass
-    /// plus the default pipeline pump). Deployment-tier drivers that
-    /// pump the pipelines themselves (the fleet router, with shedding
-    /// and cross-proxy channels) call [`PrestoSystem::step_epoch_core`]
-    /// and then their own pump instead.
+    /// Advances the whole system by one sampling epoch: the core pass,
+    /// the cross-proxy channel gates, the pipeline pump and the scope
+    /// tick. The fleet runs [`PrestoSystem::step_epoch_core`], its mesh
+    /// and membership passes, [`PrestoSystem::gate_cross_channels`] and
+    /// then the same [`PrestoSystem::pump_views`] under its fencing
+    /// state.
     pub fn step_epoch(&mut self) {
         let t = self.step_epoch_core();
+        self.gate_cross_channels(t);
         self.pump_pipelines(t);
         self.scope_tick(t);
     }
@@ -358,28 +386,29 @@ impl PrestoSystem {
         // 0. Proxy-tier fault gates: a proxy entering a blackout loses
         // its RAM-resident query state — pending pipeline queries,
         // uncollected answers, reply cache, per-sensor caches and model
-        // replicas, and the pending-RPC tables of every channel it was
-        // driving. Its sensors keep sampling into their archives; they
-        // become reachable again when the deployment tier re-homes them
-        // or the proxy reboots.
+        // replicas, the pending-RPC tables of the home channels it was
+        // driving, and its cross-proxy channels outright. Its sensors
+        // keep sampling into their archives; they become reachable
+        // again when the deployment tier re-homes them or the proxy
+        // reboots.
         for p in 0..self.config.proxies {
             let down = self.config.faults.proxy_down(p, t);
             if down && !self.proxy_was_down[p] {
                 self.proxies[p].crash_reset();
-                for gid in 0..self.total_sensors() {
-                    if self.assignment[gid] == p {
-                        let (hp, hs) = self.locate(crate::gid16(gid));
-                        self.downlinks[hp][hs].reset_proxy_state();
+                for (chan, &driver) in self.downlinks.iter_mut().zip(&self.assignment) {
+                    if driver == p {
+                        chan.reset_proxy_state();
                     }
                 }
+                self.drop_cross_channels(p);
             }
             self.proxy_was_down[p] = down;
         }
 
         // 1. Fault gates: detect crash edges and set each sensor's
-        // channel state — uplink fabric *and* downlink channel — for
-        // this epoch. The shared fading state (when correlated loss is
-        // on) advances one chain step per epoch, pinned bad during
+        // channel state — uplink fabric *and* home downlink channel —
+        // for this epoch. The shared fading state (when correlated loss
+        // is on) advances one chain step per epoch, pinned bad during
         // injected burst windows.
         for shared in &self.shared_loss {
             shared.force(if self.config.faults.shared_burst_active(t) {
@@ -390,7 +419,6 @@ impl PrestoSystem {
             shared.advance(1);
         }
         for gid in 0..self.total_sensors() {
-            let (p, s) = self.locate(crate::gid16(gid));
             let down = self.config.faults.is_down(gid, t);
             if down && !self.was_down[gid] {
                 // Crash onset: the unacked retransmission window lives
@@ -402,7 +430,7 @@ impl PrestoSystem {
                 // RAM state (model replica, pending batch, archive page
                 // buffer) dies with the crash; the flash archive and
                 // the sequence counter survive.
-                self.nodes[p][s].reboot(t);
+                self.nodes[gid].reboot(t);
                 self.fabric.clear_pending(gid);
             }
             self.was_down[gid] = down;
@@ -410,12 +438,11 @@ impl PrestoSystem {
             // head-end: its uplinks die in the channel (surfacing later
             // as gaps to repair) until the proxy reboots or the sensor
             // re-homes to a survivor.
-            let reachable = !self.config.faults.is_unreachable(gid, t)
-                && !self.config.faults.proxy_down(self.assignment[gid], t);
+            let reachable = self.reachable(gid, self.assignment[gid], t);
             self.fabric.set_link_up(gid, reachable);
-            self.downlinks[p][s].set_link_up(reachable);
+            self.downlinks[gid].set_link_up(reachable);
             // Downlink maintenance: refills the retransmission budget.
-            self.downlinks[p][s].tick(t);
+            self.downlinks[gid].tick(t);
         }
         self.last_fault_check = t;
 
@@ -435,24 +462,19 @@ impl PrestoSystem {
                 stepped += 1;
                 // Sensors timestamp with their drifting local clocks.
                 let local_t = self.clocks[gid].local_time(r.timestamp);
-                let msgs = {
-                    let node = &mut self.nodes[p][s];
-                    node.on_sample(local_t, r.value, Some(proxy_ledger(&mut self.proxies[p])))
-                };
+                let msgs =
+                    self.nodes[gid].on_sample(local_t, r.value, Some(self.proxies[p].ledger_mut()));
                 for msg in msgs {
                     self.fabric.offer(t, gid, msg);
                 }
                 // Rare-event onset → immediate semantic event report.
                 if r.event_active && !self.event_was_active[gid] {
-                    let ev = {
-                        let node = &mut self.nodes[p][s];
-                        node.on_event(
-                            local_t,
-                            RARE_EVENT_TYPE,
-                            r.value.to_le_bytes().to_vec(),
-                            Some(proxy_ledger(&mut self.proxies[p])),
-                        )
-                    };
+                    let ev = self.nodes[gid].on_event(
+                        local_t,
+                        RARE_EVENT_TYPE,
+                        r.value.to_le_bytes().to_vec(),
+                        Some(self.proxies[p].ledger_mut()),
+                    );
                     if let Some(msg) = ev {
                         self.fabric.offer(t, gid, msg);
                     }
@@ -468,12 +490,14 @@ impl PrestoSystem {
             if self.config.faults.is_down(gid, t) {
                 continue;
             }
-            let (p, s) = self.locate(crate::gid16(gid));
+            // The home cluster head pays to hear it, as for samples.
+            let p = gid / self.config.sensors_per_proxy;
             let local_t = self.clocks[gid].local_time(t);
-            let hb = {
-                let node = &mut self.nodes[p][s];
-                node.maybe_heartbeat(local_t, hb_every, Some(proxy_ledger(&mut self.proxies[p])))
-            };
+            let hb = self.nodes[gid].maybe_heartbeat(
+                local_t,
+                hb_every,
+                Some(self.proxies[p].ledger_mut()),
+            );
             if let Some(msg) = hb {
                 self.fabric.offer(t, gid, msg);
             }
@@ -481,18 +505,12 @@ impl PrestoSystem {
 
         // 4. Retransmission machinery, billing each attempt to the
         // sending sensor's radio.
-        {
-            let nodes = &mut self.nodes;
-            let spp = self.config.sensors_per_proxy;
-            let nproxies = self.config.proxies;
-            self.fabric.tick(t, |gid, joules| {
-                let p = (gid / spp).min(nproxies - 1);
-                let s = gid % spp;
-                nodes[p][s]
-                    .ledger_mut()
-                    .charge(EnergyCategory::RadioTx, joules);
-            });
-        }
+        let nodes = &mut self.nodes;
+        self.fabric.tick(t, |gid, joules| {
+            nodes[gid]
+                .ledger_mut()
+                .charge(EnergyCategory::RadioTx, joules);
+        });
 
         // 5. Consume deliveries: dedup, gap-detect, renew leases, feed
         // the proxies, and register seal notifications in the range
@@ -552,14 +570,10 @@ impl PrestoSystem {
             self.last_train_check = t;
             for gid in 0..self.total_sensors() {
                 let sp = self.assignment[gid];
-                if self.config.faults.is_unreachable(gid, t)
-                    || self.config.faults.proxy_down(sp, t)
-                {
+                if !self.reachable(gid, sp, t) {
                     continue;
                 }
-                let (hp, hs) = self.locate(crate::gid16(gid));
-                let node = &mut self.nodes[hp][hs];
-                let chan = &mut self.downlinks[hp][hs];
+                let (node, chan) = (&mut self.nodes[gid], &mut self.downlinks[gid]);
                 self.proxies[sp].maybe_train_and_push(t, crate::gid16(gid), node, chan);
             }
             for p in 0..self.config.proxies {
@@ -586,39 +600,126 @@ impl PrestoSystem {
         t
     }
 
-    /// The default asynchronous query-pipeline pump: every *up* proxy
-    /// issues or retransmits downlink pulls for all of its outstanding
-    /// queries (fairness-budgeted across the sensors it currently
-    /// serves, per the assignment), matches arriving replies back to
-    /// pending queries, and completes them — one proxy overlaps many
-    /// in-flight pulls across epochs. Deployment-tier drivers replace
-    /// this with their own pump (shedding, cross-proxy channels).
+    /// The single-system pipeline pump: [`PrestoSystem::pump_views`]
+    /// with no proxy fenced, timed as the `pump_pipelines` phase and
+    /// counting the attempts spent as its work items.
     pub fn pump_pipelines(&mut self, t: SimTime) {
         let timer = self.profiler.begin();
+        let attempts = self.pump_views(t, &[]);
+        self.profiler.end("pump_pipelines", timer);
+        self.profiler.count("pump_pipelines", attempts);
+    }
+
+    /// The one query-pipeline pump. Every up proxy pumps its view: the
+    /// sensors it serves through their home channels, then those it
+    /// holds cross-proxy channels to, each group in gid order and each
+    /// sensor once. A proxy marked in `fenced` (up, outside the
+    /// membership quorum) pumps an empty view, so its pipeline still
+    /// expires queries honestly and it drives no radio. Records the
+    /// pass in [`PrestoSystem::pump_log`]; returns the attempts spent.
+    pub fn pump_views(&mut self, t: SimTime, fenced: &[bool]) -> u64 {
+        self.pump_log.clear();
         let mut attempts = 0u64;
         for p in 0..self.config.proxies {
             if self.config.faults.proxy_down(p, t) {
                 continue;
             }
             let assignment = &self.assignment;
-            let mut view: Vec<presto_proxy::PumpSensor<'_>> = self
-                .nodes
-                .iter_mut()
-                .flatten()
-                .zip(self.downlinks.iter_mut().flatten())
-                .enumerate()
-                .filter(|&(gid, _)| assignment[gid] == p)
-                .map(|(gid, (node, chan))| presto_proxy::PumpSensor {
-                    gid: crate::gid16(gid),
-                    node,
-                    chan,
-                })
-                .collect();
+            let via_cross = |gid: u16| assignment[usize::from(gid)] != p;
+            let mut view: Vec<PumpSensor<'_>> = Vec::new();
+            if fenced.get(p) != Some(&true) {
+                let mut cross = self.cross.range_mut((p, 0)..=(p, u16::MAX)).peekable();
+                for (gid, (node, home)) in
+                    self.nodes.iter_mut().zip(&mut self.downlinks).enumerate()
+                {
+                    let gid = crate::gid16(gid);
+                    let cross_chan = cross.next_if(|((_, g), _)| *g == gid);
+                    let chan = match (via_cross(gid), cross_chan) {
+                        (false, _) => home,
+                        (true, Some((_, chan))) => chan,
+                        (true, None) => continue,
+                    };
+                    view.push(PumpSensor { gid, node, chan });
+                }
+                view.sort_unstable_by_key(|s| (via_cross(s.gid), s.gid));
+                self.pump_log
+                    .extend(view.iter().map(|s| (p, s.gid, via_cross(s.gid))));
+            }
             self.proxies[p].pump_queries_view(t, &mut view);
             attempts += self.proxies[p].pipeline().last_pump_attempts() as u64;
         }
-        self.profiler.end("pump_pipelines", timer);
-        self.profiler.count("pump_pipelines", attempts);
+        attempts
+    }
+
+    /// The last pump pass's audit trail: `(proxy, gid, via cross-proxy
+    /// channel)` for every sensor a proxy drove radio toward, in view
+    /// order.
+    pub fn pump_log(&self) -> &[(usize, u16, bool)] {
+        &self.pump_log
+    }
+
+    /// Provisions `driver` to pull sensor `gid`: registers it there and,
+    /// unless `driver` serves it, opens `driver`'s cross-proxy channel
+    /// once. Each incarnation draws sequence numbers from a fresh block,
+    /// disjoint from the home channel's and every earlier one's, so the
+    /// sensor's duplicate filter stays sound with two proxies, or a
+    /// rebuilt channel, talking to it.
+    pub fn open_channel(&mut self, driver: usize, gid: u16) {
+        self.proxies[driver].register_sensor(gid);
+        if self.assignment[usize::from(gid)] == driver || self.cross.contains_key(&(driver, gid)) {
+            return;
+        }
+        let mut dl_cfg = self.config.reliability.downlink.clone();
+        dl_cfg.seed ^= (driver as u64 + 1)
+            .rotate_left(19)
+            .wrapping_mul(0x9E37_79B9)
+            .wrapping_add(u64::from(gid));
+        let root = SimRng::new(self.config.seed ^ 0xF1EE7);
+        let hop = first_hop(
+            self.config.loss,
+            &root,
+            format_args!("fleet-hop-{driver}-{gid}"),
+        );
+        let mut chan = DownlinkChannel::new(dl_cfg, hop);
+        chan.set_seq_namespace(self.next_cross_seq_base);
+        self.next_cross_seq_base += CROSS_SEQ_BLOCK;
+        self.cross.insert((driver, gid), chan);
+    }
+
+    /// Gates and ticks every cross-proxy channel for epoch `t`, before
+    /// the pump; the fleet calls this after adopting forwards (which may
+    /// open channels). Returns the channels ticked.
+    pub fn gate_cross_channels(&mut self, t: SimTime) -> u64 {
+        // Taken out for the loop, so the rule can borrow the system.
+        let mut cross = std::mem::take(&mut self.cross);
+        for (&(driver, gid), chan) in cross.iter_mut() {
+            chan.set_link_up(self.reachable(usize::from(gid), driver, t));
+            chan.tick(t);
+        }
+        self.cross = cross;
+        self.cross.len() as u64
+    }
+
+    /// Drops `driver`'s cross-proxy channels, pending-RPC tables and all:
+    /// they are its RAM. The crash edge calls this, as does the fleet's
+    /// failover, since a quorum can declare a proxy dead while it is up.
+    pub fn drop_cross_channels(&mut self, driver: usize) {
+        self.cross.retain(|&(d, _), _| d != driver);
+    }
+
+    /// Each proxy's retry-budget depletion: the largest spent fraction
+    /// over every channel it drives, home and cross-proxy (0 for a proxy
+    /// that drives none). Admission control reads it as pressure.
+    pub fn retry_depletions(&self) -> Vec<f64> {
+        let cap = self.config.reliability.downlink.retry_budget_j.max(1e-9);
+        let home = self.assignment.iter().copied().zip(&self.downlinks);
+        let cross = self.cross.iter().map(|(&(driver, _), chan)| (driver, chan));
+        let mut depletion = vec![0.0f64; self.config.proxies];
+        for (p, chan) in home.chain(cross) {
+            let d = (1.0 - chan.budget_remaining_j() / cap).clamp(0.0, 1.0);
+            depletion[p] = depletion[p].max(d);
+        }
+        depletion
     }
 
     /// Current serving proxy per sensor (flat global ids).
@@ -626,22 +727,23 @@ impl PrestoSystem {
         &self.assignment
     }
 
-    /// Re-homes a sensor to a new serving proxy: registers it there,
-    /// clears the proxy-side half of its downlink channel (the previous
-    /// driver's pending-RPC table means nothing to the new one), and
-    /// routes its future uplinks, pulls, training, and recovery replays
-    /// to the adopter. Cache and replica warm-up is the caller's job —
-    /// the deployment tier drives an archive-backed recovery replay
-    /// over the outage span, the same warm-up path gap repair uses.
-    pub fn rehome_sensor(&mut self, gid: usize, proxy: usize) {
+    /// Re-homes sensor `gid` to `proxy` at epoch `t`: registers it there,
+    /// clears the previous driver's pending RPCs on its home channel,
+    /// drops the adopter's now-redundant cross-proxy channel, and queues
+    /// the archive-backed replay from the sensor's last covered instant
+    /// to `t` that warms the adopter (the path gap repair uses). Its
+    /// uplinks, pulls, training and replays then route to the adopter.
+    pub fn rehome_sensor(&mut self, gid: usize, proxy: usize, t: SimTime) {
         assert!(proxy < self.config.proxies, "no such proxy");
         if self.assignment[gid] == proxy {
             return;
         }
         self.assignment[gid] = proxy;
         self.proxies[proxy].register_sensor(crate::gid16(gid));
-        let (hp, hs) = self.locate(crate::gid16(gid));
-        self.downlinks[hp][hs].reset_proxy_state();
+        self.downlinks[gid].reset_proxy_state();
+        self.cross.remove(&(proxy, crate::gid16(gid)));
+        let covered = self.gaps.covered_until(gid);
+        self.gaps.request_recovery(gid, covered, t, t);
     }
 
     /// Queues an archive-backed recovery replay for every sensor
@@ -681,17 +783,14 @@ impl PrestoSystem {
         let mut repaired = false;
         for r in pending {
             let sp = self.assignment[r.sensor];
-            if self.config.faults.is_unreachable(r.sensor, t)
-                || self.config.faults.proxy_down(sp, t)
-            {
+            if !self.reachable(r.sensor, sp, t) {
                 self.gaps.request_recovery(r.sensor, r.from, r.to, r.detected_at);
                 continue;
             }
-            let (p, s) = self.locate(crate::gid16(r.sensor));
             let (from, to) = padded_span(r.from, r.to, RECOVERY_PAD);
             let tolerance = RECOVERY_TOLERANCE;
-            let node = &mut self.nodes[p][s];
-            let chan = &mut self.downlinks[p][s];
+            let node = &mut self.nodes[r.sensor];
+            let chan = &mut self.downlinks[r.sensor];
             match self.proxies[sp].recover_span(t, crate::gid16(r.sensor), from, to, tolerance, node, chan)
             {
                 Some(samples) => {
@@ -708,32 +807,19 @@ impl PrestoSystem {
         }
     }
 
-    /// Splits the mutable borrows a query path needs: proxies, nodes,
-    /// and downlink channels. Unreachable sensors are handled by the
-    /// channels' own fault gates, not by link substitution.
-    #[allow(clippy::type_complexity)]
-    pub fn split_for_query(
-        &mut self,
-    ) -> (
-        &mut Vec<PrestoProxy>,
-        &mut Vec<Vec<SensorNode>>,
-        &mut Vec<Vec<DownlinkChannel>>,
-    ) {
-        (&mut self.proxies, &mut self.nodes, &mut self.downlinks)
-    }
-
     /// Submits a query to the owning proxy's asynchronous pipeline at
     /// the system's current time. Returns `(proxy index, ticket)` — the
     /// completion surfaces under that ticket in
     /// [`PrestoSystem::take_completed_queries`] — or `None` for query
-    /// classes the pipeline does not serve (deployment-wide Events) and
-    /// for sensors whose serving proxy is down (a dead process accepts
-    /// no submissions; enqueuing into its pipeline object would park a
-    /// query nothing ever pumps or expires).
+    /// classes the pipeline does not serve (deployment-wide Events), for
+    /// sensor ids outside the sensor space, and for sensors whose
+    /// serving proxy is down (a dead process accepts no submissions;
+    /// enqueuing into its pipeline object would park a query nothing
+    /// ever pumps or expires).
     pub fn submit_query(&mut self, q: crate::store::StoreQuery) -> Option<(usize, u64)> {
         let t = self.now();
         let pq = q.pipeline_query().ok()?;
-        let p = self.assignment[pq.sensor() as usize];
+        let p = self.serving(pq.sensor())?;
         if self.config.faults.proxy_down(p, t) {
             return None;
         }
@@ -757,12 +843,12 @@ impl PrestoSystem {
         self.proxies.iter().map(|p| p.pipeline().pending_queries()).sum()
     }
 
-    /// Outstanding async RPC entries across every downlink channel
-    /// (leak probe for the pending-RPC tables).
+    /// Outstanding async RPC entries across every downlink channel,
+    /// home and cross-proxy (leak probe for the pending-RPC tables).
     pub fn async_in_flight_total(&self) -> usize {
         self.downlinks
             .iter()
-            .flatten()
+            .chain(self.cross.values())
             .map(|c| c.async_in_flight())
             .sum()
     }
@@ -850,7 +936,7 @@ impl PrestoSystem {
         }
         if s.wants("downlink") {
             let mut downlink = s.child("downlink");
-            for ch in self.downlinks.iter().flatten() {
+            for ch in &self.downlinks {
                 ch.stats().observe(&mut downlink);
             }
         }
@@ -858,7 +944,7 @@ impl PrestoSystem {
         s.observe("liveness", &self.liveness.stats());
         s.observe("recovery", &self.gaps.stats());
         if s.wants("sensor") || s.wants("flash") || s.wants("archive") {
-            for n in self.nodes.iter().flatten() {
+            for n in &self.nodes {
                 s.observe("sensor", &n.stats());
                 s.observe("flash", &n.archive().flash_stats());
                 s.observe("archive", &n.archive().stats());
@@ -886,7 +972,7 @@ impl PrestoSystem {
     /// do, so a re-homed sensor's archive routes to its adopter.
     pub fn refresh_time_index(&mut self) {
         self.time_index.clear();
-        for (gid, node) in self.nodes.iter().flatten().enumerate() {
+        for (gid, node) in self.nodes.iter().enumerate() {
             let corrector = &self.correctors[gid];
             for (start, end) in node.archive().segment_spans() {
                 self.time_index.register(
@@ -918,26 +1004,30 @@ impl PrestoSystem {
         }
         // Settle idle listening to the horizon.
         let end = self.now();
-        for cluster in &mut self.nodes {
-            for node in cluster {
-                node.advance_to(end);
-            }
+        for node in &mut self.nodes {
+            node.advance_to(end);
         }
     }
 
     /// Merged energy ledger over all sensors.
     pub fn sensor_ledger_total(&self) -> EnergyLedger {
         let mut total = EnergyLedger::new();
-        for n in self.nodes.iter().flatten() {
+        for n in &self.nodes {
             total.merge(n.ledger());
         }
         total
     }
 }
 
-/// Borrow helper: the proxy's ledger for receiver-side energy charging.
-fn proxy_ledger(proxy: &mut PrestoProxy) -> &mut EnergyLedger {
-    proxy.ledger_mut()
+/// A first-hop radio link at frame loss `loss`, its loss stream split
+/// from `root` under `label` (lossless, and labelling nothing, when
+/// `loss` is zero).
+fn first_hop(loss: f64, root: &SimRng, label: std::fmt::Arguments<'_>) -> LinkModel {
+    if loss > 0.0 {
+        LinkModel::new(LossProcess::Bernoulli(loss), root.split(&label.to_string()))
+    } else {
+        LinkModel::perfect()
+    }
 }
 
 #[cfg(test)]
@@ -956,8 +1046,7 @@ mod tests {
     fn builds_and_routes() {
         let sys = PrestoSystem::new(small());
         assert_eq!(sys.total_sensors(), 6);
-        assert_eq!(sys.locate(0), (0, 0));
-        assert_eq!(sys.locate(4), (1, 1));
+        assert_eq!(sys.assignment(), &[0, 0, 0, 1, 1, 1]);
         let (p, _) = sys.route(4);
         assert_eq!(p, 1);
         let (p0, _) = sys.route(2);
@@ -974,27 +1063,16 @@ mod tests {
         assert!(snap.get("proxy.uplinks").unwrap_or(0.0) > 0.0);
         assert!(sys.sensor_ledger_total().total() > 0.0);
         // Every sensor carries a model replica after a day.
-        assert!(sys.nodes.iter().flatten().all(|n| n.has_model()));
+        assert!(sys.nodes.iter().all(|n| n.has_model()));
     }
 
     #[test]
     fn model_driven_push_reduces_traffic_over_time() {
         let mut sys = PrestoSystem::new(small());
         sys.run(SimDuration::from_days(1));
-        let day1: u64 = sys
-            .nodes
-            .iter()
-            .flatten()
-            .map(|n| n.stats().bytes_sent)
-            .sum();
+        let day1: u64 = sys.nodes.iter().map(|n| n.stats().bytes_sent).sum();
         sys.run(SimDuration::from_days(1));
-        let day2: u64 = sys
-            .nodes
-            .iter()
-            .flatten()
-            .map(|n| n.stats().bytes_sent)
-            .sum::<u64>()
-            - day1;
+        let day2: u64 = sys.nodes.iter().map(|n| n.stats().bytes_sent).sum::<u64>() - day1;
         // Day 1 includes the no-model phase (push everything); day 2 is
         // fully model-driven and must be far quieter.
         assert!(day2 * 2 < day1, "day1 {day1} vs day2 {day2}");
@@ -1048,8 +1126,9 @@ mod tests {
     fn time_index_registers_spans_under_the_serving_proxy() {
         let mut sys = PrestoSystem::new(small());
         sys.run(SimDuration::from_days(1));
+        let t = sys.now();
         for gid in 3..6 {
-            sys.rehome_sensor(gid, 0);
+            sys.rehome_sensor(gid, 0, t);
         }
         // Every completed repair rebuilds the index; seal notifications
         // already register under the serving proxy, and so must it.
@@ -1083,12 +1162,7 @@ mod tests {
         );
         let (covered, _) = sys.route_range(SimTime::from_hours(1), SimTime::from_hours(2));
         assert_eq!(covered, vec![0, 1]);
-        let sealed: u64 = sys
-            .nodes
-            .iter()
-            .flatten()
-            .map(|n| n.stats().seals_sent)
-            .sum();
+        let sealed: u64 = sys.nodes.iter().map(|n| n.stats().seals_sent).sum();
         assert!(sealed > 0, "sensors never announced a seal");
     }
 
@@ -1152,12 +1226,12 @@ mod tests {
         let mut sys = PrestoSystem::new(cfg);
         sys.run(SimDuration::from_hours(8));
 
-        let node = &sys.nodes[0][0];
+        let node = &sys.nodes[0];
         assert_eq!(node.stats().reboots, 1);
         // During the crash nothing was sampled: the truth has a gap,
         // and the sensor archived nothing in the window.
         let mut ledger = EnergyLedger::new();
-        let in_crash = sys.nodes[0][0]
+        let in_crash = sys.nodes[0]
             .archive_mut()
             .query_range(
                 SimTime::from_hours(3) + SimDuration::from_mins(1),
@@ -1167,7 +1241,7 @@ mod tests {
             .expect("archive readable");
         assert!(in_crash.is_empty(), "crashed sensor kept archiving");
         // But everything before the crash is still there.
-        let before = sys.nodes[0][0]
+        let before = sys.nodes[0]
             .archive_mut()
             .query_range(SimTime::from_hours(1), SimTime::from_hours(2), &mut ledger)
             .expect("archive readable");
@@ -1437,8 +1511,9 @@ mod tests {
         assert!(r.sigma.is_infinite());
 
         // Re-home proxy 1's sensors to proxy 0; service resumes there.
+        let t = sys.now();
         for gid in 3..6usize {
-            sys.rehome_sensor(gid, 0);
+            sys.rehome_sensor(gid, 0, t);
         }
         assert_eq!(sys.assignment()[4], 0);
         sys.run(SimDuration::from_hours(2));
@@ -1461,6 +1536,150 @@ mod tests {
         // Leak probes: nothing outstanding anywhere.
         assert_eq!(sys.pipeline_pending_total(), 0);
         assert_eq!(sys.async_in_flight_total(), 0);
+    }
+
+    #[test]
+    fn unknown_sensor_ids_are_refused() {
+        use crate::store::StoreQuery;
+        let mut sys = PrestoSystem::new(small());
+        let past = StoreQuery::Past {
+            sensor: 6,
+            from: SimTime::ZERO,
+            to: SimTime::from_hours(1),
+            tolerance: 0.5,
+        };
+        assert_eq!(sys.submit_query(past), None, "sensor 6 of 6 does not exist");
+        let now = StoreQuery::Now {
+            sensor: u16::MAX,
+            tolerance: 0.5,
+        };
+        assert_eq!(sys.submit_query(now), None);
+        assert_eq!(sys.pipeline_pending_total(), 0);
+    }
+
+    /// A tight-tolerance PAST query no cache can answer: it must pull.
+    fn pull_query(sensor: u16) -> presto_proxy::PipelineQuery {
+        presto_proxy::PipelineQuery::Past {
+            sensor,
+            from: SimTime::from_mins(10),
+            to: SimTime::from_mins(40),
+            tolerance: 0.01,
+        }
+    }
+
+    #[test]
+    fn cross_channel_opened_during_a_blackout_is_gated_before_its_first_pump() {
+        let mut cfg = small();
+        cfg.faults = presto_sim::FaultPlan::none().with_blackout_of(
+            vec![4],
+            SimTime::from_hours(1),
+            SimTime::from_hours(3),
+        );
+        let mut sys = PrestoSystem::new(cfg);
+        sys.run(SimDuration::from_hours(2));
+        // Proxy 0 adopts a query for proxy 1's sensor 4, which is dark.
+        let t = sys.now();
+        sys.open_channel(0, 4);
+        sys.proxies[0].submit_query_with_deadline(t, pull_query(4), None);
+        let t = sys.step_epoch_core();
+        assert_eq!(sys.gate_cross_channels(t), 1);
+        assert!(
+            !sys.cross[&(0, 4)].link_up(),
+            "gated down before the first pump"
+        );
+        sys.pump_views(t, &[]);
+        let stats = sys.cross[&(0, 4)].stats();
+        assert!(
+            stats.blocked_link_down >= 1,
+            "the attempt must die at the gate: {stats:?}"
+        );
+        assert_eq!(stats.delivered, 0, "a gated channel brings no reply");
+        assert!(sys.take_completed_queries().is_empty());
+        assert_eq!(sys.cross[&(0, 4)].async_in_flight(), 1);
+    }
+
+    #[test]
+    fn pump_view_lists_home_then_cross_sensors_each_once() {
+        let mut sys = PrestoSystem::new(small());
+        sys.step_epoch();
+        for gid in [5, 3] {
+            sys.open_channel(0, gid);
+        }
+        // A stray cross-proxy entry toward a sensor proxy 0 serves
+        // must not put that sensor in its view twice.
+        sys.cross.insert((0, 1), DownlinkChannel::perfect());
+        let t = sys.step_epoch_core();
+        sys.gate_cross_channels(t);
+        sys.pump_views(t, &[]);
+        let view0: Vec<(u16, bool)> = sys
+            .pump_log()
+            .iter()
+            .filter(|&&(p, _, _)| p == 0)
+            .map(|&(_, gid, via_cross)| (gid, via_cross))
+            .collect();
+        assert_eq!(
+            view0,
+            vec![(0, false), (1, false), (2, false), (3, true), (5, true)]
+        );
+        // A fenced driver pumps an empty view.
+        sys.pump_views(t, &[true, false]);
+        assert!(sys.pump_log().iter().all(|&(p, _, _)| p == 1));
+        assert_eq!(sys.pump_log().len(), 3);
+    }
+
+    #[test]
+    fn crash_edge_drops_the_drivers_cross_channels_and_a_reopen_is_fresh() {
+        let mut cfg = small();
+        cfg.faults = presto_sim::FaultPlan::none().with_proxy_crash(
+            0,
+            SimTime::from_hours(1),
+            SimTime::from_hours(2),
+        );
+        let mut sys = PrestoSystem::new(cfg);
+        sys.step_epoch();
+        let first_block = sys.next_cross_seq_base;
+        sys.open_channel(0, 4);
+        sys.open_channel(1, 0);
+        while !sys.faults().proxy_down(0, sys.now()) {
+            sys.step_epoch();
+        }
+        sys.step_epoch();
+        assert!(
+            !sys.cross.contains_key(&(0, 4)),
+            "the crashed driver's channel survived"
+        );
+        assert!(
+            sys.cross.contains_key(&(1, 0)),
+            "a live driver's channel was dropped"
+        );
+        sys.run(SimDuration::from_hours(1));
+        let reopened_block = sys.next_cross_seq_base;
+        sys.open_channel(0, 4);
+        assert!(sys.cross.contains_key(&(0, 4)));
+        // The reopened channel drew a block of its own, past both
+        // earlier incarnations'.
+        assert_eq!(reopened_block, first_block + 2 * CROSS_SEQ_BLOCK);
+        assert_eq!(sys.next_cross_seq_base, reopened_block + CROSS_SEQ_BLOCK);
+    }
+
+    #[test]
+    fn rehoming_drops_the_adopters_cross_channel() {
+        let mut sys = PrestoSystem::new(small());
+        sys.step_epoch();
+        sys.open_channel(0, 4);
+        sys.open_channel(0, 5);
+        let t = sys.now();
+        sys.rehome_sensor(4, 0, t);
+        assert!(
+            !sys.cross.contains_key(&(0, 4)),
+            "redundant once proxy 0 serves sensor 4"
+        );
+        assert!(sys.cross.contains_key(&(0, 5)));
+        // Opening toward a sensor the driver serves opens nothing.
+        sys.open_channel(0, 4);
+        assert!(!sys.cross.contains_key(&(0, 4)));
+        // The adopter's warm-up replay is queued.
+        assert!(sys.gaps.pending().iter().any(|r| r.sensor == 4));
     }
 
     #[test]

@@ -1,24 +1,18 @@
 //! The assembled deployment tier: a [`PrestoSystem`] fronted by the
 //! fleet router, the proxy-liveness view, and the inter-link mesh.
 //!
-//! [`FleetDeployment::step_epoch`] replaces the system's default
-//! pipeline pump with a fleet-aware one: each live proxy pumps a view
-//! over the sensors it currently serves — its own cluster, clusters
-//! adopted after a peer's death, and **cross-proxy downlink channels**
-//! it opened to serve shed queries for sensors it does not own. The
-//! cross-proxy channels are real [`DownlinkChannel`]s (same loss,
-//! retry-budget, and dedup machinery as the owner's) drawing sequence
-//! numbers from a per-proxy namespace so the sensor's duplicate filter
-//! keeps working with two proxies talking to it at once.
-
-use std::collections::BTreeMap;
+//! The system owns every proxy→sensor channel; the fleet asks it to
+//! open a proxy's cross-proxy channel when that proxy adopts a query
+//! for a sensor it does not serve ([`PrestoSystem::open_channel`]).
+//! [`FleetDeployment::step_epoch`] runs the system's core pass, the
+//! mesh, membership and fencing, has the system gate the cross-proxy
+//! channels, and pumps through [`PrestoSystem::pump_views`] under its
+//! fencing state.
 
 use presto_core::{PrestoSystem, SystemConfig};
-use presto_net::{LinkModel, LossProcess};
-use presto_proxy::{PipelineQuery, PumpSensor};
-use presto_reliability::{DownlinkChannel, Health};
-use presto_sensor::SensorNode;
-use presto_sim::{FaultPlan, FleetArrival, QueryKind, SimDuration, SimTime};
+use presto_proxy::PipelineQuery;
+use presto_reliability::Health;
+use presto_sim::{FleetArrival, QueryKind, SimDuration, SimTime};
 use presto_telemetry::{Observe, Sink, Snapshot};
 
 use crate::interlink::{FleetMsg, InterLinkConfig, InterLinkMesh};
@@ -70,56 +64,33 @@ pub struct FleetDeployment {
     membership: FleetMembership,
     /// The proxy↔proxy mesh (public for stats).
     pub mesh: InterLinkMesh,
-    /// Cross-proxy downlink channels for shed queries, keyed
-    /// `(driving proxy, sensor)`.
-    foreign: BTreeMap<(usize, u16), DownlinkChannel>,
-    rng: presto_sim::SimRng,
     /// Sensors re-homed across proxy deaths.
     rehomed: u64,
-    /// Per-proxy down state at the last epoch (crash-onset edges).
-    proxy_was_down: Vec<bool>,
     /// Per-proxy fencing state: up but outside the membership quorum
     /// (the minority side of a mesh partition). A fenced proxy accepts
     /// no new queries, adopts no forwards, and drives no radio — its
     /// pipeline only expires honestly — until quorum returns.
     fenced: Vec<bool>,
-    /// Who pumped which sensor this epoch, `(proxy, gid,
-    /// via_foreign_channel)` — the uplink-ownership audit trail the
-    /// partition property tests assert over. Cleared every epoch.
-    pump_log: Vec<(usize, u16, bool)>,
     /// Per-proxy retry-budget depletion, refreshed once per epoch: the
     /// only pressure component that needs a full channel scan (queue
     /// depth and saturation are O(1) live reads).
     depletions: Vec<f64>,
-    /// Monotonic sequence-namespace allocator for cross-proxy
-    /// channels: every channel *incarnation* gets a fresh block, so a
-    /// channel rebuilt after its driver crashed can never replay a
-    /// sequence number the sensor's dedup cache still remembers.
-    next_foreign_seq_base: u64,
 }
 
 impl FleetDeployment {
     /// Builds the fleet over a fresh system.
     pub fn new(config: FleetConfig) -> Self {
         let proxies = config.system.proxies;
-        let seed = config.system.seed;
         let system = PrestoSystem::new(config.system);
-        let mut fleet = FleetDeployment {
+        FleetDeployment {
+            depletions: system.retry_depletions(),
             system,
             router: FleetRouter::new(config.router),
             membership: FleetMembership::new(proxies),
             mesh: InterLinkMesh::new(config.interlink, proxies),
-            foreign: BTreeMap::new(),
-            rng: presto_sim::SimRng::new(seed ^ 0xF1EE7),
             rehomed: 0,
-            proxy_was_down: vec![false; proxies],
             fenced: vec![false; proxies],
-            pump_log: Vec::new(),
-            depletions: vec![0.0; proxies],
-            next_foreign_seq_base: 1 << 48,
-        };
-        fleet.refresh_depletions();
-        fleet
+        }
     }
 
     /// Current simulation time.
@@ -143,19 +114,12 @@ impl FleetDeployment {
         self.fenced[proxy]
     }
 
-    /// The last epoch's pump audit trail: `(proxy, gid, via foreign
-    /// channel)` for every sensor a proxy drove radio toward.
-    pub fn pump_log(&self) -> &[(usize, u16, bool)] {
-        &self.pump_log
-    }
-
     /// Leak probes over every fleet-tier table.
     pub fn leaks(&self) -> FleetLeaks {
         FleetLeaks {
             router_open: self.router.open_tickets(),
             pipeline_pending: self.system.pipeline_pending_total(),
-            rpcs_in_flight: self.system.async_in_flight_total()
-                + self.foreign.values().map(|c| c.async_in_flight()).sum::<usize>(),
+            rpcs_in_flight: self.system.async_in_flight_total(),
             mesh_in_flight: self.mesh.in_flight(),
         }
     }
@@ -172,32 +136,6 @@ impl FleetDeployment {
             depletion: self.depletions[p],
             live: self.membership.health(p) == Health::Live,
         }
-    }
-
-    /// Recomputes every proxy's retry-budget depletion (one scan over
-    /// the fleet's channels; the buckets only move on pump/tick, so
-    /// once per epoch is exact enough for admission control).
-    fn refresh_depletions(&mut self) {
-        let cap = self
-            .system
-            .config()
-            .reliability
-            .downlink
-            .retry_budget_j
-            .max(1e-9);
-        let mut min_frac = vec![1.0f64; self.system.config().proxies];
-        for gid in 0..self.system.total_sensors() {
-            let p = self.system.assignment()[gid];
-            let (hp, hs) = self.system.locate(presto_core::gid16(gid));
-            min_frac[p] = min_frac[p].min(self.system.downlinks[hp][hs].budget_remaining_j() / cap);
-        }
-        for ((fp, _), chan) in self.foreign.iter() {
-            min_frac[*fp] = min_frac[*fp].min(chan.budget_remaining_j() / cap);
-        }
-        self.depletions = min_frac
-            .into_iter()
-            .map(|f| (1.0 - f).clamp(0.0, 1.0))
-            .collect();
     }
 
     /// The global sensor id a workload arrival targets (the one
@@ -242,16 +180,19 @@ impl FleetDeployment {
     /// over the mesh.
     pub fn submit(&mut self, entry: usize, query: PipelineQuery, tolerance: f64) -> u64 {
         let t = self.system.now();
+        let proxies = self.system.config().proxies;
         // A physically-down entry proxy has no process to accept the
         // submission — the user's connection fails on the spot, long
         // before the lease-based death declaration. Record the honest
         // failure (submitting into a dead proxy's pipeline object would
-        // park queries nothing will ever pump: a leak).
-        if self.system.faults().proxy_down(entry, t) {
-            return self.router.fail_unreachable(t, entry, query);
-        }
-        let gid = query.sensor() as usize;
-        let serving = self.system.assignment()[gid];
+        // park queries nothing will ever pump: a leak). An entry or a
+        // sensor id that names nothing fails the same way.
+        let serving = match self.system.serving(query.sensor()) {
+            Some(serving) if entry < proxies && !self.system.faults().proxy_down(entry, t) => {
+                serving
+            }
+            _ => return self.router.fail_unreachable(t, entry, query),
+        };
         // A fenced proxy (up, but cut off from the quorum) must not
         // accept new work: on the minority side it cannot prove its
         // answer agrees with the fleet, so the admission fails honestly
@@ -259,7 +200,6 @@ impl FleetDeployment {
         if self.fenced[entry] || self.fenced[serving] {
             return self.router.fail_fenced(t, entry, query);
         }
-        let proxies = self.system.config().proxies;
         let mut pressures: Vec<ProxyPressure> = (0..proxies).map(|p| self.pressure(p)).collect();
         // Shed targeting respects the *entry proxy's own* mesh view on
         // top of the quorum grade: a peer the entry cannot reach over
@@ -286,22 +226,10 @@ impl FleetDeployment {
             self.router
                 .route(t, entry, serving, query, tolerance, &pressures, range_archived);
         match action {
-            RouteAction::Local { proxy } => {
-                // The router may keep a query at its entry proxy even
-                // when another proxy owns the sensor (shedding back to
-                // a cool entry): provision exactly as an adoption
-                // would, or the pump would have no channel for it.
-                if self.system.assignment()[gid] != proxy {
-                    self.system.proxies[proxy].register_sensor(query.sensor());
-                    self.ensure_foreign_channel(proxy, query.sensor());
-                }
-                let pt = self.system.proxies[proxy].submit_query_with_deadline(
-                    t,
-                    query,
-                    Some(deadline - t),
-                );
-                self.router.bind(ticket, proxy, pt);
-            }
+            // The router may keep a query at its entry proxy even when
+            // another proxy owns the sensor (shedding back to a cool
+            // entry): it is provisioned exactly as an adoption is.
+            RouteAction::Local { proxy } => self.admit(t, proxy, ticket, query, deadline),
             RouteAction::Forward { proxy } => {
                 self.mesh.send(
                     entry,
@@ -323,10 +251,12 @@ impl FleetDeployment {
         self.router.take_completed()
     }
 
-    /// Advances the fleet one epoch: the system core pass, proxy-lease
-    /// maintenance (with failover on a death declaration), mesh
-    /// traffic, cross-proxy channel upkeep, the fleet pump, completion
-    /// collection, and the router's honest-expiry sweep.
+    /// Advances the fleet one epoch: the system core pass (whose proxy
+    /// crash edge also drops the crashed proxy's cross-proxy channels),
+    /// mesh traffic, proxy-lease maintenance (with failover on a death
+    /// declaration), forward adoption, cross-proxy channel gating, the
+    /// system's pump under the fleet's fencing, completion collection,
+    /// and the router's honest-expiry sweep.
     pub fn step_epoch(&mut self) {
         let t = self.system.step_epoch_core();
         let proxies = self.system.config().proxies;
@@ -335,15 +265,6 @@ impl FleetDeployment {
         let mesh_timer = self.system.profiler().begin();
         for (p, &u) in up.iter().enumerate() {
             self.mesh.set_up(p, u);
-            // Crash onset: the proxy's cross-proxy channels are its
-            // RAM — pending-RPC tables and all — and die with it (the
-            // system tier wipes the home channels it was driving; these
-            // are the fleet tier's to wipe). A later adoption rebuilds
-            // them fresh.
-            if !u && !self.proxy_was_down[p] {
-                self.foreign.retain(|&(fp, _), _| fp != p);
-            }
-            self.proxy_was_down[p] = !u;
         }
 
         // 1. Split-brain fault gates: sever exactly the proxy↔proxy
@@ -424,17 +345,7 @@ impl FleetDeployment {
                         // expiry sweep fails the ticket honestly.
                         continue;
                     }
-                    let gid = query.sensor();
-                    self.system.proxies[dst].register_sensor(gid);
-                    if self.system.assignment()[gid as usize] != dst {
-                        self.ensure_foreign_channel(dst, gid);
-                    }
-                    let pt = self.system.proxies[dst].submit_query_with_deadline(
-                        t,
-                        query,
-                        Some(deadline - t),
-                    );
-                    self.router.bind(ticket, dst, pt);
+                    self.admit(t, dst, ticket, query, deadline);
                 }
                 FleetMsg::Completion { ticket, answer } => {
                     self.router.on_completion_msg(t, ticket, answer);
@@ -446,11 +357,7 @@ impl FleetDeployment {
         }
 
         // 6. Cross-proxy channel upkeep: fault gates + budget refill.
-        for ((fp, gid), chan) in self.foreign.iter_mut() {
-            chan.set_link_up(up[*fp] && !faults.is_unreachable(*gid as usize, t));
-            chan.tick(t);
-            deliver_items += 1;
-        }
+        deliver_items += self.system.gate_cross_channels(t);
         self.system.profiler_mut().end("fleet_deliver", deliver_timer);
         self.system.profiler_mut().count("fleet_deliver", deliver_items);
 
@@ -458,8 +365,8 @@ impl FleetDeployment {
         // view; fenced proxies pump empty (honest expiry still runs,
         // no radio).
         let pump_timer = self.system.profiler().begin();
-        self.pump_fleet(t, &faults);
-        let pumped = self.pump_log.len() as u64;
+        self.system.pump_views(t, &self.fenced);
+        let pumped = self.system.pump_log().len() as u64;
         self.system.profiler_mut().end("fleet_pump", pump_timer);
         self.system.profiler_mut().count("fleet_pump", pumped);
 
@@ -502,10 +409,11 @@ impl FleetDeployment {
         // 9. Honest expiry: whatever the mesh dropped terminates here.
         self.router.expire(t);
 
-        // 10. Refresh the cached budget-depletion readings and feed the
-        // epoch-level pressure smoothing for the coming epoch's
-        // submissions.
-        self.refresh_depletions();
+        // 10. Refresh the cached budget-depletion readings (the buckets
+        // only move on pump and tick, so once per epoch is exact enough
+        // for admission control) and feed the epoch-level pressure
+        // smoothing for the coming epoch's submissions.
+        self.depletions = self.system.retry_depletions();
         let pressures: Vec<ProxyPressure> = (0..proxies).map(|p| self.pressure(p)).collect();
         self.router.observe_pressures(t, &pressures);
         self.system.profiler_mut().end("fleet_collect", collect_timer);
@@ -571,7 +479,8 @@ impl FleetDeployment {
             // watches it.
             fl.gauge(
                 "fenced_pumping",
-                self.pump_log
+                self.system
+                    .pump_log()
                     .iter()
                     .filter(|(p, _, _)| self.fenced[*p])
                     .count() as f64,
@@ -579,103 +488,29 @@ impl FleetDeployment {
         }
     }
 
-    /// Opens (once) the cross-proxy downlink channel `driver` uses to
-    /// pull `sensor`, with a sequence namespace disjoint from the
-    /// owner's (home sequences count up from zero, far below the
-    /// foreign base) *and* from every earlier incarnation of any
-    /// cross-proxy channel, so the sensor-side duplicate filter stays
-    /// sound with multiple proxies — and rebuilt channels — talking to
-    /// one sensor.
-    fn ensure_foreign_channel(&mut self, driver: usize, sensor: u16) {
-        if self.foreign.contains_key(&(driver, sensor)) {
-            return;
-        }
-        let mut dl_cfg = self.system.config().reliability.downlink.clone();
-        dl_cfg.seed ^= (driver as u64 + 1)
-            .rotate_left(19)
-            .wrapping_mul(0x9E37_79B9)
-            .wrapping_add(sensor as u64);
-        let loss = self.system.config().loss;
-        let first_hop = if loss > 0.0 {
-            LinkModel::new(
-                LossProcess::Bernoulli(loss),
-                self.rng.split(&format!("fleet-hop-{driver}-{sensor}")),
-            )
-        } else {
-            LinkModel::perfect()
-        };
-        let mut chan = DownlinkChannel::new(dl_cfg, first_hop);
-        chan.set_seq_namespace(self.next_foreign_seq_base);
-        self.next_foreign_seq_base += 1 << 24;
-        self.foreign.insert((driver, sensor), chan);
-    }
-
-    /// Pumps every live proxy's pipeline over its current sensor view:
-    /// home/adopted sensors through their own channels, plus this
-    /// proxy's cross-proxy channels for shed work.
-    ///
-    /// The borrow scaffolds are rebuilt per proxy on purpose: one
-    /// sensor legitimately appears in TWO views per epoch — its
-    /// owner's (home channel) and a shed-target's (cross-proxy
-    /// channel) — so the node needs a fresh `&mut` per pumping proxy.
-    /// Building every view in one pass would hand each node to exactly
-    /// one proxy and silently starve shed queries whenever the owner
-    /// is alive (i.e. always, under shedding).
-    fn pump_fleet(&mut self, t: SimTime, faults: &FaultPlan) {
-        let proxies = self.system.config().proxies;
-        let assignment = self.system.assignment().to_vec();
-        self.pump_log.clear();
-        for p in 0..proxies {
-            if faults.proxy_down(p, t) {
-                continue;
-            }
-            if self.fenced[p] {
-                // A fenced proxy owns nothing it can prove: it drives
-                // no radio toward any sensor, but still pumps an empty
-                // view so its pipeline's honest-expiry sweep runs.
-                let mut empty: Vec<PumpSensor<'_>> = Vec::new();
-                self.system.proxies[p].pump_queries_view(t, &mut empty);
-                continue;
-            }
-            let mut node_refs: Vec<Option<&mut SensorNode>> =
-                self.system.nodes.iter_mut().flatten().map(Some).collect();
-            let mut chan_refs: Vec<Option<&mut DownlinkChannel>> =
-                self.system.downlinks.iter_mut().flatten().map(Some).collect();
-            let mut view: Vec<PumpSensor<'_>> = Vec::new();
-            for (gid, &owner) in assignment.iter().enumerate() {
-                if owner == p {
-                    let taken = (node_refs[gid].take(), chan_refs[gid].take());
-                    if let (Some(node), Some(chan)) = taken {
-                        view.push(PumpSensor {
-                            gid: presto_core::gid16(gid),
-                            node,
-                            chan,
-                        });
-                        self.pump_log.push((p, presto_core::gid16(gid), false));
-                    }
-                }
-            }
-            for ((fp, gid), chan) in self.foreign.iter_mut() {
-                if *fp == p {
-                    if let Some(node) = node_refs[*gid as usize].take() {
-                        view.push(PumpSensor {
-                            gid: *gid,
-                            node,
-                            chan,
-                        });
-                        self.pump_log.push((p, *gid, true));
-                    }
-                }
-            }
-            self.system.proxies[p].pump_queries_view(t, &mut view);
-        }
+    /// Admits `query` under fleet ticket `ticket` into `proxy`'s
+    /// pipeline, keeping the ticket's absolute `deadline`: the system
+    /// provisions `proxy`'s channel to the sensor, the pipeline takes
+    /// the query, and the router binds the two tickets.
+    fn admit(
+        &mut self,
+        t: SimTime,
+        proxy: usize,
+        ticket: u64,
+        query: PipelineQuery,
+        deadline: SimTime,
+    ) {
+        self.system.open_channel(proxy, query.sensor());
+        let pt =
+            self.system.proxies[proxy].submit_query_with_deadline(t, query, Some(deadline - t));
+        self.router.bind(ticket, proxy, pt);
     }
 
     /// Failover for a proxy the membership view declared Dead: its
-    /// sensors re-home to the least-loaded Live survivors (cache warmed
-    /// by an archive-backed recovery replay over the silent span — the
-    /// same warm-up path gap repair uses), and its outstanding fleet
-    /// queries resume at the adopters or fail honestly.
+    /// sensors re-home to the least-loaded Live survivors (the system
+    /// queues the archive-backed replay that warms each adopter), its
+    /// cross-proxy channels go, and its outstanding fleet queries resume
+    /// at the adopters or fail honestly.
     fn handle_failover(&mut self, t: SimTime, dead: usize) {
         let proxies = self.system.config().proxies;
         let candidates: Vec<usize> = (0..proxies)
@@ -690,21 +525,14 @@ impl FleetDeployment {
                     self.system.assignment().iter().filter(|&&a| a == p).count()
                 });
                 let Some(&adopter) = least_loaded else { break };
-                self.system.rehome_sensor(gid, adopter);
+                self.system.rehome_sensor(gid, adopter, t);
                 self.rehomed += 1;
-                // Warm the adopter: replay the span the fleet stopped
-                // hearing (the gap tracker knows the last contiguous
-                // instant) from the sensor's flash archive.
-                let covered = self.system.gaps.covered_until(gid);
-                self.system.gaps.request_recovery(gid, covered, t, t);
             }
         }
-        // The dead proxy's cross-proxy channels die with its RAM, and
-        // survivors' channels onto sensors they now *own* are
-        // redundant.
-        let assignment = self.system.assignment().to_vec();
-        self.foreign
-            .retain(|&(fp, gid), _| fp != dead && assignment[gid as usize] != fp);
+        // A declared-dead proxy may still be up on the minority side of
+        // a partition, where no crash edge fired: its cross-proxy
+        // channels go here.
+        self.system.drop_cross_channels(dead);
 
         // Resume the dead proxy's outstanding fleet queries at the new
         // owners (or fail honestly when no deadline remains — the
@@ -720,12 +548,7 @@ impl FleetDeployment {
             }
             self.router.mark_rerouted(t, ticket, serving);
             if serving == entry {
-                let pt = self.system.proxies[serving].submit_query_with_deadline(
-                    t,
-                    query,
-                    Some(deadline - t),
-                );
-                self.router.bind(ticket, serving, pt);
+                self.admit(t, serving, ticket, query, deadline);
             } else {
                 self.mesh.send(
                     entry,
@@ -746,7 +569,7 @@ impl FleetDeployment {
 mod tests {
     use super::*;
     use presto_proxy::AnswerSource;
-    use presto_sim::SimDuration;
+    use presto_sim::{FaultPlan, SimDuration};
 
     /// A small fleet with clean inter-links and fast proxy leases.
     fn small_fleet(proxies: usize, faults: FaultPlan) -> FleetDeployment {
@@ -806,6 +629,37 @@ mod tests {
     }
 
     #[test]
+    fn unknown_sensor_or_entry_fails_once_at_admission() {
+        let mut fleet = small_fleet(2, FaultPlan::none());
+        fleet.step_epoch();
+        let unknown_sensor = fleet.submit(
+            0,
+            PipelineQuery::Now {
+                sensor: 4,
+                tolerance: 0.5,
+            },
+            0.5,
+        );
+        let unknown_entry = fleet.submit(
+            2,
+            PipelineQuery::Now {
+                sensor: 0,
+                tolerance: 0.5,
+            },
+            0.5,
+        );
+        let mut done = fleet.take_completed();
+        done.extend(run_epochs(&mut fleet, 3));
+        for ticket in [unknown_sensor, unknown_entry] {
+            let terminals: Vec<_> = done.iter().filter(|c| c.ticket == ticket).collect();
+            assert_eq!(terminals.len(), 1, "ticket {ticket}: {terminals:?}");
+            assert_eq!(terminals[0].answer.source(), AnswerSource::Failed);
+        }
+        assert_eq!(fleet.router.stats().failed_entry_dead, 2);
+        assert!(fleet.leaks().is_clean(), "{:?}", fleet.leaks());
+    }
+
+    #[test]
     fn hot_proxy_sheds_to_peers_and_answers_stay_real() {
         let mut fleet = small_fleet(3, FaultPlan::none());
         for _ in 0..(86_400 / 31) {
@@ -830,14 +684,27 @@ mod tests {
             ));
         }
         assert!(fleet.router.stats().shed > 0, "hot proxy never shed");
-        let done = run_epochs(&mut fleet, 60);
+        let mut done = Vec::new();
+        let mut pumped_cross = false;
+        for _ in 0..60 {
+            fleet.step_epoch();
+            done.extend(fleet.take_completed());
+            pumped_cross |= fleet
+                .system
+                .pump_log()
+                .iter()
+                .any(|&(_, _, via_cross)| via_cross);
+        }
         assert_eq!(done.len(), tickets.len(), "every ticket terminates");
         let forwarded_ok = done
             .iter()
             .filter(|c| c.forwarded && c.answer.source() == AnswerSource::Pulled)
             .count();
         assert!(forwarded_ok > 0, "no shed query completed with a real answer");
-        assert!(!fleet.foreign.is_empty(), "no cross-proxy channel opened");
+        assert!(
+            pumped_cross,
+            "no shed query was pumped over a cross-proxy channel"
+        );
         assert!(fleet.leaks().is_clean(), "{:?}", fleet.leaks());
     }
 

@@ -150,7 +150,10 @@ pub struct InterLinkMesh {
     links: BTreeMap<(usize, usize), LinkModel>,
     /// Next sequence number per ordered pair.
     next_seq: BTreeMap<(usize, usize), u64>,
-    /// Delivered sequence numbers per ordered pair (receiver dedup).
+    /// Receiver dedup per ordered pair: the sequence numbers of reliable
+    /// messages delivered but not yet retired by their sender (acked or
+    /// exhausted). Only those can still arrive again; datagrams never
+    /// repeat, so they never enter.
     delivered: BTreeMap<(usize, usize), BTreeSet<u64>>,
     /// Mesh-wide shared fading state, advanced by the driver.
     shared: Option<SharedLossState>,
@@ -284,11 +287,12 @@ impl InterLinkMesh {
             if self.pending[i].attempts > self.config.max_retransmits {
                 // A message the receiver already consumed (only its
                 // acks kept dying) is not a lost forward — count it
-                // apart so `dropped` means what it says.
+                // apart so `dropped` means what it says. Retiring it
+                // also retires its dedup entry.
                 let was_delivered = self
                     .delivered
-                    .get(&(src, dst))
-                    .is_some_and(|seen| seen.contains(&seq));
+                    .get_mut(&(src, dst))
+                    .is_some_and(|seen| seen.remove(&seq));
                 if was_delivered {
                     self.stats.ack_exhausted += 1;
                 } else {
@@ -317,7 +321,8 @@ impl InterLinkMesh {
             // Delivered: receiver dedups, then acks over the reverse
             // path. A lost ack keeps the message pending — the
             // retransmission will be filtered as a duplicate.
-            let first_copy = self.delivered.entry((src, dst)).or_default().insert(seq);
+            let reliable = self.pending[i].reliable;
+            let first_copy = !reliable || self.delivered.entry((src, dst)).or_default().insert(seq);
             if !first_copy {
                 self.stats.duplicates += 1;
             }
@@ -325,13 +330,17 @@ impl InterLinkMesh {
                 self.stats.delivered += 1;
                 out.push((dst, src, self.pending[i].msg.clone()));
             }
-            if !self.pending[i].reliable {
+            if !reliable {
                 // Datagrams are fire-and-forget: no ack leg at all.
                 self.pending.remove(i);
                 continue;
             }
             let ack_ok = self.link(dst, src).deliver();
             if ack_ok {
+                // Retired: no copy of it can arrive any more.
+                if let Some(seen) = self.delivered.get_mut(&(src, dst)) {
+                    seen.remove(&seq);
+                }
                 self.pending.remove(i);
             } else {
                 self.stats.acks_lost += 1;
@@ -526,6 +535,56 @@ mod tests {
         tickets.sort_unstable();
         assert_eq!(tickets, vec![1, 2], "healed link delivers the retries");
         assert_eq!(mesh.in_flight(), 0);
+    }
+
+    #[test]
+    fn dedup_state_holds_only_unretired_reliable_messages() {
+        // Four proxies on a lossy chain: heartbeats every step, reliable
+        // sends on a rotating pair. Lost acks leave delivered messages
+        // pending (their entries must stay until retired), and the set
+        // must never outgrow the messages that can still repeat.
+        let cfg = InterLinkConfig {
+            link_chain: GilbertElliott {
+                p_gb: 0.05,
+                p_bg: 0.3,
+                loss_good: 0.1,
+                loss_bad: 0.7,
+            },
+            shared_chain: None,
+            ..InterLinkConfig::default()
+        };
+        let mut mesh = InterLinkMesh::new(cfg, 4);
+        for e in 0..5_000u64 {
+            for p in 0..4 {
+                for q in (0..4).filter(|&q| q != p) {
+                    mesh.send_datagram(
+                        p,
+                        q,
+                        FleetMsg::Heartbeat {
+                            sent_at: SimTime::ZERO,
+                        },
+                    );
+                }
+            }
+            let src = (e % 4) as usize;
+            mesh.send(src, (src + 1 + (e / 4 % 3) as usize) % 4, fwd(e));
+            mesh.step(SimTime::ZERO + SimDuration::from_secs(31) * e);
+            let held: usize = mesh.delivered.values().map(BTreeSet::len).sum();
+            let unretired = mesh.pending.iter().filter(|m| m.reliable).count();
+            assert!(
+                held <= unretired,
+                "step {e}: {held} dedup entries, {unretired} unretired"
+            );
+        }
+        let s = mesh.stats();
+        assert!(
+            s.acks_lost > 0 && s.duplicates > 0,
+            "lost acks never exercised dedup: {s:?}"
+        );
+        assert!(
+            s.ack_exhausted + s.dropped > 0,
+            "no message ever exhausted: {s:?}"
+        );
     }
 
     #[test]

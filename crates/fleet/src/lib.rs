@@ -22,7 +22,8 @@
 //!   saturation, downlink retry-budget depletion) and **sheds**
 //!   archive-range queries from hot proxies to the least-pressured
 //!   live peer, which adopts them into its own pipeline and pulls the
-//!   sensor over a dedicated cross-proxy downlink channel. Queries the
+//!   sensor over a cross-proxy downlink channel the system opens for
+//!   it ([`presto_core::PrestoSystem::open_channel`]). Queries the
 //!   mesh loses, or that no peer can absorb, fail honestly
 //!   (`Failed`, sigma ∞) by their per-query deadline — assigned from
 //!   query–sensor matching's latency classes, not a global constant.
@@ -37,9 +38,11 @@
 //!   honestly.
 //! * [`deployment`] — [`deployment::FleetDeployment`] glues the three
 //!   onto a running [`presto_core::PrestoSystem`]: it drives
-//!   [`presto_core::PrestoSystem::step_epoch_core`] plus its own
-//!   fleet-aware pipeline pump (per-proxy views over home, adopted,
-//!   and cross-proxy channels).
+//!   [`presto_core::PrestoSystem::step_epoch_core`], its mesh,
+//!   membership and fencing passes, and then the system's one pump,
+//!   [`presto_core::PrestoSystem::pump_views`], under its fencing
+//!   state. The system owns every downlink channel, home and
+//!   cross-proxy; the fleet keeps none.
 
 pub mod deployment;
 pub mod interlink;

@@ -22,7 +22,6 @@ fn main() {
     let sensor_j: f64 = system
         .nodes
         .iter()
-        .flatten()
         .map(|n| n.ledger().total())
         .sum();
     println!(

@@ -66,7 +66,6 @@ fn model_driven_push_beats_streaming_by_bytes() {
     let bytes: u64 = sys
         .nodes
         .iter_mut()
-        .flatten()
         .map(|n| n.stats().bytes_sent)
         .sum();
     let per_sensor_day = bytes as f64 / 6.0 / 2.0;

@@ -177,7 +177,7 @@ impl Reference {
 fn check_pump_log(fleet: &FleetDeployment, epoch: u64) {
     let assignment = fleet.system.assignment().to_vec();
     let mut home_driver: HashMap<u16, usize> = HashMap::new();
-    for &(p, gid, via_foreign) in fleet.pump_log() {
+    for &(p, gid, via_foreign) in fleet.system.pump_log() {
         prop_assert!(
             !fleet.is_fenced(p),
             "fenced proxy {p} drove radio toward sensor {gid} at epoch {epoch}"

@@ -13,7 +13,7 @@ fn routing_reaches_the_owning_proxy_for_every_sensor() {
         ..SystemConfig::default()
     });
     for gid in 0..40u16 {
-        let (expected, _) = sys.locate(gid);
+        let expected = sys.assignment()[gid as usize];
         let (routed, hops) = sys.route(gid);
         assert_eq!(routed, expected, "sensor {gid}");
         assert!(hops <= 10, "sensor {gid}: {hops} hops for 8 proxies");

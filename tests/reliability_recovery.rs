@@ -86,7 +86,7 @@ fn run_and_audit(seed: u64, loss_pct: u64, start_min: u64, len_min: u64, crash: 
     let win_from = outage_from;
     let win_to = outage_to;
     let mut ledger = EnergyLedger::new();
-    let archived = sys.nodes[0][0]
+    let archived = sys.nodes[0]
         .archive_mut()
         .query_range_fullscan(win_from, win_to, &mut ledger)
         .expect("archive readable");
