@@ -318,9 +318,9 @@ impl ArchiveStore {
     }
 
     /// Drains the covered spans of segments sealed since the last call.
-    /// Sensors turn these into seal-notification uplinks so the proxy
-    /// tier's time-range index tracks archives as blocks seal, instead
-    /// of lagging until the next periodic rebuild.
+    /// Sensors drain it after every append and turn the spans into
+    /// seal-notification uplinks, the proxy tier's time-range index's
+    /// only feed.
     pub fn take_sealed_spans(&mut self) -> Vec<(SimTime, SimTime)> {
         std::mem::take(&mut self.sealed_pending)
     }
@@ -861,16 +861,6 @@ impl ArchiveStore {
             .filter(|s| s.has_data())
             .map(|s| s.start)
             .min()
-    }
-
-    /// Covered `[start, end]` spans of live segments with data, oldest
-    /// first — what a proxy registers in the distributed range index so
-    /// multi-proxy queries can prune archives with nothing in range.
-    pub fn segment_spans(&self) -> impl Iterator<Item = (SimTime, SimTime)> + '_ {
-        self.segments
-            .iter()
-            .filter(|s| s.has_data())
-            .map(|s| (s.start, s.end))
     }
 
     /// Store statistics.

@@ -9,10 +9,10 @@
 #   crates/bench/outputs.sh                  # run all 21, check exit codes
 #   crates/bench/outputs.sh --against <ref>  # also build <ref> in a scratch
 #                                            # export (git archive), run the
-#                                            # same 21 there, and fail on the
-#                                            # first stdout that differs, then
-#                                            # on the first smoke metric row
-#                                            # that differs
+#                                            # same 21 there, print every
+#                                            # stdout and every smoke's
+#                                            # metric rows that differ, and
+#                                            # fail if anything did
 #
 # The smokes' metric rows are the `metrics` list of each BENCH_*.json:
 # the whole flattened telemetry snapshot. The comparison leaves out the
@@ -96,26 +96,27 @@ if [ -n "$against" ]; then
   build "$scratch/ref"
   mkdir -p "$scratch/run-ref"
   (cd "$scratch/run-ref" && run_all "$scratch/ref" "$scratch/base") >/dev/null
+  differed=0
   for entry in "${OUTPUTS[@]}"; do
     read -r _ name args <<<"$entry"
     file="$name${args:+ $args}"
     file="${file// /_}.out"
-    if ! cmp -s "$scratch/base/$file" "$scratch/head/$file"; then
+    if ! diff "$scratch/base/$file" "$scratch/head/$file" >"$scratch/out.diff"; then
       echo "stdout differs from $against: ${file%.out}" >&2
-      diff "$scratch/base/$file" "$scratch/head/$file" | head -n 20 >&2
-      exit 1
+      head -n 20 "$scratch/out.diff" >&2
+      differed=1
     fi
   done
-  echo "all ${#OUTPUTS[@]} stdouts byte-identical to $against"
-  benches=0
   for base in "$scratch"/run-ref/BENCH_*.json; do
     name=$(basename "$base")
     if ! diff <(rows "$base") <(rows "$name") >"$scratch/rows.diff"; then
-      echo "metric rows differ from $against: $name" >&2
-      head -n 4 "$scratch/rows.diff" >&2
-      exit 1
+      grep '^[<>]' "$scratch/rows.diff" >"$scratch/rows.changed"
+      count=$(grep -o '"key": "[^"]*"' "$scratch/rows.changed" | sort -u | wc -l)
+      echo "metric rows differ from $against: $name ($count rows)" >&2
+      head -n 4 "$scratch/rows.changed" >&2
+      differed=1
     fi
-    benches=$((benches + 1))
   done
-  echo "all $benches smokes' deterministic metric rows identical to $against"
+  [ "$differed" -eq 0 ] || exit 1
+  echo "all ${#OUTPUTS[@]} stdouts and every smoke's deterministic metric rows identical to $against"
 fi

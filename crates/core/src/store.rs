@@ -237,16 +237,15 @@ impl<'a> UnifiedStore<'a> {
                 // Route the range through the interval index first:
                 // proxies whose sensors archived nothing overlapping the
                 // window are pruned before their caches are consulted.
-                // The index is maintained incrementally by segment-seal
-                // notifications (and rebuilt after recovery replays), so
-                // no per-query rebuild happens here; spans still in an
-                // unsealed segment are covered by the cached-event-span
-                // check below. Spans are registered in corrected
-                // reference time, so the slack only needs to cover the
-                // correction residual plus the uncalibrated first hour
-                // (offsets of ~1 s sigma; skew accumulates < 0.2 s
-                // before the first beacon) — a minute is comfortably
-                // conservative.
+                // Delivered segment-seal notifications are the index's
+                // only feed; spans still in an unsealed segment, or whose
+                // announcement was lost, are covered by the
+                // cached-event-span check below. Spans are registered in
+                // corrected reference time, so the slack only needs to
+                // cover the correction residual plus the uncalibrated
+                // first hour (offsets of ~1 s sigma; skew accumulates
+                // < 0.2 s before the first beacon) — a minute is
+                // comfortably conservative.
                 let slack = SimDuration::from_secs(60);
                 let (mut candidates, route_hops) =
                     self.system.route_range(from - slack, to + slack);

@@ -32,7 +32,7 @@ use presto_reliability::{
     recovery::padded_span, DownlinkChannel, Fabric, GapTracker, Health, LivenessMonitor,
     Observation, ReliabilityConfig,
 };
-use presto_sensor::{PushPolicy, SensorConfig, SensorNode};
+use presto_sensor::{PushPolicy, SensorConfig, SensorNode, UplinkPayload};
 use presto_sim::{EnergyCategory, EnergyLedger, FaultPlan, SimDuration, SimRng, SimTime};
 use presto_telemetry::{EpochProfiler, Observe, PrestoScope, ScopeConfig, Sink, Snapshot};
 use presto_workloads::{LabDeployment, LabParams};
@@ -142,8 +142,8 @@ pub struct PrestoSystem {
     /// global id owned by a proxy.
     pub index: SkipGraph<u64>,
     /// Archived `[start, end]` intervals per proxy, registered from the
-    /// sensors' sealed segments so range queries can prune proxies with
-    /// no overlapping data.
+    /// delivered seal notifications so range queries can prune proxies
+    /// with no overlapping data.
     pub time_index: TimeRangeIndex,
     /// Per-sensor drifting clocks and their correctors (flat global ids).
     pub clocks: Vec<DriftClock>,
@@ -543,16 +543,17 @@ impl PrestoSystem {
                 self.gaps
                     .request_recovery(gid, prior_covered, delivery.msg.sent_at, t);
             }
-            self.proxies[p].on_uplink(&delivery.msg);
-        }
-        // Seal notifications recorded by the proxies register into the
-        // range index here, where the clock correctors live.
-        for p in 0..self.config.proxies {
-            for (sensor, start, end) in self.proxies[p].take_sealed_spans() {
-                let corrector = &self.correctors[sensor as usize];
+            // A seal notification is the range index's only feed: it
+            // registers under the serving proxy, in corrected time
+            // (archives stamp in drifting local time, and accumulated
+            // skew is unbounded, so no fixed routing slack could cover
+            // it).
+            if let UplinkPayload::SegmentSeal { start, end } = delivery.msg.payload {
+                let corrector = &self.correctors[gid];
                 self.time_index
                     .register(p, corrector.correct(start), corrector.correct(end));
             }
+            self.proxies[p].on_uplink(&delivery.msg);
         }
 
         // 6. Re-grade liveness and run queued archive-backed repairs.
@@ -563,9 +564,7 @@ impl PrestoSystem {
 
         // Periodic model training checks, routed by assignment so an
         // adopter trains and pushes for its re-homed sensors. Down
-        // proxies train nothing. (The time-range index is maintained by
-        // seal notifications and recovery rebuilds, so no periodic
-        // refresh happens here.)
+        // proxies train nothing.
         if t - self.last_train_check >= TRAIN_CHECK_EVERY {
             self.last_train_check = t;
             for gid in 0..self.total_sensors() {
@@ -772,16 +771,11 @@ impl PrestoSystem {
 
     /// Attempts every queued recovery replay: reachable sensors get a
     /// padded archive pull over the missed span; unreachable ones stay
-    /// queued for the next epoch. A completed repair rebuilds the
-    /// time-range index (lost seal notifications leave it stale for
-    /// exactly the spans a repair covers).
+    /// queued for the next epoch. A repair is an archive replay and
+    /// nothing more: it leaves the time-range index alone, so a seal
+    /// announcement lost with the gap stays unregistered.
     fn attempt_recoveries(&mut self, t: SimTime) {
-        let pending = self.gaps.take_pending();
-        if pending.is_empty() {
-            return;
-        }
-        let mut repaired = false;
-        for r in pending {
+        for r in self.gaps.take_pending() {
             let sp = self.assignment[r.sensor];
             if !self.reachable(r.sensor, sp, t) {
                 self.gaps.request_recovery(r.sensor, r.from, r.to, r.detected_at);
@@ -797,13 +791,9 @@ impl PrestoSystem {
                     self.gaps.complete(&r, samples as u64, t);
                     // A served pull is proof of life.
                     self.liveness.heard(r.sensor, t);
-                    repaired = true;
                 }
                 None => self.gaps.requeue_failed(r),
             }
-        }
-        if repaired {
-            self.refresh_time_index();
         }
     }
 
@@ -959,35 +949,12 @@ impl PrestoSystem {
         &self.config.faults
     }
 
-    /// Rebuilds the time-range index from every sensor's *live* segment
-    /// spans, with endpoints mapped through the sensor's clock corrector
-    /// so registered intervals are in reference time (archives stamp in
-    /// drifting local time, and accumulated skew is unbounded — no
-    /// fixed routing slack could cover it). Rebuilding rather than
-    /// accumulating keeps the index bounded by live segments — entries
-    /// for reclaimed segments drop out — and the span count is small
-    /// (at most blocks-per-archive per sensor), so consumers rebuild
-    /// on demand instead of relying on a periodic refresh. Each span
-    /// registers under the sensor's serving proxy, as seal notifications
-    /// do, so a re-homed sensor's archive routes to its adopter.
-    pub fn refresh_time_index(&mut self) {
-        self.time_index.clear();
-        for (gid, node) in self.nodes.iter().enumerate() {
-            let corrector = &self.correctors[gid];
-            for (start, end) in node.archive().segment_spans() {
-                self.time_index.register(
-                    self.assignment[gid],
-                    corrector.correct(start),
-                    corrector.correct(end),
-                );
-            }
-        }
-    }
-
     /// Routes a time range through the interval index, returning the
     /// proxies holding overlapping archived data and the routing hop
-    /// count. An empty (not yet refreshed) index falls back to every
-    /// proxy — correct, just unpruned.
+    /// count. "Archived" means announced as sealed: a window whose only
+    /// data sits in segments still filling, or in segments whose seal
+    /// announcement was lost, routes nowhere. An empty index (no seal
+    /// delivered yet) falls back to every proxy — correct, just unpruned.
     pub fn route_range(&self, from: SimTime, to: SimTime) -> (Vec<usize>, u64) {
         if self.time_index.is_empty() {
             return ((0..self.config.proxies).collect(), 0);
@@ -1112,7 +1079,6 @@ mod tests {
     fn range_routing_prunes_non_overlapping_proxies() {
         let mut sys = PrestoSystem::new(small());
         sys.run(SimDuration::from_days(1));
-        sys.refresh_time_index();
         assert!(!sys.time_index.is_empty(), "segments were never registered");
         // Every proxy archived the first day.
         let (covered, _) = sys.route_range(SimTime::from_hours(1), SimTime::from_hours(2));
@@ -1130,11 +1096,17 @@ mod tests {
         for gid in 3..6 {
             sys.rehome_sensor(gid, 0, t);
         }
-        // Every completed repair rebuilds the index; seal notifications
-        // already register under the serving proxy, and so must it.
-        sys.refresh_time_index();
-        let (covered, _) = sys.route_range(SimTime::from_hours(1), SimTime::from_hours(2));
+        sys.run(SimDuration::from_days(1));
+        // Seals delivered after the re-home register under the adopter.
+        let day2 = SimTime::from_days(1);
+        let (covered, _) = sys.route_range(
+            day2 + SimDuration::from_hours(6),
+            day2 + SimDuration::from_hours(7),
+        );
         assert_eq!(covered, vec![0]);
+        // What proxy 1 was told before the re-home stays under it.
+        let (covered, _) = sys.route_range(SimTime::from_hours(1), SimTime::from_hours(2));
+        assert_eq!(covered, vec![0, 1]);
     }
 
     #[test]
@@ -1154,8 +1126,7 @@ mod tests {
     fn seal_notifications_maintain_time_index_without_rebuild() {
         let mut sys = PrestoSystem::new(small());
         sys.run(SimDuration::from_days(1));
-        // No refresh_time_index call: the index was fed by SegmentSeal
-        // uplinks alone.
+        // The index is fed by SegmentSeal uplinks alone.
         assert!(
             !sys.time_index.is_empty(),
             "no seal notification reached the index"
@@ -1212,6 +1183,41 @@ mod tests {
             SimDuration::from_secs(31),
         );
         assert!(coverage > 0.9, "post-recovery coverage {coverage}");
+    }
+
+    #[test]
+    fn a_repair_registers_nothing_and_the_open_segment_waits_for_its_seal() {
+        let mut cfg = SystemConfig {
+            proxies: 1,
+            sensors_per_proxy: 1,
+            ..SystemConfig::default()
+        };
+        cfg.reliability = tight_reliability();
+        cfg.faults = presto_sim::FaultPlan::none().with_blackout_of(
+            vec![0],
+            SimTime::from_hours(3),
+            SimTime::from_hours(5),
+        );
+        let mut sys = PrestoSystem::new(cfg);
+        sys.run(SimDuration::from_hours(5));
+        let before = sys.gaps.stats().recoveries;
+        while sys.gaps.stats().recoveries == before {
+            sys.step_epoch();
+            assert!(sys.now() < SimTime::from_hours(8), "never repaired");
+        }
+        // The last minute lies in the sensor's still-open segment, which
+        // no seal has announced: the repair left it unregistered.
+        let epoch = SimDuration::from_secs(31);
+        let (from, to) = (sys.now() - epoch * 2, sys.now() - epoch);
+        let (covered, _) = sys.route_range(from, to);
+        assert!(covered.is_empty(), "open segment routed to {covered:?}");
+        let seals = sys.nodes[0].stats().seals_sent;
+        while sys.route_range(from, to).0.is_empty() {
+            sys.step_epoch();
+            assert!(sys.now() < SimTime::from_hours(10), "seal never delivered");
+        }
+        assert!(sys.nodes[0].stats().seals_sent > seals);
+        assert_eq!(sys.route_range(from, to).0, vec![0]);
     }
 
     #[test]

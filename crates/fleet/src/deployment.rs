@@ -214,7 +214,9 @@ impl FleetDeployment {
             }
         }
         // Shed gating via the time-range index: a window archived
-        // nowhere is not worth a mesh round trip.
+        // nowhere is not worth a mesh round trip. "Archived" means
+        // announced as sealed, so a window inside the sensors' still-open
+        // segments stays home too.
         let range_archived = match query {
             PipelineQuery::Past { from, to, .. } | PipelineQuery::Aggregate { from, to, .. } => {
                 let slack = SimDuration::from_secs(60);

@@ -191,6 +191,9 @@ pub struct FleetRouterStats {
     /// Tickets failed because their entry or serving proxy was fenced
     /// (up but outside the membership quorum).
     pub failed_fenced: u64,
+    /// Sheddable (PAST or aggregate) submissions whose padded window no
+    /// time-range index entry covers: the shed gate keeps them home.
+    pub unarchived: u64,
 }
 
 presto_telemetry::observe_counters!(FleetRouterStats {
@@ -205,6 +208,7 @@ presto_telemetry::observe_counters!(FleetRouterStats {
     late_dropped,
     shed_episodes,
     failed_fenced,
+    unarchived,
 });
 
 #[derive(Clone, Debug)]
@@ -479,7 +483,8 @@ impl FleetRouter {
     /// sensor's current owner per the assignment; `range_archived`
     /// gates shedding on the time-range index saying *some* proxy
     /// holds data overlapping the window (a range nobody archived is
-    /// not worth a mesh round trip). Returns `(ticket, deadline,
+    /// not worth a mesh round trip; [`FleetRouterStats::unarchived`]
+    /// counts the sheddable queries it gates). Returns `(ticket, deadline,
     /// action)`; the caller performs the submit or mesh send and then
     /// calls [`FleetRouter::bind`] when a pipeline ticket exists.
     #[allow(clippy::too_many_arguments)]
@@ -503,6 +508,9 @@ impl FleetRouter {
             query,
             PipelineQuery::Past { .. } | PipelineQuery::Aggregate { .. }
         );
+        if sheddable && !range_archived {
+            self.stats.unarchived += 1;
+        }
         let may_shed =
             self.config.shed_enabled && sheddable && range_archived && deadline - t > FORWARD_SLACK;
         let mut target = serving;
@@ -837,6 +845,16 @@ mod tests {
         let (_, _, action) = r.route(SimTime::ZERO, 0, 0, past(1), 0.2, &pressures, false);
         assert_eq!(action, RouteAction::Local { proxy: 0 });
         assert_eq!(r.stats().shed, 1);
+    }
+
+    #[test]
+    fn unarchived_range_stays_home_and_is_counted() {
+        let mut r = FleetRouter::new(FleetRouterConfig::default());
+        let pressures = [hot(20), cool()];
+        let (_, _, action) = r.route(SimTime::ZERO, 0, 0, past(1), 0.2, &pressures, false);
+        assert_eq!(action, RouteAction::Local { proxy: 0 });
+        assert_eq!(r.stats().shed, 0);
+        assert_eq!(r.stats().unarchived, 1);
     }
 
     #[test]

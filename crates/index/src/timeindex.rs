@@ -1,11 +1,12 @@
 //! Range routing over archived time intervals.
 //!
 //! Sealed archive segments carry a covered `[start, end]` span (see
-//! `presto-archive`). Each proxy registers the spans of its sensors'
-//! segments here; a multi-proxy range query then asks the index which
-//! proxies hold *any* data overlapping the window and prunes the rest
-//! before issuing pulls — the paper's "simple time-based index
-//! structure" lifted to the proxy tier.
+//! `presto-archive`), which sensors announce as they seal. Each
+//! announced span registers here under the proxy serving its sensor;
+//! a multi-proxy range query then asks the index which proxies hold
+//! *any* data overlapping the window and prunes the rest before issuing
+//! pulls — the paper's "simple time-based index structure" lifted to
+//! the proxy tier.
 //!
 //! The interval starts live in the existing [`SkipGraph`] (keyed by
 //! start microseconds), so lookups pay — and report — the same
@@ -39,7 +40,6 @@ pub struct TimeRangeIndex {
     /// stabbing query.
     max_span_us: u64,
     registered: u64,
-    seed: u64,
 }
 
 impl TimeRangeIndex {
@@ -51,18 +51,7 @@ impl TimeRangeIndex {
             entries: BTreeMap::new(),
             max_span_us: 0,
             registered: 0,
-            seed,
         }
-    }
-
-    /// Drops every registration (keeping the membership seed). Callers
-    /// rebuild from live segment spans so entries for reclaimed
-    /// segments do not accumulate forever.
-    pub fn clear(&mut self) {
-        self.graph = SkipGraph::new(self.seed);
-        self.entries.clear();
-        self.max_span_us = 0;
-        self.registered = 0;
     }
 
     /// Number of distinct `(proxy, start)` registrations.
@@ -177,23 +166,6 @@ mod tests {
         assert_eq!(p, vec![1]);
         let (p, _) = idx.proxies_overlapping(t(15), t(16));
         assert_eq!(p, vec![0, 1]);
-    }
-
-    #[test]
-    fn clear_drops_stale_registrations() {
-        let mut idx = TimeRangeIndex::new(5);
-        idx.register(0, t(0), t(100));
-        idx.register(1, t(500), t(600));
-        idx.clear();
-        assert!(idx.is_empty());
-        let (p, _) = idx.proxies_overlapping(t(0), t(1000));
-        assert!(p.is_empty(), "cleared index still routed {p:?}");
-        // Rebuild with only the live interval: the stale one is gone.
-        idx.register(1, t(500), t(600));
-        let (p, _) = idx.proxies_overlapping(t(0), t(100));
-        assert!(p.is_empty());
-        let (p, _) = idx.proxies_overlapping(t(550), t(560));
-        assert_eq!(p, vec![1]);
     }
 
     #[test]

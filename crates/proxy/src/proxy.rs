@@ -223,10 +223,6 @@ pub struct PrestoProxy {
     /// routing must consult this span in addition to archived segment
     /// intervals.
     events_span: Option<(SimTime, SimTime)>,
-    /// Sealed-segment spans reported by sensors, awaiting registration
-    /// in the deployment's time-range index (drained by the system
-    /// tier, which owns that index).
-    sealed_spans: Vec<(u16, SimTime, SimTime)>,
     spatial: Option<(SpatialGaussian, Vec<u16>)>,
     ledger: EnergyLedger,
     downlink: Mac,
@@ -251,7 +247,6 @@ impl PrestoProxy {
             sensors: BTreeMap::new(),
             events: EventCache::new(EVENT_CAPACITY),
             events_span: None,
-            sealed_spans: Vec::new(),
             spatial: None,
             ledger: EnergyLedger::new(),
             stats: ProxyStats::default(),
@@ -312,12 +307,6 @@ impl PrestoProxy {
     /// `[min, max]` timestamp over cached events, `None` when empty.
     pub fn events_span(&self) -> Option<(SimTime, SimTime)> {
         self.events_span
-    }
-
-    /// Drains sealed-segment spans reported by sensors since the last
-    /// call, for registration in the deployment time-range index.
-    pub fn take_sealed_spans(&mut self) -> Vec<(u16, SimTime, SimTime)> {
-        std::mem::take(&mut self.sealed_spans)
     }
 
     /// Read access to a sensor's cache.
@@ -384,30 +373,18 @@ impl PrestoProxy {
                 });
                 self.stats.samples_cached += samples.len() as u64;
             }
-            UplinkPayload::AggregateReply { .. } => {
-                // Scalar result; nothing to cache (the consuming query
-                // takes it straight from the reply).
+            UplinkPayload::AggregateReply { .. }
+            | UplinkPayload::Heartbeat { .. }
+            | UplinkPayload::SegmentSeal { .. } => {
+                // Scalar reply, lease renewal or seal notice: record the
+                // contact, cache nothing. The consuming query takes an
+                // aggregate straight from its reply, and the system tier
+                // registers seals in its range index.
                 slot.cache.last_heard = Some(
                     slot.cache
                         .last_heard
                         .map_or(msg.sent_at, |h| h.max(msg.sent_at)),
                 );
-            }
-            UplinkPayload::Heartbeat { .. } => {
-                // Pure lease renewal: record the contact, cache nothing.
-                slot.cache.last_heard = Some(
-                    slot.cache
-                        .last_heard
-                        .map_or(msg.sent_at, |h| h.max(msg.sent_at)),
-                );
-            }
-            UplinkPayload::SegmentSeal { start, end } => {
-                slot.cache.last_heard = Some(
-                    slot.cache
-                        .last_heard
-                        .map_or(msg.sent_at, |h| h.max(msg.sent_at)),
-                );
-                self.sealed_spans.push((msg.sensor, *start, *end));
             }
         }
     }
@@ -920,7 +897,6 @@ impl PrestoProxy {
         }
         self.events = EventCache::new(EVENT_CAPACITY);
         self.events_span = None;
-        self.sealed_spans.clear();
         self.spatial = None;
         // RAM-resident trace state dies with the queue it described;
         // the fleet tier still closes its own traces honestly.

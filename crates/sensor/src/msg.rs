@@ -92,9 +92,9 @@ pub enum UplinkPayload {
         archived_through: SimTime,
     },
     /// A segment-seal notification: the local archive sealed a block
-    /// covering `[start, end]`. The proxy tier registers the span in
-    /// its time-range index immediately, so range routing never lags
-    /// the archives until some periodic rebuild.
+    /// covering `[start, end]`. On delivery the system registers the
+    /// span in its time-range index under the serving proxy. It is the
+    /// index's only feed: a lost notification stays unregistered.
     SegmentSeal {
         /// Covered start of the sealed segment.
         start: SimTime,

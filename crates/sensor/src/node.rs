@@ -236,8 +236,8 @@ impl SensorNode {
         self.last_sample = None;
         self.last_flush = t;
         self.last_advance = self.last_advance.max(t);
-        // Un-announced seal spans die with RAM; the post-reconnect
-        // recovery replay rebuilds the range index from the archive.
+        // Un-announced seal spans die with RAM: the proxy tier's range
+        // index never learns of them.
         self.pending_seals.clear();
         // So does the archive's unflushed page buffer: records not yet
         // programmed into flash never existed as far as recovery is
@@ -299,9 +299,12 @@ impl SensorNode {
         let mut out = Vec::new();
         // Announce any segment seal the append caused, so the proxy
         // tier's range index follows the archive block-by-block. A
-        // failed send keeps the span queued for the next sample.
+        // failed send keeps the span queued for the next sample. The
+        // archive's queue drains on every sample, so a node that does
+        // not announce keeps nothing.
+        let sealed = self.archive.take_sealed_spans();
         if self.config.announce_seals {
-            self.pending_seals.extend(self.archive.take_sealed_spans());
+            self.pending_seals.extend(sealed);
             while let Some(&(start, end)) = self.pending_seals.first() {
                 match self.send(
                     t,
@@ -1269,5 +1272,32 @@ mod tests {
             .map(|i| diurnal_value(SimTime::ZERO + SimDuration::from_secs(31) * i))
             .fold(f64::NEG_INFINITY, f64::max);
         assert!((value - truth).abs() < 0.01, "{value} vs {truth}");
+    }
+
+    #[test]
+    fn bare_node_drains_the_archive_seal_queue() {
+        // Two nodes archive the same samples; only one announces seals.
+        let mut bare = node(PushPolicy::Silent);
+        let mut announcing = SensorNode::new(
+            7,
+            SensorConfig {
+                push: PushPolicy::Silent,
+                announce_seals: true,
+                ..SensorConfig::default()
+            },
+            LinkModel::perfect(),
+        );
+        for i in 0..4000u64 {
+            let t = SimTime::ZERO + SimDuration::from_secs(31) * i;
+            bare.on_sample(t, diurnal_value(t), None);
+            announcing.on_sample(t, diurnal_value(t), None);
+        }
+        assert!(
+            announcing.stats().seals_sent >= 2,
+            "expected several sealed blocks, got {}",
+            announcing.stats().seals_sent
+        );
+        // The bare node sealed as many blocks and kept none of them.
+        assert!(bare.archive.take_sealed_spans().is_empty());
     }
 }
