@@ -10,14 +10,17 @@
 #   crates/bench/outputs.sh --against <ref>  # also build <ref> in a scratch
 #                                            # export (git archive), run the
 #                                            # same 21 there, print every
-#                                            # stdout and every smoke's
-#                                            # metric rows that differ, and
+#                                            # stdout, every smoke's metric
+#                                            # rows and every smoke's
+#                                            # incidents that differ, and
 #                                            # fail if anything did
 #
 # The smokes' metric rows are the `metrics` list of each BENCH_*.json:
 # the whole flattened telemetry snapshot. The comparison leaves out the
 # rows that depend on the host or on allocations (`*.micros`,
-# `*.allocs`, `alloc.*`); every other row is deterministic.
+# `*.allocs`, `alloc.*`); every other row is deterministic. A smoke's
+# incidents are its watchdog incident log, the artifact's last field:
+# rule, window, observed, bound, attributed and blame set.
 #
 # No expected outputs are committed: the simulator calls libm, so byte
 # identity only holds between two builds on one machine.
@@ -90,6 +93,11 @@ rows() {
   grep '^ *{"key": ' "$1" | grep -Ev '"key": "(alloc\.[^"]*|[^"]*\.(micros|allocs))"'
 }
 
+# incidents <BENCH json>: the incident log, from its key to the end.
+incidents() {
+  sed -n '/^  "incidents": /,$p' "$1"
+}
+
 if [ -n "$against" ]; then
   mkdir -p "$scratch/ref"
   git -C "$root" archive "$against" | tar -x -C "$scratch/ref"
@@ -116,7 +124,12 @@ if [ -n "$against" ]; then
       head -n 4 "$scratch/rows.changed" >&2
       differed=1
     fi
+    if ! diff <(incidents "$base") <(incidents "$name") >"$scratch/incidents.diff"; then
+      echo "incidents differ from $against: $name" >&2
+      head -n 20 "$scratch/incidents.diff" >&2
+      differed=1
+    fi
   done
   [ "$differed" -eq 0 ] || exit 1
-  echo "all ${#OUTPUTS[@]} stdouts and every smoke's deterministic metric rows identical to $against"
+  echo "all ${#OUTPUTS[@]} stdouts, every smoke's deterministic metric rows and every smoke's incidents identical to $against"
 fi

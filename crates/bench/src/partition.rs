@@ -20,7 +20,7 @@ use crate::driver::{
 use crate::fleet::{archive_reach_bounds, arrivals, deploy, plan, FleetScenarioConfig};
 use crate::report::ArmSummary;
 use presto_fleet::FleetDeployment;
-use presto_sim::{FaultPlan, SimDuration, SimTime};
+use presto_sim::{Fault, FaultPlan, SimDuration, SimTime};
 use presto_telemetry::{CompletionCause, SpanEvent};
 
 /// Partition window, minutes into the query phase: the last proxy is
@@ -134,7 +134,7 @@ fn run_arm(cfg: &FleetScenarioConfig, partition: bool) -> PartitionArm {
         .scope()
         .incidents()
         .iter()
-        .filter(|i| i.faults.iter().any(|f| format!("{f:?}").contains("MeshPartition")))
+        .filter(|i| i.faults.iter().any(|f| matches!(f, Fault::MeshPartition { .. })))
         .count() as u64;
     PartitionArm {
         run,

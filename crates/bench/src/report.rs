@@ -430,7 +430,7 @@ pub fn scope_incidents(scope: &PrestoScope) -> Vec<IncidentOut> {
             closed_s: i.closed_at.map(|t| t.as_secs_f64()),
             observed: i.observed,
             bound: i.bound,
-            attributed: i.attributed,
+            attributed: i.attributed(),
             faults: i.faults.iter().map(|f| format!("{f:?}")).collect(),
         })
         .collect()

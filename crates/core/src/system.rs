@@ -34,7 +34,7 @@ use presto_reliability::{
 };
 use presto_sensor::{PushPolicy, SensorConfig, SensorNode, UplinkPayload};
 use presto_sim::{EnergyCategory, EnergyLedger, FaultPlan, SimDuration, SimRng, SimTime};
-use presto_telemetry::{EpochProfiler, Observe, PrestoScope, ScopeConfig, Sink, Snapshot};
+use presto_telemetry::{EpochProfiler, Observe, PrestoScope, Readings, ScopeConfig, Sink, Snapshot};
 use presto_workloads::{LabDeployment, LabParams};
 
 /// Event type code used for rare-event reports.
@@ -886,7 +886,15 @@ impl PrestoSystem {
         }
         let mut readings = self.scope.begin_tick();
         self.observe_into(&mut self.scope.sink(&mut readings));
-        self.scope.end_tick(t, readings, &self.config.faults);
+        self.end_scope_tick(t, readings);
+    }
+
+    /// Closes a scope tick at `t` over `readings` with this system's
+    /// fault plan as blame context; returns the number of slots read.
+    /// [`PrestoSystem::scope_tick`] and deployment-tier ticks that
+    /// observe more than the system both end here.
+    pub fn end_scope_tick(&mut self, t: SimTime, readings: Readings) -> usize {
+        self.scope.end_tick(t, readings, &self.config.faults)
     }
 
     /// One unified metrics snapshot across every tier this system

@@ -262,7 +262,7 @@ impl FleetDeployment {
     pub fn step_epoch(&mut self) {
         let t = self.system.step_epoch_core();
         let proxies = self.system.config().proxies;
-        let faults = self.system.faults().clone();
+        let faults = self.system.faults();
         let up: Vec<bool> = (0..proxies).map(|p| !faults.proxy_down(p, t)).collect();
         let mesh_timer = self.system.profiler().begin();
         for (p, &u) in up.iter().enumerate() {
@@ -429,7 +429,7 @@ impl FleetDeployment {
             let scope_timer = self.system.profiler().begin();
             let mut readings = self.system.scope_mut().begin_tick();
             self.observe_into(&mut self.system.scope().sink(&mut readings));
-            let read = self.system.scope_mut().end_tick(t, readings, &faults);
+            let read = self.system.end_scope_tick(t, readings);
             self.system.profiler_mut().end("fleet_scope", scope_timer);
             self.system.profiler_mut().count("fleet_scope", read as u64);
         }

@@ -326,7 +326,7 @@ impl SensorNode {
         let policy = self.config.push.clone();
         match policy {
             PushPolicy::ModelDriven { tolerance } => {
-                let verdict = self.run_model_check(t, value);
+                let verdict = self.run_model_check(t, value, tolerance);
                 if let Some(residual) = verdict {
                     let _ = residual;
                     let predicted = value - residual;
@@ -364,33 +364,6 @@ impl SensorNode {
             PushPolicy::Batched { interval, .. } => {
                 self.batch.push((t, value));
                 if t - self.last_flush >= interval {
-                    if let Some(m) = self.flush_batch(t, proxy_ledger.as_deref_mut()) {
-                        out.push(m);
-                    }
-                }
-            }
-            PushPolicy::ModelDrivenBatched {
-                tolerance,
-                hard_tolerance,
-                interval,
-            } => {
-                if let Some(residual) = self.run_model_check(t, value) {
-                    if residual.abs() > hard_tolerance {
-                        let predicted = value - residual;
-                        self.stats.deviations_pushed += 1;
-                        if let Some(m) = self.send(
-                            t,
-                            wire::DEVIATION,
-                            UplinkPayload::Deviation { value, predicted },
-                            proxy_ledger.as_deref_mut(),
-                        ) {
-                            out.push(m);
-                        }
-                    } else if residual.abs() > tolerance {
-                        self.batch.push((t, value));
-                    }
-                }
-                if t - self.last_flush >= interval && !self.batch.is_empty() {
                     if let Some(m) = self.flush_batch(t, proxy_ledger) {
                         out.push(m);
                     }
@@ -404,12 +377,7 @@ impl SensorNode {
     /// Runs the model replica check. Returns `Some(residual)` when the
     /// check deviates (or when no model is installed, in which case the
     /// residual is the value itself — everything is "unpredicted").
-    fn run_model_check(&mut self, t: SimTime, value: f64) -> Option<f64> {
-        let tolerance = match &self.config.push {
-            PushPolicy::ModelDriven { tolerance } => *tolerance,
-            PushPolicy::ModelDrivenBatched { tolerance, .. } => *tolerance,
-            _ => return Some(value),
-        };
+    fn run_model_check(&mut self, t: SimTime, value: f64, tolerance: f64) -> Option<f64> {
         let Some(model) = self.model.as_mut() else {
             return Some(value);
         };
@@ -430,7 +398,7 @@ impl SensorNode {
         result
     }
 
-    /// Flushes the accumulated batch (used by the batched policies and by
+    /// Flushes the accumulated batch (used by the batched policy and by
     /// the end-of-run drain in experiments).
     pub fn flush_batch(
         &mut self,
@@ -596,17 +564,14 @@ impl SensorNode {
                 if let Some(tol) = push_tolerance {
                     match &mut self.config.push {
                         PushPolicy::ModelDriven { tolerance } => *tolerance = *tol,
-                        PushPolicy::ModelDrivenBatched { tolerance, .. } => *tolerance = *tol,
                         PushPolicy::ValueDriven { delta } => *delta = *tol,
                         _ => {}
                     }
                 }
-                if let Some(interval) = batching_interval {
-                    match &mut self.config.push {
-                        PushPolicy::Batched { interval: i, .. } => *i = *interval,
-                        PushPolicy::ModelDrivenBatched { interval: i, .. } => *i = *interval,
-                        _ => {}
-                    }
+                if let (Some(interval), PushPolicy::Batched { interval: i, .. }) =
+                    (batching_interval, &mut self.config.push)
+                {
+                    *i = *interval;
                 }
                 if let Some(check) = lpl_check_interval {
                     self.config.duty = presto_net::DutyCycle::lpl(*check);

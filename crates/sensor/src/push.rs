@@ -31,17 +31,6 @@ pub enum PushPolicy {
         /// Optional wavelet codec configuration.
         compression: Option<CodecParams>,
     },
-    /// Model-driven push with batching of small deviations: deviations
-    /// beyond `hard_tolerance` push immediately; others wait for the
-    /// batch flush. An extension arm used in E6.
-    ModelDrivenBatched {
-        /// Batch-eligible deviation threshold.
-        tolerance: f64,
-        /// Immediate-push threshold (rare events).
-        hard_tolerance: f64,
-        /// Batching interval.
-        interval: SimDuration,
-    },
     /// Push nothing (direct-query baseline: the proxy always pulls).
     Silent,
 }
@@ -64,9 +53,6 @@ impl PushPolicy {
                     "raw"
                 }
             ),
-            PushPolicy::ModelDrivenBatched { interval, .. } => {
-                format!("model-driven-batched({:.1}min)", interval.as_mins_f64())
-            }
             PushPolicy::Silent => "silent".to_string(),
         }
     }

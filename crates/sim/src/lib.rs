@@ -27,7 +27,7 @@ pub mod rng;
 pub mod time;
 
 pub use energy::{EnergyCategory, EnergyLedger};
-pub use faults::{ActiveFault, Blackout, CrashWindow, FaultPlan, MeshPartition, SharedBurst};
+pub use faults::{Fault, FaultPlan};
 pub use queries::{
     FleetArrival, FleetLoadConfig, FleetQueryLoad, QueryArrival, QueryKind, QueryLoad,
     QueryLoadConfig,

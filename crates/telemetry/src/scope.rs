@@ -41,7 +41,7 @@
 
 use std::collections::BTreeMap;
 
-use presto_sim::{ActiveFault, FaultPlan, SimDuration, SimTime};
+use presto_sim::{Fault, FaultPlan, SimDuration, SimTime};
 
 use crate::metrics::{Observe, PathIndex, Sink};
 
@@ -381,12 +381,18 @@ pub struct Incident {
     pub observed: f64,
     /// The rule's bound (0 for `Still` rules).
     pub bound: f64,
-    /// Injected faults whose padded windows overlap the episode —
-    /// the blame set.
-    pub faults: Vec<ActiveFault>,
+    /// Injected faults whose padded windows overlap the episode, each
+    /// once, in the order the episode first meets them (plan order
+    /// within a tick) — the blame set.
+    pub faults: Vec<Fault>,
+}
+
+impl Incident {
     /// True when at least one injected fault overlaps: the violation
     /// is *explained*. An unattributed incident is a regression.
-    pub attributed: bool,
+    pub fn attributed(&self) -> bool {
+        !self.faults.is_empty()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -473,7 +479,6 @@ impl WatchdogEngine {
             match (violated, state.open) {
                 (true, None) => {
                     *self.opened.entry(rule.name).or_insert(0) += 1;
-                    let blame = faults.active_in(t - pad, t + pad);
                     if self.incidents.len() < self.incident_cap {
                         self.incidents.push(Incident {
                             rule: rule.name,
@@ -482,8 +487,7 @@ impl WatchdogEngine {
                             closed_at: None,
                             observed,
                             bound,
-                            attributed: !blame.is_empty(),
-                            faults: blame,
+                            faults: faults.active_in(t - pad, t + pad),
                         });
                         state.open = Some(self.incidents.len() - 1);
                     } else {
@@ -501,7 +505,6 @@ impl WatchdogEngine {
                                 inc.faults.push(f);
                             }
                         }
-                        inc.attributed = !inc.faults.is_empty();
                     }
                 }
                 (false, Some(idx)) => {
@@ -703,7 +706,7 @@ impl PrestoScope {
         self.watchdog
             .incidents()
             .iter()
-            .filter(|i| !i.attributed)
+            .filter(|i| !i.attributed())
             .count()
     }
 
@@ -843,7 +846,7 @@ mod tests {
         assert_eq!(e.incidents().len(), 1);
         assert_eq!(e.incidents()[0].rule, WD_STALE_CONFIDENT);
         assert_eq!(e.incidents()[0].observed, 2.0);
-        assert!(!e.incidents()[0].attributed, "no faults injected");
+        assert!(!e.incidents()[0].attributed(), "no faults injected");
         e.sample(t(93), &tick(&[("probe.stale", 2.0)]), &plan);
         assert_eq!(e.incidents()[0].closed_at, Some(t(93)));
         assert_eq!(e.incidents().len(), 1, "episodes merge consecutive ticks");
@@ -937,11 +940,11 @@ mod tests {
         e.sample(t(150), &tick(&[("fleet_router.failed_fenced", 3.0)]), &plan);
         assert_eq!(e.incidents().len(), 1);
         let inc = &e.incidents()[0];
-        assert!(inc.attributed, "the cut was active: {inc:?}");
+        assert!(inc.attributed(), "the cut was active: {inc:?}");
         assert!(
             inc.faults
                 .iter()
-                .any(|f| matches!(f, ActiveFault::MeshPartition { .. })),
+                .any(|f| matches!(f, Fault::MeshPartition { .. })),
             "blame set must name the partition: {:?}",
             inc.faults
         );
