@@ -2,7 +2,8 @@
 //! `crates/analysis/tests/lints.rs` under the synthetic path
 //! `crates/proxy/src/fixture_bad.rs` so every rule is in scope, and each
 //! lint class below must fire at least once. Linted alone, nothing calls
-//! its `pub fn`s, so U1 fires too.
+//! its `pub fn`s, so U1 fires too; `mentioned` is named as a field, a
+//! local and a struct-literal key, which are not calls.
 
 use std::collections::HashMap; // D1: nondeterministic iteration order
 use std::time::Instant; // D2: host wall-clock
@@ -31,6 +32,20 @@ pub fn lookup(map: &HashMap<u16, f64>, key: usize) -> f64 {
     let key = key as u16; // N1: silent truncation on the query path
     let _ = started;
     *map.get(&key).unwrap() // H1: panics instead of failing honestly
+}
+
+// U1: only mentioned below, never called.
+pub fn mentioned() -> u32 {
+    0
+}
+
+pub struct Holder {
+    pub mentioned: u32,
+}
+
+fn rebuild(h: &Holder) -> Holder {
+    let mentioned = h.mentioned;
+    Holder { mentioned }
 }
 
 // A0: stale annotation — nothing on the next line violates `clock`.

@@ -27,11 +27,15 @@
 //!   inside a `#[cfg(test)]` / `#[test]` span); an SLO constant nothing
 //!   tests is a watchdog that may never have fired.
 //! - **U1 `unused`** — rustc's `dead_code` cannot see `pub` items, so this
-//!   rule does: a `pub fn` whose name no non-test code mentions outside
-//!   its own declaration, and a module none of whose top-level `pub`
-//!   items is named outside its file. `use` lines are imports, not
-//!   references (a `use x as y` rename is one). Examples, benches and
-//!   `perfbench/src/` are read as callers but never linted.
+//!   rule does: a `pub fn` that no non-test code calls (its name followed
+//!   by `(` or `::<`, or preceded by `::`; a field, a local or a
+//!   struct-literal key of the same name is no call), and a module none
+//!   of whose top-level `pub` items is named outside its file. `use` lines
+//!   are imports, not references (a `use x as y` rename is one). Matching
+//!   is by name, so a live function of the same name keeps a dead one
+//!   hidden; ANALYSIS.md has the compiler audit that finds those.
+//!   Examples, benches and `perfbench/src/` are read as callers but never
+//!   linted.
 //! - **K1 `knob`** — a `pub` field of a `pub struct *Config`/`*Bounds` in
 //!   library code that nothing sets. A setter is a literal of that struct
 //!   (`Name { field: .. }`, shorthand, or `Self { .. }` inside an `impl` of
@@ -653,10 +657,31 @@ const DECL_KEYWORDS: &[&str] = &[
     "fn", "struct", "enum", "trait", "type", "const", "static", "union", "mod",
 ];
 
-/// Record, per name, the files (by index) that reference it: non-test code
-/// outside `use` items and declarations. A `use x as y` rename references
-/// `x`; every other path in a `use` item is only an import.
-fn index_refs(ctx: &FileCtx, file_idx: usize, refs: &mut BTreeMap<String, BTreeSet<usize>>) {
+/// Non-test references by name. `named` maps each name to the files that
+/// mention it, which is what U1's module check reads; `called` holds the
+/// names used in a call shape, which is what its `pub fn` check reads.
+#[derive(Default)]
+struct Refs {
+    named: BTreeMap<String, BTreeSet<usize>>,
+    called: BTreeSet<String>,
+}
+
+/// Whether the identifier at `toks[i]` is used as a call: followed by `(`
+/// or `::<` (`name(`, `.name(`, `name::<T>(`), or preceded by `::`
+/// (`Type::name(`, `map(Self::name)`). A field access, a local binding or
+/// a struct-literal key is none of these.
+fn call_shaped(toks: &[Token], i: usize) -> bool {
+    let punct = |k: usize, c: char| toks.get(k).is_some_and(|t| is_punct(t, c));
+    punct(i + 1, '(')
+        || (punct(i + 1, ':') && punct(i + 2, ':') && punct(i + 3, '<'))
+        || (i >= 2 && punct(i - 1, ':') && punct(i - 2, ':'))
+}
+
+/// Record the non-test references of one file: code outside `use` items
+/// and declarations. A `use x as y` rename references (and, since the new
+/// name may be called, calls) `x`; every other path in a `use` item is
+/// only an import.
+fn index_refs(ctx: &FileCtx, file_idx: usize, refs: &mut Refs) {
     let toks = &ctx.tokens;
     let mut in_use = false;
     for (i, t) in toks.iter().enumerate() {
@@ -667,12 +692,18 @@ fn index_refs(ctx: &FileCtx, file_idx: usize, refs: &mut BTreeMap<String, BTreeS
             in_use &= !is_punct(t, ';');
             continue;
         };
-        let renamed = toks.get(i + 1).is_some_and(|n| is_ident(n, "as"));
+        let renamed = in_use && toks.get(i + 1).is_some_and(|n| is_ident(n, "as"));
         let declared = i > 0 && ident(&toks[i - 1]).is_some_and(|p| DECL_KEYWORDS.contains(&p));
         if name == "use" {
             in_use = true;
         } else if (!in_use || renamed) && !declared {
-            refs.entry(name.to_string()).or_default().insert(file_idx);
+            refs.named
+                .entry(name.to_string())
+                .or_default()
+                .insert(file_idx);
+            if renamed || call_shaped(toks, i) {
+                refs.called.insert(name.to_string());
+            }
         }
     }
 }
@@ -733,19 +764,19 @@ fn pub_decls(ctx: &FileCtx) -> Vec<PubDecl<'_>> {
     decls
 }
 
-/// U1's two checks on one linted file: a `pub fn` whose name no non-test
-/// code references, and a module none of whose top-level `pub` items is
-/// named outside the file.
-fn scan_unused(ctx: &mut FileCtx, file_idx: usize, refs: &BTreeMap<String, BTreeSet<usize>>) {
+/// U1's two checks on one linted file: a `pub fn` that no non-test code
+/// calls, and a module none of whose top-level `pub` items is named outside
+/// the file.
+fn scan_unused(ctx: &mut FileCtx, file_idx: usize, refs: &Refs) {
     let decls = pub_decls(ctx);
     let mut found = Vec::new();
     for d in decls.iter().filter(|d| d.keyword == "fn") {
-        if !refs.contains_key(d.name) {
+        if !refs.called.contains(d.name) {
             found.push((
                 Rule::Unused,
                 d.line,
                 format!(
-                    "pub fn `{}` is named by no non-test code; delete it, or allow it with \
+                    "pub fn `{}` is called by no non-test code; delete it, or allow it with \
                      the test that uses it as an oracle or probe",
                     d.name
                 ),
@@ -754,7 +785,8 @@ fn scan_unused(ctx: &mut FileCtx, file_idx: usize, refs: &BTreeMap<String, BTree
     }
     let items: Vec<&PubDecl> = decls.iter().filter(|d| d.top_level).collect();
     let named_outside = |d: &&PubDecl| {
-        refs.get(d.name)
+        refs.named
+            .get(d.name)
             .is_some_and(|files| files.iter().any(|&f| f != file_idx))
     };
     if let Some(first) = items.first() {
@@ -1059,7 +1091,7 @@ pub fn lint(files: &[SourceFile]) -> Report {
     let mut stats = StatsIndex::default();
     let mut watchdogs = WatchdogIndex::default();
     let mut knobs = KnobIndex::default();
-    let mut refs = BTreeMap::new();
+    let mut refs = Refs::default();
     for (i, ctx) in ctxs.iter().enumerate() {
         index_knob_setters(ctx, &mut knobs);
         if ctx.role != Role::Writer {

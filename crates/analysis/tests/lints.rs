@@ -18,11 +18,11 @@ fn lint_one(path: &str, text: &str) -> Report {
     lint(&[file(path, text)])
 }
 
-/// Lint snippets together with an `examples/` caller that names `used`,
-/// so U1 sees the snippets' pub items as used and only the rule under
-/// test fires.
+/// Lint snippets together with an `examples/` caller that calls each of
+/// `used`, so U1 sees the snippets' pub items as used and only the rule
+/// under test fires.
 fn lint_used(files: &[SourceFile], used: &[&str]) -> Report {
-    let calls: String = used.iter().map(|n| format!("let _ = {n}; ")).collect();
+    let calls: String = used.iter().map(|n| format!("{n}(); ")).collect();
     let mut all = files.to_vec();
     all.push(file(
         "examples/caller.rs",
@@ -319,6 +319,40 @@ fn unused_reads_examples_benches_and_perfbench_as_callers() {
 }
 
 #[test]
+fn unused_counts_calls_not_mentions() {
+    let decl = "pub fn live() {}\npub fn probe() -> u32 {\n    0\n}\n";
+    // A field access, a local binding and a struct-literal key share the
+    // name but call nothing.
+    for mention in [
+        "fn f(s: &S) -> u32 { s.probe }",
+        "fn f() -> u32 { let probe = 1; probe }",
+        "fn f() -> S { S { probe: 1 } }",
+    ] {
+        let r = lint_used(&[file(LIB, &format!("{decl}{mention}\n"))], &["live"]);
+        assert_eq!(codes(&r), ["U1"], "{mention}: {:?}", r.violations);
+        assert!(u1_messages(&r)[0].contains("`probe`"), "{mention}");
+    }
+    // Each call shape counts, in the library or in an `examples/` caller.
+    for call in [
+        "fn f(s: &S) -> u32 { s.probe() }",
+        "fn f() -> u32 { S::probe() }",
+        "fn f() -> u32 { probe::<u8>() }",
+        "fn f(v: &[S]) -> Vec<u32> { v.iter().map(Self::probe).collect() }",
+    ] {
+        let in_lib = lint_used(&[file(LIB, &format!("{decl}{call}\n"))], &["live"]);
+        assert!(in_lib.is_clean(), "{call}: {:?}", in_lib.violations);
+        let in_example = lint_used(
+            &[
+                file(LIB, decl),
+                file("examples/demo.rs", &format!("{call}\n")),
+            ],
+            &["live"],
+        );
+        assert!(in_example.is_clean(), "{call}: {:?}", in_example.violations);
+    }
+}
+
+#[test]
 fn unused_counts_a_use_as_rename() {
     let caller = file(
         "crates/core/src/fixture.rs",
@@ -550,6 +584,11 @@ fn known_bad_fixture_fires_every_lint_class() {
     for code in ["D1", "D2", "H1", "N1", "T1", "U1", "K1", "A0"] {
         assert!(fired.contains(&code), "{code} did not fire; got {fired:?}");
     }
+    assert!(
+        u1_messages(&r).iter().any(|m| m.contains("`mentioned`")),
+        "a pub fn only mentioned, never called, must fire U1: {:?}",
+        r.violations
+    );
     assert_eq!(r.allows_honored, 0);
 }
 

@@ -6,8 +6,8 @@
 //! * a page can only be programmed when erased, and only whole pages are
 //!   programmed;
 //! * erasure happens per block (a fixed number of pages), never per page;
-//! * every operation costs energy, charged to the owning node's ledger;
-//! * erases increment per-block wear counters.
+//! * every operation costs energy, charged to the owning node's ledger
+//!   and counted in [`FlashStats`].
 
 use presto_net::FlashModel;
 use presto_sim::{EnergyCategory, EnergyLedger};
@@ -67,7 +67,7 @@ presto_telemetry::observe_counters!(FlashStats {
 pub struct FlashDevice {
     model: FlashModel,
     pages: Vec<Option<Vec<u8>>>,
-    wear: Vec<u64>,
+    blocks: usize,
     stats: FlashStats,
 }
 
@@ -80,7 +80,7 @@ impl FlashDevice {
         let pages = blocks * model.pages_per_block;
         FlashDevice {
             pages: vec![None; pages],
-            wear: vec![0; blocks],
+            blocks,
             model,
             stats: FlashStats::default(),
         }
@@ -98,22 +98,12 @@ impl FlashDevice {
 
     /// Total block count.
     pub fn block_count(&self) -> usize {
-        self.wear.len()
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.pages.len() * self.model.page_bytes
+        self.blocks
     }
 
     /// Operation counters so far.
     pub fn stats(&self) -> FlashStats {
         self.stats
-    }
-
-    /// Erase count of one block.
-    pub fn wear(&self, block: usize) -> Option<u64> {
-        self.wear.get(block).copied()
     }
 
     /// Programs `data` into an erased page, charging write energy.
@@ -161,13 +151,13 @@ impl FlashDevice {
         Ok(data.clone())
     }
 
-    /// Erases a whole block, charging erase energy and bumping wear.
+    /// Erases a whole block, charging erase energy.
     pub fn erase_block(
         &mut self,
         block: usize,
         ledger: &mut EnergyLedger,
     ) -> Result<(), FlashError> {
-        if block >= self.wear.len() {
+        if block >= self.blocks {
             return Err(FlashError::OutOfRange);
         }
         let start = block * self.model.pages_per_block;
@@ -176,7 +166,6 @@ impl FlashDevice {
         }
         ledger.charge(EnergyCategory::FlashWrite, self.model.erase_per_block_j);
         self.stats.erases += 1;
-        self.wear[block] += 1;
         Ok(())
     }
 }
@@ -194,11 +183,8 @@ mod tests {
         let d = device();
         assert_eq!(d.page_bytes(), 264);
         assert_eq!(d.pages_per_block(), 8);
-        assert!(d.capacity_bytes() >= 64 * 1024);
-        assert_eq!(
-            d.capacity_bytes(),
-            d.block_count() * d.pages_per_block() * d.page_bytes()
-        );
+        assert_eq!(d.pages.len(), d.block_count() * d.pages_per_block());
+        assert!(d.pages.len() * d.page_bytes() >= 64 * 1024);
     }
 
     #[test]
@@ -224,9 +210,9 @@ mod tests {
         let mut d = device();
         let mut l = EnergyLedger::new();
         d.program(1, b"x", &mut l).unwrap();
-        assert_eq!(d.wear(0), Some(0));
+        assert_eq!(d.stats().erases, 0);
         d.erase_block(0, &mut l).unwrap();
-        assert_eq!(d.wear(0), Some(1));
+        assert_eq!(d.stats().erases, 1);
         assert_eq!(d.read(1, &mut l), Err(FlashError::Empty));
         d.program(1, b"y", &mut l).unwrap();
         assert_eq!(d.read(1, &mut l).unwrap(), b"y");

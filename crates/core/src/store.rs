@@ -240,13 +240,8 @@ impl<'a> UnifiedStore<'a> {
                 // Delivered segment-seal notifications are the index's
                 // only feed; spans still in an unsealed segment, or whose
                 // announcement was lost, are covered by the
-                // cached-event-span check below. Spans are registered in
-                // corrected reference time, so the slack only needs to
-                // cover the correction residual plus the uncalibrated
-                // first hour (offsets of ~1 s sigma; skew accumulates
-                // < 0.2 s before the first beacon) — a minute is
-                // comfortably conservative.
-                let slack = SimDuration::from_secs(60);
+                // cached-event-span check below.
+                let slack = PrestoSystem::ROUTE_SLACK;
                 let (mut candidates, route_hops) =
                     self.system.route_range(from - slack, to + slack);
                 // Cached events are not guaranteed archive-backed (an

@@ -166,7 +166,7 @@ pub struct PrestoSystem {
     /// (crash-onset edge detection).
     was_down: Vec<bool>,
     /// Current serving proxy per sensor (flat global ids). Starts at
-    /// the physical placement ([`PrestoSystem::locate`]) and changes
+    /// the physical placement (`gid / sensors_per_proxy`) and changes
     /// when the deployment tier re-homes a sensor after its proxy dies.
     assignment: Vec<usize>,
     /// Whether each proxy was down at the last fault-gate pass
@@ -848,11 +848,6 @@ impl PrestoSystem {
         self.liveness.health(sensor as usize)
     }
 
-    /// Shared fading states (one per proxy) when correlated loss is on.
-    pub fn shared_loss(&self) -> &[SharedLossState] {
-        &self.shared_loss
-    }
-
     /// Phase timers over the epoch pump.
     pub fn profiler(&self) -> &EpochProfiler {
         &self.profiler
@@ -956,6 +951,14 @@ impl PrestoSystem {
     pub fn faults(&self) -> &FaultPlan {
         &self.config.faults
     }
+
+    /// Padding a caller adds on each side of a window it routes through
+    /// [`PrestoSystem::route_range`]. Spans are registered in corrected
+    /// reference time, so the slack only needs to cover the correction
+    /// residual plus the uncalibrated first hour (offsets of ~1 s sigma;
+    /// skew accumulates < 0.2 s before the first beacon) — a minute is
+    /// comfortably conservative.
+    pub const ROUTE_SLACK: SimDuration = SimDuration::from_secs(60);
 
     /// Routes a time range through the interval index, returning the
     /// proxies holding overlapping archived data and the routing hop
@@ -1314,11 +1317,11 @@ mod tests {
         let burst_to = SimTime::from_hours(6);
         cfg.faults = presto_sim::FaultPlan::none().with_shared_burst(burst_from, burst_to);
         let mut sys = PrestoSystem::new(cfg);
-        assert_eq!(sys.shared_loss().len(), 1, "one shared state per proxy");
+        assert_eq!(sys.shared_loss.len(), 1, "one shared state per proxy");
 
         // Run into the middle of the burst.
         sys.run(SimDuration::from_hours(5) + SimDuration::from_mins(30));
-        assert!(sys.shared_loss()[0].in_bad(), "burst window must pin bad");
+        assert_eq!(sys.shared_loss[0].loss_prob(), 1.0, "burst window must pin bad");
         let pull_failures_before: u64 = sys.proxies.iter().map(|p| p.stats().pull_failures).sum();
         for sensor in 0..sys.total_sensors() as u16 {
             // Tolerance far below the push tolerance defeats
@@ -1350,7 +1353,7 @@ mod tests {
 
         // After the burst the same queries succeed again.
         sys.run(SimDuration::from_hours(1));
-        assert!(!sys.shared_loss()[0].in_bad(), "burst must release");
+        assert_eq!(sys.shared_loss[0].loss_prob(), 0.0, "burst must release");
         let r = UnifiedStore::new(&mut sys).query(StoreQuery::Now {
             sensor: 0,
             tolerance: 0.05,
@@ -1374,7 +1377,13 @@ mod tests {
             loss_bad: 0.95,
         });
         let mut sys = PrestoSystem::new(cfg);
-        sys.run(SimDuration::from_hours(8));
+        let mut fading_epochs = 0;
+        for _ in 0..SimDuration::from_hours(8).div_duration(sys.config.lab.epoch) {
+            sys.step_epoch();
+            if sys.shared_loss[0].loss_prob() == 0.95 {
+                fading_epochs += 1;
+            }
+        }
         let fs = sys.fabric.stats();
         assert!(fs.lost_in_channel > 0, "shared fading never lost a message");
         assert!(fs.retransmits > 0);
@@ -1382,7 +1391,7 @@ mod tests {
             fs.delivered > fs.offered / 2,
             "retransmission failed to recover deliveries: {fs:?}"
         );
-        assert!(sys.shared_loss()[0].steps() > 0, "driver never advanced the chain");
+        assert!(fading_epochs > 0, "driver never advanced the chain");
     }
 
     #[test]
@@ -1597,10 +1606,6 @@ mod tests {
         sys.proxies[0].submit_query_with_deadline(t, pull_query(4), None);
         let t = sys.step_epoch_core();
         assert_eq!(sys.gate_cross_channels(t), 1);
-        assert!(
-            !sys.cross[&(0, 4)].link_up(),
-            "gated down before the first pump"
-        );
         sys.pump_views(t, &[]);
         let stats = sys.cross[&(0, 4)].stats();
         assert!(
@@ -1693,7 +1698,7 @@ mod tests {
         sys.open_channel(0, 4);
         assert!(!sys.cross.contains_key(&(0, 4)));
         // The adopter's warm-up replay is queued.
-        assert!(sys.gaps.pending().iter().any(|r| r.sensor == 4));
+        assert!(sys.gaps.take_pending().iter().any(|r| r.sensor == 4));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use presto_core::{PrestoSystem, SystemConfig};
 use presto_proxy::PipelineQuery;
 use presto_reliability::Health;
-use presto_sim::{FleetArrival, QueryKind, SimDuration, SimTime};
+use presto_sim::{FleetArrival, QueryKind, SimTime};
 use presto_telemetry::{Observe, Sink, Snapshot};
 
 use crate::interlink::{FleetMsg, InterLinkConfig, InterLinkMesh};
@@ -91,11 +91,6 @@ impl FleetDeployment {
             rehomed: 0,
             fenced: vec![false; proxies],
         }
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.system.now()
     }
 
     /// The proxy-liveness view.
@@ -219,7 +214,7 @@ impl FleetDeployment {
         // segments stays home too.
         let range_archived = match query {
             PipelineQuery::Past { from, to, .. } | PipelineQuery::Aggregate { from, to, .. } => {
-                let slack = SimDuration::from_secs(60);
+                let slack = PrestoSystem::ROUTE_SLACK;
                 !self.system.route_range(from - slack, to + slack).0.is_empty()
             }
             PipelineQuery::Now { .. } => true,
@@ -609,7 +604,7 @@ mod tests {
         for _ in 0..(86_400 / 31) {
             fleet.step_epoch();
         }
-        let t = fleet.now();
+        let t = fleet.system.now();
         let ticket = fleet.submit(
             0,
             PipelineQuery::Past {
@@ -667,7 +662,7 @@ mod tests {
         for _ in 0..(86_400 / 31) {
             fleet.step_epoch();
         }
-        let t = fleet.now();
+        let t = fleet.system.now();
         // Flood proxy 0 with tight-tolerance PAST queries over distinct
         // windows (no coalescing): pressure builds, later submissions
         // shed.
@@ -726,7 +721,7 @@ mod tests {
         }
         // Submit a query served by proxy 1 just before death is
         // *declared* (physical crash already happened).
-        let t = fleet.now();
+        let t = fleet.system.now();
         let ticket = fleet.submit(
             1,
             PipelineQuery::Past {
@@ -748,7 +743,7 @@ mod tests {
         assert_eq!(done.len(), 1);
         // Post-failover: queries for the dead proxy's sensors enter at
         // a survivor and complete with real answers.
-        let t2 = fleet.now();
+        let t2 = fleet.system.now();
         let t2_ticket = fleet.submit(
             0,
             PipelineQuery::Past {

@@ -190,11 +190,6 @@ impl InterLinkMesh {
         self.stats
     }
 
-    /// The mesh-wide shared fading state, when configured.
-    pub fn shared(&self) -> Option<&SharedLossState> {
-        self.shared.as_ref()
-    }
-
     /// Gates a proxy's mesh endpoints (blackout). While down, its
     /// outgoing attempts and incoming deliveries all die in the channel
     /// — attempts are still consumed, exactly as transmissions towards
@@ -459,11 +454,11 @@ mod tests {
             ..InterLinkConfig::default()
         };
         let mut mesh = InterLinkMesh::new(cfg, 3);
-        mesh.shared().expect("shared state").force(Some(true));
+        mesh.shared.as_ref().expect("shared state").force(Some(true));
         mesh.send(0, 1, fwd(1));
         mesh.send(1, 2, fwd(2));
         assert!(mesh.step(SimTime::ZERO).is_empty(), "burst kills every pair");
-        mesh.shared().expect("shared state").force(Some(false));
+        mesh.shared.as_ref().expect("shared state").force(Some(false));
         assert_eq!(mesh.step(SimTime::from_secs(31)).len(), 2);
     }
 

@@ -670,8 +670,11 @@ impl FleetRouter {
         });
     }
 
-    /// The honest failure answer for a query (mirrors the pipeline's:
-    /// sigma ∞ scalars, empty Failed series).
+    /// The honest failure answer for a ticket the router fails itself:
+    /// a NaN scalar with sigma ∞, or an empty Failed series. Unlike the
+    /// pipeline's failure answer, which still carries the proxy's last
+    /// cached value (NOW) or the cached part of the window (PAST), the
+    /// router holds no cache to fill it from.
     fn failed_answer(query: &PipelineQuery) -> PipelineAnswer {
         match query {
             PipelineQuery::Now { .. } | PipelineQuery::Aggregate { .. } => {

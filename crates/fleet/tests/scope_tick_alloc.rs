@@ -56,7 +56,7 @@ fn fleet_scope_tick_does_not_allocate() {
         // a NOW and a recent PAST window every ten epochs.
         if e >= 60 && e % 10 == 5 {
             let sensor = (e / 10 % 32) as u16;
-            let now = fleet.now();
+            let now = fleet.system.now();
             let to = now - SimDuration::from_mins(5);
             let past = PipelineQuery::Past {
                 sensor,

@@ -54,16 +54,6 @@ impl<K: Ord + Copy + std::fmt::Debug> SkipGraph<K> {
         }
     }
 
-    /// Number of member nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// True if `key` is a member.
     pub fn contains(&self, key: K) -> bool {
         self.nodes.contains_key(&key)
@@ -242,27 +232,6 @@ impl<K: Ord + Copy + std::fmt::Debug> SkipGraph<K> {
         stats
     }
 
-    /// Removes a key, relinking its neighbours at every level.
-    pub fn remove(&mut self, key: K) -> OpStats {
-        let mut stats = OpStats::default();
-        let Some(node) = self.nodes.remove(&key) else {
-            return stats;
-        };
-        for (level, (left, right)) in node.neighbors.iter().enumerate() {
-            if let Some(l) = left {
-                self.ensure_level(*l, level);
-                self.nodes.get_mut(l).expect("member").neighbors[level].1 = *right;
-                stats.hops += 1;
-            }
-            if let Some(r) = right {
-                self.ensure_level(*r, level);
-                self.nodes.get_mut(r).expect("member").neighbors[level].0 = *left;
-                stats.hops += 1;
-            }
-        }
-        stats
-    }
-
     /// All keys in `[from, to]`, in order, with the hop cost (search +
     /// base-list walk — the range-query pattern a traffic application
     /// uses).
@@ -322,7 +291,7 @@ impl<K: Ord + Copy + std::fmt::Debug> SkipGraph<K> {
 
     /// Validates the level-0 list: sorted, doubly linked, covering every
     /// member exactly once.
-    // presto-lint: allow(unused, invariant oracle: skipgraph's random_ops_preserve_invariants and insert_and_search_small check the live insert/remove paths against it)
+    // presto-lint: allow(unused, invariant oracle: skipgraph's random_ops_preserve_invariants and insert_and_search_small check the live insert path against it)
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
             return Ok(());
@@ -409,21 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_keeps_invariants_and_hides_key() {
-        let mut g = build(&[1, 2, 3, 4, 5, 6, 7, 8], 4);
-        g.remove(4);
-        g.remove(1);
-        g.remove(8);
-        g.check_invariants().unwrap();
-        let intro = g.introducer().unwrap();
-        assert_eq!(g.search(intro, 4).0, Some(3));
-        assert_eq!(g.len(), 5);
-        // Removing a non-member is a no-op.
-        g.remove(99);
-        assert_eq!(g.len(), 5);
-    }
-
-    #[test]
     fn search_hops_scale_logarithmically() {
         // Average search hops at n=512 should be far below n/4 (a linear
         // scan) and within a small multiple of log2(n).
@@ -468,16 +422,16 @@ mod tests {
     #[test]
     fn duplicate_insert_is_noop() {
         let mut g = build(&[1, 2, 3], 7);
-        let before = g.len();
+        let before = g.nodes.len();
         g.insert(2);
-        assert_eq!(g.len(), before);
+        assert_eq!(g.nodes.len(), before);
         g.check_invariants().unwrap();
     }
 
     #[test]
     fn empty_and_singleton_edge_cases() {
         let mut g: SkipGraph<u64> = SkipGraph::new(8);
-        assert!(g.is_empty());
+        assert!(g.nodes.is_empty());
         assert_eq!(g.introducer(), None);
         assert_eq!(g.range(1, 5).0, Vec::<u64>::new());
         g.insert(42);
@@ -491,33 +445,21 @@ mod tests {
         #[test]
         fn random_ops_preserve_invariants(
             inserts in proptest::collection::vec(0u64..1000, 1..120),
-            removals in proptest::collection::vec(0usize..120, 0..40),
             seed in 0u64..1000,
         ) {
             let mut g = SkipGraph::new(seed);
             for &k in &inserts {
                 g.insert(k);
             }
-            prop_assert!(g.check_invariants().is_ok());
-            for &r in &removals {
-                let k = inserts[r % inserts.len()];
-                g.remove(k);
-            }
             prop_assert_eq!(g.check_invariants().map_err(|e| e.to_string()), Ok(()));
             // Search agrees with a reference set.
-            let mut remaining: Vec<u64> = inserts.clone();
-            remaining.sort_unstable();
-            remaining.dedup();
-            let removed: std::collections::HashSet<u64> =
-                removals.iter().map(|&r| inserts[r % inserts.len()]).collect();
-            remaining.retain(|k| !removed.contains(k));
-            if let Some(intro) = g.introducer() {
-                for probe in [0u64, 250, 500, 999] {
-                    let expect = remaining.iter().rev().find(|&&k| k <= probe).copied();
-                    prop_assert_eq!(g.search(intro, probe).0, expect);
-                }
-            } else {
-                prop_assert!(remaining.is_empty());
+            let mut members: Vec<u64> = inserts.clone();
+            members.sort_unstable();
+            members.dedup();
+            let intro = g.introducer().expect("at least one insert");
+            for probe in [0u64, 250, 500, 999] {
+                let expect = members.iter().rev().find(|&&k| k <= probe).copied();
+                prop_assert_eq!(g.search(intro, probe).0, expect);
             }
         }
     }

@@ -54,11 +54,6 @@ impl TimeRangeIndex {
         }
     }
 
-    /// Number of distinct `(proxy, start)` registrations.
-    pub fn len(&self) -> u64 {
-        self.registered
-    }
-
     /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
         self.registered == 0
@@ -132,7 +127,7 @@ mod tests {
         idx.register(0, t(0), t(100));
         idx.register(1, t(50), t(150));
         idx.register(2, t(400), t(500));
-        assert_eq!(idx.len(), 3);
+        assert_eq!(idx.registered, 3);
 
         let (p, _) = idx.proxies_overlapping(t(60), t(90));
         assert_eq!(p, vec![0, 1]);
@@ -152,7 +147,7 @@ mod tests {
         let mut idx = TimeRangeIndex::new(3);
         idx.register(0, t(0), t(50));
         idx.register(0, t(0), t(80));
-        assert_eq!(idx.len(), 1);
+        assert_eq!(idx.registered, 1);
         let (p, _) = idx.proxies_overlapping(t(60), t(70));
         assert_eq!(p, vec![0]);
     }

@@ -62,16 +62,6 @@ impl<T: Clone> UnifiedView<T> {
         self.sorted = false;
     }
 
-    /// Number of items across all streams.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when the view holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             self.items.sort_by_key(|i| i.t);
@@ -83,16 +73,6 @@ impl<T: Clone> UnifiedView<T> {
     pub fn ordered(&mut self) -> &[ViewItem<T>] {
         self.ensure_sorted();
         &self.items
-    }
-
-    /// Items within `[from, to]`, ordered. Binary-searches the sorted
-    /// view instead of scanning every item, so narrow windows cost
-    /// O(log n + matches).
-    pub fn range(&mut self, from: SimTime, to: SimTime) -> Vec<ViewItem<T>> {
-        self.ensure_sorted();
-        let lo = self.items.partition_point(|i| i.t < from);
-        let hi = self.items.partition_point(|i| i.t <= to);
-        self.items[lo..hi].to_vec()
     }
 
     /// Counts adjacent-pair ordering violations that *would* occur if the
@@ -171,21 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn range_filters_inclusively() {
-        let mut v: UnifiedView<u32> = UnifiedView::new();
-        let trusted = ClockCorrector::new();
-        v.add_stream(
-            0,
-            &trusted,
-            (0..10u32).map(|i| (SimTime::from_secs(i as u64 * 10), i)),
-        );
-        let r = v.range(SimTime::from_secs(20), SimTime::from_secs(50));
-        assert_eq!(r.len(), 4);
-        assert_eq!(r[0].item, 2);
-        assert_eq!(r[3].item, 5);
-    }
-
-    #[test]
     fn ordering_violations_counts_inversions() {
         // Reported timestamps that invert two true-order pairs.
         let pairs = vec![
@@ -204,8 +169,7 @@ mod tests {
     #[test]
     fn empty_view() {
         let mut v: UnifiedView<u8> = UnifiedView::new();
-        assert!(v.is_empty());
+        assert!(v.items.is_empty());
         assert!(v.ordered().is_empty());
-        assert!(v.range(SimTime::ZERO, SimTime::from_secs(10)).is_empty());
     }
 }

@@ -140,21 +140,6 @@ impl ArModel {
             recent: VecDeque::new(),
         })
     }
-
-    /// Model order.
-    pub fn order(&self) -> usize {
-        self.coeffs.len()
-    }
-
-    /// The AR coefficients.
-    pub fn coeffs(&self) -> &[f64] {
-        &self.coeffs
-    }
-
-    /// The process mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
 }
 
 impl Predictor for ArModel {
@@ -233,8 +218,8 @@ mod tests {
     fn recovers_ar1_coefficient() {
         let xs = ar1_sequence(5000, 0.8, 1.0);
         let (m, _) = ArModel::train_values(&xs, 1);
-        assert_eq!(m.order(), 1);
-        assert!((m.coeffs()[0] - 0.8).abs() < 0.05, "{}", m.coeffs()[0]);
+        assert_eq!(m.coeffs.len(), 1);
+        assert!((m.coeffs[0] - 0.8).abs() < 0.05, "{}", m.coeffs[0]);
         assert!((m.mean - 20.0).abs() < 0.5, "{}", m.mean);
     }
 
@@ -319,10 +304,10 @@ mod tests {
     #[test]
     fn degenerate_inputs() {
         let (m, r) = ArModel::train_values(&[], 3);
-        assert_eq!(m.order(), 0);
+        assert_eq!(m.coeffs.len(), 0);
         assert_eq!(r.samples, 0);
         let (m1, _) = ArModel::train_values(&[5.0], 3);
-        assert_eq!(m1.order(), 0);
+        assert_eq!(m1.coeffs.len(), 0);
         assert_eq!(m1.predict(SimTime::ZERO).value, 5.0);
         // Constant series: zero variance, order collapses gracefully.
         let (mc, _) = ArModel::train_values(&[7.0; 100], 2);
@@ -342,7 +327,7 @@ mod tests {
         // White noise: all φ ≈ 0.
         let xs = ar1_sequence(5000, 0.0, 1.0);
         let (m, _) = ArModel::train_values(&xs, 3);
-        for &c in m.coeffs() {
+        for &c in &m.coeffs {
             assert!(c.abs() < 0.06, "{c}");
         }
     }

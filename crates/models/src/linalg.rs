@@ -31,16 +31,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Row count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column count.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// k-panel width for [`Matrix::mul`]: a 64-row panel of `rhs` stays
     /// L2-resident across every output row it feeds.
     const MUL_BLOCK: usize = 64;
@@ -187,16 +177,16 @@ mod tests {
     /// `A·v` through the matrix product.
     fn mul_vec(a: &Matrix, v: &[f64]) -> Vec<f64> {
         let col = a.mul(&Matrix::from_vec(v.len(), 1, v.to_vec()));
-        (0..a.rows()).map(|i| col[(i, 0)]).collect()
+        (0..a.rows).map(|i| col[(i, 0)]).collect()
     }
 
     /// `B·Bᵀ`, symmetric positive semi-definite for any `B`.
     fn gram(b: &Matrix) -> Matrix {
-        let n = b.rows();
+        let n = b.rows;
         let mut g = Matrix::zeros(n, n);
         for i in 0..n {
             for j in 0..n {
-                g[(i, j)] = (0..b.cols()).map(|k| b[(i, k)] * b[(j, k)]).sum();
+                g[(i, j)] = (0..b.cols).map(|k| b[(i, k)] * b[(j, k)]).sum();
             }
         }
         g

@@ -101,11 +101,6 @@ impl SeasonalModel {
         })
     }
 
-    /// Number of diurnal bins.
-    pub fn bins(&self) -> usize {
-        self.means.len()
-    }
-
     fn bin_of(t: SimTime, bins: usize) -> usize {
         let frac = t.hour_of_day() / 24.0;
         ((frac * bins as f64) as usize).min(bins - 1)

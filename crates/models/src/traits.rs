@@ -47,19 +47,6 @@ pub enum ModelKind {
     Markov,
 }
 
-impl ModelKind {
-    /// Stable label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ModelKind::Seasonal => "seasonal",
-            ModelKind::Ar => "ar",
-            ModelKind::SeasonalAr => "seasonal+ar",
-            ModelKind::LinearTrend => "linear-trend",
-            ModelKind::Markov => "markov",
-        }
-    }
-}
-
 /// Cost report from training a model at the proxy.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TrainReport {
@@ -125,20 +112,5 @@ mod tests {
         assert!(p.within(20.5, 1.0));
         assert!(p.within(21.0, 1.0));
         assert!(!p.within(21.5, 1.0));
-    }
-
-    #[test]
-    fn labels_are_distinct() {
-        let kinds = [
-            ModelKind::Seasonal,
-            ModelKind::Ar,
-            ModelKind::SeasonalAr,
-            ModelKind::LinearTrend,
-            ModelKind::Markov,
-        ];
-        let mut labels: Vec<_> = kinds.iter().map(|k| k.label()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), kinds.len());
     }
 }

@@ -48,17 +48,6 @@ impl RadioModel {
         }
     }
 
-    /// Telos / CC2420 at 250 kbps, 3 V supply.
-    pub fn telos() -> Self {
-        RadioModel {
-            bitrate_bps: 250_000.0,
-            tx_power_w: 0.0522, // 17.4 mA × 3 V
-            rx_power_w: 0.0591, // 19.7 mA × 3 V
-            sleep_power_w: 3e-6,
-            lpl_probe: SimDuration::from_millis(2),
-        }
-    }
-
     /// Seconds on air for `bytes` bytes.
     pub fn airtime(&self, bytes: usize) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 * 8.0 / self.bitrate_bps)
@@ -110,14 +99,6 @@ impl CpuModel {
         }
     }
 
-    /// MSP430 at 8 MHz (Telos) — lower draw per cycle.
-    pub fn msp430() -> Self {
-        CpuModel {
-            freq_hz: 8e6,
-            active_power_w: 0.0054, // 1.8 mA × 3 V
-        }
-    }
-
     /// Joules per clock cycle.
     pub fn energy_per_cycle(&self) -> f64 {
         self.active_power_w / self.freq_hz
@@ -157,37 +138,6 @@ impl FlashModel {
     }
 }
 
-/// A complete platform: radio + CPU + flash.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PlatformModel {
-    /// Radio constants.
-    pub radio: RadioModel,
-    /// Microcontroller constants.
-    pub cpu: CpuModel,
-    /// Flash constants.
-    pub flash: FlashModel,
-}
-
-impl PlatformModel {
-    /// The default platform for all paper experiments: Mica2 class.
-    pub fn mica2() -> Self {
-        PlatformModel {
-            radio: RadioModel::mica2(),
-            cpu: CpuModel::atmega128(),
-            flash: FlashModel::dataflash(),
-        }
-    }
-
-    /// Telos-class platform for sensitivity studies.
-    pub fn telos() -> Self {
-        PlatformModel {
-            radio: RadioModel::telos(),
-            cpu: CpuModel::msp430(),
-            flash: FlashModel::dataflash(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,9 +162,8 @@ mod tests {
     #[test]
     fn paper_cost_hierarchy_holds() {
         // Radio per byte vs flash write per byte: ~two orders of magnitude.
-        let p = PlatformModel::mica2();
-        let tx_byte = p.radio.tx_energy(1);
-        let flash_byte = p.flash.write_per_byte_j;
+        let tx_byte = RadioModel::mica2().tx_energy(1);
+        let flash_byte = FlashModel::dataflash().write_per_byte_j;
         let ratio_storage = tx_byte / flash_byte;
         assert!(
             (30.0..300.0).contains(&ratio_storage),
@@ -223,7 +172,7 @@ mod tests {
 
         // Radio per byte vs a small CPU op (a compare, ~4 cycles): ~four
         // orders of magnitude.
-        let cpu_op = p.cpu.op_energy(4);
+        let cpu_op = CpuModel::atmega128().op_energy(4);
         let ratio_cpu = tx_byte / cpu_op;
         assert!(
             (300.0..30_000.0).contains(&ratio_cpu),
@@ -261,11 +210,5 @@ mod tests {
     fn rx_cheaper_than_tx_on_mica2() {
         let r = RadioModel::mica2();
         assert!(r.rx_energy(100) < r.tx_energy(100));
-    }
-
-    #[test]
-    fn presets_are_distinct() {
-        assert_ne!(PlatformModel::mica2(), PlatformModel::telos());
-        assert!(RadioModel::telos().bitrate_bps > RadioModel::mica2().bitrate_bps);
     }
 }

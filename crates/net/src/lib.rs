@@ -12,8 +12,8 @@
 //! * what does idle listening cost as a function of the duty cycle, and
 //!   how long until a sleeping node can be reached? — [`duty`]
 //!
-//! [`energy`] holds the calibrated hardware constants (Mica2 and Telos
-//! presets) and the CPU/flash cost models shared by the other crates.
+//! [`energy`] holds the calibrated Mica2-class hardware constants and the
+//! CPU/flash cost models shared by the other crates.
 
 pub mod duty;
 pub mod energy;
@@ -22,7 +22,7 @@ pub mod link;
 pub mod mac;
 
 pub use duty::DutyCycle;
-pub use energy::{CpuModel, FlashModel, PlatformModel, RadioModel};
+pub use energy::{CpuModel, FlashModel, RadioModel};
 pub use frame::FrameFormat;
 pub use link::{GilbertElliott, LinkModel, LossProcess, SharedLossState};
 pub use mac::{Mac, TxOutcome};

@@ -67,8 +67,6 @@ struct SharedFading {
     /// While `Some`, the fault plan pins the state (burst injection).
     forced: Option<bool>,
     rng: SimRng,
-    /// Driver advances observed (for diagnostics / determinism checks).
-    steps: u64,
 }
 
 /// Handle to a common fading/congestion state near one proxy.
@@ -94,7 +92,6 @@ impl SharedLossState {
             in_bad: false,
             forced: None,
             rng,
-            steps: 0,
         })))
     }
 
@@ -107,7 +104,6 @@ impl SharedLossState {
             if s.rng.chance(flip) {
                 s.in_bad = !s.in_bad;
             }
-            s.steps += 1;
         }
     }
 
@@ -118,12 +114,6 @@ impl SharedLossState {
         self.0.lock().expect("shared loss state poisoned").forced = state;
     }
 
-    /// True while the shared path is in the bad (fading) state.
-    pub fn in_bad(&self) -> bool {
-        let s = self.0.lock().expect("shared loss state poisoned");
-        s.forced.unwrap_or(s.in_bad)
-    }
-
     /// Per-frame loss probability under the current state.
     pub fn loss_prob(&self) -> f64 {
         let s = self.0.lock().expect("shared loss state poisoned");
@@ -132,11 +122,6 @@ impl SharedLossState {
         } else {
             s.chain.loss_good
         }
-    }
-
-    /// Driver advances observed so far.
-    pub fn steps(&self) -> u64 {
-        self.0.lock().expect("shared loss state poisoned").steps
     }
 }
 
@@ -176,7 +161,6 @@ pub struct LinkModel {
     /// Cursor into a [`LossProcess::Scripted`] pattern.
     script_pos: usize,
     rng: SimRng,
-    frames_offered: u64,
     /// Hard gate: while set, every offered frame is lost regardless of
     /// the loss process. Drivers use it for physical severances — a cut
     /// mesh link during a split-brain window — that are deterministic,
@@ -194,7 +178,6 @@ impl LinkModel {
             in_bad_state: false,
             script_pos: 0,
             rng,
-            frames_offered: 0,
             blocked: false,
         }
     }
@@ -211,7 +194,6 @@ impl LinkModel {
 
     /// Samples whether the next offered frame is delivered.
     pub fn deliver(&mut self) -> bool {
-        self.frames_offered += 1;
         if self.blocked {
             return false;
         }
@@ -269,16 +251,6 @@ impl LinkModel {
         };
         !lost
     }
-
-    /// Frames offered to the link so far.
-    pub fn frames_offered(&self) -> u64 {
-        self.frames_offered
-    }
-
-    /// The configured loss process.
-    pub fn process(&self) -> &LossProcess {
-        &self.process
-    }
 }
 
 #[cfg(test)]
@@ -293,6 +265,24 @@ mod tests {
         loss_good: 0.02,
         loss_bad: 0.75,
     };
+
+    /// Whether the shared path is in the bad state, forced or not.
+    fn in_bad(shared: &SharedLossState) -> bool {
+        let s = shared.0.lock().expect("shared loss state poisoned");
+        s.forced.unwrap_or(s.in_bad)
+    }
+
+    /// The shared chain's next random draw: it changes only when the
+    /// chain advances.
+    fn next_draw(shared: &SharedLossState) -> f64 {
+        shared
+            .0
+            .lock()
+            .expect("shared loss state poisoned")
+            .rng
+            .clone()
+            .uniform()
+    }
 
     /// Fraction of `frames` offered frames the link loses.
     fn loss_rate(l: &mut LinkModel, frames: u64) -> f64 {
@@ -426,7 +416,7 @@ mod tests {
             if da == db {
                 agree += 1;
             }
-            if shared.in_bad() {
+            if in_bad(&shared) {
                 bad_epochs += 1;
                 assert!(!da && !db, "bad state must kill both channels");
             } else {
@@ -444,14 +434,17 @@ mod tests {
     fn correlated_state_only_moves_when_advanced() {
         let shared = SharedLossState::new(INDOOR, SimRng::new(3));
         let mut l = LinkModel::new(LossProcess::Correlated(shared.clone()), SimRng::new(4));
-        let before = shared.in_bad();
+        let before = next_draw(&shared);
         for _ in 0..1000 {
             l.deliver();
         }
-        assert_eq!(shared.in_bad(), before, "frames must not advance the chain");
-        assert_eq!(shared.steps(), 0);
+        assert_eq!(
+            next_draw(&shared),
+            before,
+            "frames must not advance the chain"
+        );
         shared.advance(10);
-        assert_eq!(shared.steps(), 10);
+        assert_ne!(next_draw(&shared), before, "the driver advances it");
     }
 
     #[test]
@@ -467,7 +460,7 @@ mod tests {
         assert!(l.deliver());
         shared.force(Some(true));
         assert!(!l.deliver(), "forced-bad path must lose every frame");
-        assert!(shared.in_bad());
+        assert!(in_bad(&shared));
         shared.force(None);
         assert!(l.deliver(), "released path follows the (good) chain");
     }

@@ -75,16 +75,6 @@ impl EventCache {
         }
     }
 
-    /// Number of cached events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Inserts an event, keeping time order and the capacity bound.
     /// Eviction happens *before* the insert, so the deque never holds
     /// `capacity + 1` entries, even transiently.
@@ -116,19 +106,6 @@ impl EventCache {
         let lo = self.events.partition_point(|e| e.t < from);
         let hi = self.events.partition_point(|e| e.t <= to);
         self.events.iter().skip(lo).take(hi - lo)
-    }
-
-    /// All cached events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &CachedEvent> {
-        self.events.iter()
-    }
-
-    /// `[min, max]` timestamp over cached events, `None` when empty.
-    pub fn span(&self) -> Option<(SimTime, SimTime)> {
-        match (self.events.front(), self.events.back()) {
-            (Some(a), Some(b)) => Some((a.t, b.t)),
-            _ => None,
-        }
     }
 }
 
@@ -382,13 +359,6 @@ impl SensorCache {
         ((hi - lo) as f64 / expected as f64).min(1.0)
     }
 
-    /// Full history view (oldest first) for model training. Allocates;
-    /// hot paths should prefer [`SensorCache::history_iter`] or
-    /// [`SensorCache::history_into`].
-    pub fn history(&self) -> Vec<(SimTime, f64)> {
-        self.history_iter().collect()
-    }
-
     /// Borrowing history view (oldest first) — no allocation per pass.
     pub fn history_iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
         self.samples.iter().map(|s| (s.t, s.value))
@@ -539,14 +509,12 @@ mod tests {
         c.insert(ev(30, 0, 1));
         c.insert(ev(10, 1, 2));
         c.insert(ev(20, 2, 3));
-        let ts: Vec<u64> = c.iter().map(|e| e.t.as_secs()).collect();
+        let ts: Vec<u64> = c.events.iter().map(|e| e.t.as_secs()).collect();
         assert_eq!(ts, vec![10, 20, 30]);
-        assert_eq!(c.span(), Some((SimTime::from_secs(10), SimTime::from_secs(30))));
         // Over capacity: oldest evicts.
         c.insert(ev(40, 3, 4));
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.iter().next().unwrap().t.as_secs(), 20);
-        assert_eq!(c.span(), Some((SimTime::from_secs(20), SimTime::from_secs(40))));
+        let ts: Vec<u64> = c.events.iter().map(|e| e.t.as_secs()).collect();
+        assert_eq!(ts, vec![20, 30, 40]);
     }
 
     #[test]
@@ -575,7 +543,7 @@ mod tests {
         assert_eq!(sc.len(), 1);
         let mut ec = EventCache::new(0);
         ec.insert(ev(10, 0, 1));
-        assert_eq!(ec.len(), 1);
+        assert_eq!(ec.events.len(), 1);
 
         // At capacity, the bound holds through every insert path: tail
         // append, mid-range out-of-order, and an incoming entry older
@@ -611,11 +579,11 @@ mod tests {
             e.insert(ev(i * 10, 0, 1));
         }
         e.insert(ev(25, 0, 2)); // mid-range: evicts t=10
-        let ts: Vec<u64> = e.iter().map(|x| x.t.as_secs()).collect();
+        let ts: Vec<u64> = e.events.iter().map(|x| x.t.as_secs()).collect();
         assert_eq!(ts, vec![20, 25, 30]);
         e.insert(ev(5, 0, 3)); // older than everything: dropped
-        assert_eq!(e.len(), 3);
-        assert_eq!(e.iter().next().unwrap().t.as_secs(), 20);
+        assert_eq!(e.events.len(), 3);
+        assert_eq!(e.events[0].t.as_secs(), 20);
     }
 
     #[test]
@@ -624,7 +592,7 @@ mod tests {
         c.insert(s(1, 1.0, CacheSource::Batch));
         c.insert(s(2, 2.0, CacheSource::Batch));
         assert_eq!(
-            c.history(),
+            c.history_iter().collect::<Vec<_>>(),
             vec![(SimTime::from_secs(1), 1.0), (SimTime::from_secs(2), 2.0)]
         );
     }

@@ -80,16 +80,6 @@ impl PredictionEngine {
         }
     }
 
-    /// The configured model kind.
-    pub fn kind(&self) -> ModelKind {
-        self.config.kind
-    }
-
-    /// Engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// True when a (re)train is warranted.
     pub fn should_train(&self, slot: Option<&ModelSlot>, history_len: usize, now: SimTime) -> bool {
         if history_len < self.config.min_history {

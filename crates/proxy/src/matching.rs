@@ -53,11 +53,6 @@ impl QuerySensorMatcher {
         self.classes.push(class);
     }
 
-    /// Clears all classes (e.g. when an application detaches).
-    pub fn clear(&mut self) {
-        self.classes.clear();
-    }
-
     /// The tightest latency bound across classes, if any.
     pub fn tightest_latency(&self) -> Option<SimDuration> {
         self.classes.iter().map(|c| c.latency_bound).min()
@@ -223,13 +218,5 @@ mod tests {
         // Equidistant tolerances (0.625 sits exactly between) tie to
         // the tighter latency bound.
         assert_eq!(m.deadline_for(0.625), Some(SimDuration::from_mins(2)));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut m = QuerySensorMatcher::new();
-        m.register(class(5, 0.5));
-        m.clear();
-        assert!(m.derive_retune().is_none());
     }
 }

@@ -497,16 +497,6 @@ impl PullReplyCache {
         Some(&self.entries[pos].samples)
     }
 
-    /// Cached replies currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Lookups served from the cache.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -515,12 +505,6 @@ impl PullReplyCache {
     /// Lookups that went to the radio.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Lookups rejected by the freshness check (cached reply too old
-    /// for the query's window), a subset of `misses`.
-    pub fn stale_rejections(&self) -> u64 {
-        self.stale_rejections
     }
 
     /// Drops every cached reply. The hit/miss/stale counters are
@@ -663,7 +647,7 @@ mod tests {
             c.lookup(key(0, 200), SimTime::from_secs(200)).is_none(),
             "stale reply served past its coverage"
         );
-        assert_eq!(c.stale_rejections(), 1);
+        assert_eq!(c.stale_rejections, 1);
         // The same entry is fine for a query content with coverage
         // through its serve time.
         assert!(c.lookup(key(0, 200), SimTime::from_secs(100)).is_some());
@@ -681,12 +665,12 @@ mod tests {
             c.lookup(key(0, 200), served).is_some(),
             "served_at == needed_through is full coverage and must hit"
         );
-        assert_eq!(c.stale_rejections(), 0);
+        assert_eq!(c.stale_rejections, 0);
         assert!(
             c.lookup(key(0, 200), served + SimDuration::from_micros(1)).is_none(),
             "one tick past the serve instant is uncovered and must reject"
         );
-        assert_eq!(c.stale_rejections(), 1);
+        assert_eq!(c.stale_rejections, 1);
     }
 
     #[test]
@@ -695,7 +679,7 @@ mod tests {
         for i in 0..3u64 {
             c.insert(key(i, i + 10), SimTime::from_secs(i + 10), Vec::new());
         }
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
         assert!(c.lookup(key(0, 10), SimTime::ZERO).is_none(), "oldest evicted");
         assert!(c.lookup(key(2, 12), SimTime::ZERO).is_some());
     }
@@ -705,7 +689,7 @@ mod tests {
         let mut c = PullReplyCache::new(4);
         c.insert(key(0, 100), SimTime::from_secs(100), vec![(SimTime::from_secs(10), 1.0)]);
         c.insert(key(0, 100), SimTime::from_secs(300), vec![(SimTime::from_secs(10), 2.0)]);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.entries.len(), 1);
         let s = c.lookup(key(0, 100), SimTime::from_secs(200)).expect("fresh entry");
         assert_eq!(s[0].1, 2.0, "newest serving wins");
     }

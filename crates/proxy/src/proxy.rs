@@ -273,11 +273,6 @@ impl PrestoProxy {
         ids
     }
 
-    /// The proxy's energy ledger (tethered, but still tracked).
-    pub fn ledger(&self) -> &EnergyLedger {
-        &self.ledger
-    }
-
     /// Mutable ledger access, used by sensor uplink MACs to charge the
     /// proxy's reception energy.
     pub fn ledger_mut(&mut self) -> &mut EnergyLedger {
@@ -287,16 +282,6 @@ impl PrestoProxy {
     /// Counters.
     pub fn stats(&self) -> ProxyStats {
         self.stats
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ProxyConfig {
-        &self.config
-    }
-
-    /// The prediction engine (e.g. for E7 cycle accounting).
-    pub fn engine(&self) -> &PredictionEngine {
-        &self.engine
     }
 
     /// The time-indexed event cache.
@@ -1565,9 +1550,11 @@ impl PrestoProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::PullReplyCache;
     use presto_net::LinkModel;
     use presto_sensor::{PushPolicy, SensorConfig};
     use presto_sim::SimRng;
+    use presto_telemetry::{Observe, Snapshot};
 
     fn diurnal(t: SimTime) -> f64 {
         21.0 + 4.0 * ((t.hour_of_day() - 14.0) / 24.0 * std::f64::consts::TAU).cos()
@@ -2347,7 +2334,7 @@ mod tests {
             1,
             "stale cached reply must not serve the repeat query"
         );
-        assert!(proxy.pipeline().reply_cache().stale_rejections() >= 1);
+        assert!(stale_rejections(proxy.pipeline().reply_cache()) >= 1.0);
         pump(&mut proxy, t2, &mut node, &mut chan);
         let second = proxy.take_completed_queries().remove(0);
         match &second.answer {
@@ -2556,7 +2543,7 @@ mod tests {
         assert_eq!(proxy.pipeline().pending_queries(), 1);
         assert!(!proxy.cache(0).expect("registered").is_empty());
         let cache = proxy.pipeline().reply_cache();
-        let counters = (cache.hits(), cache.misses(), cache.stale_rejections());
+        let counters = (cache.hits(), cache.misses(), stale_rejections(cache));
         assert_eq!(counters.0, 1, "repeat window must hit before the crash");
         let dropped = proxy.crash_reset();
         assert_eq!(dropped, 3);
@@ -2564,13 +2551,27 @@ mod tests {
         assert!(proxy.take_completed_queries().is_empty());
         assert!(proxy.cache(0).expect("registered").is_empty());
         let cache = proxy.pipeline().reply_cache();
-        assert!(cache.is_empty());
         // Counters are instrumentation, not process state: they survive.
-        assert_eq!((cache.hits(), cache.misses(), cache.stale_rejections()), counters);
+        assert_eq!(
+            (cache.hits(), cache.misses(), stale_rejections(cache)),
+            counters
+        );
         // The channel's proxy half is cleared by its own reset (the
         // only RPC here completed before the crash, so nothing to drop).
         assert_eq!(chan.reset_proxy_state(), 0);
         assert_eq!(chan.async_in_flight(), 0);
+        // The cached reply died with the crash: the repeat window that
+        // hit it before now queues for the radio.
+        proxy.submit_query(t, past(31 * 10, 31 * 60, 0.3));
+        assert_eq!(proxy.pipeline().pending_queries(), 1);
+    }
+
+    /// The reply cache's stale-rejection count, as the telemetry export
+    /// reads it.
+    fn stale_rejections(cache: &PullReplyCache) -> f64 {
+        let mut snap = Snapshot::new();
+        cache.observe(&mut snap.sink());
+        snap.get("stale_rejections").unwrap_or(0.0)
     }
 
     #[test]

@@ -245,16 +245,6 @@ impl TieredSliceCache {
         self.stats
     }
 
-    /// Cached slices across both tiers.
-    pub fn len(&self) -> usize {
-        self.l1.len() + self.l2.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.l1.is_empty() && self.l2.is_empty()
-    }
-
     /// Drops every cached slice, keeping the counters (crash reset:
     /// entries are RAM state, counters are measurement).
     pub fn clear(&mut self) {
@@ -422,7 +412,7 @@ mod tests {
         }
         // L1 holds {2, 3}; {0, 1} were demoted.
         assert_eq!(c.stats().demotions, 2);
-        assert_eq!(c.len(), 4);
+        assert_eq!((c.l1.len() + c.l2.len()), 4);
         // L2 hit promotes 0 back to L1 (demoting 2).
         let (samples, sigma) = c.lookup(key(0)).expect("still cached in L2");
         assert_eq!(samples, vec![(hour(0), 0.0)]);
@@ -445,12 +435,12 @@ mod tests {
         let mut c = TieredSliceCache::new(4, 4);
         // Served before the span end: the slice was still filling.
         c.insert(key(7), hour(8), hour(7) + SimDuration::from_mins(30), 0.1, Vec::new());
-        assert!(c.is_empty());
+        assert!((c.l1.is_empty() && c.l2.is_empty()));
         assert_eq!(c.stats().incomplete_skips, 1);
         assert!(c.lookup(key(7)).is_none());
         // Served exactly at the span end: complete, cacheable.
         c.insert(key(7), hour(8), hour(8), 0.1, Vec::new());
-        assert_eq!(c.len(), 1);
+        assert_eq!((c.l1.len() + c.l2.len()), 1);
         assert!(c.lookup(key(7)).is_some());
     }
 
@@ -462,7 +452,7 @@ mod tests {
             assert!(c.l1.len() <= 2, "L1 overflow at insert {i}");
             assert!(c.l2.len() <= 2, "L2 overflow at insert {i}");
         }
-        assert_eq!(c.len(), 4);
+        assert_eq!((c.l1.len() + c.l2.len()), 4);
         let s = c.stats();
         assert_eq!(s.inserts, 10);
         assert_eq!(s.evictions, 6, "spill-tier drops");
@@ -470,7 +460,7 @@ mod tests {
         let mut d = TieredSliceCache::new(1, 0);
         d.insert(key(0), hour(1), hour(1), 0.1, Vec::new());
         d.insert(key(1), hour(2), hour(2), 0.1, Vec::new());
-        assert_eq!(d.len(), 1);
+        assert_eq!((d.l1.len() + d.l2.len()), 1);
         assert_eq!(d.stats().evictions, 1);
         assert_eq!(d.stats().demotions, 0);
     }
@@ -480,7 +470,7 @@ mod tests {
         let mut c = TieredSliceCache::new(2, 2);
         c.insert(key(0), hour(1), hour(1), 0.1, vec![(hour(0), 1.0)]);
         c.insert(key(0), hour(1), hour(2), 0.1, vec![(hour(0), 2.0)]);
-        assert_eq!(c.len(), 1);
+        assert_eq!((c.l1.len() + c.l2.len()), 1);
         let (samples, _) = c.lookup(key(0)).expect("cached");
         assert_eq!(samples[0].1, 2.0, "newest serving wins");
     }
@@ -491,7 +481,7 @@ mod tests {
         c.insert(key(0), hour(1), hour(1), 0.1, Vec::new());
         assert!(c.lookup(key(0)).is_some());
         c.clear();
-        assert!(c.is_empty());
+        assert!((c.l1.is_empty() && c.l2.is_empty()));
         assert_eq!(c.stats().inserts, 1);
         assert_eq!(c.stats().l1_hits, 1);
     }

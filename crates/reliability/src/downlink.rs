@@ -311,11 +311,6 @@ impl DownlinkChannel {
         self.link_up = up;
     }
 
-    /// True when the channel is currently gated up.
-    pub fn link_up(&self) -> bool {
-        self.link_up
-    }
-
     /// Remaining retry budget, joules.
     pub fn budget_remaining_j(&self) -> f64 {
         (self.config.retry_budget_j - self.retry_spent_j).max(0.0)

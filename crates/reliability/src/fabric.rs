@@ -159,16 +159,11 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Creates a fabric with one channel per sensor.
-    pub fn new(config: FabricConfig, sensors: usize) -> Self {
-        Self::new_with_losses(config, sensors, |_| None)
-    }
-
-    /// Creates a fabric whose per-sensor loss processes may be
-    /// overridden — the hook correlated-loss deployments use to hand
-    /// every channel near one proxy a clone of the same
-    /// [`presto_net::SharedLossState`]. Returning `None` keeps the
-    /// config's processes for that sensor.
+    /// Creates a fabric with one channel per sensor, whose loss
+    /// processes may be overridden — the hook correlated-loss
+    /// deployments use to hand every channel near one proxy a clone of
+    /// the same [`presto_net::SharedLossState`]. Returning `None` keeps
+    /// the config's processes for that sensor.
     pub fn new_with_losses(
         config: FabricConfig,
         sensors: usize,
@@ -209,11 +204,6 @@ impl Fabric {
     /// every attempt dies in the channel and no delivery or ack occurs.
     pub fn set_link_up(&mut self, sensor: usize, up: bool) {
         self.channels[sensor].link_up = up;
-    }
-
-    /// True when the sensor's channel is currently gated up.
-    pub fn link_up(&self, sensor: usize) -> bool {
-        self.channels[sensor].link_up
     }
 
     /// Drops a sensor's pending retransmissions (RAM lost on crash).
@@ -390,7 +380,7 @@ mod tests {
     }
 
     fn perfect_fabric() -> Fabric {
-        Fabric::new(FabricConfig::default(), 2)
+        Fabric::new_with_losses(FabricConfig::default(), 2, |_| None)
     }
 
     #[test]
@@ -420,7 +410,7 @@ mod tests {
             max_retransmits: 20,
             ..FabricConfig::default()
         };
-        let mut f = Fabric::new(cfg, 1);
+        let mut f = Fabric::new_with_losses(cfg, 1, |_| None);
         let t0 = SimTime::from_secs(1);
         for i in 0..50u64 {
             f.offer(t0 + SimDuration::from_millis(10 * i), 0, msg(t0, i as f64));
@@ -450,7 +440,7 @@ mod tests {
             max_retransmits: 3,
             ..FabricConfig::default()
         };
-        let mut f = Fabric::new(cfg, 1);
+        let mut f = Fabric::new_with_losses(cfg, 1, |_| None);
         let t0 = SimTime::from_secs(1);
         f.offer(t0, 0, msg(t0, 1.0));
         let mut deliveries = 0;
@@ -473,7 +463,7 @@ mod tests {
             retry_budget_j: 0.005, // a few frames' worth
             ..FabricConfig::default()
         };
-        let mut f = Fabric::new(cfg, 1);
+        let mut f = Fabric::new_with_losses(cfg, 1, |_| None);
         let t0 = SimTime::from_secs(1);
         f.offer(t0, 0, msg(t0, 1.0));
         for k in 1..50u64 {
@@ -523,7 +513,7 @@ mod tests {
                 seed,
                 ..FabricConfig::default()
             };
-            let mut f = Fabric::new(cfg, 1);
+            let mut f = Fabric::new_with_losses(cfg, 1, |_| None);
             let t0 = SimTime::from_secs(1);
             for i in 0..64u64 {
                 f.offer(t0 + SimDuration::from_secs(i), 0, msg(t0, i as f64));

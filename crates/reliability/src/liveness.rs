@@ -84,9 +84,6 @@ presto_telemetry::observe_counters!(LivenessStats {
 struct Slot {
     last_heard: SimTime,
     state: Health,
-    /// When the sensor left `Live` (first Suspect instant of the
-    /// current outage) — the failure-detection timestamp.
-    detected_at: Option<SimTime>,
 }
 
 /// The proxy-side liveness monitor.
@@ -111,17 +108,11 @@ impl LivenessMonitor {
                 Slot {
                     last_heard: SimTime::ZERO,
                     state: Health::Live,
-                    detected_at: None,
                 };
                 sensors
             ],
             stats: LivenessStats::default(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &LivenessConfig {
-        &self.config
     }
 
     /// Counters.
@@ -137,7 +128,6 @@ impl LivenessMonitor {
         slot.last_heard = slot.last_heard.max(t);
         if slot.state != Health::Live {
             slot.state = Health::Live;
-            slot.detected_at = None;
             self.stats.reconnected += 1;
             true
         } else {
@@ -168,7 +158,6 @@ impl LivenessMonitor {
             return slot.state;
         }
         if slot.state == Health::Live {
-            slot.detected_at = Some(t);
             self.stats.suspected += 1;
         }
         if fresh == Health::Dead {
@@ -181,17 +170,6 @@ impl LivenessMonitor {
     /// The last graded health of `sensor` (no re-grade).
     pub fn health(&self, sensor: usize) -> Health {
         self.slots[sensor].state
-    }
-
-    /// When the current outage of `sensor` was first detected, if it is
-    /// in one.
-    pub fn detected_at(&self, sensor: usize) -> Option<SimTime> {
-        self.slots[sensor].detected_at
-    }
-
-    /// Last contact time of `sensor`.
-    pub fn last_heard(&self, sensor: usize) -> SimTime {
-        self.slots[sensor].last_heard
     }
 }
 
@@ -240,11 +218,9 @@ mod tests {
         let mut m = LivenessMonitor::new(cfg(), 1);
         m.heard(0, t(0));
         assert_eq!(m.check(0, t(20)), Health::Dead);
-        assert_eq!(m.detected_at(0), Some(t(20)));
         // First contact after the outage reports a reconnect.
         assert!(m.heard(0, t(21)));
         assert_eq!(m.health(0), Health::Live);
-        assert_eq!(m.detected_at(0), None);
         // Subsequent contacts do not.
         assert!(!m.heard(0, t(22)));
         assert_eq!(m.stats().reconnected, 1);
@@ -266,13 +242,13 @@ mod tests {
         m.heard(0, t(10));
         m.heard(1, t(10));
         assert_eq!(m.check(0, t(16)), Health::Suspect);
-        assert_eq!(m.detected_at(0), Some(t(16)));
-        // Staying suspect does not move the detection point.
+        assert_eq!(m.stats().suspected, 1);
+        // Staying suspect does not detect the outage again.
         m.check(0, t(18));
-        assert_eq!(m.detected_at(0), Some(t(16)));
+        assert_eq!(m.stats().suspected, 1);
         // Going dead does not either — the outage started at t(16).
-        m.check(0, t(40));
-        assert_eq!(m.detected_at(0), Some(t(16)));
+        assert_eq!(m.check(0, t(40)), Health::Dead);
+        assert_eq!(m.stats().suspected, 1);
         // The other sensor is untouched.
         assert_eq!(m.check(1, t(14)), Health::Live);
     }

@@ -198,11 +198,6 @@ impl GapTracker {
         self.pending.push(r);
     }
 
-    /// Repairs currently queued.
-    pub fn pending(&self) -> &[PendingRecovery] {
-        &self.pending
-    }
-
     /// Takes every queued repair, leaving the queue empty. Failed
     /// attempts should be re-queued with
     /// [`GapTracker::requeue_failed`].
@@ -262,7 +257,7 @@ mod tests {
             assert_eq!(g.observe(0, i, t(i * 10), t(i * 10 + 1)), Observation::Fresh);
         }
         assert_eq!(g.covered_until(0), t(90));
-        assert!(g.pending().is_empty());
+        assert!(g.pending.is_empty());
         assert_eq!(g.stats().gaps_detected, 0);
     }
 
@@ -280,9 +275,9 @@ mod tests {
                 to: t(60)
             }
         );
-        assert_eq!(g.pending().len(), 1);
-        assert_eq!(g.pending()[0].from, t(20));
-        assert_eq!(g.pending()[0].to, t(60));
+        assert_eq!(g.pending.len(), 1);
+        assert_eq!(g.pending[0].from, t(20));
+        assert_eq!(g.pending[0].to, t(60));
     }
 
     #[test]
@@ -308,9 +303,9 @@ mod tests {
         g.observe(0, 0, t(10), t(10));
         g.observe(0, 3, t(40), t(40)); // gap [10, 40]
         g.observe(0, 7, t(80), t(80)); // gap [40, 80] — touches
-        assert_eq!(g.pending().len(), 1);
-        assert_eq!(g.pending()[0].from, t(10));
-        assert_eq!(g.pending()[0].to, t(80));
+        assert_eq!(g.pending.len(), 1);
+        assert_eq!(g.pending[0].from, t(10));
+        assert_eq!(g.pending[0].to, t(80));
         assert_eq!(g.stats().gaps_detected, 2);
     }
 
@@ -326,7 +321,7 @@ mod tests {
         assert_eq!(g.stats().samples_replayed, 120);
         assert!((g.mean_recovery_latency_s() - 10.0).abs() < 1e-9);
         assert_eq!(g.covered_until(0), t(50));
-        assert!(g.pending().is_empty());
+        assert!(g.pending.is_empty());
     }
 
     #[test]
@@ -336,7 +331,7 @@ mod tests {
         g.observe(0, 2, t(30), t(30));
         let pending = g.take_pending();
         g.requeue_failed(pending[0]);
-        assert_eq!(g.pending().len(), 1);
+        assert_eq!(g.pending.len(), 1);
         assert_eq!(g.stats().failed_attempts, 1);
     }
 
@@ -344,11 +339,11 @@ mod tests {
     fn explicit_outage_recovery_request() {
         let mut g = GapTracker::new(2);
         g.request_recovery(1, t(100), t(500), t(510));
-        assert_eq!(g.pending().len(), 1);
-        assert_eq!(g.pending()[0].sensor, 1);
+        assert_eq!(g.pending.len(), 1);
+        assert_eq!(g.pending[0].sensor, 1);
         // Degenerate spans are ignored.
         g.request_recovery(0, t(100), t(100), t(100));
-        assert_eq!(g.pending().len(), 1);
+        assert_eq!(g.pending.len(), 1);
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub enum UplinkPayload {
     Deviation {
         /// Observed value.
         value: f64,
-        /// The replica's prediction at check time.
+        /// The replica's prediction at check time (0.0 when no model
+        /// is installed).
         predicted: f64,
     },
     /// A value-driven push (no model context).
@@ -120,19 +121,6 @@ pub enum AggregateOp {
         /// Histogram bin width.
         bin_width: f64,
     },
-}
-
-impl AggregateOp {
-    /// Stable label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            AggregateOp::Mean => "mean",
-            AggregateOp::Max => "max",
-            AggregateOp::Min => "min",
-            AggregateOp::Count => "count",
-            AggregateOp::Mode { .. } => "mode",
-        }
-    }
 }
 
 /// A sensor → proxy message with its wire accounting.

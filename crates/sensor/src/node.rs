@@ -140,11 +140,6 @@ impl SensorNode {
         }
     }
 
-    /// Node id.
-    pub fn id(&self) -> u16 {
-        self.id
-    }
-
     /// Cumulative energy ledger.
     pub fn ledger(&self) -> &EnergyLedger {
         &self.ledger
@@ -169,11 +164,6 @@ impl SensorNode {
     /// The local archive (e.g. for test inspection).
     pub fn archive_mut(&mut self) -> &mut ArchiveStore {
         &mut self.archive
-    }
-
-    /// The current configuration.
-    pub fn config(&self) -> &SensorConfig {
-        &self.config
     }
 
     /// True if a model replica is installed.
@@ -326,21 +316,16 @@ impl SensorNode {
         let policy = self.config.push.clone();
         match policy {
             PushPolicy::ModelDriven { tolerance } => {
-                let verdict = self.run_model_check(t, value, tolerance);
-                if let Some(residual) = verdict {
-                    let _ = residual;
-                    let predicted = value - residual;
-                    if (value - predicted).abs() > tolerance || self.model.is_none() {
-                        if let Some(m) = self.send(
-                            t,
-                            wire::DEVIATION,
-                            UplinkPayload::Deviation { value, predicted },
-                            proxy_ledger.as_deref_mut(),
-                        ) {
-                            out.push(m);
-                        }
-                        self.stats.deviations_pushed += 1;
+                if let Some(predicted) = self.run_model_check(t, value, tolerance) {
+                    if let Some(m) = self.send(
+                        t,
+                        wire::DEVIATION,
+                        UplinkPayload::Deviation { value, predicted },
+                        proxy_ledger.as_deref_mut(),
+                    ) {
+                        out.push(m);
                     }
+                    self.stats.deviations_pushed += 1;
                 }
             }
             PushPolicy::ValueDriven { delta } => {
@@ -374,12 +359,12 @@ impl SensorNode {
         out
     }
 
-    /// Runs the model replica check. Returns `Some(residual)` when the
-    /// check deviates (or when no model is installed, in which case the
-    /// residual is the value itself — everything is "unpredicted").
+    /// Runs the model replica check. Returns `Some(prediction)` when the
+    /// sample deviates from it and must be pushed; with no model
+    /// installed every sample deviates, from a prediction of 0.0.
     fn run_model_check(&mut self, t: SimTime, value: f64, tolerance: f64) -> Option<f64> {
         let Some(model) = self.model.as_mut() else {
-            return Some(value);
+            return Some(0.0);
         };
         self.stats.model_checks += 1;
         let cycles = model.check_cycles();
@@ -392,7 +377,7 @@ impl SensorNode {
             None
         } else {
             model.observe(t, value);
-            Some(value - pred.value)
+            Some(pred.value)
         };
         self.charge_cpu(cycles);
         result
@@ -1021,11 +1006,11 @@ mod tests {
             reply_codec: Some(CodecParams::for_tolerance(1.0)),
         };
         n.handle_downlink(SimTime::from_secs(10), &retune, None);
-        match n.config().push {
+        match n.config.push {
             PushPolicy::ModelDriven { tolerance } => assert_eq!(tolerance, 2.5),
             _ => panic!("policy changed unexpectedly"),
         }
-        assert_eq!(n.config().duty.check_interval, SimDuration::from_secs(8));
+        assert_eq!(n.config.duty.check_interval, SimDuration::from_secs(8));
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl Summary {
         self.samples.len()
     }
 
-    /// True if no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Sum of all observations.
     pub fn sum(&self) -> f64 {
         self.samples.iter().sum()
@@ -102,16 +97,6 @@ impl Summary {
     /// 95th percentile.
     pub fn p95(&self) -> f64 {
         self.quantile(0.95)
-    }
-
-    /// All recorded samples, in insertion order.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Merges another summary's samples into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        self.samples.extend_from_slice(&other.samples);
     }
 }
 
@@ -182,7 +167,7 @@ mod tests {
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.median(), 0.0);
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
     }
 
     #[test]
@@ -192,17 +177,6 @@ mod tests {
         s.record(f64::INFINITY);
         s.record(1.0);
         assert_eq!(s.count(), 1);
-    }
-
-    #[test]
-    fn summary_merge() {
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        a.record(1.0);
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]

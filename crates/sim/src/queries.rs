@@ -96,7 +96,6 @@ pub struct QueryLoad {
     config: QueryLoadConfig,
     sensors: usize,
     rng: SimRng,
-    emitted: u64,
 }
 
 impl QueryLoad {
@@ -107,13 +106,7 @@ impl QueryLoad {
             config,
             sensors: sensors.max(1),
             rng,
-            emitted: 0,
         }
-    }
-
-    /// Total queries emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// Per-user emission probability for one epoch (the thinned-Poisson
@@ -136,8 +129,7 @@ impl QueryLoad {
             if !self.rng.chance(p_emit) {
                 continue;
             }
-            out.push(self.draw(user, t));
-            self.emitted += 1;
+            out.push(self.draw_one(user, t));
         }
         out
     }
@@ -146,11 +138,6 @@ impl QueryLoad {
     /// [`QueryLoad::step`], exposed so deployment-tier generators can
     /// compose their own arrival processes over the same query shapes).
     pub fn draw_one(&mut self, user: usize, t: SimTime) -> QueryArrival {
-        self.emitted += 1;
-        self.draw(user, t)
-    }
-
-    fn draw(&mut self, user: usize, t: SimTime) -> QueryArrival {
         let sensor_slot = self.rng.below(self.sensors as u64) as usize;
         if self.rng.chance(self.config.past_fraction) {
             let (from, to, tolerance) = if self.rng.chance(self.config.hot_fraction) {
@@ -258,8 +245,6 @@ pub struct FleetQueryLoad {
     /// Cumulative Zipf weights over groups, normalized to 1.
     cumulative: Vec<f64>,
     rng: SimRng,
-    /// Queries emitted per group.
-    per_group: Vec<u64>,
 }
 
 impl FleetQueryLoad {
@@ -284,18 +269,7 @@ impl FleetQueryLoad {
             inner: QueryLoad::new(config.load, sensors_per_group),
             cumulative,
             rng,
-            per_group: vec![0; groups],
         }
-    }
-
-    /// Total queries emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.inner.emitted()
-    }
-
-    /// Queries emitted per group so far.
-    pub fn per_group(&self) -> &[u64] {
-        &self.per_group
     }
 
     /// Emits this epoch's arrivals (same thinned-Poisson process as
@@ -309,7 +283,6 @@ impl FleetQueryLoad {
             }
             let u = self.rng.uniform();
             let group = self.cumulative.partition_point(|&c| c < u).min(self.cumulative.len() - 1);
-            self.per_group[group] += 1;
             out.push(FleetArrival {
                 group,
                 arrival: self.inner.draw_one(user, t),
@@ -384,7 +357,7 @@ mod tests {
         assert_ne!(run(9), run(10));
     }
 
-    fn run_fleet(zipf_s: f64, seed: u64) -> (FleetQueryLoad, Vec<FleetArrival>) {
+    fn run_fleet(zipf_s: f64, seed: u64) -> Vec<FleetArrival> {
         let mut load = FleetQueryLoad::new(
             FleetLoadConfig {
                 load: QueryLoadConfig {
@@ -401,15 +374,23 @@ mod tests {
             let t = SimTime::from_hours(13) + SimDuration::from_secs(31) * e;
             all.extend(load.step(t, SimDuration::from_secs(31)));
         }
-        (load, all)
+        all
+    }
+
+    /// Arrivals per group.
+    fn per_group(all: &[FleetArrival]) -> [u64; 4] {
+        let mut pg = [0; 4];
+        for q in all {
+            pg[q.group] += 1;
+        }
+        pg
     }
 
     #[test]
     fn zipf_skew_concentrates_on_the_hot_group() {
-        let (load, all) = run_fleet(1.4, 5);
+        let all = run_fleet(1.4, 5);
         assert!(!all.is_empty());
-        let pg = load.per_group();
-        assert_eq!(pg.iter().sum::<u64>(), all.len() as u64);
+        let pg = per_group(&all);
         assert!(
             pg[0] > pg[3] * 3,
             "group 0 must be hot under skew: {pg:?}"
@@ -425,8 +406,7 @@ mod tests {
 
     #[test]
     fn zero_skew_is_roughly_uniform() {
-        let (load, _) = run_fleet(0.0, 6);
-        let pg = load.per_group();
+        let pg = per_group(&run_fleet(0.0, 6));
         let (lo, hi) = (
             *pg.iter().min().expect("non-empty"),
             *pg.iter().max().expect("non-empty"),
@@ -436,7 +416,7 @@ mod tests {
 
     #[test]
     fn fleet_hot_windows_repeat_across_groups() {
-        let (_, all) = run_fleet(1.0, 7);
+        let all = run_fleet(1.0, 7);
         use std::collections::HashMap;
         let mut windows: HashMap<(u64, u64), std::collections::HashSet<usize>> = HashMap::new();
         for q in all.iter().filter(|q| q.arrival.kind == QueryKind::Past) {
@@ -453,7 +433,7 @@ mod tests {
 
     #[test]
     fn fleet_deterministic_given_seed() {
-        assert_eq!(run_fleet(1.2, 9).1, run_fleet(1.2, 9).1);
-        assert_ne!(run_fleet(1.2, 9).1, run_fleet(1.2, 10).1);
+        assert_eq!(run_fleet(1.2, 9), run_fleet(1.2, 9));
+        assert_ne!(run_fleet(1.2, 9), run_fleet(1.2, 10));
     }
 }

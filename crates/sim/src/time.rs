@@ -28,11 +28,6 @@ impl SimTime {
         SimTime(us)
     }
 
-    /// Creates an instant from milliseconds.
-    pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000)
-    }
-
     /// Creates an instant from whole seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1_000_000)
@@ -86,16 +81,6 @@ impl SimTime {
     /// Whole seconds since the epoch (truncating).
     pub const fn as_secs(self) -> u64 {
         self.0 / 1_000_000
-    }
-
-    /// The duration since an earlier instant, saturating at zero.
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Adds a duration, saturating at [`SimTime::MAX`].
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
     }
 
     /// Hour-of-day in `[0, 24)` assuming the epoch is midnight.
@@ -302,7 +287,7 @@ mod tests {
 
     #[test]
     fn constructors_agree() {
-        assert_eq!(SimTime::from_secs(1), SimTime::from_millis(1_000));
+        assert_eq!(SimTime::from_secs(1), SimTime::from_micros(1_000_000));
         assert_eq!(SimTime::from_mins(2), SimTime::from_secs(120));
         assert_eq!(SimTime::from_hours(1), SimTime::from_mins(60));
         assert_eq!(SimTime::from_days(1), SimTime::from_hours(24));
@@ -318,7 +303,6 @@ mod tests {
         let d = SimDuration::from_secs(31);
         assert_eq!((t + d) - t, d);
         assert_eq!((t + d) - d, t);
-        assert_eq!(t.since(t + d), SimDuration::ZERO);
     }
 
     #[test]

@@ -36,28 +36,15 @@ const SUBS: u64 = 1 << SUB_BITS;
 ///
 /// Durations record as microseconds via [`LogHistogram::record_duration`],
 /// so their quantiles read back in microseconds.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LogHistogram {
     /// Sparse bucket-index → count map (sorted, so quantile walks are
     /// in value order).
     buckets: BTreeMap<u32, u64>,
     count: u64,
     sum: u128,
-    /// Exact extrema (`min` is `u64::MAX` while empty).
-    min: u64,
+    /// Exact maximum.
     max: u64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram {
-            buckets: BTreeMap::new(),
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
 }
 
 /// Index of the bucket containing `v`.
@@ -98,7 +85,6 @@ impl LogHistogram {
         *self.buckets.entry(bucket_index(v)).or_insert(0) += 1;
         self.count += 1;
         self.sum += v as u128;
-        self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
 
@@ -112,31 +98,12 @@ impl LogHistogram {
         self.count
     }
 
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Exact sum of all observations.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
     /// Exact mean, or 0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
             self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Exact minimum observation, or 0 when empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
         }
     }
 
@@ -183,7 +150,6 @@ impl LogHistogram {
         }
         self.count += other.count;
         self.sum += other.sum;
-        self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
 }
@@ -270,12 +236,6 @@ impl Section {
         self.children
             .get_mut(name)
             .expect("child section exists: inserted above when absent")
-    }
-
-    /// Merges another section tree in: counters add, gauges last-write,
-    /// histograms merge, children recurse.
-    pub fn merge(&mut self, other: &Section) {
-        other.observe(&mut Sink::tree(self));
     }
 
     /// Resolves one dotted path against this subtree without
@@ -378,11 +338,6 @@ impl Snapshot {
     /// reads its resolved slots instead (see [`crate::scope`]).
     pub fn get(&self, path: &str) -> Option<f64> {
         self.root.get_path(path)
-    }
-
-    /// Merges another snapshot in (multi-deployment aggregation).
-    pub fn merge(&mut self, other: &Snapshot) {
-        self.root.merge(&other.root);
     }
 
     /// Renders the flattened tree as `key = value` lines.
@@ -689,7 +644,6 @@ mod tests {
             let rank = ((q * 16.0).ceil() as u64).clamp(1, 16);
             assert_eq!(h.quantile(q), rank - 1, "q={q}");
         }
-        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 15);
     }
 
@@ -745,7 +699,6 @@ mod tests {
     fn empty_histogram_reads_zero() {
         let h = LogHistogram::new();
         assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
     }
@@ -831,15 +784,5 @@ mod tests {
         assert_eq!(readings[slots[0]], Some(7.0), "counters add");
         assert_eq!(readings[slots[1]], Some(9.0), "peaks take the max");
         assert_eq!(readings[slots[2]], Some(2.5), "gauges: last write wins");
-    }
-
-    #[test]
-    fn snapshot_merge_adds() {
-        let mut a = Snapshot::new();
-        let mut b = Snapshot::new();
-        a.root.child("x").counter("n", 1);
-        b.root.child("x").counter("n", 2);
-        a.merge(&b);
-        assert_eq!(a.get("x.n"), Some(3.0));
     }
 }

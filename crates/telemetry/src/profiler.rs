@@ -9,7 +9,7 @@
 //! reads the clock: [`EpochProfiler::begin`] returns `None` and every
 //! other call returns immediately.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::alloc::allocation_count;
 use crate::metrics::{Observe, Sink};
@@ -62,11 +62,6 @@ impl EpochProfiler {
         }
     }
 
-    /// Whether profiling is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Starts a phase measurement (`None` when disabled — pass it
     /// straight to [`EpochProfiler::end`]).
     pub fn begin(&self) -> Option<PhaseToken> {
@@ -109,11 +104,6 @@ impl EpochProfiler {
         }
     }
 
-    /// Epochs profiled.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
     /// The accumulated phases, in first-seen order.
     pub fn phases(&self) -> &[(&'static str, PhaseStat)] {
         &self.phases
@@ -122,11 +112,6 @@ impl EpochProfiler {
     /// One phase's stat.
     pub fn phase(&self, name: &str) -> Option<&PhaseStat> {
         self.phases.iter().find(|(n, _)| *n == name).map(|(_, s)| s)
-    }
-
-    /// Total wall-clock time across all phases.
-    pub fn total(&self) -> Duration {
-        Duration::from_nanos(self.nanos.iter().fold(0, |a, &n| a.saturating_add(n)))
     }
 
     /// The index of `name`'s phase, added on first use.
@@ -167,7 +152,7 @@ mod tests {
         p.count("x", 5);
         p.epoch();
         assert!(p.phases().is_empty());
-        assert_eq!(p.epochs(), 0);
+        assert_eq!(p.epochs, 0);
     }
 
     #[test]
@@ -186,7 +171,7 @@ mod tests {
         assert_eq!(names, vec!["core", "pump"]);
         assert_eq!(p.phase("core").unwrap().calls, 2);
         assert_eq!(p.phase("pump").unwrap().items, 5);
-        assert_eq!(p.epochs(), 1);
+        assert_eq!(p.epochs, 1);
 
         let mut snap = Snapshot::new();
         p.observe(&mut snap.sink());
@@ -206,6 +191,6 @@ mod tests {
         let stat = p.phase("tiny").unwrap();
         assert_eq!(stat.calls, 1000);
         assert!(stat.micros > 0, "1000 timed calls summed to 0 µs");
-        assert!(p.total() >= Duration::from_micros(stat.micros));
+        assert!(p.nanos.iter().sum::<u64>() >= stat.micros * 1_000);
     }
 }

@@ -286,7 +286,6 @@ pub struct RingSeries {
     stride: u64,
     bins: Vec<SeriesBin>,
     current: Option<SeriesBin>,
-    total_samples: u64,
 }
 
 impl RingSeries {
@@ -300,13 +299,11 @@ impl RingSeries {
             stride: 1,
             bins: Vec::with_capacity(cap),
             current: None,
-            total_samples: 0,
         }
     }
 
     /// Folds one reading in.
     pub fn push(&mut self, t: SimTime, v: f64) {
-        self.total_samples += 1;
         match &mut self.current {
             Some(bin) => bin.fold(v),
             None => self.current = Some(SeriesBin::one(t, v)),
@@ -345,19 +342,6 @@ impl RingSeries {
 
     fn all_bins(&self) -> impl Iterator<Item = &SeriesBin> {
         self.bins.iter().chain(self.current.as_ref())
-    }
-
-    /// Raw readings folded in since creation.
-    pub fn total_samples(&self) -> u64 {
-        self.total_samples
-    }
-
-    /// The most recent reading.
-    pub fn last(&self) -> Option<f64> {
-        self.current
-            .as_ref()
-            .map(|b| b.last)
-            .or_else(|| self.bins.last().map(|b| b.last))
     }
 }
 
@@ -630,20 +614,6 @@ impl PrestoScope {
         }
     }
 
-    /// One epoch tick over `source`: observe it into the slots, fold the
-    /// readings into the rings, and run the watchdogs with `faults` as
-    /// the blame context. A deployment that owns this scope cannot lend
-    /// itself here; it runs [`PrestoScope::begin_tick`],
-    /// [`PrestoScope::sink`] and [`PrestoScope::end_tick`] itself.
-    pub fn sample(&mut self, t: SimTime, source: &impl Observe, faults: &FaultPlan) {
-        if !self.config.enabled {
-            return;
-        }
-        let mut readings = self.begin_tick();
-        source.observe(&mut self.sink(&mut readings));
-        self.end_tick(t, readings, faults);
-    }
-
     /// Starts a tick: lends out the cleared readings buffer.
     pub fn begin_tick(&mut self) -> Readings {
         let mut readings = std::mem::take(&mut self.readings);
@@ -709,16 +679,6 @@ impl PrestoScope {
             .filter(|i| !i.attributed())
             .count()
     }
-
-    /// The watchdog engine (counts, drops).
-    pub fn watchdog(&self) -> &WatchdogEngine {
-        &self.watchdog
-    }
-
-    /// Epoch ticks sampled.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
 }
 
 impl Observe for PrestoScope {
@@ -781,6 +741,18 @@ mod tests {
             })
     }
 
+    /// A ring's most recent reading.
+    fn last(r: &RingSeries) -> Option<f64> {
+        r.bins().last().map(|b| b.last)
+    }
+
+    /// One epoch tick over `source`: what a deployment's epoch runs.
+    fn sample(scope: &mut PrestoScope, t: SimTime, source: &impl Observe, faults: &FaultPlan) {
+        let mut readings = scope.begin_tick();
+        source.observe(&mut scope.sink(&mut readings));
+        scope.end_tick(t, readings, faults);
+    }
+
     /// A live scope watching `rules` with a 5-minute attribution pad.
     fn watching(rules: Vec<WatchdogRule>, incident_capacity: usize) -> PrestoScope {
         PrestoScope::new(ScopeConfig {
@@ -802,8 +774,7 @@ mod tests {
         let exact_min = stream.iter().cloned().fold(f64::INFINITY, f64::min);
         let exact_max = stream.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(extremes(&r), (exact_min, exact_max));
-        assert_eq!(r.last(), stream.last().copied());
-        assert_eq!(r.total_samples(), stream.len() as u64);
+        assert_eq!(last(&r), stream.last().copied());
         assert!(r.bins().len() <= 5, "ring must stay bounded: {}", r.bins().len());
         let total: u64 = r.bins().iter().map(|b| b.samples).sum();
         assert_eq!(total, stream.len() as u64, "no reading may be discarded");
@@ -839,15 +810,15 @@ mod tests {
         let rule = WatchdogRule::still(WD_STALE_CONFIDENT, "probe.stale");
         let mut e = watching(vec![rule], 16);
         let plan = FaultPlan::none();
-        e.sample(t(0), &tick(&[("probe.stale", 0.0)]), &plan);
-        e.sample(t(31), &tick(&[("probe.stale", 0.0)]), &plan);
+        sample(&mut e, t(0), &tick(&[("probe.stale", 0.0)]), &plan);
+        sample(&mut e, t(31), &tick(&[("probe.stale", 0.0)]), &plan);
         assert!(e.incidents().is_empty(), "a still counter must not alarm");
-        e.sample(t(62), &tick(&[("probe.stale", 2.0)]), &plan);
+        sample(&mut e, t(62), &tick(&[("probe.stale", 2.0)]), &plan);
         assert_eq!(e.incidents().len(), 1);
         assert_eq!(e.incidents()[0].rule, WD_STALE_CONFIDENT);
         assert_eq!(e.incidents()[0].observed, 2.0);
         assert!(!e.incidents()[0].attributed(), "no faults injected");
-        e.sample(t(93), &tick(&[("probe.stale", 2.0)]), &plan);
+        sample(&mut e, t(93), &tick(&[("probe.stale", 2.0)]), &plan);
         assert_eq!(e.incidents()[0].closed_at, Some(t(93)));
         assert_eq!(e.incidents().len(), 1, "episodes merge consecutive ticks");
     }
@@ -860,7 +831,12 @@ mod tests {
         let mut e = watching(vec![rule], 16);
         let plan = FaultPlan::none();
         for (i, v) in [50.0, 150.0, 300.0, 120.0, 80.0].into_iter().enumerate() {
-            e.sample(t(i as u64 * 31), &tick(&[("router.age_p99", v)]), &plan);
+            sample(
+                &mut e,
+                t(i as u64 * 31),
+                &tick(&[("router.age_p99", v)]),
+                &plan,
+            );
         }
         assert_eq!(e.incidents().len(), 1);
         let inc = &e.incidents()[0];
@@ -879,17 +855,17 @@ mod tests {
         let plan = FaultPlan::none();
         // Busy but moving: never fires.
         for (i, v) in [5.0, 7.0, 6.0, 9.0, 4.0].into_iter().enumerate() {
-            e.sample(t(i as u64 * 31), &tick(&[("leaks.open", v)]), &plan);
+            sample(&mut e, t(i as u64 * 31), &tick(&[("leaks.open", v)]), &plan);
         }
         assert!(e.incidents().is_empty());
         // Stuck at 4.0 for `within` ticks: leak.
         for i in 5..10u64 {
-            e.sample(t(i * 31), &tick(&[("leaks.open", 4.0)]), &plan);
+            sample(&mut e, t(i * 31), &tick(&[("leaks.open", 4.0)]), &plan);
         }
         assert_eq!(e.incidents().len(), 1);
         assert_eq!(e.incidents()[0].rule, WD_LEAK_PROBE);
         // Draining to zero closes it.
-        e.sample(t(310), &tick(&[("leaks.open", 0.0)]), &plan);
+        sample(&mut e, t(310), &tick(&[("leaks.open", 0.0)]), &plan);
         assert!(e.incidents()[0].closed_at.is_some());
     }
 
@@ -900,9 +876,14 @@ mod tests {
         let rule = WatchdogRule::below(WD_PRESSURE_WATERMARK, "scope.pressure_max", 200.0);
         let mut e = watching(vec![rule], 16);
         let plan = FaultPlan::none();
-        e.sample(t(0), &tick(&[("scope.pressure_max", 12.0)]), &plan);
+        sample(&mut e, t(0), &tick(&[("scope.pressure_max", 12.0)]), &plan);
         assert!(e.incidents().is_empty());
-        e.sample(t(31), &tick(&[("scope.pressure_max", 900.0)]), &plan);
+        sample(
+            &mut e,
+            t(31),
+            &tick(&[("scope.pressure_max", 900.0)]),
+            &plan,
+        );
         assert_eq!(e.incidents().len(), 1);
         assert_eq!(e.incidents()[0].rule, WD_PRESSURE_WATERMARK);
     }
@@ -916,10 +897,25 @@ mod tests {
             WatchdogRule::rate_below(WD_SHED_EPISODE_WATERMARK, "fleet_router.shed_episodes", 8.0);
         let mut e = watching(vec![rule], 16);
         let plan = FaultPlan::none();
-        e.sample(t(0), &tick(&[("fleet_router.shed_episodes", 3.0)]), &plan);
-        e.sample(t(31), &tick(&[("fleet_router.shed_episodes", 8.0)]), &plan);
+        sample(
+            &mut e,
+            t(0),
+            &tick(&[("fleet_router.shed_episodes", 3.0)]),
+            &plan,
+        );
+        sample(
+            &mut e,
+            t(31),
+            &tick(&[("fleet_router.shed_episodes", 8.0)]),
+            &plan,
+        );
         assert!(e.incidents().is_empty(), "+5 per tick is under the bound");
-        e.sample(t(62), &tick(&[("fleet_router.shed_episodes", 30.0)]), &plan);
+        sample(
+            &mut e,
+            t(62),
+            &tick(&[("fleet_router.shed_episodes", 30.0)]),
+            &plan,
+        );
         assert_eq!(e.incidents().len(), 1, "+22 in one tick is a flap storm");
         assert_eq!(e.incidents()[0].rule, WD_SHED_EPISODE_WATERMARK);
         assert_eq!(e.incidents()[0].observed, 22.0);
@@ -936,8 +932,18 @@ mod tests {
             SimTime::from_secs(100),
             SimTime::from_secs(400),
         );
-        e.sample(t(50), &tick(&[("fleet_router.failed_fenced", 0.0)]), &plan);
-        e.sample(t(150), &tick(&[("fleet_router.failed_fenced", 3.0)]), &plan);
+        sample(
+            &mut e,
+            t(50),
+            &tick(&[("fleet_router.failed_fenced", 0.0)]),
+            &plan,
+        );
+        sample(
+            &mut e,
+            t(150),
+            &tick(&[("fleet_router.failed_fenced", 3.0)]),
+            &plan,
+        );
         assert_eq!(e.incidents().len(), 1);
         let inc = &e.incidents()[0];
         assert!(inc.attributed(), "the cut was active: {inc:?}");
@@ -958,11 +964,11 @@ mod tests {
         for i in 0..10u64 {
             // Alternate violating / clean ticks: 5 distinct episodes.
             let v = if i % 2 == 0 { 100.0 } else { 0.0 };
-            e.sample(t(i * 31), &tick(&[("p", v)]), &plan);
+            sample(&mut e, t(i * 31), &tick(&[("p", v)]), &plan);
         }
         assert_eq!(e.incidents().len(), 2, "log bounded");
-        assert_eq!(e.watchdog().dropped(), 3);
-        assert_eq!(e.watchdog().opened_counts()[WD_PRESSURE_WATERMARK], 5);
+        assert_eq!(e.watchdog.dropped(), 3);
+        assert_eq!(e.watchdog.opened_counts()[WD_PRESSURE_WATERMARK], 5);
     }
 
     #[test]
@@ -982,24 +988,24 @@ mod tests {
         snap.root.child("demo").gauge("gauge", 5.0);
         snap.root.child("demo").counter("counter", 10);
         scope.feed("fed.value", 0.0);
-        scope.sample(t(0), &snap, &plan);
+        sample(&mut scope, t(0), &snap, &plan);
         let mut snap2 = Snapshot::new();
         snap2.root.child("demo").gauge("gauge", 7.0);
         snap2.root.child("demo").counter("counter", 25);
         scope.feed("fed.value", 1.0);
-        scope.sample(t(31), &snap2, &plan);
+        sample(&mut scope, t(31), &snap2, &plan);
 
         let series: BTreeMap<&str, &RingSeries> = scope
             .series()
             .iter()
             .map(|(k, r)| (k.as_str(), r))
             .collect();
-        assert_eq!(series["demo.gauge"].last(), Some(7.0));
+        assert_eq!(last(series["demo.gauge"]), Some(7.0));
         // Delta: first tick records the raw reading, second the step.
         assert_eq!(extremes(series["demo.counter"]).1, 15.0);
-        assert_eq!(series["fed.value"].last(), Some(1.0));
+        assert_eq!(last(series["fed.value"]), Some(1.0));
         assert_eq!(scope.incidents().len(), 1, "fed counter grew");
-        assert_eq!(scope.ticks(), 2);
+        assert_eq!(scope.ticks, 2);
 
         let mut exported = Snapshot::new();
         scope.observe(&mut exported.sink());
@@ -1015,16 +1021,27 @@ mod tests {
             ..ScopeConfig::default()
         });
         let plan = FaultPlan::none();
-        scope.sample(t(0), &tick(&[("demo.x", 1.0), ("demo.n", 10.0)]), &plan);
+        sample(
+            &mut scope,
+            t(0),
+            &tick(&[("demo.x", 1.0), ("demo.n", 10.0)]),
+            &plan,
+        );
         // `demo.n` absent this tick: its ring and Delta base hold.
         scope.feed("demo.x", 9.0);
-        scope.sample(t(31), &tick(&[("demo.x", 2.0)]), &plan);
-        scope.sample(t(62), &tick(&[("demo.x", 3.0), ("demo.n", 14.0)]), &plan);
+        sample(&mut scope, t(31), &tick(&[("demo.x", 2.0)]), &plan);
+        sample(
+            &mut scope,
+            t(62),
+            &tick(&[("demo.x", 3.0), ("demo.n", 14.0)]),
+            &plan,
+        );
         let (x, n) = (&scope.series()[0].1, &scope.series()[1].1);
-        assert_eq!(x.last(), Some(9.0), "a feed overrides and persists");
+        assert_eq!(last(x), Some(9.0), "a feed overrides and persists");
         assert_eq!(extremes(x).0, 1.0);
-        assert_eq!(n.total_samples(), 2, "an absent path skips the tick");
-        assert_eq!(n.last(), Some(4.0), "the Delta base held across the gap");
+        let folded: u64 = n.bins().iter().map(|b| b.samples).sum();
+        assert_eq!(folded, 2, "an absent path skips the tick");
+        assert_eq!(last(n), Some(4.0), "the Delta base held across the gap");
         scope.feed("nobody.follows", 1.0);
     }
 
@@ -1037,8 +1054,8 @@ mod tests {
         });
         let snap = Snapshot::new();
         scope.feed("x", 5.0);
-        scope.sample(t(0), &snap, &FaultPlan::none());
-        assert_eq!(scope.ticks(), 0);
+        sample(&mut scope, t(0), &snap, &FaultPlan::none());
+        assert_eq!(scope.ticks, 0);
         assert!(scope.series().is_empty());
         assert!(scope.incidents().is_empty());
         let mut exported = Snapshot::new();

@@ -144,17 +144,6 @@ impl QueryTrace {
         })
     }
 
-    /// The terminal's answer age: `Some` exactly when the completion
-    /// carried data (the Ok set — failed terminals reflect nothing and
-    /// have nothing to be stale about). `None` also when the trace
-    /// never closed.
-    pub fn answer_age(&self) -> Option<SimDuration> {
-        self.terminal().and_then(|e| match e.event {
-            SpanEvent::Terminal { answer_age, .. } => answer_age,
-            _ => None,
-        })
-    }
-
     /// Number of terminal events (well-formed traces have exactly one).
     pub fn terminal_count(&self) -> usize {
         self.events.iter().filter(|e| e.event.is_terminal()).count()
@@ -195,11 +184,6 @@ impl FlightRecorder {
             self.traces.pop_front();
             self.dropped += 1;
         }
-    }
-
-    /// All retained traces, oldest first.
-    pub fn traces(&self) -> impl Iterator<Item = &QueryTrace> {
-        self.traces.iter()
     }
 
     /// The retained trace for one ticket.

@@ -9,12 +9,19 @@
 use presto_sim::{FaultPlan, SimDuration, SimTime};
 use presto_telemetry::scope::WD_STALE_CONFIDENT;
 use presto_telemetry::{
-    PrestoScope, RingSeries, ScopeConfig, SeriesSpec, Snapshot, WatchdogRule,
+    Observe, PrestoScope, RingSeries, ScopeConfig, SeriesSpec, Snapshot, WatchdogRule,
 };
 use proptest::prelude::*;
 
 fn minute(i: usize) -> SimTime {
     SimTime::ZERO + SimDuration::from_mins(i as u64)
+}
+
+/// One scope tick over `snap`, the way a deployment's epoch runs it.
+fn tick(scope: &mut PrestoScope, t: SimTime, snap: &Snapshot, faults: &FaultPlan) {
+    let mut readings = scope.begin_tick();
+    snap.observe(&mut scope.sink(&mut readings));
+    scope.end_tick(t, readings, faults);
 }
 
 proptest! {
@@ -68,7 +75,7 @@ proptest! {
         scope.feed("probe.stale", stale as f64);
         for (i, &v) in load.iter().enumerate() {
             scope.feed("probe.load", v);
-            scope.sample(minute(i), &snap, &faults);
+            tick(&mut scope, minute(i), &snap, &faults);
         }
         prop_assert!(
             scope.incidents().is_empty(),
@@ -110,7 +117,7 @@ proptest! {
                 stale += 1;
             }
             scope.feed("probe.stale", stale as f64);
-            scope.sample(t, &snap, &faults);
+            tick(&mut scope, t, &snap, &faults);
         }
         prop_assert!(
             !scope.incidents().is_empty(),

@@ -7,9 +7,8 @@
 //! stored footprint and coarsens the reconstruction by a factor of two in
 //! time resolution.
 //!
-//! An [`AgedSummary`] is self-contained: it can be re-aged without access
-//! to the original data, which is exactly what a mote does when the
-//! archive fills.
+//! An [`AgedSummary`] is self-contained: it reconstructs without access
+//! to the original data.
 
 use crate::haar::{haar_forward, haar_inverse, haar_levels, pad_pow2};
 use crate::quant::{dequantize, pack_ints, quantize, unpack_ints};
@@ -57,35 +56,9 @@ impl AgingLadder {
             packed,
         }
     }
-
-    /// Ages an existing summary one more level without the original data.
-    ///
-    /// The stored band is a Haar approximation, so one more forward level
-    /// over it (dropping the produced detail) yields exactly the next
-    /// ladder rung. Saturates at the coarsest level (a single value).
-    pub fn age(&self, summary: &AgedSummary) -> AgedSummary {
-        let approx = summary.approx_coeffs();
-        if approx.len() <= 1 {
-            return summary.clone();
-        }
-        let next = haar_forward(&approx, 1);
-        let keep = &next[..approx.len() / 2];
-        let packed = pack_ints(&quantize(keep, self.quant_step));
-        AgedSummary {
-            level: summary.level + 1,
-            original_len: summary.original_len,
-            quant_step: self.quant_step,
-            packed,
-        }
-    }
 }
 
 impl AgedSummary {
-    /// Stored footprint in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.packed.len()
-    }
-
     /// Decoded approximation coefficients.
     fn approx_coeffs(&self) -> Vec<f64> {
         let qs = unpack_ints(&self.packed).expect("summary packed by this module");
@@ -103,10 +76,16 @@ impl AgedSummary {
         out.truncate(self.original_len);
         out
     }
+}
 
-    /// Root-mean-square reconstruction error against the original batch.
-    pub fn rmse(&self, original: &[f64]) -> f64 {
-        let back = self.reconstruct();
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Root-mean-square reconstruction error of `s` against the original
+    /// batch.
+    fn rmse(s: &AgedSummary, original: &[f64]) -> f64 {
+        let back = s.reconstruct();
         if original.is_empty() {
             return 0.0;
         }
@@ -117,11 +96,6 @@ impl AgedSummary {
             .sum();
         (se / original.len() as f64).sqrt()
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn trace(n: usize) -> Vec<f64> {
         // Diurnal-ish signal with a sharp event in the middle.
@@ -142,7 +116,7 @@ mod tests {
         let xs = trace(256);
         let ladder = AgingLadder::new(0.01);
         let s = ladder.summarize(&xs, 0);
-        assert!(s.rmse(&xs) < 0.01);
+        assert!(rmse(&s, &xs) < 0.01);
     }
 
     #[test]
@@ -150,7 +124,7 @@ mod tests {
         let xs = trace(1024);
         let ladder = AgingLadder::new(0.05);
         let sizes: Vec<usize> = (0..6)
-            .map(|l| ladder.summarize(&xs, l).byte_len())
+            .map(|l| ladder.summarize(&xs, l).packed.len())
             .collect();
         for w in sizes.windows(2) {
             assert!(
@@ -164,7 +138,9 @@ mod tests {
     fn error_grows_monotonically_with_level() {
         let xs = trace(1024);
         let ladder = AgingLadder::new(0.05);
-        let errs: Vec<f64> = (0..8).map(|l| ladder.summarize(&xs, l).rmse(&xs)).collect();
+        let errs: Vec<f64> = (0..8)
+            .map(|l| rmse(&ladder.summarize(&xs, l), &xs))
+            .collect();
         for w in errs.windows(2) {
             assert!(w[1] >= w[0] - 1e-9, "errors not monotone: {errs:?}");
         }
@@ -173,33 +149,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_aging_matches_direct_summarization() {
-        let xs = trace(512);
-        let ladder = AgingLadder::new(0.001); // fine quantization
-        let direct = ladder.summarize(&xs, 3);
-        let mut incremental = ladder.summarize(&xs, 0);
-        for _ in 0..3 {
-            incremental = ladder.age(&incremental);
-        }
-        assert_eq!(incremental.level, 3);
-        // Same reconstruction up to quantization noise.
-        let a = direct.reconstruct();
-        let b = incremental.reconstruct();
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 0.05, "{x} vs {y}");
-        }
-    }
-
-    #[test]
     fn aging_saturates_at_single_coefficient() {
         let xs = trace(64);
         let ladder = AgingLadder::new(0.05);
-        let mut s = ladder.summarize(&xs, 0);
-        for _ in 0..20 {
-            s = ladder.age(&s);
-        }
+        let s = ladder.summarize(&xs, 20);
         // level is capped once a single coefficient remains (64 = 2^6).
-        assert!(s.level <= 6, "level {}", s.level);
+        assert_eq!(s.level, 6);
         let rec = s.reconstruct();
         assert_eq!(rec.len(), 64);
         // The single surviving coefficient reconstructs the batch mean.
@@ -220,6 +175,6 @@ mod tests {
         let ladder = AgingLadder::new(0.05);
         let s = ladder.summarize(&[], 3);
         assert_eq!(s.reconstruct().len(), 0);
-        assert_eq!(s.rmse(&[]), 0.0);
+        assert_eq!(rmse(&s, &[]), 0.0);
     }
 }

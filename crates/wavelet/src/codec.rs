@@ -106,11 +106,6 @@ impl Codec {
         Codec { params }
     }
 
-    /// The configured parameters.
-    pub fn params(&self) -> &CodecParams {
-        &self.params
-    }
-
     fn depth_for(&self, padded_len: usize) -> usize {
         let max = haar_levels(padded_len);
         match self.params.levels {

@@ -117,11 +117,6 @@ impl LabDeployment {
         }
     }
 
-    /// The configured parameters.
-    pub fn params(&self) -> &LabParams {
-        &self.params
-    }
-
     /// Timestamp of the next epoch to be generated.
     pub fn next_epoch_time(&self) -> SimTime {
         SimTime::ZERO + self.params.epoch * self.epoch_index

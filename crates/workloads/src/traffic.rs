@@ -32,16 +32,6 @@ impl VehicleType {
         VehicleType::Bus,
         VehicleType::Motorcycle,
     ];
-
-    /// Compact code for event records.
-    pub fn code(self) -> u16 {
-        match self {
-            VehicleType::Car => 1,
-            VehicleType::Truck => 2,
-            VehicleType::Bus => 3,
-            VehicleType::Motorcycle => 4,
-        }
-    }
 }
 
 /// One detection.

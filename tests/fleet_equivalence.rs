@@ -234,7 +234,7 @@ fn run_and_check(
     let mut terminals = Vec::new();
     for e in 0..PHASE_EPOCHS + DRAIN_EPOCHS {
         if e < PHASE_EPOCHS {
-            let t = fleet.now();
+            let t = fleet.system.now();
             for &(ep, entry, code) in workload
                 .iter()
                 .filter(|&&(ep, _, _)| ep as u64 % PHASE_EPOCHS == e)
@@ -259,7 +259,7 @@ fn run_and_check(
 
     let total_epochs = WARMUP_EPOCHS + PHASE_EPOCHS + DRAIN_EPOCHS;
     let mut reference = Reference::build(seed, total_epochs);
-    let now = fleet.now();
+    let now = fleet.system.now();
     let deadline_slack = SimDuration::from_mins(13) + EPOCH * 2;
 
     let (mut pulled, mut failed) = (0usize, 0usize);

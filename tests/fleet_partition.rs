@@ -223,7 +223,7 @@ fn run_split_brain(
     let mut saw_fence = false;
     for e in 0..PHASE_EPOCHS + DRAIN_EPOCHS {
         if e < PHASE_EPOCHS {
-            let t = fleet.now();
+            let t = fleet.system.now();
             for &(ep, entry, code) in workload
                 .iter()
                 .filter(|&&(ep, _, _)| ep as u64 % PHASE_EPOCHS == e)
@@ -258,7 +258,7 @@ fn run_split_brain(
 
     let total_epochs = WARMUP_EPOCHS + PHASE_EPOCHS + DRAIN_EPOCHS;
     let mut reference = Reference::build(seed, total_epochs);
-    let now = fleet.now();
+    let now = fleet.system.now();
     let deadline_slack = SimDuration::from_mins(13) + EPOCH * 2;
 
     let (mut pulled, mut failed) = (0usize, 0usize);

@@ -279,8 +279,15 @@ fn run_traced(workload: &[(u8, u8)], request: Vec<bool>, reply: Vec<bool>) {
         // Age coverage is exactly the Ok set: an Ok terminal reflects
         // real data and must carry its staleness; a failed terminal
         // reflects nothing and must not pretend otherwise.
+        let aged = matches!(
+            tr.terminal().map(|e| &e.event),
+            Some(SpanEvent::Terminal {
+                answer_age: Some(_),
+                ..
+            })
+        );
         prop_assert_eq!(
-            tr.answer_age().is_some(),
+            aged,
             want == CompletionCause::Ok,
             "answer age must be present iff the completion is Ok (ticket {})",
             tr.ticket

@@ -68,9 +68,10 @@ fn run_and_audit(seed: u64, loss_pct: u64, start_min: u64, len_min: u64, crash: 
 
     // The sensor must be back and any detected gap repaired.
     let rs = sys.gaps.stats();
+    let pending = sys.gaps.take_pending();
     prop_assert_eq_impl(
-        sys.gaps.pending().is_empty(),
-        format!("repairs still pending after quiet period: {:?}", sys.gaps.pending()),
+        pending.is_empty(),
+        format!("repairs still pending after quiet period: {pending:?}"),
     );
     if rs.gaps_detected > 0 {
         assert!(rs.recoveries > 0, "gaps detected but never repaired: {rs:?}");
