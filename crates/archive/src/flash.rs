@@ -106,11 +106,13 @@ impl FlashDevice {
         self.stats
     }
 
-    /// Programs `data` into an erased page, charging write energy.
+    /// Programs `data` into an erased page, charging write energy. The
+    /// device keeps the caller's buffer as the page image, so a program
+    /// copies nothing.
     pub fn program(
         &mut self,
         page: usize,
-        data: &[u8],
+        data: Vec<u8>,
         ledger: &mut EnergyLedger,
     ) -> Result<(), FlashError> {
         if page >= self.pages.len() {
@@ -130,12 +132,13 @@ impl FlashDevice {
         );
         self.stats.programs += 1;
         self.stats.bytes_written += data.len() as u64;
-        self.pages[page] = Some(data.to_vec());
+        self.pages[page] = Some(data);
         Ok(())
     }
 
-    /// Reads a programmed page, charging read energy.
-    pub fn read(&mut self, page: usize, ledger: &mut EnergyLedger) -> Result<Vec<u8>, FlashError> {
+    /// Reads a programmed page, charging read energy. The image is
+    /// borrowed from the device, not copied.
+    pub fn read(&mut self, page: usize, ledger: &mut EnergyLedger) -> Result<&[u8], FlashError> {
         if page >= self.pages.len() {
             return Err(FlashError::OutOfRange);
         }
@@ -148,7 +151,7 @@ impl FlashDevice {
         );
         self.stats.reads += 1;
         self.stats.bytes_read += data.len() as u64;
-        Ok(data.clone())
+        Ok(data)
     }
 
     /// Erases a whole block, charging erase energy.
@@ -191,7 +194,7 @@ mod tests {
     fn program_read_roundtrip() {
         let mut d = device();
         let mut l = EnergyLedger::new();
-        d.program(0, b"hello flash", &mut l).unwrap();
+        d.program(0, b"hello flash".to_vec(), &mut l).unwrap();
         assert_eq!(d.read(0, &mut l).unwrap(), b"hello flash");
         assert_eq!(d.stats().programs, 1);
         assert_eq!(d.stats().reads, 1);
@@ -201,20 +204,23 @@ mod tests {
     fn program_twice_without_erase_fails() {
         let mut d = device();
         let mut l = EnergyLedger::new();
-        d.program(3, b"a", &mut l).unwrap();
-        assert_eq!(d.program(3, b"b", &mut l), Err(FlashError::NotErased));
+        d.program(3, b"a".to_vec(), &mut l).unwrap();
+        assert_eq!(
+            d.program(3, b"b".to_vec(), &mut l),
+            Err(FlashError::NotErased)
+        );
     }
 
     #[test]
     fn erase_enables_reprogramming_and_bumps_wear() {
         let mut d = device();
         let mut l = EnergyLedger::new();
-        d.program(1, b"x", &mut l).unwrap();
+        d.program(1, b"x".to_vec(), &mut l).unwrap();
         assert_eq!(d.stats().erases, 0);
         d.erase_block(0, &mut l).unwrap();
         assert_eq!(d.stats().erases, 1);
         assert_eq!(d.read(1, &mut l), Err(FlashError::Empty));
-        d.program(1, b"y", &mut l).unwrap();
+        d.program(1, b"y".to_vec(), &mut l).unwrap();
         assert_eq!(d.read(1, &mut l).unwrap(), b"y");
     }
 
@@ -223,8 +229,8 @@ mod tests {
         let mut d = device();
         let mut l = EnergyLedger::new();
         let ppb = d.pages_per_block();
-        d.program(0, b"block0", &mut l).unwrap();
-        d.program(ppb, b"block1", &mut l).unwrap();
+        d.program(0, b"block0".to_vec(), &mut l).unwrap();
+        d.program(ppb, b"block1".to_vec(), &mut l).unwrap();
         d.erase_block(0, &mut l).unwrap();
         assert_eq!(d.read(0, &mut l), Err(FlashError::Empty));
         assert_eq!(d.read(ppb, &mut l).unwrap(), b"block1");
@@ -235,7 +241,10 @@ mod tests {
         let mut d = device();
         let mut l = EnergyLedger::new();
         let n = d.block_count() * d.pages_per_block();
-        assert_eq!(d.program(n, b"x", &mut l), Err(FlashError::OutOfRange));
+        assert_eq!(
+            d.program(n, b"x".to_vec(), &mut l),
+            Err(FlashError::OutOfRange)
+        );
         assert_eq!(
             d.read(n, &mut l),
             Err(FlashError::Empty).or(Err(FlashError::OutOfRange))
@@ -245,14 +254,14 @@ mod tests {
             Err(FlashError::OutOfRange)
         );
         let big = vec![0u8; d.page_bytes() + 1];
-        assert_eq!(d.program(0, &big, &mut l), Err(FlashError::TooLarge));
+        assert_eq!(d.program(0, big, &mut l), Err(FlashError::TooLarge));
     }
 
     #[test]
     fn energy_is_charged_per_operation() {
         let mut d = device();
         let mut l = EnergyLedger::new();
-        d.program(0, &[0u8; 264], &mut l).unwrap();
+        d.program(0, vec![0u8; 264], &mut l).unwrap();
         let after_write = l.category(EnergyCategory::FlashWrite);
         assert!((after_write - 0.257e-6 * 264.0).abs() < 1e-12);
         d.read(0, &mut l).unwrap();
@@ -267,7 +276,7 @@ mod tests {
         // archiving a page locally costs ~100× less than radioing it.
         let mut d = device();
         let mut l = EnergyLedger::new();
-        d.program(0, &[0u8; 264], &mut l).unwrap();
+        d.program(0, vec![0u8; 264], &mut l).unwrap();
         let flash_j = l.total();
         let radio_j = presto_net::RadioModel::mica2().tx_energy(264);
         assert!(radio_j / flash_j > 30.0, "ratio {}", radio_j / flash_j);

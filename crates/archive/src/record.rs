@@ -90,15 +90,23 @@ impl Record {
         }
     }
 
-    /// Serializes the record.
-    pub fn encode(&self) -> Vec<u8> {
-        let (kind, body): (u8, Vec<u8>) = match &self.payload {
-            RecordPayload::Scalar(v) => (0, (*v as f32).to_le_bytes().to_vec()),
+    /// Appends the record's wire image to `out`, writing each field in
+    /// place: no temporary buffer per record.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let body_len = self.encoded_len() - 11;
+        let kind = match &self.payload {
+            RecordPayload::Scalar(_) => 0,
+            RecordPayload::Event { .. } => 1,
+            RecordPayload::Summary { .. } => 2,
+        };
+        out.push(kind);
+        out.extend_from_slice(&self.timestamp.as_micros().to_le_bytes());
+        out.extend_from_slice(&(body_len as u16).to_le_bytes());
+        match &self.payload {
+            RecordPayload::Scalar(v) => out.extend_from_slice(&(*v as f32).to_le_bytes()),
             RecordPayload::Event { event_type, data } => {
-                let mut b = Vec::with_capacity(2 + data.len());
-                b.extend_from_slice(&event_type.to_le_bytes());
-                b.extend_from_slice(data);
-                (1, b)
+                out.extend_from_slice(&event_type.to_le_bytes());
+                out.extend_from_slice(data);
             }
             RecordPayload::Summary {
                 level,
@@ -107,21 +115,13 @@ impl Record {
                 count,
                 bytes,
             } => {
-                let mut b = Vec::with_capacity(21 + bytes.len());
-                b.push(*level);
-                b.extend_from_slice(&start.as_micros().to_le_bytes());
-                b.extend_from_slice(&end.as_micros().to_le_bytes());
-                b.extend_from_slice(&count.to_le_bytes());
-                b.extend_from_slice(bytes);
-                (2, b)
+                out.push(*level);
+                out.extend_from_slice(&start.as_micros().to_le_bytes());
+                out.extend_from_slice(&end.as_micros().to_le_bytes());
+                out.extend_from_slice(&count.to_le_bytes());
+                out.extend_from_slice(bytes);
             }
-        };
-        let mut out = Vec::with_capacity(11 + body.len());
-        out.push(kind);
-        out.extend_from_slice(&self.timestamp.as_micros().to_le_bytes());
-        out.extend_from_slice(&(body.len() as u16).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        }
     }
 
     /// The closed time span `[start, end]` this record can contribute
@@ -264,10 +264,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn encode(r: &Record) -> Vec<u8> {
+        let mut out = Vec::new();
+        r.encode_into(&mut out);
+        out
+    }
+
     #[test]
     fn scalar_roundtrip() {
         let r = Record::scalar(SimTime::from_secs(1234), 21.5);
-        let bytes = r.encode();
+        let bytes = encode(&r);
         assert_eq!(bytes.len(), r.encoded_len());
         let (back, used) = Record::decode(&bytes).unwrap();
         assert_eq!(used, bytes.len());
@@ -281,7 +287,7 @@ mod tests {
     #[test]
     fn event_roundtrip() {
         let r = Record::event(SimTime::from_mins(9), 7, vec![1, 2, 3, 4]);
-        let (back, _) = Record::decode(&r.encode()).unwrap();
+        let (back, _) = Record::decode(&encode(&r)).unwrap();
         assert_eq!(back, r);
     }
 
@@ -297,7 +303,7 @@ mod tests {
                 bytes: vec![9, 9, 9],
             },
         };
-        let (back, _) = Record::decode(&r.encode()).unwrap();
+        let (back, _) = Record::decode(&encode(&r)).unwrap();
         assert_eq!(back, r);
     }
 
@@ -306,11 +312,11 @@ mod tests {
         assert!(Record::decode(&[]).is_none());
         assert!(Record::decode(&[0; 10]).is_none());
         // Kind 0 with wrong body length.
-        let mut bad = Record::scalar(SimTime::ZERO, 1.0).encode();
+        let mut bad = encode(&Record::scalar(SimTime::ZERO, 1.0));
         bad[9] = 3; // corrupt length
         assert!(Record::decode(&bad).is_none());
         // Unknown kind.
-        let mut unk = Record::scalar(SimTime::ZERO, 1.0).encode();
+        let mut unk = encode(&Record::scalar(SimTime::ZERO, 1.0));
         unk[0] = 77;
         assert!(Record::decode(&unk).is_none());
     }
@@ -319,8 +325,8 @@ mod tests {
     fn consecutive_records_decode_in_sequence() {
         let a = Record::scalar(SimTime::from_secs(1), 1.0);
         let b = Record::event(SimTime::from_secs(2), 3, vec![5]);
-        let mut buf = a.encode();
-        buf.extend(b.encode());
+        let mut buf = encode(&a);
+        buf.extend(encode(&b));
         let (da, used) = Record::decode(&buf).unwrap();
         let (db, _) = Record::decode(&buf[used..]).unwrap();
         assert_eq!(da.timestamp, a.timestamp);
@@ -363,7 +369,7 @@ mod tests {
             data in proptest::collection::vec(any::<u8>(), 0..200),
         ) {
             let r = Record::event(SimTime::from_micros(ts), ty, data);
-            let (back, used) = Record::decode(&r.encode()).unwrap();
+            let (back, used) = Record::decode(&encode(&r)).unwrap();
             prop_assert_eq!(used, r.encoded_len());
             prop_assert_eq!(back, r);
         }

@@ -25,19 +25,18 @@
 //! * a small **decoded-page LRU** short-circuits repeated reads of the
 //!   same flash pages (the proxy's PAST and aggregate pulls hit the
 //!   same recent blocks over and over), with hit/miss
-//!   counters surfaced in [`ArchiveStats`].
+//!   counters surfaced in [`ArchiveStats`]. A hit is one map lookup.
 //!
-//! Results from the per-segment scans are combined by a streaming k-way
-//! merge: segments are written in time order, so the merge almost always
-//! degenerates to concatenation and no global sort happens. The
+//! Matching records land in one caller-owned buffer in visit order.
+//! Segments are written in time order, so the buffer is almost always
+//! sorted already; otherwise one stable sort orders it. The
 //! pre-index behaviour is preserved as
 //! [`ArchiveStore::query_range_fullscan`] /
 //! [`ArchiveStore::query_events_fullscan`] — the reference
 //! implementations the equivalence property tests and the
 //! `archive_query` bench compare against.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use presto_net::FlashModel;
 use presto_sim::{EnergyLedger, SimTime};
@@ -201,64 +200,90 @@ presto_telemetry::observe_counters!(ArchiveStats {
 
 /// A bounded LRU of decoded pages, keyed by absolute page index.
 ///
-/// Pages are immutable between program and block erase, so entries stay
-/// valid until [`PageLru::invalidate_block`] removes them on reclaim.
+/// Each decoded page sits in a slot stamped with the tick of its last
+/// use, and a map finds a cached page's slot: a hit is one lookup. A
+/// miss reuses the free or least recently used slot, records buffer
+/// included. Pages are immutable between program and block erase, so
+/// entries stay valid until [`PageLru::invalidate_block`] frees them on
+/// reclaim.
 #[derive(Debug, Default)]
 struct PageLru {
     cap: usize,
-    entries: BTreeMap<usize, Vec<Record>>,
-    /// LRU order, least recently used first.
-    order: VecDeque<usize>,
+    /// Cached page → its slot.
+    slot_of: BTreeMap<usize, usize>,
+    slots: Vec<PageSlot>,
+    /// Last tick handed out; every touch and load takes the next one.
+    tick: u64,
+}
+
+/// One decoded page of the [`PageLru`]. A free slot has `used == 0`.
+#[derive(Debug, Default)]
+struct PageSlot {
+    page: usize,
+    used: u64,
+    records: Vec<Record>,
 }
 
 impl PageLru {
     fn new(cap: usize) -> Self {
         PageLru {
             cap,
-            entries: BTreeMap::new(),
-            order: VecDeque::with_capacity(cap),
+            ..PageLru::default()
         }
     }
 
-    fn contains(&self, page: usize) -> bool {
-        self.entries.contains_key(&page)
+    /// Marks `page` most recently used and returns its slot, or `None`
+    /// when the page is not cached.
+    fn touch(&mut self, page: usize) -> Option<usize> {
+        let &slot = self.slot_of.get(&page)?;
+        self.tick += 1;
+        self.slots[slot].used = self.tick;
+        Some(slot)
     }
 
-    /// Marks `page` most recently used and returns its records.
-    fn touch(&mut self, page: usize) -> &Vec<Record> {
-        if let Some(pos) = self.order.iter().position(|&p| p == page) {
-            self.order.remove(pos);
-            self.order.push_back(page);
+    /// Decodes `image` as `page` into a fresh slot while the cache has
+    /// room, else into the free or least recently used one, and returns
+    /// the slot. With a capacity of 0 one transient slot holds the page
+    /// for the caller to borrow and no lookup ever finds it.
+    fn load(&mut self, page: usize, image: &[u8]) -> usize {
+        let slot = if self.slots.len() < self.cap.max(1) {
+            self.slots.push(PageSlot::default());
+            self.slots.len() - 1
+        } else {
+            let (slot, victim) = self
+                .slots
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, s)| s.used)
+                .expect("a full cache holds a slot");
+            if victim.used > 0 {
+                self.slot_of.remove(&victim.page);
+            }
+            slot
+        };
+        self.tick += 1;
+        let entry = &mut self.slots[slot];
+        entry.page = page;
+        entry.used = self.tick;
+        entry.records.clear();
+        entry.records.extend(decode_records(page_body(image)));
+        if self.cap > 0 {
+            self.slot_of.insert(page, slot);
         }
-        &self.entries[&page]
+        slot
     }
 
-    /// Inserts a decoded page, evicting the least recently used entry
-    /// when full. Returns a reference to the inserted records.
-    fn insert(&mut self, page: usize, records: Vec<Record>) -> &Vec<Record> {
-        if self.cap == 0 {
-            // Caching disabled: keep exactly one transient entry so the
-            // caller can still borrow the decoded records.
-            self.entries.clear();
-            self.order.clear();
-            self.order.push_back(page);
-            return self.entries.entry(page).or_insert(records);
-        }
-        while self.entries.len() >= self.cap {
-            let Some(old) = self.order.pop_front() else {
-                break;
-            };
-            self.entries.remove(&old);
-        }
-        self.order.push_back(page);
-        self.entries.entry(page).or_insert(records)
+    fn records(&self, slot: usize) -> &[Record] {
+        &self.slots[slot].records
     }
 
-    /// Drops every cached page of an erased block.
+    /// Frees every cached page of an erased block.
     fn invalidate_block(&mut self, first_page: usize, pages: usize) {
-        let range = first_page..first_page + pages;
-        self.order.retain(|p| !range.contains(p));
-        self.entries.retain(|p, _| !range.contains(p));
+        for page in first_page..first_page + pages {
+            if let Some(slot) = self.slot_of.remove(&page) {
+                self.slots[slot].used = 0;
+            }
+        }
     }
 }
 
@@ -346,17 +371,17 @@ impl ArchiveStore {
         self.append(Record::event(t, event_type, data.to_vec()), ledger)
     }
 
-    /// Appends any record.
+    /// Appends any record, encoding it straight into the page buffer.
     pub fn append(&mut self, rec: Record, ledger: &mut EnergyLedger) -> Result<(), ArchiveError> {
-        let enc = rec.encode();
+        let len = rec.encoded_len();
         let payload_capacity = self.flash.page_bytes() - 2;
-        if enc.len() > payload_capacity {
+        if len > payload_capacity {
             return Err(ArchiveError::RecordTooLarge);
         }
-        if self.page_buf.len() + enc.len() > payload_capacity {
+        if self.page_buf.len() + len > payload_capacity {
             self.flush_page(ledger)?;
         }
-        self.page_buf.extend_from_slice(&enc);
+        rec.encode_into(&mut self.page_buf);
         let (s0, s1) = rec.covered_span();
         self.buf_span = Some(match self.buf_span {
             None => (s0, s1),
@@ -372,6 +397,7 @@ impl ArchiveStore {
 
     /// Programs the current page buffer into flash (no-op when empty),
     /// recording the page's covered span in the segment's time directory.
+    /// The page image built here becomes the flash page itself.
     pub fn flush_page(&mut self, ledger: &mut EnergyLedger) -> Result<(), ArchiveError> {
         if self.page_buf.is_empty() {
             return Ok(());
@@ -391,10 +417,10 @@ impl ArchiveStore {
         let (span_start, span_end) = self.buf_span.expect("non-empty buffer has a span");
         let seg = self.segments.back_mut().expect("current segment exists");
         let page = seg.block * self.flash.pages_per_block() + seg.pages_used();
-        let mut data = Vec::with_capacity(2 + self.page_buf.len());
-        data.extend_from_slice(&(self.page_buf.len() as u16).to_le_bytes());
-        data.extend_from_slice(&self.page_buf);
-        self.flash.program(page, &data, ledger)?;
+        let mut image = Vec::with_capacity(2 + self.page_buf.len());
+        image.extend_from_slice(&(self.page_buf.len() as u16).to_le_bytes());
+        image.extend_from_slice(&self.page_buf);
+        self.flash.program(page, image, ledger)?;
         let meta = PageMeta {
             start: span_start,
             end: span_end,
@@ -564,17 +590,19 @@ impl ArchiveStore {
         &mut self,
         page: usize,
         ledger: &mut EnergyLedger,
-    ) -> Result<&Vec<Record>, ArchiveError> {
-        // cap == 0 disables caching entirely: the transient entry kept
-        // for borrowing must never satisfy a later lookup.
-        if self.page_cache.cap > 0 && self.page_cache.contains(page) {
-            self.stats.page_cache_hits += 1;
-            return Ok(self.page_cache.touch(page));
-        }
-        self.stats.page_cache_misses += 1;
-        let data = self.flash.read(page, ledger)?;
-        let records = decode_page(&data);
-        Ok(self.page_cache.insert(page, records))
+    ) -> Result<&[Record], ArchiveError> {
+        let slot = match self.page_cache.touch(page) {
+            Some(slot) => {
+                self.stats.page_cache_hits += 1;
+                slot
+            }
+            None => {
+                self.stats.page_cache_misses += 1;
+                let image = self.flash.read(page, ledger)?;
+                self.page_cache.load(page, image)
+            }
+        };
+        Ok(self.page_cache.records(slot))
     }
 
     /// Reads and decodes every record of a segment (used by reclaim).
@@ -589,8 +617,8 @@ impl ArchiveStore {
         let mut out = Vec::with_capacity(seg.records as usize);
         let base = seg.block * self.flash.pages_per_block();
         for p in 0..seg.pages_used() {
-            let data = self.flash.read(base + p, ledger)?;
-            out.extend(decode_page(&data));
+            let image = self.flash.read(base + p, ledger)?;
+            out.extend(decode_records(page_body(image)));
         }
         Ok(out)
     }
@@ -639,24 +667,39 @@ impl ArchiveStore {
     /// [`Quality::Aged`].
     ///
     /// Cost scales with the pages overlapping the window: the segment
-    /// index prunes blocks, the page directory prunes pages, decoded
-    /// pages come from the LRU when hot, and per-segment results are
-    /// combined by a streaming merge (no global sort on the time-ordered
-    /// common case). Result contents and order are identical to
-    /// [`ArchiveStore::query_range_fullscan`].
+    /// index prunes blocks, the page directory prunes pages, and decoded
+    /// pages come from the LRU when hot. Result contents and order are
+    /// identical to [`ArchiveStore::query_range_fullscan`].
     pub fn query_range(
         &mut self,
         t0: SimTime,
         t1: SimTime,
         ledger: &mut EnergyLedger,
     ) -> Result<Vec<ArchivedSample>, ArchiveError> {
-        self.indexed_query(t0, t1, ledger, Self::collect_scalar, |s| s.timestamp)
+        let mut out = Vec::new();
+        self.query_range_into(t0, t1, ledger, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`ArchiveStore::query_range`] into a caller-owned buffer, which is
+    /// cleared first and holds no rows on error, so a reader that serves
+    /// many queries reuses one allocation.
+    pub fn query_range_into(
+        &mut self,
+        t0: SimTime,
+        t1: SimTime,
+        ledger: &mut EnergyLedger,
+        out: &mut Vec<ArchivedSample>,
+    ) -> Result<(), ArchiveError> {
+        self.indexed_query(t0, t1, ledger, Self::collect_scalar, |s| s.timestamp, out)
     }
 
     /// Shared scaffolding of the indexed queries: prune segments via the
-    /// segment index, collect per-segment runs through the page
-    /// directory, append the RAM-tail run, and stream-merge. `collect`
-    /// filters records into results; `key` orders them.
+    /// segment index, visit the rest through the page directory, then
+    /// the RAM tail, collecting into `out` in visit order. `collect`
+    /// filters records into results; `key` orders them. A stable sort
+    /// runs only when the visit order is not already time order, so the
+    /// result equals a stable sort of every match in write order.
     fn indexed_query<T>(
         &mut self,
         t0: SimTime,
@@ -664,47 +707,36 @@ impl ArchiveStore {
         ledger: &mut EnergyLedger,
         collect: impl Fn(&Record, SimTime, SimTime, &mut Vec<T>),
         key: impl Fn(&T) -> SimTime + Copy,
-    ) -> Result<Vec<T>, ArchiveError> {
+        out: &mut Vec<T>,
+    ) -> Result<(), ArchiveError> {
+        out.clear();
         let segments = std::mem::take(&mut self.segments);
-        let mut runs: Vec<Vec<T>> = Vec::new();
         let mut failure = None;
         for seg in &segments {
             if !seg.overlaps(t0, t1) {
                 self.stats.pages_pruned += seg.pages_used() as u64;
                 continue;
             }
-            let mut run = Vec::new();
-            let outcome = self.for_each_record_in_range(seg, t0, t1, ledger, |rec| {
-                collect(rec, t0, t1, &mut run)
-            });
+            let outcome =
+                self.for_each_record_in_range(seg, t0, t1, ledger, |rec| collect(rec, t0, t1, out));
             if let Err(e) = outcome {
                 failure = Some(e);
                 break;
             }
-            sort_run(&mut run, key);
-            if !run.is_empty() {
-                runs.push(run);
-            }
         }
         self.segments = segments;
         if let Some(e) = failure {
+            out.clear();
             return Err(e);
         }
         // Records still in the RAM page buffer.
-        let mut tail = Vec::new();
-        let mut body = self.page_buf.as_slice();
-        while !body.is_empty() {
-            let Some((rec, consumed)) = Record::decode(body) else {
-                break;
-            };
-            collect(&rec, t0, t1, &mut tail);
-            body = &body[consumed..];
+        for rec in decode_records(&self.page_buf) {
+            collect(&rec, t0, t1, out);
         }
-        sort_run(&mut tail, key);
-        if !tail.is_empty() {
-            runs.push(tail);
+        if !out.is_sorted_by_key(key) {
+            out.sort_by_key(key);
         }
-        Ok(merge_runs(runs, key))
+        Ok(())
     }
 
     /// Reference full-scan implementation of [`ArchiveStore::query_range`]:
@@ -738,8 +770,8 @@ impl ArchiveStore {
             let base = seg.block * self.flash.pages_per_block();
             for p in 0..seg.pages_used() {
                 match self.flash.read(base + p, ledger) {
-                    Ok(data) => {
-                        for rec in decode_page(&data) {
+                    Ok(image) => {
+                        for rec in decode_records(page_body(image)) {
                             visit(&rec);
                         }
                     }
@@ -754,13 +786,8 @@ impl ArchiveStore {
         if let Some(e) = failure {
             return Err(e);
         }
-        let mut body = self.page_buf.as_slice();
-        while !body.is_empty() {
-            let Some((rec, consumed)) = Record::decode(body) else {
-                break;
-            };
+        for rec in decode_records(&self.page_buf) {
             visit(&rec);
-            body = &body[consumed..];
         }
         Ok(())
     }
@@ -835,7 +862,16 @@ impl ArchiveStore {
         t1: SimTime,
         ledger: &mut EnergyLedger,
     ) -> Result<Vec<ArchivedEvent>, ArchiveError> {
-        self.indexed_query(t0, t1, ledger, Self::collect_event, |e| e.timestamp)
+        let mut out = Vec::new();
+        self.indexed_query(
+            t0,
+            t1,
+            ledger,
+            Self::collect_event,
+            |e| e.timestamp,
+            &mut out,
+        )?;
+        Ok(out)
     }
 
     /// Reference full-scan implementation of [`ArchiveStore::query_events`];
@@ -874,69 +910,24 @@ impl ArchiveStore {
     }
 }
 
-/// Decodes the record stream of one on-flash page image.
-fn decode_page(data: &[u8]) -> Vec<Record> {
-    let mut out = Vec::new();
-    if data.len() < 2 {
-        return out;
+/// The record stream of one on-flash page image, whose first two bytes
+/// hold the stream's length.
+fn page_body(image: &[u8]) -> &[u8] {
+    if image.len() < 2 {
+        return &[];
     }
-    let used = u16::from_le_bytes([data[0], data[1]]) as usize;
-    let mut body = &data[2..2 + used.min(data.len() - 2)];
-    while !body.is_empty() {
-        let Some((rec, consumed)) = Record::decode(body) else {
-            break;
-        };
-        out.push(rec);
+    let used = u16::from_le_bytes([image[0], image[1]]) as usize;
+    &image[2..2 + used.min(image.len() - 2)]
+}
+
+/// Decodes a record stream front to back, stopping at the first
+/// malformed record.
+fn decode_records(mut body: &[u8]) -> impl Iterator<Item = Record> + '_ {
+    std::iter::from_fn(move || {
+        let (rec, consumed) = Record::decode(body)?;
         body = &body[consumed..];
-    }
-    out
-}
-
-/// Stable-sorts a run by key unless it is already ordered (the common
-/// case for log-structured segments).
-fn sort_run<T, K: Ord, F: Fn(&T) -> K>(run: &mut [T], key: F) {
-    if !run.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
-        run.sort_by_key(key);
-    }
-}
-
-/// Merges per-segment runs (each stably sorted by `key`) into one
-/// ordered vector. Equal keys preserve run order, so the output is
-/// byte-identical to a stable sort of the concatenation. When the runs
-/// are already mutually ordered — segments are written through time, so
-/// almost always — this is a straight concatenation with zero compares
-/// beyond the boundary checks.
-fn merge_runs<T, K: Ord + Copy, F: Fn(&T) -> K>(mut runs: Vec<Vec<T>>, key: F) -> Vec<T> {
-    match runs.len() {
-        0 => return Vec::new(),
-        1 => return runs.pop().expect("length checked"),
-        _ => {}
-    }
-    let ordered = runs.windows(2).all(|w| match (w[0].last(), w[1].first()) {
-        (Some(a), Some(b)) => key(a) <= key(b),
-        _ => true,
-    });
-    if ordered {
-        return runs.into_iter().flatten().collect();
-    }
-    let total = runs.iter().map(Vec::len).sum();
-    let mut iters: Vec<std::vec::IntoIter<T>> = runs.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<T>> = iters.iter_mut().map(Iterator::next).collect();
-    let mut heap: BinaryHeap<Reverse<(K, usize)>> = heads
-        .iter()
-        .enumerate()
-        .filter_map(|(i, h)| h.as_ref().map(|x| Reverse((key(x), i))))
-        .collect();
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let item = heads[i].take().expect("head present while queued");
-        out.push(item);
-        if let Some(next) = iters[i].next() {
-            heap.push(Reverse((key(&next), i)));
-            heads[i] = Some(next);
-        }
-    }
-    out
+        Some(rec)
+    })
 }
 
 #[cfg(test)]
@@ -1284,16 +1275,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_runs_is_stable_across_runs() {
-        // Equal keys must come out in run order (matching a stable sort
-        // of the concatenation).
-        let runs = vec![
-            vec![(1u64, "a"), (5, "b")],
-            vec![(1, "c"), (3, "d")],
-            vec![(0, "e"), (5, "f")],
-        ];
-        let merged = merge_runs(runs, |&(k, _)| k);
-        let labels: Vec<&str> = merged.iter().map(|&(_, l)| l).collect();
-        assert_eq!(labels, vec!["e", "a", "c", "d", "b", "f"]);
+    fn page_lru_evicts_the_least_recently_used_page() {
+        let (a, b, c) = (1, 2, 3);
+        let mut lru = PageLru::new(2);
+        lru.load(a, &[]);
+        lru.load(b, &[]);
+        assert!(lru.touch(a).is_some());
+        lru.load(c, &[]);
+        assert!(lru.touch(a).is_some(), "A was used after B, so B goes");
+        assert!(lru.touch(b).is_none());
+        assert!(lru.touch(c).is_some());
     }
 }

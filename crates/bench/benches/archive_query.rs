@@ -1,6 +1,6 @@
 //! Archive query-path bench: demonstrates that the indexed read path
-//! (segment index + per-page time directory + decoded-page LRU +
-//! streaming merge) costs O(pages overlapping the window) while the
+//! (segment index + per-page time directory + decoded-page LRU + one
+//! result buffer) costs O(pages overlapping the window) while the
 //! pre-index full scan costs O(total archive pages).
 //!
 //! Arms, per archive size (32 and 128 blocks):
@@ -10,7 +10,7 @@
 //!   reference path;
 //! * `narrow_hot` — the same indexed window repeated against a warm
 //!   decoded-page LRU;
-//! * `full_indexed` — the whole history, indexed (merge-limited).
+//! * `full_indexed` — the whole history, indexed.
 //!
 //! Besides wall-clock, the run asserts the flash `reads` counters: the
 //! narrow indexed query must touch ≥ 5× fewer pages than the full scan

@@ -66,19 +66,12 @@ impl FrameFormat {
         total
     }
 
-    /// Sizes of the individual fragments of a `len`-byte payload.
-    pub fn fragment_sizes(&self, len: usize) -> Vec<usize> {
-        if len == 0 {
-            return vec![0];
-        }
-        let mut out = Vec::with_capacity(self.frames_for(len));
-        let mut rem = len;
-        while rem > 0 {
-            let take = rem.min(self.max_payload);
-            out.push(take);
-            rem -= take;
-        }
-        out
+    /// Sizes of the individual fragments of a `len`-byte payload, in
+    /// send order: full frames, then the remainder. There are
+    /// [`FrameFormat::frames_for`] of them.
+    pub fn fragment_sizes(&self, len: usize) -> impl Iterator<Item = usize> {
+        let max = self.max_payload;
+        (0..self.frames_for(len)).map(move |i| (len - i * max).min(max))
     }
 }
 
@@ -112,16 +105,17 @@ mod tests {
     #[test]
     fn fragment_sizes_cover_payload() {
         let f = FrameFormat::tinyos_mica2();
-        assert_eq!(f.fragment_sizes(0), vec![0]);
-        assert_eq!(f.fragment_sizes(29), vec![29]);
-        assert_eq!(f.fragment_sizes(40), vec![29, 11]);
+        let sizes = |len| f.fragment_sizes(len).collect::<Vec<_>>();
+        assert_eq!(sizes(0), vec![0]);
+        assert_eq!(sizes(29), vec![29]);
+        assert_eq!(sizes(40), vec![29, 11]);
     }
 
     proptest! {
         #[test]
         fn fragments_sum_to_payload(len in 0usize..4096) {
             let f = FrameFormat::tinyos_mica2();
-            let frags = f.fragment_sizes(len);
+            let frags: Vec<usize> = f.fragment_sizes(len).collect();
             prop_assert_eq!(frags.iter().sum::<usize>(), len);
             prop_assert_eq!(frags.len(), f.frames_for(len));
             for (i, &s) in frags.iter().enumerate() {
@@ -143,11 +137,7 @@ mod tests {
                 crc_bytes: 2,
                 ack_bytes: 11,
             };
-            let by_frag: usize = f
-                .fragment_sizes(len)
-                .iter()
-                .map(|&s| f.frame_wire_bytes(s))
-                .sum();
+            let by_frag: usize = f.fragment_sizes(len).map(|s| f.frame_wire_bytes(s)).sum();
             prop_assert_eq!(f.wire_bytes(len), by_frag);
         }
     }

@@ -106,13 +106,12 @@ impl Mac {
         mut rx_ledger: Option<&mut EnergyLedger>,
     ) -> TxOutcome {
         let mut out = TxOutcome::default();
-        let fragments = self.frame.fragment_sizes(payload_len);
 
         // Wake-up preamble: once per send (burst) or once per fragment.
         let wakeups = if self.burst_amortizes_preamble {
             1
         } else {
-            fragments.len()
+            self.frame.frames_for(payload_len)
         };
         if !self.dest_lpl_interval.is_zero() {
             let pre_j = self.wakeup_preamble_energy() * wakeups as f64;
@@ -131,7 +130,7 @@ impl Mac {
         }
 
         let mut all_delivered = true;
-        'frags: for &frag in &fragments {
+        'frags: for frag in self.frame.fragment_sizes(payload_len) {
             let wire = self.frame.frame_wire_bytes(frag) + SYNC_PREAMBLE_BYTES;
             let mut attempts = 0;
             loop {
@@ -191,18 +190,17 @@ impl Mac {
     /// link — used by planners (query–sensor matching) that must reason
     /// about costs without performing the transmission.
     pub fn expected_send_energy(&self, payload_len: usize) -> f64 {
-        let fragments = self.frame.fragment_sizes(payload_len);
         let wakeups = if self.burst_amortizes_preamble {
             1
         } else {
-            fragments.len()
+            self.frame.frames_for(payload_len)
         };
         let mut j = if self.dest_lpl_interval.is_zero() {
             0.0
         } else {
             self.wakeup_preamble_energy() * wakeups as f64
         };
-        for &frag in &fragments {
+        for frag in self.frame.fragment_sizes(payload_len) {
             let wire = self.frame.frame_wire_bytes(frag) + SYNC_PREAMBLE_BYTES;
             j += self.radio.tx_energy(wire);
             j += self.radio.rx_energy(self.frame.ack_bytes);

@@ -344,10 +344,11 @@ impl SensorCache {
         (lo, hi.max(lo))
     }
 
-    /// All cached samples in `[from, to]`.
-    pub fn range(&self, from: SimTime, to: SimTime) -> Vec<CachedSample> {
+    /// All cached samples in `[from, to]`, oldest first, read through
+    /// the cache without collecting them.
+    pub fn range(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = CachedSample> + '_ {
         let (lo, hi) = self.bounds(from, to);
-        self.samples.range(lo..hi).copied().collect()
+        self.samples.range(lo..hi).copied()
     }
 
     /// Fraction of expected epochs in `[from, to]` that have a cached
@@ -415,8 +416,10 @@ mod tests {
         c.insert(s(30, 2.0, CacheSource::Batch));
         c.insert(s(10, 1.0, CacheSource::Batch));
         c.insert(s(20, 1.5, CacheSource::Pushed));
-        let all = c.range(SimTime::ZERO, SimTime::from_secs(100));
-        let ts: Vec<u64> = all.iter().map(|x| x.t.as_secs()).collect();
+        let ts: Vec<u64> = c
+            .range(SimTime::ZERO, SimTime::from_secs(100))
+            .map(|x| x.t.as_secs())
+            .collect();
         assert_eq!(ts, vec![10, 20, 30]);
     }
 
@@ -428,10 +431,10 @@ mod tests {
         }
         assert_eq!(c.len(), 3);
         assert_eq!(
-            c.range(SimTime::ZERO, SimTime::from_secs(100))[0]
-                .t
-                .as_secs(),
-            20
+            c.range(SimTime::ZERO, SimTime::from_secs(100))
+                .next()
+                .map(|x| x.t.as_secs()),
+            Some(20)
         );
     }
 
@@ -441,15 +444,17 @@ mod tests {
         c.insert(s(10, 20.0, CacheSource::Batch));
         c.insert(s(20, 21.0, CacheSource::Batch));
         c.insert(s(10, 19.5, CacheSource::Pulled));
-        let all = c.range(SimTime::ZERO, SimTime::from_secs(100));
+        let all: Vec<_> = c.range(SimTime::ZERO, SimTime::from_secs(100)).collect();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].value, 19.5);
         assert_eq!(all[0].source, CacheSource::Pulled);
         // A later lossy view must not clobber pulled truth.
         c.insert(s(10, 25.0, CacheSource::Batch));
         assert_eq!(
-            c.range(SimTime::ZERO, SimTime::from_secs(15))[0].value,
-            19.5
+            c.range(SimTime::ZERO, SimTime::from_secs(15))
+                .next()
+                .map(|x| x.value),
+            Some(19.5)
         );
     }
 
@@ -557,15 +562,16 @@ mod tests {
         assert_eq!(c.len(), 3);
         let ts: Vec<u64> = c
             .range(SimTime::ZERO, SimTime::from_secs(100))
-            .iter()
             .map(|x| x.t.as_secs())
             .collect();
         assert_eq!(ts, vec![20, 25, 30]);
         c.insert(s(5, 0.5, CacheSource::Batch)); // older than everything
         assert_eq!(c.len(), 3);
         assert_eq!(
-            c.range(SimTime::ZERO, SimTime::from_secs(100))[0].t.as_secs(),
-            20,
+            c.range(SimTime::ZERO, SimTime::from_secs(100))
+                .next()
+                .map(|x| x.t.as_secs()),
+            Some(20),
             "incoming oldest-ever sample is dropped, cache untouched"
         );
         // Same-timestamp refinement replaces in place at capacity (no

@@ -658,12 +658,7 @@ impl PrestoProxy {
         if coverage >= self.config.past_coverage_hit {
             self.stats.cache_hits += 1;
             return Some(PastAnswer {
-                samples: slot
-                    .cache
-                    .range(from, to)
-                    .into_iter()
-                    .map(|s| (s.t, s.value))
-                    .collect(),
+                samples: slot.cache.range(from, to).map(|s| (s.t, s.value)).collect(),
                 source: AnswerSource::CacheHit,
                 latency: SimDuration::from_millis(2),
             });
@@ -680,7 +675,7 @@ impl PrestoProxy {
                 // across prediction times), leaving the seasonal shape
                 // plus the true value at the anchor — which is exactly
                 // the trajectory the push-tolerance guarantee bounds.
-                let anchors = slot.cache.range(installed, to);
+                let anchors: Vec<_> = slot.cache.range(installed, to).collect();
                 let mut samples = Vec::new();
                 let mut ts = from;
                 let mut ai = 0usize;
@@ -719,12 +714,7 @@ impl PrestoProxy {
         let slot = self.sensors.get(&sensor)?;
         let coverage = slot.cache.coverage(from, to, SAMPLE_PERIOD);
         if coverage >= self.config.past_coverage_hit {
-            let values: Vec<f64> = slot
-                .cache
-                .range(from, to)
-                .into_iter()
-                .map(|s| s.value)
-                .collect();
+            let values: Vec<f64> = slot.cache.range(from, to).map(|s| s.value).collect();
             self.stats.cache_hits += 1;
             return Some(Answer {
                 value: presto_sensor::evaluate_aggregate(op, &values),
@@ -1159,13 +1149,7 @@ impl PrestoProxy {
                 let samples = self
                     .sensors
                     .get(&sensor)
-                    .map(|s| {
-                        s.cache
-                            .range(from, to)
-                            .into_iter()
-                            .map(|cs| (cs.t, cs.value))
-                            .collect()
-                    })
+                    .map(|s| s.cache.range(from, to).map(|cs| (cs.t, cs.value)).collect())
                     .unwrap_or_default();
                 PipelineAnswer::Series(PastAnswer {
                     samples,

@@ -1,6 +1,6 @@
 //! The sensor node state machine.
 
-use presto_archive::{ArchiveStore, Quality};
+use presto_archive::{ArchiveStore, ArchivedSample, Quality};
 use presto_models::{
     ArModel, LinearTrendModel, MarkovModel, ModelKind, Predictor, SeasonalArModel, SeasonalModel,
 };
@@ -92,6 +92,9 @@ pub struct SensorNode {
     pending_seals: Vec<(SimTime, SimTime)>,
     /// Reusable transform buffers for batch/pull-reply encoding.
     codec_scratch: EncodeScratch,
+    /// Archive rows of the pull or aggregate being served, reused
+    /// across requests.
+    rows: Vec<ArchivedSample>,
     /// Downlink sequence numbers already applied, with the reply each
     /// produced (bounded window). A retransmitted request — the proxy
     /// never saw the reply or ack — must not be re-applied or re-served
@@ -134,6 +137,7 @@ impl SensorNode {
             last_delivered_tx: SimTime::ZERO,
             pending_seals: Vec::new(),
             codec_scratch: EncodeScratch::default(),
+            rows: Vec::new(),
             seen_downlinks: std::collections::VecDeque::new(),
             config,
             stats: SensorStats::default(),
@@ -394,35 +398,32 @@ impl SensorNode {
         if self.batch.is_empty() {
             return None;
         }
-        let samples = std::mem::take(&mut self.batch);
+        let mut samples = std::mem::take(&mut self.batch);
         let compression = match &self.config.push {
             PushPolicy::Batched { compression, .. } => *compression,
             _ => None,
         };
         let (payload, bytes) = match compression {
             Some(params) => {
-                let values: Vec<f64> = samples.iter().map(|&(_, v)| v).collect();
                 let codec = Codec::new(params);
                 self.charge_cpu(presto_wavelet::haar::forward_cycle_cost(
-                    values.len().next_power_of_two(),
+                    samples.len().next_power_of_two(),
                     4,
                 ));
-                // One pass: encode and reconstruct through the node's
-                // persistent scratch — no allocation churn, no decode of
-                // our own payload.
-                let (compressed, recon) =
-                    codec.compress_reconstruct(&values, &mut self.codec_scratch);
-                let rebuilt: Vec<(SimTime, f64)> = samples
-                    .iter()
-                    .zip(recon)
-                    .map(|(&(ts, _), v)| (ts, v))
-                    .collect();
+                // One pass through the node's persistent scratch: size the
+                // payload and reconstruct what the proxy will decode, then
+                // carry the reconstruction in the batch itself.
+                let (byte_len, recon) = codec
+                    .compress_reconstruct(samples.iter().map(|&(_, v)| v), &mut self.codec_scratch);
+                for (sample, &v) in samples.iter_mut().zip(recon) {
+                    sample.1 = v;
+                }
                 (
                     UplinkPayload::Batch {
-                        samples: rebuilt,
+                        samples,
                         compressed: true,
                     },
-                    wire::compressed_batch(compressed.byte_len()),
+                    wire::compressed_batch(byte_len),
                 )
             }
             None => {
@@ -596,16 +597,13 @@ impl SensorNode {
         op: crate::msg::AggregateOp,
         proxy_ledger: Option<&mut EnergyLedger>,
     ) -> Option<UplinkMsg> {
-        let rows = self
-            .archive
-            .query_range(from, to, &mut self.ledger)
-            .unwrap_or_default();
+        self.read_rows(from, to);
         self.stats.pulls_served += 1;
         // The evaluation itself costs CPU (~8 cycles per sample).
-        self.charge_cpu(rows.len() as u64 * 8);
-        let values: Vec<f64> = rows.iter().map(|r| r.value).collect();
+        self.charge_cpu(self.rows.len() as u64 * 8);
+        let values: Vec<f64> = self.rows.iter().map(|r| r.value).collect();
         let value = evaluate_aggregate(op, &values);
-        let sigma = aggregate_sigma(op, rows.iter().map(|r| r.quality));
+        let sigma = aggregate_sigma(op, self.rows.iter().map(|r| r.quality));
         self.send(
             t,
             wire::AGGREGATE_REPLY,
@@ -619,6 +617,14 @@ impl SensorNode {
         )
     }
 
+    /// Reads the archived rows in `[from, to]` into the node's row
+    /// buffer (empty if the archive read fails).
+    fn read_rows(&mut self, from: SimTime, to: SimTime) {
+        let _ = self
+            .archive
+            .query_range_into(from, to, &mut self.ledger, &mut self.rows);
+    }
+
     /// Serves a PAST-query pull from the local archive.
     fn serve_pull(
         &mut self,
@@ -629,16 +635,13 @@ impl SensorNode {
         tolerance: f64,
         proxy_ledger: Option<&mut EnergyLedger>,
     ) -> Option<UplinkMsg> {
-        let mut rows = self
-            .archive
-            .query_range(from, to, &mut self.ledger)
-            .unwrap_or_default();
+        self.read_rows(from, to);
         // A NOW-style pull whose range holds no archived record is
         // answered with the freshest reading the sensor has — the proxy
         // asked "what is it now", not "what was logged in this window".
-        if rows.is_empty() {
+        if self.rows.is_empty() {
             if let Some((ts, v)) = self.last_sample {
-                rows.push(presto_archive::ArchivedSample {
+                self.rows.push(ArchivedSample {
                     timestamp: ts,
                     value: v,
                     quality: Quality::Exact,
@@ -649,31 +652,30 @@ impl SensorNode {
 
         // Lossy reply encoding to the query tolerance when the range is a
         // regular scalar run; otherwise raw.
-        let regular = rows.len() >= 8 && rows.iter().all(|r| r.quality == Quality::Exact);
+        let regular = self.rows.len() >= 8 && self.rows.iter().all(|r| r.quality == Quality::Exact);
         let (samples, bytes) = if regular {
-            let values: Vec<f64> = rows.iter().map(|r| r.value).collect();
             let codec = Codec::new(CodecParams::for_tolerance(tolerance.max(0.01)));
             self.charge_cpu(presto_wavelet::haar::forward_cycle_cost(
-                values.len().next_power_of_two(),
+                self.rows.len().next_power_of_two(),
                 4,
             ));
-            let (compressed, recon) = codec.compress_reconstruct(&values, &mut self.codec_scratch);
-            let samples: Vec<ReplySample> = rows
+            let (byte_len, recon) = codec
+                .compress_reconstruct(self.rows.iter().map(|r| r.value), &mut self.codec_scratch);
+            let samples: Vec<ReplySample> = self
+                .rows
                 .iter()
                 .zip(recon)
-                .map(|(r, v)| ReplySample {
+                .map(|(r, &v)| ReplySample {
                     t: r.timestamp,
                     value: v,
                     quality: r.quality,
                 })
                 .collect();
             let n = samples.len();
-            (
-                samples,
-                wire::pull_reply_compressed(compressed.byte_len(), n),
-            )
+            (samples, wire::pull_reply_compressed(byte_len, n))
         } else {
-            let samples: Vec<ReplySample> = rows
+            let samples: Vec<ReplySample> = self
+                .rows
                 .iter()
                 .map(|r| ReplySample {
                     t: r.timestamp,

@@ -12,7 +12,9 @@ use crate::haar::{
     haar_forward, haar_forward_in_place, haar_inverse, haar_inverse_in_place, haar_levels,
     pad_pow2, pad_pow2_into,
 };
-use crate::quant::{dequantize, pack_ints, quantize, quantize_into, unpack_ints};
+use crate::quant::{
+    dequantize, pack_ints, packed_len, quantize, quantize_into, unpack_ints, varint_len,
+};
 
 /// Codec configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -61,25 +63,19 @@ impl CodecParams {
 /// A compressed batch.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Compressed {
-    /// Self-describing payload (header + packed coefficients).
+    /// Self-describing payload (header + packed coefficients); its
+    /// length is the size on the wire.
     pub payload: Vec<u8>,
     /// Number of samples in the original batch.
     pub original_len: usize,
 }
 
-impl Compressed {
-    /// Size on the wire, in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.payload.len()
-    }
-}
-
-/// Reusable transform buffers for the allocation-free encode paths.
+/// Reusable transform buffers for [`Codec::compress_reconstruct`].
 ///
-/// A sensor flushes a batch every few minutes for the lifetime of the
-/// deployment; holding one scratch per node means the pad/transform/
-/// quantize pipeline touches no allocator after the first flush (the
-/// buffers grow once to the largest batch seen and stay there).
+/// A sensor flushes a batch every few minutes and serves pulls for the
+/// lifetime of the deployment; holding one scratch per node means the
+/// pad/transform/quantize pipeline touches no allocator once the
+/// buffers have grown to the largest batch seen.
 #[derive(Clone, Debug, Default)]
 pub struct EncodeScratch {
     /// Padded signal; becomes the coefficient vector in place.
@@ -132,52 +128,38 @@ impl Codec {
         }
     }
 
-    /// Compresses a batch and returns the payload *together with the
-    /// reconstruction the decoder will produce*, in one pass: the
-    /// quantized coefficients are snapped to the quantizer grid and
-    /// inverse-transformed directly, instead of re-parsing the payload
-    /// through [`Codec::decompress`]. This is the sensor's `flush_batch`
-    /// path — the round-trip decode there was pure waste.
-    pub fn compress_reconstruct(
+    /// Sizes a batch and reconstructs it in one pass, without building
+    /// its payload. Pads `samples` into `scratch`, transforms and
+    /// quantizes there, and counts the bytes [`Codec::compress`] would
+    /// emit. The quantized coefficients are then snapped to the grid
+    /// [`Codec::decompress`] uses and inverse-transformed. Returns the
+    /// wire length, equal to `compress(..).payload.len()`, and the
+    /// reconstruction the decoder would produce, borrowed from the
+    /// scratch. A sensor's batches and pull replies carry only these
+    /// two, so decoding its own payload would be pure waste.
+    pub fn compress_reconstruct<'s>(
         &self,
-        samples: &[f64],
-        scratch: &mut EncodeScratch,
-    ) -> (Compressed, Vec<f64>) {
-        let (levels, padded_len) = self.transform_into(samples, scratch);
-        quantize_into(&scratch.coeffs, self.params.quant_step, &mut scratch.qs);
-        let payload = self.encode_payload(samples.len(), levels, &scratch.qs);
-        // Reconstruct from the quantized stream the payload carries,
-        // using the f32-rounded step the header stores — this is exactly
-        // the grid [`Codec::decompress`] snaps to.
-        let wire_step = self.params.quant_step as f32 as f64;
-        scratch.coeffs.clear();
-        scratch
-            .coeffs
-            .extend(scratch.qs.iter().map(|&q| q as f64 * wire_step));
-        debug_assert_eq!(scratch.coeffs.len(), padded_len);
-        haar_inverse_in_place(&mut scratch.coeffs, levels, &mut scratch.tmp);
-        let mut recon = scratch.coeffs.clone();
-        recon.truncate(samples.len());
-        (
-            Compressed {
-                payload,
-                original_len: samples.len(),
-            },
-            recon,
-        )
-    }
-
-    /// Pads + forward-transforms + denoises `samples` into
-    /// `scratch.coeffs`, returning `(levels, padded_len)`.
-    fn transform_into(&self, samples: &[f64], scratch: &mut EncodeScratch) -> (usize, usize) {
-        pad_pow2_into(samples, &mut scratch.coeffs);
-        let padded_len = scratch.coeffs.len();
-        let levels = self.depth_for(padded_len);
+        samples: impl IntoIterator<Item = f64>,
+        scratch: &'s mut EncodeScratch,
+    ) -> (usize, &'s [f64]) {
+        let len = pad_pow2_into(samples, &mut scratch.coeffs);
+        let levels = self.depth_for(scratch.coeffs.len());
         haar_forward_in_place(&mut scratch.coeffs, levels, &mut scratch.tmp);
         if let Some(mode) = self.params.denoise {
             denoise_in_place(&mut scratch.coeffs, levels, mode);
         }
-        (levels, padded_len)
+        quantize_into(&scratch.coeffs, self.params.quant_step, &mut scratch.qs);
+        // The header is `varint(len) · varint(levels) · f32(step)`.
+        let byte_len =
+            varint_len(len as u64) + varint_len(levels as u64) + 4 + packed_len(&scratch.qs);
+        // Reconstruct with the f32-rounded step the header stores: the
+        // grid the decoder snaps to.
+        let wire_step = self.params.quant_step as f32 as f64;
+        for (c, &q) in scratch.coeffs.iter_mut().zip(&scratch.qs) {
+            *c = q as f64 * wire_step;
+        }
+        haar_inverse_in_place(&mut scratch.coeffs, levels, &mut scratch.tmp);
+        (byte_len, &scratch.coeffs[..len])
     }
 
     fn encode_payload(&self, original_len: usize, levels: usize, qs: &[i64]) -> Vec<u8> {
@@ -298,7 +280,7 @@ mod tests {
             quant_step: 1.0,
             ..CodecParams::fine()
         });
-        assert!(coarse.compress(&xs).byte_len() < fine.compress(&xs).byte_len());
+        assert!(coarse.compress(&xs).payload.len() < fine.compress(&xs).payload.len());
     }
 
     #[test]
@@ -316,8 +298,8 @@ mod tests {
             levels: None,
         });
         let den = Codec::new(CodecParams::denoising());
-        let raw_len = raw.compress(&xs).byte_len();
-        let den_len = den.compress(&xs).byte_len();
+        let raw_len = raw.compress(&xs).payload.len();
+        let den_len = den.compress(&xs).payload.len();
         assert!(
             (den_len as f64) < 0.7 * raw_len as f64,
             "denoised {den_len} vs raw {raw_len}"
@@ -330,7 +312,7 @@ mod tests {
         let per_sample = |n: usize| {
             let xs = diurnal(n);
             let codec = Codec::new(CodecParams::denoising());
-            codec.compress(&xs).byte_len() as f64 / n as f64
+            codec.compress(&xs).payload.len() as f64 / n as f64
         };
         assert!(per_sample(2048) < per_sample(32));
     }
@@ -395,9 +377,12 @@ mod tests {
                 CodecParams::for_tolerance(0.3),
             ] {
                 let codec = Codec::new(params);
-                let a = codec.compress(&xs);
-                let (b, _) = codec.compress_reconstruct(&xs, &mut scratch);
-                assert_eq!(a, b, "n={n} params={params:?}");
+                let c = codec.compress(&xs);
+                let (byte_len, recon) =
+                    codec.compress_reconstruct(xs.iter().copied(), &mut scratch);
+                assert_eq!(byte_len, c.payload.len(), "n={n} params={params:?}");
+                let via_decode = Codec::decompress(&c).expect("own payload decodes");
+                assert_eq!(recon, via_decode, "n={n} params={params:?}");
             }
         }
     }
@@ -408,12 +393,11 @@ mod tests {
         for n in [1usize, 37, 128, 500] {
             let xs = diurnal(n);
             let codec = Codec::new(CodecParams::for_tolerance(0.2));
-            let (c, recon) = codec.compress_reconstruct(&xs, &mut scratch);
+            let c = codec.compress(&xs);
+            let (byte_len, recon) = codec.compress_reconstruct(xs.iter().copied(), &mut scratch);
+            assert_eq!(byte_len, c.payload.len(), "n={n}");
             let via_decode = Codec::decompress(&c).expect("own payload decodes");
-            assert_eq!(recon.len(), via_decode.len());
-            for (a, b) in recon.iter().zip(&via_decode) {
-                assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-            }
+            assert_eq!(recon, via_decode, "n={n}");
         }
     }
 

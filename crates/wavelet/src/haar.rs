@@ -71,13 +71,14 @@ pub fn haar_forward(data: &[f64], levels: usize) -> Vec<f64> {
 
 /// Pads a signal to the next power of two into a caller-owned buffer
 /// (cleared first), so repeated batch encodes reuse one allocation.
-pub fn pad_pow2_into(data: &[f64], out: &mut Vec<f64>) {
-    let n = data.len().max(1).next_power_of_two();
+/// Returns the signal's own length.
+pub fn pad_pow2_into(data: impl IntoIterator<Item = f64>, out: &mut Vec<f64>) -> usize {
     out.clear();
-    out.reserve(n);
-    out.extend_from_slice(data);
-    let last = data.last().copied().unwrap_or(0.0);
-    out.resize(n, last);
+    out.extend(data);
+    let len = out.len();
+    let last = out.last().copied().unwrap_or(0.0);
+    out.resize(len.max(1).next_power_of_two(), last);
+    len
 }
 
 /// Forward multi-level Haar transform, in place over `buf`, using `tmp`

@@ -44,6 +44,11 @@ fn unzigzag(u: u64) -> i64 {
     ((u >> 1) as i64) ^ -((u & 1) as i64)
 }
 
+/// Bytes of `u` as a varint.
+pub(crate) fn varint_len(u: u64) -> usize {
+    (u64::BITS - u.leading_zeros()).div_ceil(7).max(1) as usize
+}
+
 fn push_varint(out: &mut Vec<u8>, mut u: u64) {
     loop {
         let byte = (u & 0x7f) as u8;
@@ -92,6 +97,24 @@ pub fn pack_ints(qs: &[i64]) -> Vec<u8> {
         }
     }
     out
+}
+
+/// Byte length of [`pack_ints`]'s output for `qs`, counted without
+/// building it.
+pub(crate) fn packed_len(qs: &[i64]) -> usize {
+    let mut len = 0;
+    let mut i = 0;
+    while i < qs.len() {
+        if qs[i] == 0 {
+            let run = qs[i..].iter().take_while(|&&q| q == 0).count();
+            len += 1 + varint_len(run as u64);
+            i += run;
+        } else {
+            len += varint_len(zigzag(qs[i]));
+            i += 1;
+        }
+    }
+    len
 }
 
 /// Unpacks a byte stream produced by [`pack_ints`].
@@ -182,6 +205,7 @@ mod tests {
         #[test]
         fn pack_roundtrip(qs in proptest::collection::vec(-100_000i64..100_000, 0..512)) {
             let packed = pack_ints(&qs);
+            prop_assert_eq!(packed_len(&qs), packed.len());
             prop_assert_eq!(unpack_ints(&packed).unwrap(), qs);
         }
 

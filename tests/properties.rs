@@ -78,7 +78,7 @@ proptest! {
             });
         }
         prop_assert!(cache.len() <= capacity);
-        let all = cache.range(SimTime::ZERO, SimTime::from_secs(20_000));
+        let all: Vec<_> = cache.range(SimTime::ZERO, SimTime::from_secs(20_000)).collect();
         prop_assert!(all.windows(2).all(|w| w[0].t <= w[1].t));
         // latest_at agrees with a linear scan.
         for probe in [0u64, 100, 5_000, 9_999] {
@@ -114,7 +114,7 @@ proptest! {
                 source: source(src),
             });
         }
-        let all = start.range(SimTime::ZERO, SimTime::from_secs(10_000));
+        let all: Vec<_> = start.range(SimTime::ZERO, SimTime::from_secs(10_000)).collect();
         let front = all.first().map_or(1_000, |s| s.t.as_secs());
         let back = all.last().map_or(2_000, |s| s.t.as_secs());
         let inside_slots = (back - front) / 10 + 1;
@@ -145,8 +145,8 @@ proptest! {
             }
             prop_assert!(merged.len() <= capacity);
             prop_assert_eq!(
-                merged.range(SimTime::ZERO, SimTime::from_secs(10_000)),
-                reference.range(SimTime::ZERO, SimTime::from_secs(10_000)),
+                merged.range(SimTime::ZERO, SimTime::from_secs(10_000)).collect::<Vec<_>>(),
+                reference.range(SimTime::ZERO, SimTime::from_secs(10_000)).collect::<Vec<_>>(),
                 "placement {}", placement
             );
             prop_assert_eq!(merged.last_heard, reference.last_heard);
@@ -220,7 +220,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The indexed archive read path (segment index + page time
-    /// directory + decoded-page LRU + streaming merge) returns results
+    /// directory + decoded-page LRU + one result buffer) returns results
     /// byte-identical to a naive decode-everything full scan, across
     /// randomized append / flush / reclaim / query schedules — including
     /// aged segments, out-of-order appends, and the RAM page-buffer
