@@ -43,7 +43,7 @@ pub fn run(cfg: &DriverConfig) -> ArchReport {
         let readings = dep.lab.step();
         for (s, r) in readings.iter().enumerate() {
             truth_now[s] = r.value;
-            dep.nodes[s].on_sample(r.timestamp, r.value, None);
+            dep.nodes[s].on_sample(r.timestamp, r.value);
         }
         // Serve queries that arrived during this epoch.
         while qi < dep.queries.len() && dep.queries[qi].arrival <= t + dep.epoch {

@@ -178,7 +178,7 @@ pub fn run_proxy_arm(
         let readings = dep.lab.step();
         for (s, r) in readings.iter().enumerate() {
             truth_now[s] = r.value;
-            for msg in dep.nodes[s].on_sample(r.timestamp, r.value, None) {
+            for msg in dep.nodes[s].on_sample(r.timestamp, r.value) {
                 proxy.on_uplink(&msg);
             }
         }

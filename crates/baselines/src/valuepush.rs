@@ -43,7 +43,7 @@ pub fn run(cfg: &DriverConfig, delta: f64) -> ArchReport {
         let readings = dep.lab.step();
         for (s, r) in readings.iter().enumerate() {
             truth_now[s] = r.value;
-            for msg in dep.nodes[s].on_sample(r.timestamp, r.value, None) {
+            for msg in dep.nodes[s].on_sample(r.timestamp, r.value) {
                 proxy.on_uplink(&msg);
             }
         }
@@ -136,11 +136,11 @@ pub fn energy_of_policy(
     );
     let mut delivered: u64 = 0;
     for r in trace {
-        delivered += node.on_sample(r.timestamp, r.value, None).len() as u64;
+        delivered += node.on_sample(r.timestamp, r.value).len() as u64;
     }
     // Drain any residual batch so arms are charged for all data.
     if let Some(t) = trace.last().map(|r| r.timestamp) {
-        if node.flush_batch(t, None).is_some() {
+        if node.flush_batch(t).is_some() {
             delivered += 1;
         }
     }

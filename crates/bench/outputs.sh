@@ -9,11 +9,14 @@
 #   crates/bench/outputs.sh                  # run all 21, check exit codes
 #   crates/bench/outputs.sh --against <ref>  # also build <ref> in a scratch
 #                                            # export (git archive), run the
-#                                            # same 21 there, print every
-#                                            # stdout, every smoke's metric
-#                                            # rows and every smoke's
-#                                            # incidents that differ, and
-#                                            # fail if anything did
+#                                            # same 21 there and the
+#                                            # benchmark on both trees,
+#                                            # print every stdout, every
+#                                            # smoke's metric rows, every
+#                                            # smoke's incidents and every
+#                                            # benchmark result that
+#                                            # differ, and fail if anything
+#                                            # did
 #
 # The smokes' metric rows are the `metrics` list of each BENCH_*.json:
 # the whole flattened telemetry snapshot. The comparison leaves out the
@@ -21,6 +24,13 @@
 # `*.allocs`, `alloc.*`); every other row is deterministic. A smoke's
 # incidents are its watchdog incident log, the artifact's last field:
 # rule, window, observed, bound, attributed and blame set.
+#
+# With --against, the benchmark (perfbench/) is built in each tree with
+# CARGO_TARGET_DIR=<tree>/perfbench/target and run once per workload
+# (fleet_skew, hot_windows, archive_aging) at seed 7 for 1 s. Its
+# result is the last stdout line, one JSON object; the comparison reads
+# `correct`, `attempted`, `failed` and every metric except the host
+# costs `sim_speed`, `setup_s` and `peak_heap_mb`.
 #
 # No expected outputs are committed: the simulator calls libm, so byte
 # identity only holds between two builds on one machine.
@@ -98,12 +108,48 @@ incidents() {
   sed -n '/^  "incidents": /,$p' "$1"
 }
 
+WORKLOADS=(fleet_skew hot_windows archive_aging)
+
+# run_perfbench <workspace> <stdout dir>: builds the benchmark in
+# <workspace> and runs every workload, one stdout file per workload.
+run_perfbench() {
+  mkdir -p "$2"
+  for w in "${WORKLOADS[@]}"; do
+    if ! CARGO_TARGET_DIR="$1/perfbench/target" python3 "$1/perfbench/run.py" \
+      --workload "$w" --seed 7 --seconds 1 --trace 0 >"$2/$w.out" 2>"$2/$w.err"; then
+      echo "FAILED: perfbench $w (exit non-zero in $1)" >&2
+      tail -n 20 "$2/$w.out" "$2/$w.err" >&2
+      exit 1
+    fi
+    echo "ok  perfbench $w"
+  done
+}
+
+# perf_rows <perfbench stdout>: the deterministic results of the last
+# line, one per line: the three counts, then every metric but the host
+# costs.
+perf_rows() {
+  tail -n 1 "$1" | python3 -c '
+import json, sys
+result = json.load(sys.stdin)
+metrics = result.pop("metrics")
+for host in ("sim_speed", "setup_s", "peak_heap_mb"):
+    metrics.pop(host, None)
+for key, value in result.items():
+    print(key, value)
+for key, m in metrics.items():
+    print(key, m["value"], m["unit"])
+'
+}
+
 if [ -n "$against" ]; then
   mkdir -p "$scratch/ref"
   git -C "$root" archive "$against" | tar -x -C "$scratch/ref"
   build "$scratch/ref"
   mkdir -p "$scratch/run-ref"
   (cd "$scratch/run-ref" && run_all "$scratch/ref" "$scratch/base") >/dev/null
+  run_perfbench "$root" "$scratch/perf-head"
+  run_perfbench "$scratch/ref" "$scratch/perf-base" >/dev/null
   differed=0
   for entry in "${OUTPUTS[@]}"; do
     read -r _ name args <<<"$entry"
@@ -130,6 +176,14 @@ if [ -n "$against" ]; then
       differed=1
     fi
   done
+  for w in "${WORKLOADS[@]}"; do
+    if ! diff <(perf_rows "$scratch/perf-base/$w.out") <(perf_rows "$scratch/perf-head/$w.out") \
+      >"$scratch/perf.diff"; then
+      echo "perfbench results differ from $against: $w" >&2
+      head -n 20 "$scratch/perf.diff" >&2
+      differed=1
+    fi
+  done
   [ "$differed" -eq 0 ] || exit 1
-  echo "all ${#OUTPUTS[@]} stdouts, every smoke's deterministic metric rows and every smoke's incidents identical to $against"
+  echo "all ${#OUTPUTS[@]} stdouts, every smoke's deterministic metric rows, every smoke's incidents and perfbench's deterministic results on all ${#WORKLOADS[@]} workloads identical to $against"
 fi

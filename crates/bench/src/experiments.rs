@@ -97,15 +97,12 @@ pub fn e1_rare_events(days: u64, seed: u64) -> E1Result {
                 kind: ModelKind::SeasonalAr,
                 params: model.encode_params(),
             },
-            None,
         );
         let mut reported = 0u64;
         let mut was_active = false;
         for r in &trace {
-            node.on_sample(r.timestamp, r.value, None);
-            if r.event_active
-                && !was_active
-                && node.on_event(r.timestamp, 1, Vec::new(), None).is_some()
+            node.on_sample(r.timestamp, r.value);
+            if r.event_active && !was_active && node.on_event(r.timestamp, 1, Vec::new()).is_some()
             {
                 reported += 1;
             }
@@ -138,7 +135,7 @@ pub fn e1_rare_events(days: u64, seed: u64) -> E1Result {
         let mut next_poll = SimTime::ZERO;
         let mut qid = 0u64;
         for r in &trace {
-            node.on_sample(r.timestamp, r.value, None);
+            node.on_sample(r.timestamp, r.value);
             if r.timestamp >= next_poll {
                 next_poll = r.timestamp + period;
                 qid += 1;
@@ -238,7 +235,7 @@ pub fn e2_latency(days: u64, seed: u64) -> Vec<E2Row> {
         let (mut hits, mut extr, mut pulls, mut total) = (0u64, 0u64, 0u64, 0u64);
         let train_every = 120usize;
         for (i, r) in trace.iter().enumerate() {
-            for msg in node.on_sample(r.timestamp, r.value, None) {
+            for msg in node.on_sample(r.timestamp, r.value) {
                 proxy.on_uplink(&msg);
             }
             if i % train_every == 0 {
@@ -522,7 +519,7 @@ pub fn e6_matching(seed: u64) -> Vec<E6Row> {
         else {
             panic!("retune carries an LPL interval");
         };
-        node.handle_downlink(SimTime::ZERO, &retune, None);
+        node.handle_downlink(SimTime::ZERO, &retune);
 
         // Energy estimate at the matched settings.
         let duty = presto_net::DutyCycle::lpl(lpl);
@@ -804,11 +801,10 @@ pub fn a1_model_ablation(days: u64, seed: u64) -> Vec<A1Row> {
                     kind,
                     params: params.clone(),
                 },
-                None,
             );
             let energy_before = node.ledger().category(presto_sim::EnergyCategory::RadioTx);
             for r in &trace[split..] {
-                node.on_sample(r.timestamp, r.value, None);
+                node.on_sample(r.timestamp, r.value);
             }
             let push_j = node.ledger().category(presto_sim::EnergyCategory::RadioTx)
                 - energy_before;

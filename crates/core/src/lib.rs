@@ -6,8 +6,8 @@
 //!
 //! * [`system::PrestoSystem`] — N proxies × M sensors each, a shared
 //!   Intel-Lab-style workload, model-driven push, periodic model
-//!   training/pushes, semantic event reporting, and clock beacons; all
-//!   energy metered per node.
+//!   training/pushes, semantic event reporting, and clock beacons; every
+//!   sensor meters its own energy, and the tethered proxies meter none.
 //! * [`store::UnifiedStore`] — the "single logical view of data": routes
 //!   each query through the Skip Graph index to the responsible proxy,
 //!   which answers via cache → extrapolation → pull; PAST answers can

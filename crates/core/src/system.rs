@@ -462,8 +462,7 @@ impl PrestoSystem {
                 stepped += 1;
                 // Sensors timestamp with their drifting local clocks.
                 let local_t = self.clocks[gid].local_time(r.timestamp);
-                let msgs =
-                    self.nodes[gid].on_sample(local_t, r.value, Some(self.proxies[p].ledger_mut()));
+                let msgs = self.nodes[gid].on_sample(local_t, r.value);
                 for msg in msgs {
                     self.fabric.offer(t, gid, msg);
                 }
@@ -473,7 +472,6 @@ impl PrestoSystem {
                         local_t,
                         RARE_EVENT_TYPE,
                         r.value.to_le_bytes().to_vec(),
-                        Some(self.proxies[p].ledger_mut()),
                     );
                     if let Some(msg) = ev {
                         self.fabric.offer(t, gid, msg);
@@ -490,15 +488,8 @@ impl PrestoSystem {
             if self.config.faults.is_down(gid, t) {
                 continue;
             }
-            // The home cluster head pays to hear it, as for samples.
-            let p = gid / self.config.sensors_per_proxy;
             let local_t = self.clocks[gid].local_time(t);
-            let hb = self.nodes[gid].maybe_heartbeat(
-                local_t,
-                hb_every,
-                Some(self.proxies[p].ledger_mut()),
-            );
-            if let Some(msg) = hb {
+            if let Some(msg) = self.nodes[gid].maybe_heartbeat(local_t, hb_every) {
                 self.fabric.offer(t, gid, msg);
             }
         }

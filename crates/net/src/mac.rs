@@ -6,16 +6,17 @@
 //! 1. **Wake-up preamble** — to reach a duty-cycled receiver that probes
 //!    the channel every `dest_lpl_interval`, the first frame of a
 //!    transmission carries a preamble long enough to span one check
-//!    interval (B-MAC). This is a *fixed cost per transmission* and is
-//!    what batching amortizes.
+//!    interval (B-MAC). A multi-fragment payload pays it once (B-MAC with
+//!    after-preamble synchronization), so it is a *fixed cost per
+//!    transmission* and is what batching amortizes.
 //! 2. **Frame bytes** — header + payload + CRC per fragment, at the
 //!    radio's per-byte cost. This is the floor that compression lowers.
 //! 3. **ACK + retransmissions** — each fragment is acknowledged and
-//!    retried up to `max_retries` times on loss.
+//!    retried up to `MAX_RETRIES` times on loss.
 //!
-//! When `burst_amortizes_preamble` is true (the default, matching B-MAC
-//! with after-preamble synchronization), a multi-fragment payload pays the
-//! wake-up preamble once; otherwise every fragment pays it.
+//! Only the mote pays: [`Mac::send`] charges the mote's side of the
+//! exchange, sender or receiver, to the mote's ledger. The proxy is the
+//! tethered tier and keeps no energy account.
 
 use presto_sim::{EnergyCategory, EnergyLedger, SimDuration};
 
@@ -26,6 +27,9 @@ use crate::link::LinkModel;
 /// Radio turnaround time between a data frame and its ACK.
 const TURNAROUND: SimDuration = SimDuration::from_millis(1);
 
+/// Retransmissions allowed per fragment after the first attempt.
+const MAX_RETRIES: u32 = 3;
+
 /// MAC configuration bound to a radio model.
 #[derive(Clone, Debug)]
 pub struct Mac {
@@ -33,15 +37,10 @@ pub struct Mac {
     pub radio: RadioModel,
     /// Frame geometry.
     pub frame: FrameFormat,
-    /// Retransmissions allowed per fragment after the first attempt.
-    pub max_retries: u32,
     /// The destination's LPL check interval; zero means the destination
     /// listens continuously (e.g. a tethered proxy) and only a short
     /// synchronization preamble is needed.
     pub dest_lpl_interval: SimDuration,
-    /// Pay the wake-up preamble once per transmission (true) or once per
-    /// fragment (false).
-    pub burst_amortizes_preamble: bool,
 }
 
 /// Short synchronization preamble bytes prepended to every frame even when
@@ -53,16 +52,15 @@ const SYNC_PREAMBLE_BYTES: usize = 6;
 pub struct TxOutcome {
     /// True if every fragment was delivered and acknowledged.
     pub delivered: bool,
-    /// Frames put on the air, including retransmissions.
-    pub frames_sent: u64,
-    /// Frames that physically reached the receiver.
-    pub frames_delivered: u64,
-    /// Sender-side energy (preambles + frames + ACK reception), joules.
-    pub tx_energy_j: f64,
-    /// Receiver-side energy (preamble tail + frames + ACK transmission), joules.
-    pub rx_energy_j: f64,
     /// Time from send start to final ACK (or final failed attempt).
     pub latency: SimDuration,
+}
+
+/// The two ends of a transmission.
+#[derive(Clone, Copy, PartialEq)]
+enum Side {
+    Sender,
+    Receiver,
 }
 
 impl Mac {
@@ -74,9 +72,7 @@ impl Mac {
         Mac {
             radio: RadioModel::mica2(),
             frame: FrameFormat::tinyos_mica2(),
-            max_retries: 3,
             dest_lpl_interval: SimDuration::ZERO,
-            burst_amortizes_preamble: true,
         }
     }
 
@@ -94,111 +90,79 @@ impl Mac {
         self.radio.preamble_energy(self.dest_lpl_interval)
     }
 
-    /// Sends `payload_len` bytes over `link`, charging the sender's and
-    /// (optionally) the receiver's energy ledgers.
+    /// Sends `payload_len` bytes over `link`, charging the mote's side of
+    /// the exchange to `mote`: preamble, frames and ACK reception when
+    /// the mote sends (`mote_sends`), the preamble tail, frame reception
+    /// and ACK transmission when it receives.
     ///
     /// The loss process is sampled per frame; ACKs traverse the same link.
     pub fn send(
         &self,
         payload_len: usize,
         link: &mut LinkModel,
-        tx_ledger: &mut EnergyLedger,
-        mut rx_ledger: Option<&mut EnergyLedger>,
+        mote: &mut EnergyLedger,
+        mote_sends: bool,
     ) -> TxOutcome {
-        let mut out = TxOutcome::default();
-
-        // Wake-up preamble: once per send (burst) or once per fragment.
-        let wakeups = if self.burst_amortizes_preamble {
-            1
-        } else {
-            self.frame.frames_for(payload_len)
+        use EnergyCategory::{RadioListen, RadioRx, RadioTx};
+        use Side::{Receiver, Sender};
+        let mote_side = if mote_sends { Sender } else { Receiver };
+        let mut charge = |side: Side, category: EnergyCategory, j: f64| {
+            if side == mote_side {
+                mote.charge(category, j);
+            }
         };
+        let mut latency = SimDuration::ZERO;
+
         if !self.dest_lpl_interval.is_zero() {
-            let pre_j = self.wakeup_preamble_energy() * wakeups as f64;
-            tx_ledger.charge(EnergyCategory::RadioTx, pre_j);
-            out.tx_energy_j += pre_j;
-            out.latency += self.dest_lpl_interval.saturating_mul(wakeups as u64);
+            charge(Sender, RadioTx, self.wakeup_preamble_energy());
+            latency += self.dest_lpl_interval;
             // The receiver hears on average half the preamble after its
             // probe matches.
-            if let Some(rx) = rx_ledger.as_deref_mut() {
-                let rx_j = (self.dest_lpl_interval / 2).as_secs_f64()
-                    * self.radio.rx_power_w
-                    * wakeups as f64;
-                rx.charge(EnergyCategory::RadioRx, rx_j);
-                out.rx_energy_j += rx_j;
-            }
+            let tail_j = (self.dest_lpl_interval / 2).as_secs_f64() * self.radio.rx_power_w;
+            charge(Receiver, RadioRx, tail_j);
         }
 
-        let mut all_delivered = true;
         'frags: for frag in self.frame.fragment_sizes(payload_len) {
             let wire = self.frame.frame_wire_bytes(frag) + SYNC_PREAMBLE_BYTES;
-            let mut attempts = 0;
-            loop {
-                attempts += 1;
-                out.frames_sent += 1;
-
-                let tx_j = self.radio.tx_energy(wire);
-                tx_ledger.charge(EnergyCategory::RadioTx, tx_j);
-                out.tx_energy_j += tx_j;
-                out.latency += self.radio.airtime(wire);
-
-                let frame_ok = link.deliver();
-                let mut acked = false;
-                if frame_ok {
-                    out.frames_delivered += 1;
-                    if let Some(rx) = rx_ledger.as_deref_mut() {
-                        let j = self.radio.rx_energy(wire);
-                        rx.charge(EnergyCategory::RadioRx, j);
-                        out.rx_energy_j += j;
-                    }
+            let ack = self.frame.ack_bytes;
+            for _ in 0..=MAX_RETRIES {
+                charge(Sender, RadioTx, self.radio.tx_energy(wire));
+                latency += self.radio.airtime(wire);
+                // The ACK window follows every frame, heard or not.
+                latency += TURNAROUND + self.radio.airtime(ack);
+                if link.deliver() {
+                    charge(Receiver, RadioRx, self.radio.rx_energy(wire));
                     // ACK in the reverse direction.
-                    out.latency += TURNAROUND + self.radio.airtime(self.frame.ack_bytes);
-                    if let Some(rx) = rx_ledger.as_deref_mut() {
-                        let j = self.radio.tx_energy(self.frame.ack_bytes);
-                        rx.charge(EnergyCategory::RadioTx, j);
-                        out.rx_energy_j += j;
-                    }
-                    acked = link.deliver();
-                    if acked {
-                        let j = self.radio.rx_energy(self.frame.ack_bytes);
-                        tx_ledger.charge(EnergyCategory::RadioRx, j);
-                        out.tx_energy_j += j;
+                    charge(Receiver, RadioTx, self.radio.tx_energy(ack));
+                    if link.deliver() {
+                        charge(Sender, RadioRx, self.radio.rx_energy(ack));
+                        continue 'frags;
                     }
                 } else {
                     // Sender still listens for the ACK window.
-                    out.latency += TURNAROUND + self.radio.airtime(self.frame.ack_bytes);
-                    let j = self.radio.rx_energy(self.frame.ack_bytes);
-                    tx_ledger.charge(EnergyCategory::RadioListen, j);
-                    out.tx_energy_j += j;
-                }
-
-                if acked {
-                    break;
-                }
-                if attempts > self.max_retries {
-                    all_delivered = false;
-                    break 'frags;
+                    charge(Sender, RadioListen, self.radio.rx_energy(ack));
                 }
             }
+            return TxOutcome {
+                delivered: false,
+                latency,
+            };
         }
 
-        out.delivered = all_delivered;
-        out
+        TxOutcome {
+            delivered: true,
+            latency,
+        }
     }
 
     /// Closed-form *expected* sender energy for a send over a lossless
     /// link — used by planners (query–sensor matching) that must reason
     /// about costs without performing the transmission.
     pub fn expected_send_energy(&self, payload_len: usize) -> f64 {
-        let wakeups = if self.burst_amortizes_preamble {
-            1
-        } else {
-            self.frame.frames_for(payload_len)
-        };
         let mut j = if self.dest_lpl_interval.is_zero() {
             0.0
         } else {
-            self.wakeup_preamble_energy() * wakeups as f64
+            self.wakeup_preamble_energy()
         };
         for frag in self.frame.fragment_sizes(payload_len) {
             let wire = self.frame.frame_wire_bytes(frag) + SYNC_PREAMBLE_BYTES;
@@ -218,19 +182,55 @@ mod tests {
         Mac::uplink()
     }
 
+    /// On-air bytes of each fragment of a `len`-byte payload.
+    fn wires(mac: &Mac, len: usize) -> Vec<usize> {
+        mac.frame
+            .fragment_sizes(len)
+            .map(|f| mac.frame.frame_wire_bytes(f) + SYNC_PREAMBLE_BYTES)
+            .collect()
+    }
+
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() < 1e-12
+    }
+
     #[test]
     fn lossless_send_delivers_all_fragments() {
-        let mac = uplink();
+        let mac = Mac::downlink(SimDuration::from_secs(1));
         let mut link = LinkModel::perfect();
-        let mut tx = EnergyLedger::new();
-        let mut rx = EnergyLedger::new();
-        let out = mac.send(100, &mut link, &mut tx, Some(&mut rx));
+        let mut mote = EnergyLedger::new();
+        let out = mac.send(100, &mut link, &mut mote, true);
         assert!(out.delivered);
-        assert_eq!(out.frames_sent, 4); // ceil(100/29)
-        assert_eq!(out.frames_delivered, 4);
-        assert!(out.tx_energy_j > 0.0);
-        assert!(out.rx_energy_j > 0.0);
-        assert!(tx.total() > 0.0 && rx.total() > 0.0);
+        assert_eq!(wires(&mac, 100).len(), 4); // ceil(100/29)
+                                               // The sending mote pays exactly the closed form: one preamble,
+                                               // four frames and four ACK receptions.
+        let expected = mac.expected_send_energy(100);
+        assert!(
+            close(mote.total(), expected),
+            "{} vs {expected}",
+            mote.total()
+        );
+        let acks = 4.0 * mac.radio.rx_energy(mac.frame.ack_bytes);
+        assert!(close(mote.category(EnergyCategory::RadioRx), acks));
+        assert_eq!(mote.category(EnergyCategory::RadioListen), 0.0);
+    }
+
+    #[test]
+    fn receiving_mote_pays_preamble_tail_frames_and_acks() {
+        let mac = Mac::downlink(SimDuration::from_secs(1));
+        let mut link = LinkModel::perfect();
+        let mut mote = EnergyLedger::new();
+        let out = mac.send(100, &mut link, &mut mote, false);
+        assert!(out.delivered);
+        let wires = wires(&mac, 100);
+        // Half the 1 s preamble at rx power, then every fragment heard.
+        let rx =
+            0.5 * mac.radio.rx_power_w + wires.iter().map(|&w| mac.radio.rx_energy(w)).sum::<f64>();
+        // One ACK transmitted per fragment.
+        let tx = wires.len() as f64 * mac.radio.tx_energy(mac.frame.ack_bytes);
+        assert!(close(mote.category(EnergyCategory::RadioRx), rx));
+        assert!(close(mote.category(EnergyCategory::RadioTx), tx));
+        assert!(close(mote.total(), rx + tx), "nothing of the sender's side");
     }
 
     #[test]
@@ -238,12 +238,12 @@ mod tests {
         let mac = uplink();
         let mut link = LinkModel::perfect();
         let mut tx = EnergyLedger::new();
-        let out = mac.send(64, &mut link, &mut tx, None);
+        mac.send(64, &mut link, &mut tx, true);
         let expected = mac.expected_send_energy(64);
         assert!(
-            (out.tx_energy_j - expected).abs() < 1e-12,
+            close(tx.total(), expected),
             "sim {} vs closed form {}",
-            out.tx_energy_j,
+            tx.total(),
             expected
         );
     }
@@ -257,34 +257,22 @@ mod tests {
     }
 
     #[test]
-    fn burst_amortization_saves_preambles() {
-        let lpl = SimDuration::from_secs(1);
-        let burst = Mac {
-            burst_amortizes_preamble: true,
-            ..Mac::downlink(lpl)
-        };
-        let per_frame = Mac {
-            burst_amortizes_preamble: false,
-            ..Mac::downlink(lpl)
-        };
-        let payload = 29 * 10;
-        let e_burst = burst.expected_send_energy(payload);
-        let e_frame = per_frame.expected_send_energy(payload);
-        // 10 fragments: 9 extra preambles ≈ 9 × 81 mJ difference.
-        assert!((e_frame - e_burst - 9.0 * 0.081).abs() < 1e-3);
-    }
-
-    #[test]
     fn total_loss_fails_after_retries() {
         let mac = uplink();
         let mut link = LinkModel::new(crate::link::LossProcess::Bernoulli(1.0), SimRng::new(1));
         let mut tx = EnergyLedger::new();
-        let out = mac.send(10, &mut link, &mut tx, None);
+        let out = mac.send(10, &mut link, &mut tx, true);
         assert!(!out.delivered);
-        assert_eq!(out.frames_sent, (mac.max_retries + 1) as u64);
-        assert_eq!(out.frames_delivered, 0);
-        // Failed attempts still cost energy.
-        assert!(out.tx_energy_j > 0.0);
+        // Every attempt put one frame on the air and listened through
+        // one ACK window; no ACK was ever heard.
+        let frame_j = mac.radio.tx_energy(wires(&mac, 10)[0]);
+        let window_j = mac.radio.rx_energy(mac.frame.ack_bytes);
+        let frames = tx.category(EnergyCategory::RadioTx) / frame_j;
+        let windows = tx.category(EnergyCategory::RadioListen) / window_j;
+        let attempts = f64::from(MAX_RETRIES + 1);
+        assert!((frames - attempts).abs() < 1e-9, "{frames} frames");
+        assert!((windows - attempts).abs() < 1e-9, "{windows} ACK windows");
+        assert_eq!(tx.category(EnergyCategory::RadioRx), 0.0);
     }
 
     #[test]
@@ -297,7 +285,7 @@ mod tests {
                 let mut link =
                     LinkModel::new(crate::link::LossProcess::Bernoulli(loss), SimRng::new(seed));
                 let mut tx = EnergyLedger::new();
-                mac.send(payload, &mut link, &mut tx, None);
+                mac.send(payload, &mut link, &mut tx, true);
                 total += tx.total();
             }
             total
@@ -310,29 +298,23 @@ mod tests {
         let mac = Mac::downlink(SimDuration::from_millis(500));
         let mut link = LinkModel::perfect();
         let mut tx = EnergyLedger::new();
-        let out = mac.send(4, &mut link, &mut tx, None);
+        let out = mac.send(4, &mut link, &mut tx, true);
         assert!(out.latency > SimDuration::from_millis(500));
         assert!(out.latency < SimDuration::from_millis(520));
     }
 
     #[test]
     fn receiver_ledger_untouched_when_absent() {
+        // A sending mote pays its frame and the ACK it hears, never the
+        // proxy's frame reception or ACK transmission.
         let mac = uplink();
         let mut link = LinkModel::perfect();
         let mut tx = EnergyLedger::new();
-        let out = mac.send(10, &mut link, &mut tx, None);
+        let out = mac.send(10, &mut link, &mut tx, true);
         assert!(out.delivered);
-        assert_eq!(out.rx_energy_j, 0.0);
-    }
-
-    #[test]
-    fn energy_charged_matches_outcome_fields() {
-        let mac = Mac::downlink(SimDuration::from_millis(100));
-        let mut link = LinkModel::new(crate::link::LossProcess::Bernoulli(0.2), SimRng::new(3));
-        let mut tx = EnergyLedger::new();
-        let mut rx = EnergyLedger::new();
-        let out = mac.send(200, &mut link, &mut tx, Some(&mut rx));
-        assert!((tx.total() - out.tx_energy_j).abs() < 1e-12);
-        assert!((rx.total() - out.rx_energy_j).abs() < 1e-12);
+        let frame_j = mac.radio.tx_energy(wires(&mac, 10)[0]);
+        let ack_j = mac.radio.rx_energy(mac.frame.ack_bytes);
+        assert_eq!(tx.category(EnergyCategory::RadioTx), frame_j);
+        assert_eq!(tx.category(EnergyCategory::RadioRx), ack_j);
     }
 }

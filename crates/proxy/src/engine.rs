@@ -3,16 +3,15 @@
 //! The engine trains a model per sensor from the cached history, keeps
 //! the proxy-side replica observing incoming data, and re-trains when
 //! either a retrain interval elapses or the recent push rate suggests
-//! model drift. Training cost is charged to the proxy's CPU ledger —
-//! proxies are powered, but the cost is *measured* so the build/check
-//! asymmetry claim (E7) is demonstrable.
+//! model drift. Proxies are tethered, so training charges no energy
+//! account; each model's [`TrainReport`] counts its training cycles,
+//! which is what the build/check asymmetry claim (E7) measures.
 
 use presto_models::{
     ArModel, LinearTrendModel, MarkovModel, ModelKind, Prediction, Predictor, SeasonalArModel,
-    SeasonalModel, SpatialGaussian, TrainReport,
+    SeasonalModel, TrainReport,
 };
-use presto_net::CpuModel;
-use presto_sim::{EnergyCategory, EnergyLedger, SimDuration, SimTime};
+use presto_sim::{SimDuration, SimTime};
 
 /// Seasonal bins (when applicable).
 const SEASONAL_BINS: usize = 24;
@@ -59,25 +58,12 @@ pub struct ModelSlot {
 /// The prediction engine.
 pub struct PredictionEngine {
     config: EngineConfig,
-    cpu: CpuModel,
-    /// Cumulative training cycles (for E7).
-    pub total_train_cycles: u64,
 }
 
 impl PredictionEngine {
-    /// Creates an engine. The proxy CPU is modelled as a Stargate-class
-    /// part; we reuse the mote CPU model scaled up via cycles (the cycle
-    /// *count* is the asymmetry metric, the joules are charged at proxy
-    /// rates).
+    /// Creates an engine.
     pub fn new(config: EngineConfig) -> Self {
-        PredictionEngine {
-            config,
-            cpu: CpuModel {
-                freq_hz: 400e6, // Stargate PXA255
-                active_power_w: 0.4,
-            },
-            total_train_cycles: 0,
-        }
+        PredictionEngine { config }
     }
 
     /// True when a (re)train is warranted.
@@ -91,15 +77,8 @@ impl PredictionEngine {
         }
     }
 
-    /// Trains a model of the configured class from history, charging the
-    /// proxy's CPU ledger.
-    pub fn train(
-        &mut self,
-        history: &[(SimTime, f64)],
-        now: SimTime,
-        prev_version: u32,
-        ledger: &mut EnergyLedger,
-    ) -> ModelSlot {
+    /// Trains a model of the configured class from history.
+    pub fn train(&self, history: &[(SimTime, f64)], now: SimTime, prev_version: u32) -> ModelSlot {
         let (model, report): (Box<dyn Predictor>, TrainReport) = match self.config.kind {
             ModelKind::Seasonal => {
                 let (m, r) = SeasonalModel::train(history, SEASONAL_BINS);
@@ -122,28 +101,12 @@ impl PredictionEngine {
                 (Box::new(m), r)
             }
         };
-        ledger.charge(EnergyCategory::Cpu, self.cpu.op_energy(report.train_cycles));
-        self.total_train_cycles += report.train_cycles;
         ModelSlot {
             model,
             version: prev_version + 1,
             trained_at: now,
             report,
         }
-    }
-
-    /// Trains the spatial Gaussian over aligned sensor values, row-major
-    /// in `data`: one row per epoch, `cols` values (one per sensor) each.
-    pub fn train_spatial(
-        &mut self,
-        data: &[f64],
-        cols: usize,
-        ledger: &mut EnergyLedger,
-    ) -> Option<SpatialGaussian> {
-        let g = SpatialGaussian::train(data, cols)?;
-        ledger.charge(EnergyCategory::Cpu, self.cpu.op_energy(g.train_cycles));
-        self.total_train_cycles += g.train_cycles;
-        Some(g)
     }
 
     /// Extrapolates a value at `t` from a model slot, with the
@@ -176,7 +139,7 @@ mod tests {
 
     #[test]
     fn trains_after_min_history_and_on_schedule() {
-        let mut e = PredictionEngine::new(EngineConfig {
+        let e = PredictionEngine::new(EngineConfig {
             min_history: 100,
             retrain_interval: SimDuration::from_hours(6),
             ..EngineConfig::default()
@@ -185,10 +148,9 @@ mod tests {
         assert!(!e.should_train(None, 50, SimTime::ZERO));
         assert!(e.should_train(None, 150, SimTime::ZERO));
 
-        let mut ledger = EnergyLedger::new();
-        let slot = e.train(&hist, SimTime::from_days(3), 0, &mut ledger);
+        let slot = e.train(&hist, SimTime::from_days(3), 0);
         assert_eq!(slot.version, 1);
-        assert!(ledger.category(EnergyCategory::Cpu) > 0.0);
+        assert!(slot.report.train_cycles > 0);
         assert!(!e.should_train(Some(&slot), 1000, SimTime::from_days(3)));
         assert!(e.should_train(
             Some(&slot),
@@ -199,9 +161,8 @@ mod tests {
 
     #[test]
     fn trained_model_predicts_diurnal_shape() {
-        let mut e = PredictionEngine::new(EngineConfig::default());
-        let mut ledger = EnergyLedger::new();
-        let slot = e.train(&diurnal_history(7), SimTime::from_days(7), 0, &mut ledger);
+        let e = PredictionEngine::new(EngineConfig::default());
+        let slot = e.train(&diurnal_history(7), SimTime::from_days(7), 0);
         let t = SimTime::from_days(8) + SimDuration::from_hours(14);
         let p = slot.model.predict(t);
         assert!((p.value - 25.0).abs() < 1.0, "{}", p.value);
@@ -210,7 +171,6 @@ mod tests {
     #[test]
     fn every_model_kind_trains() {
         let hist = diurnal_history(3);
-        let mut ledger = EnergyLedger::new();
         for kind in [
             ModelKind::Seasonal,
             ModelKind::Ar,
@@ -218,11 +178,11 @@ mod tests {
             ModelKind::LinearTrend,
             ModelKind::Markov,
         ] {
-            let mut e = PredictionEngine::new(EngineConfig {
+            let e = PredictionEngine::new(EngineConfig {
                 kind,
                 ..EngineConfig::default()
             });
-            let slot = e.train(&hist, SimTime::from_days(3), 0, &mut ledger);
+            let slot = e.train(&hist, SimTime::from_days(3), 0);
             assert_eq!(slot.model.kind(), kind);
             assert!(slot.report.train_cycles > 0);
             // Replica parameters must be shippable.
@@ -232,26 +192,9 @@ mod tests {
 
     #[test]
     fn extrapolation_folds_in_push_tolerance() {
-        let mut e = PredictionEngine::new(EngineConfig::default());
-        let mut ledger = EnergyLedger::new();
-        let slot = e.train(&diurnal_history(7), SimTime::from_days(7), 0, &mut ledger);
+        let e = PredictionEngine::new(EngineConfig::default());
+        let slot = e.train(&diurnal_history(7), SimTime::from_days(7), 0);
         let p = PredictionEngine::extrapolate(&slot, SimTime::from_days(8), 2.0);
         assert!(p.sigma >= 1.0);
-    }
-
-    #[test]
-    fn spatial_training_charges_cpu() {
-        let mut e = PredictionEngine::new(EngineConfig::default());
-        let mut ledger = EnergyLedger::new();
-        let data: Vec<f64> = (0..200)
-            .flat_map(|k| {
-                let f = (k as f64 * 0.1).sin();
-                [20.0 + f, 20.5 + f, 21.0 + f]
-            })
-            .collect();
-        let g = e.train_spatial(&data, 3, &mut ledger).unwrap();
-        assert_eq!(g.sensors(), 3);
-        assert!(ledger.category(EnergyCategory::Cpu) > 0.0);
-        assert!(e.total_train_cycles > 0);
     }
 }

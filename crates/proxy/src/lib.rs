@@ -9,15 +9,17 @@
 //!   from pushes, batches, and pull refinements, plus the semantic event
 //!   log.
 //! * [`engine`] — the prediction engine: trains models on cached history
-//!   (charging proxy CPU so the build/check asymmetry is measurable),
-//!   versions them, and extrapolates missing data with confidence bounds.
+//!   (each model's training report counts the cycles, so the build/check
+//!   asymmetry is measurable), versions them, and extrapolates missing
+//!   data with confidence bounds.
 //! * [`matching`] — query–sensor matching: translates query classes
 //!   (rate, latency bound, precision) into sensor settings (LPL check
 //!   interval, batching interval, push tolerance, reply codec).
 //! * [`proxy`] — the proxy itself: consumes uplink traffic, answers NOW
 //!   and PAST queries via *cache hit → extrapolation → pull* (exactly the
 //!   miss path of paper §2), and delivers downlink messages over the
-//!   energy-metered MAC.
+//!   MAC, which charges the receiving sensor. The tethered proxy keeps
+//!   no energy account.
 //! * [`slice`](mod@slice) — sliced archive-range execution: the slice calculator,
 //!   the two-tier slice cache, and the assembler behind the pipeline's
 //!   sliced PAST path.

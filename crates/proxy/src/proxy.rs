@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use presto_models::SpatialGaussian;
 use presto_net::Mac;
 use presto_reliability::{AttemptEvent, DownlinkChannel, RpcOutcome};
-use presto_sim::{EnergyLedger, SimDuration, SimTime};
+use presto_sim::{SimDuration, SimTime};
 use presto_telemetry::{CompletionCause, SpanEvent};
 
 use presto_sensor::{DownlinkMsg, SensorNode, UplinkMsg, UplinkPayload};
@@ -224,7 +224,6 @@ pub struct PrestoProxy {
     /// intervals.
     events_span: Option<(SimTime, SimTime)>,
     spatial: Option<(SpatialGaussian, Vec<u16>)>,
-    ledger: EnergyLedger,
     downlink: Mac,
     stats: ProxyStats,
     next_query_id: u64,
@@ -248,7 +247,6 @@ impl PrestoProxy {
             events: EventCache::new(EVENT_CAPACITY),
             events_span: None,
             spatial: None,
-            ledger: EnergyLedger::new(),
             stats: ProxyStats::default(),
             next_query_id: 1,
             pipeline: QueryPipeline::new(config.pipeline.clone()),
@@ -271,12 +269,6 @@ impl PrestoProxy {
         let mut ids: Vec<u16> = self.sensors.keys().copied().collect();
         ids.sort_unstable();
         ids
-    }
-
-    /// Mutable ledger access, used by sensor uplink MACs to charge the
-    /// proxy's reception energy.
-    pub fn ledger_mut(&mut self) -> &mut EnergyLedger {
-        &mut self.ledger
     }
 
     /// Counters.
@@ -375,9 +367,9 @@ impl PrestoProxy {
     }
 
     /// Runs a fabric-routed RPC towards a sensor: the request rides the
-    /// sequenced, ack/retransmit [`DownlinkChannel`] (first-hop MAC
-    /// energy billed to this proxy's ledger, retransmissions metered by
-    /// the channel's retry budget), and any matched reply is folded into
+    /// sequenced, ack/retransmit [`DownlinkChannel`] (the sensor's
+    /// ledger pays its first-hop reception, retransmissions are metered
+    /// by the channel's retry budget), and any matched reply is folded into
     /// the proxy's cache before being returned. There is no infallible
     /// path: every proxy→sensor interaction goes through here and can
     /// time out, retry, and fail.
@@ -388,7 +380,7 @@ impl PrestoProxy {
         node: &mut SensorNode,
         chan: &mut DownlinkChannel,
     ) -> RpcOutcome {
-        let outcome = chan.rpc(t, msg, node, &self.downlink, &mut self.ledger);
+        let outcome = chan.rpc(t, msg, node, &self.downlink);
         if let Some(r) = &outcome.reply {
             self.on_uplink(r);
         }
@@ -418,9 +410,7 @@ impl PrestoProxy {
         // `self` so the cache borrow and the engine borrow don't clash).
         let mut history = std::mem::take(&mut self.history_scratch);
         slot.cache.history_into(&mut history);
-        let trained = self
-            .engine
-            .train(&history, t, prev_version, &mut self.ledger);
+        let trained = self.engine.train(&history, t, prev_version);
         self.history_scratch = history;
         let params = trained.model.encode_params();
         let kind = trained.model.kind();
@@ -517,10 +507,7 @@ impl PrestoProxy {
             }
         }
         if data.len() / ids.len() >= 32 {
-            self.spatial = self
-                .engine
-                .train_spatial(&data, ids.len(), &mut self.ledger)
-                .map(|g| (g, ids));
+            self.spatial = SpatialGaussian::train(&data, ids.len()).map(|g| (g, ids));
         }
     }
 
@@ -714,10 +701,10 @@ impl PrestoProxy {
         let slot = self.sensors.get(&sensor)?;
         let coverage = slot.cache.coverage(from, to, SAMPLE_PERIOD);
         if coverage >= self.config.past_coverage_hit {
-            let values: Vec<f64> = slot.cache.range(from, to).map(|s| s.value).collect();
+            let values = slot.cache.range(from, to).map(|s| s.value);
             self.stats.cache_hits += 1;
             return Some(Answer {
-                value: presto_sensor::evaluate_aggregate(op, &values),
+                value: presto_sensor::evaluate_aggregate(op, values),
                 sigma: 0.0,
                 source: AnswerSource::CacheHit,
                 latency: SimDuration::from_millis(2),
@@ -1377,13 +1364,7 @@ impl PrestoProxy {
             if s.chan.async_in_flight() == 0 {
                 continue;
             }
-            events.extend(s.chan.pump_async(
-                t,
-                s.node,
-                &self.downlink,
-                &mut self.ledger,
-                &mut budget,
-            ));
+            events.extend(s.chan.pump_async(t, s.node, &self.downlink, &mut budget));
         }
         // Pressure probe: a pump that spent its whole budget is
         // saturated — more queries than this epoch could serve.
@@ -1611,7 +1592,7 @@ mod tests {
         let epochs = days * 86_400 / 31;
         for i in 0..epochs {
             let t = SimTime::from_secs(31 * i);
-            for msg in node.on_sample(t, diurnal(t), Some(proxy.ledger_mut())) {
+            for msg in node.on_sample(t, diurnal(t)) {
                 proxy.on_uplink(&msg);
             }
             // Periodic training opportunity once per simulated hour.
@@ -2129,7 +2110,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for i in 0..4000u64 {
             t = SimTime::from_secs(31 * i);
-            node.on_sample(t, diurnal(t), None);
+            node.on_sample(t, diurnal(t));
         }
         let q = PipelineQuery::Aggregate {
             sensor: 3,
@@ -2195,7 +2176,7 @@ mod tests {
             LinkModel::perfect(),
         );
         for i in 0..200u64 {
-            node.on_sample(SimTime::from_secs(31 * i), diurnal(SimTime::from_secs(31 * i)), None);
+            node.on_sample(SimTime::from_secs(31 * i), diurnal(SimTime::from_secs(31 * i)));
         }
         (proxy, node, chan_with_loss(loss, seed))
     }
@@ -2309,7 +2290,7 @@ mod tests {
         // The sensor keeps sampling through the window's end.
         for i in 200..500u64 {
             let ts = SimTime::from_secs(31 * i);
-            node.on_sample(ts, diurnal(ts), None);
+            node.on_sample(ts, diurnal(ts));
         }
         let t2 = SimTime::from_secs(31 * 500);
         proxy.submit_query(t2, open_window);
@@ -2489,7 +2470,7 @@ mod tests {
             LinkModel::perfect(),
         );
         for i in 0..200u64 {
-            node.on_sample(SimTime::from_secs(31 * i), diurnal(SimTime::from_secs(31 * i)), None);
+            node.on_sample(SimTime::from_secs(31 * i), diurnal(SimTime::from_secs(31 * i)));
         }
         let mut chan = DownlinkChannel::perfect();
         let t = SimTime::from_secs(31 * 210);

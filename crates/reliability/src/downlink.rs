@@ -14,10 +14,11 @@
 //!   update whose ack died is *not* applied twice, and a pull whose
 //!   reply died is re-sent from the sensor's reply cache instead of
 //!   re-read from flash;
-//! * the request pays the first-hop MAC (wake-up preamble, frame ARQ,
-//!   energy billed to the **proxy-side ledger**) and then samples an
-//!   end-to-end [`LossProcess`] for the multi-hop path, exactly like the
-//!   uplink fabric — including [`LossProcess::Correlated`] shared-fading
+//! * the request crosses the first-hop MAC (wake-up preamble, frame
+//!   ARQ; the sensor's ledger pays its reception, the tethered proxy
+//!   keeps no energy account) and then samples an end-to-end
+//!   [`LossProcess`] for the multi-hop path, exactly like the uplink
+//!   fabric — including [`LossProcess::Correlated`] shared-fading
 //!   states, so a burst near the proxy degrades every sensor's pulls at
 //!   once;
 //! * replies and acks ride the (also lossy) reverse path; a lost reply
@@ -54,7 +55,7 @@
 
 use presto_net::{LinkModel, LossProcess, Mac};
 use presto_sensor::{DownlinkMsg, SensorNode, UplinkMsg, UplinkPayload};
-use presto_sim::{EnergyCategory, EnergyLedger, SimDuration, SimRng, SimTime};
+use presto_sim::{SimDuration, SimRng, SimTime};
 
 /// How long the proxy waits on a request before retransmitting.
 const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(5);
@@ -331,15 +332,14 @@ impl DownlinkChannel {
     /// Runs one fabric-routed RPC: transmits `msg` towards `node` with
     /// retransmission on timeout, deduplicated at the sensor by sequence
     /// number, replies matched through the pending-RPC table. `mac`
-    /// prices and charges the first-hop radio (proxy pays transmit and
-    /// preamble energy, the sensor pays reception).
+    /// prices retransmissions against the retry budget and carries the
+    /// first hop, charging the sensor's reception to its ledger.
     pub fn rpc(
         &mut self,
         t: SimTime,
         msg: &DownlinkMsg,
         node: &mut SensorNode,
         mac: &Mac,
-        proxy_ledger: &mut EnergyLedger,
     ) -> RpcOutcome {
         self.tick(t);
         self.stats.rpcs += 1;
@@ -366,7 +366,7 @@ impl DownlinkChannel {
             }
             attempts += 1;
 
-            match self.attempt_once(t, seq, msg, rpc_qid, latency, wire, node, mac, proxy_ledger) {
+            match self.attempt_once(t, seq, msg, rpc_qid, latency, wire, node, mac) {
                 Attempt::Reply(r, l) => {
                     latency += l;
                     self.stats.delivered += 1;
@@ -425,20 +425,17 @@ impl DownlinkChannel {
         wire: usize,
         node: &mut SensorNode,
         mac: &Mac,
-        proxy_ledger: &mut EnergyLedger,
     ) -> Attempt {
         let expects_reply = rpc_qid.is_some();
         if !self.link_up {
             // The proxy cannot know the sensor is crashed or blacked
-            // out before transmitting: it pays the wake-up preamble
-            // and frames into the void, exactly as on real hardware.
-            // (The crashed sensor's radio is off — it pays nothing.)
+            // out, so the attempt goes out and dies; the crashed
+            // sensor's radio is off and pays nothing.
             self.stats.blocked_link_down += 1;
-            proxy_ledger.charge(EnergyCategory::RadioTx, mac.expected_send_energy(wire));
             return Attempt::Lost(SimDuration::ZERO);
         }
         let mut latency = SimDuration::ZERO;
-        let mac_out = mac.send(wire, &mut self.first_hop, proxy_ledger, Some(node.ledger_mut()));
+        let mac_out = mac.send(wire, &mut self.first_hop, node.ledger_mut(), false);
         latency += mac_out.latency;
         if !mac_out.delivered || !self.request.deliver() {
             self.stats.requests_lost += 1;
@@ -446,7 +443,7 @@ impl DownlinkChannel {
         }
         latency += crate::channel_delay(wire);
         let arrive = t + elapsed + latency;
-        let reply = node.handle_sequenced_downlink(arrive, seq, msg, Some(proxy_ledger));
+        let reply = node.handle_sequenced_downlink(arrive, seq, msg);
         match reply {
             Some(r) => {
                 if !self.link_up || !self.reply.deliver() {
@@ -527,7 +524,6 @@ impl DownlinkChannel {
         t: SimTime,
         node: &mut SensorNode,
         mac: &Mac,
-        proxy_ledger: &mut EnergyLedger,
         attempt_budget: &mut u32,
     ) -> Vec<AsyncRpcEvent> {
         self.tick(t);
@@ -592,7 +588,6 @@ impl DownlinkChannel {
                 wire,
                 node,
                 mac,
-                proxy_ledger,
             ) {
                 Attempt::Reply(r, l) => {
                     self.async_rpcs.remove(i);
@@ -677,6 +672,7 @@ fn reply_query_id(msg: &UplinkMsg) -> Option<u64> {
 mod tests {
     use super::*;
     use presto_sensor::{PushPolicy, SensorConfig};
+    use presto_sim::EnergyCategory;
 
     fn mac() -> Mac {
         Mac::downlink(SimDuration::from_secs(1))
@@ -692,7 +688,7 @@ mod tests {
             LinkModel::perfect(),
         );
         for i in 0..200u64 {
-            n.on_sample(SimTime::from_secs(31 * i), 20.0 + (i % 7) as f64 * 0.1, None);
+            n.on_sample(SimTime::from_secs(31 * i), 20.0 + (i % 7) as f64 * 0.1);
         }
         n
     }
@@ -710,9 +706,9 @@ mod tests {
     fn perfect_channel_completes_in_one_attempt() {
         let mut ch = DownlinkChannel::perfect();
         let mut node = archived_node();
-        let mut ledger = EnergyLedger::new();
+        let rx_before = node.ledger().category(EnergyCategory::RadioRx);
         let t = SimTime::from_hours(2);
-        let out = ch.rpc(t, &pull(1), &mut node, &mac(), &mut ledger);
+        let out = ch.rpc(t, &pull(1), &mut node, &mac());
         assert!(out.delivered);
         assert_eq!(out.attempts, 1);
         let r = out.reply.expect("pull produces a reply");
@@ -720,7 +716,10 @@ mod tests {
         // Latency includes the LPL preamble plus channel delays.
         assert!(out.latency >= SimDuration::from_secs(1));
         assert_eq!(ch.stats().delivered, 1);
-        assert!(ledger.total() > 0.0, "proxy pays the downlink energy");
+        assert!(
+            node.ledger().category(EnergyCategory::RadioRx) > rx_before,
+            "the sensor pays to hear the request"
+        );
     }
 
     #[test]
@@ -732,8 +731,7 @@ mod tests {
         };
         let mut ch = DownlinkChannel::new(cfg.clone(), LinkModel::perfect());
         let mut node = archived_node();
-        let mut ledger = EnergyLedger::new();
-        let out = ch.rpc(SimTime::from_hours(2), &pull(2), &mut node, &mac(), &mut ledger);
+        let out = ch.rpc(SimTime::from_hours(2), &pull(2), &mut node, &mac());
         assert!(out.delivered);
         assert_eq!(out.attempts, 2);
         assert!(
@@ -752,8 +750,7 @@ mod tests {
         };
         let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
         let mut node = archived_node();
-        let mut ledger = EnergyLedger::new();
-        let out = ch.rpc(SimTime::from_hours(2), &pull(3), &mut node, &mac(), &mut ledger);
+        let out = ch.rpc(SimTime::from_hours(2), &pull(3), &mut node, &mac());
         assert!(out.delivered);
         assert_eq!(out.attempts, 2);
         // The sensor served the flash read once and answered the
@@ -773,8 +770,7 @@ mod tests {
         let timeout = RPC_TIMEOUT;
         let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
         let mut node = archived_node();
-        let mut ledger = EnergyLedger::new();
-        let out = ch.rpc(SimTime::from_hours(2), &pull(4), &mut node, &mac(), &mut ledger);
+        let out = ch.rpc(SimTime::from_hours(2), &pull(4), &mut node, &mac());
         assert!(!out.delivered);
         assert!(out.reply.is_none());
         assert_eq!(out.attempts, max + 1);
@@ -793,14 +789,13 @@ mod tests {
         };
         let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
         let mut node = archived_node();
-        let mut ledger = EnergyLedger::new();
         let retune = DownlinkMsg::Retune {
             push_tolerance: Some(2.0),
             batching_interval: None,
             lpl_check_interval: None,
             reply_codec: None,
         };
-        let out = ch.rpc(SimTime::from_hours(2), &retune, &mut node, &mac(), &mut ledger);
+        let out = ch.rpc(SimTime::from_hours(2), &retune, &mut node, &mac());
         assert!(out.delivered);
         assert_eq!(out.attempts, 2);
         assert_eq!(node.stats().duplicate_requests, 1);
@@ -817,8 +812,7 @@ mod tests {
         };
         let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
         let mut node = archived_node();
-        let mut ledger = EnergyLedger::new();
-        let out = ch.rpc(SimTime::from_hours(2), &pull(5), &mut node, &mac(), &mut ledger);
+        let out = ch.rpc(SimTime::from_hours(2), &pull(5), &mut node, &mac());
         assert!(!out.delivered);
         assert_eq!(ch.stats().dropped_budget, 1);
         assert!(out.attempts < 100, "budget must bound attempts");
@@ -829,45 +823,32 @@ mod tests {
     }
 
     #[test]
-    fn gated_link_fails_but_proxy_still_pays_for_transmitting() {
+    fn gated_link_fails_and_the_down_sensor_pays_nothing() {
         let mut ch = DownlinkChannel::perfect();
         ch.set_link_up(false);
         let mut node = archived_node();
-        let mut ledger = EnergyLedger::new();
         let rx_before = node.ledger().total();
-        let out = ch.rpc(SimTime::from_hours(2), &pull(6), &mut node, &mac(), &mut ledger);
+        let out = ch.rpc(SimTime::from_hours(2), &pull(6), &mut node, &mac());
         assert!(!out.delivered);
-        // The proxy cannot know the sensor is down before transmitting:
-        // every attempt pays preamble + frames into the void…
-        assert!(
-            ledger.total() > 0.0,
-            "transmissions towards a down sensor must cost energy"
-        );
-        // …while the crashed sensor's radio is off and pays nothing.
+        // The crashed sensor's radio is off: it pays nothing.
         assert_eq!(node.ledger().total(), rx_before);
         assert!(ch.stats().blocked_link_down >= 1);
         // Reopening restores service.
         ch.set_link_up(true);
-        let out = ch.rpc(SimTime::from_hours(2), &pull(7), &mut node, &mac(), &mut ledger);
+        let out = ch.rpc(SimTime::from_hours(2), &pull(7), &mut node, &mac());
         assert!(out.delivered);
     }
 
     /// Pumps with an effectively unlimited attempt budget.
-    fn pump_all(
-        ch: &mut DownlinkChannel,
-        t: SimTime,
-        node: &mut SensorNode,
-        ledger: &mut EnergyLedger,
-    ) -> Vec<AsyncRpcEvent> {
+    fn pump_all(ch: &mut DownlinkChannel, t: SimTime, node: &mut SensorNode) -> Vec<AsyncRpcEvent> {
         let mut budget = u32::MAX;
-        ch.pump_async(t, node, &mac(), ledger, &mut budget)
+        ch.pump_async(t, node, &mac(), &mut budget)
     }
 
     #[test]
     fn async_rpcs_are_multi_outstanding_and_drain() {
         let mut ch = DownlinkChannel::perfect();
         let mut node = archived_node();
-        let mut ledger = EnergyLedger::new();
         let t = SimTime::from_hours(2);
         let deadline = t + SimDuration::from_mins(10);
         for q in 0..5u64 {
@@ -875,7 +856,7 @@ mod tests {
         }
         assert_eq!(ch.async_in_flight(), 5, "pending table holds all five");
         assert_eq!(ch.stats().max_in_flight, 5);
-        let events = pump_all(&mut ch, t, &mut node, &mut ledger);
+        let events = pump_all(&mut ch, t, &mut node);
         assert_eq!(events.len(), 5);
         let mut qids: Vec<u64> = events
             .iter()
@@ -902,16 +883,15 @@ mod tests {
         let timeout = RPC_TIMEOUT;
         let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
         let mut node = archived_node();
-        let mut ledger = EnergyLedger::new();
         let t = SimTime::from_hours(2);
         ch.submit_async(t, pull(1), t + SimDuration::from_mins(10));
-        assert!(pump_all(&mut ch, t, &mut node, &mut ledger).is_empty());
+        assert!(pump_all(&mut ch, t, &mut node).is_empty());
         assert_eq!(ch.async_in_flight(), 1, "lost RPC stays outstanding");
         // Not due yet: pumping again immediately does nothing.
-        assert!(pump_all(&mut ch, t, &mut node, &mut ledger).is_empty());
+        assert!(pump_all(&mut ch, t, &mut node).is_empty());
         assert_eq!(ch.stats().retransmits, 0);
         // After the timeout the retransmission goes out and completes.
-        let events = pump_all(&mut ch, t + timeout, &mut node, &mut ledger);
+        let events = pump_all(&mut ch, t + timeout, &mut node);
         assert_eq!(events.len(), 1);
         assert!(matches!(
             events[0],
@@ -929,14 +909,13 @@ mod tests {
         };
         let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
         let mut node = archived_node();
-        let mut ledger = EnergyLedger::new();
         let t = SimTime::from_hours(2);
         let deadline = t + SimDuration::from_secs(20);
         ch.submit_async(t, pull(7), deadline);
         let mut now = t;
         let mut expired = None;
         for _ in 0..10 {
-            for e in pump_all(&mut ch, now, &mut node, &mut ledger) {
+            for e in pump_all(&mut ch, now, &mut node) {
                 expired = Some(e);
             }
             now += SimDuration::from_secs(10);
@@ -970,13 +949,12 @@ mod tests {
         };
         let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
         let mut node = archived_node();
-        let mut ledger = EnergyLedger::new();
         let t = SimTime::from_hours(2);
         for q in 0..5u64 {
             ch.submit_async(t, pull(q), t + SimDuration::from_mins(10));
         }
         let mut budget = 2u32;
-        ch.pump_async(t, &mut node, &mac(), &mut ledger, &mut budget);
+        ch.pump_async(t, &mut node, &mac(), &mut budget);
         assert_eq!(budget, 0);
         assert_eq!(
             ch.stats().requests_lost,
@@ -1002,18 +980,17 @@ mod tests {
         let timeout = RPC_TIMEOUT;
         let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
         let mut node = archived_node();
-        let mut ledger = EnergyLedger::new();
         let t = SimTime::from_hours(2);
         ch.submit_async(t, pull(1), t + SimDuration::from_hours(2));
         // Attempt 1 (free) lost; retry 1 (affordable) lost; retry 2
         // cannot afford the drained bucket and defers.
-        assert!(pump_all(&mut ch, t, &mut node, &mut ledger).is_empty());
-        assert!(pump_all(&mut ch, t + timeout, &mut node, &mut ledger).is_empty());
-        assert!(pump_all(&mut ch, t + timeout * 2, &mut node, &mut ledger).is_empty());
+        assert!(pump_all(&mut ch, t, &mut node).is_empty());
+        assert!(pump_all(&mut ch, t + timeout, &mut node).is_empty());
+        assert!(pump_all(&mut ch, t + timeout * 2, &mut node).is_empty());
         assert!(ch.stats().deferred_budget >= 1);
         assert_eq!(ch.async_in_flight(), 1, "deferred RPC must survive");
         // An hour later the bucket refilled; the retry completes.
-        let events = pump_all(&mut ch, t + SimDuration::from_hours(1), &mut node, &mut ledger);
+        let events = pump_all(&mut ch, t + SimDuration::from_hours(1), &mut node);
         assert_eq!(events.len(), 1);
         assert!(matches!(events[0], AsyncRpcEvent::Completed { query_id: 1, .. }));
     }
@@ -1029,7 +1006,6 @@ mod tests {
             };
             let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
             let mut node = archived_node();
-            let mut ledger = EnergyLedger::new();
             (0..32u64)
                 .map(|i| {
                     let out = ch.rpc(
@@ -1037,7 +1013,6 @@ mod tests {
                         &pull(i),
                         &mut node,
                         &mac(),
-                        &mut ledger,
                     );
                     (out.delivered, out.attempts)
                 })

@@ -149,8 +149,9 @@ impl SensorNode {
         &self.ledger
     }
 
-    /// Mutable ledger access, used by the proxy's downlink MAC to charge
-    /// this node's reception energy.
+    /// Mutable ledger access, used by the downlink MAC to charge this
+    /// node's reception energy and by the fabric to bill its
+    /// retransmissions.
     pub fn ledger_mut(&mut self) -> &mut EnergyLedger {
         &mut self.ledger
     }
@@ -194,16 +195,10 @@ impl SensorNode {
 
     /// Transmits a payload over the uplink; returns the message if every
     /// fragment was delivered.
-    fn send(
-        &mut self,
-        t: SimTime,
-        wire_bytes: usize,
-        payload: UplinkPayload,
-        proxy_ledger: Option<&mut EnergyLedger>,
-    ) -> Option<UplinkMsg> {
+    fn send(&mut self, t: SimTime, wire_bytes: usize, payload: UplinkPayload) -> Option<UplinkMsg> {
         let outcome = self
             .uplink
-            .send(wire_bytes, &mut self.link, &mut self.ledger, proxy_ledger);
+            .send(wire_bytes, &mut self.link, &mut self.ledger, true);
         self.stats.bytes_sent += wire_bytes as u64;
         if outcome.delivered {
             self.last_delivered_tx = self.last_delivered_tx.max(t);
@@ -252,7 +247,6 @@ impl SensorNode {
         &mut self,
         t: SimTime,
         every: presto_sim::SimDuration,
-        proxy_ledger: Option<&mut EnergyLedger>,
     ) -> Option<UplinkMsg> {
         if t - self.last_delivered_tx < every {
             return None;
@@ -263,7 +257,6 @@ impl SensorNode {
             t,
             wire::HEARTBEAT,
             UplinkPayload::Heartbeat { archived_through },
-            proxy_ledger,
         );
         if msg.is_some() {
             self.stats.heartbeats_sent += 1;
@@ -277,12 +270,7 @@ impl SensorNode {
 
     /// Acquires one sample: archives it, runs the push policy, and
     /// returns any messages that reached the proxy.
-    pub fn on_sample(
-        &mut self,
-        t: SimTime,
-        value: f64,
-        mut proxy_ledger: Option<&mut EnergyLedger>,
-    ) -> Vec<UplinkMsg> {
+    pub fn on_sample(&mut self, t: SimTime, value: f64) -> Vec<UplinkMsg> {
         self.advance_to(t);
         self.stats.samples += 1;
         self.ledger.charge(EnergyCategory::Sensing, SENSING_J);
@@ -304,7 +292,6 @@ impl SensorNode {
                     t,
                     wire::SEGMENT_SEAL,
                     UplinkPayload::SegmentSeal { start, end },
-                    proxy_ledger.as_deref_mut(),
                 ) {
                     Some(m) => {
                         self.pending_seals.remove(0);
@@ -325,7 +312,6 @@ impl SensorNode {
                         t,
                         wire::DEVIATION,
                         UplinkPayload::Deviation { value, predicted },
-                        proxy_ledger.as_deref_mut(),
                     ) {
                         out.push(m);
                     }
@@ -340,12 +326,7 @@ impl SensorNode {
                 if trigger {
                     self.last_pushed = Some(value);
                     self.stats.values_pushed += 1;
-                    if let Some(m) = self.send(
-                        t,
-                        wire::VALUE,
-                        UplinkPayload::Value { value },
-                        proxy_ledger.as_deref_mut(),
-                    ) {
+                    if let Some(m) = self.send(t, wire::VALUE, UplinkPayload::Value { value }) {
                         out.push(m);
                     }
                 }
@@ -353,7 +334,7 @@ impl SensorNode {
             PushPolicy::Batched { interval, .. } => {
                 self.batch.push((t, value));
                 if t - self.last_flush >= interval {
-                    if let Some(m) = self.flush_batch(t, proxy_ledger) {
+                    if let Some(m) = self.flush_batch(t) {
                         out.push(m);
                     }
                 }
@@ -389,11 +370,7 @@ impl SensorNode {
 
     /// Flushes the accumulated batch (used by the batched policy and by
     /// the end-of-run drain in experiments).
-    pub fn flush_batch(
-        &mut self,
-        t: SimTime,
-        proxy_ledger: Option<&mut EnergyLedger>,
-    ) -> Option<UplinkMsg> {
+    pub fn flush_batch(&mut self, t: SimTime) -> Option<UplinkMsg> {
         self.last_flush = t;
         if self.batch.is_empty() {
             return None;
@@ -441,18 +418,12 @@ impl SensorNode {
         if let UplinkPayload::Batch { samples, .. } = &payload {
             self.stats.batch_samples_sent += samples.len() as u64;
         }
-        self.send(t, bytes, payload, proxy_ledger)
+        self.send(t, bytes, payload)
     }
 
     /// Reports a semantic event: archived locally, pushed immediately
     /// (rare events are never batched away).
-    pub fn on_event(
-        &mut self,
-        t: SimTime,
-        event_type: u16,
-        data: Vec<u8>,
-        proxy_ledger: Option<&mut EnergyLedger>,
-    ) -> Option<UplinkMsg> {
+    pub fn on_event(&mut self, t: SimTime, event_type: u16, data: Vec<u8>) -> Option<UplinkMsg> {
         self.advance_to(t);
         let _ = self
             .archive
@@ -469,7 +440,6 @@ impl SensorNode {
                 event_type,
                 data: data.into(),
             },
-            proxy_ledger,
         )
     }
 
@@ -484,7 +454,6 @@ impl SensorNode {
         t: SimTime,
         seq: u64,
         msg: &DownlinkMsg,
-        proxy_ledger: Option<&mut EnergyLedger>,
     ) -> Option<UplinkMsg> {
         if let Some(pos) = self.seen_downlinks.iter().position(|(s, _)| *s == seq) {
             self.stats.duplicate_requests += 1;
@@ -497,7 +466,7 @@ impl SensorNode {
                 // Re-send the cached reply over the radio (a fresh
                 // transmission: it costs energy and can fail again).
                 Some(prev) => self
-                    .send(t, prev.wire_bytes, prev.payload, proxy_ledger)
+                    .send(t, prev.wire_bytes, prev.payload)
                     .map(|m| UplinkMsg {
                         // Keep the original send time: the reply content
                         // describes the state at first serving.
@@ -509,14 +478,14 @@ impl SensorNode {
                 // idempotent). Ack-only requests (model update, retune)
                 // were already applied — do NOT re-apply.
                 None if expects_reply => {
-                    let reply = self.handle_downlink(t, msg, proxy_ledger);
+                    let reply = self.handle_downlink(t, msg);
                     self.seen_downlinks[pos].1 = reply.clone();
                     reply
                 }
                 None => None,
             };
         }
-        let reply = self.handle_downlink(t, msg, proxy_ledger);
+        let reply = self.handle_downlink(t, msg);
         self.seen_downlinks.push_back((seq, reply.clone()));
         while self.seen_downlinks.len() > SEEN_DOWNLINK_WINDOW {
             self.seen_downlinks.pop_front();
@@ -524,15 +493,10 @@ impl SensorNode {
         reply
     }
 
-    /// Handles a proxy → sensor message. The proxy charges the radio
-    /// energy of the downlink itself; this method performs the sensor's
-    /// *reaction* (and any reply transmission).
-    pub fn handle_downlink(
-        &mut self,
-        t: SimTime,
-        msg: &DownlinkMsg,
-        proxy_ledger: Option<&mut EnergyLedger>,
-    ) -> Option<UplinkMsg> {
+    /// Handles a proxy → sensor message. The downlink MAC charges this
+    /// node's reception of the request; this method performs the
+    /// sensor's *reaction* (and any reply transmission).
+    pub fn handle_downlink(&mut self, t: SimTime, msg: &DownlinkMsg) -> Option<UplinkMsg> {
         self.advance_to(t);
         match msg {
             DownlinkMsg::ModelUpdate { kind, params } => {
@@ -575,13 +539,13 @@ impl SensorNode {
                 from,
                 to,
                 tolerance,
-            } => self.serve_pull(t, *query_id, *from, *to, *tolerance, proxy_ledger),
+            } => self.serve_pull(t, *query_id, *from, *to, *tolerance),
             DownlinkMsg::AggregateRequest {
                 query_id,
                 from,
                 to,
                 op,
-            } => self.serve_aggregate(t, *query_id, *from, *to, *op, proxy_ledger),
+            } => self.serve_aggregate(t, *query_id, *from, *to, *op),
         }
     }
 
@@ -595,14 +559,12 @@ impl SensorNode {
         from: SimTime,
         to: SimTime,
         op: crate::msg::AggregateOp,
-        proxy_ledger: Option<&mut EnergyLedger>,
     ) -> Option<UplinkMsg> {
         self.read_rows(from, to);
         self.stats.pulls_served += 1;
         // The evaluation itself costs CPU (~8 cycles per sample).
         self.charge_cpu(self.rows.len() as u64 * 8);
-        let values: Vec<f64> = self.rows.iter().map(|r| r.value).collect();
-        let value = evaluate_aggregate(op, &values);
+        let value = evaluate_aggregate(op, self.rows.iter().map(|r| r.value));
         let sigma = aggregate_sigma(op, self.rows.iter().map(|r| r.quality));
         self.send(
             t,
@@ -610,10 +572,9 @@ impl SensorNode {
             UplinkPayload::AggregateReply {
                 query_id,
                 value,
-                count: u32::try_from(values.len()).unwrap_or(u32::MAX),
+                count: u32::try_from(self.rows.len()).unwrap_or(u32::MAX),
                 sigma,
             },
-            proxy_ledger,
         )
     }
 
@@ -633,7 +594,6 @@ impl SensorNode {
         from: SimTime,
         to: SimTime,
         tolerance: f64,
-        proxy_ledger: Option<&mut EnergyLedger>,
     ) -> Option<UplinkMsg> {
         self.read_rows(from, to);
         // A NOW-style pull whose range holds no archived record is
@@ -687,12 +647,7 @@ impl SensorNode {
             (samples, wire::pull_reply_raw(n))
         };
 
-        self.send(
-            t,
-            bytes,
-            UplinkPayload::PullReply { query_id, samples },
-            proxy_ledger,
-        )
+        self.send(t, bytes, UplinkPayload::PullReply { query_id, samples })
     }
 }
 
@@ -734,16 +689,20 @@ pub fn aggregate_sigma(
     }
 }
 
-/// Evaluates an aggregate operator over a value slice. Returns NaN for
-/// value aggregates over an empty slice (Count returns 0).
-pub fn evaluate_aggregate(op: crate::msg::AggregateOp, values: &[f64]) -> f64 {
+/// Evaluates an aggregate operator over values, in order. Returns NaN
+/// for value aggregates over no values (Count returns 0).
+pub fn evaluate_aggregate(
+    op: crate::msg::AggregateOp,
+    values: impl IntoIterator<Item = f64>,
+) -> f64 {
     use crate::msg::AggregateOp;
-    match op {
-        AggregateOp::Count => values.len() as f64,
-        _ if values.is_empty() => f64::NAN,
-        AggregateOp::Mean => values.iter().sum::<f64>() / values.len() as f64,
-        AggregateOp::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        AggregateOp::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
+    let mut n = 0usize;
+    let values = values.into_iter().inspect(|_| n += 1);
+    let folded = match op {
+        AggregateOp::Count => values.count() as f64,
+        AggregateOp::Mean => values.sum::<f64>(),
+        AggregateOp::Max => values.fold(f64::NEG_INFINITY, f64::max),
+        AggregateOp::Min => values.fold(f64::INFINITY, f64::min),
         AggregateOp::Mode { bin_width } => {
             let w = if bin_width > 0.0 && bin_width.is_finite() {
                 bin_width
@@ -752,20 +711,25 @@ pub fn evaluate_aggregate(op: crate::msg::AggregateOp, values: &[f64]) -> f64 {
             };
             let mut counts: std::collections::BTreeMap<i64, (u64, f64)> =
                 std::collections::BTreeMap::new();
-            for &v in values {
+            for v in values {
                 let bin = (v / w).floor() as i64;
                 let e = counts.entry(bin).or_insert((0, 0.0));
                 e.0 += 1;
                 e.1 += v;
             }
-            // Deterministic tie-break: higher count, then lower bin. The
-            // empty-values case was handled above, so the map is
-            // non-empty; fall back to NaN (honest "no data") regardless.
+            // Deterministic tie-break: higher count, then lower bin. An
+            // empty map is "no data", NaN, as below.
             counts
                 .iter()
                 .max_by_key(|(bin, (n, _))| (*n, std::cmp::Reverse(**bin)))
                 .map_or(f64::NAN, |(_, &(n, sum))| sum / n as f64)
         }
+    };
+    match op {
+        AggregateOp::Count => folded,
+        _ if n == 0 => f64::NAN,
+        AggregateOp::Mean => folded / n as f64,
+        _ => folded,
     }
 }
 
@@ -823,12 +787,12 @@ mod tests {
     #[test]
     fn model_driven_stays_silent_on_predictable_data() {
         let mut n = node(PushPolicy::ModelDriven { tolerance: 1.0 });
-        n.handle_downlink(SimTime::ZERO, &trained_model_update(), None);
+        n.handle_downlink(SimTime::ZERO, &trained_model_update());
         assert!(n.has_model());
         let mut pushes = 0;
         for i in 0..2000u64 {
             let t = SimTime::from_days(8) + SimDuration::from_secs(31 * i);
-            pushes += n.on_sample(t, diurnal_value(t), None).len();
+            pushes += n.on_sample(t, diurnal_value(t)).len();
         }
         // Perfectly diurnal data: almost nothing should be pushed.
         assert!(pushes < 20, "{pushes} pushes on predictable data");
@@ -837,15 +801,15 @@ mod tests {
     #[test]
     fn model_driven_pushes_rare_events() {
         let mut n = node(PushPolicy::ModelDriven { tolerance: 1.0 });
-        n.handle_downlink(SimTime::ZERO, &trained_model_update(), None);
+        n.handle_downlink(SimTime::ZERO, &trained_model_update());
         let t = SimTime::from_days(8);
         // Warm up with conforming samples.
         for i in 0..10u64 {
-            n.on_sample(t + SimDuration::from_secs(31 * i), diurnal_value(t), None);
+            n.on_sample(t + SimDuration::from_secs(31 * i), diurnal_value(t));
         }
         // Inject a spike.
         let spike_t = t + SimDuration::from_secs(31 * 11);
-        let msgs = n.on_sample(spike_t, diurnal_value(spike_t) + 9.0, None);
+        let msgs = n.on_sample(spike_t, diurnal_value(spike_t) + 9.0);
         assert_eq!(msgs.len(), 1, "spike not pushed");
         match &msgs[0].payload {
             UplinkPayload::Deviation { value, predicted } => {
@@ -861,7 +825,7 @@ mod tests {
         let mut pushed = 0;
         for i in 0..50u64 {
             let t = SimTime::from_secs(31 * i);
-            pushed += n.on_sample(t, 20.0, None).len();
+            pushed += n.on_sample(t, 20.0).len();
         }
         assert_eq!(pushed, 50, "no-model sensor must push everything");
     }
@@ -871,24 +835,12 @@ mod tests {
         let mut n = node(PushPolicy::ValueDriven { delta: 1.0 });
         let t = SimTime::ZERO;
         // First sample always pushes.
-        assert_eq!(n.on_sample(t, 20.0, None).len(), 1);
+        assert_eq!(n.on_sample(t, 20.0).len(), 1);
         // Small moves do not.
-        assert_eq!(
-            n.on_sample(t + SimDuration::from_secs(31), 20.5, None)
-                .len(),
-            0
-        );
-        assert_eq!(
-            n.on_sample(t + SimDuration::from_secs(62), 20.9, None)
-                .len(),
-            0
-        );
+        assert_eq!(n.on_sample(t + SimDuration::from_secs(31), 20.5).len(), 0);
+        assert_eq!(n.on_sample(t + SimDuration::from_secs(62), 20.9).len(), 0);
         // Crossing delta from the last *pushed* value does.
-        assert_eq!(
-            n.on_sample(t + SimDuration::from_secs(93), 21.2, None)
-                .len(),
-            1
-        );
+        assert_eq!(n.on_sample(t + SimDuration::from_secs(93), 21.2).len(), 1);
     }
 
     #[test]
@@ -900,7 +852,7 @@ mod tests {
         let mut msgs = Vec::new();
         for i in 0..64u64 {
             let t = SimTime::ZERO + SimDuration::from_secs(31) * i;
-            msgs.extend(n.on_sample(t, 20.0 + i as f64 * 0.01, None));
+            msgs.extend(n.on_sample(t, 20.0 + i as f64 * 0.01));
         }
         assert_eq!(msgs.len(), 2, "expected two flushes in ~33 minutes");
         match &msgs[0].payload {
@@ -925,7 +877,7 @@ mod tests {
             let mut msgs = Vec::new();
             for i in 0..130u64 {
                 let t = SimTime::ZERO + SimDuration::from_secs(31) * i;
-                msgs.extend(n.on_sample(t, diurnal_value(t), None));
+                msgs.extend(n.on_sample(t, diurnal_value(t)));
             }
             msgs
         };
@@ -952,7 +904,7 @@ mod tests {
             compression: None,
         });
         let t = SimTime::from_mins(5);
-        let msg = n.on_event(t, 42, vec![1, 2, 3], None).unwrap();
+        let msg = n.on_event(t, 42, vec![1, 2, 3]).unwrap();
         assert!(matches!(
             msg.payload,
             UplinkPayload::Event { event_type: 42, .. }
@@ -975,7 +927,7 @@ mod tests {
             })
             .collect();
         for &(t, v) in &truth {
-            n.on_sample(t, v, None);
+            n.on_sample(t, v);
         }
         let req = DownlinkMsg::PullRequest {
             query_id: 99,
@@ -984,7 +936,7 @@ mod tests {
             tolerance: 0.3,
         };
         let reply = n
-            .handle_downlink(SimTime::from_secs(31 * 201), &req, None)
+            .handle_downlink(SimTime::from_secs(31 * 201), &req)
             .unwrap();
         let UplinkPayload::PullReply { query_id, samples } = &reply.payload else {
             panic!("wrong payload");
@@ -1007,7 +959,7 @@ mod tests {
             lpl_check_interval: Some(SimDuration::from_secs(8)),
             reply_codec: Some(CodecParams::for_tolerance(1.0)),
         };
-        n.handle_downlink(SimTime::from_secs(10), &retune, None);
+        n.handle_downlink(SimTime::from_secs(10), &retune);
         match n.config.push {
             PushPolicy::ModelDriven { tolerance } => assert_eq!(tolerance, 2.5),
             _ => panic!("policy changed unexpectedly"),
@@ -1039,7 +991,7 @@ mod tests {
                 presto_sim::SimRng::new(1),
             ),
         );
-        let msgs = n.on_sample(SimTime::ZERO, 20.0, None);
+        let msgs = n.on_sample(SimTime::ZERO, 20.0);
         assert!(msgs.is_empty());
         assert_eq!(n.stats().push_failures, 1);
     }
@@ -1049,7 +1001,7 @@ mod tests {
         let mut n = node(PushPolicy::Silent);
         for i in 0..100u64 {
             let t = SimTime::ZERO + SimDuration::from_secs(31) * i;
-            assert!(n.on_sample(t, 20.0, None).is_empty());
+            assert!(n.on_sample(t, 20.0).is_empty());
         }
         assert_eq!(n.stats().bytes_sent, 0);
         assert_eq!(n.ledger().category(EnergyCategory::RadioTx), 0.0);
@@ -1060,19 +1012,20 @@ mod tests {
     fn evaluate_aggregate_operators() {
         use crate::msg::AggregateOp;
         let xs = [1.0, 2.0, 2.0, 3.0, 10.0];
-        assert_eq!(evaluate_aggregate(AggregateOp::Mean, &xs), 3.6);
-        assert_eq!(evaluate_aggregate(AggregateOp::Max, &xs), 10.0);
-        assert_eq!(evaluate_aggregate(AggregateOp::Min, &xs), 1.0);
-        assert_eq!(evaluate_aggregate(AggregateOp::Count, &xs), 5.0);
+        let eval = |op| evaluate_aggregate(op, xs.iter().copied());
+        assert_eq!(eval(AggregateOp::Mean), 3.6);
+        assert_eq!(eval(AggregateOp::Max), 10.0);
+        assert_eq!(eval(AggregateOp::Min), 1.0);
+        assert_eq!(eval(AggregateOp::Count), 5.0);
         // Mode with unit bins: the 2.0 bin holds two samples.
-        let mode = evaluate_aggregate(AggregateOp::Mode { bin_width: 1.0 }, &xs);
-        assert_eq!(mode, 2.0);
+        assert_eq!(eval(AggregateOp::Mode { bin_width: 1.0 }), 2.0);
         // Empty inputs: Count is 0, value aggregates are NaN.
-        assert_eq!(evaluate_aggregate(AggregateOp::Count, &[]), 0.0);
-        assert!(evaluate_aggregate(AggregateOp::Mean, &[]).is_nan());
+        assert_eq!(evaluate_aggregate(AggregateOp::Count, []), 0.0);
+        assert!(evaluate_aggregate(AggregateOp::Mean, []).is_nan());
+        assert!(evaluate_aggregate(AggregateOp::Max, []).is_nan());
         // Degenerate bin width falls back to 1.0 rather than dividing
         // by zero.
-        let m = evaluate_aggregate(AggregateOp::Mode { bin_width: 0.0 }, &xs);
+        let m = eval(AggregateOp::Mode { bin_width: 0.0 });
         assert!(m.is_finite());
     }
 
@@ -1081,7 +1034,7 @@ mod tests {
         let mut n = node(PushPolicy::Silent);
         for i in 0..100u64 {
             let t = SimTime::ZERO + SimDuration::from_secs(31) * i;
-            n.on_sample(t, diurnal_value(t), None);
+            n.on_sample(t, diurnal_value(t));
         }
         let req = DownlinkMsg::PullRequest {
             query_id: 7,
@@ -1090,18 +1043,30 @@ mod tests {
             tolerance: 0.3,
         };
         let t = SimTime::from_secs(31 * 101);
-        let first = n.handle_sequenced_downlink(t, 0, &req, None).unwrap();
+        let first = n.handle_sequenced_downlink(t, 0, &req).unwrap();
         assert_eq!(n.stats().pulls_served, 1);
+        let tx_before = n.ledger().category(EnergyCategory::RadioTx);
+        let radio_before = n.ledger().radio_total();
+        let flash_before = n.ledger().category(EnergyCategory::FlashRead);
         // Retransmitted request (same seq): same reply, no second serve.
         let dup = n
-            .handle_sequenced_downlink(t + SimDuration::from_secs(10), 0, &req, None)
+            .handle_sequenced_downlink(t + SimDuration::from_secs(10), 0, &req)
             .unwrap();
         assert_eq!(n.stats().pulls_served, 1, "duplicate re-read the flash");
         assert_eq!(n.stats().duplicate_requests, 1);
+        // The re-send pays a whole transmission again, and no flash read.
+        assert!(n.ledger().category(EnergyCategory::RadioTx) > tx_before);
+        let resend_j = n.ledger().radio_total() - radio_before;
+        let expected = n.uplink.expected_send_energy(first.wire_bytes);
+        assert!(
+            (resend_j - expected).abs() < 1e-9,
+            "{resend_j} vs {expected}"
+        );
+        assert_eq!(n.ledger().category(EnergyCategory::FlashRead), flash_before);
         assert_eq!(dup.payload, first.payload);
         assert_eq!(dup.sent_at, first.sent_at, "reply describes first serving");
         // A *new* sequence number is served fresh.
-        n.handle_sequenced_downlink(t + SimDuration::from_secs(20), 1, &req, None)
+        n.handle_sequenced_downlink(t + SimDuration::from_secs(20), 1, &req)
             .unwrap();
         assert_eq!(n.stats().pulls_served, 2);
     }
@@ -1111,11 +1076,11 @@ mod tests {
         let mut n = node(PushPolicy::ModelDriven { tolerance: 1.0 });
         let update = trained_model_update();
         assert!(n
-            .handle_sequenced_downlink(SimTime::ZERO, 3, &update, None)
+            .handle_sequenced_downlink(SimTime::ZERO, 3, &update)
             .is_none());
         assert!(n.has_model());
         let checks_before = n.stats().model_checks;
-        n.handle_sequenced_downlink(SimTime::from_secs(5), 3, &update, None);
+        n.handle_sequenced_downlink(SimTime::from_secs(5), 3, &update);
         assert_eq!(n.stats().duplicate_requests, 1);
         assert_eq!(n.stats().model_checks, checks_before);
     }
@@ -1141,7 +1106,7 @@ mod tests {
         );
         for i in 0..50u64 {
             let t = SimTime::ZERO + SimDuration::from_secs(31) * i;
-            n.on_sample(t, 20.0, None);
+            n.on_sample(t, 20.0);
         }
         let req = DownlinkMsg::PullRequest {
             query_id: 9,
@@ -1151,11 +1116,11 @@ mod tests {
         };
         let t = SimTime::from_secs(31 * 51);
         assert!(
-            n.handle_sequenced_downlink(t, 0, &req, None).is_none(),
+            n.handle_sequenced_downlink(t, 0, &req).is_none(),
             "first reply must die at the MAC"
         );
         // Retransmitted request: nothing was cached, so serve again.
-        let retry = n.handle_sequenced_downlink(t + SimDuration::from_secs(10), 0, &req, None);
+        let retry = n.handle_sequenced_downlink(t + SimDuration::from_secs(10), 0, &req);
         assert!(retry.is_some(), "retransmit must recover the reply");
         assert_eq!(n.stats().duplicate_requests, 1);
     }
@@ -1201,7 +1166,7 @@ mod tests {
         let mut n = node(PushPolicy::Silent);
         for i in 0..500u64 {
             let t = SimTime::ZERO + SimDuration::from_secs(31) * i;
-            n.on_sample(t, diurnal_value(t), None);
+            n.on_sample(t, diurnal_value(t));
         }
         let req = DownlinkMsg::AggregateRequest {
             query_id: 5,
@@ -1210,7 +1175,7 @@ mod tests {
             op: AggregateOp::Max,
         };
         let reply = n
-            .handle_downlink(SimTime::from_secs(31 * 501), &req, None)
+            .handle_downlink(SimTime::from_secs(31 * 501), &req)
             .unwrap();
         // The reply is a single scalar, far smaller than a pull of the
         // same range.
@@ -1241,8 +1206,8 @@ mod tests {
         );
         for i in 0..4000u64 {
             let t = SimTime::ZERO + SimDuration::from_secs(31) * i;
-            bare.on_sample(t, diurnal_value(t), None);
-            announcing.on_sample(t, diurnal_value(t), None);
+            bare.on_sample(t, diurnal_value(t));
+            announcing.on_sample(t, diurnal_value(t));
         }
         assert!(
             announcing.stats().seals_sent >= 2,

@@ -36,7 +36,7 @@ fn archive_appends_and_repeat_pulls_make_no_scratch_allocations() {
     let before = allocation_count();
     for i in 0..SAMPLES {
         let value = 20.0 + (i as f64 * 0.01).sin();
-        assert!(node.on_sample(at(i), value, None).is_empty());
+        assert!(node.on_sample(at(i), value).is_empty());
     }
     let append_allocs = allocation_count() - before;
     assert!(
@@ -54,7 +54,7 @@ fn archive_appends_and_repeat_pulls_make_no_scratch_allocations() {
     };
     let now = at(SAMPLES);
     let warm = node
-        .handle_sequenced_downlink(now, 0, &pull, None)
+        .handle_sequenced_downlink(now, 0, &pull)
         .expect("a perfect link delivers the reply");
     let UplinkPayload::PullReply { samples, .. } = &warm.payload else {
         panic!("pull answered with {:?}", warm.payload);
@@ -66,7 +66,7 @@ fn archive_appends_and_repeat_pulls_make_no_scratch_allocations() {
     // copy of the reply, and nothing else.
     let before = allocation_count();
     for seq in 1..=PULLS {
-        let reply = node.handle_sequenced_downlink(now, seq, &pull, None);
+        let reply = node.handle_sequenced_downlink(now, seq, &pull);
         assert!(reply.is_some(), "pull {seq} lost on a perfect link");
     }
     let pull_allocs = allocation_count() - before;

@@ -44,7 +44,6 @@ fn main() {
             kind: ModelKind::SeasonalAr,
             params: model.encode_params(),
         },
-        None,
     );
 
     // A live week with ~1.5 anomalies per day.
@@ -54,7 +53,7 @@ fn main() {
     let mut level_pushes = 0usize;
     let mut anomalies = 0usize;
     for s in &live {
-        let msgs = node.on_sample(s.timestamp, s.level, None);
+        let msgs = node.on_sample(s.timestamp, s.level);
         level_pushes += msgs
             .iter()
             .filter(|m| matches!(m.payload, UplinkPayload::Deviation { .. }))
@@ -62,7 +61,7 @@ fn main() {
         if s.anomaly_onset {
             anomalies += 1;
             if node
-                .on_event(s.timestamp, s.state.code(), Vec::new(), None)
+                .on_event(s.timestamp, s.state.code(), Vec::new())
                 .is_some()
             {
                 anomaly_reports += 1;

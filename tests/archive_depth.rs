@@ -65,7 +65,7 @@ fn pull_reply_precision_tracks_query_tolerance() {
             LinkModel::perfect(),
         );
         for &(t, v) in &trace {
-            node.on_sample(t, v, None);
+            node.on_sample(t, v);
         }
         let mut proxy = PrestoProxy::new(ProxyConfig::default());
         proxy.register_sensor(0);
@@ -161,7 +161,7 @@ fn proxy_extrapolated_past_answers_respect_the_guarantee() {
     proxy.register_sensor(0);
     let mut link = DownlinkChannel::perfect();
     for (i, &(t, v)) in trace.iter().enumerate() {
-        for msg in node.on_sample(t, v, None) {
+        for msg in node.on_sample(t, v) {
             proxy.on_uplink(&msg);
         }
         if i % 240 == 0 {

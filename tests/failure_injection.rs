@@ -83,7 +83,7 @@ fn bursty_loss_degrades_but_does_not_corrupt() {
         paired(PushPolicy::ModelDriven { tolerance: 1.0 }, 0.25, 5);
     let mut trained = false;
     for (i, r) in trace.iter().enumerate() {
-        for msg in node.on_sample(r.timestamp, r.value, None) {
+        for msg in node.on_sample(r.timestamp, r.value) {
             proxy.on_uplink(&msg);
         }
         if i % 240 == 0 {
@@ -125,7 +125,7 @@ fn sensor_that_stops_midway_still_serves_its_past() {
     // Sensor alive for the first half only.
     let half = trace.len() / 2;
     for (i, r) in trace[..half].iter().enumerate() {
-        for msg in node.on_sample(r.timestamp, r.value, None) {
+        for msg in node.on_sample(r.timestamp, r.value) {
             proxy.on_uplink(&msg);
         }
         if i % 240 == 0 {
@@ -146,7 +146,7 @@ fn lost_model_update_never_installs_a_divergent_replica() {
     let (mut proxy, mut node, _) = paired(PushPolicy::ModelDriven { tolerance: 1.0 }, 0.0, 8);
     let mut dead = DownlinkChannel::over(LinkModel::new(LossProcess::Bernoulli(1.0), SimRng::new(10)));
     for r in &trace[..3000] {
-        for msg in node.on_sample(r.timestamp, r.value, None) {
+        for msg in node.on_sample(r.timestamp, r.value) {
             proxy.on_uplink(&msg);
         }
     }
@@ -156,7 +156,7 @@ fn lost_model_update_never_installs_a_divergent_replica() {
     assert!(!node.has_model());
     // The sensor keeps pushing everything (safe default).
     let r = &trace[3001];
-    let msgs = node.on_sample(r.timestamp, r.value, None);
+    let msgs = node.on_sample(r.timestamp, r.value);
     assert_eq!(msgs.len(), 1);
 }
 
@@ -165,7 +165,7 @@ fn retries_recover_moderate_downlink_loss() {
     let trace = lab_trace(2, 34);
     let (mut proxy, mut node, _) = paired(PushPolicy::ModelDriven { tolerance: 1.0 }, 0.0, 11);
     for r in &trace[..3000] {
-        for msg in node.on_sample(r.timestamp, r.value, None) {
+        for msg in node.on_sample(r.timestamp, r.value) {
             proxy.on_uplink(&msg);
         }
     }

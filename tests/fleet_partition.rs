@@ -148,7 +148,7 @@ impl Reference {
             let mut lab = LabDeployment::new(quiet_lab(), seed.wrapping_add(p as u64 * 101));
             for _ in 0..epochs {
                 for (s, r) in lab.step().iter().enumerate() {
-                    nodes[p * SPP + s].on_sample(r.timestamp, r.value, None);
+                    nodes[p * SPP + s].on_sample(r.timestamp, r.value);
                 }
             }
         }

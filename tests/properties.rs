@@ -39,13 +39,13 @@ proptest! {
         for (i, &v) in values.iter().enumerate() {
             let t = SimTime::ZERO + SimDuration::from_secs(31) * i as u64;
             last_t = t;
-            for msg in node.on_sample(t, v, None) {
+            for msg in node.on_sample(t, v) {
                 if let UplinkPayload::Batch { samples, .. } = msg.payload {
                     received.extend(samples);
                 }
             }
         }
-        if let Some(msg) = node.flush_batch(last_t, None) {
+        if let Some(msg) = node.flush_batch(last_t) {
             if let UplinkPayload::Batch { samples, .. } = msg.payload {
                 received.extend(samples);
             }
@@ -190,7 +190,6 @@ proptest! {
                 kind: presto::models::ModelKind::LinearTrend,
                 params: model.encode_params(),
             },
-            None,
         );
         prop_assert!(node.has_model());
 
@@ -204,7 +203,7 @@ proptest! {
         for (i, d) in steps.iter().enumerate() {
             value += d;
             let t = start + SimDuration::from_secs(31 * i as u64);
-            let pushed = !node.on_sample(t, value, None).is_empty();
+            let pushed = !node.on_sample(t, value).is_empty();
             if pushed {
                 replica.observe(t, value);
             } else {

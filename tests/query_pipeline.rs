@@ -38,7 +38,7 @@ fn archived_node() -> SensorNode {
     );
     for i in 0..(86_400 / 31) {
         let t = SimTime::from_secs(31 * i);
-        n.on_sample(t, diurnal(t), None);
+        n.on_sample(t, diurnal(t));
     }
     n
 }
