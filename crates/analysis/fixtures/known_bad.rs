@@ -23,6 +23,17 @@ impl Default for OrphanConfig {
     }
 }
 
+// K1: a `*Params` struct is a knob struct too.
+pub struct OrphanParams {
+    pub rate: f64,
+}
+
+impl Default for OrphanParams {
+    fn default() -> Self {
+        OrphanParams { rate: 1.0 }
+    }
+}
+
 // A0: annotation names an unknown lint.
 // presto-lint: allow(bogus, this rule id does not exist)
 pub fn lookup(map: &HashMap<u16, f64>, key: usize) -> f64 {

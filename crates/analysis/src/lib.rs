@@ -36,8 +36,8 @@
 //!   hidden; ANALYSIS.md has the compiler audit that finds those.
 //!   Examples, benches and `perfbench/src/` are read as callers but never
 //!   linted.
-//! - **K1 `knob`** — a `pub` field of a `pub struct *Config`/`*Bounds` in
-//!   library code that nothing sets. A setter is a literal of that struct
+//! - **K1 `knob`** — a `pub` field of a `pub struct *Config`/`*Bounds`/
+//!   `*Params` in library code that nothing sets. A setter is a literal of that struct
 //!   (`Name { field: .. }`, shorthand, or `Self { .. }` inside an `impl` of
 //!   it, but not the literal in its own `impl Default`) or an assignment
 //!   through a `.field` path segment (`=`, `+=`, ... on any receiver,
@@ -810,17 +810,17 @@ fn scan_unused(ctx: &mut FileCtx, file_idx: usize, refs: &Refs) {
 // K1: config knobs nothing sets
 // ---------------------------------------------------------------------------
 
-/// Whether K1 checks a struct's fields: its name ends in `Config` or
-/// `Bounds`.
+/// Whether K1 checks a struct's fields: its name ends in `Config`,
+/// `Bounds` or `Params`.
 fn is_knob_struct(name: &str) -> bool {
-    ["Config", "Bounds"]
+    ["Config", "Bounds", "Params"]
         .iter()
         .any(|s| name.len() > s.len() && name.ends_with(s))
 }
 
 #[derive(Default)]
 struct KnobIndex {
-    /// `pub` fields of `pub struct *Config`/`*Bounds` in library code
+    /// `pub` fields of `pub struct *Config`/`*Bounds`/`*Params` in library code
     /// outside tests: (struct, field, file index, line).
     fields: Vec<(String, String, usize, usize)>,
     /// (struct, field) pairs named in a literal of that struct.
@@ -890,8 +890,8 @@ const NOT_LITERAL_AFTER: &[&str] = &[
     "struct", "enum", "union", "trait", "impl", "for", "mod", "fn", "dyn",
 ];
 
-/// Record the `pub` fields of the library's `pub struct *Config`/`*Bounds`
-/// declarations outside test code.
+/// Record the `pub` fields of the library's `pub struct
+/// *Config`/`*Bounds`/`*Params` declarations outside test code.
 fn index_knob_fields(ctx: &FileCtx, file_idx: usize, idx: &mut KnobIndex) {
     let toks = &ctx.tokens;
     for i in 0..toks.len().saturating_sub(3) {

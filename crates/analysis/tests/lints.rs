@@ -589,6 +589,13 @@ fn known_bad_fixture_fires_every_lint_class() {
         "a pub fn only mentioned, never called, must fire U1: {:?}",
         r.violations
     );
+    assert!(
+        k1_messages(&r)
+            .iter()
+            .any(|m| m.contains("`OrphanParams::rate`")),
+        "a `*Params` field nothing sets must fire K1: {:?}",
+        r.violations
+    );
     assert_eq!(r.allows_honored, 0);
 }
 

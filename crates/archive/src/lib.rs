@@ -14,8 +14,8 @@
 //! * [`store::ArchiveStore`] — a log-structured, append-only store with
 //!   an in-RAM per-segment time index and FIFO block reclamation.
 //! * graceful aging: when the flash fills, the oldest segment's scalar
-//!   data is folded into a wavelet [`presto_wavelet::AgedSummary`]
-//!   (re-aged again on later passes), so old history degrades in
+//!   data is folded into a wavelet summary
+//!   ([`presto_wavelet::AgingLadder`], re-aged again on later passes), so old history degrades in
 //!   resolution instead of vanishing (paper §4, citing \[10\]).
 
 pub mod flash;

@@ -11,7 +11,6 @@
 //! Wire layout: `kind:u8 · ts_micros:u64 LE · len:u16 LE · payload`.
 
 use presto_sim::SimTime;
-use presto_wavelet::AgedSummary;
 
 /// Data quality tag attached to query results.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -202,29 +201,20 @@ impl Record {
     }
 }
 
-/// Builds a summary record from an [`AgedSummary`] produced by the aging
-/// ladder. The summary's serialized form embeds its own quantizer step.
+/// Builds a summary record from what
+/// [`presto_wavelet::AgingLadder::summarize`] returns: the level it used
+/// and the batch reconstructed at original length. The record stores
+/// the reconstruction at that level's resolution, one `f32` per
+/// `2^level` original samples.
 pub fn summary_record(
     t_now: SimTime,
     level: u8,
     start: SimTime,
     end: SimTime,
     count: u32,
-    summary: &AgedSummary,
+    (used, recon): (usize, Vec<f64>),
 ) -> Record {
-    // Serialize: original_len:u32 · quant_step:f32 · level:u8 · packed.
-    // AgedSummary exposes reconstruct(); to persist it we re-encode the
-    // reconstruction compactly through the codec at matching tolerance.
-    // Cheaper: store reconstructed values quantized — but that forfeits
-    // the ladder. Instead store the reconstruction at the summary's
-    // resolution: one value per 2^level original samples.
-    let recon = summary.reconstruct();
-    let stride = 1usize << summary.level;
-    let decimated: Vec<f32> = recon
-        .iter()
-        .step_by(stride.max(1))
-        .map(|&v| v as f32)
-        .collect();
+    let decimated: Vec<f32> = recon.iter().step_by(1 << used).map(|&v| v as f32).collect();
     let mut bytes = Vec::with_capacity(4 + decimated.len() * 4);
     bytes.extend_from_slice(&(decimated.len() as u32).to_le_bytes());
     for v in decimated {
@@ -337,14 +327,13 @@ mod tests {
     fn summary_record_decimates_by_level() {
         let xs: Vec<f64> = (0..64).map(|i| i as f64).collect();
         let ladder = presto_wavelet::AgingLadder::new(0.01);
-        let s = ladder.summarize(&xs, 3);
         let rec = summary_record(
             SimTime::from_hours(1),
             3,
             SimTime::ZERO,
             SimTime::from_secs(63),
             64,
-            &s,
+            ladder.summarize(&xs, 3),
         );
         match &rec.payload {
             RecordPayload::Summary { bytes, .. } => {

@@ -505,14 +505,13 @@ impl ArchiveStore {
             let start = scalars.first().expect("non-empty").timestamp;
             let end = scalars.last().expect("non-empty").timestamp;
             let level = BASE_AGING_LEVEL;
-            let summary = self.ladder.summarize(&values, level as usize);
             carried.push(summary_record(
                 end,
                 level,
                 start,
                 end,
                 values.len() as u32,
-                &summary,
+                self.ladder.summarize(&values, level as usize),
             ));
             self.stats.samples_aged += values.len() as u64;
         }
@@ -533,14 +532,13 @@ impl ArchiveStore {
                     carried.push(r.clone());
                     continue;
                 }
-                let resummary = self.ladder.summarize(&values, 1);
                 carried.push(summary_record(
                     r.timestamp,
                     level.saturating_add(1),
                     *start,
                     *end,
                     *count,
-                    &resummary,
+                    self.ladder.summarize(&values, 1),
                 ));
             }
         }

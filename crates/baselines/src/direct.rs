@@ -7,12 +7,12 @@
 //! reliability inherent in duty-cycled, energy-limited wireless sensor
 //! networks" (paper §1) — this arm measures exactly that trade.
 
-use presto_proxy::{PrestoProxy, ProxyConfig};
+use presto_proxy::ProxyConfig;
 use presto_sensor::{DownlinkMsg, PushPolicy, UplinkPayload};
-use presto_sim::{SimDuration, SimTime};
-use presto_workloads::{QueryTarget, TimeScope};
+use presto_sim::SimDuration;
+use presto_workloads::TimeScope;
 
-use crate::driver::{build, ArchReport, DriverConfig, ReportBuilder};
+use crate::driver::{no_prediction, run_arm, ArchReport, ArmAnswer, DriverConfig};
 
 /// LPL check interval for direct-query motes: long, because the radio is
 /// their dominant drain and no push traffic exists.
@@ -20,101 +20,49 @@ const DIRECT_LPL: SimDuration = SimDuration::from_secs(2);
 
 /// Runs the direct-querying architecture.
 pub fn run(cfg: &DriverConfig) -> ArchReport {
-    let mut dep = build(cfg, PushPolicy::Silent, DIRECT_LPL);
     // A thin proxy exists only as the querying sink — its cache is never
-    // consulted; its fabric-routed `rpc` is reused for the energy-
-    // metered, lossy downlink path.
-    let mut sink = PrestoProxy::new(ProxyConfig {
+    // consulted and it never predicts; its fabric-routed `rpc` is reused
+    // for the energy-metered, lossy downlink path.
+    let sink = ProxyConfig {
         sensor_lpl: DIRECT_LPL,
+        engine: no_prediction(),
         ..ProxyConfig::default()
-    });
-    for i in 0..cfg.sensors {
-        sink.register_sensor(i as u16);
-    }
-
-    let mut rb = ReportBuilder::default();
-    let epochs = SimDuration::from_days(cfg.days).div_duration(dep.epoch);
-    let mut qi = 0usize;
-    let mut truth_now = vec![0.0f64; cfg.sensors];
+    };
+    let epoch = cfg.lab.epoch;
     let mut next_query_id = 1u64;
-
-    for e in 0..epochs {
-        let t = SimTime::ZERO + dep.epoch * e;
-        let readings = dep.lab.step();
-        for (s, r) in readings.iter().enumerate() {
-            truth_now[s] = r.value;
-            dep.nodes[s].on_sample(r.timestamp, r.value);
-        }
-        // Serve queries that arrived during this epoch.
-        while qi < dep.queries.len() && dep.queries[qi].arrival <= t + dep.epoch {
-            let q = dep.queries[qi];
-            qi += 1;
-            let sensor = match q.target {
-                QueryTarget::Sensor(s) => s.min(cfg.sensors - 1),
-                QueryTarget::ProxyGroup(_) => 0,
+    let (rb, nodes) = run_arm(
+        cfg,
+        PushPolicy::Silent,
+        DIRECT_LPL,
+        sink,
+        |sink, q, _, node, chan| {
+            // A NOW query pulls the last few epochs and reads the newest.
+            let (from, to) = match q.scope {
+                TimeScope::Now => (q.arrival - epoch * 3, q.arrival),
+                TimeScope::Past { from, to } => (from, to),
+            };
+            let msg = DownlinkMsg::PullRequest {
+                query_id: next_query_id,
+                from,
+                to,
+                tolerance: q.tolerance,
+            };
+            next_query_id += 1;
+            let out = sink.rpc(q.arrival, &msg, node, chan);
+            let samples = match out.reply.map(|r| r.payload) {
+                Some(UplinkPayload::PullReply { samples, .. }) => samples,
+                _ => Vec::new(),
             };
             match q.scope {
-                TimeScope::Now => {
-                    let msg = DownlinkMsg::PullRequest {
-                        query_id: next_query_id,
-                        from: q.arrival - dep.epoch * 3,
-                        to: q.arrival,
-                        tolerance: q.tolerance,
-                    };
-                    next_query_id += 1;
-                    let out = sink.rpc(
-                        q.arrival,
-                        &msg,
-                        &mut dep.nodes[sensor],
-                        &mut dep.downlinks[sensor],
-                    );
-                    rb.now_latency_ms.record(out.latency.as_millis_f64());
-                    if let Some(r) = out.reply {
-                        if let UplinkPayload::PullReply { samples, .. } = &r.payload {
-                            if let Some(last) = samples.last() {
-                                rb.now_error.record((last.value - truth_now[sensor]).abs());
-                            }
-                        }
-                    }
-                }
-                TimeScope::Past { from, to } => {
-                    rb.past_total += 1;
-                    let msg = DownlinkMsg::PullRequest {
-                        query_id: next_query_id,
-                        from,
-                        to,
-                        tolerance: q.tolerance,
-                    };
-                    next_query_id += 1;
-                    let out = sink.rpc(
-                        q.arrival,
-                        &msg,
-                        &mut dep.nodes[sensor],
-                        &mut dep.downlinks[sensor],
-                    );
-                    if let Some(r) = out.reply {
-                        if let UplinkPayload::PullReply { samples, .. } = &r.payload {
-                            if !samples.is_empty() {
-                                rb.past_answered += 1;
-                            }
-                        }
-                    }
-                }
+                TimeScope::Now => ArmAnswer::Now {
+                    latency: out.latency,
+                    value: samples.last().map(|s| s.value),
+                },
+                TimeScope::Past { .. } => ArmAnswer::Past(!samples.is_empty()),
             }
-        }
-    }
-    // Charge trailing idle listening.
-    let end = SimTime::ZERO + dep.epoch * epochs;
-    for n in &mut dep.nodes {
-        n.advance_to(end);
-    }
-    rb.finish(
-        "direct-query (Diffusion)",
-        &dep.nodes,
-        cfg.days,
-        true,
-        false,
-    )
+        },
+    );
+    rb.finish("direct-query (Diffusion)", &nodes, cfg.days, true, false)
 }
 
 #[cfg(test)]

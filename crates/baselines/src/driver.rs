@@ -2,13 +2,13 @@
 //!
 //! Every arm — the three baselines here and PRESTO in `presto-core` —
 //! runs the same Intel-Lab-style workload and the same Poisson query
-//! stream, and reports the same [`ArchReport`] row, so the regenerated
-//! Table 1 compares like with like. The proxy-backed arms (PRESTO and
-//! the streaming baselines) share one epoch/query loop,
-//! [`run_proxy_arm`].
+//! stream through one epoch/query loop, [`run_arm`], and reports the
+//! same [`ArchReport`] row, so the regenerated Table 1 compares like
+//! with like. Arms differ only in their push policy, their sink's
+//! configuration and how they answer a query.
 
 use presto_net::{LinkModel, LossProcess};
-use presto_proxy::{PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig};
+use presto_proxy::{EngineConfig, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig};
 use presto_reliability::DownlinkChannel;
 use presto_sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto_sim::metrics::Summary;
@@ -51,7 +51,6 @@ impl Default for DriverConfig {
                 proxies: 1,
                 group_fraction: 0.0,
                 rate_per_hour: 20.0,
-                ..QueryParams::default()
             },
         }
     }
@@ -83,24 +82,22 @@ pub struct ArchReport {
 }
 
 /// A built deployment: nodes, their downlink links, the workload, and
-/// the query stream (merged and time-sorted against epochs by callers).
-pub struct Deployment {
+/// the query stream (merged against epochs by [`run_arm`]).
+struct Deployment {
     /// Sensor nodes.
-    pub nodes: Vec<SensorNode>,
+    nodes: Vec<SensorNode>,
     /// Per-sensor downlink channels (fabric-routed proxy→sensor path).
-    pub downlinks: Vec<DownlinkChannel>,
+    downlinks: Vec<DownlinkChannel>,
     /// The workload generator.
-    pub lab: LabDeployment,
+    lab: LabDeployment,
     /// The query stream, time-ordered.
-    pub queries: Vec<QuerySpec>,
-    /// Ground truth: `truth[epoch][sensor]`.
-    pub truth: Vec<Vec<f64>>,
+    queries: Vec<QuerySpec>,
     /// Epoch length.
-    pub epoch: SimDuration,
+    epoch: SimDuration,
 }
 
 /// Builds a deployment with the given push policy applied to every node.
-pub fn build(cfg: &DriverConfig, push: PushPolicy, lpl: SimDuration) -> Deployment {
+fn build(cfg: &DriverConfig, push: PushPolicy, lpl: SimDuration) -> Deployment {
     let lab = LabDeployment::new(
         LabParams {
             sensors: cfg.sensors,
@@ -141,26 +138,53 @@ pub fn build(cfg: &DriverConfig, push: PushPolicy, lpl: SimDuration) -> Deployme
         downlinks,
         lab,
         queries,
-        truth: Vec::new(),
         epoch,
     }
 }
 
-/// Runs one proxy-backed arm (PRESTO or a streaming baseline) on the
-/// shared workload. Every sample feeds one proxy built from `proxy`;
-/// an hourly training pass offers each sensor a model push, and every
-/// query is answered through [`PrestoProxy::answer`]. The proxy's
-/// engine decides whether training ever pushes: a streaming arm's
-/// engine has `min_history = usize::MAX`, so its training pass is a
-/// no-op.
-pub fn run_proxy_arm(
+/// What an arm's answer rule returns for one query.
+pub enum ArmAnswer {
+    /// A NOW answer: its latency and its value, when one came back.
+    Now {
+        /// Time from arrival to answer.
+        latency: SimDuration,
+        /// The answered value.
+        value: Option<f64>,
+    },
+    /// A PAST answer: whether the window came back with data.
+    Past(bool),
+}
+
+/// The engine of a sink that never predicts: its training pass returns
+/// before it touches anything.
+pub fn no_prediction() -> EngineConfig {
+    EngineConfig {
+        min_history: usize::MAX,
+        ..EngineConfig::default()
+    }
+}
+
+/// Runs one arm on the shared workload and returns its measurements
+/// and its nodes, charged to the end of the run. Every sample feeds
+/// one sink built from `proxy`; an hourly training pass offers each
+/// sensor a model push (a sink with [`no_prediction`] never pushes);
+/// and every query arriving within an epoch is answered by `answer`,
+/// given the sink, the target sensor's id, node and channel. The loop
+/// records the NOW latency and error against the truth, and whether a
+/// PAST window came back with data.
+pub fn run_arm(
     cfg: &DriverConfig,
     push: PushPolicy,
     lpl: SimDuration,
     proxy: ProxyConfig,
-    label: &str,
-    uses_prediction: bool,
-) -> ArchReport {
+    mut answer: impl FnMut(
+        &mut PrestoProxy,
+        &QuerySpec,
+        u16,
+        &mut SensorNode,
+        &mut DownlinkChannel,
+    ) -> ArmAnswer,
+) -> (ReportBuilder, Vec<SensorNode>) {
     let mut dep = build(cfg, push, lpl);
     let mut proxy = PrestoProxy::new(proxy);
     for i in 0..cfg.sensors {
@@ -195,31 +219,16 @@ pub fn run_proxy_arm(
                 QueryTarget::ProxyGroup(_) => 0,
             };
             let (node, chan) = (&mut dep.nodes[s], &mut dep.downlinks[s]);
-            match q.scope {
-                TimeScope::Now => {
-                    let query = PipelineQuery::Now {
-                        sensor: s as u16,
-                        tolerance: q.tolerance,
-                    };
-                    let PipelineAnswer::Scalar(a) = proxy.answer(q.arrival, query, node, chan)
-                    else {
-                        unreachable!("NOW answers are scalar");
-                    };
-                    rb.now_latency_ms.record(a.latency.as_millis_f64());
-                    rb.now_error.record((a.value - truth_now[s]).abs());
-                }
-                TimeScope::Past { from, to } => {
-                    rb.past_total += 1;
-                    let query = PipelineQuery::Past {
-                        sensor: s as u16,
-                        from,
-                        to,
-                        tolerance: q.tolerance,
-                    };
-                    let answer = proxy.answer(q.arrival, query, node, chan);
-                    if matches!(answer, PipelineAnswer::Series(a) if !a.samples.is_empty()) {
-                        rb.past_answered += 1;
+            match answer(&mut proxy, &q, s as u16, node, chan) {
+                ArmAnswer::Now { latency, value } => {
+                    rb.now_latency_ms.record(latency.as_millis_f64());
+                    if let Some(v) = value {
+                        rb.now_error.record((v - truth_now[s]).abs());
                     }
+                }
+                ArmAnswer::Past(answered) => {
+                    rb.past_total += 1;
+                    rb.past_answered += u64::from(answered);
                 }
             }
         }
@@ -228,7 +237,42 @@ pub fn run_proxy_arm(
     for n in &mut dep.nodes {
         n.advance_to(end);
     }
-    rb.finish(label, &dep.nodes, cfg.days, true, uses_prediction)
+    (rb, dep.nodes)
+}
+
+/// Runs one proxy-backed arm (PRESTO or a streaming baseline): every
+/// query is answered through [`PrestoProxy::answer`]. The proxy's
+/// engine decides whether training ever pushes: a streaming arm's
+/// engine is [`no_prediction`].
+pub fn run_proxy_arm(
+    cfg: &DriverConfig,
+    push: PushPolicy,
+    lpl: SimDuration,
+    proxy: ProxyConfig,
+    label: &str,
+    uses_prediction: bool,
+) -> ArchReport {
+    let (rb, nodes) = run_arm(cfg, push, lpl, proxy, |proxy, q, sensor, node, chan| {
+        let tolerance = q.tolerance;
+        let query = match q.scope {
+            TimeScope::Now => PipelineQuery::Now { sensor, tolerance },
+            TimeScope::Past { from, to } => PipelineQuery::Past {
+                sensor,
+                from,
+                to,
+                tolerance,
+            },
+        };
+        // A NOW query is answered by a scalar, a PAST query by a series.
+        match proxy.answer(q.arrival, query, node, chan) {
+            PipelineAnswer::Scalar(a) => ArmAnswer::Now {
+                latency: a.latency,
+                value: Some(a.value),
+            },
+            PipelineAnswer::Series(a) => ArmAnswer::Past(!a.samples.is_empty()),
+        }
+    });
+    rb.finish(label, &nodes, cfg.days, true, uses_prediction)
 }
 
 /// Accumulates per-query measurements into an [`ArchReport`].

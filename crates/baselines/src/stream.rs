@@ -9,7 +9,7 @@ use presto_proxy::ProxyConfig;
 use presto_sensor::PushPolicy;
 use presto_sim::SimDuration;
 
-use crate::driver::{run_proxy_arm, ArchReport, DriverConfig};
+use crate::driver::{no_prediction, run_proxy_arm, ArchReport, DriverConfig};
 
 /// Streaming motes keep a snappy LPL so the sink can be reached, though
 /// the uplink dominates anyway.
@@ -27,10 +27,7 @@ pub fn run(cfg: &DriverConfig, per_sample: bool) -> ArchReport {
     let proxy = ProxyConfig {
         sensor_lpl: STREAM_LPL,
         // Streaming architectures do not predict.
-        engine: presto_proxy::EngineConfig {
-            min_history: usize::MAX,
-            ..presto_proxy::EngineConfig::default()
-        },
+        engine: no_prediction(),
         ..ProxyConfig::default()
     };
     let label = if per_sample {

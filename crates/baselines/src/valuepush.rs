@@ -7,82 +7,44 @@
 //! to be pushed.
 
 use presto_net::LinkModel;
-use presto_proxy::{PrestoProxy, ProxyConfig};
+use presto_proxy::ProxyConfig;
 use presto_sensor::{PushPolicy, SensorConfig, SensorNode};
-use presto_sim::{SimDuration, SimTime};
+use presto_sim::SimDuration;
 use presto_workloads::lab::LabReading;
-use presto_workloads::{QueryTarget, TimeScope};
+use presto_workloads::TimeScope;
 
-use crate::driver::{build, ArchReport, DriverConfig, ReportBuilder};
+use crate::driver::{no_prediction, run_arm, ArchReport, ArmAnswer, DriverConfig};
 
 /// Runs the value-driven architecture for Table 1.
 pub fn run(cfg: &DriverConfig, delta: f64) -> ArchReport {
-    let mut dep = build(
-        cfg,
-        PushPolicy::ValueDriven { delta },
-        SimDuration::from_secs(1),
-    );
-    let mut proxy = PrestoProxy::new(ProxyConfig {
-        engine: presto_proxy::EngineConfig {
-            min_history: usize::MAX,
-            ..presto_proxy::EngineConfig::default()
-        },
+    let proxy = ProxyConfig {
+        engine: no_prediction(),
         ..ProxyConfig::default()
-    });
-    for i in 0..cfg.sensors {
-        proxy.register_sensor(i as u16);
-    }
-
-    let mut rb = ReportBuilder::default();
-    let epochs = SimDuration::from_days(cfg.days).div_duration(dep.epoch);
-    let mut qi = 0usize;
-    let mut truth_now = vec![0.0f64; cfg.sensors];
-
-    for e in 0..epochs {
-        let t = SimTime::ZERO + dep.epoch * e;
-        let readings = dep.lab.step();
-        for (s, r) in readings.iter().enumerate() {
-            truth_now[s] = r.value;
-            for msg in dep.nodes[s].on_sample(r.timestamp, r.value) {
-                proxy.on_uplink(&msg);
-            }
-        }
-        while qi < dep.queries.len() && dep.queries[qi].arrival <= t + dep.epoch {
-            let q = dep.queries[qi];
-            qi += 1;
-            let sensor = match q.target {
-                QueryTarget::Sensor(s) => (s.min(cfg.sensors - 1)) as u16,
-                QueryTarget::ProxyGroup(_) => 0,
-            };
+    };
+    let push = PushPolicy::ValueDriven { delta };
+    let (rb, nodes) = run_arm(
+        cfg,
+        push,
+        SimDuration::from_secs(1),
+        proxy,
+        |proxy, q, sensor, _, _| {
             let cache = proxy.cache(sensor).expect("registered");
             match q.scope {
-                TimeScope::Now => {
-                    // Answer: the last pushed value; within Δ by design.
-                    if let Some(s) = cache.latest() {
-                        rb.now_error
-                            .record((s.value - truth_now[sensor as usize]).abs());
-                    }
-                    rb.now_latency_ms.record(1.0);
-                }
-                TimeScope::Past { from: _, to } => {
-                    rb.past_total += 1;
-                    // Only incidentally pushed values cover the range; a
-                    // push at-or-before the range also bounds it (the
-                    // value did not move more than Δ since).
-                    if cache.latest_at(to).is_some() {
-                        rb.past_answered += 1;
-                    }
-                }
+                // Answer: the last pushed value; within Δ by design.
+                TimeScope::Now => ArmAnswer::Now {
+                    latency: SimDuration::from_millis(1),
+                    value: cache.latest().map(|s| s.value),
+                },
+                // Only incidentally pushed values cover the range; a push
+                // at-or-before the range also bounds it (the value did not
+                // move more than Δ since).
+                TimeScope::Past { to, .. } => ArmAnswer::Past(cache.latest_at(to).is_some()),
             }
-        }
-    }
-    let end = SimTime::ZERO + dep.epoch * epochs;
-    for n in &mut dep.nodes {
-        n.advance_to(end);
-    }
+        },
+    );
     rb.finish(
         &format!("value-push (delta={delta})"),
-        &dep.nodes,
+        &nodes,
         cfg.days,
         false,
         false,
@@ -101,8 +63,6 @@ pub struct PolicyEnergy {
     pub push_j: f64,
     /// Total sensor radio energy including idle listening, joules.
     pub radio_j: f64,
-    /// Total sensor energy (radio + cpu + flash + sensing), joules.
-    pub total_j: f64,
     /// Payload bytes offered to the MAC.
     pub bytes: u64,
     /// Messages that reached the proxy.
@@ -150,7 +110,6 @@ pub fn energy_of_policy(
         push_j: ledger.category(presto_sim::EnergyCategory::RadioTx)
             + ledger.category(presto_sim::EnergyCategory::RadioRx),
         radio_j: ledger.radio_total(),
-        total_j: ledger.total(),
         bytes: node.stats().bytes_sent,
         delivered,
     }

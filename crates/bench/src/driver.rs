@@ -549,7 +549,7 @@ impl ArmSummary {
         let m = |k: &str| run.metric(k);
         let slice_lookups = m("slice.lookups");
         let cache_hit_rate = if slice_lookups > 0.0 {
-            (m("slice.l1_hits") + m("slice.l2_hits")) / slice_lookups
+            m("slice.hits") / slice_lookups
         } else {
             let hits = m("reply_cache.hits");
             let lookups = hits + m("reply_cache.misses");
@@ -732,8 +732,7 @@ mod tests {
             run.label
         );
         let (hits, lookups) = if reading("slice.lookups") > 0.0 {
-            let hits = reading("slice.l1_hits") + reading("slice.l2_hits");
-            (hits, reading("slice.lookups"))
+            (reading("slice.hits"), reading("slice.lookups"))
         } else {
             let hits = reading("reply_cache.hits");
             (hits, hits + reading("reply_cache.misses"))

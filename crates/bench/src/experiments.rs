@@ -17,6 +17,7 @@ use presto_proxy::{
 use presto_sensor::{DownlinkMsg, PushPolicy, SensorConfig, SensorNode, UplinkPayload};
 use presto_sim::metrics::Summary;
 use presto_sim::{EnergyLedger, SimDuration, SimRng, SimTime};
+use presto_workloads::lab::EVENT_DURATION;
 use presto_workloads::{LabDeployment, LabParams, TrafficGen, TrafficParams};
 
 fn diurnal_history(days: u64, step_mins: u64, seed: u64) -> Vec<(SimTime, f64)> {
@@ -71,7 +72,6 @@ pub fn e1_rare_events(days: u64, seed: u64) -> E1Result {
         .filter(|w| w[1].event_active && !w[0].event_active)
         .map(|w| w[1].timestamp)
         .collect();
-    let event_duration = SimDuration::from_mins(5);
     let mut arms = Vec::new();
 
     // Arm 1: PRESTO model-driven push with semantic event reports.
@@ -152,7 +152,7 @@ pub fn e1_rare_events(days: u64, seed: u64) -> E1Result {
                             // Did the poll land inside any event window?
                             if onsets
                                 .iter()
-                                .any(|&o| last.t >= o && last.t <= o + event_duration)
+                                .any(|&o| last.t >= o && last.t <= o + EVENT_DURATION)
                             {
                                 caught += 1;
                             }

@@ -273,7 +273,7 @@ pub struct ArmSummary {
     pub radio_bytes: u64,
     /// Total sensor-tier energy, joules.
     pub sensor_energy_j: f64,
-    /// Cache hit rate over archive-range lookups (slice-tier lookups
+    /// Cache hit rate over archive-range lookups (slice cache lookups
     /// when sliced execution ran, reply-cache lookups otherwise).
     pub cache_hit_rate: f64,
     /// Confident answers the oracles contradict (must be 0).

@@ -6,7 +6,7 @@
 //! overlapping hot windows, plus background NOW traffic):
 //!
 //! * **sliced** — archive-range queries split into time-aligned slices
-//!   served through the two-tier slice cache; overlapping windows from
+//!   served through the slice cache; overlapping windows from
 //!   different users share slices, so most radio work is absorbed by
 //!   the cache and a narrower window completes radio-free;
 //! * **monolithic** — the same arrivals with slicing off: the exact
@@ -14,7 +14,7 @@
 //!   overlapping-but-unequal windows each pay their own pull.
 //!
 //! Both arms run the same horizon plus the same drain window. The
-//! report carries each arm's cache hit rate (slice tiers vs reply
+//! report carries each arm's cache hit rate (slice cache vs reply
 //! cache), answered throughput, the stale-confident probe (an Ok
 //! answer contradicted by its own window — must be zero), and the
 //! trace/age coverage counters the CI smoke asserts on.
@@ -191,7 +191,7 @@ pub fn slice_scenario(cfg: &SliceScenarioConfig) -> SliceScenarioReport {
 
 impl SliceScenarioReport {
     /// Every failed acceptance check: the driver invariants on both
-    /// arms, zero incidents on these fault-free runs, the slice tier's
+    /// arms, zero incidents on these fault-free runs, the slice cache's
     /// accounting, and the sharing win.
     pub fn failures(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -207,22 +207,14 @@ impl SliceScenarioReport {
             out.push("no query took the sliced path".into());
         }
         if m("slice.lookups") == 0.0 {
-            out.push("slice-tier counters absent".into());
+            out.push("slice cache counters absent".into());
         }
-        if m("slice.lookups") != m("slice.l1_hits") + m("slice.l2_hits") + m("slice.misses") {
+        if m("slice.lookups") != m("slice.hits") + m("slice.misses") {
             out.push(format!(
-                "slice tier accounting does not balance: {} lookups vs {} + {} hits + {} misses",
+                "slice cache accounting does not balance: {} lookups vs {} hits + {} misses",
                 m("slice.lookups"),
-                m("slice.l1_hits"),
-                m("slice.l2_hits"),
+                m("slice.hits"),
                 m("slice.misses")
-            ));
-        }
-        if m("slice.promotions") > m("slice.l2_hits") {
-            out.push(format!(
-                "{} promotions exceed {} L2 hits",
-                m("slice.promotions"),
-                m("slice.l2_hits")
             ));
         }
         if ArmSummary::new(&self.sliced).cache_hit_rate <= 0.0 {

@@ -7,7 +7,6 @@
 //! corrector so cross-proxy views are temporally consistent.
 
 use presto_proxy::{AnswerSource, PipelineAnswer, PipelineQuery};
-use presto_reliability::Health;
 use presto_sim::{SimDuration, SimTime};
 
 use crate::system::PrestoSystem;
@@ -106,9 +105,6 @@ pub struct StoreResponse {
     /// liveness grade: a Suspect sensor's extrapolation guarantee may
     /// have been silently broken, a Dead sensor's carries no weight.
     pub sigma: f64,
-    /// Liveness grade of the target sensor at answer time (Live for
-    /// multi-sensor event queries).
-    pub health: Health,
     /// End-to-end latency including index routing.
     pub latency: SimDuration,
     /// Skip-graph routing hops.
@@ -181,7 +177,6 @@ impl<'a> UnifiedStore<'a> {
                         events: Vec::new(),
                         source: AnswerSource::Failed,
                         sigma: f64::INFINITY,
-                        health: Health::Dead,
                         latency: SimDuration::ZERO,
                         index_hops: 0,
                     };
@@ -228,7 +223,6 @@ impl<'a> UnifiedStore<'a> {
                     events: Vec::new(),
                     source,
                     sigma,
-                    health: self.system.health(sensor),
                     latency,
                     index_hops: hops,
                 }
@@ -284,7 +278,6 @@ impl<'a> UnifiedStore<'a> {
                     events,
                     source: AnswerSource::CacheHit,
                     sigma: 0.0,
-                    health: Health::Live,
                     latency: self.hop_latency * hops,
                     index_hops: hops,
                 }

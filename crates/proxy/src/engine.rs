@@ -4,12 +4,13 @@
 //! the proxy-side replica observing incoming data, and re-trains when
 //! either a retrain interval elapses or the recent push rate suggests
 //! model drift. Proxies are tethered, so training charges no energy
-//! account; each model's [`TrainReport`] counts its training cycles,
-//! which is what the build/check asymmetry claim (E7) measures.
+//! account; each model's [`presto_models::TrainReport`] counts its
+//! training cycles, and the build/check asymmetry claim (E7) reads it
+//! straight from the model's `train`, so a slot keeps only the model.
 
 use presto_models::{
     ArModel, LinearTrendModel, MarkovModel, ModelKind, Prediction, Predictor, SeasonalArModel,
-    SeasonalModel, TrainReport,
+    SeasonalModel,
 };
 use presto_sim::{SimDuration, SimTime};
 
@@ -51,8 +52,6 @@ pub struct ModelSlot {
     pub version: u32,
     /// When this version was trained.
     pub trained_at: SimTime,
-    /// Training cost report.
-    pub report: TrainReport,
 }
 
 /// The prediction engine.
@@ -79,33 +78,19 @@ impl PredictionEngine {
 
     /// Trains a model of the configured class from history.
     pub fn train(&self, history: &[(SimTime, f64)], now: SimTime, prev_version: u32) -> ModelSlot {
-        let (model, report): (Box<dyn Predictor>, TrainReport) = match self.config.kind {
-            ModelKind::Seasonal => {
-                let (m, r) = SeasonalModel::train(history, SEASONAL_BINS);
-                (Box::new(m), r)
-            }
-            ModelKind::Ar => {
-                let (m, r) = ArModel::train(history, AR_ORDER);
-                (Box::new(m), r)
-            }
+        let model: Box<dyn Predictor> = match self.config.kind {
+            ModelKind::Seasonal => Box::new(SeasonalModel::train(history, SEASONAL_BINS).0),
+            ModelKind::Ar => Box::new(ArModel::train(history, AR_ORDER).0),
             ModelKind::SeasonalAr => {
-                let (m, r) = SeasonalArModel::train(history, SEASONAL_BINS, AR_ORDER);
-                (Box::new(m), r)
+                Box::new(SeasonalArModel::train(history, SEASONAL_BINS, AR_ORDER).0)
             }
-            ModelKind::LinearTrend => {
-                let (m, r) = LinearTrendModel::train(history);
-                (Box::new(m), r)
-            }
-            ModelKind::Markov => {
-                let (m, r) = MarkovModel::train(history, MARKOV_STATES);
-                (Box::new(m), r)
-            }
+            ModelKind::LinearTrend => Box::new(LinearTrendModel::train(history).0),
+            ModelKind::Markov => Box::new(MarkovModel::train(history, MARKOV_STATES).0),
         };
         ModelSlot {
             model,
             version: prev_version + 1,
             trained_at: now,
-            report,
         }
     }
 
@@ -150,7 +135,6 @@ mod tests {
 
         let slot = e.train(&hist, SimTime::from_days(3), 0);
         assert_eq!(slot.version, 1);
-        assert!(slot.report.train_cycles > 0);
         assert!(!e.should_train(Some(&slot), 1000, SimTime::from_days(3)));
         assert!(e.should_train(
             Some(&slot),
@@ -184,7 +168,6 @@ mod tests {
             });
             let slot = e.train(&hist, SimTime::from_days(3), 0);
             assert_eq!(slot.model.kind(), kind);
-            assert!(slot.report.train_cycles > 0);
             // Replica parameters must be shippable.
             assert!(!slot.model.encode_params().is_empty());
         }

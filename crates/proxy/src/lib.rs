@@ -21,7 +21,7 @@
 //!   MAC, which charges the receiving sensor. The tethered proxy keeps
 //!   no energy account.
 //! * [`slice`](mod@slice) — sliced archive-range execution: the slice calculator,
-//!   the two-tier slice cache, and the assembler behind the pipeline's
+//!   the slice cache, and the assembler behind the pipeline's
 //!   sliced PAST path.
 
 pub mod cache;
@@ -41,4 +41,4 @@ pub use pipeline::{
 pub use proxy::{
     Answer, AnswerSource, PastAnswer, PrestoProxy, ProxyConfig, ProxyStats, PumpSensor,
 };
-pub use slice::{SliceCacheStats, SliceConfig, SliceKey, SliceSpec, TieredSliceCache};
+pub use slice::{SliceCache, SliceCacheStats, SliceConfig, SliceKey, SliceSpec};

@@ -16,12 +16,12 @@
 //!   can answer within `tolerance` without contacting the sensor iff the
 //!   sensor pushes whenever the model errs by more than that tolerance;
 //!   the matcher sets the push tolerance to the tightest query tolerance.
-//! * **precision → reply codec**: pull replies are lossily compressed to
-//!   the same tolerance.
+//!
+//! Pull replies need no pushed setting: each reply is lossily encoded
+//! at its own request's tolerance when the sensor serves it.
 
 use presto_net::{DutyCycle, Mac};
 use presto_sim::SimDuration;
-use presto_wavelet::CodecParams;
 
 use presto_sensor::DownlinkMsg;
 
@@ -105,7 +105,6 @@ impl QuerySensorMatcher {
             push_tolerance: Some(tolerance),
             batching_interval: Some(latency),
             lpl_check_interval: Some(duty.check_interval),
-            reply_codec: Some(CodecParams::for_tolerance(tolerance)),
         })
     }
 
@@ -155,7 +154,6 @@ mod tests {
             push_tolerance,
             batching_interval,
             lpl_check_interval,
-            reply_codec,
         }) = m.derive_retune()
         else {
             panic!("expected a retune");
@@ -165,7 +163,6 @@ mod tests {
         let lpl = lpl_check_interval.unwrap();
         assert!(lpl <= SimDuration::from_mins(2));
         assert!(lpl > SimDuration::from_mins(1));
-        assert!(reply_codec.is_some());
     }
 
     #[test]

@@ -39,7 +39,7 @@ use presto_sim::{SimDuration, SimTime};
 use presto_telemetry::QueryTracer;
 
 use crate::proxy::{Answer, PastAnswer};
-use crate::slice::{SliceConfig, SliceSpec, TieredSliceCache};
+use crate::slice::{SliceCache, SliceConfig, SliceSpec};
 
 /// Default query deadline: how long a query may stay pending before it
 /// fails honestly, in the pipeline and at the fleet router alike. A
@@ -63,8 +63,8 @@ pub struct PipelineConfig {
     pub trace: bool,
     /// Sliced archive-range execution (see [`crate::slice`]): PAST
     /// windows spanning enough fixed time-aligned slices are fetched
-    /// slice-by-slice and cached at slice granularity in a two-tier
-    /// store. `None` (the default) keeps the monolithic pull path
+    /// slice-by-slice and cached at slice granularity in one LRU.
+    /// `None` (the default) keeps the monolithic pull path
     /// byte-identical to the pre-slice behavior.
     pub slice: Option<SliceConfig>,
 }
@@ -300,7 +300,7 @@ impl Part {
     }
 
     /// Serves a slice part from `cache` when it holds the slice.
-    pub fn fill_from(&mut self, cache: &mut TieredSliceCache) -> bool {
+    pub fn fill_from(&mut self, cache: &mut SliceCache) -> bool {
         let Some(spec) = self.slice else {
             return false;
         };
@@ -509,7 +509,7 @@ impl PullReplyCache {
 
     /// Drops every cached reply. The hit/miss/stale counters are
     /// measurement instrumentation and survive, as the slice cache's
-    /// do through [`TieredSliceCache::clear`].
+    /// do through [`SliceCache::clear`].
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -527,8 +527,8 @@ pub struct QueryPipeline {
     pub(crate) pending: Vec<PendingQuery>,
     pub(crate) completed: Vec<CompletedQuery>,
     pub(crate) reply_cache: PullReplyCache,
-    /// Two-tier slice store (only populated when slicing is enabled).
-    pub(crate) slice_cache: TieredSliceCache,
+    /// Slice cache (only populated when slicing is enabled).
+    pub(crate) slice_cache: SliceCache,
     pub(crate) stats: PipelineStats,
     pub(crate) next_ticket: u64,
     /// Rotating pump start index for cross-sensor fairness.
@@ -543,11 +543,7 @@ pub struct QueryPipeline {
 impl QueryPipeline {
     /// Creates an empty pipeline.
     pub fn new(config: PipelineConfig) -> Self {
-        let slice_cache = config
-            .slice
-            .as_ref()
-            .map(TieredSliceCache::for_config)
-            .unwrap_or_else(|| TieredSliceCache::new(1, 0));
+        let slice_cache = SliceCache::new(config.slice.as_ref().map_or(1, |c| c.capacity));
         let tracer = QueryTracer::new(config.trace);
         QueryPipeline {
             config,
@@ -586,9 +582,9 @@ impl QueryPipeline {
         &self.reply_cache
     }
 
-    /// The two-tier slice cache (empty and untouched unless
+    /// The slice cache (empty and untouched unless
     /// [`PipelineConfig::slice`] is set).
-    pub fn slice_cache(&self) -> &TieredSliceCache {
+    pub fn slice_cache(&self) -> &SliceCache {
         &self.slice_cache
     }
 

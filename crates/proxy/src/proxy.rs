@@ -948,8 +948,8 @@ impl PrestoProxy {
         }
         // Sliced archive-range execution: a PAST window spanning enough
         // fixed time-aligned slices decomposes into canonical slices —
-        // slices any earlier query pulled serve from the two-tier slice
-        // cache (a sub-window of a previously pulled span completes
+        // slices any earlier query pulled serve from the slice cache (a
+        // sub-window of a previously pulled span completes
         // radio-free), and only the missing slices become sub-RPCs.
         let specs = match query {
             PipelineQuery::Past {

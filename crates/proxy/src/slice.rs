@@ -1,5 +1,5 @@
 //! Sliced archive-range execution: fixed time-aligned slices and the
-//! two-tier slice cache.
+//! slice cache.
 //!
 //! A big archive-range query used to be one monolithic pull, and the
 //! shared [`crate::pipeline::PullReplyCache`] only serves exact
@@ -18,9 +18,8 @@
 //! * the **assembler** ([`assemble`]) joins per-slice replies back
 //!   into the query's window and re-bounds the result with the worst
 //!   per-slice codec/aging sigma ([`slice_sigma`]);
-//! * complete slices land in a **two-tier cache** ([`TieredSliceCache`]):
-//!   a hot L1 in RAM and a bounded L2 spill, with promotion back to L1
-//!   on an L2 hit. A sub-window of any previously pulled span is served
+//! * complete slices land in the **slice cache** ([`SliceCache`]), one
+//!   bounded LRU. A sub-window of any previously pulled span is served
 //!   radio-free from cached slices — containment serving falls out of
 //!   the slice decomposition instead of needing its own machinery.
 //!
@@ -44,24 +43,18 @@ const SLICE_LEN: SimDuration = SimDuration::from_hours(1);
 /// several sub-RPCs).
 const MIN_SLICES: u64 = 2;
 
-/// Sliced-execution parameters: the two cache tiers. `None` in
+/// Sliced-execution parameters: the slice cache's size. `None` in
 /// [`crate::PipelineConfig::slice`] keeps the monolithic pull path
 /// byte-identical to the pre-slice behavior.
 #[derive(Clone, Debug)]
 pub struct SliceConfig {
-    /// Hot tier (L1, RAM) capacity, in slices.
-    pub l1_capacity: usize,
-    /// Spill tier (L2) capacity, in slices; 0 disables the spill tier
-    /// (L1 evictions drop instead of demoting).
-    pub l2_capacity: usize,
+    /// Slice cache capacity, in slices (at least one is kept).
+    pub capacity: usize,
 }
 
 impl Default for SliceConfig {
     fn default() -> Self {
-        SliceConfig {
-            l1_capacity: 64,
-            l2_capacity: 256,
-        }
+        SliceConfig { capacity: 320 }
     }
 }
 
@@ -165,27 +158,19 @@ struct SliceEntry {
     samples: Vec<(SimTime, f64)>,
 }
 
-/// Two-tier slice cache counters. Invariants the equivalence property
-/// pins: `lookups == l1_hits + l2_hits + misses` and
-/// `promotions <= l2_hits`.
+/// Slice cache counters. Invariant the equivalence property pins:
+/// `lookups == hits + misses`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SliceCacheStats {
     /// Slice lookups.
     pub lookups: u64,
-    /// Served from the hot tier.
-    pub l1_hits: u64,
-    /// Served from the spill tier (and promoted).
-    pub l2_hits: u64,
-    /// Not cached in either tier.
+    /// Lookups served from the cache.
+    pub hits: u64,
+    /// Lookups the cache did not hold.
     pub misses: u64,
     /// Complete slices inserted.
     pub inserts: u64,
-    /// L2 entries promoted back to L1 on a hit.
-    pub promotions: u64,
-    /// L1 entries demoted into the spill tier.
-    pub demotions: u64,
-    /// Entries dropped entirely (spill-tier eviction, or L1 eviction
-    /// with no spill tier configured).
+    /// Entries dropped to make room for an insert.
     pub evictions: u64,
     /// Insert attempts rejected because the slice's span was not fully
     /// archived at serve time (caching it would risk a stale-confident
@@ -195,49 +180,32 @@ pub struct SliceCacheStats {
 
 presto_telemetry::observe_counters!(SliceCacheStats {
     lookups,
-    l1_hits,
-    l2_hits,
+    hits,
     misses,
     inserts,
-    promotions,
-    demotions,
     evictions,
     incomplete_skips,
 });
 
-/// The two-tier slice store: a hot L1 (LRU, RAM) in front of a bounded
-/// L2 spill. Inserts land in L1; L1 eviction demotes into L2; an L2
-/// hit promotes back to L1. Both tiers evict **before** inserting, so
-/// neither ever exceeds its capacity, even transiently (the
-/// push-then-evict pattern the summary caches used to have is exactly
-/// what this store avoids).
+/// The slice store: one bounded LRU. A hit or a re-insert moves its
+/// entry to the hot end; an insert into a full cache first evicts the
+/// cold end, so the cache never exceeds its capacity, even transiently.
 #[derive(Clone, Debug)]
-pub struct TieredSliceCache {
-    /// Hot tier, LRU order: front is coldest, back is hottest.
-    l1: VecDeque<SliceEntry>,
-    /// Spill tier, FIFO order: front is oldest.
-    l2: VecDeque<SliceEntry>,
-    l1_capacity: usize,
-    l2_capacity: usize,
+pub struct SliceCache {
+    /// LRU order: front is coldest, back is hottest.
+    entries: VecDeque<SliceEntry>,
+    capacity: usize,
     stats: SliceCacheStats,
 }
 
-impl TieredSliceCache {
-    /// Creates a cache with the given tier capacities (L1 is clamped
-    /// to at least one slice; an L2 of 0 disables the spill tier).
-    pub fn new(l1_capacity: usize, l2_capacity: usize) -> Self {
-        TieredSliceCache {
-            l1: VecDeque::new(),
-            l2: VecDeque::new(),
-            l1_capacity: l1_capacity.max(1),
-            l2_capacity,
+impl SliceCache {
+    /// Creates a cache holding up to `capacity` slices (at least one).
+    pub fn new(capacity: usize) -> Self {
+        SliceCache {
+            entries: VecDeque::new(),
+            capacity: capacity.max(1),
             stats: SliceCacheStats::default(),
         }
-    }
-
-    /// Builds the store a [`SliceConfig`] asks for.
-    pub fn for_config(cfg: &SliceConfig) -> Self {
-        TieredSliceCache::new(cfg.l1_capacity, cfg.l2_capacity)
     }
 
     /// Counters.
@@ -248,34 +216,7 @@ impl TieredSliceCache {
     /// Drops every cached slice, keeping the counters (crash reset:
     /// entries are RAM state, counters are measurement).
     pub fn clear(&mut self) {
-        self.l1.clear();
-        self.l2.clear();
-    }
-
-    /// Pushes an entry into L1, demoting (or dropping) the coldest L1
-    /// entry first when full — the tier never exceeds capacity.
-    fn push_l1(&mut self, entry: SliceEntry) {
-        if self.l1.len() >= self.l1_capacity {
-            if let Some(cold) = self.l1.pop_front() {
-                self.demote(cold);
-            }
-        }
-        self.l1.push_back(entry);
-    }
-
-    /// Spills an evicted L1 entry into L2 (FIFO, evict-before-insert),
-    /// or drops it when no spill tier is configured.
-    fn demote(&mut self, entry: SliceEntry) {
-        if self.l2_capacity == 0 {
-            self.stats.evictions += 1;
-            return;
-        }
-        if self.l2.len() >= self.l2_capacity {
-            self.l2.pop_front();
-            self.stats.evictions += 1;
-        }
-        self.l2.push_back(entry);
-        self.stats.demotions += 1;
+        self.entries.clear();
     }
 
     /// Inserts a served slice. Only **complete** slices are accepted:
@@ -283,7 +224,7 @@ impl TieredSliceCache {
     /// `span_end`, otherwise the slice's span was still filling and a
     /// cached copy could later serve data it never had — the insert is
     /// skipped and counted instead. A re-pull of the same key replaces
-    /// the older entry in whichever tier held it.
+    /// the older entry.
     pub fn insert(
         &mut self,
         key: SliceKey,
@@ -296,40 +237,36 @@ impl TieredSliceCache {
             self.stats.incomplete_skips += 1;
             return;
         }
-        self.l1.retain(|e| e.key != key);
-        self.l2.retain(|e| e.key != key);
+        self.entries.retain(|e| e.key != key);
         self.stats.inserts += 1;
-        self.push_l1(SliceEntry {
+        if self.entries.len() >= self.capacity {
+            self.entries.pop_front();
+            self.stats.evictions += 1;
+        }
+        self.entries.push_back(SliceEntry {
             key,
             sigma,
             samples,
         });
     }
 
-    /// Looks up a slice: an L1 hit refreshes its recency, an L2 hit
-    /// promotes the entry back into L1. Returns the samples and the
-    /// slice's re-bounded sigma.
+    /// Looks up a slice; a hit refreshes its recency. Returns the
+    /// samples and the slice's re-bounded sigma.
     pub fn lookup(&mut self, key: SliceKey) -> Option<(Vec<(SimTime, f64)>, f64)> {
         self.stats.lookups += 1;
-        if let Some(pos) = self.l1.iter().position(|e| e.key == key) {
-            self.stats.l1_hits += 1;
-            if let Some(entry) = self.l1.remove(pos) {
-                let out = (entry.samples.clone(), entry.sigma);
-                self.l1.push_back(entry);
-                return Some(out);
-            }
-        }
-        if let Some(pos) = self.l2.iter().position(|e| e.key == key) {
-            self.stats.l2_hits += 1;
-            if let Some(entry) = self.l2.remove(pos) {
-                self.stats.promotions += 1;
-                let out = (entry.samples.clone(), entry.sigma);
-                self.push_l1(entry);
-                return Some(out);
-            }
-        }
-        self.stats.misses += 1;
-        None
+        let Some(entry) = self
+            .entries
+            .iter()
+            .position(|e| e.key == key)
+            .and_then(|pos| self.entries.remove(pos))
+        else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        let out = (entry.samples.clone(), entry.sigma);
+        self.entries.push_back(entry);
+        Some(out)
     }
 }
 
@@ -405,84 +342,83 @@ mod tests {
     }
 
     #[test]
-    fn tiered_cache_promotes_and_demotes() {
-        let mut c = TieredSliceCache::new(2, 4);
-        for i in 0..4u64 {
+    fn cache_refreshes_recency_and_evicts_the_coldest() {
+        let mut c = SliceCache::new(3);
+        for i in 0..3u64 {
             c.insert(key(i), hour(i + 1), hour(i + 1), 0.1, vec![(hour(i), i as f64)]);
         }
-        // L1 holds {2, 3}; {0, 1} were demoted.
-        assert_eq!(c.stats().demotions, 2);
-        assert_eq!((c.l1.len() + c.l2.len()), 4);
-        // L2 hit promotes 0 back to L1 (demoting 2).
-        let (samples, sigma) = c.lookup(key(0)).expect("still cached in L2");
+        // A hit makes 0 the hottest entry, so 1 is now the coldest.
+        let (samples, sigma) = c.lookup(key(0)).expect("cached");
         assert_eq!(samples, vec![(hour(0), 0.0)]);
         assert_eq!(sigma, 0.1);
+        c.insert(key(3), hour(4), hour(4), 0.1, Vec::new());
+        assert_eq!(c.stats().evictions, 1);
+        assert!(c.lookup(key(1)).is_none(), "coldest entry evicted");
+        // A re-insert refreshes too: 2 moves past 0 and 3.
+        c.insert(key(2), hour(3), hour(3), 0.1, Vec::new());
+        c.insert(key(4), hour(5), hour(5), 0.1, Vec::new());
+        assert!(c.lookup(key(0)).is_none(), "0 was the coldest");
+        assert!(c.lookup(key(2)).is_some());
         let s = c.stats();
-        assert_eq!(s.l2_hits, 1);
-        assert_eq!(s.promotions, 1);
-        assert_eq!(s.demotions, 3);
-        // Now an L1 hit.
-        assert!(c.lookup(key(0)).is_some());
-        assert_eq!(c.stats().l1_hits, 1);
-        // Accounting invariants.
-        let s = c.stats();
-        assert_eq!(s.lookups, s.l1_hits + s.l2_hits + s.misses);
-        assert!(s.promotions <= s.l2_hits);
+        assert_eq!(s.evictions, 2);
+        assert_eq!((s.hits, s.misses), (2, 2));
+        assert_eq!(s.lookups, s.hits + s.misses);
     }
 
     #[test]
-    fn tiered_cache_rejects_incomplete_slices() {
-        let mut c = TieredSliceCache::new(4, 4);
+    fn cache_rejects_incomplete_slices() {
+        let mut c = SliceCache::new(8);
         // Served before the span end: the slice was still filling.
         c.insert(key(7), hour(8), hour(7) + SimDuration::from_mins(30), 0.1, Vec::new());
-        assert!((c.l1.is_empty() && c.l2.is_empty()));
+        assert!(c.entries.is_empty());
         assert_eq!(c.stats().incomplete_skips, 1);
         assert!(c.lookup(key(7)).is_none());
         // Served exactly at the span end: complete, cacheable.
         c.insert(key(7), hour(8), hour(8), 0.1, Vec::new());
-        assert_eq!((c.l1.len() + c.l2.len()), 1);
+        assert_eq!(c.entries.len(), 1);
         assert!(c.lookup(key(7)).is_some());
+        assert_eq!(c.stats().hits, 1);
     }
 
     #[test]
-    fn tiered_cache_never_exceeds_capacity() {
-        let mut c = TieredSliceCache::new(2, 2);
+    fn cache_never_exceeds_capacity() {
+        let mut c = SliceCache::new(4);
         for i in 0..10u64 {
             c.insert(key(i), hour(i + 1), hour(i + 1), 0.1, Vec::new());
-            assert!(c.l1.len() <= 2, "L1 overflow at insert {i}");
-            assert!(c.l2.len() <= 2, "L2 overflow at insert {i}");
+            assert!(c.entries.len() <= 4, "overflow at insert {i}");
         }
-        assert_eq!((c.l1.len() + c.l2.len()), 4);
+        assert_eq!(c.entries.len(), 4);
         let s = c.stats();
         assert_eq!(s.inserts, 10);
-        assert_eq!(s.evictions, 6, "spill-tier drops");
-        // No spill tier: L1 evictions drop outright.
-        let mut d = TieredSliceCache::new(1, 0);
+        assert_eq!(s.evictions, 6);
+        // A zero capacity still keeps one slice.
+        let mut d = SliceCache::new(0);
         d.insert(key(0), hour(1), hour(1), 0.1, Vec::new());
         d.insert(key(1), hour(2), hour(2), 0.1, Vec::new());
-        assert_eq!((d.l1.len() + d.l2.len()), 1);
+        assert_eq!(d.entries.len(), 1);
         assert_eq!(d.stats().evictions, 1);
-        assert_eq!(d.stats().demotions, 0);
     }
 
     #[test]
     fn reinsert_replaces_in_place() {
-        let mut c = TieredSliceCache::new(2, 2);
+        let mut c = SliceCache::new(4);
         c.insert(key(0), hour(1), hour(1), 0.1, vec![(hour(0), 1.0)]);
         c.insert(key(0), hour(1), hour(2), 0.1, vec![(hour(0), 2.0)]);
-        assert_eq!((c.l1.len() + c.l2.len()), 1);
+        assert_eq!(c.entries.len(), 1);
+        assert_eq!(c.stats().evictions, 0);
         let (samples, _) = c.lookup(key(0)).expect("cached");
         assert_eq!(samples[0].1, 2.0, "newest serving wins");
+        assert_eq!(c.stats().hits, 1);
     }
 
     #[test]
     fn clear_keeps_counters() {
-        let mut c = TieredSliceCache::new(2, 2);
+        let mut c = SliceCache::new(4);
         c.insert(key(0), hour(1), hour(1), 0.1, Vec::new());
         assert!(c.lookup(key(0)).is_some());
         c.clear();
-        assert!((c.l1.is_empty() && c.l2.is_empty()));
+        assert!(c.entries.is_empty());
         assert_eq!(c.stats().inserts, 1);
-        assert_eq!(c.stats().l1_hits, 1);
+        assert_eq!(c.stats().hits, 1);
     }
 }

@@ -793,7 +793,6 @@ mod tests {
             push_tolerance: Some(2.0),
             batching_interval: None,
             lpl_check_interval: None,
-            reply_codec: None,
         };
         let out = ch.rpc(SimTime::from_hours(2), &retune, &mut node, &mac());
         assert!(out.delivered);

@@ -3,19 +3,14 @@
 use presto_archive::ArchiveConfig;
 use presto_net::DutyCycle;
 use presto_sim::SimDuration;
-use presto_wavelet::CodecParams;
 
 use crate::push::PushPolicy;
 
 /// Everything a [`crate::node::SensorNode`] needs at construction.
 #[derive(Clone, Debug)]
 pub struct SensorConfig {
-    /// Sampling epoch (31 s default, matching the lab trace).
-    pub sample_period: SimDuration,
     /// Push policy.
     pub push: PushPolicy,
-    /// Codec for compressed batches and pull replies.
-    pub reply_codec: CodecParams,
     /// Radio duty cycle (LPL check interval). The radio is the uplink
     /// MAC's Mica2 ([`presto_net::Mac::downlink`]), and model checks and
     /// compression always charge CPU energy.
@@ -32,9 +27,7 @@ pub struct SensorConfig {
 impl Default for SensorConfig {
     fn default() -> Self {
         SensorConfig {
-            sample_period: SimDuration::from_secs(31),
             push: PushPolicy::ModelDriven { tolerance: 1.0 },
-            reply_codec: CodecParams::for_tolerance(0.5),
             duty: DutyCycle::lpl(SimDuration::from_secs(1)),
             archive: ArchiveConfig::default(),
             announce_seals: false,
@@ -50,6 +43,6 @@ mod tests {
     fn default_is_model_driven_mica2() {
         let c = SensorConfig::default();
         assert!(matches!(c.push, PushPolicy::ModelDriven { .. }));
-        assert_eq!(c.sample_period, SimDuration::from_secs(31));
+        assert_eq!(c.duty.check_interval, SimDuration::from_secs(1));
     }
 }

@@ -11,7 +11,6 @@ use std::sync::Arc;
 use presto_archive::Quality;
 use presto_models::ModelKind;
 use presto_sim::{SimDuration, SimTime};
-use presto_wavelet::CodecParams;
 
 /// A sample carried in a pull reply.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -154,8 +153,6 @@ pub enum DownlinkMsg {
         batching_interval: Option<SimDuration>,
         /// New LPL check interval, if changing.
         lpl_check_interval: Option<SimDuration>,
-        /// New pull-reply codec, if changing.
-        reply_codec: Option<CodecParams>,
     },
     /// Request archived data for a PAST query.
     PullRequest {
@@ -187,7 +184,7 @@ impl DownlinkMsg {
     pub fn wire_bytes(&self) -> usize {
         match self {
             DownlinkMsg::ModelUpdate { params, .. } => 3 + params.len(),
-            DownlinkMsg::Retune { .. } => 2 + 4 + 8 + 8 + 9,
+            DownlinkMsg::Retune { .. } => 2 + 4 + 8 + 8,
             DownlinkMsg::PullRequest { .. } => 2 + 8 + 8 + 8 + 4,
             DownlinkMsg::AggregateRequest { .. } => 2 + 8 + 8 + 8 + 5,
         }

@@ -509,7 +509,6 @@ impl SensorNode {
                 push_tolerance,
                 batching_interval,
                 lpl_check_interval,
-                reply_codec,
             } => {
                 if let Some(tol) = push_tolerance {
                     match &mut self.config.push {
@@ -528,9 +527,6 @@ impl SensorNode {
                     // The network-wide check interval changed, so the
                     // uplink wake-up preamble changes with it.
                     self.uplink.dest_lpl_interval = *check;
-                }
-                if let Some(codec) = reply_codec {
-                    self.config.reply_codec = *codec;
                 }
                 None
             }
@@ -957,7 +953,6 @@ mod tests {
             push_tolerance: Some(2.5),
             batching_interval: None,
             lpl_check_interval: Some(SimDuration::from_secs(8)),
-            reply_codec: Some(CodecParams::for_tolerance(1.0)),
         };
         n.handle_downlink(SimTime::from_secs(10), &retune);
         match n.config.push {

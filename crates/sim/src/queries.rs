@@ -30,8 +30,6 @@ pub enum QueryKind {
 /// One emitted query.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QueryArrival {
-    /// The emitting user.
-    pub user: usize,
     /// Target sensor slot, in `0..sensors`.
     pub sensor_slot: usize,
     /// Query class.
@@ -125,19 +123,19 @@ impl QueryLoad {
     pub fn step(&mut self, t: SimTime, epoch: SimDuration) -> Vec<QueryArrival> {
         let p_emit = self.emit_probability(epoch);
         let mut out = Vec::new();
-        for user in 0..self.config.users {
+        for _ in 0..self.config.users {
             if !self.rng.chance(p_emit) {
                 continue;
             }
-            out.push(self.draw_one(user, t));
+            out.push(self.draw_one(t));
         }
         out
     }
 
-    /// Draws one arrival for `user` at `t` (the per-query half of
+    /// Draws one arrival at `t` (the per-query half of
     /// [`QueryLoad::step`], exposed so deployment-tier generators can
     /// compose their own arrival processes over the same query shapes).
-    pub fn draw_one(&mut self, user: usize, t: SimTime) -> QueryArrival {
+    pub fn draw_one(&mut self, t: SimTime) -> QueryArrival {
         let sensor_slot = self.rng.below(self.sensors as u64) as usize;
         if self.rng.chance(self.config.past_fraction) {
             let (from, to, tolerance) = if self.rng.chance(self.config.hot_fraction) {
@@ -162,7 +160,6 @@ impl QueryLoad {
                 (to - len, to, tol)
             };
             QueryArrival {
-                user,
                 sensor_slot,
                 kind: QueryKind::Past,
                 from,
@@ -172,7 +169,6 @@ impl QueryLoad {
         } else if self.rng.chance(self.config.aggregate_fraction) {
             let (from, to, _) = self.hot_window(t);
             QueryArrival {
-                user,
                 sensor_slot,
                 kind: QueryKind::Aggregate,
                 from,
@@ -185,7 +181,6 @@ impl QueryLoad {
                 .choose(&self.config.tolerances)
                 .expect("non-empty tolerances");
             QueryArrival {
-                user,
                 sensor_slot,
                 kind: QueryKind::Now,
                 from: t,
@@ -277,7 +272,7 @@ impl FleetQueryLoad {
     pub fn step(&mut self, t: SimTime, epoch: SimDuration) -> Vec<FleetArrival> {
         let p_emit = self.inner.emit_probability(epoch);
         let mut out = Vec::new();
-        for user in 0..self.inner.users() {
+        for _ in 0..self.inner.users() {
             if !self.rng.chance(p_emit) {
                 continue;
             }
@@ -285,7 +280,7 @@ impl FleetQueryLoad {
             let group = self.cumulative.partition_point(|&c| c < u).min(self.cumulative.len() - 1);
             out.push(FleetArrival {
                 group,
-                arrival: self.inner.draw_one(user, t),
+                arrival: self.inner.draw_one(t),
             });
         }
         out

@@ -6,25 +6,9 @@
 //! of an old batch at increasing levels: each aging step halves the
 //! stored footprint and coarsens the reconstruction by a factor of two in
 //! time resolution.
-//!
-//! An [`AgedSummary`] is self-contained: it reconstructs without access
-//! to the original data.
 
 use crate::haar::{haar_forward, haar_inverse, haar_levels, pad_pow2};
-use crate::quant::{dequantize, pack_ints, quantize, unpack_ints};
-
-/// A batch aged to a given resolution level.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AgedSummary {
-    /// Aging level: the stored band is the level-`level` approximation.
-    pub level: usize,
-    /// Number of samples in the original batch.
-    pub original_len: usize,
-    /// Quantizer step used for the stored coefficients.
-    pub quant_step: f64,
-    /// Packed, quantized approximation coefficients.
-    packed: Vec<u8>,
-}
+use crate::quant::{dequantize, quantize};
 
 /// Builder/config for aging operations.
 #[derive(Clone, Debug)]
@@ -40,41 +24,27 @@ impl AgingLadder {
         AgingLadder { quant_step }
     }
 
-    /// Summarizes a fresh batch at aging `level` (level 0 keeps full
-    /// resolution, each +1 halves the footprint).
-    pub fn summarize(&self, samples: &[f64], level: usize) -> AgedSummary {
+    /// Ages a batch to `level` (level 0 keeps full resolution, each +1
+    /// halves the footprint): keeps the level-`level` approximation
+    /// band, quantized, and reconstructs the batch at original length
+    /// from it alone. The detail bands are gone, so the result is a
+    /// level-`level` smoothing of the original. Returns the level used
+    /// (capped once a single coefficient remains) and the
+    /// reconstruction.
+    pub fn summarize(&self, samples: &[f64], level: usize) -> (usize, Vec<f64>) {
         let padded = pad_pow2(samples);
-        let max_level = haar_levels(padded.len());
-        let level = level.min(max_level);
-        let coeffs = haar_forward(&padded, level);
-        let approx = &coeffs[..padded.len() >> level];
-        let packed = pack_ints(&quantize(approx, self.quant_step));
-        AgedSummary {
-            level,
-            original_len: samples.len(),
-            quant_step: self.quant_step,
-            packed,
-        }
-    }
-}
-
-impl AgedSummary {
-    /// Decoded approximation coefficients.
-    fn approx_coeffs(&self) -> Vec<f64> {
-        let qs = unpack_ints(&self.packed).expect("summary packed by this module");
-        dequantize(&qs, self.quant_step)
-    }
-
-    /// Reconstructs the batch at original length. Detail bands are gone,
-    /// so the result is a level-`level` smoothing of the original.
-    pub fn reconstruct(&self) -> Vec<f64> {
-        let padded_len = self.original_len.max(1).next_power_of_two();
-        let approx = self.approx_coeffs();
-        let mut coeffs = vec![0.0; padded_len];
-        coeffs[..approx.len()].copy_from_slice(&approx);
-        let mut out = haar_inverse(&coeffs, self.level);
-        out.truncate(self.original_len);
-        out
+        let level = level.min(haar_levels(padded.len()));
+        let mut coeffs = haar_forward(&padded, level);
+        let approx_len = padded.len() >> level;
+        let approx = dequantize(
+            &quantize(&coeffs[..approx_len], self.quant_step),
+            self.quant_step,
+        );
+        coeffs[..approx_len].copy_from_slice(&approx);
+        coeffs[approx_len..].fill(0.0);
+        let mut out = haar_inverse(&coeffs, level);
+        out.truncate(samples.len());
+        (level, out)
     }
 }
 
@@ -82,16 +52,15 @@ impl AgedSummary {
 mod tests {
     use super::*;
 
-    /// Root-mean-square reconstruction error of `s` against the original
+    /// Root-mean-square error of a reconstruction against the original
     /// batch.
-    fn rmse(s: &AgedSummary, original: &[f64]) -> f64 {
-        let back = s.reconstruct();
+    fn rmse(back: &[f64], original: &[f64]) -> f64 {
         if original.is_empty() {
             return 0.0;
         }
         let se: f64 = original
             .iter()
-            .zip(&back)
+            .zip(back)
             .map(|(a, b)| (a - b) * (a - b))
             .sum();
         (se / original.len() as f64).sqrt()
@@ -115,23 +84,9 @@ mod tests {
     fn level_zero_is_near_lossless() {
         let xs = trace(256);
         let ladder = AgingLadder::new(0.01);
-        let s = ladder.summarize(&xs, 0);
-        assert!(rmse(&s, &xs) < 0.01);
-    }
-
-    #[test]
-    fn footprint_halves_per_level() {
-        let xs = trace(1024);
-        let ladder = AgingLadder::new(0.05);
-        let sizes: Vec<usize> = (0..6)
-            .map(|l| ladder.summarize(&xs, l).packed.len())
-            .collect();
-        for w in sizes.windows(2) {
-            assert!(
-                (w[1] as f64) < 0.75 * w[0] as f64,
-                "sizes not shrinking: {sizes:?}"
-            );
-        }
+        let (level, back) = ladder.summarize(&xs, 0);
+        assert_eq!(level, 0);
+        assert!(rmse(&back, &xs) < 0.01);
     }
 
     #[test]
@@ -139,7 +94,7 @@ mod tests {
         let xs = trace(1024);
         let ladder = AgingLadder::new(0.05);
         let errs: Vec<f64> = (0..8)
-            .map(|l| rmse(&ladder.summarize(&xs, l), &xs))
+            .map(|l| rmse(&ladder.summarize(&xs, l).1, &xs))
             .collect();
         for w in errs.windows(2) {
             assert!(w[1] >= w[0] - 1e-9, "errors not monotone: {errs:?}");
@@ -152,10 +107,9 @@ mod tests {
     fn aging_saturates_at_single_coefficient() {
         let xs = trace(64);
         let ladder = AgingLadder::new(0.05);
-        let s = ladder.summarize(&xs, 20);
+        let (level, rec) = ladder.summarize(&xs, 20);
         // level is capped once a single coefficient remains (64 = 2^6).
-        assert_eq!(s.level, 6);
-        let rec = s.reconstruct();
+        assert_eq!(level, 6);
         assert_eq!(rec.len(), 64);
         // The single surviving coefficient reconstructs the batch mean.
         let mean = xs.iter().sum::<f64>() / 64.0;
@@ -166,15 +120,16 @@ mod tests {
     fn reconstruct_handles_non_pow2_lengths() {
         let xs = trace(300);
         let ladder = AgingLadder::new(0.05);
-        let s = ladder.summarize(&xs, 2);
-        assert_eq!(s.reconstruct().len(), 300);
+        let (level, rec) = ladder.summarize(&xs, 2);
+        assert_eq!(level, 2);
+        assert_eq!(rec.len(), 300);
     }
 
     #[test]
     fn empty_batch() {
         let ladder = AgingLadder::new(0.05);
-        let s = ladder.summarize(&[], 3);
-        assert_eq!(s.reconstruct().len(), 0);
-        assert_eq!(rmse(&s, &[]), 0.0);
+        let (_, rec) = ladder.summarize(&[], 3);
+        assert_eq!(rec.len(), 0);
+        assert_eq!(rmse(&rec, &[]), 0.0);
     }
 }

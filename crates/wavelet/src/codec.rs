@@ -13,7 +13,8 @@ use crate::haar::{
     pad_pow2, pad_pow2_into,
 };
 use crate::quant::{
-    dequantize, pack_ints, packed_len, quantize, quantize_into, unpack_ints, varint_len,
+    dequantize, pack_ints, packed_len, push_varint, quantize, quantize_into, read_varint,
+    unpack_ints, varint_len,
 };
 
 /// Codec configuration.
@@ -198,35 +199,6 @@ impl Codec {
         let mut samples = haar_inverse(&coeffs, levels);
         samples.truncate(original_len);
         Some(samples)
-    }
-}
-
-fn push_varint(out: &mut Vec<u8>, mut u: u64) {
-    loop {
-        let byte = (u & 0x7f) as u8;
-        u >>= 7;
-        if u == 0 {
-            out.push(byte);
-            break;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut u = 0u64;
-    let mut shift = 0;
-    loop {
-        let &b = bytes.get(*pos)?;
-        *pos += 1;
-        u |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Some(u);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return None;
-        }
     }
 }
 

@@ -23,7 +23,7 @@ pub mod denoise;
 pub mod haar;
 pub mod quant;
 
-pub use aging::{AgedSummary, AgingLadder};
+pub use aging::AgingLadder;
 pub use codec::{Codec, CodecParams, Compressed, EncodeScratch};
 pub use denoise::{denoise_in_place, universal_threshold, DenoiseMode};
 pub use haar::{

@@ -49,7 +49,8 @@ pub(crate) fn varint_len(u: u64) -> usize {
     (u64::BITS - u.leading_zeros()).div_ceil(7).max(1) as usize
 }
 
-fn push_varint(out: &mut Vec<u8>, mut u: u64) {
+/// Appends `u` as a little-endian base-128 varint.
+pub(crate) fn push_varint(out: &mut Vec<u8>, mut u: u64) {
     loop {
         let byte = (u & 0x7f) as u8;
         u >>= 7;
@@ -61,7 +62,9 @@ fn push_varint(out: &mut Vec<u8>, mut u: u64) {
     }
 }
 
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+/// Reads a varint at `*pos`, advancing past it; `None` when truncated
+/// or longer than 64 bits.
+pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut u = 0u64;
     let mut shift = 0;
     loop {

@@ -20,6 +20,27 @@
 
 use presto_sim::{SimDuration, SimRng, SimTime};
 
+/// Mean temperature, °C.
+const BASE_TEMP: f64 = 21.0;
+
+/// Diurnal amplitude, °C.
+const DIURNAL_AMP: f64 = 4.0;
+
+/// AR(1) coefficient of the shared weather field (per epoch).
+const FIELD_PHI: f64 = 0.995;
+
+/// Std-dev of the heavy-tail jitter component, °C.
+const HEAVY_SIGMA: f64 = 1.9;
+
+/// Spread of fixed per-sensor offsets, °C.
+const OFFSET_SPREAD: f64 = 1.5;
+
+/// Event spike magnitude, °C.
+const EVENT_AMP: f64 = 8.0;
+
+/// How long a rare-event spike stays active.
+pub const EVENT_DURATION: SimDuration = SimDuration::from_mins(5);
+
 /// Generator parameters.
 #[derive(Clone, Debug)]
 pub struct LabParams {
@@ -27,30 +48,16 @@ pub struct LabParams {
     pub sensors: usize,
     /// Sampling epoch.
     pub epoch: SimDuration,
-    /// Mean temperature, °C.
-    pub base_temp: f64,
-    /// Diurnal amplitude, °C.
-    pub diurnal_amp: f64,
     /// Linear trend, °C per day.
     pub trend_per_day: f64,
-    /// AR(1) coefficient of the shared weather field (per epoch).
-    pub field_phi: f64,
     /// Innovation std-dev of the shared field, °C.
     pub field_sigma: f64,
     /// Std-dev of the common (small) jitter component, °C.
     pub jitter_sigma: f64,
     /// Probability that an epoch draws from the heavy tail instead.
     pub heavy_prob: f64,
-    /// Std-dev of the heavy-tail jitter component, °C.
-    pub heavy_sigma: f64,
-    /// Spread of fixed per-sensor offsets, °C.
-    pub offset_spread: f64,
     /// Mean rate of rare events per sensor per day.
     pub events_per_day: f64,
-    /// Event spike magnitude, °C.
-    pub event_amp: f64,
-    /// Event duration.
-    pub event_duration: SimDuration,
 }
 
 impl Default for LabParams {
@@ -58,18 +65,11 @@ impl Default for LabParams {
         LabParams {
             sensors: 4,
             epoch: SimDuration::from_secs(31),
-            base_temp: 21.0,
-            diurnal_amp: 4.0,
             trend_per_day: 0.05,
-            field_phi: 0.995,
             field_sigma: 0.12,
             jitter_sigma: 0.35,
             heavy_prob: 0.08,
-            heavy_sigma: 1.9,
-            offset_spread: 1.5,
             events_per_day: 0.5,
-            event_amp: 8.0,
-            event_duration: SimDuration::from_mins(5),
         }
     }
 }
@@ -104,7 +104,7 @@ impl LabDeployment {
     pub fn new(params: LabParams, seed: u64) -> Self {
         let mut rng = SimRng::new(seed).split("lab");
         let offsets = (0..params.sensors)
-            .map(|_| rng.gaussian_ms(0.0, params.offset_spread / 2.0))
+            .map(|_| rng.gaussian_ms(0.0, OFFSET_SPREAD / 2.0))
             .collect();
         LabDeployment {
             event_until: vec![None; params.sensors],
@@ -128,14 +128,12 @@ impl LabDeployment {
         self.epoch_index += 1;
 
         // Shared field: AR(1) around zero.
-        self.field =
-            self.params.field_phi * self.field + self.rng.gaussian_ms(0.0, self.params.field_sigma);
+        self.field = FIELD_PHI * self.field + self.rng.gaussian_ms(0.0, self.params.field_sigma);
 
         let hours = t.hour_of_day();
-        let diurnal =
-            self.params.diurnal_amp * ((hours - 14.0) / 24.0 * std::f64::consts::TAU).cos();
+        let diurnal = DIURNAL_AMP * ((hours - 14.0) / 24.0 * std::f64::consts::TAU).cos();
         let trend = self.params.trend_per_day * t.as_days_f64();
-        let base = self.params.base_temp + diurnal + trend + self.field;
+        let base = BASE_TEMP + diurnal + trend + self.field;
 
         // Poisson event arrivals per sensor per epoch.
         let event_rate_per_epoch =
@@ -144,7 +142,7 @@ impl LabDeployment {
         (0..self.params.sensors)
             .map(|s| {
                 if self.event_until[s].is_none() && self.rng.chance(event_rate_per_epoch) {
-                    self.event_until[s] = Some(t + self.params.event_duration);
+                    self.event_until[s] = Some(t + EVENT_DURATION);
                 }
                 let event_active = match self.event_until[s] {
                     Some(until) if t <= until => true,
@@ -158,7 +156,7 @@ impl LabDeployment {
                 // Heavy-tailed per-epoch jitter, slightly smoothed so the
                 // per-epoch deltas are realistic rather than white.
                 let sigma = if self.rng.chance(self.params.heavy_prob) {
-                    self.params.heavy_sigma
+                    HEAVY_SIGMA
                 } else {
                     self.params.jitter_sigma
                 };
@@ -167,7 +165,7 @@ impl LabDeployment {
 
                 let mut value = base + self.offsets[s] + self.private[s];
                 if event_active {
-                    value += self.params.event_amp;
+                    value += EVENT_AMP;
                 }
                 LabReading {
                     timestamp: t,

@@ -8,6 +8,26 @@
 
 use presto_sim::{SimDuration, SimRng, SimTime};
 
+/// Fraction of queries that are NOW (the rest are PAST).
+const NOW_FRACTION: f64 = 0.7;
+
+/// PAST query age: mean lookback from the arrival time.
+const PAST_MEAN_AGE: SimDuration = SimDuration::from_hours(12);
+
+/// PAST query range length bounds.
+const PAST_SPAN: (SimDuration, SimDuration) =
+    (SimDuration::from_mins(10), SimDuration::from_hours(2));
+
+/// Tolerance bounds (uniform), in value units.
+const TOLERANCE_RANGE: (f64, f64) = (0.25, 2.0);
+
+/// Latency-bound choices (mixture of interactive and relaxed).
+const LATENCY_CHOICES: [SimDuration; 3] = [
+    SimDuration::from_secs(5),
+    SimDuration::from_mins(1),
+    SimDuration::from_mins(10),
+];
+
 /// What a query targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryTarget {
@@ -51,40 +71,21 @@ pub struct QuerySpec {
 pub struct QueryParams {
     /// Mean queries per hour across the deployment.
     pub rate_per_hour: f64,
-    /// Fraction of queries that are NOW (the rest are PAST).
-    pub now_fraction: f64,
     /// Number of sensors (for target sampling).
     pub sensors: usize,
     /// Number of proxies (for group-target sampling).
     pub proxies: usize,
     /// Fraction of queries that target whole proxy groups.
     pub group_fraction: f64,
-    /// PAST query age: mean lookback from the arrival time.
-    pub past_mean_age: SimDuration,
-    /// PAST query range length bounds.
-    pub past_span: (SimDuration, SimDuration),
-    /// Tolerance bounds (uniform), in value units.
-    pub tolerance_range: (f64, f64),
-    /// Latency-bound choices (mixture of interactive and relaxed).
-    pub latency_choices: Vec<SimDuration>,
 }
 
 impl Default for QueryParams {
     fn default() -> Self {
         QueryParams {
             rate_per_hour: 30.0,
-            now_fraction: 0.7,
             sensors: 40,
             proxies: 4,
             group_fraction: 0.2,
-            past_mean_age: SimDuration::from_hours(12),
-            past_span: (SimDuration::from_mins(10), SimDuration::from_hours(2)),
-            tolerance_range: (0.25, 2.0),
-            latency_choices: vec![
-                SimDuration::from_secs(5),
-                SimDuration::from_mins(1),
-                SimDuration::from_mins(10),
-            ],
         }
     }
 }
@@ -132,14 +133,14 @@ impl QueryGen {
         } else {
             QueryTarget::Sensor(self.rng.below(self.params.sensors as u64) as usize)
         };
-        let scope = if self.rng.chance(self.params.now_fraction) {
+        let scope = if self.rng.chance(NOW_FRACTION) {
             TimeScope::Now
         } else {
             let age = SimDuration::from_secs_f64(
                 self.rng
-                    .exponential(1.0 / self.params.past_mean_age.as_secs_f64().max(1.0)),
+                    .exponential(1.0 / PAST_MEAN_AGE.as_secs_f64().max(1.0)),
             );
-            let (lo, hi) = self.params.past_span;
+            let (lo, hi) = PAST_SPAN;
             let span = SimDuration::from_secs_f64(self.rng.uniform_range(
                 lo.as_secs_f64(),
                 hi.as_secs_f64().max(lo.as_secs_f64() + 1.0),
@@ -148,11 +149,11 @@ impl QueryGen {
             let from = to - span;
             TimeScope::Past { from, to }
         };
-        let (tlo, thi) = self.params.tolerance_range;
+        let (tlo, thi) = TOLERANCE_RANGE;
         let tolerance = self.rng.uniform_range(tlo, thi.max(tlo + 1e-9));
         let latency_bound = *self
             .rng
-            .choose(&self.params.latency_choices)
+            .choose(&LATENCY_CHOICES)
             .unwrap_or(&SimDuration::from_mins(1));
         QuerySpec {
             arrival,
@@ -220,10 +221,11 @@ mod tests {
     #[test]
     fn latency_bounds_from_choices() {
         let qs = day_of_queries(6);
-        let choices = QueryParams::default().latency_choices;
-        assert!(qs.iter().all(|q| choices.contains(&q.latency_bound)));
+        assert!(qs
+            .iter()
+            .all(|q| LATENCY_CHOICES.contains(&q.latency_bound)));
         // All three classes should appear over a day.
-        for c in &choices {
+        for c in &LATENCY_CHOICES {
             assert!(qs.iter().any(|q| q.latency_bound == *c));
         }
     }

@@ -32,7 +32,6 @@ fn main() {
     let mut node = SensorNode::new(
         0,
         SensorConfig {
-            sample_period: epoch,
             push: PushPolicy::ModelDriven { tolerance: 0.25 },
             ..SensorConfig::default()
         },

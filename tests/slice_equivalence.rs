@@ -5,12 +5,13 @@
 //! reply codec is applied per reply, so the blocking reference must
 //! pull the same canonical slice windows). Every other query fails
 //! honestly by its deadline, no slice sub-RPC leaks from the channel,
-//! and the two-tier cache's accounting balances:
-//! `lookups == l1_hits + l2_hits + misses` and `promotions <= l2_hits`.
+//! and the slice cache's accounting balances: `lookups == hits +
+//! misses`. The slice cache itself is checked step by step against a
+//! reference LRU written here (`slice_cache_is_an_lru`).
 
 use proptest::prelude::*;
 
-use presto::proxy::slice::{assemble, plan, SliceConfig};
+use presto::proxy::slice::{assemble, plan, SliceCache, SliceConfig, SliceKey};
 use presto::proxy::{
     AnswerSource, PastAnswer, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig, PumpSensor,
     DEFAULT_DEADLINE,
@@ -45,13 +46,10 @@ fn archived_node() -> SensorNode {
     n
 }
 
-/// The slice geometry under test: small tiers so the property also
-/// exercises demotion and promotion, not just inserts.
+/// The slice geometry under test: a small cache so the property also
+/// exercises eviction, not just inserts.
 fn slice_cfg() -> SliceConfig {
-    SliceConfig {
-        l1_capacity: 4,
-        l2_capacity: 8,
-    }
+    SliceConfig { capacity: 12 }
 }
 
 /// A proxy with sliced execution on and every radio-free fast path off,
@@ -237,10 +235,9 @@ fn run_and_check(
     // Every multi-slice PAST submission took the sliced path.
     prop_assert_eq!(p.pipeline().stats().sliced, multi_slice);
 
-    // Two-tier accounting balances.
+    // Slice cache accounting balances.
     let s = p.pipeline().slice_cache().stats();
-    prop_assert_eq!(s.lookups, s.l1_hits + s.l2_hits + s.misses);
-    prop_assert!(s.promotions <= s.l2_hits, "promotions {} > l2 hits {}", s.promotions, s.l2_hits);
+    prop_assert_eq!(s.lookups, s.hits + s.misses);
     prop_assert_eq!(s.incomplete_skips, 0, "all queried slice spans are fully archived");
 
     let mut pulled = 0usize;
@@ -293,7 +290,7 @@ proptest! {
 
     /// Any workload × any loss trace: slice-assembled answers are
     /// value-identical to the blocking per-slice reference; the rest
-    /// fail honestly; nothing leaks; tier accounting balances.
+    /// fail honestly; nothing leaks; cache accounting balances.
     #[test]
     fn sliced_pipeline_matches_reference_or_fails_honestly(
         workload in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..32),
@@ -326,9 +323,111 @@ proptest! {
     }
 }
 
+/// One cached slice of the reference LRU: key index, samples, sigma.
+type RefEntry = (u64, Vec<(SimTime, f64)>, f64);
+
+/// The reference the slice cache must match: entries in recency order
+/// (front coldest), moved to the back on a hit or a re-insert; an
+/// insert into a full reference first drops the front.
+struct RefLru {
+    capacity: usize,
+    entries: Vec<RefEntry>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    incomplete_skips: u64,
+}
+
+impl RefLru {
+    fn new(capacity: usize) -> Self {
+        RefLru {
+            capacity,
+            entries: Vec::new(),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            incomplete_skips: 0,
+        }
+    }
+
+    fn insert(&mut self, index: u64, complete: bool, samples: Vec<(SimTime, f64)>, sigma: f64) {
+        if !complete {
+            self.incomplete_skips += 1;
+            return;
+        }
+        self.entries.retain(|e| e.0 != index);
+        if self.entries.len() >= self.capacity {
+            self.entries.remove(0);
+            self.evictions += 1;
+        }
+        self.entries.push((index, samples, sigma));
+    }
+
+    fn lookup(&mut self, index: u64) -> Option<(Vec<(SimTime, f64)>, f64)> {
+        let Some(pos) = self.entries.iter().position(|e| e.0 == index) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        let entry = self.entries.remove(pos);
+        let out = (entry.1.clone(), entry.2);
+        self.entries.push(entry);
+        Some(out)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256 })]
+
+    /// The slice cache is one LRU: over any capacity and any trace of
+    /// complete inserts (op 0), still-filling inserts (op 1) and
+    /// lookups (op 2) over six keys, every lookup hits or misses with
+    /// the same samples and sigma as the reference LRU of the same
+    /// capacity, and the counters agree after every step.
+    #[test]
+    fn slice_cache_is_an_lru(
+        capacity in 0usize..16,
+        trace in proptest::collection::vec((0u8..3, 0u64..6), 1..200),
+    ) {
+        let mut cache = SliceCache::new(capacity);
+        let mut reference = RefLru::new(capacity.max(1));
+        for (step, &(op, index)) in trace.iter().enumerate() {
+            let key = SliceKey {
+                sensor: 0,
+                index,
+                tol_bits: 0.2f64.to_bits(),
+            };
+            if op == 2 {
+                prop_assert_eq!(cache.lookup(key), reference.lookup(index), "lookup at step {}", step);
+            } else {
+                // Every insert carries its own samples and sigma, so an
+                // entry a re-insert should have replaced would show.
+                let span_end = SimTime::from_hours(index + 1);
+                let served_at = if op == 0 {
+                    span_end
+                } else {
+                    span_end - SimDuration::from_micros(1)
+                };
+                let samples = vec![(SimTime::from_hours(index), step as f64)];
+                let sigma = 0.1 + step as f64;
+                cache.insert(key, span_end, served_at, sigma, samples.clone());
+                reference.insert(index, op == 0, samples, sigma);
+            }
+            let s = cache.stats();
+            prop_assert_eq!(
+                (s.hits, s.misses, s.evictions, s.incomplete_skips),
+                (reference.hits, reference.misses, reference.evictions, reference.incomplete_skips),
+                "counters at step {}",
+                step
+            );
+            prop_assert_eq!(s.lookups, s.hits + s.misses);
+        }
+    }
+}
+
 /// Containment serving falls out of slice assembly: once one window has
 /// been pulled, a *different, narrower* window covered by the same
-/// slices completes radio-free from the two-tier cache — the behavior
+/// slices completes radio-free from the slice cache — the behavior
 /// the old exact-match reply cache could never provide.
 #[test]
 fn sub_window_of_pulled_span_completes_radio_free() {
