@@ -34,6 +34,26 @@ impl Default for OrphanParams {
     }
 }
 
+// K1: only the test module below sets `rate`, and test code keeps no
+// knob.
+pub struct TestOnlyConfig {
+    pub rate: f64,
+}
+
+impl Default for TestOnlyConfig {
+    fn default() -> Self {
+        TestOnlyConfig { rate: 1.0 }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn sets_rate() {
+        let _ = super::TestOnlyConfig { rate: 2.0 };
+    }
+}
+
 // A0: annotation names an unknown lint.
 // presto-lint: allow(bogus, this rule id does not exist)
 pub fn lookup(map: &HashMap<u16, f64>, key: usize) -> f64 {

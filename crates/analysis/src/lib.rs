@@ -42,9 +42,11 @@
 //!   it, but not the literal in its own `impl Default`) or an assignment
 //!   through a `.field` path segment (`=`, `+=`, ... on any receiver,
 //!   matched by name, so K1 may miss a dead knob but never flags a set
-//!   one). Setters are read everywhere: library and test code, examples,
-//!   benches, `perfbench/src/` and the integration tests (`tests/`,
-//!   `crates/*/tests/`), which no other rule reads.
+//!   one). Setters count only in code that runs outside tests: library
+//!   code outside test spans (`crates/bench/src/` and its bins included),
+//!   benches and `perfbench/src/`. A setter in test code or an example
+//!   keeps no field: a value only a test or a demo needs is no reason for
+//!   a knob.
 //!
 //! A site can be justified with an annotation comment — the tool name, a
 //! colon, then `allow(<rule>, <reason>)` — on the same line or on a
@@ -57,8 +59,8 @@
 //! items is exempt from D1/D2/H1/N1 (tests may panic and may use
 //! wall-clock), `*Stats` declarations in test code are ignored by T1
 //! rather than required to be wired up, and test code never counts as a
-//! U1 reference (it does count as a K1 setter). `cfg(not(test))` and `cfg(any(test, ..))` code builds
-//! outside tests too, so it is linted like any other.
+//! U1 reference or a K1 setter. `cfg(not(test))` and `cfg(any(test, ..))`
+//! code builds outside tests too, so it is linted like any other.
 
 pub mod lexer;
 
@@ -363,10 +365,8 @@ enum Role {
     /// Library code: every rule lints it.
     Lib,
     /// Examples, benches and the benchmark harness: read for U1 references
-    /// and K1 setters, never linted, no annotations.
+    /// and (all but examples) K1 setters, never linted, no annotations.
     Caller,
-    /// Integration tests: read for K1 setters only.
-    Writer,
 }
 
 fn crate_subdir(path: &str, dir: &str) -> bool {
@@ -375,16 +375,18 @@ fn crate_subdir(path: &str, dir: &str) -> bool {
         .is_some_and(|(_, r)| r.starts_with(dir))
 }
 
-fn role(path: &str) -> Role {
-    if path.starts_with("examples/")
+/// A file's role, or `None` for an integration test (`tests/`,
+/// `crates/*/tests/`), which no rule reads.
+fn role(path: &str) -> Option<Role> {
+    if path.starts_with("tests/") || crate_subdir(path, "tests/") {
+        None
+    } else if path.starts_with("examples/")
         || path.starts_with("perfbench/src/")
         || crate_subdir(path, "benches/")
     {
-        Role::Caller
-    } else if path.starts_with("tests/") || crate_subdir(path, "tests/") {
-        Role::Writer
+        Some(Role::Caller)
     } else {
-        Role::Lib
+        Some(Role::Lib)
     }
 }
 
@@ -929,9 +931,9 @@ fn index_knob_fields(ctx: &FileCtx, file_idx: usize, idx: &mut KnobIndex) {
     }
 }
 
-/// Record a file's K1 setters: the fields named in struct literals (a
-/// `Default` impl's literal of its own type excepted) and the field names
-/// assigned through a `.field` path segment.
+/// Record a file's K1 setters outside test code: the fields named in
+/// struct literals (a `Default` impl's literal of its own type excepted)
+/// and the field names assigned through a `.field` path segment.
 fn index_knob_setters(ctx: &FileCtx, idx: &mut KnobIndex) {
     let toks = &ctx.tokens;
     let impls = impl_blocks(toks);
@@ -942,6 +944,9 @@ fn index_knob_setters(ctx: &FileCtx, idx: &mut KnobIndex) {
             .max_by_key(|b| b.open)
     };
     for i in 0..toks.len().saturating_sub(1) {
+        if in_test(&ctx.spans, toks[i].line) {
+            continue;
+        }
         if let (Some(mut name), true) = (ident(&toks[i]), is_punct(&toks[i + 1], '{')) {
             // Walk back over a `a::b::` path prefix to the keyword or
             // `->` that would make this a declaration or a fn body.
@@ -1066,8 +1071,10 @@ fn knob_violations(idx: &KnobIndex, ctxs: &mut [FileCtx]) {
 pub fn lint(files: &[SourceFile]) -> Report {
     let mut ctxs: Vec<FileCtx> = Vec::with_capacity(files.len());
     for f in files {
+        let Some(role) = role(&f.path) else {
+            continue;
+        };
         let out = lex(&f.text);
-        let role = role(&f.path);
         let spans = test_spans(&out.tokens);
         let mut annotations = Vec::new();
         let mut raw = Vec::new();
@@ -1093,9 +1100,10 @@ pub fn lint(files: &[SourceFile]) -> Report {
     let mut knobs = KnobIndex::default();
     let mut refs = Refs::default();
     for (i, ctx) in ctxs.iter().enumerate() {
-        index_knob_setters(ctx, &mut knobs);
-        if ctx.role != Role::Writer {
-            index_refs(ctx, i, &mut refs);
+        index_refs(ctx, i, &mut refs);
+        // An example, like a test, demonstrates a value; no workload runs it.
+        if !ctx.path.starts_with("examples/") {
+            index_knob_setters(ctx, &mut knobs);
         }
         if ctx.role == Role::Lib {
             index_stats(ctx, i, &mut stats);
@@ -1182,10 +1190,9 @@ pub fn lint(files: &[SourceFile]) -> Report {
 }
 
 /// Collect every workspace-owned `.rs` source: the linted library code
-/// (`src/` of the umbrella crate plus `crates/*/src/`), the files U1 reads
-/// only as callers (`examples/`, `crates/*/benches/`, `perfbench/src/`) and
-/// the integration tests K1 reads only as setters (`tests/`,
-/// `crates/*/tests/`). Vendored shims (`vendor/`) and lint fixtures are out
+/// (`src/` of the umbrella crate plus `crates/*/src/`) and the files read
+/// only as callers (`examples/`, `crates/*/benches/`, `perfbench/src/`).
+/// Integration tests, vendored shims (`vendor/`) and lint fixtures are out
 /// of scope.
 pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
@@ -1193,7 +1200,6 @@ pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
         root.join("src"),
         root.join("examples"),
         root.join("perfbench").join("src"),
-        root.join("tests"),
     ];
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
@@ -1201,7 +1207,6 @@ pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
             let krate = entry?.path();
             roots.push(krate.join("src"));
             roots.push(krate.join("benches"));
-            roots.push(krate.join("tests"));
         }
     }
     for r in roots.iter().filter(|r| r.is_dir()) {

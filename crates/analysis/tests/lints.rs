@@ -481,23 +481,30 @@ fn knob_accepts_nested_and_compound_assignments() {
     }
 }
 
+/// Only code that runs outside tests keeps a knob: library code outside
+/// test spans (`crates/bench/src/` and its bins included), benches and
+/// perfbench. A setter in test code, an integration test or an example
+/// keeps no field.
 #[test]
 fn knob_reads_setters_from_tests_examples_and_perfbench() {
     let setter = "fn set(c: &mut FooConfig) {\n    c.a = 1;\n    c.b = 2;\n}\n";
     let in_test = format!("#[cfg(test)]\nmod tests {{\n    use super::*;\n    {setter}}}\n");
     let r = lint_used(&[knobs(&in_test)], &["FooConfig"]);
-    assert!(r.is_clean(), "cfg(test): {:?}", r.violations);
-    for writer in [
-        "tests/it.rs",
-        "crates/x/tests/it.rs",
-        "examples/demo.rs",
-        "perfbench/src/run.rs",
-    ] {
-        let r = lint_used(&[knobs(""), file(writer, setter)], &["FooConfig"]);
-        assert!(r.is_clean(), "{writer}: {:?}", r.violations);
-        assert_eq!(r.files_checked, 1, "{writer} is read, never linted");
+    assert_eq!(codes(&r), ["K1", "K1"], "cfg(test): {:?}", r.violations);
+    for ignored in ["tests/it.rs", "crates/x/tests/it.rs", "examples/demo.rs"] {
+        let r = lint_used(&[knobs(""), file(ignored, setter)], &["FooConfig"]);
+        assert_eq!(codes(&r), ["K1", "K1"], "{ignored}: {:?}", r.violations);
+        assert_eq!(r.files_checked, 1, "{ignored} is never linted");
     }
-    // Integration tests are writers only: they never count as U1 callers.
+    for caller in ["perfbench/src/run.rs", "crates/x/benches/b.rs"] {
+        let r = lint_used(&[knobs(""), file(caller, setter)], &["FooConfig"]);
+        assert!(r.is_clean(), "{caller}: {:?}", r.violations);
+        assert_eq!(r.files_checked, 1, "{caller} is read, never linted");
+    }
+    let bin = file("crates/bench/src/bin/run.rs", setter);
+    let r = lint_used(&[knobs(""), bin], &["FooConfig"]);
+    assert!(r.is_clean(), "crates/bench/src: {:?}", r.violations);
+    // Integration tests are never read: they never count as U1 callers.
     let r = lint(&[
         file(LIB, "pub fn api() {}\n"),
         file("tests/it.rs", "fn t() { api(); }\n"),
@@ -529,12 +536,19 @@ fn knob_honors_allow_and_flags_a_stale_one() {
     let r = lint_used(&[file(LIB, src)], &["FooConfig"]);
     assert!(r.is_clean(), "unexpected: {:?}", r.violations);
     assert_eq!(r.allows_honored, 1);
-    // Once something sets it, the allow is stale.
-    let set = file(
-        "examples/demo.rs",
-        "fn main() { let _ = FooConfig { a: 2 }; }\n",
+    // An example's setter does not make it stale: examples keep no knob.
+    let set = "fn main() { let _ = FooConfig { a: 2 }; }\n";
+    let r = lint_used(
+        &[file(LIB, src), file("examples/demo.rs", set)],
+        &["FooConfig"],
     );
-    let r = lint_used(&[file(LIB, src), set], &["FooConfig"]);
+    assert!(r.is_clean(), "unexpected: {:?}", r.violations);
+    assert_eq!(r.allows_honored, 1);
+    // Once a bench sets it, the allow is stale.
+    let r = lint_used(
+        &[file(LIB, src), file("crates/x/benches/b.rs", set)],
+        &["FooConfig"],
+    );
     assert_eq!(codes(&r), ["A0"]);
 }
 
@@ -594,6 +608,13 @@ fn known_bad_fixture_fires_every_lint_class() {
             .iter()
             .any(|m| m.contains("`OrphanParams::rate`")),
         "a `*Params` field nothing sets must fire K1: {:?}",
+        r.violations
+    );
+    assert!(
+        k1_messages(&r)
+            .iter()
+            .any(|m| m.contains("`TestOnlyConfig::rate`")),
+        "a field only test code sets must fire K1: {:?}",
         r.violations
     );
     assert_eq!(r.allows_honored, 0);

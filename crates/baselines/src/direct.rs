@@ -10,7 +10,7 @@
 use presto_proxy::ProxyConfig;
 use presto_sensor::{DownlinkMsg, PushPolicy, UplinkPayload};
 use presto_sim::SimDuration;
-use presto_workloads::TimeScope;
+use presto_workloads::{LabParams, TimeScope};
 
 use crate::driver::{no_prediction, run_arm, ArchReport, ArmAnswer, DriverConfig};
 
@@ -28,7 +28,7 @@ pub fn run(cfg: &DriverConfig) -> ArchReport {
         engine: no_prediction(),
         ..ProxyConfig::default()
     };
-    let epoch = cfg.lab.epoch;
+    let epoch = LabParams::default().epoch;
     let mut next_query_id = 1u64;
     let (rb, nodes) = run_arm(
         cfg,

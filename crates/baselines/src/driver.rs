@@ -13,25 +13,24 @@ use presto_reliability::DownlinkChannel;
 use presto_sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto_sim::metrics::Summary;
 use presto_sim::{SimDuration, SimRng, SimTime};
-use presto_workloads::{
-    LabDeployment, LabParams, QueryGen, QueryParams, QuerySpec, QueryTarget, TimeScope,
-};
+use presto_workloads::{LabDeployment, LabParams, QueryGen, QueryParams, QuerySpec, TimeScope};
 
 /// Uplink/downlink frame loss probability on every arm.
 const LOSS: f64 = 0.05;
 
-/// Configuration shared by every architecture arm.
+/// Master seed of every arm's workload, links and query stream.
+const SEED: u64 = 42;
+
+/// Configuration shared by every architecture arm. Every arm runs the
+/// default [`LabParams`] workload over its `sensors`.
 #[derive(Clone, Debug)]
 pub struct DriverConfig {
     /// Number of sensors under the proxy.
     pub sensors: usize,
     /// Simulated duration in days.
     pub days: u64,
-    /// Master seed.
-    pub seed: u64,
-    /// Workload parameters.
-    pub lab: LabParams,
     /// Query workload parameters.
+    // presto-lint: allow(knob, no_push_traffic_outside_queries: a run with no queries)
     pub queries: QueryParams,
 }
 
@@ -41,15 +40,8 @@ impl Default for DriverConfig {
         DriverConfig {
             sensors,
             days: 2,
-            seed: 42,
-            lab: LabParams {
-                sensors,
-                ..LabParams::default()
-            },
             queries: QueryParams {
                 sensors,
-                proxies: 1,
-                group_fraction: 0.0,
                 rate_per_hour: 20.0,
             },
         }
@@ -98,14 +90,13 @@ struct Deployment {
 
 /// Builds a deployment with the given push policy applied to every node.
 fn build(cfg: &DriverConfig, push: PushPolicy, lpl: SimDuration) -> Deployment {
-    let lab = LabDeployment::new(
-        LabParams {
-            sensors: cfg.sensors,
-            ..cfg.lab.clone()
-        },
-        cfg.seed,
-    );
-    let rng = SimRng::new(cfg.seed);
+    let params = LabParams {
+        sensors: cfg.sensors,
+        ..LabParams::default()
+    };
+    let epoch = params.epoch;
+    let lab = LabDeployment::new(params, SEED);
+    let rng = SimRng::new(SEED);
     let lossy = |r: SimRng| LinkModel::new(LossProcess::Bernoulli(LOSS), r);
     let nodes = (0..cfg.sensors)
         .map(|i| {
@@ -125,14 +116,13 @@ fn build(cfg: &DriverConfig, push: PushPolicy, lpl: SimDuration) -> Deployment {
             sensors: cfg.sensors,
             ..cfg.queries.clone()
         },
-        cfg.seed ^ 0x51ab,
+        SEED ^ 0x51ab,
     )
     .generate(
         // Let queries start after a warm-up day (or half the horizon).
         SimTime::from_hours((cfg.days * 24 / 4).max(6)),
         SimDuration::from_days(cfg.days) - SimDuration::from_hours((cfg.days * 24 / 4).max(6)),
     );
-    let epoch = cfg.lab.epoch;
     Deployment {
         nodes,
         downlinks,
@@ -160,7 +150,6 @@ pub enum ArmAnswer {
 pub fn no_prediction() -> EngineConfig {
     EngineConfig {
         min_history: usize::MAX,
-        ..EngineConfig::default()
     }
 }
 
@@ -214,10 +203,7 @@ pub fn run_arm(
         while qi < dep.queries.len() && dep.queries[qi].arrival <= t + dep.epoch {
             let q = dep.queries[qi];
             qi += 1;
-            let s = match q.target {
-                QueryTarget::Sensor(s) => s.min(cfg.sensors - 1),
-                QueryTarget::ProxyGroup(_) => 0,
-            };
+            let s = q.target;
             let (node, chan) = (&mut dep.nodes[s], &mut dep.downlinks[s]);
             match answer(&mut proxy, &q, s as u16, node, chan) {
                 ArmAnswer::Now { latency, value } => {

@@ -1,6 +1,6 @@
 //! Microbenchmarks of the substrates: wavelet codec, model train/check,
 //! skip-graph operations, and archive I/O. These quantify the ablation
-//! knobs DESIGN.md calls out (codec depth, model class, index size).
+//! knobs DESIGN.md calls out (model class, index size).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use presto_archive::{ArchiveConfig, ArchiveStore};
@@ -84,34 +84,6 @@ fn bench_skipgraph(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_linalg(c: &mut Criterion) {
-    use presto_models::Matrix;
-    // Blocked vs naive matmul: the gap at each size is the loop-tiling
-    // win. Today's spatial model multiplies tens×tens; the 192/256
-    // points cover the proxy-neighbourhood growth the blocking is for.
-    let mut group = c.benchmark_group("linalg");
-    for n in [48usize, 192, 256] {
-        let fill = |seed: usize| {
-            Matrix::from_vec(
-                n,
-                n,
-                (0..n * n)
-                    .map(|i| ((i * 31 + seed) % 97) as f64 / 97.0 - 0.5)
-                    .collect(),
-            )
-        };
-        let a = fill(1);
-        let b = fill(2);
-        group.bench_with_input(BenchmarkId::new("mul_blocked", n), &n, |bch, _| {
-            bch.iter(|| a.mul(&b))
-        });
-        group.bench_with_input(BenchmarkId::new("mul_naive", n), &n, |bch, _| {
-            bch.iter(|| a.mul_naive(&b))
-        });
-    }
-    group.finish();
-}
-
 fn bench_archive(c: &mut Criterion) {
     let mut group = c.benchmark_group("archive");
     group.sample_size(20);
@@ -149,7 +121,6 @@ criterion_group!(
     bench_wavelet,
     bench_models,
     bench_skipgraph,
-    bench_linalg,
     bench_archive
 );
 criterion_main!(benches);

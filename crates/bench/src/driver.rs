@@ -513,6 +513,9 @@ pub fn throughput_ratio(primary: &ArmRun, secondary: &ArmRun) -> f64 {
 /// paths).
 pub const SCENARIO_LOSS: f64 = 0.3;
 
+/// Master seed of every scenario (and of the failure scenario).
+pub(crate) const SCENARIO_SEED: u64 = 2005;
+
 /// Bernoulli `loss` on both downlink paths, so retries and the retry
 /// budget do real work.
 pub fn lossy_downlink(sys: &mut SystemConfig, loss: f64) {

@@ -682,7 +682,6 @@ pub fn e8_clock(seed: u64) -> Vec<E8Row> {
             TrafficParams {
                 sensors,
                 inter_sensor_gap: SimDuration::from_secs(5),
-                ..TrafficParams::default()
             },
             seed,
         );

@@ -21,6 +21,8 @@ use presto_net::{GilbertElliott, LossProcess};
 use presto_reliability::{Health, LivenessConfig, ReliabilityConfig};
 use presto_sim::{EnergyLedger, FaultPlan, SimDuration, SimTime};
 
+use crate::driver::SCENARIO_SEED;
+
 /// Sensors under the single proxy.
 const SENSORS: usize = 4;
 
@@ -35,9 +37,8 @@ const PROBE_TOLERANCE: f64 = 1.0;
 pub struct FailureScenarioConfig {
     /// Run length, hours.
     pub hours: u64,
-    /// Master seed.
-    pub seed: u64,
     /// Long-run fabric loss rate (bursty Gilbert–Elliott); 0 disables.
+    // presto-lint: allow(knob, lossless_scenario_is_quiet: a lossless fabric)
     pub loss: f64,
     /// Correlated loss: instead of independent per-channel chains, every
     /// channel near the proxy — uplinks, acks, downlink requests and
@@ -52,7 +53,6 @@ impl Default for FailureScenarioConfig {
     fn default() -> Self {
         FailureScenarioConfig {
             hours: 24,
-            seed: 2005,
             loss: 0.3,
             correlated: false,
             crash_hours: Some((8, 10)),
@@ -169,7 +169,7 @@ pub fn failure_scenario(cfg: &FailureScenarioConfig) -> FailureReport {
     let mut sys_cfg = SystemConfig {
         proxies: 1,
         sensors_per_proxy: SENSORS,
-        seed: cfg.seed,
+        seed: SCENARIO_SEED,
         reliability,
         lab: presto_workloads::LabParams {
             // Rare events excluded: the stale-answer metric measures

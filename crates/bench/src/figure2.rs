@@ -24,31 +24,8 @@ pub const INTERVALS_MIN: [f64; 8] = [16.5, 33.0, 66.0, 132.0, 264.0, 529.0, 1058
 /// Frame loss probability: the sweep prices lossless links.
 const FRAME_LOSS: f64 = 0.0;
 
-/// Sweep configuration.
-#[derive(Clone, Debug)]
-pub struct Figure2Config {
-    /// Trace duration in days (the Intel Lab trace spans ~36 days).
-    pub days: u64,
-    /// Workload seed.
-    pub seed: u64,
-    /// Workload parameters.
-    pub lab: LabParams,
-}
-
-impl Default for Figure2Config {
-    fn default() -> Self {
-        Figure2Config {
-            days: 36,
-            seed: 2005,
-            lab: LabParams {
-                // Rare events excluded: Figure 2 studies steady-state
-                // push energy on the temperature trace.
-                events_per_day: 0.0,
-                ..LabParams::default()
-            },
-        }
-    }
-}
+/// Workload seed.
+const SEED: u64 = 2005;
 
 /// One x-axis point of the figure.
 #[derive(Clone, Debug)]
@@ -85,13 +62,16 @@ crate::json_object!(Figure2Row {
 });
 crate::json_object!(Figure2Data { rows, listen_baseline_j, samples });
 
-/// Runs the sweep.
-pub fn generate(cfg: &Figure2Config) -> Figure2Data {
-    let trace = LabDeployment::single_sensor_trace(
-        cfg.lab.clone(),
-        cfg.seed,
-        SimDuration::from_days(cfg.days),
-    );
+/// Runs the sweep over a trace of `days` days (the Intel Lab trace
+/// spans ~36 days).
+pub fn generate(days: u64) -> Figure2Data {
+    // Rare events excluded: Figure 2 studies steady-state push energy on
+    // the temperature trace.
+    let lab = LabParams {
+        events_per_day: 0.0,
+        ..LabParams::default()
+    };
+    let trace = LabDeployment::single_sensor_trace(lab, SEED, SimDuration::from_days(days));
     let samples = trace.len();
 
     let run =
@@ -219,20 +199,14 @@ mod tests {
     #[test]
     fn quick_sweep_has_paper_shape() {
         // A 6-day sweep is fast enough for CI while preserving the shape.
-        let data = generate(&Figure2Config {
-            days: 6,
-            ..Figure2Config::default()
-        });
+        let data = generate(6);
         check_shape(&data).unwrap();
         assert_eq!(data.rows.len(), INTERVALS_MIN.len());
     }
 
     #[test]
     fn render_mentions_all_arms() {
-        let data = generate(&Figure2Config {
-            days: 2,
-            ..Figure2Config::default()
-        });
+        let data = generate(2);
         let s = render(&data);
         assert!(s.contains("wavelet"));
         assert!(s.contains("value-driven d=1"));

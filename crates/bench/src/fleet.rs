@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 
 use crate::driver::{
     arm_failures, lossy_downlink, ratio_or_inf, run_arm as drive, throughput_ratio, ArmPlan,
-    ArmRun, Arrival, Deployment, Terminal, SCENARIO_LOSS,
+    ArmRun, Arrival, Deployment, Terminal, SCENARIO_LOSS, SCENARIO_SEED,
 };
 use crate::report::ArmSummary;
 use presto_core::SystemConfig;
@@ -48,8 +48,6 @@ pub struct FleetScenarioConfig {
     pub warmup_hours: u64,
     /// Query-phase length, hours.
     pub query_hours: u64,
-    /// Master seed.
-    pub seed: u64,
     /// Proxies in the fleet.
     pub proxies: usize,
     /// Sensors per proxy.
@@ -68,7 +66,6 @@ impl Default for FleetScenarioConfig {
         FleetScenarioConfig {
             warmup_hours: 12,
             query_hours: 4,
-            seed: 2005,
             proxies: 4,
             sensors_per_proxy: 3,
             users: 32,
@@ -129,7 +126,7 @@ pub(crate) fn deploy(
     let mut sys_cfg = SystemConfig {
         proxies: cfg.proxies,
         sensors_per_proxy: cfg.sensors_per_proxy,
-        seed: cfg.seed,
+        seed: SCENARIO_SEED,
         lab: presto_workloads::LabParams {
             events_per_day: 0.0,
             // The quiet regime where model-driven silence actually
@@ -230,7 +227,7 @@ fn load(cfg: &FleetScenarioConfig) -> FleetQueryLoad {
                 // skew stress comes from the uniform draws.
                 hot_fraction: 0.1,
                 tolerances: vec![TOLERANCE],
-                seed: cfg.seed ^ 0xF1_EE7,
+                seed: SCENARIO_SEED ^ 0xF1_EE7,
                 ..QueryLoadConfig::default()
             },
             groups: cfg.proxies,

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 
 use crate::driver::{
     arm_failures, lossy_downlink, run_arm as drive, single_system_scope, throughput_ratio,
-    ArmCounters, ArmPlan, ArmRun, Arrival, Deployment, SCENARIO_LOSS,
+    ArmCounters, ArmPlan, ArmRun, Arrival, Deployment, SCENARIO_LOSS, SCENARIO_SEED,
 };
 use presto_core::{PrestoSystem, StoreQuery, SystemConfig, UnifiedStore};
 use presto_proxy::{AnswerSource, DEFAULT_DEADLINE};
@@ -44,8 +44,6 @@ pub struct QueryPipelineConfig {
     pub warmup_hours: u64,
     /// Query-phase length, hours.
     pub query_hours: u64,
-    /// Master seed.
-    pub seed: u64,
     /// Sensors under the single proxy.
     pub sensors: usize,
     /// Concurrent users.
@@ -57,7 +55,6 @@ impl Default for QueryPipelineConfig {
         QueryPipelineConfig {
             warmup_hours: 24,
             query_hours: 6,
-            seed: 2005,
             sensors: 8,
             users: 16,
         }
@@ -72,7 +69,6 @@ impl QueryPipelineConfig {
             query_hours: 2,
             sensors: 4,
             users: 10,
-            ..QueryPipelineConfig::default()
         }
     }
 }
@@ -94,7 +90,7 @@ fn system(cfg: &QueryPipelineConfig) -> PrestoSystem {
     let mut sys_cfg = SystemConfig {
         proxies: 1,
         sensors_per_proxy: cfg.sensors,
-        seed: cfg.seed,
+        seed: SCENARIO_SEED,
         lab: presto_workloads::LabParams {
             events_per_day: 0.0,
             ..presto_workloads::LabParams::default()
@@ -116,7 +112,7 @@ fn load(cfg: &QueryPipelineConfig) -> QueryLoad {
             queries_per_user_per_hour: QUERIES_PER_USER_PER_HOUR,
             max_age: SimDuration::from_hours(cfg.warmup_hours.min(12)),
             tolerances: vec![TOLERANCE],
-            seed: cfg.seed ^ 0x51_0AD,
+            seed: SCENARIO_SEED ^ 0x51_0AD,
             ..QueryLoadConfig::default()
         },
         cfg.sensors,

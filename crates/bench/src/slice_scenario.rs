@@ -21,11 +21,11 @@
 
 use crate::driver::{
     arm_failures, lossy_downlink, run_arm as drive, single_system_scope, throughput_ratio, ArmPlan,
-    ArmRun, Arrival, Deployment, SCENARIO_LOSS,
+    ArmRun, Arrival, Deployment, SCENARIO_LOSS, SCENARIO_SEED,
 };
 use crate::report::ArmSummary;
 use presto_core::{PrestoSystem, StoreQuery, SystemConfig};
-use presto_proxy::{SliceConfig, DEFAULT_DEADLINE};
+use presto_proxy::DEFAULT_DEADLINE;
 use presto_sim::{SimDuration, SimTime};
 
 /// Mean queries per user per hour.
@@ -44,8 +44,6 @@ pub struct SliceScenarioConfig {
     pub warmup_hours: u64,
     /// Query-phase length, hours.
     pub query_hours: u64,
-    /// Master seed.
-    pub seed: u64,
     /// Sensors under the single proxy.
     pub sensors: usize,
     /// Concurrent users.
@@ -57,7 +55,6 @@ impl Default for SliceScenarioConfig {
         SliceScenarioConfig {
             warmup_hours: 24,
             query_hours: 6,
-            seed: 2005,
             sensors: 8,
             users: 16,
         }
@@ -72,7 +69,6 @@ impl SliceScenarioConfig {
             query_hours: 2,
             sensors: 4,
             users: 8,
-            ..SliceScenarioConfig::default()
         }
     }
 }
@@ -113,7 +109,7 @@ fn system(cfg: &SliceScenarioConfig, sliced: bool) -> PrestoSystem {
     let mut sys_cfg = SystemConfig {
         proxies: 1,
         sensors_per_proxy: cfg.sensors,
-        seed: cfg.seed,
+        seed: SCENARIO_SEED,
         lab: presto_workloads::LabParams {
             events_per_day: 0.0,
             ..presto_workloads::LabParams::default()
@@ -126,7 +122,7 @@ fn system(cfg: &SliceScenarioConfig, sliced: bool) -> PrestoSystem {
     sys_cfg.proxy.pipeline.trace = true;
     sys_cfg.scope = single_system_scope();
     if sliced {
-        sys_cfg.proxy.pipeline.slice = Some(SliceConfig::default());
+        sys_cfg.proxy.pipeline.slice = true;
     }
     lossy_downlink(&mut sys_cfg, SCENARIO_LOSS);
     PrestoSystem::new(sys_cfg)
@@ -139,7 +135,7 @@ fn arrivals(cfg: &SliceScenarioConfig) -> impl FnMut(SimTime) -> Vec<Arrival> + 
     // Per-epoch arrival probability for one user.
     let p_arrival = QUERIES_PER_USER_PER_HOUR * epoch.as_secs_f64() / 3600.0;
     let stagger_slots = 4u64;
-    let mut rng = cfg.seed ^ 0x5711CE;
+    let mut rng = SCENARIO_SEED ^ 0x5711CE;
     move |_| {
         let mut batch = Vec::new();
         for _user in 0..cfg.users {

@@ -10,19 +10,20 @@ use presto_proxy::ProxyConfig;
 use presto_sensor::PushPolicy;
 use presto_sim::SimDuration;
 
+use crate::system::PUSH_TOLERANCE;
+
 /// Runs PRESTO on the shared comparison workload.
 pub fn run_presto(cfg: &DriverConfig) -> ArchReport {
     let lpl = SimDuration::from_secs(1);
-    let push_tolerance = 1.0;
     let proxy = ProxyConfig {
-        push_tolerance,
+        push_tolerance: PUSH_TOLERANCE,
         sensor_lpl: lpl,
         ..ProxyConfig::default()
     };
     run_proxy_arm(
         cfg,
         PushPolicy::ModelDriven {
-            tolerance: push_tolerance,
+            tolerance: PUSH_TOLERANCE,
         },
         lpl,
         proxy,

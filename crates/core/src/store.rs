@@ -9,7 +9,7 @@
 use presto_proxy::{AnswerSource, PipelineAnswer, PipelineQuery};
 use presto_sim::{SimDuration, SimTime};
 
-use crate::system::PrestoSystem;
+use crate::system::{PrestoSystem, PUSH_TOLERANCE};
 
 /// A query against the unified store.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -156,9 +156,7 @@ impl<'a> UnifiedStore<'a> {
         match source {
             AnswerSource::Pulled => sigma,
             AnswerSource::Failed => f64::INFINITY,
-            _ => system
-                .health(sensor)
-                .widen_sigma(sigma, system.config().push_tolerance),
+            _ => system.health(sensor).widen_sigma(sigma, PUSH_TOLERANCE),
         }
     }
 
@@ -205,12 +203,9 @@ impl<'a> UnifiedStore<'a> {
                         // spans inherit the (widened) push-tolerance
                         // guarantee.
                         let sigma = match a.source {
-                            AnswerSource::Extrapolated => Self::widened(
-                                self.system,
-                                sensor,
-                                a.source,
-                                self.system.config().push_tolerance,
-                            ),
+                            AnswerSource::Extrapolated => {
+                                Self::widened(self.system, sensor, a.source, PUSH_TOLERANCE)
+                            }
                             AnswerSource::Failed => f64::INFINITY,
                             _ => 0.0,
                         };

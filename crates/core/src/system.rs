@@ -30,7 +30,7 @@ use presto_net::{LinkModel, LossProcess, SharedLossState};
 use presto_proxy::{CompletedQuery, PrestoProxy, ProxyConfig, PumpSensor};
 use presto_reliability::{
     recovery::padded_span, DownlinkChannel, Fabric, GapTracker, Health, LivenessMonitor,
-    Observation, ReliabilityConfig,
+    Observation, ReliabilityConfig, RETRY_BUDGET_J,
 };
 use presto_sensor::{PushPolicy, SensorConfig, SensorNode, UplinkPayload};
 use presto_sim::{EnergyCategory, EnergyLedger, FaultPlan, SimDuration, SimRng, SimTime};
@@ -47,6 +47,10 @@ const LPL: SimDuration = SimDuration::from_secs(1);
 /// How often proxies consider retraining models.
 const TRAIN_CHECK_EVERY: SimDuration = SimDuration::from_hours(1);
 
+/// Sensor push tolerance (model-driven push threshold), which the
+/// proxies extrapolate with and the store widens sigmas by.
+pub(crate) const PUSH_TOLERANCE: f64 = 1.0;
+
 /// Reply-codec tolerance for recovery pulls (tight: the replay is
 /// repairing ground truth, not answering a sloppy query).
 const RECOVERY_TOLERANCE: f64 = 0.05;
@@ -56,9 +60,10 @@ const RECOVERY_TOLERANCE: f64 = 0.05;
 const RECOVERY_PAD: SimDuration = SimDuration::from_secs(62);
 
 /// System construction parameters. Sensors always duty-cycle at the
-/// 1 s LPL check interval, proxies consider retraining hourly, and
-/// recovery replays pull at a fixed tight tolerance; the deployment's
-/// shape, workload, loss and faults are what varies.
+/// 1 s LPL check interval and push at `PUSH_TOLERANCE`, proxies
+/// consider retraining hourly, and recovery replays pull at a fixed
+/// tight tolerance; the deployment's shape, workload, loss and faults
+/// are what varies.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
     /// Number of proxies.
@@ -70,10 +75,10 @@ pub struct SystemConfig {
     /// Workload parameters (per proxy's deployment).
     pub lab: LabParams,
     /// Frame loss on sensor links.
+    // presto-lint: allow(knob, tests/fleet_equivalence.rs and tests/fleet_partition.rs: a lossless first hop)
     pub loss: f64,
-    /// Sensor push tolerance (model-driven push threshold).
-    pub push_tolerance: f64,
     /// Sensor clock skew spread (ppm); zero disables drift simulation.
+    // presto-lint: allow(knob, clock_correctors_calibrate_under_drift: drifting sensor clocks)
     pub clock_skew_ppm: f64,
     /// Proxy configuration template.
     pub proxy: ProxyConfig,
@@ -99,7 +104,6 @@ impl Default for SystemConfig {
             seed: 7,
             lab: LabParams::default(),
             loss: 0.02,
-            push_tolerance: 1.0,
             clock_skew_ppm: 0.0,
             proxy: ProxyConfig::default(),
             reliability: ReliabilityConfig::default(),
@@ -216,7 +220,7 @@ impl PrestoSystem {
 
         for p in 0..config.proxies {
             let mut proxy = PrestoProxy::new(ProxyConfig {
-                push_tolerance: config.push_tolerance,
+                push_tolerance: PUSH_TOLERANCE,
                 sensor_lpl: LPL,
                 ..config.proxy.clone()
             });
@@ -225,7 +229,7 @@ impl PrestoSystem {
                 proxy.register_sensor(gid);
                 let cfg = SensorConfig {
                     push: PushPolicy::ModelDriven {
-                        tolerance: config.push_tolerance,
+                        tolerance: PUSH_TOLERANCE,
                     },
                     duty: presto_net::DutyCycle::lpl(LPL),
                     announce_seals: true,
@@ -701,12 +705,11 @@ impl PrestoSystem {
     /// over every channel it drives, home and cross-proxy (0 for a proxy
     /// that drives none). Admission control reads it as pressure.
     pub fn retry_depletions(&self) -> Vec<f64> {
-        let cap = self.config.reliability.downlink.retry_budget_j.max(1e-9);
         let home = self.assignment.iter().copied().zip(&self.downlinks);
         let cross = self.cross.iter().map(|(&(driver, _), chan)| (driver, chan));
         let mut depletion = vec![0.0f64; self.config.proxies];
         for (p, chan) in home.chain(cross) {
-            let d = (1.0 - chan.budget_remaining_j() / cap).clamp(0.0, 1.0);
+            let d = (1.0 - chan.budget_remaining_j() / RETRY_BUDGET_J).clamp(0.0, 1.0);
             depletion[p] = depletion[p].max(d);
         }
         depletion

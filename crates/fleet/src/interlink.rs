@@ -55,19 +55,21 @@ pub enum FleetMsg {
     },
 }
 
+/// Retransmissions allowed per message after the first attempt (one
+/// attempt per epoch; a message that exhausts them is dropped and
+/// counted, and the sender's deadline machinery fails the ticket
+/// honestly).
+const MAX_RETRANSMITS: u32 = 4;
+
 /// Mesh parameters.
 #[derive(Clone, Debug)]
 pub struct InterLinkConfig {
     /// Per-pair private burst chain (composed with the shared state
     /// into [`LossProcess::Mixed`] when `shared_chain` is set).
+    // presto-lint: allow(knob, small_fleet, the interlink tests and both fleet property tests: a lossless or dead mesh)
     pub link_chain: GilbertElliott,
     /// Mesh-wide shared fading chain; `None` leaves pairs independent.
     pub shared_chain: Option<GilbertElliott>,
-    /// Retransmissions allowed per message after the first attempt
-    /// (one attempt per epoch; a message that exhausts them is dropped
-    /// and counted, and the sender's deadline machinery fails the
-    /// ticket honestly).
-    pub max_retransmits: u32,
     /// RNG seed for the pair loss streams.
     pub seed: u64,
 }
@@ -88,7 +90,6 @@ impl Default for InterLinkConfig {
                 loss_good: 0.0,
                 loss_bad: 0.8,
             }),
-            max_retransmits: 4,
             seed: 0xF1EE7,
         }
     }
@@ -279,7 +280,7 @@ impl InterLinkMesh {
                 let p = &self.pending[i];
                 (p.src, p.dst, p.seq)
             };
-            if self.pending[i].attempts > self.config.max_retransmits {
+            if self.pending[i].attempts > MAX_RETRANSMITS {
                 // A message the receiver already consumed (only its
                 // acks kept dying) is not a lost forward — count it
                 // apart so `dropped` means what it says. Retiring it
@@ -399,7 +400,7 @@ mod tests {
 
     #[test]
     fn lossy_mesh_retransmits_and_gives_up_honestly() {
-        // Total loss: every attempt dies; after max_retransmits + 1
+        // Total loss: every attempt dies; after MAX_RETRANSMITS + 1
         // attempts the message is dropped and counted.
         let cfg = InterLinkConfig {
             link_chain: GilbertElliott {
@@ -409,7 +410,6 @@ mod tests {
                 loss_bad: 1.0,
             },
             shared_chain: None,
-            max_retransmits: 3,
             ..InterLinkConfig::default()
         };
         let mut mesh = InterLinkMesh::new(cfg, 2);
@@ -420,7 +420,7 @@ mod tests {
         }
         assert_eq!(mesh.in_flight(), 0, "exhausted message must not leak");
         assert_eq!(mesh.stats().dropped, 1);
-        assert_eq!(mesh.stats().retransmits, 3);
+        assert_eq!(mesh.stats().retransmits, u64::from(MAX_RETRANSMITS));
     }
 
     #[test]

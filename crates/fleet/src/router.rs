@@ -74,8 +74,10 @@ pub struct FleetRouterConfig {
     /// query served where it enters), for A/B experiments.
     pub shed_enabled: bool,
     /// Pressure score above which a proxy sheds range queries.
+    // presto-lint: allow(knob, tests/fleet_equivalence.rs and tests/fleet_partition.rs: shedding at test load)
     pub shed_threshold: f64,
     /// How much cooler (score units) a peer must be to receive a shed.
+    // presto-lint: allow(knob, tests/fleet_equivalence.rs and tests/fleet_partition.rs: shedding at test load)
     pub shed_margin: f64,
     /// Latency classes for per-query deadlines (query–sensor
     /// matching); empty falls back to [`DEFAULT_DEADLINE`] for every

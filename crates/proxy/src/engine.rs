@@ -8,39 +8,28 @@
 //! training cycles, and the build/check asymmetry claim (E7) reads it
 //! straight from the model's `train`, so a slot keeps only the model.
 
-use presto_models::{
-    ArModel, LinearTrendModel, MarkovModel, ModelKind, Prediction, Predictor, SeasonalArModel,
-    SeasonalModel,
-};
+use presto_models::{Prediction, Predictor, SeasonalArModel};
 use presto_sim::{SimDuration, SimTime};
 
-/// Seasonal bins (when applicable).
+/// Seasonal bins of the trained model.
 const SEASONAL_BINS: usize = 24;
 
-/// AR order (when applicable).
+/// AR order of the trained model.
 const AR_ORDER: usize = 2;
 
-/// Markov states (when applicable).
-const MARKOV_STATES: usize = 8;
+/// Re-train at least this often.
+const RETRAIN_INTERVAL: SimDuration = SimDuration::from_days(1);
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Model class to train.
-    pub kind: ModelKind,
     /// Minimum history before the first model is trained.
     pub min_history: usize,
-    /// Re-train at least this often.
-    pub retrain_interval: SimDuration,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            kind: ModelKind::SeasonalAr,
-            min_history: 500,
-            retrain_interval: SimDuration::from_days(1),
-        }
+        EngineConfig { min_history: 500 }
     }
 }
 
@@ -72,23 +61,14 @@ impl PredictionEngine {
         }
         match slot {
             None => true,
-            Some(s) => now - s.trained_at >= self.config.retrain_interval,
+            Some(s) => now - s.trained_at >= RETRAIN_INTERVAL,
         }
     }
 
-    /// Trains a model of the configured class from history.
+    /// Trains the seasonal AR model the system runs from history.
     pub fn train(&self, history: &[(SimTime, f64)], now: SimTime, prev_version: u32) -> ModelSlot {
-        let model: Box<dyn Predictor> = match self.config.kind {
-            ModelKind::Seasonal => Box::new(SeasonalModel::train(history, SEASONAL_BINS).0),
-            ModelKind::Ar => Box::new(ArModel::train(history, AR_ORDER).0),
-            ModelKind::SeasonalAr => {
-                Box::new(SeasonalArModel::train(history, SEASONAL_BINS, AR_ORDER).0)
-            }
-            ModelKind::LinearTrend => Box::new(LinearTrendModel::train(history).0),
-            ModelKind::Markov => Box::new(MarkovModel::train(history, MARKOV_STATES).0),
-        };
         ModelSlot {
-            model,
+            model: Box::new(SeasonalArModel::train(history, SEASONAL_BINS, AR_ORDER).0),
             version: prev_version + 1,
             trained_at: now,
         }
@@ -124,11 +104,7 @@ mod tests {
 
     #[test]
     fn trains_after_min_history_and_on_schedule() {
-        let e = PredictionEngine::new(EngineConfig {
-            min_history: 100,
-            retrain_interval: SimDuration::from_hours(6),
-            ..EngineConfig::default()
-        });
+        let e = PredictionEngine::new(EngineConfig { min_history: 100 });
         let hist = diurnal_history(3);
         assert!(!e.should_train(None, 50, SimTime::ZERO));
         assert!(e.should_train(None, 150, SimTime::ZERO));
@@ -136,11 +112,12 @@ mod tests {
         let slot = e.train(&hist, SimTime::from_days(3), 0);
         assert_eq!(slot.version, 1);
         assert!(!e.should_train(Some(&slot), 1000, SimTime::from_days(3)));
-        assert!(e.should_train(
+        assert!(!e.should_train(
             Some(&slot),
             1000,
-            SimTime::from_days(3) + SimDuration::from_hours(7)
+            SimTime::from_days(3) + SimDuration::from_hours(23)
         ));
+        assert!(e.should_train(Some(&slot), 1000, SimTime::from_days(4)));
     }
 
     #[test]
@@ -150,27 +127,6 @@ mod tests {
         let t = SimTime::from_days(8) + SimDuration::from_hours(14);
         let p = slot.model.predict(t);
         assert!((p.value - 25.0).abs() < 1.0, "{}", p.value);
-    }
-
-    #[test]
-    fn every_model_kind_trains() {
-        let hist = diurnal_history(3);
-        for kind in [
-            ModelKind::Seasonal,
-            ModelKind::Ar,
-            ModelKind::SeasonalAr,
-            ModelKind::LinearTrend,
-            ModelKind::Markov,
-        ] {
-            let e = PredictionEngine::new(EngineConfig {
-                kind,
-                ..EngineConfig::default()
-            });
-            let slot = e.train(&hist, SimTime::from_days(3), 0);
-            assert_eq!(slot.model.kind(), kind);
-            // Replica parameters must be shippable.
-            assert!(!slot.model.encode_params().is_empty());
-        }
     }
 
     #[test]

@@ -41,4 +41,4 @@ pub use pipeline::{
 pub use proxy::{
     Answer, AnswerSource, PastAnswer, PrestoProxy, ProxyConfig, ProxyStats, PumpSensor,
 };
-pub use slice::{SliceCache, SliceCacheStats, SliceConfig, SliceKey, SliceSpec};
+pub use slice::{SliceCache, SliceCacheStats, SliceKey, SliceSpec};

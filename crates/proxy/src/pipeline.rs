@@ -39,7 +39,7 @@ use presto_sim::{SimDuration, SimTime};
 use presto_telemetry::QueryTracer;
 
 use crate::proxy::{Answer, PastAnswer};
-use crate::slice::{SliceCache, SliceConfig, SliceSpec};
+use crate::slice::{SliceCache, SliceSpec};
 
 /// Default query deadline: how long a query may stay pending before it
 /// fails honestly, in the pipeline and at the fleet router alike. A
@@ -63,10 +63,10 @@ pub struct PipelineConfig {
     pub trace: bool,
     /// Sliced archive-range execution (see [`crate::slice`]): PAST
     /// windows spanning enough fixed time-aligned slices are fetched
-    /// slice-by-slice and cached at slice granularity in one LRU.
-    /// `None` (the default) keeps the monolithic pull path
-    /// byte-identical to the pre-slice behavior.
-    pub slice: Option<SliceConfig>,
+    /// slice-by-slice and cached at slice granularity in one LRU of
+    /// `SLICE_CACHE_CAPACITY` slices. Off (the default) keeps the
+    /// monolithic pull path byte-identical to the pre-slice behavior.
+    pub slice: bool,
 }
 
 impl Default for PipelineConfig {
@@ -74,7 +74,7 @@ impl Default for PipelineConfig {
         PipelineConfig {
             epoch_attempt_budget: 16,
             trace: false,
-            slice: None,
+            slice: false,
         }
     }
 }
@@ -417,6 +417,9 @@ presto_telemetry::observe_counters!(PipelineStats {
 /// Shared pull-reply cache capacity, in replies (oldest evict first).
 const REPLY_CACHE_CAPACITY: usize = 128;
 
+/// Slice cache capacity, in slices, when [`PipelineConfig::slice`] is on.
+const SLICE_CACHE_CAPACITY: usize = 320;
+
 /// A reply kept in the shared pull-reply cache.
 #[derive(Clone, Debug)]
 struct CachedReply {
@@ -543,7 +546,11 @@ pub struct QueryPipeline {
 impl QueryPipeline {
     /// Creates an empty pipeline.
     pub fn new(config: PipelineConfig) -> Self {
-        let slice_cache = SliceCache::new(config.slice.as_ref().map_or(1, |c| c.capacity));
+        let slice_cache = SliceCache::new(if config.slice {
+            SLICE_CACHE_CAPACITY
+        } else {
+            1
+        });
         let tracer = QueryTracer::new(config.trace);
         QueryPipeline {
             config,

@@ -957,7 +957,7 @@ impl PrestoProxy {
                 from,
                 to,
                 tolerance,
-            } if self.pipeline.config.slice.is_some() => slice::plan(sensor, from, to, tolerance),
+            } if self.pipeline.config.slice => slice::plan(sensor, from, to, tolerance),
             _ => None,
         };
         let parts = match specs {

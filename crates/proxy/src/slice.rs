@@ -43,21 +43,6 @@ const SLICE_LEN: SimDuration = SimDuration::from_hours(1);
 /// several sub-RPCs).
 const MIN_SLICES: u64 = 2;
 
-/// Sliced-execution parameters: the slice cache's size. `None` in
-/// [`crate::PipelineConfig::slice`] keeps the monolithic pull path
-/// byte-identical to the pre-slice behavior.
-#[derive(Clone, Debug)]
-pub struct SliceConfig {
-    /// Slice cache capacity, in slices (at least one is kept).
-    pub capacity: usize,
-}
-
-impl Default for SliceConfig {
-    fn default() -> Self {
-        SliceConfig { capacity: 320 }
-    }
-}
-
 /// Canonical identity of one slice: the sensor, the time-aligned slice
 /// index, and the reply tolerance (a slice pulled at a different
 /// tolerance is differently encoded and must not be shared).

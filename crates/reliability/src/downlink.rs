@@ -60,6 +60,20 @@ use presto_sim::{SimDuration, SimRng, SimTime};
 /// How long the proxy waits on a request before retransmitting.
 const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
+/// Retransmissions allowed per synchronous RPC after the first attempt.
+/// Matches the pre-fabric pull retry count, so a Perfect channel
+/// reproduces the old failure behavior.
+const MAX_RETRANSMITS: u32 = 2;
+
+/// Retry-budget capacity, joules. Retransmissions beyond each RPC's
+/// first attempt draw from it; the proxy is tethered, but unbounded
+/// retries into a dead path would stall the query pipeline and
+/// monopolize the shared medium, so the budget is real.
+pub const RETRY_BUDGET_J: f64 = 50.0;
+
+/// Budget refill rate, joules per hour (token bucket).
+const BUDGET_REFILL_J_PER_HOUR: f64 = 20.0;
+
 /// Downlink channel parameters.
 #[derive(Clone, Debug)]
 pub struct DownlinkConfig {
@@ -67,15 +81,6 @@ pub struct DownlinkConfig {
     pub request_loss: LossProcess,
     /// Reply/ack-path loss beyond the sensor's first hop.
     pub reply_loss: LossProcess,
-    /// Retransmissions allowed per RPC after the first attempt.
-    pub max_retransmits: u32,
-    /// Retry-budget capacity, joules. Retransmissions beyond each RPC's
-    /// first attempt draw from it; the proxy is tethered, but unbounded
-    /// retries into a dead path would stall the query pipeline and
-    /// monopolize the shared medium, so the budget is real.
-    pub retry_budget_j: f64,
-    /// Budget refill rate, joules per hour (token bucket).
-    pub budget_refill_j_per_hour: f64,
     /// RNG seed for the channel loss streams.
     pub seed: u64,
 }
@@ -85,11 +90,6 @@ impl Default for DownlinkConfig {
         DownlinkConfig {
             request_loss: LossProcess::Perfect,
             reply_loss: LossProcess::Perfect,
-            // Matches the pre-fabric pull retry count, so a Perfect
-            // channel reproduces the old failure behavior.
-            max_retransmits: 2,
-            retry_budget_j: 50.0,
-            budget_refill_j_per_hour: 20.0,
             seed: 0xD0_FA,
         }
     }
@@ -226,7 +226,6 @@ enum Attempt {
 
 /// A sequenced, ack/retransmit proxy→sensor channel for one sensor.
 pub struct DownlinkChannel {
-    config: DownlinkConfig,
     /// First-hop radio link (the old per-sensor downlink `LinkModel`).
     first_hop: LinkModel,
     /// End-to-end request-path loss beyond the first hop.
@@ -270,7 +269,6 @@ impl DownlinkChannel {
             stats: DownlinkStats::default(),
             trace_attempts: false,
             attempt_log: Vec::new(),
-            config,
         }
     }
 
@@ -314,7 +312,7 @@ impl DownlinkChannel {
 
     /// Remaining retry budget, joules.
     pub fn budget_remaining_j(&self) -> f64 {
-        (self.config.retry_budget_j - self.retry_spent_j).max(0.0)
+        (RETRY_BUDGET_J - self.retry_spent_j).max(0.0)
     }
 
     /// Periodic maintenance, driven by the system tier each epoch:
@@ -324,8 +322,7 @@ impl DownlinkChannel {
             return;
         }
         let dt_h = (t - self.last_refill).as_secs_f64() / 3600.0;
-        self.retry_spent_j = (self.retry_spent_j - dt_h * self.config.budget_refill_j_per_hour)
-            .max(0.0);
+        self.retry_spent_j = (self.retry_spent_j - dt_h * BUDGET_REFILL_J_PER_HOUR).max(0.0);
         self.last_refill = t;
     }
 
@@ -351,13 +348,13 @@ impl DownlinkChannel {
         let mut attempts: u32 = 0;
         let mut outcome = None;
 
-        while attempts <= self.config.max_retransmits {
+        while attempts <= MAX_RETRANSMITS {
             if attempts > 0 {
                 // Retransmissions are budget-metered: the bucket empties
                 // against a dead path and the RPC fails instead of
                 // spinning.
                 let cost = mac.expected_send_energy(wire);
-                if self.retry_spent_j + cost > self.config.retry_budget_j {
+                if self.retry_spent_j + cost > RETRY_BUDGET_J {
                     self.stats.dropped_budget += 1;
                     break;
                 }
@@ -547,7 +544,7 @@ impl DownlinkChannel {
             let wire = self.async_rpcs[i].msg.wire_bytes();
             if self.async_rpcs[i].attempts > 0 {
                 let cost = mac.expected_send_energy(wire);
-                if self.retry_spent_j + cost > self.config.retry_budget_j {
+                if self.retry_spent_j + cost > RETRY_BUDGET_J {
                     self.stats.deferred_budget += 1;
                     if self.trace_attempts {
                         self.attempt_log
@@ -766,7 +763,7 @@ mod tests {
             request_loss: LossProcess::Bernoulli(1.0),
             ..DownlinkConfig::default()
         };
-        let max = cfg.max_retransmits;
+        let max = MAX_RETRANSMITS;
         let timeout = RPC_TIMEOUT;
         let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
         let mut node = archived_node();
@@ -800,24 +797,38 @@ mod tests {
         assert_eq!(node.stats().duplicate_requests, 1);
     }
 
+    /// Spends `ch`'s retry budget at `t` until it cannot pay for one
+    /// more retransmission of a pull: blocking RPCs on a gated link, each
+    /// retransmitting until its count or the budget stops it. A gated
+    /// attempt draws nothing from the loss processes. Returns the number
+    /// of RPCs it took.
+    fn drain_budget(ch: &mut DownlinkChannel, t: SimTime, node: &mut SensorNode) -> u64 {
+        ch.set_link_up(false);
+        let mut rpcs = 0;
+        while ch.stats().dropped_budget == 0 {
+            assert!(!ch.rpc(t, &pull(1), node, &mac()).delivered);
+            rpcs += 1;
+        }
+        ch.set_link_up(true);
+        rpcs
+    }
+
     #[test]
     fn budget_bounds_retries_and_refills_over_time() {
-        let cfg = DownlinkConfig {
-            request_loss: LossProcess::Bernoulli(1.0),
-            max_retransmits: 1_000,
-            retry_budget_j: 0.2, // a few preamble-bearing attempts' worth
-            budget_refill_j_per_hour: 0.2,
-            ..DownlinkConfig::default()
-        };
-        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
+        let mut ch = DownlinkChannel::perfect();
         let mut node = archived_node();
-        let out = ch.rpc(SimTime::from_hours(2), &pull(5), &mut node, &mac());
-        assert!(!out.delivered);
-        assert_eq!(ch.stats().dropped_budget, 1);
-        assert!(out.attempts < 100, "budget must bound attempts");
+        let t = SimTime::from_hours(2);
+        let cost = mac().expected_send_energy(pull(1).wire_bytes());
+        let rpcs = drain_budget(&mut ch, t, &mut node);
+        // Each failed RPC but the last spent its full retransmit count.
+        assert_eq!(
+            rpcs,
+            (RETRY_BUDGET_J / (cost * f64::from(MAX_RETRANSMITS))) as u64 + 1
+        );
         let drained = ch.budget_remaining_j();
+        assert!(drained < cost, "budget must bound attempts");
         // An hour later the bucket has refilled.
-        ch.tick(SimTime::from_hours(3));
+        ch.tick(t + SimDuration::from_hours(1));
         assert!(ch.budget_remaining_j() > drained);
     }
 
@@ -965,33 +976,28 @@ mod tests {
 
     #[test]
     fn async_empty_retry_budget_defers_instead_of_dropping() {
-        // Capacity for exactly one retransmission: the second retry
-        // must defer until the bucket refills.
-        let retry_cost = mac().expected_send_energy(pull(1).wire_bytes());
         let cfg = DownlinkConfig {
-            request_loss: LossProcess::Scripted(
-                vec![false, false, true].into(),
-            ),
-            retry_budget_j: retry_cost * 1.5,
-            budget_refill_j_per_hour: retry_cost * 2.0,
+            request_loss: LossProcess::Scripted(vec![false, true].into()),
             ..DownlinkConfig::default()
         };
         let timeout = RPC_TIMEOUT;
         let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
         let mut node = archived_node();
         let t = SimTime::from_hours(2);
-        ch.submit_async(t, pull(1), t + SimDuration::from_hours(2));
-        // Attempt 1 (free) lost; retry 1 (affordable) lost; retry 2
-        // cannot afford the drained bucket and defers.
+        ch.submit_async(t, pull(2), t + SimDuration::from_hours(2));
+        // Attempt 1 (free) lost; by the retry the bucket is drained, so
+        // the retry defers.
         assert!(pump_all(&mut ch, t, &mut node).is_empty());
+        drain_budget(&mut ch, t + timeout, &mut node);
+        let retransmits = ch.stats().retransmits;
         assert!(pump_all(&mut ch, t + timeout, &mut node).is_empty());
-        assert!(pump_all(&mut ch, t + timeout * 2, &mut node).is_empty());
-        assert!(ch.stats().deferred_budget >= 1);
+        assert_eq!(ch.stats().deferred_budget, 1);
+        assert_eq!(ch.stats().retransmits, retransmits, "nothing was resent");
         assert_eq!(ch.async_in_flight(), 1, "deferred RPC must survive");
         // An hour later the bucket refilled; the retry completes.
         let events = pump_all(&mut ch, t + SimDuration::from_hours(1), &mut node);
         assert_eq!(events.len(), 1);
-        assert!(matches!(events[0], AsyncRpcEvent::Completed { query_id: 1, .. }));
+        assert!(matches!(events[0], AsyncRpcEvent::Completed { query_id: 2, .. }));
     }
 
     #[test]
@@ -1001,7 +1007,6 @@ mod tests {
                 request_loss: LossProcess::Bernoulli(0.4),
                 reply_loss: LossProcess::Bernoulli(0.2),
                 seed,
-                ..DownlinkConfig::default()
             };
             let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
             let mut node = archived_node();

@@ -31,6 +31,17 @@ use presto_net::{LinkModel, LossProcess, Mac};
 use presto_sensor::UplinkMsg;
 use presto_sim::{SimDuration, SimRng, SimTime};
 
+/// How long a message may sit unacked before retransmission.
+const RETRANSMIT_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+
+/// Retransmissions allowed per message after the first attempt.
+const MAX_RETRANSMITS: u32 = 4;
+
+/// Per-sensor lifetime energy budget for retransmissions, joules.
+/// Retrying into a dead link would otherwise burn the battery the
+/// silent-sensor architecture exists to save.
+const RETRY_BUDGET_J: f64 = 20.0;
+
 /// Fabric parameters.
 #[derive(Clone, Debug)]
 pub struct FabricConfig {
@@ -38,14 +49,6 @@ pub struct FabricConfig {
     pub up_loss: LossProcess,
     /// Ack-path loss.
     pub down_loss: LossProcess,
-    /// How long a message may sit unacked before retransmission.
-    pub retransmit_timeout: SimDuration,
-    /// Retransmissions allowed per message after the first attempt.
-    pub max_retransmits: u32,
-    /// Per-sensor lifetime energy budget for retransmissions, joules.
-    /// Retrying into a dead link would otherwise burn the battery the
-    /// silent-sensor architecture exists to save.
-    pub retry_budget_j: f64,
     /// RNG seed for the channel loss streams.
     pub seed: u64,
 }
@@ -55,9 +58,6 @@ impl Default for FabricConfig {
         FabricConfig {
             up_loss: LossProcess::Perfect,
             down_loss: LossProcess::Perfect,
-            retransmit_timeout: SimDuration::from_secs(10),
-            max_retransmits: 4,
-            retry_budget_j: 20.0,
             seed: 0x0F_AB,
         }
     }
@@ -150,7 +150,6 @@ impl Ord for InFlight {
 
 /// The per-deployment message fabric.
 pub struct Fabric {
-    config: FabricConfig,
     channels: Vec<Channel>,
     in_flight: BinaryHeap<Reverse<InFlight>>,
     next_order: u64,
@@ -190,7 +189,6 @@ impl Fabric {
             in_flight: BinaryHeap::new(),
             next_order: 0,
             retx_mac,
-            config,
             stats: FabricStats::default(),
         }
     }
@@ -320,18 +318,18 @@ impl Fabric {
             let ch = &mut self.channels[sensor];
             let mut i = 0;
             while i < ch.unacked.len() {
-                let due = t - ch.unacked[i].last_attempt >= self.config.retransmit_timeout;
+                let due = t - ch.unacked[i].last_attempt >= RETRANSMIT_TIMEOUT;
                 if !due {
                     i += 1;
                     continue;
                 }
-                if ch.unacked[i].attempts > self.config.max_retransmits {
+                if ch.unacked[i].attempts > MAX_RETRANSMITS {
                     self.stats.dropped_retries += 1;
                     ch.unacked.remove(i);
                     continue;
                 }
                 let cost = self.retx_mac.expected_send_energy(ch.unacked[i].msg.wire_bytes);
-                if ch.retry_spent_j + cost > self.config.retry_budget_j {
+                if ch.retry_spent_j + cost > RETRY_BUDGET_J {
                     self.stats.dropped_budget += 1;
                     ch.unacked.remove(i);
                     continue;
@@ -404,10 +402,10 @@ mod tests {
 
     #[test]
     fn lossy_channel_recovers_via_retransmit() {
+        // One attempt in five is lost, so `MAX_RETRANSMITS` (4) retries
+        // lose a message with probability 0.2^5.
         let cfg = FabricConfig {
-            up_loss: LossProcess::Bernoulli(0.5),
-            retransmit_timeout: SimDuration::from_secs(1),
-            max_retransmits: 20,
+            up_loss: LossProcess::Bernoulli(0.2),
             ..FabricConfig::default()
         };
         let mut f = Fabric::new_with_losses(cfg, 1, |_| None);
@@ -418,7 +416,7 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         let mut charged = 0.0;
         for k in 1..200u64 {
-            let t = t0 + SimDuration::from_secs(k);
+            let t = t0 + SimDuration::from_secs(10 * k);
             for (_, d) in f.poll(t) {
                 seen.insert(d.seq);
             }
@@ -436,8 +434,6 @@ mod tests {
     fn lost_acks_cause_duplicates_not_loss() {
         let cfg = FabricConfig {
             down_loss: LossProcess::Bernoulli(1.0), // every ack dies
-            retransmit_timeout: SimDuration::from_secs(1),
-            max_retransmits: 3,
             ..FabricConfig::default()
         };
         let mut f = Fabric::new_with_losses(cfg, 1, |_| None);
@@ -445,8 +441,9 @@ mod tests {
         f.offer(t0, 0, msg(t0, 1.0));
         let mut deliveries = 0;
         for k in 1..20u64 {
-            deliveries += f.poll(t0 + SimDuration::from_secs(k)).len();
-            f.tick(t0 + SimDuration::from_secs(k), |_, _| {});
+            let t = t0 + SimDuration::from_secs(10 * k);
+            deliveries += f.poll(t).len();
+            f.tick(t, |_, _| {});
         }
         assert!(deliveries > 1, "duplicates expected with dead ack path");
         assert!(f.stats().acks_lost as usize >= deliveries);
@@ -458,19 +455,33 @@ mod tests {
     fn dead_link_drops_after_retry_budget_or_count() {
         let cfg = FabricConfig {
             up_loss: LossProcess::Bernoulli(1.0),
-            retransmit_timeout: SimDuration::from_secs(1),
-            max_retransmits: 1000,
-            retry_budget_j: 0.005, // a few frames' worth
             ..FabricConfig::default()
         };
-        let mut f = Fabric::new_with_losses(cfg, 1, |_| None);
+        let mut f = Fabric::new_with_losses(cfg, 2, |_| None);
+        // Sensor 1's message is so large that `MAX_RETRANSMITS`
+        // retransmissions of it would spend more than the budget.
+        let big = 256 * 1024;
+        let cost = Mac::uplink().expected_send_energy(big);
+        assert!(cost * f64::from(MAX_RETRANSMITS) > RETRY_BUDGET_J);
         let t0 = SimTime::from_secs(1);
         f.offer(t0, 0, msg(t0, 1.0));
+        f.offer(
+            t0,
+            1,
+            UplinkMsg {
+                wire_bytes: big,
+                ..msg(t0, 2.0)
+            },
+        );
+        let mut charged = [0.0; 2];
         for k in 1..50u64 {
-            f.tick(t0 + SimDuration::from_secs(k), |_, _| {});
+            f.tick(t0 + SimDuration::from_secs(10 * k), |s, j| charged[s] += j);
         }
-        assert_eq!(unacked_total(&f), 0, "budget must bound retries");
+        assert_eq!(unacked_total(&f), 0, "count and budget must bound retries");
+        assert_eq!(f.stats().dropped_retries, 1);
         assert_eq!(f.stats().dropped_budget, 1);
+        assert_eq!(f.stats().retransmits, u64::from(MAX_RETRANSMITS) + 2);
+        assert!(charged[1] <= RETRY_BUDGET_J);
         assert_eq!(f.stats().delivered, 0);
     }
 

@@ -47,6 +47,7 @@ pub mod recovery;
 
 pub use downlink::{
     AsyncRpcEvent, AttemptEvent, DownlinkChannel, DownlinkConfig, DownlinkStats, RpcOutcome,
+    RETRY_BUDGET_J,
 };
 pub use fabric::{Fabric, FabricConfig, FabricStats, SequencedUplink};
 pub use liveness::{Health, LivenessConfig, LivenessMonitor, LivenessStats};

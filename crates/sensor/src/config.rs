@@ -16,6 +16,7 @@ pub struct SensorConfig {
     /// compression always charge CPU energy.
     pub duty: DutyCycle,
     /// Local archive configuration.
+    // presto-lint: allow(knob, aggregate_over_aged_rows_reports_honest_sigma: an 8 KiB flash that ages within a short run)
     pub archive: ArchiveConfig,
     /// Announce archive segment seals with a tiny uplink so the proxy
     /// tier's range index follows the archive block-by-block. Off by

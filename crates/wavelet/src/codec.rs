@@ -7,7 +7,7 @@
 //! step is the precision knob: a query class tolerating ±0.5 °C lets the
 //! proxy configure `quant_step ≈ 1.0`, shrinking payloads accordingly.
 
-use crate::denoise::{denoise_in_place, DenoiseMode};
+use crate::denoise::denoise_in_place;
 use crate::haar::{
     haar_forward, haar_forward_in_place, haar_inverse, haar_inverse_in_place, haar_levels,
     pad_pow2, pad_pow2_into,
@@ -17,25 +17,24 @@ use crate::quant::{
     unpack_ints, varint_len,
 };
 
-/// Codec configuration.
+/// Codec configuration. The transform always runs to the maximum depth
+/// for the batch size, [`haar_levels`] of the padded length.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CodecParams {
-    /// Decomposition depth; `None` selects the maximum for the batch size.
-    pub levels: Option<usize>,
     /// Uniform quantizer step in the coefficient domain. Larger is
     /// coarser and cheaper. Must be positive.
     pub quant_step: f64,
-    /// Optional denoising pass before quantization.
-    pub denoise: Option<DenoiseMode>,
+    /// Soft-threshold denoising ([`denoise_in_place`]) before
+    /// quantization.
+    pub denoise: bool,
 }
 
 impl CodecParams {
     /// Lossless-leaning default: fine quantization, no denoising.
     pub fn fine() -> Self {
         CodecParams {
-            levels: None,
             quant_step: 0.01,
-            denoise: None,
+            denoise: false,
         }
     }
 
@@ -43,9 +42,8 @@ impl CodecParams {
     /// denoising plus moderate quantization.
     pub fn denoising() -> Self {
         CodecParams {
-            levels: None,
             quant_step: 0.05,
-            denoise: Some(DenoiseMode::Soft),
+            denoise: true,
         }
     }
 
@@ -54,9 +52,8 @@ impl CodecParams {
     /// to roughly `step/2` per sample through the orthonormal transform.
     pub fn for_tolerance(tolerance: f64) -> Self {
         CodecParams {
-            levels: None,
             quant_step: (tolerance.max(1e-6)) * 0.8,
-            denoise: None,
+            denoise: false,
         }
     }
 }
@@ -103,24 +100,16 @@ impl Codec {
         Codec { params }
     }
 
-    fn depth_for(&self, padded_len: usize) -> usize {
-        let max = haar_levels(padded_len);
-        match self.params.levels {
-            Some(l) => l.min(max),
-            None => max,
-        }
-    }
-
     /// Compresses a batch of samples.
     ///
     /// Payload layout: `varint(original_len) · varint(levels) ·
     /// f32(quant_step) · packed coefficients`.
     pub fn compress(&self, samples: &[f64]) -> Compressed {
         let padded = pad_pow2(samples);
-        let levels = self.depth_for(padded.len());
+        let levels = haar_levels(padded.len());
         let mut coeffs = haar_forward(&padded, levels);
-        if let Some(mode) = self.params.denoise {
-            denoise_in_place(&mut coeffs, levels, mode);
+        if self.params.denoise {
+            denoise_in_place(&mut coeffs, levels);
         }
         let qs = quantize(&coeffs, self.params.quant_step);
         Compressed {
@@ -144,10 +133,10 @@ impl Codec {
         scratch: &'s mut EncodeScratch,
     ) -> (usize, &'s [f64]) {
         let len = pad_pow2_into(samples, &mut scratch.coeffs);
-        let levels = self.depth_for(scratch.coeffs.len());
+        let levels = haar_levels(scratch.coeffs.len());
         haar_forward_in_place(&mut scratch.coeffs, levels, &mut scratch.tmp);
-        if let Some(mode) = self.params.denoise {
-            denoise_in_place(&mut scratch.coeffs, levels, mode);
+        if self.params.denoise {
+            denoise_in_place(&mut scratch.coeffs, levels);
         }
         quantize_into(&scratch.coeffs, self.params.quant_step, &mut scratch.qs);
         // The header is `varint(len) · varint(levels) · f32(step)`.
@@ -265,9 +254,8 @@ mod tests {
         };
         let xs: Vec<f64> = diurnal(2048).iter().map(|v| v + noise()).collect();
         let raw = Codec::new(CodecParams {
-            denoise: None,
+            denoise: false,
             quant_step: 0.05,
-            levels: None,
         });
         let den = Codec::new(CodecParams::denoising());
         let raw_len = raw.compress(&xs).payload.len();
@@ -293,9 +281,8 @@ mod tests {
     fn decode_is_parameter_free() {
         let xs = diurnal(100);
         let c = Codec::new(CodecParams {
-            levels: Some(3),
             quant_step: 0.2,
-            denoise: Some(DenoiseMode::Hard),
+            denoise: true,
         })
         .compress(&xs);
         // Any decoder can decode: parameters are in the header.
@@ -377,9 +364,8 @@ mod tests {
     #[should_panic(expected = "quant_step must be positive")]
     fn rejects_bad_step() {
         Codec::new(CodecParams {
-            levels: None,
             quant_step: -1.0,
-            denoise: None,
+            denoise: false,
         });
     }
 
@@ -389,7 +375,7 @@ mod tests {
             xs in proptest::collection::vec(-50.0f64..50.0, 0..300),
             step in 0.01f64..1.0,
         ) {
-            let codec = Codec::new(CodecParams { levels: None, quant_step: step, denoise: None });
+            let codec = Codec::new(CodecParams { quant_step: step, denoise: false });
             let c = codec.compress(&xs);
             let back = Codec::decompress(&c).unwrap();
             prop_assert_eq!(back.len(), xs.len());

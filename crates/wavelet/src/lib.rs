@@ -25,7 +25,7 @@ pub mod quant;
 
 pub use aging::AgingLadder;
 pub use codec::{Codec, CodecParams, Compressed, EncodeScratch};
-pub use denoise::{denoise_in_place, universal_threshold, DenoiseMode};
+pub use denoise::{denoise_in_place, universal_threshold};
 pub use haar::{
     haar_forward, haar_forward_in_place, haar_inverse, haar_inverse_in_place, haar_levels,
 };

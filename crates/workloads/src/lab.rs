@@ -41,6 +41,9 @@ const EVENT_AMP: f64 = 8.0;
 /// How long a rare-event spike stays active.
 pub const EVENT_DURATION: SimDuration = SimDuration::from_mins(5);
 
+/// Linear trend, °C per day.
+const TREND_PER_DAY: f64 = 0.05;
+
 /// Generator parameters.
 #[derive(Clone, Debug)]
 pub struct LabParams {
@@ -48,8 +51,6 @@ pub struct LabParams {
     pub sensors: usize,
     /// Sampling epoch.
     pub epoch: SimDuration,
-    /// Linear trend, °C per day.
-    pub trend_per_day: f64,
     /// Innovation std-dev of the shared field, °C.
     pub field_sigma: f64,
     /// Std-dev of the common (small) jitter component, °C.
@@ -65,7 +66,6 @@ impl Default for LabParams {
         LabParams {
             sensors: 4,
             epoch: SimDuration::from_secs(31),
-            trend_per_day: 0.05,
             field_sigma: 0.12,
             jitter_sigma: 0.35,
             heavy_prob: 0.08,
@@ -132,7 +132,7 @@ impl LabDeployment {
 
         let hours = t.hour_of_day();
         let diurnal = DIURNAL_AMP * ((hours - 14.0) / 24.0 * std::f64::consts::TAU).cos();
-        let trend = self.params.trend_per_day * t.as_days_f64();
+        let trend = TREND_PER_DAY * t.as_days_f64();
         let base = BASE_TEMP + diurnal + trend + self.field;
 
         // Poisson event arrivals per sensor per epoch.
@@ -347,13 +347,20 @@ mod tests {
     #[test]
     fn trend_accumulates_across_days() {
         let params = LabParams {
-            trend_per_day: 0.5,
             events_per_day: 0.0,
             ..LabParams::default()
         };
-        let tr = LabDeployment::single_sensor_trace(params, 9, SimDuration::from_days(10));
-        let first_day: f64 = tr.iter().take(2000).map(|r| r.value).sum::<f64>() / 2000.0;
-        let last_day: f64 = tr.iter().rev().take(2000).map(|r| r.value).sum::<f64>() / 2000.0;
-        assert!(last_day > first_day + 3.0, "{first_day} -> {last_day}");
+        let tr = LabDeployment::single_sensor_trace(params, 9, SimDuration::from_days(200));
+        // Whole-day means, 199 days apart: the diurnal cycle cancels, and
+        // the shared field (stationary, about 1.2 °C of spread) leaves the
+        // rise within 1.5 °C of the trend's.
+        let day = (86_400 / 31) as usize;
+        let first_day: f64 = tr.iter().take(day).map(|r| r.value).sum::<f64>() / day as f64;
+        let last_day: f64 = tr.iter().rev().take(day).map(|r| r.value).sum::<f64>() / day as f64;
+        let rise = last_day - first_day;
+        assert!(
+            (rise - TREND_PER_DAY * 199.0).abs() < 1.5,
+            "{first_day} -> {last_day}"
+        );
     }
 }

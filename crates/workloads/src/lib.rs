@@ -24,5 +24,5 @@ pub mod traffic;
 
 pub use eldercare::{Activity, EldercareGen, EldercareSample};
 pub use lab::{LabDeployment, LabParams};
-pub use queries::{QueryGen, QueryParams, QuerySpec, QueryTarget, TimeScope};
+pub use queries::{QueryGen, QueryParams, QuerySpec, TimeScope};
 pub use traffic::{TrafficGen, TrafficParams, VehicleDetection, VehicleType};

@@ -28,15 +28,6 @@ const LATENCY_CHOICES: [SimDuration; 3] = [
     SimDuration::from_mins(10),
 ];
 
-/// What a query targets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueryTarget {
-    /// One sensor by index.
-    Sensor(usize),
-    /// All sensors of one proxy (spatial aggregate).
-    ProxyGroup(usize),
-}
-
 /// The time scope of a query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TimeScope {
@@ -56,8 +47,8 @@ pub enum TimeScope {
 pub struct QuerySpec {
     /// Arrival time.
     pub arrival: SimTime,
-    /// Target.
-    pub target: QueryTarget,
+    /// Target sensor, by index.
+    pub target: usize,
     /// Time scope.
     pub scope: TimeScope,
     /// Acceptable absolute error in the answer.
@@ -73,10 +64,6 @@ pub struct QueryParams {
     pub rate_per_hour: f64,
     /// Number of sensors (for target sampling).
     pub sensors: usize,
-    /// Number of proxies (for group-target sampling).
-    pub proxies: usize,
-    /// Fraction of queries that target whole proxy groups.
-    pub group_fraction: f64,
 }
 
 impl Default for QueryParams {
@@ -84,8 +71,6 @@ impl Default for QueryParams {
         QueryParams {
             rate_per_hour: 30.0,
             sensors: 40,
-            proxies: 4,
-            group_fraction: 0.2,
         }
     }
 }
@@ -128,11 +113,7 @@ impl QueryGen {
     }
 
     fn sample_query(&mut self, arrival: SimTime) -> QuerySpec {
-        let target = if self.params.proxies > 0 && self.rng.chance(self.params.group_fraction) {
-            QueryTarget::ProxyGroup(self.rng.below(self.params.proxies as u64) as usize)
-        } else {
-            QueryTarget::Sensor(self.rng.below(self.params.sensors as u64) as usize)
-        };
+        let target = self.rng.below(self.params.sensors as u64) as usize;
         let scope = if self.rng.chance(NOW_FRACTION) {
             TimeScope::Now
         } else {
@@ -188,6 +169,8 @@ mod tests {
         assert!(qs
             .iter()
             .all(|q| q.arrival >= SimTime::from_days(2) && q.arrival < SimTime::from_days(3)));
+        // Targets stay among the 40 sensors.
+        assert!(qs.iter().all(|q| q.target < 40));
     }
 
     #[test]
@@ -227,23 +210,6 @@ mod tests {
         // All three classes should appear over a day.
         for c in &LATENCY_CHOICES {
             assert!(qs.iter().any(|q| q.latency_bound == *c));
-        }
-    }
-
-    #[test]
-    fn group_queries_appear() {
-        let qs = day_of_queries(7);
-        let groups = qs
-            .iter()
-            .filter(|q| matches!(q.target, QueryTarget::ProxyGroup(_)))
-            .count() as f64;
-        let frac = groups / qs.len() as f64;
-        assert!((0.1..0.35).contains(&frac), "{frac}");
-        for q in &qs {
-            match q.target {
-                QueryTarget::Sensor(s) => assert!(s < 40),
-                QueryTarget::ProxyGroup(p) => assert!(p < 4),
-            }
         }
     }
 

@@ -47,15 +47,17 @@ pub struct VehicleDetection {
     pub signature: Vec<u8>,
 }
 
+/// Baseline vehicles per hour per sensor (off-peak).
+const BASE_RATE_PER_HOUR: f64 = 40.0;
+
+/// Multiplier at rush-hour peaks (08:00 and 17:30).
+const RUSH_MULTIPLIER: f64 = 6.0;
+
 /// Generator parameters.
 #[derive(Clone, Debug)]
 pub struct TrafficParams {
     /// Number of detector sensors along the road.
     pub sensors: usize,
-    /// Baseline vehicles per hour per sensor (off-peak).
-    pub base_rate_per_hour: f64,
-    /// Multiplier at rush-hour peaks (08:00 and 17:30).
-    pub rush_multiplier: f64,
     /// Travel time between adjacent sensors (detections propagate).
     pub inter_sensor_gap: SimDuration,
 }
@@ -64,8 +66,6 @@ impl Default for TrafficParams {
     fn default() -> Self {
         TrafficParams {
             sensors: 6,
-            base_rate_per_hour: 40.0,
-            rush_multiplier: 6.0,
             inter_sensor_gap: SimDuration::from_secs(20),
         }
     }
@@ -96,7 +96,7 @@ impl TrafficGen {
         };
         let rush = peak(8.0, 1.0).max(peak(17.5, 1.2));
         let night = if !(6.0..22.0).contains(&h) { 0.15 } else { 1.0 };
-        self.params.base_rate_per_hour * night * (1.0 + (self.params.rush_multiplier - 1.0) * rush)
+        BASE_RATE_PER_HOUR * night * (1.0 + (RUSH_MULTIPLIER - 1.0) * rush)
     }
 
     /// Generates all detections in `[start, start + duration)`, ordered
@@ -107,7 +107,7 @@ impl TrafficGen {
         let mut out = Vec::new();
         let end = start + duration;
         // Thinning: simulate at the max rate and accept proportionally.
-        let max_rate = self.params.base_rate_per_hour * self.params.rush_multiplier;
+        let max_rate = BASE_RATE_PER_HOUR * RUSH_MULTIPLIER;
         let mut t = start;
         loop {
             let gap_hours = self.rng.exponential(max_rate);
@@ -198,16 +198,22 @@ mod tests {
         let mut g = TrafficGen::new(
             TrafficParams {
                 sensors: 1,
-                base_rate_per_hour: 60.0,
-                rush_multiplier: 1.0,
                 ..TrafficParams::default()
             },
             3,
         );
-        // Flat rate (multiplier 1): daytime hours at ~60/h.
-        let dets = g.generate(SimTime::from_hours(10), SimDuration::from_hours(4));
-        let per_hour = dets.len() as f64 / 4.0;
-        assert!((40.0..80.0).contains(&per_hour), "{per_hour}/h");
+        // A whole day: night, daytime and both rush hours, against
+        // `rate_at` integrated minute by minute.
+        let dets = g.generate(SimTime::ZERO, SimDuration::from_days(1));
+        let expected: f64 = (0..24 * 60)
+            .map(|m| g.rate_at(SimTime::from_mins(m)) / 60.0)
+            .sum();
+        let ratio = dets.len() as f64 / expected;
+        assert!(
+            (0.85..1.15).contains(&ratio),
+            "{} vs {expected}",
+            dets.len()
+        );
     }
 
     #[test]

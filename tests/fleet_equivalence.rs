@@ -70,10 +70,9 @@ fn fleet(
         seed,
         lab: quiet_lab(),
         loss: 0.0,
-        // So wide that neither model-driven silence nor extrapolation
-        // can serve the tight query tolerances: every answer pulls.
-        push_tolerance: 1e6,
-        clock_skew_ppm: 0.0,
+        // Coverage hits off, and every query tolerance (0.05) lies below
+        // the push tolerance, so no extrapolation serves one either:
+        // every answer pulls.
         proxy: ProxyConfig {
             past_coverage_hit: f64::INFINITY,
             ..ProxyConfig::default()

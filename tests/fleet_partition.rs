@@ -56,10 +56,10 @@ fn fleet(seed: u64, faults: FaultPlan, dl_req: Vec<bool>, dl_rep: Vec<bool>) -> 
         seed,
         lab: quiet_lab(),
         loss: 0.0,
-        // Radio-free fast paths off: every real answer is an archive
-        // pull, so value-identity with the reference is exact.
-        push_tolerance: 1e6,
-        clock_skew_ppm: 0.0,
+        // Radio-free fast paths off (coverage hits disabled, and every
+        // query tolerance lies below the push tolerance): every real
+        // answer is an archive pull, so value-identity with the
+        // reference is exact.
         proxy: ProxyConfig {
             past_coverage_hit: f64::INFINITY,
             ..ProxyConfig::default()

@@ -2,15 +2,12 @@
 //! runs of the Figure 2 sweep and the Table 1 comparison must preserve
 //! the qualitative relationships the paper reports.
 
-use presto_bench::figure2::{check_shape as figure2_shape, generate as figure2, Figure2Config};
+use presto_bench::figure2::{check_shape as figure2_shape, generate as figure2};
 use presto_bench::table1::{check_shape as table1_shape, generate as table1};
 
 #[test]
 fn figure2_shape_holds_on_a_week() {
-    let data = figure2(&Figure2Config {
-        days: 7,
-        ..Figure2Config::default()
-    });
+    let data = figure2(7);
     figure2_shape(&data).unwrap();
     // Magnitudes live in the paper's 0–3000 J range when scaled to the
     // full 36-day trace (7 days ≈ 1/5 of it).
@@ -23,10 +20,7 @@ fn figure2_shape_holds_on_a_week() {
 
 #[test]
 fn figure2_batching_amortizes_by_an_order_of_magnitude() {
-    let data = figure2(&Figure2Config {
-        days: 7,
-        ..Figure2Config::default()
-    });
+    let data = figure2(7);
     let first = &data.rows[0];
     let last = data.rows.last().expect("rows");
     assert!(

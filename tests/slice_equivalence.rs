@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 
-use presto::proxy::slice::{assemble, plan, SliceCache, SliceConfig, SliceKey};
+use presto::proxy::slice::{assemble, plan, SliceCache, SliceKey};
 use presto::proxy::{
     AnswerSource, PastAnswer, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig, PumpSensor,
     DEFAULT_DEADLINE,
@@ -46,12 +46,6 @@ fn archived_node() -> SensorNode {
     n
 }
 
-/// The slice geometry under test: a small cache so the property also
-/// exercises eviction, not just inserts.
-fn slice_cfg() -> SliceConfig {
-    SliceConfig { capacity: 12 }
-}
-
 /// A proxy with sliced execution on and every radio-free fast path off,
 /// so queries exercise the slice/pull machinery.
 fn sliced_proxy() -> PrestoProxy {
@@ -59,7 +53,7 @@ fn sliced_proxy() -> PrestoProxy {
         past_coverage_hit: f64::INFINITY,
         ..ProxyConfig::default()
     };
-    cfg.pipeline.slice = Some(slice_cfg());
+    cfg.pipeline.slice = true;
     let mut p = PrestoProxy::new(cfg);
     p.register_sensor(0);
     p
