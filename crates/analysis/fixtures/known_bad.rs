@@ -54,6 +54,22 @@ mod tests {
     }
 }
 
+// K1: the one setter outside tests restates the default, so nothing
+// varies `pad`.
+pub struct RestatedConfig {
+    pub pad: u64,
+}
+
+impl Default for RestatedConfig {
+    fn default() -> Self {
+        RestatedConfig { pad: 20 }
+    }
+}
+
+fn restated() -> RestatedConfig {
+    RestatedConfig { pad: 20 }
+}
+
 // A0: annotation names an unknown lint.
 // presto-lint: allow(bogus, this rule id does not exist)
 pub fn lookup(map: &HashMap<u16, f64>, key: usize) -> f64 {

@@ -14,9 +14,10 @@ pub enum Tok {
     Ident(String),
     /// Single punctuation character (`.`, `!`, `(`, ...).
     Punct(char),
-    /// Any literal: string, raw string, byte string, char, or number.
-    /// The text is discarded — lints must never match inside literals.
-    Lit,
+    /// Any literal: string, raw string, byte string, char, or number,
+    /// with its source text. No lint matches inside it; K1 only compares
+    /// a literal setter's value with the default's.
+    Lit(String),
     /// A lifetime such as `'a` (distinguished from char literals).
     Lifetime,
 }
@@ -99,8 +100,12 @@ pub fn lex(src: &str) -> LexOutput {
             }
             '"' => {
                 line_has_code = true;
+                let start = i;
                 i = skip_string(&chars, i, &mut line);
-                tokens.push(Token { tok: Tok::Lit, line });
+                tokens.push(Token {
+                    tok: Tok::Lit(chars[start..i.min(chars.len())].iter().collect()),
+                    line,
+                });
             }
             '\'' => {
                 line_has_code = true;
@@ -113,6 +118,7 @@ pub fn lex(src: &str) -> LexOutput {
                 };
                 if is_char {
                     let lit_line = line;
+                    let start = i;
                     i += 1; // past opening quote
                     while i < chars.len() && chars[i] != '\'' {
                         if chars[i] == '\\' {
@@ -121,7 +127,10 @@ pub fn lex(src: &str) -> LexOutput {
                         i += 1;
                     }
                     i += 1; // past closing quote
-                    tokens.push(Token { tok: Tok::Lit, line: lit_line });
+                    tokens.push(Token {
+                        tok: Tok::Lit(chars[start..i.min(chars.len())].iter().collect()),
+                        line: lit_line,
+                    });
                 } else {
                     i += 1;
                     while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
@@ -132,6 +141,7 @@ pub fn lex(src: &str) -> LexOutput {
             }
             c if c.is_ascii_digit() => {
                 line_has_code = true;
+                let start = i;
                 while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
                     i += 1;
                 }
@@ -143,7 +153,10 @@ pub fn lex(src: &str) -> LexOutput {
                         i += 1;
                     }
                 }
-                tokens.push(Token { tok: Tok::Lit, line });
+                tokens.push(Token {
+                    tok: Tok::Lit(chars[start..i].iter().collect()),
+                    line,
+                });
             }
             c if c.is_alphabetic() || c == '_' => {
                 line_has_code = true;
@@ -163,7 +176,10 @@ pub fn lex(src: &str) -> LexOutput {
                     } else {
                         i = skip_string(&chars, i, &mut line);
                     }
-                    tokens.push(Token { tok: Tok::Lit, line: lit_line });
+                    tokens.push(Token {
+                        tok: Tok::Lit(chars[start..i.min(chars.len())].iter().collect()),
+                        line: lit_line,
+                    });
                 } else {
                     tokens.push(Token { tok: Tok::Ident(word), line });
                 }
@@ -259,7 +275,7 @@ let y = r#"HashSet"#; /* HashMap */ let z = 'H';"##;
     fn lifetimes_are_not_char_literals() {
         let toks = lex("fn f<'a>(x: &'a str) { let c = 'x'; }").tokens;
         let lifetimes = toks.iter().filter(|t| t.tok == Tok::Lifetime).count();
-        let lits = toks.iter().filter(|t| t.tok == Tok::Lit).count();
+        let lits = toks.iter().filter(|t| matches!(t.tok, Tok::Lit(_))).count();
         assert_eq!(lifetimes, 2);
         assert_eq!(lits, 1);
     }

@@ -39,10 +39,11 @@
 //! - **K1 `knob`** — a `pub` field of a `pub struct *Config`/`*Bounds`/
 //!   `*Params` in library code that nothing sets. A setter is a literal of that struct
 //!   (`Name { field: .. }`, shorthand, or `Self { .. }` inside an `impl` of
-//!   it, but not the literal in its own `impl Default`) or an assignment
+//!   it, but not the literal in its own `impl Default`, nor one whose
+//!   value tokens equal that literal's for the field) or an assignment
 //!   through a `.field` path segment (`=`, `+=`, ... on any receiver,
-//!   matched by name, so K1 may miss a dead knob but never flags a set
-//!   one). Setters count only in code that runs outside tests: library
+//!   matched by name, so K1 may miss a dead knob but never flags one set
+//!   to a second value). Setters count only in code that runs outside tests: library
 //!   code outside test spans (`crates/bench/src/` and its bins included),
 //!   benches and `perfbench/src/`. A setter in test code or an example
 //!   keeps no field: a value only a test or a demo needs is no reason for
@@ -744,7 +745,10 @@ fn pub_decls(ctx: &FileCtx) -> Vec<PubDecl<'_>> {
                 Some("async" | "unsafe") => k += 1,
                 Some("const") if next_is_fn => k += 1,
                 Some("extern") => {
-                    k += 1 + usize::from(toks.get(k + 1).is_some_and(|t| t.tok == Tok::Lit))
+                    k += 1 + usize::from(
+                        toks.get(k + 1)
+                            .is_some_and(|t| matches!(t.tok, Tok::Lit(_))),
+                    )
                 }
                 _ => break,
             }
@@ -825,8 +829,12 @@ struct KnobIndex {
     /// `pub` fields of `pub struct *Config`/`*Bounds`/`*Params` in library code
     /// outside tests: (struct, field, file index, line).
     fields: Vec<(String, String, usize, usize)>,
-    /// (struct, field) pairs named in a literal of that struct.
-    in_literal: BTreeSet<(String, String)>,
+    /// (struct, field) pairs named in a literal of that struct, with the
+    /// value tokens each such literal gives (`None` for a shorthand).
+    in_literal: BTreeMap<(String, String), BTreeSet<Option<String>>>,
+    /// (struct, field) value tokens of the literal in the struct's own
+    /// `impl Default`.
+    defaults: BTreeMap<(String, String), String>,
     /// Field names assigned through a `.field` path segment.
     assigned: BTreeSet<String>,
 }
@@ -932,8 +940,9 @@ fn index_knob_fields(ctx: &FileCtx, file_idx: usize, idx: &mut KnobIndex) {
 }
 
 /// Record a file's K1 setters outside test code: the fields named in
-/// struct literals (a `Default` impl's literal of its own type excepted)
-/// and the field names assigned through a `.field` path segment.
+/// struct literals with their values, and the field names assigned
+/// through a `.field` path segment. A `Default` impl's literal of its own
+/// type sets nothing; it records the default values instead.
 fn index_knob_setters(ctx: &FileCtx, idx: &mut KnobIndex) {
     let toks = &ctx.tokens;
     let impls = impl_blocks(toks);
@@ -962,8 +971,15 @@ fn index_knob_setters(ctx: &FileCtx, idx: &mut KnobIndex) {
                 name = block.map_or("", |b| b.self_ty);
             }
             let own_default = block.is_some_and(|b| b.default && b.self_ty == name);
-            if !declared && !own_default && impls.iter().all(|b| b.open != i + 1) {
-                literal_fields(toks, i + 1, name, idx);
+            if !declared && impls.iter().all(|b| b.open != i + 1) {
+                for (field, value) in literal_fields(toks, i + 1) {
+                    let key = (name.to_string(), field.to_string());
+                    if !own_default {
+                        idx.in_literal.entry(key).or_default().insert(value);
+                    } else if let Some(value) = value {
+                        idx.defaults.insert(key, value);
+                    }
+                }
             }
         }
         if let Some(op) = assign_op_start(toks, i) {
@@ -989,7 +1005,7 @@ fn index_knob_setters(ctx: &FileCtx, idx: &mut KnobIndex) {
                         idx.assigned.insert(field.clone());
                         k -= 2;
                     }
-                    Tok::Lit if is_punct(&toks[k - 2], '.') => k -= 2,
+                    Tok::Lit(_) if is_punct(&toks[k - 2], '.') => k -= 2,
                     _ => break,
                 }
             }
@@ -998,31 +1014,50 @@ fn index_knob_setters(ctx: &FileCtx, idx: &mut KnobIndex) {
 }
 
 /// The fields a struct literal opening at `toks[open]` names before any
-/// `..spread`, keyed to `name`.
-fn literal_fields(toks: &[Token], open: usize, name: &str, idx: &mut KnobIndex) {
+/// `..spread`, each with its value's tokens (`None` for a shorthand
+/// field, whose value is a local of the same name).
+fn literal_fields(toks: &[Token], open: usize) -> Vec<(&str, Option<String>)> {
     let close = group_end(toks, open);
-    let mut depth = 0usize;
-    let mut at_field = true;
-    for k in open + 1..close {
-        if depth == 0 && at_field {
-            if is_punct(&toks[k], '.') && toks.get(k + 1).is_some_and(|t| is_punct(t, '.')) {
-                return;
+    let mut fields = Vec::new();
+    let (mut depth, mut start) = (0usize, open + 1);
+    for k in open + 1..=close {
+        if k < close {
+            match toks[k].tok {
+                Tok::Punct('{' | '(' | '[') => depth += 1,
+                Tok::Punct('}' | ')' | ']') => depth -= 1,
+                _ => {}
             }
-            let next = |n: usize| toks.get(k + n).map(|t| &t.tok);
-            let named = next(1) == Some(&Tok::Punct(':')) && next(2) != Some(&Tok::Punct(':'));
-            let shorthand = matches!(next(1), Some(Tok::Punct(',' | '}')));
-            if let Some(field) = ident(&toks[k]).filter(|_| named || shorthand) {
-                idx.in_literal.insert((name.to_string(), field.to_string()));
+            if depth > 0 || !is_punct(&toks[k], ',') {
+                continue;
             }
         }
-        at_field = false;
-        match toks[k].tok {
-            Tok::Punct('{' | '(' | '[') => depth += 1,
-            Tok::Punct('}' | ')' | ']') => depth -= 1,
-            Tok::Punct(',') if depth == 0 => at_field = true,
+        // `toks[start..k]` is one field: `name: value`, `name` or `..spread`.
+        let seg = &toks[start..k];
+        start = k + 1;
+        if seg.len() >= 2 && is_punct(&seg[0], '.') && is_punct(&seg[1], '.') {
+            break;
+        }
+        let named = seg.len() > 2 && is_punct(&seg[1], ':') && !is_punct(&seg[2], ':');
+        match seg.first().and_then(ident) {
+            Some(field) if named => fields.push((field, Some(value_text(&seg[2..])))),
+            Some(field) if seg.len() == 1 => fields.push((field, None)),
             _ => {}
         }
     }
+    fields
+}
+
+/// A value's tokens as text, one space between tokens.
+fn value_text(toks: &[Token]) -> String {
+    let text: Vec<String> = toks
+        .iter()
+        .map(|t| match &t.tok {
+            Tok::Ident(s) | Tok::Lit(s) => s.clone(),
+            Tok::Punct(c) => c.to_string(),
+            Tok::Lifetime => "'_".to_string(),
+        })
+        .collect();
+    text.join(" ")
 }
 
 /// If `toks[i]` is the `=` of an assignment (`=`, `+=`, `<<=`, ...; not
@@ -1044,19 +1079,27 @@ fn assign_op_start(toks: &[Token], i: usize) -> Option<usize> {
     }
 }
 
-/// K1 on the whole workspace: each indexed field that no literal of its
-/// struct names and no assignment reaches.
+/// K1 on the whole workspace: each indexed field that no assignment
+/// reaches and no literal of its struct sets to a value other than its
+/// default's.
 fn knob_violations(idx: &KnobIndex, ctxs: &mut [FileCtx]) {
     for (name, field, file_idx, line) in &idx.fields {
-        if idx.in_literal.contains(&(name.clone(), field.clone())) || idx.assigned.contains(field) {
+        let key = (name.clone(), field.clone());
+        let default = idx.defaults.get(&key);
+        let varied = idx
+            .in_literal
+            .get(&key)
+            .is_some_and(|values| values.iter().any(|v| v.as_ref() != default));
+        if varied || idx.assigned.contains(field) {
             continue;
         }
         ctxs[*file_idx].raw.push((
             Rule::Knob,
             *line,
             format!(
-                "`{name}::{field}` is set nowhere but its own `impl Default`; fold it into a \
-                 const beside its reader, or allow it naming the second value a real caller needs"
+                "`{name}::{field}` is set nowhere but its own `impl Default`, or only to its \
+                 default; fold it into a const beside its reader, or allow it naming the second \
+                 value a real caller needs"
             ),
         ));
     }

@@ -426,12 +426,17 @@ fn knob_flags_fields_set_only_by_their_default_or_a_spread() {
     let r = lint_used(&[knobs(spread)], &["FooConfig"]);
     assert_eq!(codes(&r), ["K1"]);
     assert!(k1_messages(&r)[0].contains("`FooConfig::b`"));
+    // A literal that restates the default's value varies nothing.
+    let restated = "fn quick() -> FooConfig {\n    FooConfig { a: 3, b: 2 }\n}\n";
+    let r = lint_used(&[knobs(restated)], &["FooConfig"]);
+    assert_eq!(codes(&r), ["K1"]);
+    assert!(k1_messages(&r)[0].contains("`FooConfig::b`"));
 }
 
 #[test]
 fn knob_flags_a_field_named_only_in_another_structs_literal() {
     let other = "pub struct BarConfig {\n    pub b: u32,\n}\n\
-                 fn f() {\n    let _ = FooConfig { a: 1, ..FooConfig::default() };\n    \
+                 fn f() {\n    let _ = FooConfig { a: 3, ..FooConfig::default() };\n    \
                  let _ = BarConfig { b: 1 };\n}\n";
     let r = lint_used(&[knobs(other)], &["FooConfig", "BarConfig"]);
     assert_eq!(codes(&r), ["K1"]);
@@ -444,13 +449,13 @@ fn knob_flags_a_field_named_only_in_another_structs_literal() {
 
 #[test]
 fn knob_accepts_literals_shorthand_and_self_constructors() {
-    let literal = "fn f(b: u32) -> FooConfig {\n    FooConfig { a: 1, b }\n}\n";
+    let literal = "fn f(b: u32) -> FooConfig {\n    FooConfig { a: 3, b }\n}\n";
     let r = lint_used(&[knobs(literal)], &["FooConfig"]);
     assert!(r.is_clean(), "unexpected: {:?}", r.violations);
-    let path = "fn f(b: u32) -> FooConfig {\n    crate::fixture::FooConfig { a: 1, b }\n}\n";
+    let path = "fn f(b: u32) -> FooConfig {\n    crate::fixture::FooConfig { a: 3, b }\n}\n";
     assert!(lint_used(&[knobs(path)], &["FooConfig"]).is_clean());
     let ctor =
-        "impl FooConfig {\n    pub fn quick() -> Self {\n        Self { a: 1, b: 2 }\n    }\n}\n";
+        "impl FooConfig {\n    pub fn quick() -> Self {\n        Self { a: 3, b: 4 }\n    }\n}\n";
     let r = lint_used(&[knobs(ctor)], &["FooConfig", "quick"]);
     assert!(r.is_clean(), "unexpected: {:?}", r.violations);
 }
@@ -615,6 +620,13 @@ fn known_bad_fixture_fires_every_lint_class() {
             .iter()
             .any(|m| m.contains("`TestOnlyConfig::rate`")),
         "a field only test code sets must fire K1: {:?}",
+        r.violations
+    );
+    assert!(
+        k1_messages(&r)
+            .iter()
+            .any(|m| m.contains("`RestatedConfig::pad`")),
+        "a field whose only setter restates its default must fire K1: {:?}",
         r.violations
     );
     assert_eq!(r.allows_honored, 0);

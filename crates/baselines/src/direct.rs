@@ -106,7 +106,7 @@ mod tests {
     fn no_push_traffic_outside_queries() {
         let mut cfg = quick_cfg();
         // No queries → no sensor radio TX at all.
-        cfg.queries.rate_per_hour = 0.0;
+        cfg.queries_per_hour = 0.0;
         let r = run(&cfg);
         assert_eq!(r.bytes_per_sensor_per_day, 0.0);
         assert!(!r.uses_prediction);

@@ -13,7 +13,7 @@ use presto_reliability::DownlinkChannel;
 use presto_sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto_sim::metrics::Summary;
 use presto_sim::{SimDuration, SimRng, SimTime};
-use presto_workloads::{LabDeployment, LabParams, QueryGen, QueryParams, QuerySpec, TimeScope};
+use presto_workloads::{LabDeployment, LabParams, QueryGen, QuerySpec, TimeScope};
 
 /// Uplink/downlink frame loss probability on every arm.
 const LOSS: f64 = 0.05;
@@ -29,21 +29,17 @@ pub struct DriverConfig {
     pub sensors: usize,
     /// Simulated duration in days.
     pub days: u64,
-    /// Query workload parameters.
+    /// Mean queries per hour across the deployment.
     // presto-lint: allow(knob, no_push_traffic_outside_queries: a run with no queries)
-    pub queries: QueryParams,
+    pub queries_per_hour: f64,
 }
 
 impl Default for DriverConfig {
     fn default() -> Self {
-        let sensors = 8;
         DriverConfig {
-            sensors,
+            sensors: 8,
             days: 2,
-            queries: QueryParams {
-                sensors,
-                rate_per_hour: 20.0,
-            },
+            queries_per_hour: 20.0,
         }
     }
 }
@@ -90,12 +86,9 @@ struct Deployment {
 
 /// Builds a deployment with the given push policy applied to every node.
 fn build(cfg: &DriverConfig, push: PushPolicy, lpl: SimDuration) -> Deployment {
-    let params = LabParams {
-        sensors: cfg.sensors,
-        ..LabParams::default()
-    };
+    let params = LabParams::default();
     let epoch = params.epoch;
-    let lab = LabDeployment::new(params, SEED);
+    let lab = LabDeployment::new(params, cfg.sensors, SEED);
     let rng = SimRng::new(SEED);
     let lossy = |r: SimRng| LinkModel::new(LossProcess::Bernoulli(LOSS), r);
     let nodes = (0..cfg.sensors)
@@ -111,14 +104,7 @@ fn build(cfg: &DriverConfig, push: PushPolicy, lpl: SimDuration) -> Deployment {
     let downlinks = (0..cfg.sensors)
         .map(|i| DownlinkChannel::over(lossy(rng.split(&format!("downlink-{i}")))))
         .collect();
-    let queries = QueryGen::new(
-        QueryParams {
-            sensors: cfg.sensors,
-            ..cfg.queries.clone()
-        },
-        SEED ^ 0x51ab,
-    )
-    .generate(
+    let queries = QueryGen::new(cfg.queries_per_hour, cfg.sensors, SEED ^ 0x51ab).generate(
         // Let queries start after a warm-up day (or half the horizon).
         SimTime::from_hours((cfg.days * 24 / 4).max(6)),
         SimDuration::from_days(cfg.days) - SimDuration::from_hours((cfg.days * 24 / 4).max(6)),

@@ -55,18 +55,12 @@ pub fn run(cfg: &DriverConfig, delta: f64) -> ArchReport {
 /// the quantum of the Figure 2 sweep.
 #[derive(Clone, Debug)]
 pub struct PolicyEnergy {
-    /// Policy label.
-    pub label: String,
     /// Push energy: radio TX + RX only (preambles, frames, ACKs), joules.
     /// This is the quantity Figure 2 plots — idle listening is identical
     /// across arms and reported separately.
     pub push_j: f64,
     /// Total sensor radio energy including idle listening, joules.
     pub radio_j: f64,
-    /// Payload bytes offered to the MAC.
-    pub bytes: u64,
-    /// Messages that reached the proxy.
-    pub delivered: u64,
 }
 
 /// Runs one push policy over a prepared single-sensor trace and returns
@@ -77,7 +71,6 @@ pub fn energy_of_policy(
     loss: f64,
     seed: u64,
 ) -> PolicyEnergy {
-    let label = policy.label();
     let link = if loss > 0.0 {
         LinkModel::new(
             presto_net::LossProcess::Bernoulli(loss),
@@ -94,24 +87,18 @@ pub fn energy_of_policy(
         },
         link,
     );
-    let mut delivered: u64 = 0;
     for r in trace {
-        delivered += node.on_sample(r.timestamp, r.value).len() as u64;
+        node.on_sample(r.timestamp, r.value);
     }
     // Drain any residual batch so arms are charged for all data.
     if let Some(t) = trace.last().map(|r| r.timestamp) {
-        if node.flush_batch(t).is_some() {
-            delivered += 1;
-        }
+        node.flush_batch(t);
     }
     let ledger = node.ledger();
     PolicyEnergy {
-        label,
         push_j: ledger.category(presto_sim::EnergyCategory::RadioTx)
             + ledger.category(presto_sim::EnergyCategory::RadioRx),
         radio_j: ledger.radio_total(),
-        bytes: node.stats().bytes_sent,
-        delivered,
     }
 }
 
@@ -200,14 +187,12 @@ mod tests {
         let clean = energy_of_policy(&trace, PushPolicy::ValueDriven { delta: 1.0 }, 0.0, 2);
         let lossy = energy_of_policy(&trace, PushPolicy::ValueDriven { delta: 1.0 }, 0.3, 2);
         // Retransmissions cost extra frame energy (the wake-up preamble
-        // is paid once per send either way), and some pushes are lost
-        // outright.
+        // is paid once per send either way).
         assert!(
             lossy.radio_j > clean.radio_j,
             "lossy {} vs clean {}",
             lossy.radio_j,
             clean.radio_j
         );
-        assert!(lossy.delivered < clean.delivered);
     }
 }

@@ -79,7 +79,6 @@ fn run_arm(telemetry: bool) -> (f64, u64) {
         // plus a live watchdog rule, so the guard prices the whole
         // presto-scope pipeline, not just the legacy counters.
         sys_cfg.scope = presto_telemetry::ScopeConfig {
-            enabled: true,
             series: vec![
                 presto_telemetry::SeriesSpec::delta("pipeline.rpcs_issued"),
                 presto_telemetry::SeriesSpec::delta("pipeline.submitted"),
@@ -89,7 +88,6 @@ fn run_arm(telemetry: bool) -> (f64, u64) {
                 presto_telemetry::scope::WD_STALE_CONFIDENT,
                 "probe.stale_confident",
             )],
-            ..presto_telemetry::ScopeConfig::default()
         };
     }
     let epoch = sys_cfg.lab.epoch;

@@ -528,7 +528,6 @@ pub fn lossy_downlink(sys: &mut SystemConfig, loss: f64) {
 /// the one watchdog is the driver-fed stale-confident probe.
 pub fn single_system_scope() -> ScopeConfig {
     ScopeConfig {
-        enabled: true,
         series: vec![
             SeriesSpec::delta("pipeline.rpcs_issued"),
             SeriesSpec::delta("pipeline.sliced"),
@@ -539,7 +538,6 @@ pub fn single_system_scope() -> ScopeConfig {
             WD_STALE_CONFIDENT,
             FEED_STALE_CONFIDENT,
         )],
-        ..ScopeConfig::default()
     }
 }
 

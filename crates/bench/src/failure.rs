@@ -16,7 +16,7 @@
 //! checked against the proxy's post-recovery PAST answer: a missing
 //! sample is a silent gap, a large deviation a corrupted repair.
 
-use presto_core::{PrestoSystem, StoreQuery, SystemConfig, UnifiedStore};
+use presto_core::{PrestoSystem, StoreQuery, SystemConfig};
 use presto_net::{GilbertElliott, LossProcess};
 use presto_reliability::{Health, LivenessConfig, ReliabilityConfig};
 use presto_sim::{EnergyLedger, FaultPlan, SimDuration, SimTime};
@@ -229,7 +229,7 @@ pub fn failure_scenario(cfg: &FailureScenarioConfig) -> FailureReport {
         if e % probe_epochs == 0 && e > 0 {
             let truth = sys.truth[0];
             let in_outage = crash.is_some_and(|(down, up)| t >= down && t < up);
-            let r = UnifiedStore::new(&mut sys).query(StoreQuery::Now {
+            let r = sys.query(StoreQuery::Now {
                 sensor: 0,
                 tolerance: PROBE_TOLERANCE,
             });
@@ -262,7 +262,7 @@ pub fn failure_scenario(cfg: &FailureScenarioConfig) -> FailureReport {
         .archive_mut()
         .query_range_fullscan(win_from, win_to, &mut ledger)
         .expect("archive readable");
-    let answer = UnifiedStore::new(&mut sys).query(StoreQuery::Past {
+    let answer = sys.query(StoreQuery::Past {
         sensor: 0,
         from: win_from,
         to: win_to,

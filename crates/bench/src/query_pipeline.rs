@@ -10,7 +10,7 @@
 //!   pull-reply cache, and every completion (or honest deadline
 //!   failure) is recorded with its per-query latency;
 //! * **serialized baseline** — the same arrivals served through the
-//!   blocking `UnifiedStore` path one at a time: each RPC's entire
+//!   blocking `PrestoSystem::query` path one at a time: each RPC's entire
 //!   attempt/timeout schedule occupies the proxy, so later queries
 //!   queue behind it (the pre-pipeline behavior).
 //!
@@ -26,7 +26,7 @@ use crate::driver::{
     arm_failures, lossy_downlink, run_arm as drive, single_system_scope, throughput_ratio,
     ArmCounters, ArmPlan, ArmRun, Arrival, Deployment, SCENARIO_LOSS, SCENARIO_SEED,
 };
-use presto_core::{PrestoSystem, StoreQuery, SystemConfig, UnifiedStore};
+use presto_core::{PrestoSystem, StoreQuery, SystemConfig};
 use presto_proxy::{AnswerSource, DEFAULT_DEADLINE};
 use presto_sim::{QueryArrival, QueryKind, QueryLoad, QueryLoadConfig, SimDuration, SimTime};
 use presto_telemetry::alloc;
@@ -181,7 +181,7 @@ pub fn query_pipeline(cfg: &QueryPipelineConfig) -> QueryPipelineReport {
                 break;
             }
             fifo.pop_front();
-            let r = UnifiedStore::new(&mut base).query(q);
+            let r = base.query(q);
             let done_at = server_free_at.max(t) + r.latency;
             server_free_at = done_at;
             c.latencies.record((done_at - arrived).as_secs_f64());

@@ -8,10 +8,11 @@
 //!   Intel-Lab-style workload, model-driven push, periodic model
 //!   training/pushes, semantic event reporting, and clock beacons; every
 //!   sensor meters its own energy, and the tethered proxies meter none.
-//! * [`store::UnifiedStore`] — the "single logical view of data": routes
-//!   each query through the Skip Graph index to the responsible proxy,
-//!   which answers via cache → extrapolation → pull; PAST answers can
-//!   reach all the way into mote archives.
+//! * [`PrestoSystem::query`](system::PrestoSystem::query) — the
+//!   "single logical view of data" ([`store`]): routes each query
+//!   through the Skip Graph index to the responsible proxy, which
+//!   answers via cache → extrapolation → pull; PAST answers can reach
+//!   all the way into mote archives.
 //! * [`run`] — the PRESTO arm of the Table 1 comparison, matched to the
 //!   baselines' [`presto_baselines::driver`] so rows are comparable.
 
@@ -33,5 +34,5 @@ pub fn gid16(gid: usize) -> u16 {
 
 pub use presto_proxy::{CompletedQuery, PipelineAnswer, PipelineQuery, PipelineStats};
 pub use run::run_presto;
-pub use store::{StoreQuery, StoreResponse, UnifiedStore};
+pub use store::{StoreQuery, StoreResponse};
 pub use system::{PrestoSystem, SystemConfig};

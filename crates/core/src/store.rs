@@ -1,15 +1,19 @@
 //! The unified logical store (paper §5).
 //!
-//! One query interface over every proxy and sensor: the store locates
-//! the responsible proxy through the Skip Graph (counting routing hops),
-//! then lets that proxy answer through its cache → extrapolation → pull
-//! pipeline. Timestamps in PAST answers pass through the sensor's clock
-//! corrector so cross-proxy views are temporally consistent.
+//! One query interface over every proxy and sensor,
+//! [`PrestoSystem::query`]: it locates the responsible proxy through the
+//! Skip Graph (counting routing hops), then lets that proxy answer
+//! through its cache → extrapolation → pull pipeline. Timestamps in
+//! PAST answers pass through the sensor's clock corrector so
+//! cross-proxy views are temporally consistent.
 
 use presto_proxy::{AnswerSource, PipelineAnswer, PipelineQuery};
 use presto_sim::{SimDuration, SimTime};
 
 use crate::system::{PrestoSystem, PUSH_TOLERANCE};
+
+/// Per-hop proxy-overlay latency (wired mesh).
+const HOP_LATENCY: SimDuration = SimDuration::from_millis(5);
 
 /// A query against the unified store.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -111,29 +115,14 @@ pub struct StoreResponse {
     pub index_hops: u64,
 }
 
-/// The unified store facade over a running system.
-pub struct UnifiedStore<'a> {
-    system: &'a mut PrestoSystem,
-    /// Per-hop proxy-overlay latency (wired mesh).
-    pub hop_latency: SimDuration,
-}
-
-impl<'a> UnifiedStore<'a> {
-    /// Wraps a system.
-    pub fn new(system: &'a mut PrestoSystem) -> Self {
-        UnifiedStore {
-            system,
-            hop_latency: SimDuration::from_millis(5),
-        }
-    }
-
+impl PrestoSystem {
     /// Resolves a single-sensor query's mutable targets: the serving
     /// proxy (an adopter after a re-home), the sensor node, and its home
     /// channel — with the channel's fault gate refreshed for the query
     /// instant, so a pull towards a crashed or blacked-out sensor times
     /// out and fails exactly as on real hardware.
     fn query_target(
-        system: &mut PrestoSystem,
+        &mut self,
         sensor: u16,
         serving: usize,
         t: SimTime,
@@ -143,30 +132,31 @@ impl<'a> UnifiedStore<'a> {
         &mut presto_reliability::DownlinkChannel,
     ) {
         let gid = usize::from(sensor);
-        let up = system.reachable(gid, serving, t);
-        let chan = &mut system.downlinks[gid];
+        let up = self.reachable(gid, serving, t);
+        let chan = &mut self.downlinks[gid];
         chan.set_link_up(up);
-        (&mut system.proxies[serving], &mut system.nodes[gid], chan)
+        (&mut self.proxies[serving], &mut self.nodes[gid], chan)
     }
 
     /// Widens an answer's confidence bound by the sensor's health. A
     /// pull that just succeeded is contact and needs no widening; a
     /// failed answer carries none to widen.
-    fn widened(system: &PrestoSystem, sensor: u16, source: AnswerSource, sigma: f64) -> f64 {
+    fn widened(&self, sensor: u16, source: AnswerSource, sigma: f64) -> f64 {
         match source {
             AnswerSource::Pulled => sigma,
             AnswerSource::Failed => f64::INFINITY,
-            _ => system.health(sensor).widen_sigma(sigma, PUSH_TOLERANCE),
+            _ => self.health(sensor).widen_sigma(sigma, PUSH_TOLERANCE),
         }
     }
 
-    /// Executes a query at the system's current time.
+    /// Executes a query against the unified store at the system's
+    /// current time.
     pub fn query(&mut self, q: StoreQuery) -> StoreResponse {
-        let t = self.system.now();
+        let t = self.now();
         match q.pipeline_query() {
             Ok(pq) => {
                 let sensor = pq.sensor();
-                let Some(serving) = self.system.serving(sensor) else {
+                let Some(serving) = self.serving(sensor) else {
                     // An id outside the sensor space names nothing that
                     // could answer: fail honestly, advertising nothing.
                     return StoreResponse {
@@ -179,21 +169,21 @@ impl<'a> UnifiedStore<'a> {
                         index_hops: 0,
                     };
                 };
-                let (_, hops) = self.system.route(sensor);
+                let (_, hops) = self.route(sensor);
                 let a = {
-                    let (proxy, node, link) = Self::query_target(self.system, sensor, serving, t);
+                    let (proxy, node, link) = self.query_target(sensor, serving, t);
                     proxy.answer(t, pq, node, link)
                 };
-                let (source, latency) = (a.source(), a.latency() + self.hop_latency * hops);
+                let (source, latency) = (a.source(), a.latency() + HOP_LATENCY * hops);
                 let (value, series, sigma) = match a {
                     PipelineAnswer::Scalar(a) => (
                         Some(a.value),
                         Vec::new(),
-                        Self::widened(self.system, sensor, a.source, a.sigma),
+                        self.widened(sensor, a.source, a.sigma),
                     ),
                     PipelineAnswer::Series(a) => {
                         // Correct timestamps back to reference time.
-                        let corrector = &self.system.correctors[sensor as usize];
+                        let corrector = &self.correctors[sensor as usize];
                         let series = a
                             .samples
                             .into_iter()
@@ -204,7 +194,7 @@ impl<'a> UnifiedStore<'a> {
                         // guarantee.
                         let sigma = match a.source {
                             AnswerSource::Extrapolated => {
-                                Self::widened(self.system, sensor, a.source, PUSH_TOLERANCE)
+                                self.widened(sensor, a.source, PUSH_TOLERANCE)
                             }
                             AnswerSource::Failed => f64::INFINITY,
                             _ => 0.0,
@@ -231,14 +221,13 @@ impl<'a> UnifiedStore<'a> {
                 // announcement was lost, are covered by the
                 // cached-event-span check below.
                 let slack = PrestoSystem::ROUTE_SLACK;
-                let (mut candidates, route_hops) =
-                    self.system.route_range(from - slack, to + slack);
+                let (mut candidates, route_hops) = self.route_range(from - slack, to + slack);
                 // Cached events are not guaranteed archive-backed (an
                 // append can fail while the push succeeds), so also
                 // visit any proxy whose cached-event span overlaps the
                 // padded window — an O(proxies) check that preserves
                 // the archive pruning.
-                for (p, proxy) in self.system.proxies.iter().enumerate() {
+                for (p, proxy) in self.proxies.iter().enumerate() {
                     if candidates.contains(&p) {
                         continue;
                     }
@@ -255,11 +244,8 @@ impl<'a> UnifiedStore<'a> {
                     // event cache (padded by the clock slack, since the
                     // cache orders by uncorrected sensor time), then an
                     // exact corrected-time filter.
-                    for e in self.system.proxies[p]
-                        .events()
-                        .range(from - slack, to + slack)
-                    {
-                        let corrected = self.system.correctors[e.sensor as usize].correct(e.t);
+                    for e in self.proxies[p].events().range(from - slack, to + slack) {
+                        let corrected = self.correctors[e.sensor as usize].correct(e.t);
                         if corrected >= from && corrected <= to {
                             events.push((corrected, e.sensor, e.event_type));
                         }
@@ -273,7 +259,7 @@ impl<'a> UnifiedStore<'a> {
                     events,
                     source: AnswerSource::CacheHit,
                     sigma: 0.0,
-                    latency: self.hop_latency * hops,
+                    latency: HOP_LATENCY * hops,
                     index_hops: hops,
                 }
             }
@@ -300,9 +286,8 @@ mod tests {
     fn now_query_answers_within_tolerance() {
         let mut sys = running_system(1);
         let truth = sys.truth.clone();
-        let mut store = UnifiedStore::new(&mut sys);
         for sensor in 0..6u16 {
-            let r = store.query(StoreQuery::Now {
+            let r = sys.query(StoreQuery::Now {
                 sensor,
                 tolerance: 1.5,
             });
@@ -321,8 +306,7 @@ mod tests {
     #[test]
     fn past_query_returns_series() {
         let mut sys = running_system(1);
-        let mut store = UnifiedStore::new(&mut sys);
-        let r = store.query(StoreQuery::Past {
+        let r = sys.query(StoreQuery::Past {
             sensor: 4,
             from: SimTime::from_hours(10),
             to: SimTime::from_hours(11),
@@ -345,8 +329,7 @@ mod tests {
             ..SystemConfig::default()
         });
         sys.run(SimDuration::from_days(2));
-        let mut store = UnifiedStore::new(&mut sys);
-        let r = store.query(StoreQuery::Events {
+        let r = sys.query(StoreQuery::Events {
             from: SimTime::ZERO,
             to: SimTime::from_days(2),
         });
@@ -366,16 +349,15 @@ mod tests {
             ..SystemConfig::default()
         });
         sys.run(SimDuration::from_days(1));
-        let mut store = UnifiedStore::new(&mut sys);
         // A window far past every archive overlaps no proxy: zero
         // per-proxy visits beyond the index routing itself.
-        let r = store.query(StoreQuery::Events {
+        let r = sys.query(StoreQuery::Events {
             from: SimTime::from_days(40),
             to: SimTime::from_days(41),
         });
         assert!(r.events.is_empty());
         // A covered window still reports every event.
-        let r = store.query(StoreQuery::Events {
+        let r = sys.query(StoreQuery::Events {
             from: SimTime::ZERO,
             to: SimTime::from_days(1),
         });
@@ -399,8 +381,7 @@ mod tests {
                 data: Vec::new().into(),
             },
         });
-        let mut store = UnifiedStore::new(&mut sys);
-        let r = store.query(StoreQuery::Events {
+        let r = sys.query(StoreQuery::Events {
             from: SimTime::from_days(29),
             to: SimTime::from_days(31),
         });
@@ -411,8 +392,7 @@ mod tests {
     #[test]
     fn routing_hops_are_reported() {
         let mut sys = running_system(1);
-        let mut store = UnifiedStore::new(&mut sys);
-        let r = store.query(StoreQuery::Now {
+        let r = sys.query(StoreQuery::Now {
             sensor: 5,
             tolerance: 1.0,
         });
@@ -423,7 +403,6 @@ mod tests {
     #[test]
     fn unknown_sensor_fails_honestly() {
         let mut sys = running_system(0);
-        let mut store = UnifiedStore::new(&mut sys);
         for q in [
             StoreQuery::Now {
                 sensor: 6,
@@ -442,7 +421,7 @@ mod tests {
                 op: presto_sensor::AggregateOp::Mean,
             },
         ] {
-            let r = store.query(q);
+            let r = sys.query(q);
             assert_eq!(r.source, AnswerSource::Failed, "{q:?}");
             assert!(r.sigma.is_infinite());
             assert!(r.value.is_none() && r.series.is_empty() && r.events.is_empty());
@@ -452,8 +431,7 @@ mod tests {
     #[test]
     fn aggregate_query_returns_a_scalar() {
         let mut sys = running_system(1);
-        let mut store = UnifiedStore::new(&mut sys);
-        let r = store.query(StoreQuery::Aggregate {
+        let r = sys.query(StoreQuery::Aggregate {
             sensor: 2,
             from: SimTime::from_hours(8),
             to: SimTime::from_hours(12),

@@ -30,7 +30,7 @@ use presto_net::{LinkModel, LossProcess, SharedLossState};
 use presto_proxy::{CompletedQuery, PrestoProxy, ProxyConfig, PumpSensor};
 use presto_reliability::{
     recovery::padded_span, DownlinkChannel, Fabric, GapTracker, Health, LivenessMonitor,
-    Observation, ReliabilityConfig, RETRY_BUDGET_J,
+    Observation, ReliabilityConfig, DOWNLINK_SEED, RETRY_BUDGET_J,
 };
 use presto_sensor::{PushPolicy, SensorConfig, SensorNode, UplinkPayload};
 use presto_sim::{EnergyCategory, EnergyLedger, FaultPlan, SimDuration, SimRng, SimTime};
@@ -58,6 +58,11 @@ const RECOVERY_TOLERANCE: f64 = 0.05;
 /// Padding added around a detected gap when pulling, absorbing boundary
 /// effects (in-flight messages, clock slack).
 const RECOVERY_PAD: SimDuration = SimDuration::from_secs(62);
+
+/// Base of the fabric's loss-stream seed, which the master seed is
+/// mixed into so two systems with different seeds see different
+/// channel histories.
+const FABRIC_SEED: u64 = 0x0F_AB;
 
 /// System construction parameters. Sensors always duty-cycle at the
 /// 1 s LPL check interval and push at `PUSH_TOLERANCE`, proxies
@@ -242,21 +247,20 @@ impl PrestoSystem {
                 // config, replaced by the proxy's shared fading state
                 // when correlated loss is on.
                 let mut dl_cfg = config.reliability.downlink.clone();
-                dl_cfg.seed ^= (config.seed.rotate_left(17)).wrapping_add(gid as u64 * 0x9E37);
                 if let Some(shared) = correlated(p) {
                     dl_cfg.request_loss = shared.clone();
                     dl_cfg.reply_loss = shared;
                 }
                 let down = first_hop(config.loss, &rng, format_args!("down-{gid}"));
-                downlinks.push(DownlinkChannel::new(dl_cfg, down));
+                let seed =
+                    DOWNLINK_SEED ^ (config.seed.rotate_left(17)).wrapping_add(gid as u64 * 0x9E37);
+                downlinks.push(DownlinkChannel::new(dl_cfg, down, seed));
             }
             index.insert((p * config.sensors_per_proxy) as u64);
             proxies.push(proxy);
             labs.push(LabDeployment::new(
-                LabParams {
-                    sensors: config.sensors_per_proxy,
-                    ..config.lab.clone()
-                },
+                config.lab.clone(),
+                config.sensors_per_proxy,
                 config.seed.wrapping_add(p as u64 * 101),
             ));
         }
@@ -276,14 +280,13 @@ impl PrestoSystem {
             .collect();
 
         let time_index = TimeRangeIndex::new(config.seed ^ 0x71E5);
-        // The fabric's loss streams derive from the master seed so two
-        // systems with different seeds see different channel histories.
-        let mut fabric_cfg = config.reliability.fabric.clone();
-        fabric_cfg.seed ^= config.seed.rotate_left(13);
         let spp = config.sensors_per_proxy;
-        let fabric = Fabric::new_with_losses(fabric_cfg, total, |gid| {
-            correlated(gid / spp).map(|shared| (shared.clone(), shared))
-        });
+        let fabric = Fabric::new_with_losses(
+            config.reliability.fabric.clone(),
+            total,
+            FABRIC_SEED ^ config.seed.rotate_left(13),
+            |gid| correlated(gid / spp).map(|shared| (shared.clone(), shared)),
+        );
         let liveness = LivenessMonitor::new(config.reliability.liveness, total);
         PrestoSystem {
             proxies,
@@ -663,18 +666,20 @@ impl PrestoSystem {
         if self.assignment[usize::from(gid)] == driver || self.cross.contains_key(&(driver, gid)) {
             return;
         }
-        let mut dl_cfg = self.config.reliability.downlink.clone();
-        dl_cfg.seed ^= (driver as u64 + 1)
-            .rotate_left(19)
-            .wrapping_mul(0x9E37_79B9)
-            .wrapping_add(u64::from(gid));
+        // The loss streams follow driver and sensor but not the master
+        // seed; only the first hop does.
+        let seed = DOWNLINK_SEED
+            ^ (driver as u64 + 1)
+                .rotate_left(19)
+                .wrapping_mul(0x9E37_79B9)
+                .wrapping_add(u64::from(gid));
         let root = SimRng::new(self.config.seed ^ 0xF1EE7);
         let hop = first_hop(
             self.config.loss,
             &root,
             format_args!("fleet-hop-{driver}-{gid}"),
         );
-        let mut chan = DownlinkChannel::new(dl_cfg, hop);
+        let mut chan = DownlinkChannel::new(self.config.reliability.downlink.clone(), hop, seed);
         chan.set_seq_namespace(self.next_cross_seq_base);
         self.next_cross_seq_base += CROSS_SEQ_BLOCK;
         self.cross.insert((driver, gid), chan);
@@ -1297,7 +1302,7 @@ mod tests {
 
     #[test]
     fn correlated_burst_fails_every_sensors_pulls_honestly() {
-        use crate::store::{StoreQuery, UnifiedStore};
+        use crate::store::StoreQuery;
         let mut cfg = small();
         cfg.proxies = 1;
         cfg.reliability.shared_fading = Some(presto_net::GilbertElliott {
@@ -1320,7 +1325,7 @@ mod tests {
         for sensor in 0..sys.total_sensors() as u16 {
             // Tolerance far below the push tolerance defeats
             // extrapolation, forcing the pull path.
-            let r = UnifiedStore::new(&mut sys).query(StoreQuery::Now {
+            let r = sys.query(StoreQuery::Now {
                 sensor,
                 tolerance: 0.05,
             });
@@ -1348,7 +1353,7 @@ mod tests {
         // After the burst the same queries succeed again.
         sys.run(SimDuration::from_hours(1));
         assert_eq!(sys.shared_loss[0].loss_prob(), 0.0, "burst must release");
-        let r = UnifiedStore::new(&mut sys).query(StoreQuery::Now {
+        let r = sys.query(StoreQuery::Now {
             sensor: 0,
             tolerance: 0.05,
         });
@@ -1490,7 +1495,7 @@ mod tests {
 
     #[test]
     fn proxy_blackout_gates_its_sensors_and_rehoming_restores_service() {
-        use crate::store::{StoreQuery, UnifiedStore};
+        use crate::store::StoreQuery;
         let mut cfg = small();
         cfg.reliability = tight_reliability();
         // Proxy 1 dies at hour 6 and never reboots.
@@ -1520,7 +1525,7 @@ mod tests {
             sys.proxies[1].cache(4).is_none_or(|c| c.is_empty()),
             "crash wiped the caches"
         );
-        let r = UnifiedStore::new(&mut sys).query(StoreQuery::Now {
+        let r = sys.query(StoreQuery::Now {
             sensor: 4,
             tolerance: 0.05,
         });
@@ -1541,7 +1546,7 @@ mod tests {
             sys.health(4)
         );
         // … and answers queries for them.
-        let r = UnifiedStore::new(&mut sys).query(StoreQuery::Now {
+        let r = sys.query(StoreQuery::Now {
             sensor: 4,
             tolerance: 1.5,
         });

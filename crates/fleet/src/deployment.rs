@@ -19,6 +19,10 @@ use crate::interlink::{FleetMsg, InterLinkConfig, InterLinkMesh};
 use crate::membership::FleetMembership;
 use crate::router::{FleetCompletion, FleetRouter, FleetRouterConfig, ProxyPressure, RouteAction};
 
+/// Seed of the mesh's loss streams. It does not follow
+/// `SystemConfig::seed`, so every fleet run sees the same mesh fades.
+const MESH_SEED: u64 = 0xF1EE7;
+
 /// Deployment-tier parameters.
 #[derive(Clone, Debug, Default)]
 pub struct FleetConfig {
@@ -87,7 +91,7 @@ impl FleetDeployment {
             system,
             router: FleetRouter::new(config.router),
             membership: FleetMembership::new(proxies),
-            mesh: InterLinkMesh::new(config.interlink, proxies),
+            mesh: InterLinkMesh::new(config.interlink, proxies, MESH_SEED),
             rehomed: 0,
             fenced: vec![false; proxies],
         }
@@ -378,9 +382,7 @@ impl FleetDeployment {
             // Splice each finished pipeline trace into its open fleet
             // trace *before* the completions below consume the
             // proxy-ticket bindings the lookup needs.
-            if self.router.tracer().enabled()
-                && self.system.proxies[p].pipeline().tracer().enabled()
-            {
+            if self.system.proxies[p].pipeline().tracer().enabled() {
                 for ptrace in self.system.proxies[p].pipeline_mut().tracer_mut().take_finished()
                 {
                     if let Some(ticket) = self.router.fleet_ticket(p, ptrace.ticket) {

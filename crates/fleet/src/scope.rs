@@ -8,7 +8,6 @@
 //! incidents from a partition run and a clean run are comparable
 //! because both used [`fleet_scope_config`].
 
-use presto_sim::SimDuration;
 use presto_telemetry::{ScopeConfig, SeriesSpec, WatchdogRule};
 use presto_telemetry::scope::{
     WD_ANSWER_AGE_P99, WD_FENCED_WHILE_SERVING, WD_LEAK_PROBE, WD_PRESSURE_WATERMARK,
@@ -123,13 +122,7 @@ pub fn fleet_scope_config(bounds: &FleetScopeBounds) -> ScopeConfig {
             SHED_EPISODES_PER_EPOCH,
         ),
     ];
-    ScopeConfig {
-        enabled: true,
-        incident_capacity: 128,
-        attribution_pad: SimDuration::from_mins(20),
-        series,
-        rules,
-    }
+    ScopeConfig { series, rules }
 }
 
 #[cfg(test)]
@@ -139,7 +132,7 @@ mod tests {
     #[test]
     fn standard_config_is_enabled_and_names_every_slo() {
         let cfg = fleet_scope_config(&FleetScopeBounds::default());
-        assert!(cfg.enabled);
+        assert!(presto_telemetry::PrestoScope::new(cfg.clone()).enabled());
         assert!(cfg.series.len() >= 15);
         let names: Vec<&str> = cfg.rules.iter().map(|r| r.name).collect();
         for wd in [

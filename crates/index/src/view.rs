@@ -21,8 +21,6 @@ use crate::clock::ClockCorrector;
 pub struct ViewItem<T> {
     /// Corrected timestamp.
     pub t: SimTime,
-    /// Source proxy.
-    pub proxy: usize,
     /// The payload.
     pub item: T,
 }
@@ -48,14 +46,12 @@ impl<T: Clone> UnifiedView<T> {
     /// proxies whose clocks are trusted).
     pub fn add_stream(
         &mut self,
-        proxy: usize,
         corrector: &ClockCorrector,
         stream: impl IntoIterator<Item = (SimTime, T)>,
     ) {
         for (raw_t, item) in stream {
             self.items.push(ViewItem {
                 t: corrector.correct(raw_t),
-                proxy,
                 item,
             });
         }
@@ -108,12 +104,10 @@ mod tests {
         let mut v: UnifiedView<&str> = UnifiedView::new();
         let trusted = ClockCorrector::new();
         v.add_stream(
-            0,
             &trusted,
             vec![(SimTime::from_secs(10), "a"), (SimTime::from_secs(30), "c")],
         );
         v.add_stream(
-            1,
             &trusted,
             vec![(SimTime::from_secs(20), "b"), (SimTime::from_secs(40), "d")],
         );
@@ -138,14 +132,14 @@ mod tests {
         let raw_e1 = skewed.local_time(SimTime::from_secs(200)); // reads 230
         let mut naive: UnifiedView<&str> = UnifiedView::new();
         let trusted = ClockCorrector::new();
-        naive.add_stream(1, &trusted, vec![(raw_e1, "e1")]);
-        naive.add_stream(0, &trusted, vec![(SimTime::from_secs(210), "e2")]);
+        naive.add_stream(&trusted, vec![(raw_e1, "e1")]);
+        naive.add_stream(&trusted, vec![(SimTime::from_secs(210), "e2")]);
         let wrong: Vec<&str> = naive.ordered().iter().map(|i| i.item).collect();
         assert_eq!(wrong, vec!["e2", "e1"], "premise: naive order is wrong");
 
         let mut fixed: UnifiedView<&str> = UnifiedView::new();
-        fixed.add_stream(1, &corrector, vec![(raw_e1, "e1")]);
-        fixed.add_stream(0, &trusted, vec![(SimTime::from_secs(210), "e2")]);
+        fixed.add_stream(&corrector, vec![(raw_e1, "e1")]);
+        fixed.add_stream(&trusted, vec![(SimTime::from_secs(210), "e2")]);
         let right: Vec<&str> = fixed.ordered().iter().map(|i| i.item).collect();
         assert_eq!(right, vec!["e1", "e2"]);
     }

@@ -16,8 +16,6 @@ use crate::traits::Prediction;
 pub struct SpatialGaussian {
     mean: Vec<f64>,
     cov: Matrix,
-    /// Training cycle cost (for the asymmetry experiment).
-    pub train_cycles: u64,
 }
 
 impl SpatialGaussian {
@@ -60,13 +58,7 @@ impl SpatialGaussian {
             // Ridge for numerical SPD-ness.
             cov[(i, i)] += 1e-6;
         }
-        // ~4 cycles per (row × n²) accumulate.
-        let train_cycles = (t as u64) * (n as u64) * (n as u64) * 4;
-        Some(SpatialGaussian {
-            mean,
-            cov,
-            train_cycles,
-        })
+        Some(SpatialGaussian { mean, cov })
     }
 
     /// Number of sensors modelled.
@@ -253,6 +245,5 @@ mod tests {
                 assert_eq!(g.cov[(i, j)].to_bits(), want.to_bits(), "cov[{i}][{j}]");
             }
         }
-        assert_eq!(g.train_cycles, 777 * 4 * 4 * 4);
     }
 }

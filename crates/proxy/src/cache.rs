@@ -11,7 +11,6 @@
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use presto_sim::{SimDuration, SimTime};
 
@@ -46,9 +45,6 @@ pub struct CachedEvent {
     pub sensor: u16,
     /// Application event type.
     pub event_type: u16,
-    /// Application payload, shared with the uplink message that carried
-    /// it (no per-event copy on the proxy's receive path).
-    pub data: Arc<[u8]>,
 }
 
 /// The proxy's deployment-wide semantic event cache: time-ordered,
@@ -504,7 +500,6 @@ mod tests {
             t: SimTime::from_secs(t_secs),
             sensor,
             event_type: ty,
-            data: Vec::new().into(),
         }
     }
 

@@ -327,14 +327,11 @@ impl PrestoProxy {
                 });
                 self.stats.samples_cached += samples.len() as u64;
             }
-            UplinkPayload::Event { event_type, data } => {
+            UplinkPayload::Event { event_type, .. } => {
                 self.events.insert(CachedEvent {
                     t: msg.sent_at,
                     sensor: msg.sensor,
                     event_type: *event_type,
-                    // Arc bump, not a byte copy: the cache shares the
-                    // uplink's allocation.
-                    data: std::sync::Arc::clone(data),
                 });
                 self.events_span = Some(match self.events_span {
                     None => (msg.sent_at, msg.sent_at),
@@ -1344,16 +1341,15 @@ impl PrestoProxy {
             self.pipeline.stats.max_in_flight.max(in_flight as u64);
 
         // 3. Pump every channel, rotating the start index each epoch so
-        // the shared attempt budget is spread fairly across sensors.
+        // the shared attempt budget is spread fairly across sensors. A
+        // traced pump has the channels log every first transmission,
+        // retransmission and budget deferral by RPC id. Every part of a
+        // query rides its sensor's one channel, so each query's attempts
+        // keep their order.
         let budget_start = self.pipeline.config.epoch_attempt_budget;
         let mut budget = budget_start;
-        if self.pipeline.tracer.enabled() {
-            // Opt the channels into per-RPC attempt logging so traces
-            // carry transmission-level detail (idempotent each epoch).
-            for s in sensors.iter_mut() {
-                s.chan.set_trace_attempts(true);
-            }
-        }
+        let traced = self.pipeline.tracer.enabled();
+        let mut attempts: Vec<(u64, AttemptEvent)> = Vec::new();
         let n = sensors.len().max(1);
         let start = self.pipeline.rr_cursor % n;
         self.pipeline.rr_cursor = self.pipeline.rr_cursor.wrapping_add(1);
@@ -1364,21 +1360,20 @@ impl PrestoProxy {
             if s.chan.async_in_flight() == 0 {
                 continue;
             }
-            events.extend(s.chan.pump_async(t, s.node, &self.downlink, &mut budget));
+            let log = traced.then_some(&mut attempts);
+            events.extend(
+                s.chan
+                    .pump_async(t, s.node, &self.downlink, &mut budget, log),
+            );
         }
         // Pressure probe: a pump that spent its whole budget is
         // saturated — more queries than this epoch could serve.
         self.pipeline.last_pump_attempts = budget_start - budget;
 
-        // Per-RPC attempt detail: each channel logged first
-        // transmissions, retransmissions, and budget deferrals by RPC
-        // id; map them back onto every pending query with a part on
-        // that RPC (coalesced queries inherit the attempt history).
-        if self.pipeline.tracer.enabled() {
-            let mut attempts: Vec<(u64, AttemptEvent)> = Vec::new();
-            for s in sensors.iter_mut() {
-                attempts.extend(s.chan.take_attempt_log());
-            }
+        // Per-RPC attempt detail: map each logged attempt back onto
+        // every pending query with a part on that RPC (coalesced
+        // queries inherit the attempt history).
+        if traced {
             for (qid, ev) in attempts {
                 let span = match ev {
                     AttemptEvent::First => SpanEvent::RpcAttempt,
@@ -1927,7 +1922,6 @@ mod tests {
             (None, None) => {}
             (Some((got, ids)), Some(want)) => {
                 assert_eq!(ids, &proxy.sensor_ids());
-                assert_eq!(got.train_cycles, want.train_cycles);
                 let n = streams.len();
                 for target in 0..n {
                     same_bits(got.marginal(target), want.marginal(target));

@@ -74,6 +74,11 @@ pub const RETRY_BUDGET_J: f64 = 50.0;
 /// Budget refill rate, joules per hour (token bucket).
 const BUDGET_REFILL_J_PER_HOUR: f64 = 20.0;
 
+/// Loss-stream seed of the stand-alone channels
+/// ([`DownlinkChannel::over`], [`DownlinkChannel::perfect`]) and the base
+/// every system channel's seed is derived from.
+pub const DOWNLINK_SEED: u64 = 0xD0_FA;
+
 /// Downlink channel parameters.
 #[derive(Clone, Debug)]
 pub struct DownlinkConfig {
@@ -81,8 +86,6 @@ pub struct DownlinkConfig {
     pub request_loss: LossProcess,
     /// Reply/ack-path loss beyond the sensor's first hop.
     pub reply_loss: LossProcess,
-    /// RNG seed for the channel loss streams.
-    pub seed: u64,
 }
 
 impl Default for DownlinkConfig {
@@ -90,7 +93,6 @@ impl Default for DownlinkConfig {
         DownlinkConfig {
             request_loss: LossProcess::Perfect,
             reply_loss: LossProcess::Perfect,
-            seed: 0xD0_FA,
         }
     }
 }
@@ -145,8 +147,8 @@ presto_telemetry::observe_counters!(DownlinkStats {
 } max { max_in_flight });
 
 /// One transmission-scheduling event of an async RPC, logged per query
-/// id when [`DownlinkChannel::set_trace_attempts`] is on — the radio-
-/// level detail of a query's trace span.
+/// id into the buffer a traced pump hands [`DownlinkChannel::pump_async`]
+/// — the radio-level detail of a query's trace span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AttemptEvent {
     /// First transmission of the RPC.
@@ -245,18 +247,13 @@ pub struct DownlinkChannel {
     retry_spent_j: f64,
     last_refill: SimTime,
     stats: DownlinkStats,
-    /// Opt-in per-RPC attempt tracing: when on, every pump-time
-    /// scheduling decision is logged against its query id for the
-    /// pipeline tracer to drain. Off (the default) nothing allocates.
-    trace_attempts: bool,
-    attempt_log: Vec<(u64, AttemptEvent)>,
 }
 
 impl DownlinkChannel {
     /// Creates a channel with the given end-to-end config over the given
-    /// first-hop link.
-    pub fn new(config: DownlinkConfig, first_hop: LinkModel) -> Self {
-        let root = SimRng::new(config.seed);
+    /// first-hop link; `seed` roots its loss streams.
+    pub fn new(config: DownlinkConfig, first_hop: LinkModel, seed: u64) -> Self {
+        let root = SimRng::new(seed);
         DownlinkChannel {
             request: LinkModel::new(config.request_loss.clone(), root.split("dl-req")),
             reply: LinkModel::new(config.reply_loss.clone(), root.split("dl-rep")),
@@ -267,36 +264,24 @@ impl DownlinkChannel {
             retry_spent_j: 0.0,
             last_refill: SimTime::ZERO,
             stats: DownlinkStats::default(),
-            trace_attempts: false,
-            attempt_log: Vec::new(),
         }
-    }
-
-    /// Turns per-RPC attempt logging on or off (idempotent; the
-    /// pipeline tracer enables it on the channels it pumps).
-    pub fn set_trace_attempts(&mut self, on: bool) {
-        self.trace_attempts = on;
-        if !on {
-            self.attempt_log.clear();
-        }
-    }
-
-    /// Drains the attempt log recorded since the last call.
-    pub fn take_attempt_log(&mut self) -> Vec<(u64, AttemptEvent)> {
-        std::mem::take(&mut self.attempt_log)
     }
 
     /// A lossless channel over a lossless first hop (wired testbeds and
     /// unit tests).
     pub fn perfect() -> Self {
-        DownlinkChannel::new(DownlinkConfig::default(), LinkModel::perfect())
+        DownlinkChannel::new(
+            DownlinkConfig::default(),
+            LinkModel::perfect(),
+            DOWNLINK_SEED,
+        )
     }
 
     /// Default end-to-end config over the given first-hop link — the
     /// drop-in replacement for call sites that used to pass a bare
     /// `LinkModel`.
     pub fn over(first_hop: LinkModel) -> Self {
-        DownlinkChannel::new(DownlinkConfig::default(), first_hop)
+        DownlinkChannel::new(DownlinkConfig::default(), first_hop, DOWNLINK_SEED)
     }
 
     /// Counters.
@@ -516,12 +501,15 @@ impl DownlinkChannel {
     /// its retransmission one RPC timeout (5 s) out; an attempt the energy
     /// retry budget cannot afford is deferred, not dropped — the RPC
     /// waits for the bucket to refill or its deadline, whichever first.
+    /// Given a `log`, every scheduling decision is appended to it
+    /// against its query id, in the order it was made.
     pub fn pump_async(
         &mut self,
         t: SimTime,
         node: &mut SensorNode,
         mac: &Mac,
         attempt_budget: &mut u32,
+        mut log: Option<&mut Vec<(u64, AttemptEvent)>>,
     ) -> Vec<AsyncRpcEvent> {
         self.tick(t);
         let mut events = Vec::new();
@@ -546,9 +534,8 @@ impl DownlinkChannel {
                 let cost = mac.expected_send_energy(wire);
                 if self.retry_spent_j + cost > RETRY_BUDGET_J {
                     self.stats.deferred_budget += 1;
-                    if self.trace_attempts {
-                        self.attempt_log
-                            .push((self.async_rpcs[i].qid, AttemptEvent::Deferred));
+                    if let Some(log) = log.as_deref_mut() {
+                        log.push((self.async_rpcs[i].qid, AttemptEvent::Deferred));
                     }
                     self.async_rpcs[i].next_attempt_at = t + RPC_TIMEOUT;
                     i += 1;
@@ -559,8 +546,8 @@ impl DownlinkChannel {
             }
             *attempt_budget -= 1;
             self.async_rpcs[i].attempts += 1;
-            if self.trace_attempts {
-                self.attempt_log.push((
+            if let Some(log) = log.as_deref_mut() {
+                log.push((
                     self.async_rpcs[i].qid,
                     if self.async_rpcs[i].attempts == 1 {
                         AttemptEvent::First
@@ -628,7 +615,6 @@ impl DownlinkChannel {
     pub fn reset_proxy_state(&mut self) -> usize {
         let dropped = self.async_rpcs.len();
         self.async_rpcs.clear();
-        self.attempt_log.clear();
         dropped
     }
 
@@ -726,7 +712,7 @@ mod tests {
             request_loss: LossProcess::Scripted(vec![false, true].into()),
             ..DownlinkConfig::default()
         };
-        let mut ch = DownlinkChannel::new(cfg.clone(), LinkModel::perfect());
+        let mut ch = DownlinkChannel::new(cfg.clone(), LinkModel::perfect(), DOWNLINK_SEED);
         let mut node = archived_node();
         let out = ch.rpc(SimTime::from_hours(2), &pull(2), &mut node, &mac());
         assert!(out.delivered);
@@ -745,7 +731,7 @@ mod tests {
             reply_loss: LossProcess::Scripted(vec![false, true].into()),
             ..DownlinkConfig::default()
         };
-        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
+        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect(), DOWNLINK_SEED);
         let mut node = archived_node();
         let out = ch.rpc(SimTime::from_hours(2), &pull(3), &mut node, &mac());
         assert!(out.delivered);
@@ -765,7 +751,7 @@ mod tests {
         };
         let max = MAX_RETRANSMITS;
         let timeout = RPC_TIMEOUT;
-        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
+        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect(), DOWNLINK_SEED);
         let mut node = archived_node();
         let out = ch.rpc(SimTime::from_hours(2), &pull(4), &mut node, &mac());
         assert!(!out.delivered);
@@ -784,7 +770,7 @@ mod tests {
             reply_loss: LossProcess::Scripted(vec![false, true].into()),
             ..DownlinkConfig::default()
         };
-        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
+        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect(), DOWNLINK_SEED);
         let mut node = archived_node();
         let retune = DownlinkMsg::Retune {
             push_tolerance: Some(2.0),
@@ -852,7 +838,7 @@ mod tests {
     /// Pumps with an effectively unlimited attempt budget.
     fn pump_all(ch: &mut DownlinkChannel, t: SimTime, node: &mut SensorNode) -> Vec<AsyncRpcEvent> {
         let mut budget = u32::MAX;
-        ch.pump_async(t, node, &mac(), &mut budget)
+        ch.pump_async(t, node, &mac(), &mut budget, None)
     }
 
     #[test]
@@ -891,7 +877,7 @@ mod tests {
             ..DownlinkConfig::default()
         };
         let timeout = RPC_TIMEOUT;
-        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
+        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect(), DOWNLINK_SEED);
         let mut node = archived_node();
         let t = SimTime::from_hours(2);
         ch.submit_async(t, pull(1), t + SimDuration::from_mins(10));
@@ -917,7 +903,7 @@ mod tests {
             request_loss: LossProcess::Bernoulli(1.0),
             ..DownlinkConfig::default()
         };
-        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
+        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect(), DOWNLINK_SEED);
         let mut node = archived_node();
         let t = SimTime::from_hours(2);
         let deadline = t + SimDuration::from_secs(20);
@@ -957,14 +943,14 @@ mod tests {
             request_loss: LossProcess::Bernoulli(1.0),
             ..DownlinkConfig::default()
         };
-        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
+        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect(), DOWNLINK_SEED);
         let mut node = archived_node();
         let t = SimTime::from_hours(2);
         for q in 0..5u64 {
             ch.submit_async(t, pull(q), t + SimDuration::from_mins(10));
         }
         let mut budget = 2u32;
-        ch.pump_async(t, &mut node, &mac(), &mut budget);
+        ch.pump_async(t, &mut node, &mac(), &mut budget, None);
         assert_eq!(budget, 0);
         assert_eq!(
             ch.stats().requests_lost,
@@ -981,7 +967,7 @@ mod tests {
             ..DownlinkConfig::default()
         };
         let timeout = RPC_TIMEOUT;
-        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
+        let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect(), DOWNLINK_SEED);
         let mut node = archived_node();
         let t = SimTime::from_hours(2);
         ch.submit_async(t, pull(2), t + SimDuration::from_hours(2));
@@ -1006,9 +992,8 @@ mod tests {
             let cfg = DownlinkConfig {
                 request_loss: LossProcess::Bernoulli(0.4),
                 reply_loss: LossProcess::Bernoulli(0.2),
-                seed,
             };
-            let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect());
+            let mut ch = DownlinkChannel::new(cfg, LinkModel::perfect(), seed);
             let mut node = archived_node();
             (0..32u64)
                 .map(|i| {

@@ -49,8 +49,6 @@ pub struct FabricConfig {
     pub up_loss: LossProcess,
     /// Ack-path loss.
     pub down_loss: LossProcess,
-    /// RNG seed for the channel loss streams.
-    pub seed: u64,
 }
 
 impl Default for FabricConfig {
@@ -58,7 +56,6 @@ impl Default for FabricConfig {
         FabricConfig {
             up_loss: LossProcess::Perfect,
             down_loss: LossProcess::Perfect,
-            seed: 0x0F_AB,
         }
     }
 }
@@ -162,13 +159,15 @@ impl Fabric {
     /// processes may be overridden — the hook correlated-loss
     /// deployments use to hand every channel near one proxy a clone of
     /// the same [`presto_net::SharedLossState`]. Returning `None` keeps
-    /// the config's processes for that sensor.
+    /// the config's processes for that sensor. `seed` roots the
+    /// channels' loss streams.
     pub fn new_with_losses(
         config: FabricConfig,
         sensors: usize,
+        seed: u64,
         mut losses: impl FnMut(usize) -> Option<(LossProcess, LossProcess)>,
     ) -> Self {
-        let root = SimRng::new(config.seed);
+        let root = SimRng::new(seed);
         let channels = (0..sensors)
             .map(|i| {
                 let (up_loss, down_loss) = losses(i)
@@ -363,6 +362,9 @@ mod tests {
     use super::*;
     use presto_sensor::UplinkPayload;
 
+    /// The loss-stream seed of the fixed-seed tests.
+    const SEED: u64 = 0x0F_AB;
+
     /// Messages awaiting ack across all channels.
     fn unacked_total(f: &Fabric) -> usize {
         f.channels.iter().map(|c| c.unacked.len()).sum()
@@ -378,7 +380,7 @@ mod tests {
     }
 
     fn perfect_fabric() -> Fabric {
-        Fabric::new_with_losses(FabricConfig::default(), 2, |_| None)
+        Fabric::new_with_losses(FabricConfig::default(), 2, SEED, |_| None)
     }
 
     #[test]
@@ -408,7 +410,7 @@ mod tests {
             up_loss: LossProcess::Bernoulli(0.2),
             ..FabricConfig::default()
         };
-        let mut f = Fabric::new_with_losses(cfg, 1, |_| None);
+        let mut f = Fabric::new_with_losses(cfg, 1, SEED, |_| None);
         let t0 = SimTime::from_secs(1);
         for i in 0..50u64 {
             f.offer(t0 + SimDuration::from_millis(10 * i), 0, msg(t0, i as f64));
@@ -436,7 +438,7 @@ mod tests {
             down_loss: LossProcess::Bernoulli(1.0), // every ack dies
             ..FabricConfig::default()
         };
-        let mut f = Fabric::new_with_losses(cfg, 1, |_| None);
+        let mut f = Fabric::new_with_losses(cfg, 1, SEED, |_| None);
         let t0 = SimTime::from_secs(1);
         f.offer(t0, 0, msg(t0, 1.0));
         let mut deliveries = 0;
@@ -457,7 +459,7 @@ mod tests {
             up_loss: LossProcess::Bernoulli(1.0),
             ..FabricConfig::default()
         };
-        let mut f = Fabric::new_with_losses(cfg, 2, |_| None);
+        let mut f = Fabric::new_with_losses(cfg, 2, SEED, |_| None);
         // Sensor 1's message is so large that `MAX_RETRANSMITS`
         // retransmissions of it would spend more than the budget.
         let big = 256 * 1024;
@@ -521,10 +523,9 @@ mod tests {
         let run = |seed| {
             let cfg = FabricConfig {
                 up_loss: LossProcess::Bernoulli(0.4),
-                seed,
                 ..FabricConfig::default()
             };
-            let mut f = Fabric::new_with_losses(cfg, 1, |_| None);
+            let mut f = Fabric::new_with_losses(cfg, 1, seed, |_| None);
             let t0 = SimTime::from_secs(1);
             for i in 0..64u64 {
                 f.offer(t0 + SimDuration::from_secs(i), 0, msg(t0, i as f64));

@@ -34,47 +34,3 @@ pub enum PushPolicy {
     /// Push nothing (direct-query baseline: the proxy always pulls).
     Silent,
 }
-
-impl PushPolicy {
-    /// Stable label for experiment reports.
-    pub fn label(&self) -> String {
-        match self {
-            PushPolicy::ModelDriven { tolerance } => format!("model-driven(tol={tolerance})"),
-            PushPolicy::ValueDriven { delta } => format!("value-driven(delta={delta})"),
-            PushPolicy::Batched {
-                interval,
-                compression,
-            } => format!(
-                "batched({:.1}min,{})",
-                interval.as_mins_f64(),
-                if compression.is_some() {
-                    "wavelet"
-                } else {
-                    "raw"
-                }
-            ),
-            PushPolicy::Silent => "silent".to_string(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn labels_distinguish_arms() {
-        let a = PushPolicy::Batched {
-            interval: SimDuration::from_mins_f64(16.5),
-            compression: None,
-        }
-        .label();
-        let b = PushPolicy::Batched {
-            interval: SimDuration::from_mins_f64(16.5),
-            compression: Some(presto_wavelet::CodecParams::denoising()),
-        }
-        .label();
-        assert_ne!(a, b);
-        assert!(a.contains("raw") && b.contains("wavelet"));
-    }
-}

@@ -169,11 +169,6 @@ impl SimDuration {
     pub fn div_duration(self, rhs: SimDuration) -> u64 {
         self.0.checked_div(rhs.0).unwrap_or(0)
     }
-
-    /// Multiplies the duration by an integer factor, saturating.
-    pub fn saturating_mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(k))
-    }
 }
 
 impl Add<SimDuration> for SimTime {

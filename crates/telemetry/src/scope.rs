@@ -195,35 +195,23 @@ impl WatchdogRule {
 /// run of any length fits.
 const RING_CAPACITY: usize = 256;
 
-/// `presto-scope` configuration: which series to follow, how many
-/// incidents to retain, and which rules to watch.
-#[derive(Clone, Debug)]
+/// Retained structured incidents; beyond it incidents are still
+/// *counted* per rule but their records drop.
+const INCIDENT_CAPACITY: usize = 128;
+
+/// Attribution slack around a fault window: a fault is blamed for an
+/// incident when their padded windows overlap (fencing and re-sync
+/// effects outlive the cut itself).
+const ATTRIBUTION_PAD: SimDuration = SimDuration::from_mins(20);
+
+/// `presto-scope` configuration: which series to follow and which rules
+/// to watch. A scope that follows neither is off: every call is a no-op.
+#[derive(Clone, Debug, Default)]
 pub struct ScopeConfig {
-    /// Master switch; disabled, every call is a no-op.
-    pub enabled: bool,
-    /// Retained structured incidents; beyond it incidents are still
-    /// *counted* per rule but their records drop.
-    pub incident_capacity: usize,
-    /// Attribution slack around a fault window: a fault is blamed for
-    /// an incident when their padded windows overlap (fencing and
-    /// re-sync effects outlive the cut itself).
-    pub attribution_pad: SimDuration,
     /// The followed series.
     pub series: Vec<SeriesSpec>,
     /// The watched rules.
     pub rules: Vec<WatchdogRule>,
-}
-
-impl Default for ScopeConfig {
-    fn default() -> Self {
-        ScopeConfig {
-            enabled: false,
-            incident_capacity: 128,
-            attribution_pad: SimDuration::from_mins(20),
-            series: Vec::new(),
-            rules: Vec::new(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -400,8 +388,6 @@ pub struct WatchdogEngine {
     /// Each rule with the slot of its path and its running state.
     rules: Vec<(WatchdogRule, usize, RuleState)>,
     incidents: Vec<Incident>,
-    incident_cap: usize,
-    pad: SimDuration,
     /// Episodes opened, per rule name (survives record drops).
     opened: BTreeMap<&'static str, u64>,
     dropped: u64,
@@ -409,12 +395,7 @@ pub struct WatchdogEngine {
 
 impl WatchdogEngine {
     /// Builds the engine over rules whose paths resolve through `index`.
-    fn new(
-        rules: Vec<WatchdogRule>,
-        index: &mut PathIndex,
-        incident_cap: usize,
-        pad: SimDuration,
-    ) -> Self {
+    fn new(rules: Vec<WatchdogRule>, index: &mut PathIndex) -> Self {
         WatchdogEngine {
             rules: rules
                 .into_iter()
@@ -424,8 +405,6 @@ impl WatchdogEngine {
                 })
                 .collect(),
             incidents: Vec::new(),
-            incident_cap,
-            pad,
             opened: BTreeMap::new(),
             dropped: 0,
         }
@@ -434,7 +413,6 @@ impl WatchdogEngine {
     /// Feeds one tick of readings, by slot. A rule whose reading is
     /// absent is skipped (its state holds).
     fn observe_tick(&mut self, t: SimTime, readings: &[Option<f64>], faults: &FaultPlan) {
-        let pad = self.pad;
         for (rule, slot, state) in &mut self.rules {
             let Some(value) = readings[*slot] else {
                 continue;
@@ -463,7 +441,7 @@ impl WatchdogEngine {
             match (violated, state.open) {
                 (true, None) => {
                     *self.opened.entry(rule.name).or_insert(0) += 1;
-                    if self.incidents.len() < self.incident_cap {
+                    if self.incidents.len() < INCIDENT_CAPACITY {
                         self.incidents.push(Incident {
                             rule: rule.name,
                             path: rule.path.clone(),
@@ -471,7 +449,7 @@ impl WatchdogEngine {
                             closed_at: None,
                             observed,
                             bound,
-                            faults: faults.active_in(t - pad, t + pad),
+                            faults: faults.active_in(t - ATTRIBUTION_PAD, t + ATTRIBUTION_PAD),
                         });
                         state.open = Some(self.incidents.len() - 1);
                     } else {
@@ -484,7 +462,7 @@ impl WatchdogEngine {
                         if observed.abs() > inc.observed.abs() {
                             inc.observed = observed;
                         }
-                        for f in faults.active_in(t - pad, t + pad) {
+                        for f in faults.active_in(t - ATTRIBUTION_PAD, t + ATTRIBUTION_PAD) {
                             if !inc.faults.contains(&f) {
                                 inc.faults.push(f);
                             }
@@ -542,7 +520,6 @@ pub struct Readings(Vec<Option<f64>>);
 /// resolved slots.
 #[derive(Clone, Debug)]
 pub struct PrestoScope {
-    config: ScopeConfig,
     /// Every followed series and rule path, resolved to its slot.
     index: PathIndex,
     /// The readings buffer, one entry per slot: cleared (not freed)
@@ -559,17 +536,13 @@ pub struct PrestoScope {
 }
 
 impl PrestoScope {
-    /// Builds a scope, resolving every followed path to a slot.
-    /// Disabled configs build an inert scope whose every method returns
-    /// immediately.
+    /// Builds a scope, resolving every followed path to a slot. A
+    /// config that follows nothing builds an inert scope whose every
+    /// method returns immediately.
     pub fn new(config: ScopeConfig) -> Self {
         let mut index = PathIndex::default();
-        let (specs, rules) = if config.enabled {
-            (config.series.clone(), config.rules.clone())
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let follow = specs
+        let follow = config
+            .series
             .iter()
             .map(|s| Follow {
                 slot: index.resolve(&s.path),
@@ -577,16 +550,12 @@ impl PrestoScope {
                 prev_raw: None,
             })
             .collect();
-        let series = specs
+        let series = config
+            .series
             .into_iter()
             .map(|s| (s.path, RingSeries::new(RING_CAPACITY)))
             .collect();
-        let watchdog = WatchdogEngine::new(
-            rules,
-            &mut index,
-            config.incident_capacity,
-            config.attribution_pad,
-        );
+        let watchdog = WatchdogEngine::new(config.rules, &mut index);
         PrestoScope {
             readings: vec![None; index.len()],
             feeds: vec![None; index.len()],
@@ -595,13 +564,12 @@ impl PrestoScope {
             follow,
             watchdog,
             ticks: 0,
-            config,
         }
     }
 
-    /// Whether the scope is live.
+    /// Whether the scope is live: it follows a series or a rule.
     pub fn enabled(&self) -> bool {
-        self.config.enabled
+        !self.series.is_empty() || !self.watchdog.rules.is_empty()
     }
 
     /// Supplies an external reading for the next tick (overrides a
@@ -633,7 +601,7 @@ impl PrestoScope {
     /// state holds.
     pub fn end_tick(&mut self, t: SimTime, readings: Readings, faults: &FaultPlan) -> usize {
         let Readings(mut values) = readings;
-        if !self.config.enabled {
+        if !self.enabled() {
             self.readings = values;
             return 0;
         }
@@ -683,7 +651,7 @@ impl PrestoScope {
 
 impl Observe for PrestoScope {
     fn observe(&self, s: &mut Sink<'_>) {
-        if !self.config.enabled {
+        if !self.enabled() {
             return;
         }
         s.counter("ticks", self.ticks);
@@ -753,13 +721,10 @@ mod tests {
         scope.end_tick(t, readings, faults);
     }
 
-    /// A live scope watching `rules` with a 5-minute attribution pad.
-    fn watching(rules: Vec<WatchdogRule>, incident_capacity: usize) -> PrestoScope {
+    /// A live scope watching `rules`.
+    fn watching(rules: Vec<WatchdogRule>) -> PrestoScope {
         PrestoScope::new(ScopeConfig {
-            enabled: true,
             rules,
-            incident_capacity,
-            attribution_pad: SimDuration::from_mins(5),
             ..ScopeConfig::default()
         })
     }
@@ -808,7 +773,7 @@ mod tests {
     #[test]
     fn wd_stale_confident_fires_on_counter_growth() {
         let rule = WatchdogRule::still(WD_STALE_CONFIDENT, "probe.stale");
-        let mut e = watching(vec![rule], 16);
+        let mut e = watching(vec![rule]);
         let plan = FaultPlan::none();
         sample(&mut e, t(0), &tick(&[("probe.stale", 0.0)]), &plan);
         sample(&mut e, t(31), &tick(&[("probe.stale", 0.0)]), &plan);
@@ -828,7 +793,7 @@ mod tests {
     #[test]
     fn wd_answer_age_p99_watermark_tracks_peak() {
         let rule = WatchdogRule::below(WD_ANSWER_AGE_P99, "router.age_p99", 100.0);
-        let mut e = watching(vec![rule], 16);
+        let mut e = watching(vec![rule]);
         let plan = FaultPlan::none();
         for (i, v) in [50.0, 150.0, 300.0, 120.0, 80.0].into_iter().enumerate() {
             sample(
@@ -851,7 +816,7 @@ mod tests {
     #[test]
     fn wd_leak_probe_needs_no_progress() {
         let rule = WatchdogRule::stuck(WD_LEAK_PROBE, "leaks.open", 0.0, 3);
-        let mut e = watching(vec![rule], 16);
+        let mut e = watching(vec![rule]);
         let plan = FaultPlan::none();
         // Busy but moving: never fires.
         for (i, v) in [5.0, 7.0, 6.0, 9.0, 4.0].into_iter().enumerate() {
@@ -874,7 +839,7 @@ mod tests {
     #[test]
     fn wd_pressure_watermark_fires_over_watermark() {
         let rule = WatchdogRule::below(WD_PRESSURE_WATERMARK, "scope.pressure_max", 200.0);
-        let mut e = watching(vec![rule], 16);
+        let mut e = watching(vec![rule]);
         let plan = FaultPlan::none();
         sample(&mut e, t(0), &tick(&[("scope.pressure_max", 12.0)]), &plan);
         assert!(e.incidents().is_empty());
@@ -895,7 +860,7 @@ mod tests {
     fn wd_shed_episode_watermark_bounds_flap_rate() {
         let rule =
             WatchdogRule::rate_below(WD_SHED_EPISODE_WATERMARK, "fleet_router.shed_episodes", 8.0);
-        let mut e = watching(vec![rule], 16);
+        let mut e = watching(vec![rule]);
         let plan = FaultPlan::none();
         sample(
             &mut e,
@@ -926,7 +891,7 @@ mod tests {
     #[test]
     fn wd_fenced_while_serving_attributes_to_the_partition() {
         let rule = WatchdogRule::still(WD_FENCED_WHILE_SERVING, "fleet_router.failed_fenced");
-        let mut e = watching(vec![rule], 16);
+        let mut e = watching(vec![rule]);
         let plan = FaultPlan::none().with_mesh_partition(
             vec![2],
             SimTime::from_secs(100),
@@ -959,29 +924,28 @@ mod tests {
     #[test]
     fn incident_log_is_bounded_but_counts_survive() {
         let rule = WatchdogRule::below(WD_PRESSURE_WATERMARK, "p", 10.0);
-        let mut e = watching(vec![rule], 2);
+        let mut e = watching(vec![rule]);
         let plan = FaultPlan::none();
-        for i in 0..10u64 {
-            // Alternate violating / clean ticks: 5 distinct episodes.
+        let episodes = INCIDENT_CAPACITY as u64 + 3;
+        for i in 0..2 * episodes {
+            // Alternate violating / clean ticks: one episode per pair.
             let v = if i % 2 == 0 { 100.0 } else { 0.0 };
             sample(&mut e, t(i * 31), &tick(&[("p", v)]), &plan);
         }
-        assert_eq!(e.incidents().len(), 2, "log bounded");
+        assert_eq!(e.incidents().len(), INCIDENT_CAPACITY, "log bounded");
         assert_eq!(e.watchdog.dropped(), 3);
-        assert_eq!(e.watchdog.opened_counts()[WD_PRESSURE_WATERMARK], 5);
+        assert_eq!(e.watchdog.opened_counts()[WD_PRESSURE_WATERMARK], episodes);
     }
 
     #[test]
     fn scope_samples_feeds_and_snapshot_paths() {
         let mut scope = PrestoScope::new(ScopeConfig {
-            enabled: true,
             series: vec![
                 SeriesSpec::level("demo.gauge"),
                 SeriesSpec::delta("demo.counter"),
                 SeriesSpec::level("fed.value"),
             ],
             rules: vec![WatchdogRule::still(WD_STALE_CONFIDENT, "fed.value")],
-            ..ScopeConfig::default()
         });
         let plan = FaultPlan::none();
         let mut snap = Snapshot::new();
@@ -1016,7 +980,6 @@ mod tests {
     #[test]
     fn feeds_override_observed_paths_and_absent_paths_hold_state() {
         let mut scope = PrestoScope::new(ScopeConfig {
-            enabled: true,
             series: vec![SeriesSpec::level("demo.x"), SeriesSpec::delta("demo.n")],
             ..ScopeConfig::default()
         });
@@ -1045,14 +1008,12 @@ mod tests {
         scope.feed("nobody.follows", 1.0);
     }
 
+    /// A scope that follows nothing is off, and inert.
     #[test]
     fn disabled_scope_is_inert() {
-        let mut scope = PrestoScope::new(ScopeConfig {
-            series: vec![SeriesSpec::level("x")],
-            rules: vec![WatchdogRule::still(WD_STALE_CONFIDENT, "x")],
-            ..ScopeConfig::default()
-        });
-        let snap = Snapshot::new();
+        let mut scope = PrestoScope::new(ScopeConfig::default());
+        assert!(!scope.enabled());
+        let snap = tick(&[("x", 5.0)]);
         scope.feed("x", 5.0);
         sample(&mut scope, t(0), &snap, &FaultPlan::none());
         assert_eq!(scope.ticks, 0);
@@ -1061,5 +1022,22 @@ mod tests {
         let mut exported = Snapshot::new();
         scope.observe(&mut exported.sink());
         assert_eq!(exported.get("ticks"), None, "disabled scope exports nothing");
+    }
+
+    /// One rule and no series is enough to turn a scope on.
+    #[test]
+    fn scope_following_one_rule_ticks_and_raises_its_incident() {
+        let mut scope = watching(vec![WatchdogRule::still(WD_STALE_CONFIDENT, "x")]);
+        assert!(scope.enabled());
+        let plan = FaultPlan::none();
+        sample(&mut scope, t(0), &tick(&[("x", 0.0)]), &plan);
+        sample(&mut scope, t(31), &tick(&[("x", 1.0)]), &plan);
+        assert_eq!(scope.ticks, 2);
+        assert!(scope.series().is_empty());
+        assert_eq!(scope.incidents().len(), 1);
+        assert_eq!(scope.incidents()[0].rule, WD_STALE_CONFIDENT);
+        let mut exported = Snapshot::new();
+        scope.observe(&mut exported.sink());
+        assert_eq!(exported.get("ticks"), Some(2.0));
     }
 }

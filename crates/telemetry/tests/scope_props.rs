@@ -61,13 +61,11 @@ proptest! {
         stale in 0u64..1_000_000,
     ) {
         let mut scope = PrestoScope::new(ScopeConfig {
-            enabled: true,
             series: vec![SeriesSpec::level("probe.load")],
             rules: vec![
                 WatchdogRule::below("load_watermark", "probe.load", 100.0),
                 WatchdogRule::still(WD_STALE_CONFIDENT, "probe.stale"),
             ],
-            ..ScopeConfig::default()
         });
         let snap = Snapshot::new();
         let faults = FaultPlan::none();
@@ -103,9 +101,7 @@ proptest! {
             _ => FaultPlan::none().with_shared_burst(from, to),
         };
         let mut scope = PrestoScope::new(ScopeConfig {
-            enabled: true,
             rules: vec![WatchdogRule::still(WD_STALE_CONFIDENT, "probe.stale")],
-            attribution_pad: SimDuration::from_mins(2),
             ..ScopeConfig::default()
         });
         let snap = Snapshot::new();

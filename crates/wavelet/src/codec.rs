@@ -61,11 +61,10 @@ impl CodecParams {
 /// A compressed batch.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Compressed {
-    /// Self-describing payload (header + packed coefficients); its
-    /// length is the size on the wire.
+    /// Self-describing payload (header + packed coefficients, the
+    /// original sample count included); its length is the size on the
+    /// wire.
     pub payload: Vec<u8>,
-    /// Number of samples in the original batch.
-    pub original_len: usize,
 }
 
 /// Reusable transform buffers for [`Codec::compress_reconstruct`].
@@ -114,7 +113,6 @@ impl Codec {
         let qs = quantize(&coeffs, self.params.quant_step);
         Compressed {
             payload: self.encode_payload(samples.len(), levels, &qs),
-            original_len: samples.len(),
         }
     }
 
@@ -292,13 +290,7 @@ mod tests {
 
     #[test]
     fn malformed_payloads_rejected() {
-        assert_eq!(
-            Codec::decompress(&Compressed {
-                payload: vec![],
-                original_len: 0
-            }),
-            None
-        );
+        assert_eq!(Codec::decompress(&Compressed { payload: vec![] }), None);
         let mut c = Codec::new(CodecParams::fine()).compress(&diurnal(64));
         c.payload.truncate(4);
         assert_eq!(Codec::decompress(&c), None);

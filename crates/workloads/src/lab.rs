@@ -47,8 +47,6 @@ const TREND_PER_DAY: f64 = 0.05;
 /// Generator parameters.
 #[derive(Clone, Debug)]
 pub struct LabParams {
-    /// Number of sensors in the deployment.
-    pub sensors: usize,
     /// Sampling epoch.
     pub epoch: SimDuration,
     /// Innovation std-dev of the shared field, °C.
@@ -64,7 +62,6 @@ pub struct LabParams {
 impl Default for LabParams {
     fn default() -> Self {
         LabParams {
-            sensors: 4,
             epoch: SimDuration::from_secs(31),
             field_sigma: 0.12,
             jitter_sigma: 0.35,
@@ -100,15 +97,16 @@ pub struct LabDeployment {
 }
 
 impl LabDeployment {
-    /// Creates a deployment from parameters and a seed.
-    pub fn new(params: LabParams, seed: u64) -> Self {
+    /// Creates a deployment of `sensors` sensors from parameters and a
+    /// seed.
+    pub fn new(params: LabParams, sensors: usize, seed: u64) -> Self {
         let mut rng = SimRng::new(seed).split("lab");
-        let offsets = (0..params.sensors)
+        let offsets = (0..sensors)
             .map(|_| rng.gaussian_ms(0.0, OFFSET_SPREAD / 2.0))
             .collect();
         LabDeployment {
-            event_until: vec![None; params.sensors],
-            private: vec![0.0; params.sensors],
+            event_until: vec![None; sensors],
+            private: vec![0.0; sensors],
             offsets,
             params,
             rng,
@@ -139,7 +137,7 @@ impl LabDeployment {
         let event_rate_per_epoch =
             self.params.events_per_day * self.params.epoch.as_secs_f64() / 86_400.0;
 
-        (0..self.params.sensors)
+        (0..self.offsets.len())
             .map(|s| {
                 if self.event_until[s].is_none() && self.rng.chance(event_rate_per_epoch) {
                     self.event_until[s] = Some(t + EVENT_DURATION);
@@ -188,13 +186,7 @@ impl LabDeployment {
         seed: u64,
         duration: SimDuration,
     ) -> Vec<LabReading> {
-        let mut dep = LabDeployment::new(
-            LabParams {
-                sensors: 1,
-                ..params
-            },
-            seed,
-        );
+        let mut dep = LabDeployment::new(params, 1, seed);
         dep.generate(duration)
             .into_iter()
             .map(|mut row| row.remove(0))
@@ -287,10 +279,10 @@ mod tests {
     fn sensors_are_spatially_correlated() {
         let mut dep = LabDeployment::new(
             LabParams {
-                sensors: 4,
                 events_per_day: 0.0,
                 ..LabParams::default()
             },
+            4,
             7,
         );
         let rows = dep.generate(SimDuration::from_days(1));

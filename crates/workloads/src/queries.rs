@@ -57,37 +57,24 @@ pub struct QuerySpec {
     pub latency_bound: SimDuration,
 }
 
-/// Generator parameters.
-#[derive(Clone, Debug)]
-pub struct QueryParams {
-    /// Mean queries per hour across the deployment.
-    pub rate_per_hour: f64,
-    /// Number of sensors (for target sampling).
-    pub sensors: usize,
-}
-
-impl Default for QueryParams {
-    fn default() -> Self {
-        QueryParams {
-            rate_per_hour: 30.0,
-            sensors: 40,
-        }
-    }
-}
-
 /// Poisson query stream generator.
 #[derive(Clone, Debug)]
 pub struct QueryGen {
-    params: QueryParams,
+    /// Mean queries per hour across the deployment.
+    rate_per_hour: f64,
+    /// Number of sensors (for target sampling).
+    sensors: usize,
     rng: SimRng,
 }
 
 impl QueryGen {
-    /// Creates a generator.
-    pub fn new(params: QueryParams, seed: u64) -> Self {
-        assert!(params.sensors > 0, "need at least one sensor");
+    /// Creates a generator of `rate_per_hour` queries per hour over
+    /// `sensors` sensors.
+    pub fn new(rate_per_hour: f64, sensors: usize, seed: u64) -> Self {
+        assert!(sensors > 0, "need at least one sensor");
         QueryGen {
-            params,
+            rate_per_hour,
+            sensors,
             rng: SimRng::new(seed).split("queries"),
         }
     }
@@ -99,7 +86,7 @@ impl QueryGen {
         let end = start + duration;
         let mut t = start;
         loop {
-            let gap_hours = self.rng.exponential(self.params.rate_per_hour);
+            let gap_hours = self.rng.exponential(self.rate_per_hour);
             if !gap_hours.is_finite() {
                 break;
             }
@@ -113,7 +100,7 @@ impl QueryGen {
     }
 
     fn sample_query(&mut self, arrival: SimTime) -> QuerySpec {
-        let target = self.rng.below(self.params.sensors as u64) as usize;
+        let target = self.rng.below(self.sensors as u64) as usize;
         let scope = if self.rng.chance(NOW_FRACTION) {
             TimeScope::Now
         } else {
@@ -151,8 +138,7 @@ mod tests {
     use super::*;
 
     fn day_of_queries(seed: u64) -> Vec<QuerySpec> {
-        QueryGen::new(QueryParams::default(), seed)
-            .generate(SimTime::from_days(2), SimDuration::from_days(1))
+        QueryGen::new(30.0, 40, seed).generate(SimTime::from_days(2), SimDuration::from_days(1))
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example building_monitor`
 
-use presto::core::{PrestoSystem, StoreQuery, SystemConfig, UnifiedStore};
+use presto::core::{PrestoSystem, StoreQuery, SystemConfig};
 use presto::sim::{SimDuration, SimTime};
 use presto::workloads::LabParams;
 
@@ -40,10 +40,8 @@ fn main() {
             .unwrap_or(0.0)
     );
 
-    let mut store = UnifiedStore::new(&mut system);
-
     // Security review: list every event, in corrected time order.
-    let events = store.query(StoreQuery::Events {
+    let events = system.query(StoreQuery::Events {
         from: SimTime::ZERO,
         to: SimTime::from_days(2),
     });
@@ -58,7 +56,7 @@ fn main() {
     if let Some(&(t, sensor, _)) = events.events.first() {
         let from = t - SimDuration::from_mins(15);
         let to = t + SimDuration::from_mins(15);
-        let r = store.query(StoreQuery::Past {
+        let r = system.query(StoreQuery::Past {
             sensor,
             from,
             to,

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use presto::core::{PrestoSystem, StoreQuery, SystemConfig, UnifiedStore};
+use presto::core::{PrestoSystem, StoreQuery, SystemConfig};
 use presto::sim::{SimDuration, SimTime};
 
 fn main() {
@@ -33,11 +33,9 @@ fn main() {
     );
 
     let truth = system.truth.clone();
-    let mut store = UnifiedStore::new(&mut system);
-
     // NOW query: answered from cache, extrapolation, or a pull.
     for sensor in [0u16, 4] {
-        let r = store.query(StoreQuery::Now {
+        let r = system.query(StoreQuery::Now {
             sensor,
             tolerance: 1.0,
         });
@@ -52,7 +50,7 @@ fn main() {
     }
 
     // PAST query: an hour of history from earlier in the day.
-    let r = store.query(StoreQuery::Past {
+    let r = system.query(StoreQuery::Past {
         sensor: 1,
         from: SimTime::from_hours(6),
         to: SimTime::from_hours(7),
@@ -65,7 +63,7 @@ fn main() {
     );
 
     // Unified event view across all proxies.
-    let r = store.query(StoreQuery::Events {
+    let r = system.query(StoreQuery::Events {
         from: SimTime::ZERO,
         to: SimTime::from_days(1),
     });

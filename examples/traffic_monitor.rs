@@ -57,7 +57,7 @@ fn main() {
             .filter(|d| d.sensor == s)
             .map(|d| (clocks[s].local_time(d.timestamp), (s, d.vehicle_type)))
             .collect();
-        view.add_stream(s, &correctors[s], stream);
+        view.add_stream(&correctors[s], stream);
     }
 
     // Verify the order-preserving property: within the view, each

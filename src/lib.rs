@@ -11,7 +11,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use presto::core::{PrestoSystem, StoreQuery, SystemConfig, UnifiedStore};
+//! use presto::core::{PrestoSystem, StoreQuery, SystemConfig};
 //! use presto::sim::SimDuration;
 //!
 //! // A small deployment: 2 proxies × 3 sensors, default lab workload.
@@ -23,8 +23,7 @@
 //! system.run(SimDuration::from_hours(12));
 //!
 //! // Query the unified logical store.
-//! let mut store = UnifiedStore::new(&mut system);
-//! let answer = store.query(StoreQuery::Now {
+//! let answer = system.query(StoreQuery::Now {
 //!     sensor: 4,
 //!     tolerance: 1.0,
 //! });
@@ -67,7 +66,7 @@ pub use presto_workloads as workloads;
 
 /// Commonly used items, importable as `use presto::prelude::*`.
 pub mod prelude {
-    pub use presto_core::{PrestoSystem, StoreQuery, StoreResponse, SystemConfig, UnifiedStore};
+    pub use presto_core::{PrestoSystem, StoreQuery, StoreResponse, SystemConfig};
     pub use presto_proxy::{AnswerSource, PrestoProxy, ProxyConfig};
     pub use presto_sensor::{PushPolicy, SensorConfig, SensorNode};
     pub use presto_sim::{EnergyCategory, EnergyLedger, SimDuration, SimRng, SimTime};

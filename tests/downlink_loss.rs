@@ -11,7 +11,7 @@ use presto::net::{LinkModel, LossProcess};
 use presto::proxy::{
     Answer, AnswerSource, PastAnswer, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig,
 };
-use presto::reliability::{DownlinkChannel, DownlinkConfig};
+use presto::reliability::{DownlinkChannel, DownlinkConfig, DOWNLINK_SEED};
 use presto::sensor::{PushPolicy, SensorConfig, SensorNode};
 use presto::sim::{SimDuration, SimTime};
 
@@ -47,9 +47,9 @@ fn scripted_channel(request: Vec<bool>, reply: Vec<bool>) -> DownlinkChannel {
         DownlinkConfig {
             request_loss: LossProcess::Scripted(request.into()),
             reply_loss: LossProcess::Scripted(reply.into()),
-            ..DownlinkConfig::default()
         },
         LinkModel::perfect(),
+        DOWNLINK_SEED,
     )
 }
 

@@ -2,7 +2,7 @@
 //! through the unified store, with accuracy checked against ground truth
 //! and the paper's energy hierarchy verified on the aggregate ledgers.
 
-use presto::core::{PrestoSystem, StoreQuery, SystemConfig, UnifiedStore};
+use presto::core::{PrestoSystem, StoreQuery, SystemConfig};
 use presto::proxy::AnswerSource;
 use presto::sim::{EnergyCategory, SimDuration, SimTime};
 
@@ -20,9 +20,8 @@ fn trained_system(days: u64) -> PrestoSystem {
 fn now_queries_are_answered_within_tolerance_for_every_sensor() {
     let mut sys = trained_system(1);
     let truth = sys.truth.clone();
-    let mut store = UnifiedStore::new(&mut sys);
     for sensor in 0..6u16 {
-        let r = store.query(StoreQuery::Now {
+        let r = sys.query(StoreQuery::Now {
             sensor,
             tolerance: 1.0,
         });
@@ -36,9 +35,8 @@ fn now_queries_are_answered_within_tolerance_for_every_sensor() {
 #[test]
 fn past_queries_reconstruct_history_across_the_day() {
     let mut sys = trained_system(1);
-    let mut store = UnifiedStore::new(&mut sys);
     for (from_h, to_h) in [(2u64, 3u64), (12, 13), (20, 21)] {
-        let r = store.query(StoreQuery::Past {
+        let r = sys.query(StoreQuery::Past {
             sensor: 2,
             from: SimTime::from_hours(from_h),
             to: SimTime::from_hours(to_h),
@@ -100,8 +98,7 @@ fn rare_events_surface_in_the_unified_view() {
         ..SystemConfig::default()
     });
     sys.run(SimDuration::from_days(2));
-    let mut store = UnifiedStore::new(&mut sys);
-    let r = store.query(StoreQuery::Events {
+    let r = sys.query(StoreQuery::Events {
         from: SimTime::ZERO,
         to: SimTime::from_days(2),
     });

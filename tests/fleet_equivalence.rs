@@ -48,7 +48,6 @@ const DRAIN_EPOCHS: u64 = 44; // deadline (10 m) + grace (3 m) + mesh slack
 /// Deterministic per-sensor series: zero noise, per-sensor offsets.
 fn quiet_lab() -> LabParams {
     LabParams {
-        sensors: SPP,
         jitter_sigma: 0.0,
         heavy_prob: 0.0,
         field_sigma: 0.0,
@@ -178,7 +177,7 @@ impl Reference {
             })
             .collect();
         for p in 0..PROXIES {
-            let mut lab = LabDeployment::new(quiet_lab(), seed.wrapping_add(p as u64 * 101));
+            let mut lab = LabDeployment::new(quiet_lab(), SPP, seed.wrapping_add(p as u64 * 101));
             for _ in 0..epochs {
                 for (s, r) in lab.step().iter().enumerate() {
                     nodes[p * SPP + s].on_sample(r.timestamp, r.value);

@@ -66,8 +66,8 @@ fn cross_proxy_event_order_survives_clock_drift() {
             )
         })
         .collect();
-    view.add_stream(0, &trusted, a_stream);
-    view.add_stream(1, &corrector, b_stream);
+    view.add_stream(&trusted, a_stream);
+    view.add_stream(&corrector, b_stream);
     let order: Vec<u32> = view.ordered().iter().map(|i| i.item).collect();
     let expected: Vec<u32> = (0..100).collect();
     assert_eq!(order, expected, "corrected merge must restore true order");

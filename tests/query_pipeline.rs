@@ -14,7 +14,7 @@ use presto::proxy::{
     AnswerSource, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig, PumpSensor,
     DEFAULT_DEADLINE,
 };
-use presto::reliability::{DownlinkChannel, DownlinkConfig};
+use presto::reliability::{DownlinkChannel, DownlinkConfig, DOWNLINK_SEED};
 use presto::net::{LinkModel, LossProcess};
 use presto::sensor::{AggregateOp, PushPolicy, SensorConfig, SensorNode};
 use presto::sim::{SimDuration, SimTime};
@@ -60,9 +60,9 @@ fn scripted_channel(request: Vec<bool>, reply: Vec<bool>) -> DownlinkChannel {
         DownlinkConfig {
             request_loss: LossProcess::Scripted(request.into()),
             reply_loss: LossProcess::Scripted(reply.into()),
-            ..DownlinkConfig::default()
         },
         LinkModel::perfect(),
+        DOWNLINK_SEED,
     )
 }
 

@@ -10,13 +10,13 @@
 
 use proptest::prelude::*;
 
-use presto::core::{PrestoSystem, StoreQuery, SystemConfig, UnifiedStore};
+use presto::core::{PrestoSystem, StoreQuery, SystemConfig};
 use presto::net::{GilbertElliott, LossProcess};
 use presto::reliability::{LivenessConfig, ReliabilityConfig};
 use presto::sim::{EnergyLedger, FaultPlan, SimDuration, SimTime};
 
 /// Tight-lease reliability config so outages resolve within test runs.
-fn tight(loss_pct: u64, seed: u64) -> ReliabilityConfig {
+fn tight(loss_pct: u64) -> ReliabilityConfig {
     let mut r = ReliabilityConfig {
         heartbeat_every: SimDuration::from_mins(2),
         liveness: LivenessConfig {
@@ -37,7 +37,6 @@ fn tight(loss_pct: u64, seed: u64) -> ReliabilityConfig {
         });
         r.fabric.down_loss = LossProcess::Bernoulli(loss / 3.0);
     }
-    r.fabric.seed = seed;
     r
 }
 
@@ -55,7 +54,7 @@ fn run_and_audit(seed: u64, loss_pct: u64, start_min: u64, len_min: u64, crash: 
         sensors_per_proxy: 2,
         seed,
         faults,
-        reliability: tight(loss_pct, seed ^ 0x5EED),
+        reliability: tight(loss_pct),
         lab: presto::workloads::LabParams {
             events_per_day: 0.0,
             ..presto::workloads::LabParams::default()
@@ -101,7 +100,7 @@ fn run_and_audit(seed: u64, loss_pct: u64, start_min: u64, len_min: u64, crash: 
             archived.len()
         );
     }
-    let answer = UnifiedStore::new(&mut sys).query(StoreQuery::Past {
+    let answer = sys.query(StoreQuery::Past {
         sensor: 0,
         from: win_from,
         to: win_to,

@@ -82,7 +82,6 @@ fn scope_slots_read_what_the_export_reports() {
     assert!(keys.len() > 100, "only {} keys exported", keys.len());
 
     let mut second = traced_fleet(ScopeConfig {
-        enabled: true,
         series: keys.iter().map(|k| SeriesSpec::level(k)).collect(),
         ..ScopeConfig::default()
     });
