@@ -7,7 +7,8 @@
 //! Parses both artifacts, compares the headline ratio, every arm
 //! summary field, and the flattened metrics list against per-metric
 //! tolerance bands (see `presto_bench::diff`), and prints one line per
-//! out-of-band reading. With `--deny`, any regression (or unreadable
+//! out-of-band reading and one `NEW <key>` line per metric row only the
+//! candidate has. With `--deny`, any regression (or unreadable
 //! artifact) exits non-zero — the CI wiring runs each scenario smoke
 //! and then gates its fresh BENCH file against the committed baseline
 //! in `crates/baselines/bench/`.
@@ -42,12 +43,15 @@ fn main() {
     for r in &report.regressions {
         println!("REGRESSION {r}");
     }
+    for key in &report.added {
+        println!("NEW {key}");
+    }
     println!(
         "bench-diff: {} readings in band, {} regressions, {} new candidate metrics \
          ({baseline_path} vs {candidate_path})",
         report.compared,
         report.regressions.len(),
-        report.added
+        report.added.len()
     );
     if deny && !report.is_clean() {
         eprintln!("bench-diff --deny: candidate drifted out of tolerance");

@@ -4,8 +4,8 @@
 //! phase over a 24 h warmup, 8 sensors, 16 users sharing staggered hot
 //! windows, 30% downlink loss). `slice_scenario --quick` runs the
 //! small fixed-seed CI smoke (2 h / 8 h warmup, 4 sensors, 8 users,
-//! same loss) and exits non-zero if the slice cache fails to absorb
-//! shared reads (hit rate must beat the monolithic arm's reply cache),
+//! same loss) and exits non-zero if slicing fails to absorb shared
+//! reads (its reply-cache hit rate must beat the monolithic arm's),
 //! answered throughput drops below the monolithic arm, any answer is
 //! stale-confident, or anything leaks.
 

@@ -369,8 +369,9 @@ pub struct DiffReport {
     pub regressions: Vec<String>,
     /// In-band readings compared.
     pub compared: usize,
-    /// Keys present only in the candidate (informational).
-    pub added: usize,
+    /// Metric keys present only in the candidate (informational), in
+    /// key order.
+    pub added: Vec<String>,
 }
 
 impl DiffReport {
@@ -489,7 +490,8 @@ pub fn compare_bench(baseline: &JsonValue, candidate: &JsonValue) -> DiffReport 
     report.added = cand_metrics
         .keys()
         .filter(|k| !base_metrics.contains_key(*k))
-        .count();
+        .cloned()
+        .collect();
     report
 }
 
@@ -594,10 +596,18 @@ mod tests {
             &[("pipeline.rpcs_issued", 100.0), ("alloc.peak_bytes", 1e9)],
         );
         // Dropping a gated metric is a regression; alloc rows may drift
-        // or vanish freely.
-        let cand = bench(1.5, 20, &[("pipeline.rpcs_issued", 110.0)]);
+        // or vanish freely, and rows new in the candidate are named.
+        let cand = bench(
+            1.5,
+            20,
+            &[
+                ("pipeline.rpcs_issued", 110.0),
+                ("reply_cache.lookups", 7.0),
+            ],
+        );
         let report = compare_bench(&parse(&base), &parse(&cand));
         assert!(report.is_clean(), "{:?}", report.regressions);
+        assert_eq!(report.added, ["reply_cache.lookups"]);
         let gone = bench(1.5, 20, &[("alloc.peak_bytes", 5e12)]);
         let report = compare_bench(&parse(&base), &parse(&gone));
         assert!(report

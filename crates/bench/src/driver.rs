@@ -421,9 +421,13 @@ impl ArmRun {
         self.counters.answered_ok as f64 / self.phase_s
     }
 
-    /// A final snapshot reading, 0 when absent.
+    /// A final snapshot reading. Panics on a path the snapshot lacks:
+    /// reading it as 0 would let a check on a renamed or missing row
+    /// pass vacuously.
     pub fn metric(&self, key: &str) -> f64 {
-        self.snapshot.get(key).unwrap_or(0.0)
+        self.snapshot
+            .get(key)
+            .unwrap_or_else(|| panic!("{key} missing from the telemetry snapshot"))
     }
 
     /// The arm's presto-scope.
@@ -531,7 +535,7 @@ pub fn single_system_scope() -> ScopeConfig {
         series: vec![
             SeriesSpec::delta("pipeline.rpcs_issued"),
             SeriesSpec::delta("pipeline.sliced"),
-            SeriesSpec::delta("slice.lookups"),
+            SeriesSpec::delta("reply_cache.lookups"),
             SeriesSpec::level("trace.recorder_len"),
         ],
         rules: vec![WatchdogRule::still(
@@ -548,17 +552,11 @@ impl ArmSummary {
     pub fn new(run: &ArmRun) -> Self {
         let c = &run.counters;
         let m = |k: &str| run.metric(k);
-        let slice_lookups = m("slice.lookups");
-        let cache_hit_rate = if slice_lookups > 0.0 {
-            m("slice.hits") / slice_lookups
+        let lookups = m("reply_cache.lookups");
+        let cache_hit_rate = if lookups > 0.0 {
+            m("reply_cache.hits") / lookups
         } else {
-            let hits = m("reply_cache.hits");
-            let lookups = hits + m("reply_cache.misses");
-            if lookups > 0.0 {
-                hits / lookups
-            } else {
-                0.0
-            }
+            0.0
         };
         ArmSummary {
             arm: run.label.clone(),
@@ -572,7 +570,7 @@ impl ArmSummary {
             answer_age_count: c.ages.count() as u64,
             answer_age_missing: c.answer_age_missing,
             answer_age_p50_s: c.ages.median(),
-            shed: m("fleet_router.shed") as u64,
+            shed: run.deployment.fleet().map_or(0, |f| f.router.stats().shed),
             rehomed: run.deployment.rehomed(),
             retransmits: m("downlink.retransmits") as u64,
             radio_bytes: m("sensor.bytes_sent") as u64,
@@ -732,15 +730,31 @@ mod tests {
             "{}",
             run.label
         );
-        let (hits, lookups) = if reading("slice.lookups") > 0.0 {
-            (reading("slice.hits"), reading("slice.lookups"))
-        } else {
-            let hits = reading("reply_cache.hits");
-            (hits, hits + reading("reply_cache.misses"))
-        };
+        let (hits, lookups) = (reading("reply_cache.hits"), reading("reply_cache.lookups"));
         let expected = if lookups > 0.0 { hits / lookups } else { 0.0 };
         assert_eq!(s.cache_hit_rate, expected, "{}", run.label);
         assert!(s.sensor_energy_j > 0.0, "{}: no sensor energy", run.label);
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet_router.shed missing from the telemetry snapshot")]
+    fn metric_panics_on_a_path_the_snapshot_lacks() {
+        // A single system has no fleet router, so its snapshot carries
+        // no `fleet_router.*` row, and reading one must not return 0.
+        let system = PrestoSystem::new(SystemConfig {
+            proxies: 1,
+            sensors_per_proxy: 1,
+            ..SystemConfig::default()
+        });
+        let plan = ArmPlan::new(0, 0, SimDuration::ZERO);
+        let run = ArmRun::finish(
+            "single",
+            Deployment::Single(Box::new(system)),
+            ArmCounters::default(),
+            &plan,
+            0,
+        );
+        run.metric("fleet_router.shed");
     }
 
     #[test]
@@ -755,7 +769,7 @@ mod tests {
         assert_derived_from_snapshot(&single);
         assert!(
             ArmSummary::new(&single).cache_hit_rate > 0.0,
-            "slice cache never hit"
+            "reply cache never hit"
         );
 
         let cfg = FleetScenarioConfig {

@@ -6,8 +6,8 @@
 //!
 //! * **pipeline** — queries enter the proxy's asynchronous pipeline;
 //!   precision misses enqueue and overlap across epochs, identical
-//!   windows coalesce into one pull, repeat spans come from the shared
-//!   pull-reply cache, and every completion (or honest deadline
+//!   windows coalesce into one pull, repeat PAST windows come from the
+//!   reply cache, and every completion (or honest deadline
 //!   failure) is recorded with its per-query latency;
 //! * **serialized baseline** — the same arrivals served through the
 //!   blocking `PrestoSystem::query` path one at a time: each RPC's entire

@@ -273,8 +273,8 @@ pub struct ArmSummary {
     pub radio_bytes: u64,
     /// Total sensor-tier energy, joules.
     pub sensor_energy_j: f64,
-    /// Cache hit rate over archive-range lookups (slice cache lookups
-    /// when sliced execution ran, reply-cache lookups otherwise).
+    /// Reply-cache hit rate: hits over lookups, whole windows and
+    /// slices alike.
     pub cache_hit_rate: f64,
     /// Confident answers the oracles contradict (must be 0).
     pub stale_confident: u64,

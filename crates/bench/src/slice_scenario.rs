@@ -6,18 +6,18 @@
 //! overlapping hot windows, plus background NOW traffic):
 //!
 //! * **sliced** — archive-range queries split into time-aligned slices
-//!   served through the slice cache; overlapping windows from
+//!   cached under their aligned windows; overlapping windows from
 //!   different users share slices, so most radio work is absorbed by
-//!   the cache and a narrower window completes radio-free;
-//! * **monolithic** — the same arrivals with slicing off: the exact
-//!   match reply cache only absorbs byte-identical repeat windows, so
+//!   the reply cache and a narrower window completes radio-free;
+//! * **monolithic** — the same arrivals with slicing off: the reply
+//!   cache only absorbs byte-identical repeat windows, so
 //!   overlapping-but-unequal windows each pay their own pull.
 //!
 //! Both arms run the same horizon plus the same drain window. The
-//! report carries each arm's cache hit rate (slice cache vs reply
-//! cache), answered throughput, the stale-confident probe (an Ok
-//! answer contradicted by its own window — must be zero), and the
-//! trace/age coverage counters the CI smoke asserts on.
+//! report carries each arm's reply-cache hit rate, answered
+//! throughput, the stale-confident probe (an Ok answer contradicted by
+//! its own window — must be zero), and the trace/age coverage counters
+//! the CI smoke asserts on.
 
 use crate::driver::{
     arm_failures, lossy_downlink, run_arm as drive, single_system_scope, throughput_ratio, ArmPlan,
@@ -187,7 +187,7 @@ pub fn slice_scenario(cfg: &SliceScenarioConfig) -> SliceScenarioReport {
 
 impl SliceScenarioReport {
     /// Every failed acceptance check: the driver invariants on both
-    /// arms, zero incidents on these fault-free runs, the slice cache's
+    /// arms, zero incidents on these fault-free runs, the reply cache's
     /// accounting, and the sharing win.
     pub fn failures(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -202,19 +202,19 @@ impl SliceScenarioReport {
         if m("pipeline.sliced") == 0.0 {
             out.push("no query took the sliced path".into());
         }
-        if m("slice.lookups") == 0.0 {
-            out.push("slice cache counters absent".into());
+        if m("reply_cache.lookups") == 0.0 {
+            out.push("reply cache counters absent".into());
         }
-        if m("slice.lookups") != m("slice.hits") + m("slice.misses") {
+        if m("reply_cache.lookups") != m("reply_cache.hits") + m("reply_cache.misses") {
             out.push(format!(
-                "slice cache accounting does not balance: {} lookups vs {} hits + {} misses",
-                m("slice.lookups"),
-                m("slice.hits"),
-                m("slice.misses")
+                "reply cache accounting does not balance: {} lookups vs {} hits + {} misses",
+                m("reply_cache.lookups"),
+                m("reply_cache.hits"),
+                m("reply_cache.misses")
             ));
         }
         if ArmSummary::new(&self.sliced).cache_hit_rate <= 0.0 {
-            out.push("slice cache never hit".into());
+            out.push("sliced reply cache never hit".into());
         }
         if self.hit_rate_gain <= 0.0 {
             out.push(format!(
@@ -244,7 +244,7 @@ mod tests {
         for arm in [&r.sliced, &r.monolithic] {
             assert!(arm.counters.submitted > 50, "{}: workload too small", arm.label);
             assert!(
-                arm.scope().series().iter().any(|(path, _)| path == "slice.lookups"
+                arm.scope().series().iter().any(|(path, _)| path == "reply_cache.lookups"
                     || path == "pipeline.rpcs_issued"),
                 "{}: timeline missing the work-rate series",
                 arm.label

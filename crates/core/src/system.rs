@@ -911,8 +911,7 @@ impl PrestoSystem {
         for p in &self.proxies {
             s.observe("proxy", &p.stats());
             s.observe("pipeline", &p.pipeline().stats());
-            s.observe("slice", &p.pipeline().slice_cache().stats());
-            s.observe("reply_cache", p.pipeline().reply_cache());
+            s.observe("reply_cache", &p.pipeline().reply_cache().stats());
         }
         // Live trace-retention gauges: drop counts are the honest
         // "recorder overflowed" signal the scope's leak probes read.

@@ -20,9 +20,9 @@
 //!   miss path of paper §2), and delivers downlink messages over the
 //!   MAC, which charges the receiving sensor. The tethered proxy keeps
 //!   no energy account.
-//! * [`slice`](mod@slice) — sliced archive-range execution: the slice calculator,
-//!   the slice cache, and the assembler behind the pipeline's
-//!   sliced PAST path.
+//! * [`slice`](mod@slice) — sliced archive-range execution: the slice
+//!   calculator, the assembler behind the pipeline's sliced PAST path,
+//!   and the reply cache that slices and whole PAST windows share.
 
 pub mod cache;
 pub mod engine;
@@ -35,10 +35,10 @@ pub use cache::{CachedEvent, EventCache, SensorCache};
 pub use engine::{EngineConfig, PredictionEngine};
 pub use matching::{QueryClass, QuerySensorMatcher};
 pub use pipeline::{
-    CompletedQuery, PipelineAnswer, PipelineConfig, PipelineQuery, PipelineStats, PullReplyCache,
-    QueryPipeline, DEFAULT_DEADLINE,
+    CompletedQuery, PipelineAnswer, PipelineConfig, PipelineQuery, PipelineStats, QueryPipeline,
+    DEFAULT_DEADLINE,
 };
 pub use proxy::{
     Answer, AnswerSource, PastAnswer, PrestoProxy, ProxyConfig, ProxyStats, PumpSensor,
 };
-pub use slice::{SliceCache, SliceCacheStats, SliceKey, SliceSpec};
+pub use slice::{ReplyCache, ReplyCacheStats, WindowKey};

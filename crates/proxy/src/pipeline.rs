@@ -20,26 +20,27 @@
 //!   budget that is spread round-robin across sensors for fairness —
 //!   and matches arriving `PullReply`/`AggregateReply` messages back to
 //!   the parts waiting on them;
-//! * in front of the queue sits a **shared pull-reply cache** keyed by
-//!   (sensor, window, tolerance): concurrent queries over the same span
-//!   coalesce into one radio pull, and later queries over an
-//!   already-pulled span are served without touching the radio at all —
-//!   guarded by an explicit freshness check so a cached reply never
-//!   serves a query whose window extends past the reply's coverage.
+//! * in front of the queue sits the **reply cache** ([`ReplyCache`]),
+//!   one LRU of pulled archive ranges keyed by (sensor, window,
+//!   tolerance): a PAST query's whole window and a slice's aligned
+//!   window alike. Later PAST queries over an already-pulled window are
+//!   served without touching the radio at all. Only a reply served once
+//!   its window was fully archived is cached, so a cached reply never
+//!   serves data it does not have. NOW replies stay out: a NOW pull's
+//!   window ends at its own submission instant, which no later query
+//!   asks for.
 //!
 //! One proxy therefore overlaps many in-flight pulls across epochs, and
 //! downlink loss shows up as latency percentiles instead of serialized
 //! stalls. Every query terminates: by its deadline it has either
 //! completed with a real answer or failed honestly (`Failed`, sigma ∞).
 
-use std::collections::VecDeque;
-
 use presto_sensor::AggregateOp;
 use presto_sim::{SimDuration, SimTime};
 use presto_telemetry::QueryTracer;
 
 use crate::proxy::{Answer, PastAnswer};
-use crate::slice::{SliceCache, SliceSpec};
+use crate::slice::{ReplyCache, SliceSpec, WindowKey};
 
 /// Default query deadline: how long a query may stay pending before it
 /// fails honestly, in the pipeline and at the fleet router alike. A
@@ -63,9 +64,8 @@ pub struct PipelineConfig {
     pub trace: bool,
     /// Sliced archive-range execution (see [`crate::slice`]): PAST
     /// windows spanning enough fixed time-aligned slices are fetched
-    /// slice-by-slice and cached at slice granularity in one LRU of
-    /// `SLICE_CACHE_CAPACITY` slices. Off (the default) keeps the
-    /// monolithic pull path byte-identical to the pre-slice behavior.
+    /// slice-by-slice and cached at slice granularity in the
+    /// [`ReplyCache`]. Off (the default), every PAST window is one pull.
     pub slice: bool,
 }
 
@@ -196,20 +196,11 @@ pub struct CompletedQuery {
 }
 
 /// Identity of the radio work a pending query needs: queries with equal
-/// keys coalesce into one RPC and are served from one cached reply.
-/// Exact equality (window *and* tolerance/operator) is deliberate:
-/// serving a sub-window slice of a differently-encoded reply would
-/// break value-identity with the synchronous reference path, because
-/// the reply codec is applied per reply, not per sample.
+/// keys coalesce into one RPC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum PullKey {
     /// An archive pull.
-    Pull {
-        sensor: u16,
-        from: SimTime,
-        to: SimTime,
-        tol_bits: u64,
-    },
+    Pull(WindowKey),
     /// A sensor-evaluated aggregate.
     Aggregate {
         sensor: u16,
@@ -244,9 +235,9 @@ pub(crate) fn key_op((tag, bits): (u8, u64)) -> AggregateOp {
 }
 
 /// One unit of radio work a pending query needs: the RPC its key
-/// names, and the fill that RPC's reply (or, for a slice, the slice
-/// cache) brings. Parts with equal keys share one RPC and one reply,
-/// whichever query or shape they belong to.
+/// names, and the fill that RPC's reply (or the reply cache) brings.
+/// Parts with equal keys share one RPC and one reply, whichever query
+/// or shape they belong to.
 #[derive(Clone, Debug)]
 pub(crate) struct Part {
     /// The radio work: the whole pull window of a query, or one slice's
@@ -257,12 +248,13 @@ pub(crate) struct Part {
     /// The in-flight RPC serving this part, once issued.
     pub rpc_qid: Option<u64>,
     /// Set by the fill that serves this part. A whole-window part is
-    /// its query's only part, so its fill completes the query at once
-    /// and the reply becomes the answer; a slice part keeps its fill.
+    /// its query's only part, so a reply's fill completes the query at
+    /// once and the reply becomes the answer; any other fill keeps its
+    /// samples.
     pub served: bool,
-    /// A served slice's samples, trimmed to the slice span.
+    /// A served part's samples; a slice's are trimmed to its window.
     pub samples: Vec<(SimTime, f64)>,
-    /// A served slice's re-bounded sigma ([`crate::slice::slice_sigma`]).
+    /// A served part's re-bounded sigma ([`crate::slice::slice_sigma`]).
     pub sigma: f64,
 }
 
@@ -283,28 +275,33 @@ impl Part {
     pub fn of_slice(spec: SliceSpec) -> Part {
         Part {
             slice: Some(spec),
-            ..Part::whole(PullKey::Pull {
-                sensor: spec.key.sensor,
-                from: spec.from,
-                to: spec.to,
-                tol_bits: spec.key.tol_bits,
-            })
+            ..Part::whole(PullKey::Pull(spec.key))
         }
     }
 
-    /// Serves this part: the fill a reply or the slice cache brings.
-    pub fn fill(&mut self, samples: Vec<(SimTime, f64)>, sigma: f64) {
+    /// Serves this part with a reply's or a cached reply's samples. A
+    /// slice keeps only the samples inside its window: the
+    /// freshest-sample fallback a sensor sends for an empty window lies
+    /// outside the span and must not masquerade as content.
+    pub fn fill(&mut self, samples: &[(SimTime, f64)], sigma: f64) {
         self.served = true;
-        self.samples = samples;
+        self.samples = match self.slice {
+            Some(SliceSpec { key, .. }) => samples
+                .iter()
+                .filter(|&&(t, _)| t >= key.from && t <= key.to)
+                .copied()
+                .collect(),
+            None => samples.to_vec(),
+        };
         self.sigma = sigma;
     }
 
-    /// Serves a slice part from `cache` when it holds the slice.
-    pub fn fill_from(&mut self, cache: &mut SliceCache) -> bool {
-        let Some(spec) = self.slice else {
+    /// Serves this part from `cache` when it holds the part's window.
+    pub fn fill_from(&mut self, cache: &mut ReplyCache) -> bool {
+        let PullKey::Pull(window) = self.key else {
             return false;
         };
-        let Some((samples, sigma)) = cache.lookup(spec.key) else {
+        let Some((samples, sigma)) = cache.lookup(window) else {
             return false;
         };
         self.fill(samples, sigma);
@@ -379,7 +376,7 @@ pub struct PipelineStats {
     pub completed_fast: u64,
     /// Completed from a matched RPC reply.
     pub completed_pull: u64,
-    /// Completed from the shared pull-reply cache (no radio work).
+    /// Completed from the reply cache at submit (no radio work).
     pub completed_cached: u64,
     /// Honest failures (deadline reached, or unregistered sensor).
     pub failed: u64,
@@ -414,124 +411,15 @@ presto_telemetry::observe_counters!(PipelineStats {
     slice_coalesced,
 } max { max_in_flight });
 
-/// Shared pull-reply cache capacity, in replies (oldest evict first).
+/// Reply cache capacity, in pulled windows.
 const REPLY_CACHE_CAPACITY: usize = 128;
-
-/// Slice cache capacity, in slices, when [`PipelineConfig::slice`] is on.
-const SLICE_CACHE_CAPACITY: usize = 320;
-
-/// A reply kept in the shared pull-reply cache.
-#[derive(Clone, Debug)]
-struct CachedReply {
-    key: PullKey,
-    /// When the sensor served the reply: the archive span the samples
-    /// cover ends here, whatever the window asked for.
-    served_at: SimTime,
-    samples: Vec<(SimTime, f64)>,
-}
-
-/// Shared pull-reply cache: one entry per (sensor, window, tolerance),
-/// bounded FIFO. Repeat queries over a span any user already pulled are
-/// served from proxy memory instead of the radio.
-#[derive(Debug, Default)]
-pub struct PullReplyCache {
-    entries: VecDeque<CachedReply>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-    stale_rejections: u64,
-}
-
-impl PullReplyCache {
-    /// Creates a cache bounded to `capacity` replies.
-    pub fn new(capacity: usize) -> Self {
-        PullReplyCache {
-            entries: VecDeque::new(),
-            capacity,
-            hits: 0,
-            misses: 0,
-            stale_rejections: 0,
-        }
-    }
-
-    /// Inserts a served reply, evicting the oldest beyond capacity. A
-    /// re-pull of the same key replaces the older entry (the newer
-    /// serving covers at least as much of the window).
-    pub(crate) fn insert(&mut self, key: PullKey, served_at: SimTime, samples: Vec<(SimTime, f64)>) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.entries.retain(|e| e.key != key);
-        self.entries.push_back(CachedReply {
-            key,
-            served_at,
-            samples,
-        });
-        while self.entries.len() > self.capacity {
-            self.entries.pop_front();
-        }
-    }
-
-    /// Looks up a cached reply for `key`, applying the staleness
-    /// boundary: the query's window may extend past the instant the
-    /// cached reply was served (a window whose end was still in the
-    /// future then), in which case the cached samples cannot cover the
-    /// newest demanded data and the reply must NOT be served — the
-    /// query takes a fresh pull instead.
-    ///
-    /// The boundary is **closed**: the queried window is inclusive of
-    /// its endpoint, and the archive's serving instant covers every
-    /// row through `served_at` itself, so a reply served *exactly* at
-    /// `needed_through` covers the whole closed window and must serve
-    /// (`served_at == needed_through` hits; only `served_at <
-    /// needed_through` — an open gap of at least one tick — rejects).
-    /// Pinned by `reply_cache_serves_at_exact_freshness_boundary`.
-    pub(crate) fn lookup(&mut self, key: PullKey, needed_through: SimTime) -> Option<&[(SimTime, f64)]> {
-        let Some(pos) = self.entries.iter().position(|e| e.key == key) else {
-            self.misses += 1;
-            return None;
-        };
-        if self.entries[pos].served_at < needed_through {
-            self.stale_rejections += 1;
-            self.misses += 1;
-            return None;
-        }
-        self.hits += 1;
-        Some(&self.entries[pos].samples)
-    }
-
-    /// Lookups served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that went to the radio.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Drops every cached reply. The hit/miss/stale counters are
-    /// measurement instrumentation and survive, as the slice cache's
-    /// do through [`SliceCache::clear`].
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-presto_telemetry::observe_counters!(PullReplyCache {
-    hits,
-    misses,
-    stale_rejections,
-});
 
 /// The pipeline state a proxy carries.
 pub struct QueryPipeline {
     pub(crate) config: PipelineConfig,
     pub(crate) pending: Vec<PendingQuery>,
     pub(crate) completed: Vec<CompletedQuery>,
-    pub(crate) reply_cache: PullReplyCache,
-    /// Slice cache (only populated when slicing is enabled).
-    pub(crate) slice_cache: SliceCache,
+    pub(crate) reply_cache: ReplyCache,
     pub(crate) stats: PipelineStats,
     pub(crate) next_ticket: u64,
     /// Rotating pump start index for cross-sensor fairness.
@@ -546,18 +434,12 @@ pub struct QueryPipeline {
 impl QueryPipeline {
     /// Creates an empty pipeline.
     pub fn new(config: PipelineConfig) -> Self {
-        let slice_cache = SliceCache::new(if config.slice {
-            SLICE_CACHE_CAPACITY
-        } else {
-            1
-        });
         let tracer = QueryTracer::new(config.trace);
         QueryPipeline {
             config,
             pending: Vec::new(),
             completed: Vec::new(),
-            reply_cache: PullReplyCache::new(REPLY_CACHE_CAPACITY),
-            slice_cache,
+            reply_cache: ReplyCache::new(REPLY_CACHE_CAPACITY),
             stats: PipelineStats::default(),
             next_ticket: 1,
             rr_cursor: 0,
@@ -584,15 +466,9 @@ impl QueryPipeline {
         self.stats
     }
 
-    /// The shared pull-reply cache.
-    pub fn reply_cache(&self) -> &PullReplyCache {
+    /// The reply cache.
+    pub fn reply_cache(&self) -> &ReplyCache {
         &self.reply_cache
-    }
-
-    /// The slice cache (empty and untouched unless
-    /// [`PipelineConfig::slice`] is set).
-    pub fn slice_cache(&self) -> &SliceCache {
-        &self.slice_cache
     }
 
     /// Queries currently pending (enqueued, not yet completed).
@@ -620,21 +496,26 @@ impl QueryPipeline {
 mod tests {
     use super::*;
 
-    fn key(from_s: u64, to_s: u64) -> PullKey {
-        PullKey::Pull {
+    fn window(from: SimTime, to: SimTime) -> WindowKey {
+        WindowKey {
             sensor: 1,
-            from: SimTime::from_secs(from_s),
-            to: SimTime::from_secs(to_s),
+            from,
+            to,
             tol_bits: 0.5f64.to_bits(),
         }
     }
 
+    fn secs(from_s: u64, to_s: u64) -> WindowKey {
+        window(SimTime::from_secs(from_s), SimTime::from_secs(to_s))
+    }
+
     #[test]
     fn reply_cache_serves_exact_key() {
-        let mut c = PullReplyCache::new(4);
-        c.insert(key(0, 100), SimTime::from_secs(100), vec![(SimTime::from_secs(50), 1.0)]);
-        assert!(c.lookup(key(0, 100), SimTime::from_secs(100)).is_some());
-        assert!(c.lookup(key(0, 101), SimTime::from_secs(100)).is_none());
+        let mut c = ReplyCache::new(4);
+        let t = SimTime::from_secs(100);
+        c.insert(secs(0, 100), t, t, 0.25, vec![(SimTime::from_secs(50), 1.0)]);
+        assert!(c.lookup(secs(0, 100)).is_some());
+        assert!(c.lookup(secs(0, 101)).is_none());
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
     }
@@ -643,57 +524,34 @@ mod tests {
     fn reply_cache_freshness_rejects_stale_coverage() {
         // A reply served at t=100 for a window ending at t=200 (the
         // window's end was still in the future at serve time) must not
-        // answer a later query demanding coverage through t=200.
-        let mut c = PullReplyCache::new(4);
-        c.insert(key(0, 200), SimTime::from_secs(100), vec![(SimTime::from_secs(90), 1.0)]);
-        assert!(
-            c.lookup(key(0, 200), SimTime::from_secs(200)).is_none(),
-            "stale reply served past its coverage"
-        );
-        assert_eq!(c.stale_rejections, 1);
-        // The same entry is fine for a query content with coverage
-        // through its serve time.
-        assert!(c.lookup(key(0, 200), SimTime::from_secs(100)).is_some());
+        // answer a later query demanding coverage through t=200, so it
+        // is never cached.
+        let mut c = ReplyCache::new(4);
+        let key = secs(0, 200);
+        c.insert(key, key.to, SimTime::from_secs(100), 0.25, vec![(SimTime::from_secs(90), 1.0)]);
+        assert_eq!(c.stats().incomplete_skips, 1);
+        assert_eq!(c.stats().inserts, 0);
+        assert!(c.lookup(key).is_none(), "stale reply served past its coverage");
     }
 
     #[test]
     fn reply_cache_serves_at_exact_freshness_boundary() {
         // The freshness boundary is closed: a reply served exactly at
         // the closed window's end covers every row through that instant
-        // and must serve. One tick of uncovered window must reject.
-        let mut c = PullReplyCache::new(4);
+        // and is cached. A window one tick past the serve instant is
+        // uncovered and is not.
+        let mut c = ReplyCache::new(4);
         let served = SimTime::from_secs(200);
-        c.insert(key(0, 200), served, vec![(SimTime::from_secs(150), 1.0)]);
+        let key = secs(0, 200);
+        c.insert(key, key.to, served, 0.25, vec![(SimTime::from_secs(150), 1.0)]);
+        assert_eq!(c.stats().incomplete_skips, 0);
         assert!(
-            c.lookup(key(0, 200), served).is_some(),
-            "served_at == needed_through is full coverage and must hit"
+            c.lookup(key).is_some(),
+            "served_at == window end is full coverage and must hit"
         );
-        assert_eq!(c.stale_rejections, 0);
-        assert!(
-            c.lookup(key(0, 200), served + SimDuration::from_micros(1)).is_none(),
-            "one tick past the serve instant is uncovered and must reject"
-        );
-        assert_eq!(c.stale_rejections, 1);
-    }
-
-    #[test]
-    fn reply_cache_bounds_capacity_fifo() {
-        let mut c = PullReplyCache::new(2);
-        for i in 0..3u64 {
-            c.insert(key(i, i + 10), SimTime::from_secs(i + 10), Vec::new());
-        }
-        assert_eq!(c.entries.len(), 2);
-        assert!(c.lookup(key(0, 10), SimTime::ZERO).is_none(), "oldest evicted");
-        assert!(c.lookup(key(2, 12), SimTime::ZERO).is_some());
-    }
-
-    #[test]
-    fn reply_cache_repull_replaces_entry() {
-        let mut c = PullReplyCache::new(4);
-        c.insert(key(0, 100), SimTime::from_secs(100), vec![(SimTime::from_secs(10), 1.0)]);
-        c.insert(key(0, 100), SimTime::from_secs(300), vec![(SimTime::from_secs(10), 2.0)]);
-        assert_eq!(c.entries.len(), 1);
-        let s = c.lookup(key(0, 100), SimTime::from_secs(200)).expect("fresh entry");
-        assert_eq!(s[0].1, 2.0, "newest serving wins");
+        let longer = window(SimTime::ZERO, served + SimDuration::from_micros(1));
+        c.insert(longer, longer.to, served, 0.25, vec![(SimTime::from_secs(150), 1.0)]);
+        assert_eq!(c.stats().incomplete_skips, 1);
+        assert!(c.lookup(longer).is_none(), "one tick past the serve instant is uncovered");
     }
 }

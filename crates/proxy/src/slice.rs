@@ -1,33 +1,33 @@
-//! Sliced archive-range execution: fixed time-aligned slices and the
-//! slice cache.
+//! Sliced archive-range execution, and the one cache of pulled archive
+//! ranges that slices and whole PAST windows share.
 //!
-//! A big archive-range query used to be one monolithic pull, and the
-//! shared [`crate::pipeline::PullReplyCache`] only serves exact
-//! (sensor, window, tolerance) matches — so overlapping windows from
-//! many users each re-pull the radio for mostly the same rows. This
-//! module splits range queries into **fixed, time-aligned slices**
-//! (the HTTP range-slicing idiom, applied to archive time):
+//! The [`ReplyCache`] is one bounded LRU of pull replies keyed by the
+//! pulled window ([`WindowKey`]: sensor, window, tolerance). It only
+//! serves exact matches, so on its own overlapping windows from many
+//! users each re-pull the radio for mostly the same rows. This module
+//! therefore also splits range queries into **fixed, time-aligned
+//! slices** (the HTTP range-slicing idiom, applied to archive time):
 //!
 //! * the **slice calculator** ([`plan`]) maps a query window onto
-//!   canonical slice keys — slice `i` covers
+//!   canonical slice windows — slice `i` covers
 //!   `[i·len, (i+1)·len)` on the absolute simulation clock, so the
-//!   same slice key falls out of *any* window overlapping it;
+//!   same slice window falls out of *any* window overlapping it;
 //! * each missing slice becomes its own sub-RPC through the existing
 //!   async downlink machinery (per-slice retry, deferral, and
 //!   coalescing across queries);
 //! * the **assembler** ([`assemble`]) joins per-slice replies back
 //!   into the query's window and re-bounds the result with the worst
 //!   per-slice codec/aging sigma ([`slice_sigma`]);
-//! * complete slices land in the **slice cache** ([`SliceCache`]), one
-//!   bounded LRU. A sub-window of any previously pulled span is served
+//! * complete slices land in the reply cache under their aligned
+//!   window. A sub-window of any previously pulled span is served
 //!   radio-free from cached slices — containment serving falls out of
 //!   the slice decomposition instead of needing its own machinery.
 //!
-//! Staleness is handled by construction: only slices whose span was
-//! **fully archived at serve time** (`served_at >= span end`) are
-//! cached, so a cached slice is immutable and can never serve data it
-//! does not have. The trailing, still-filling slice of a window is
-//! re-pulled each time.
+//! Staleness is handled by construction, at insert: only a reply whose
+//! window was **fully archived at serve time** is cached (`served_at`
+//! at or past a slice's span end or a whole window's end), so a cached
+//! reply is immutable and can never serve data it does not have. The
+//! trailing, still-filling slice of a window is re-pulled each time.
 
 use std::collections::VecDeque;
 
@@ -43,33 +43,35 @@ const SLICE_LEN: SimDuration = SimDuration::from_hours(1);
 /// several sub-RPCs).
 const MIN_SLICES: u64 = 2;
 
-/// Canonical identity of one slice: the sensor, the time-aligned slice
-/// index, and the reply tolerance (a slice pulled at a different
-/// tolerance is differently encoded and must not be shared).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SliceKey {
-    /// The sensor whose archive the slice covers.
+/// The window of an archive pull: the key of the [`ReplyCache`] and of
+/// the RPC a pull part rides. A slice's key is its aligned window.
+/// Exact equality (window *and* tolerance) is deliberate: serving a
+/// sub-window slice of a differently-encoded reply would break
+/// value-identity with the synchronous reference path, because the
+/// reply codec is applied per reply, not per sample.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct WindowKey {
+    /// The sensor whose archive the window covers.
     pub sensor: u16,
-    /// Slice index: the slice covers `[index·len, (index+1)·len)`.
-    pub index: u64,
-    /// Bit pattern of the pull tolerance (exact-match keying, as in
-    /// [`crate::pipeline::PullReplyCache`]).
+    /// Window start.
+    pub from: SimTime,
+    /// Window end, inclusive.
+    pub to: SimTime,
+    /// Bit pattern of the pull tolerance (a window pulled at another
+    /// tolerance is differently encoded and must not be shared).
     pub tol_bits: u64,
 }
 
 /// One slice of a query's window, as the calculator emits it: the
-/// canonical key plus the slice's pull window (the full aligned span,
-/// so the pulled reply is shareable with any other window overlapping
-/// this slice).
+/// slice's aligned pull window (the full span, so the pulled reply is
+/// shareable with any other window overlapping this slice) and the
+/// instant that span is complete.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SliceSpec {
-    /// Canonical identity.
-    pub key: SliceKey,
-    /// Pull window start (the slice's aligned start).
-    pub from: SimTime,
-    /// Pull window end, inclusive (one tick short of the next slice's
-    /// start, so adjacent slices never double-count a boundary row).
-    pub to: SimTime,
+    /// The slice's pull window at the query's tolerance: its aligned
+    /// start through one tick short of the next slice's start, so
+    /// adjacent slices never double-count a boundary row.
+    pub key: WindowKey,
     /// Exclusive span end `(index+1)·len`: the instant the slice is
     /// fully archived. Only replies served at or after this instant
     /// are cacheable.
@@ -94,16 +96,14 @@ pub fn plan(sensor: u16, from: SimTime, to: SimTime, tolerance: f64) -> Option<V
     Some(
         (first..=last)
             .map(|index| {
-                let start = SimTime::from_micros(index * len);
                 let span_end = SimTime::from_micros((index + 1) * len);
                 SliceSpec {
-                    key: SliceKey {
+                    key: WindowKey {
                         sensor,
-                        index,
+                        from: SimTime::from_micros(index * len),
+                        to: span_end - SimDuration::from_micros(1),
                         tol_bits,
                     },
-                    from: start,
-                    to: span_end - SimDuration::from_micros(1),
                     span_end,
                 }
             })
@@ -114,56 +114,61 @@ pub fn plan(sensor: u16, from: SimTime, to: SimTime, tolerance: f64) -> Option<V
 /// Joins per-slice sample runs (oldest slice first) back into the
 /// query's window: concatenation plus an inclusive `[from, to]` trim.
 /// Slices partition time, so no dedup is needed.
-pub fn assemble(parts: &[Vec<(SimTime, f64)>], from: SimTime, to: SimTime) -> Vec<(SimTime, f64)> {
-    parts
-        .iter()
+pub fn assemble<'a>(
+    runs: impl IntoIterator<Item = &'a [(SimTime, f64)]>,
+    from: SimTime,
+    to: SimTime,
+) -> Vec<(SimTime, f64)> {
+    runs.into_iter()
         .flatten()
         .copied()
         .filter(|&(t, _)| t >= from && t <= to)
         .collect()
 }
 
-/// Re-bounds one slice's error from its reply: the codec reconstruction
-/// bound (`tolerance / 2`, what the sensor's lossy reply encoding
-/// honors) max'd with the aging ladder bound of the worst aged row
+/// Re-bounds a pull reply's error: the codec reconstruction bound
+/// (`tolerance / 2`, what the sensor's lossy reply encoding honors)
+/// max'd with the aging ladder bound of the worst aged row
 /// ([`Quality::error_bound`], the bound the sensors report for
-/// aggregate sigma). The assembled answer advertises the worst slice.
+/// aggregate sigma). A slice and a cached reply carry it, and the
+/// assembled answer advertises the worst slice.
 pub fn slice_sigma(tolerance: f64, qualities: impl Iterator<Item = Quality>) -> f64 {
     qualities
         .filter(|q| matches!(q, Quality::Aged(_)))
         .fold(tolerance / 2.0, |bound, q| bound.max(q.error_bound()))
 }
 
-/// One cached slice.
+/// One reply kept in the reply cache.
 #[derive(Clone, Debug)]
-struct SliceEntry {
-    key: SliceKey,
-    /// Re-bounded per-slice sigma (codec/aging, [`slice_sigma`]).
+struct CachedReply {
+    key: WindowKey,
+    /// The reply's re-bounded sigma at the window's tolerance
+    /// ([`slice_sigma`]).
     sigma: f64,
     samples: Vec<(SimTime, f64)>,
 }
 
-/// Slice cache counters. Invariant the equivalence property pins:
+/// Reply cache counters. Invariant the equivalence property pins:
 /// `lookups == hits + misses`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SliceCacheStats {
-    /// Slice lookups.
+pub struct ReplyCacheStats {
+    /// Window lookups.
     pub lookups: u64,
     /// Lookups served from the cache.
     pub hits: u64,
     /// Lookups the cache did not hold.
     pub misses: u64,
-    /// Complete slices inserted.
+    /// Complete replies inserted.
     pub inserts: u64,
     /// Entries dropped to make room for an insert.
     pub evictions: u64,
-    /// Insert attempts rejected because the slice's span was not fully
+    /// Insert attempts rejected because the window was not fully
     /// archived at serve time (caching it would risk a stale-confident
     /// serve later).
     pub incomplete_skips: u64,
 }
 
-presto_telemetry::observe_counters!(SliceCacheStats {
+presto_telemetry::observe_counters!(ReplyCacheStats {
     lookups,
     hits,
     misses,
@@ -172,53 +177,73 @@ presto_telemetry::observe_counters!(SliceCacheStats {
     incomplete_skips,
 });
 
-/// The slice store: one bounded LRU. A hit or a re-insert moves its
-/// entry to the hot end; an insert into a full cache first evicts the
-/// cold end, so the cache never exceeds its capacity, even transiently.
+/// The proxy's one cache of pulled archive ranges: one bounded LRU of
+/// pull replies keyed by the pulled window, a PAST query's whole window
+/// and a slice's aligned window alike. Repeat queries over a window any
+/// user already pulled are served from proxy memory instead of the
+/// radio. A hit or a re-insert moves its entry to the hot end; an
+/// insert into a full cache first evicts the cold end, so the cache
+/// never exceeds its capacity, even transiently.
 #[derive(Clone, Debug)]
-pub struct SliceCache {
+pub struct ReplyCache {
     /// LRU order: front is coldest, back is hottest.
-    entries: VecDeque<SliceEntry>,
+    entries: VecDeque<CachedReply>,
     capacity: usize,
-    stats: SliceCacheStats,
+    stats: ReplyCacheStats,
 }
 
-impl SliceCache {
-    /// Creates a cache holding up to `capacity` slices (at least one).
+impl ReplyCache {
+    /// Creates a cache holding up to `capacity` replies (at least one).
     pub fn new(capacity: usize) -> Self {
-        SliceCache {
+        ReplyCache {
             entries: VecDeque::new(),
             capacity: capacity.max(1),
-            stats: SliceCacheStats::default(),
+            stats: ReplyCacheStats::default(),
         }
     }
 
     /// Counters.
-    pub fn stats(&self) -> SliceCacheStats {
+    pub fn stats(&self) -> ReplyCacheStats {
         self.stats
     }
 
-    /// Drops every cached slice, keeping the counters (crash reset:
+    /// Lookups served from the cache.
+    pub fn hits(&self) -> u64 {
+        self.stats.hits
+    }
+
+    /// Lookups that went to the radio.
+    pub fn misses(&self) -> u64 {
+        self.stats.misses
+    }
+
+    /// Drops every cached reply, keeping the counters (crash reset:
     /// entries are RAM state, counters are measurement).
     pub fn clear(&mut self) {
         self.entries.clear();
     }
 
-    /// Inserts a served slice. Only **complete** slices are accepted:
+    /// Inserts a served reply. Only **complete** windows are accepted:
     /// `served_at` (the sensor-side serving instant) must be at or past
-    /// `span_end`, otherwise the slice's span was still filling and a
-    /// cached copy could later serve data it never had — the insert is
-    /// skipped and counted instead. A re-pull of the same key replaces
-    /// the older entry.
+    /// `complete_at`, the instant the window is fully archived (a
+    /// slice's span end, a whole window's end). Otherwise the window
+    /// was still filling and a cached copy could later serve a query
+    /// data it never had, so the insert is skipped and counted instead.
+    ///
+    /// The boundary is **closed**: the archive's serving instant covers
+    /// every row through `served_at` itself, so a reply served exactly
+    /// at `complete_at` is cached. Pinned by
+    /// `reply_cache_serves_at_exact_freshness_boundary`. A re-pull of
+    /// the same window replaces the older entry.
     pub fn insert(
         &mut self,
-        key: SliceKey,
-        span_end: SimTime,
+        key: WindowKey,
+        complete_at: SimTime,
         served_at: SimTime,
         sigma: f64,
         samples: Vec<(SimTime, f64)>,
     ) {
-        if served_at < span_end {
+        if served_at < complete_at {
             self.stats.incomplete_skips += 1;
             return;
         }
@@ -228,16 +253,16 @@ impl SliceCache {
             self.entries.pop_front();
             self.stats.evictions += 1;
         }
-        self.entries.push_back(SliceEntry {
+        self.entries.push_back(CachedReply {
             key,
             sigma,
             samples,
         });
     }
 
-    /// Looks up a slice; a hit refreshes its recency. Returns the
-    /// samples and the slice's re-bounded sigma.
-    pub fn lookup(&mut self, key: SliceKey) -> Option<(Vec<(SimTime, f64)>, f64)> {
+    /// Looks up a window; a hit refreshes its recency. Returns the
+    /// cached samples and the reply's re-bounded sigma.
+    pub fn lookup(&mut self, key: WindowKey) -> Option<(&[(SimTime, f64)], f64)> {
         self.stats.lookups += 1;
         let Some(entry) = self
             .entries
@@ -249,9 +274,8 @@ impl SliceCache {
             return None;
         };
         self.stats.hits += 1;
-        let out = (entry.samples.clone(), entry.sigma);
         self.entries.push_back(entry);
-        Some(out)
+        self.entries.back().map(|e| (e.samples.as_slice(), e.sigma))
     }
 }
 
@@ -259,10 +283,12 @@ impl SliceCache {
 mod tests {
     use super::*;
 
-    fn key(index: u64) -> SliceKey {
-        SliceKey {
+    /// Slice `index`'s aligned window, `[index h, (index+1) h − 1 µs]`.
+    fn key(index: u64) -> WindowKey {
+        WindowKey {
             sensor: 0,
-            index,
+            from: hour(index),
+            to: hour(index + 1) - SimDuration::from_micros(1),
             tol_bits: 0.2f64.to_bits(),
         }
     }
@@ -278,12 +304,14 @@ mod tests {
         let to = hour(3) + SimDuration::from_mins(11);
         let specs = plan(5, from, to, 0.2).expect("spans 3 slices");
         assert_eq!(specs.len(), 3);
-        assert_eq!(specs[0].key.index, 1);
-        assert_eq!(specs[2].key.index, 3);
-        assert_eq!(specs[0].from, hour(1));
+        assert_eq!(specs[0].key.from, hour(1));
+        assert_eq!(specs[2].key.from, hour(3));
         assert_eq!(specs[0].span_end, hour(2));
         // Inclusive pull end is one tick short of the next slice.
-        assert_eq!(specs[0].to + SimDuration::from_micros(1), specs[1].from);
+        assert_eq!(
+            specs[0].key.to + SimDuration::from_micros(1),
+            specs[1].key.from
+        );
         assert!(specs.iter().all(|s| s.key.sensor == 5));
     }
 
@@ -293,7 +321,7 @@ mod tests {
         // endpoint opens (t = 2h belongs to slice 2).
         let specs = plan(0, hour(1), hour(2), 0.2).expect("2 slices");
         assert_eq!(specs.len(), 2);
-        assert_eq!(specs[1].key.index, 2);
+        assert_eq!(specs[1].key.from, hour(2));
     }
 
     #[test]
@@ -306,12 +334,10 @@ mod tests {
 
     #[test]
     fn assembler_trims_to_window() {
-        let parts = vec![
-            vec![(hour(1), 1.0), (hour(1) + SimDuration::from_mins(30), 2.0)],
-            vec![(hour(2), 3.0), (hour(2) + SimDuration::from_mins(30), 4.0)],
-        ];
+        let first = [(hour(1), 1.0), (hour(1) + SimDuration::from_mins(30), 2.0)];
+        let second = [(hour(2), 3.0), (hour(2) + SimDuration::from_mins(30), 4.0)];
         let joined = assemble(
-            &parts,
+            [first.as_slice(), second.as_slice()],
             hour(1) + SimDuration::from_mins(10),
             hour(2) + SimDuration::from_mins(10),
         );
@@ -328,13 +354,13 @@ mod tests {
 
     #[test]
     fn cache_refreshes_recency_and_evicts_the_coldest() {
-        let mut c = SliceCache::new(3);
+        let mut c = ReplyCache::new(3);
         for i in 0..3u64 {
             c.insert(key(i), hour(i + 1), hour(i + 1), 0.1, vec![(hour(i), i as f64)]);
         }
         // A hit makes 0 the hottest entry, so 1 is now the coldest.
         let (samples, sigma) = c.lookup(key(0)).expect("cached");
-        assert_eq!(samples, vec![(hour(0), 0.0)]);
+        assert_eq!(samples, [(hour(0), 0.0)]);
         assert_eq!(sigma, 0.1);
         c.insert(key(3), hour(4), hour(4), 0.1, Vec::new());
         assert_eq!(c.stats().evictions, 1);
@@ -352,7 +378,7 @@ mod tests {
 
     #[test]
     fn cache_rejects_incomplete_slices() {
-        let mut c = SliceCache::new(8);
+        let mut c = ReplyCache::new(8);
         // Served before the span end: the slice was still filling.
         c.insert(key(7), hour(8), hour(7) + SimDuration::from_mins(30), 0.1, Vec::new());
         assert!(c.entries.is_empty());
@@ -367,7 +393,7 @@ mod tests {
 
     #[test]
     fn cache_never_exceeds_capacity() {
-        let mut c = SliceCache::new(4);
+        let mut c = ReplyCache::new(4);
         for i in 0..10u64 {
             c.insert(key(i), hour(i + 1), hour(i + 1), 0.1, Vec::new());
             assert!(c.entries.len() <= 4, "overflow at insert {i}");
@@ -376,8 +402,8 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.inserts, 10);
         assert_eq!(s.evictions, 6);
-        // A zero capacity still keeps one slice.
-        let mut d = SliceCache::new(0);
+        // A zero capacity still keeps one reply.
+        let mut d = ReplyCache::new(0);
         d.insert(key(0), hour(1), hour(1), 0.1, Vec::new());
         d.insert(key(1), hour(2), hour(2), 0.1, Vec::new());
         assert_eq!(d.entries.len(), 1);
@@ -386,19 +412,28 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_in_place() {
-        let mut c = SliceCache::new(4);
-        c.insert(key(0), hour(1), hour(1), 0.1, vec![(hour(0), 1.0)]);
-        c.insert(key(0), hour(1), hour(2), 0.1, vec![(hour(0), 2.0)]);
-        assert_eq!(c.entries.len(), 1);
-        assert_eq!(c.stats().evictions, 0);
-        let (samples, _) = c.lookup(key(0)).expect("cached");
-        assert_eq!(samples[0].1, 2.0, "newest serving wins");
-        assert_eq!(c.stats().hits, 1);
+        // A slice re-pulled, and a whole window re-pulled after a later
+        // serving: the newer serving replaces the entry.
+        let whole = WindowKey {
+            from: SimTime::ZERO,
+            to: SimTime::from_secs(100),
+            ..key(0)
+        };
+        for (key, later) in [(key(0), hour(2)), (whole, SimTime::from_secs(300))] {
+            let mut c = ReplyCache::new(4);
+            c.insert(key, key.to, key.to, 0.1, vec![(key.from, 1.0)]);
+            c.insert(key, key.to, later, 0.1, vec![(key.from, 2.0)]);
+            assert_eq!(c.entries.len(), 1);
+            assert_eq!(c.stats().evictions, 0);
+            let (samples, _) = c.lookup(key).expect("cached");
+            assert_eq!(samples[0].1, 2.0, "newest serving wins");
+            assert_eq!(c.stats().hits, 1);
+        }
     }
 
     #[test]
     fn clear_keeps_counters() {
-        let mut c = SliceCache::new(4);
+        let mut c = ReplyCache::new(4);
         c.insert(key(0), hour(1), hour(1), 0.1, Vec::new());
         assert!(c.lookup(key(0)).is_some());
         c.clear();

@@ -43,7 +43,7 @@ pub enum CompletionCause {
 pub enum SpanEvent {
     /// The query entered the system.
     Submitted,
-    /// Served without radio work; `path` names the fast path
+    /// Served without radio work; `path` names the radio-free path
     /// (`"fast"`, `"reply_cache"`).
     CacheHit {
         /// Which radio-free path served it.

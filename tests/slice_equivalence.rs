@@ -5,16 +5,16 @@
 //! reply codec is applied per reply, so the blocking reference must
 //! pull the same canonical slice windows). Every other query fails
 //! honestly by its deadline, no slice sub-RPC leaks from the channel,
-//! and the slice cache's accounting balances: `lookups == hits +
-//! misses`. The slice cache itself is checked step by step against a
+//! and the reply cache's accounting balances: `lookups == hits +
+//! misses`. The reply cache itself is checked step by step against a
 //! reference LRU written here (`slice_cache_is_an_lru`).
 
 use proptest::prelude::*;
 
-use presto::proxy::slice::{assemble, plan, SliceCache, SliceKey};
+use presto::proxy::slice::{assemble, plan};
 use presto::proxy::{
     AnswerSource, PastAnswer, PipelineAnswer, PipelineQuery, PrestoProxy, ProxyConfig, PumpSensor,
-    DEFAULT_DEADLINE,
+    ReplyCache, WindowKey, DEFAULT_DEADLINE,
 };
 use presto::reliability::{DownlinkChannel, DownlinkConfig, DOWNLINK_SEED};
 use presto::net::{LinkModel, LossProcess};
@@ -162,8 +162,8 @@ fn reference_past(
                 .map(|spec| {
                     let slice = PipelineQuery::Past {
                         sensor,
-                        from: spec.from,
-                        to: spec.to,
+                        from: spec.key.from,
+                        to: spec.key.to,
                         tolerance,
                     };
                     let a = blocking_past(p, t, slice, node, chan);
@@ -171,7 +171,7 @@ fn reference_past(
                     a.samples
                 })
                 .collect();
-            assemble(&runs, from, to)
+            assemble(runs.iter().map(Vec::as_slice), from, to)
         }
         None => {
             let a = blocking_past(p, t, q, node, chan);
@@ -229,8 +229,8 @@ fn run_and_check(
     // Every multi-slice PAST submission took the sliced path.
     prop_assert_eq!(p.pipeline().stats().sliced, multi_slice);
 
-    // Slice cache accounting balances.
-    let s = p.pipeline().slice_cache().stats();
+    // Reply cache accounting balances.
+    let s = p.pipeline().reply_cache().stats();
     prop_assert_eq!(s.lookups, s.hits + s.misses);
     prop_assert_eq!(s.incomplete_skips, 0, "all queried slice spans are fully archived");
 
@@ -320,7 +320,7 @@ proptest! {
 /// One cached slice of the reference LRU: key index, samples, sigma.
 type RefEntry = (u64, Vec<(SimTime, f64)>, f64);
 
-/// The reference the slice cache must match: entries in recency order
+/// The reference the reply cache must match: entries in recency order
 /// (front coldest), moved to the back on a hit or a re-insert; an
 /// insert into a full reference first drops the front.
 struct RefLru {
@@ -373,30 +373,32 @@ impl RefLru {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256 })]
 
-    /// The slice cache is one LRU: over any capacity and any trace of
+    /// The reply cache is one LRU: over any capacity and any trace of
     /// complete inserts (op 0), still-filling inserts (op 1) and
-    /// lookups (op 2) over six keys, every lookup hits or misses with
-    /// the same samples and sigma as the reference LRU of the same
-    /// capacity, and the counters agree after every step.
+    /// lookups (op 2) over six slice windows, every lookup hits or
+    /// misses with the same samples and sigma as the reference LRU of
+    /// the same capacity, and the counters agree after every step.
     #[test]
     fn slice_cache_is_an_lru(
         capacity in 0usize..16,
         trace in proptest::collection::vec((0u8..3, 0u64..6), 1..200),
     ) {
-        let mut cache = SliceCache::new(capacity);
+        let mut cache = ReplyCache::new(capacity);
         let mut reference = RefLru::new(capacity.max(1));
         for (step, &(op, index)) in trace.iter().enumerate() {
-            let key = SliceKey {
+            let span_end = SimTime::from_hours(index + 1);
+            let key = WindowKey {
                 sensor: 0,
-                index,
+                from: SimTime::from_hours(index),
+                to: span_end - SimDuration::from_micros(1),
                 tol_bits: 0.2f64.to_bits(),
             };
             if op == 2 {
-                prop_assert_eq!(cache.lookup(key), reference.lookup(index), "lookup at step {}", step);
+                let hit = cache.lookup(key).map(|(samples, sigma)| (samples.to_vec(), sigma));
+                prop_assert_eq!(hit, reference.lookup(index), "lookup at step {}", step);
             } else {
                 // Every insert carries its own samples and sigma, so an
                 // entry a re-insert should have replaced would show.
-                let span_end = SimTime::from_hours(index + 1);
                 let served_at = if op == 0 {
                     span_end
                 } else {
@@ -421,8 +423,8 @@ proptest! {
 
 /// Containment serving falls out of slice assembly: once one window has
 /// been pulled, a *different, narrower* window covered by the same
-/// slices completes radio-free from the slice cache — the behavior
-/// the old exact-match reply cache could never provide.
+/// slices completes radio-free from the cached slices — the behavior
+/// exact-match whole-window caching could never provide.
 #[test]
 fn sub_window_of_pulled_span_completes_radio_free() {
     let base = SimTime::from_days(2);
