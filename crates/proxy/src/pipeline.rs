@@ -554,4 +554,19 @@ mod tests {
         assert_eq!(c.stats().incomplete_skips, 1);
         assert!(c.lookup(longer).is_none(), "one tick past the serve instant is uncovered");
     }
+
+    #[test]
+    fn reply_cache_repull_replaces_entry() {
+        // A whole window re-pulled after a later serving replaces the
+        // older entry: in a one-reply cache the re-insert evicts
+        // nothing, and the lookup returns the newer samples.
+        let mut c = ReplyCache::new(1);
+        let key = secs(0, 100);
+        c.insert(key, key.to, SimTime::from_secs(100), 0.25, vec![(SimTime::from_secs(10), 1.0)]);
+        c.insert(key, key.to, SimTime::from_secs(300), 0.25, vec![(SimTime::from_secs(10), 2.0)]);
+        assert_eq!(c.stats().inserts, 2);
+        assert_eq!(c.stats().evictions, 0);
+        let (s, _) = c.lookup(key).expect("fresh entry");
+        assert_eq!(s[0].1, 2.0, "newest serving wins");
+    }
 }

@@ -412,23 +412,14 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_in_place() {
-        // A slice re-pulled, and a whole window re-pulled after a later
-        // serving: the newer serving replaces the entry.
-        let whole = WindowKey {
-            from: SimTime::ZERO,
-            to: SimTime::from_secs(100),
-            ..key(0)
-        };
-        for (key, later) in [(key(0), hour(2)), (whole, SimTime::from_secs(300))] {
-            let mut c = ReplyCache::new(4);
-            c.insert(key, key.to, key.to, 0.1, vec![(key.from, 1.0)]);
-            c.insert(key, key.to, later, 0.1, vec![(key.from, 2.0)]);
-            assert_eq!(c.entries.len(), 1);
-            assert_eq!(c.stats().evictions, 0);
-            let (samples, _) = c.lookup(key).expect("cached");
-            assert_eq!(samples[0].1, 2.0, "newest serving wins");
-            assert_eq!(c.stats().hits, 1);
-        }
+        let mut c = ReplyCache::new(4);
+        c.insert(key(0), hour(1), hour(1), 0.1, vec![(hour(0), 1.0)]);
+        c.insert(key(0), hour(1), hour(2), 0.1, vec![(hour(0), 2.0)]);
+        assert_eq!(c.entries.len(), 1);
+        assert_eq!(c.stats().evictions, 0);
+        let (samples, _) = c.lookup(key(0)).expect("cached");
+        assert_eq!(samples[0].1, 2.0, "newest serving wins");
+        assert_eq!(c.stats().hits, 1);
     }
 
     #[test]
