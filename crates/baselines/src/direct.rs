@@ -51,7 +51,7 @@ pub fn run(cfg: &DriverConfig) -> ArchReport {
             let out = sink.rpc(q.arrival, &msg, node, chan);
             let samples = match out.reply.map(|r| r.payload) {
                 Some(UplinkPayload::PullReply { samples, .. }) => samples,
-                _ => Vec::new(),
+                _ => Default::default(),
             };
             match q.scope {
                 TimeScope::Now => ArmAnswer::Now {

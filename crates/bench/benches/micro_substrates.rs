@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use presto_archive::{ArchiveConfig, ArchiveStore};
 use presto_index::SkipGraph;
-use presto_models::{ArModel, Predictor, SeasonalArModel, SeasonalModel};
+use presto_models::{ArModel, Predictor, SeasonalArModel, SeasonalModel, SpatialGaussian};
 use presto_sim::{EnergyLedger, SimDuration, SimTime};
 use presto_wavelet::{Codec, CodecParams};
 use presto_workloads::{LabDeployment, LabParams};
@@ -43,20 +43,44 @@ fn bench_wavelet(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_models(c: &mut Criterion) {
-    let hist: Vec<(SimTime, f64)> = trace_values(5000)
+fn history(n: usize) -> Vec<(SimTime, f64)> {
+    trace_values(n)
         .into_iter()
         .enumerate()
         .map(|(i, v)| (SimTime::from_secs(31 * i as u64), v))
-        .collect();
+        .collect()
+}
+
+fn bench_models(c: &mut Criterion) {
+    let hist = history(5000);
     let mut group = c.benchmark_group("models");
     group.bench_function("train_seasonal", |b| {
         b.iter(|| SeasonalModel::train(&hist, 24))
     });
     group.bench_function("train_ar4", |b| b.iter(|| ArModel::train(&hist, 4)));
-    group.bench_function("train_seasonal_ar", |b| {
-        b.iter(|| SeasonalArModel::train(&hist, 24, 2))
-    });
+    // 5k samples, and 50k, the scale of a proxy's daily fit over a
+    // full cache.
+    for n in [5_000usize, 50_000] {
+        group.bench_with_input(
+            BenchmarkId::new("train_seasonal_ar", n),
+            &history(n),
+            |b, hist| b.iter(|| SeasonalArModel::train(hist, 24, 2)),
+        );
+    }
+    // The hourly spatial refresh's shapes in the benchmark: two sensors
+    // over a full cache, and eight over a few thousand aligned rows.
+    for (rows, cols) in [(45_000usize, 2usize), (4_000, 8)] {
+        let field = trace_values(rows);
+        let data: Vec<f64> = field
+            .iter()
+            .flat_map(|&v| (0..cols).map(move |s| v + s as f64 * 0.5 + (v * s as f64).sin() * 0.1))
+            .collect();
+        group.bench_with_input(
+            BenchmarkId::new("spatial_train", format!("{rows}x{cols}")),
+            &data,
+            |b, data| b.iter(|| SpatialGaussian::train(data, cols)),
+        );
+    }
     let (model, _) = SeasonalArModel::train(&hist, 24, 2);
     let mut replica = model.clone_replica();
     group.bench_function("sensor_check", |b| {

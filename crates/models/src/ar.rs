@@ -8,6 +8,12 @@
 //! The model assumes regularly spaced samples (PRESTO sensors sample on a
 //! fixed epoch), so prediction conditions on the last `p` observations
 //! rather than on wall-clock time.
+//!
+//! Training keeps a fixed accumulation order: the mean is a `sum()` in
+//! sample order, and each lag's autocovariance adds its products in
+//! increasing sample index from `-0.0`, the start value of `f64`'s
+//! `Sum`, with the lags of one block of four folded in one pass over
+//! the samples in registers.
 
 use std::collections::VecDeque;
 
@@ -27,20 +33,42 @@ pub struct ArModel {
     recent: VecDeque<f64>,
 }
 
-/// Sample autocovariance at lags `0..=p`.
+/// Lags one pass over the samples folds, their accumulators held in
+/// registers.
+const LAGS: usize = 4;
+
+/// Sample autocovariance at lags `0..=p`, folded [`LAGS`] lags per pass
+/// over `xs`, so AR orders up to 3 take one pass. Each lag's
+/// accumulator starts at `-0.0`, the start value of `f64`'s `Sum`, and
+/// adds `(xs[i] - mean) * (xs[i + lag] - mean)` in increasing `i`, the
+/// order a per-lag `sum()` adds them in; a lag with no pair is `0.0`.
 fn autocovariance(xs: &[f64], mean: f64, p: usize) -> Vec<f64> {
     let n = xs.len();
-    (0..=p)
-        .map(|lag| {
-            if n <= lag {
-                return 0.0;
+    let mut acov = vec![0.0; p + 1];
+    for (block, out) in acov.chunks_mut(LAGS).enumerate() {
+        let first = block * LAGS;
+        // Sample `i` pairs with `partners[i..i + LAGS]`, fewer near the
+        // end: a full window for the first `full` samples.
+        let partners = xs.get(first..).unwrap_or_default();
+        let full = partners.len().saturating_sub(LAGS - 1);
+        let mut acc = [-0.0; LAGS];
+        let mut add = |x: f64, ys: &[f64]| {
+            let d = x - mean;
+            for (a, &y) in acc.iter_mut().zip(ys) {
+                *a += d * (y - mean);
             }
-            (0..n - lag)
-                .map(|i| (xs[i] - mean) * (xs[i + lag] - mean))
-                .sum::<f64>()
-                / n as f64
-        })
-        .collect()
+        };
+        for (&x, ys) in xs.iter().zip(partners.windows(LAGS)) {
+            add(x, ys);
+        }
+        for (i, &x) in xs.iter().enumerate().skip(full) {
+            add(x, partners.get(i..).unwrap_or_default());
+        }
+        for (lag, (value, sum)) in (first..).zip(out.iter_mut().zip(acc)) {
+            *value = if n <= lag { 0.0 } else { sum / n as f64 };
+        }
+    }
+    acov
 }
 
 /// Levinson–Durbin recursion: solves the Yule–Walker system for AR
@@ -330,5 +358,53 @@ mod tests {
         for &c in &m.coeffs {
             assert!(c.abs() < 0.06, "{c}");
         }
+    }
+
+    /// One `sum()` per lag: the reference order the folded pass keeps.
+    fn per_lag_autocovariance(xs: &[f64], mean: f64, p: usize) -> Vec<f64> {
+        let n = xs.len();
+        (0..=p)
+            .map(|lag| {
+                if n <= lag {
+                    return 0.0;
+                }
+                (0..n - lag)
+                    .map(|i| (xs[i] - mean) * (xs[i + lag] - mean))
+                    .sum::<f64>()
+                    / n as f64
+            })
+            .collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn folded_autocovariance_matches_per_lag_sums_bit_for_bit() {
+        let long = ar1_sequence(3000, 0.9, 1.0);
+        for p in 0..=4 {
+            // Every length up to past `p` (so `n <= p` leaves lags with
+            // no pair), then long runs through the full-window loop.
+            for n in (0..=p + 6).chain([64, 1001, 3000]) {
+                let xs = &long[..n];
+                let mean = if n == 0 {
+                    0.0
+                } else {
+                    xs.iter().sum::<f64>() / n as f64
+                };
+                assert_eq!(
+                    bits(&autocovariance(xs, mean, p)),
+                    bits(&per_lag_autocovariance(xs, mean, p)),
+                    "p={p} n={n}"
+                );
+            }
+        }
+        // Every lag-1 term is `0 · −2 = −0.0`: the per-lag sum keeps the
+        // sign only because its start value is `−0.0`.
+        let xs = [5.0, 3.0, 5.0];
+        let got = autocovariance(&xs, 5.0, 2);
+        assert!(got[1] == 0.0 && got[1].is_sign_negative());
+        assert_eq!(bits(&got), bits(&per_lag_autocovariance(&xs, 5.0, 2)));
     }
 }

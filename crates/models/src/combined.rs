@@ -6,6 +6,13 @@
 //! simple regression and time-series analysis") and the one its authors
 //! adopted for the full system. The sensor-side check remains O(1): one
 //! table lookup plus a p-term dot product.
+//!
+//! Training finds each sample's bin once: the seasonal fit accumulates
+//! its per-bin sums in history order, and each residual is the sample
+//! minus the mean of the bin that fit found for it, the value
+//! `seasonal.predict(t)` would look up again. The AR stage then sums
+//! the residuals in history order (see [`crate::ar`]), so the fitted
+//! model is the same bit for bit as with a second lookup per sample.
 
 use presto_sim::SimTime;
 
@@ -23,11 +30,8 @@ pub struct SeasonalArModel {
 impl SeasonalArModel {
     /// Trains both stages: seasonal bins, then AR over the residuals.
     pub fn train(history: &[(SimTime, f64)], bins: usize, ar_order: usize) -> (Self, TrainReport) {
-        let (seasonal, seasonal_report) = SeasonalModel::train(history, bins);
-        let residuals: Vec<f64> = history
-            .iter()
-            .map(|&(t, v)| v - seasonal.predict(t).value)
-            .collect();
+        let (seasonal, seasonal_report, residuals) =
+            SeasonalModel::train_with_residuals(history, bins);
         let (residual_ar, ar_report) = ArModel::train_values(&residuals, ar_order);
         let report = TrainReport {
             // Residual computation costs another pass over the history.
@@ -240,5 +244,99 @@ mod tests {
         let (_, combined) = SeasonalArModel::train(&hist, 24, 2);
         let (_, seasonal_only) = SeasonalModel::train(&hist, 24);
         assert!(combined.residual_sigma < seasonal_only.residual_sigma);
+    }
+
+    /// The reference trainer: the residuals come from
+    /// `seasonal.predict(t)`, a second bin lookup per sample.
+    fn predict_residuals_reference(
+        history: &[(SimTime, f64)],
+        bins: usize,
+        ar_order: usize,
+    ) -> SeasonalArModel {
+        let (seasonal, _) = SeasonalModel::train(history, bins);
+        let residuals: Vec<f64> = history
+            .iter()
+            .map(|&(t, v)| v - seasonal.predict(t).value)
+            .collect();
+        let (residual_ar, _) = ArModel::train_values(&residuals, ar_order);
+        SeasonalArModel {
+            seasonal,
+            residual_ar,
+        }
+    }
+
+    /// Two days at a 15-minute cadence from 21:00, so every sample sits
+    /// on a bin edge at 24 and 96 bins and the history crosses midnight
+    /// twice, then an hour at 31 s between edges; with two gaps and two
+    /// unsorted stretches, around a large offset so that any change in
+    /// the order of the sums shows in the low bits.
+    fn awkward_history() -> Vec<(SimTime, f64)> {
+        let mut state = 99u64;
+        let mut noise = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        let start = SimTime::from_hours(21);
+        let on_edges = (0..192u64).map(|k| start + SimDuration::from_mins(15 * k));
+        let end = start + SimDuration::from_hours(48);
+        let between = (0..116u64).map(|k| end + SimDuration::from_secs(31 * k));
+        let mut hist: Vec<(SimTime, f64)> = on_edges
+            .chain(between)
+            .enumerate()
+            .filter(|&(k, _)| !(40..70).contains(&k) && !(150..153).contains(&k))
+            .map(|(_, t)| {
+                let h = t.hour_of_day();
+                let v = 1000.0 + 6.0 * (h / 24.0 * std::f64::consts::TAU).sin() + noise();
+                (t, v)
+            })
+            .collect();
+        hist[60..90].reverse();
+        for pair in hist[200..220].chunks_exact_mut(2) {
+            pair.swap(0, 1);
+        }
+        hist
+    }
+
+    fn same_bits(got: &SeasonalArModel, want: &SeasonalArModel, t: SimTime, what: &str) {
+        let (g, w) = (got.predict(t), want.predict(t));
+        assert_eq!(
+            g.value.to_bits(),
+            w.value.to_bits(),
+            "{what}: value at {t:?}"
+        );
+        assert_eq!(
+            g.sigma.to_bits(),
+            w.sigma.to_bits(),
+            "{what}: sigma at {t:?}"
+        );
+    }
+
+    #[test]
+    fn residuals_from_the_fit_bins_match_predict_residuals_bit_for_bit() {
+        let hist = awkward_history();
+        let probes: Vec<SimTime> = [0u64, 15, 59 * 60 + 59, 3600, 21 * 3600, 23 * 3600 + 1800]
+            .iter()
+            .map(|&s| SimTime::from_days(3) + SimDuration::from_secs(s))
+            .collect();
+        for bins in [1, 24, 96] {
+            for ar_order in [0, 2, 4] {
+                let what = format!("bins={bins} ar_order={ar_order}");
+                let (mut got, _) = SeasonalArModel::train(&hist, bins, ar_order);
+                let mut want = predict_residuals_reference(&hist, bins, ar_order);
+                assert_eq!(got.encode_params(), want.encode_params(), "{what}");
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+                for &t in &probes {
+                    same_bits(&got, &want, t, &what);
+                }
+                for (k, &t) in probes.iter().enumerate() {
+                    let v = 1000.0 + k as f64 * 0.37;
+                    got.observe(t, v);
+                    want.observe(t, v);
+                }
+                for &t in &probes {
+                    same_bits(&got, &want, t, &what);
+                }
+            }
+        }
     }
 }

@@ -27,12 +27,41 @@ impl SeasonalModel {
     /// Returns the model and its training cost report. With no data in a
     /// bin, the global mean is substituted.
     pub fn train(history: &[(SimTime, f64)], bins: usize) -> (Self, TrainReport) {
+        Self::fit(history, bins, |_| {})
+    }
+
+    /// Trains like [`SeasonalModel::train`] and also returns each
+    /// sample's residual `v - predict(t).value`, taken from the bin the
+    /// fit already found for the sample rather than from a second
+    /// [`SeasonalModel::bin_of`].
+    pub(crate) fn train_with_residuals(
+        history: &[(SimTime, f64)],
+        bins: usize,
+    ) -> (Self, TrainReport, Vec<f64>) {
+        let mut sample_bins = Vec::with_capacity(history.len());
+        let (model, report) = Self::fit(history, bins, |b| sample_bins.push(b));
+        let residuals = history
+            .iter()
+            .zip(&sample_bins)
+            .map(|(&(_, v), &b)| v - model.means[b])
+            .collect();
+        (model, report, residuals)
+    }
+
+    /// The fit behind both trainers; `each_bin` sees every sample's bin
+    /// in history order.
+    fn fit(
+        history: &[(SimTime, f64)],
+        bins: usize,
+        mut each_bin: impl FnMut(usize),
+    ) -> (Self, TrainReport) {
         assert!(bins > 0, "at least one bin");
         let mut sums = vec![0.0f64; bins];
         let mut sqs = vec![0.0f64; bins];
         let mut counts = vec![0u64; bins];
         for &(t, v) in history {
             let b = Self::bin_of(t, bins);
+            each_bin(b);
             sums[b] += v;
             sqs[b] += v * v;
             counts[b] += 1;

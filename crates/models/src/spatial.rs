@@ -7,6 +7,15 @@
 //! contemporaneous readings it does have. This model never leaves the
 //! proxy — it is a pure extrapolation device, so it has no sensor-side
 //! replica and does not implement [`crate::traits::Predictor`].
+//!
+//! Training is a register kernel with a fixed accumulation order: each
+//! column mean and each upper-triangle covariance entry is one local
+//! accumulator that starts at `0.0` and adds its terms row by row, up
+//! to four accumulators per pass over the rows. That is the order a
+//! nested loop over rows and columns adds them in, so the fitted model
+//! is the same bit for bit. The lower triangle mirrors the upper one:
+//! IEEE multiplication commutes and rustc never fuses `a * b + c` into
+//! an FMA, so `dᵢ·dⱼ` and `dⱼ·dᵢ` sum to the same bits for finite data.
 
 use crate::linalg::Matrix;
 use crate::traits::Prediction;
@@ -34,27 +43,26 @@ impl SpatialGaussian {
             return None;
         }
         let mut mean = vec![0.0; n];
-        for row in data.chunks_exact(n) {
-            for (m, v) in mean.iter_mut().zip(row) {
-                *m += v;
+        in_blocks(0..n, |block, len| {
+            let sums = sum_rows(data, n, |row, k| row[block[k]]);
+            for (&c, sum) in block.iter().zip(sums).take(len) {
+                mean[c] = sum / t as f64;
             }
-        }
-        for m in &mut mean {
-            *m /= t as f64;
-        }
+        });
         let mut cov = Matrix::zeros(n, n);
-        for row in data.chunks_exact(n) {
-            for i in 0..n {
-                let di = row[i] - mean[i];
-                for j in 0..n {
-                    cov[(i, j)] += di * (row[j] - mean[j]);
-                }
+        let upper = (0..n).flat_map(|i| (i..n).map(move |j| (i, j)));
+        in_blocks(upper, |pairs, len| {
+            let centred = pairs.map(|(i, j)| (i, mean[i], j, mean[j]));
+            let sums = sum_rows(data, n, |row, k| {
+                let (i, mi, j, mj) = centred[k];
+                (row[i] - mi) * (row[j] - mj)
+            });
+            for (&(i, j), sum) in pairs.iter().zip(sums).take(len) {
+                cov[(i, j)] = sum / t as f64;
+                cov[(j, i)] = cov[(i, j)];
             }
-        }
+        });
         for i in 0..n {
-            for j in 0..n {
-                cov[(i, j)] /= t as f64;
-            }
             // Ridge for numerical SPD-ness.
             cov[(i, i)] += 1e-6;
         }
@@ -110,9 +118,40 @@ impl SpatialGaussian {
     }
 }
 
+/// Accumulators a training pass keeps in registers.
+const LANES: usize = 4;
+
+/// Hands `items` to `f` [`LANES`] at a time with the count of real
+/// ones; the spare lanes of a short last block repeat its first item.
+fn in_blocks<T: Copy>(mut items: impl Iterator<Item = T>, mut f: impl FnMut([T; LANES], usize)) {
+    while let Some(first) = items.next() {
+        let mut block = [first; LANES];
+        let mut len = 1;
+        for slot in &mut block[1..] {
+            let Some(item) = items.next() else { break };
+            *slot = item;
+            len += 1;
+        }
+        f(block, len);
+    }
+}
+
+/// Sums `term(row, k)` over the rows of `data` for each lane `k`, each
+/// lane from `0.0` in row order.
+fn sum_rows(data: &[f64], cols: usize, term: impl Fn(&[f64], usize) -> f64) -> [f64; LANES] {
+    let mut acc = [0.0; LANES];
+    for row in data.chunks_exact(cols) {
+        for (k, a) in acc.iter_mut().enumerate() {
+            *a += term(row, k);
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Row-major readings where sensors share a common field plus
     /// private noise: x_s = field + offset_s + noise_s.
@@ -243,6 +282,66 @@ mod tests {
                     want += 1e-6;
                 }
                 assert_eq!(g.cov[(i, j)].to_bits(), want.to_bits(), "cov[{i}][{j}]");
+            }
+        }
+    }
+
+    /// A nested loop over rows and columns with its accumulators in heap
+    /// memory: the reference order the kernel keeps.
+    fn nested_rows_reference(data: &[f64], n: usize) -> (Vec<f64>, Matrix) {
+        let t = (data.len() / n) as f64;
+        let mut mean = vec![0.0; n];
+        for row in data.chunks_exact(n) {
+            for (m, v) in mean.iter_mut().zip(row) {
+                *m += v;
+            }
+        }
+        for m in &mut mean {
+            *m /= t;
+        }
+        let mut cov = Matrix::zeros(n, n);
+        for row in data.chunks_exact(n) {
+            for i in 0..n {
+                let di = row[i] - mean[i];
+                for j in 0..n {
+                    cov[(i, j)] += di * (row[j] - mean[j]);
+                }
+            }
+        }
+        for i in 0..n {
+            for j in 0..n {
+                cov[(i, j)] /= t;
+            }
+            cov[(i, i)] += 1e-6;
+        }
+        (mean, cov)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn kernel_matches_the_nested_rows_loop_bit_for_bit(
+            cols in 1usize..10,
+            rows in 2usize..400,
+            offset in -1.0e7f64..1.0e7,
+            column_offsets in collection::vec(-1.0e3f64..1.0e3, 9usize),
+            noise in collection::vec(-10.0f64..10.0, 9 * 400usize),
+        ) {
+            // Large common offsets make the sums' rounding depend on
+            // their order, so any reordering shows in the low bits.
+            let data: Vec<f64> = noise[..rows * cols]
+                .iter()
+                .enumerate()
+                .map(|(k, x)| offset + column_offsets[k % cols] + x)
+                .collect();
+            let (mean, cov) = nested_rows_reference(&data, cols);
+            let g = SpatialGaussian::train(&data, cols).unwrap();
+            for i in 0..cols {
+                prop_assert_eq!(g.mean[i].to_bits(), mean[i].to_bits(), "mean[{}]", i);
+                for j in 0..cols {
+                    let (got, want) = (g.cov[(i, j)], cov[(i, j)]);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "cov[{}][{}]", i, j);
+                }
             }
         }
     }

@@ -1420,7 +1420,7 @@ impl PrestoProxy {
         self.on_uplink(reply);
         let reply_latency = attempt_latency + self.reply_latency(reply.wire_bytes);
         let raw = match &reply.payload {
-            UplinkPayload::PullReply { samples, .. } => Some(samples.as_slice()),
+            UplinkPayload::PullReply { samples, .. } => Some(&samples[..]),
             _ => None,
         };
         // A pull reply is flattened once for every part it serves.

@@ -1,11 +1,13 @@
-//! Keeping the proxy's caches and spatial model current must cost what
+//! Keeping the proxy's caches and models current must cost what
 //! changed, not what the history holds: the hourly spatial refresh
 //! aligns every cache in one flat buffer instead of one `Vec` per row,
-//! and a pull reply merges into a full cache in place. This binary
-//! installs the counting allocator and holds a single test, so the
-//! global count sees only the calls it measures.
+//! the daily seasonal-AR fit makes a handful of buffers however long
+//! the history, and a pull reply merges into a full cache in place.
+//! This binary installs the counting allocator and holds a single
+//! test, so the global count sees only the calls it measures.
 
 use presto_archive::Quality;
+use presto_models::SeasonalArModel;
 use presto_proxy::cache::CacheSource;
 use presto_proxy::{PrestoProxy, ProxyConfig};
 use presto_sensor::msg::ReplySample;
@@ -63,6 +65,24 @@ fn cache_upkeep_does_not_scale_allocations_with_history() {
     assert!(
         refresh_allocs <= 8,
         "spatial refresh made {refresh_allocs} allocations"
+    );
+
+    // The daily fit over one full cache at the proxy's 24 bins and
+    // AR(2): five per-bin tables, each sample's bin and residual, and
+    // the AR stage's four vectors make 11 allocations, none per sample.
+    let history: Vec<(SimTime, f64)> = proxy
+        .cache(0)
+        .expect("sensor 0 is registered")
+        .history_iter()
+        .collect();
+    assert_eq!(history.len(), CAPACITY);
+    let before = allocation_count();
+    let (model, _) = SeasonalArModel::train(&history, 24, 2);
+    let fit_allocs = allocation_count() - before;
+    drop(model);
+    assert!(
+        fit_allocs <= 12,
+        "a seasonal-AR fit over {CAPACITY} samples made {fit_allocs} allocations"
     );
 
     // A 500-sample pull reply from the middle of sensor 0's full cache:

@@ -56,12 +56,14 @@ pub enum UplinkPayload {
         /// Application payload.
         data: Arc<[u8]>,
     },
-    /// Reply to a PAST-query pull.
+    /// Reply to a PAST-query pull. Like [`UplinkPayload::Event`]'s
+    /// data, the samples are shared, not copied: the sensor's
+    /// duplicate-request window keeps the same allocation it sent.
     PullReply {
         /// Correlates with [`DownlinkMsg::PullRequest`].
         query_id: u64,
         /// Samples as reconstructed at the proxy.
-        samples: Vec<ReplySample>,
+        samples: Arc<[ReplySample]>,
     },
     /// Reply to an aggregate request: a single value computed at the
     /// sensor over its own archive (paper §3: "the operation can be

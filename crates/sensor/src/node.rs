@@ -1,5 +1,7 @@
 //! The sensor node state machine.
 
+use std::sync::Arc;
+
 use presto_archive::{ArchiveStore, ArchivedSample, Quality};
 use presto_models::{
     ArModel, LinearTrendModel, MarkovModel, ModelKind, Predictor, SeasonalArModel, SeasonalModel,
@@ -617,7 +619,7 @@ impl SensorNode {
             ));
             let (byte_len, recon) = codec
                 .compress_reconstruct(self.rows.iter().map(|r| r.value), &mut self.codec_scratch);
-            let samples: Vec<ReplySample> = self
+            let samples: Arc<[ReplySample]> = self
                 .rows
                 .iter()
                 .zip(recon)
@@ -630,7 +632,7 @@ impl SensorNode {
             let n = samples.len();
             (samples, wire::pull_reply_compressed(byte_len, n))
         } else {
-            let samples: Vec<ReplySample> = self
+            let samples: Arc<[ReplySample]> = self
                 .rows
                 .iter()
                 .map(|r| ReplySample {
@@ -939,7 +941,7 @@ mod tests {
         };
         assert_eq!(*query_id, 99);
         assert_eq!(samples.len(), 51);
-        for s in samples {
+        for s in samples.iter() {
             let truth_v = diurnal_value(s.t);
             assert!((s.value - truth_v).abs() <= 0.3 + 1e-6);
         }

@@ -62,8 +62,8 @@ fn archive_appends_and_repeat_pulls_make_no_scratch_allocations() {
     assert_eq!(samples.len(), WINDOW as usize);
     let misses = node.archive().stats().page_cache_misses;
 
-    // Each repeat allocates the reply's samples and the dedup window's
-    // copy of the reply, and nothing else.
+    // Each repeat allocates the reply's samples once, shared with the
+    // dedup window, which grows its own ring a few times as it fills.
     let before = allocation_count();
     for seq in 1..=PULLS {
         let reply = node.handle_sequenced_downlink(now, seq, &pull);
@@ -71,7 +71,7 @@ fn archive_appends_and_repeat_pulls_make_no_scratch_allocations() {
     }
     let pull_allocs = allocation_count() - before;
     assert!(
-        pull_allocs <= 3 * PULLS,
+        pull_allocs <= PULLS + 4,
         "{PULLS} repeat pulls made {pull_allocs} allocations"
     );
     assert_eq!(node.stats().pulls_served, PULLS + 1);
